@@ -100,9 +100,6 @@ def _load_memory_model(doc, name) -> ResourceModel:
         support_bound=support_bound,
         name=name,
     )
-    rep = validate_coverage(model.site.cat, model.site.cov)
-    if not rep.ok:
-        raise ModelSchemaError("coverage", f"internal validation failed: {rep.summary()}")
     model.formulas = _load_formulas(doc, model.check_formula)
     return model
 

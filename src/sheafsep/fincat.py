@@ -277,10 +277,6 @@ def build_finsurj_category(max_size, size_bound=FINSURJ_SIZE_BOUND):
     return cat, mon
 
 
-def slice_object(p):
-    return p
-
-
 def tri(cat, g, q, p):
     return ("tri", g, q, p)
 

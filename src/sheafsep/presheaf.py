@@ -110,6 +110,10 @@ class Presheaf:
     applies the restriction map F(f): F(dst f) -> F(src f) to x.
     An optional glue_fn(target, legs) computes amalgamations directly
     for builders whose stages are too big (or infinite) to scan.
+
+    Enumerable stages also have an integer encoding, built lazily:
+    `index(A)` numbers the elements of A in `at(A)` order and `table(f)`
+    is F(f) as a tuple from positions in F(dst f) to ids in F(src f).
     """
 
     def __init__(self, base: FinCat, stage_fn, restrict_fn, *, name="presheaf",
@@ -121,6 +125,10 @@ class Presheaf:
         self.glue_fn = glue_fn
         self.enumerable = enumerable
         self._cache = {}
+        self._index = {}  # stage -> {element: id}
+        self._elements = {}  # stage -> elements by id
+        self._tables = {}  # morphism -> restriction table
+        self._covers = {}  # sieve -> _EncodedCover
 
     def at(self, a):
         self.base.require_object(a)
@@ -132,6 +140,43 @@ class Presheaf:
 
     def restrict(self, f, x):
         return self._restrict_fn(f, x)
+
+    def index(self, a):
+        """Element -> id at stage a: an element's id is its first position
+        in at(a); images that leave the stage get fresh ids past the end,
+        so equal ids mean equal elements."""
+        idx = self._index.get(a)
+        if idx is None:
+            elems = self.at(a)
+            idx = {}
+            for i, x in enumerate(elems):
+                idx.setdefault(x, i)
+            self._index[a] = idx
+            self._elements[a] = list(elems)
+        return idx
+
+    def element(self, a, i):
+        """The element with id i at stage a."""
+        self.index(a)
+        return self._elements[a][i]
+
+    def table(self, f):
+        """F(f) encoded: position in at(dst f) -> id in F(src f)."""
+        t = self._tables.get(f)
+        if t is None:
+            src = self.base.src(f)
+            idx = self.index(src)
+            elems = self._elements[src]
+            out = []
+            for x in self.at(self.base.dst(f)):
+                y = self.restrict(f, x)
+                i = idx.get(y)
+                if i is None:
+                    i = idx[y] = len(elems)
+                    elems.append(y)
+                out.append(i)
+            t = self._tables[f] = tuple(out)
+        return t
 
     def __repr__(self):
         return f"Presheaf({self.name!r} on {self.base.kind!r})"
@@ -304,17 +349,12 @@ class CompatibleFamily:
 
 def compatibility_witness(ps: Presheaf, fam: CompatibleFamily):
     """First commuting square on which the family disagrees, or None."""
-    cat = ps.base
     legs = fam.items()
     for f, xf in legs:
         for g, xg in legs:
-            for k in cat.all_morphisms():
-                if cat.dst(k) != cat.src(f):
-                    continue
-                for h in cat.hom(cat.src(k), cat.src(g)):
-                    if cat.compose(f, k) == cat.compose(g, h):
-                        if ps.restrict(k, xf) != ps.restrict(h, xg):
-                            return (f, g, k, h)
+            for k, h in _pairwise_square_maps(ps.base, f, g):
+                if ps.restrict(k, xf) != ps.restrict(h, xg):
+                    return (f, g, k, h)
     return None
 
 
@@ -350,97 +390,145 @@ def _generators(cat: FinCat, cover: Sieve):
 
 
 def _pairwise_square_maps(cat: FinCat, f, g):
-    """All (k, h) with f.k = g.h, the compatibility squares for a leg pair."""
+    """All (k, h) with f.k = g.h, the commuting squares on a leg pair."""
     out = []
-    for k in cat.all_morphisms():
-        if cat.dst(k) != cat.src(f):
-            continue
+    for k in cat.mors_into(cat.src(f)):
         for h in cat.hom(cat.src(k), cat.src(g)):
             if cat.compose(f, k) == cat.compose(g, h):
                 out.append((k, h))
     return out
 
 
-def enumerate_compatible_families(ps: Presheaf, cover: Sieve, budget=DEFAULT_FAMILY_BUDGET):
-    """All compatible families over a cover, via its generating subfamily.
+class _EncodedCover:
+    """A cover of a presheaf in index form.
 
     A family over the full sieve is determined by its values on any
     generating subfamily (precomposition closure); this implementation
-    lemma has a dedicated test.  Candidates are built one generator at a
-    time with the pairwise squares checked incrementally, so the work is
-    proportional to the partial families that survive, not to the full
-    cartesian product; `budget` bounds the surviving partials.
+    lemma has a dedicated test.  A family is therefore held as a tuple of
+    positions in the generators' stages, one per generator; each member
+    reads its value off the first generator it factors through.  Positions
+    are only ever read through restriction tables, whose images are ids,
+    so equal elements compare equal.  The index of F(target) by
+    restriction signature on the generators is built on first use.
     """
-    cat = ps.base
-    gens = _generators(cat, cover)
-    squares = {
-        (f, g): _pairwise_square_maps(cat, f, g)
-        for f in gens
-        for g in gens
-    }
-    partials = [()]
-    for i, g in enumerate(gens):
-        options = ps.at(cat.src(g))
-        grown = []
-        for partial in partials:
+
+    def __init__(self, ps: Presheaf, cover: Sieve):
+        cat = ps.base
+        self.ps = ps
+        self.cover = cover
+        self.gens = gens = _generators(cat, cover)
+        self.members = cover.sorted_members()
+        self.factors = []  # per member: (generator position, k) with g.k = member
+        for f in self.members:
+            for j, g in enumerate(gens):
+                ks = [k for k in cat.hom(cat.src(f), cat.src(g)) if cat.compose(g, k) == f]
+                if ks:
+                    self.factors.append((j, ks[0]))
+                    break
+        position = {f: n for n, f in enumerate(self.members)}
+        self._gen_factors = [self.factors[position[g]] for g in gens]
+        self._by_signature = None
+
+    def families(self, budget):
+        """Every compatible family, as position tuples in enumeration order.
+
+        Partials grow one generator at a time.  Squares of a generator
+        with itself filter its options once; squares against earlier
+        generators are a hash join, with options grouped by their
+        restriction signature and each partial looking up its own key.
+        `budget` bounds the surviving partials.
+        """
+        ps, cat, gens = self.ps, self.ps.base, self.gens
+        partials = [()]
+        for i, g in enumerate(gens):
+            options = range(len(ps.at(cat.src(g))))
+            for k, h in _pairwise_square_maps(cat, g, g):
+                tk, th = ps.table(k), ps.table(h)
+                options = [x for x in options if tk[x] == th[x]]
+            joins = [
+                (j, ps.table(k), ps.table(h))
+                for j in range(i)
+                for k, h in _pairwise_square_maps(cat, g, gens[j])
+            ]
+            buckets = {}
             for x in options:
-                ok = True
-                for k, h in squares[(g, g)]:
-                    if ps.restrict(k, x) != ps.restrict(h, x):
-                        ok = False
-                        break
-                if ok:
-                    for j in range(i):
-                        for k, h in squares[(g, gens[j])]:
-                            if ps.restrict(k, x) != ps.restrict(h, partial[j]):
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                if ok:
-                    grown.append(partial + (x,))
-        partials = grown
-        if len(partials) > budget:
-            raise BudgetExceededError(
-                f"{len(partials)} partial families exceed the budget {budget}",
-                cover=cover,
-                size=len(cover.members),
-            )
-    factorisations = {}
-    for f in cover.members:
-        for g in gens:
-            ks = [k for k in cat.hom(cat.src(f), cat.src(g)) if cat.compose(g, k) == f]
-            if ks:
-                factorisations[f] = (g, ks[0])
-                break
-    out = []
-    for combo in partials:
-        vals = dict(zip(gens, combo))
-        full = {}
-        for f in cover.members:
-            g, k = factorisations[f]
-            full[f] = ps.restrict(k, vals[g])
-        out.append(CompatibleFamily.of(cover, full))
-    return out
+                buckets.setdefault(tuple(tk[x] for _, tk, _ in joins), []).append(x)
+            partials = [
+                partial + (x,)
+                for partial in partials
+                for x in buckets.get(tuple(th[partial[j]] for j, _, th in joins), ())
+            ]
+            if len(partials) > budget:
+                raise BudgetExceededError(
+                    f"{len(partials)} partial families exceed the budget {budget}",
+                    cover=self.cover,
+                    size=len(self.cover.members),
+                )
+        return partials
+
+    def legs(self, partial):
+        """Ids of the family's values, parallel to the sorted members."""
+        table = self.ps.table
+        return tuple(table(k)[partial[j]] for j, k in self.factors)
+
+    def materialise(self, partial) -> CompatibleFamily:
+        cat = self.ps.base
+        values = {
+            f: self.ps.element(cat.src(f), i)
+            for f, i in zip(self.members, self.legs(partial))
+        }
+        return CompatibleFamily.of(self.cover, values)
+
+    def signature_index(self):
+        """Positions in at(target) grouped by their ids on the generators.
+        Building it tabulates every generator, so every image has an id."""
+        if self._by_signature is None:
+            tables = [self.ps.table(g) for g in self.gens]
+            by_sig = {}
+            for p in range(len(self.ps.at(self.cover.target))):
+                by_sig.setdefault(tuple(t[p] for t in tables), []).append(p)
+            self._by_signature = by_sig
+        return self._by_signature
+
+    def key(self, partial):
+        """The generator ids an amalgamation of the family must have."""
+        table = self.ps.table
+        return tuple(table(k)[partial[j]] for j, k in self._gen_factors)
+
+
+def _encoded_cover(ps: Presheaf, cover: Sieve) -> _EncodedCover:
+    code = ps._covers.get(cover)
+    if code is None:
+        code = ps._covers[cover] = _EncodedCover(ps, cover)
+    return code
+
+
+def enumerate_compatible_families(ps: Presheaf, cover: Sieve, budget=DEFAULT_FAMILY_BUDGET):
+    """All compatible families over a cover, via its generating subfamily."""
+    code = _encoded_cover(ps, cover)
+    return [code.materialise(partial) for partial in code.families(budget)]
 
 
 def amalgamation_candidates(ps: Presheaf, fam: CompatibleFamily):
-    cat = ps.base
-    gens = _generators(cat, fam.cover)
-    target = fam.cover.target
-    return [
-        a
-        for a in ps.at(target)
-        if all(ps.restrict(g, a) == fam.value(g) for g in gens)
-    ]
+    """Elements of F(target) restricting to the family on its generators."""
+    code = _encoded_cover(ps, fam.cover)
+    index = code.signature_index()
+    key = []
+    for g in code.gens:
+        i = ps.index(ps.base.src(g)).get(fam.value(g))
+        if i is None:
+            return []
+        key.append(i)
+    target = ps.at(fam.cover.target)
+    return [target[p] for p in index.get(tuple(key), ())]
 
 
 def amalgamate(ps: Presheaf, fam: CompatibleFamily):
     """The unique element restricting to the family on its cover.
 
     Built-in sheaves glue directly (heaps pointwise, probability by the
-    forced measure); enumerable stages are additionally scanned so that
-    non-uniqueness is detected.
+    forced measure); enumerable stages are additionally looked up so
+    that non-uniqueness is detected.
     """
     witness = compatibility_witness(ps, fam)
     if witness is not None:
@@ -470,10 +558,33 @@ def amalgamate(ps: Presheaf, fam: CompatibleFamily):
     return matches[0]
 
 
+def _flag_amalgamations(rep, a, s, matches, family):
+    """Existence and uniqueness for one family; `family()` builds it for
+    the existence note."""
+    if not matches:
+        sample = tuple(f"{x}" for _, x in family().items()[:3])
+        rep.flag(
+            "existence",
+            f"no amalgamation at {a!r} over cover of size {len(s.members)}; "
+            f"family starts {sample!r}",
+        )
+    elif len(matches) > 1:
+        rep.flag(
+            "uniqueness",
+            f"{len(matches)} amalgamations at {a!r}: {matches[0]!r}, {matches[1]!r}",
+        )
+
+
 def check_sheaf(ps: Presheaf, cov: Coverage, mode="exhaustive", families=(),
                 budget=DEFAULT_FAMILY_BUDGET) -> Report:
-    """Existence and uniqueness of amalgamations, per cover and family."""
+    """Existence and uniqueness of amalgamations, per cover and family.
+
+    Exhaustive mode runs on the integer encoding: families are tuples of
+    positions, each looked up in its cover's signature index; elements
+    are built only for the notes of a violation.
+    """
     rep = Report(f"sheaf condition ({ps.name})")
+    n_checked = 0
     if mode == "exhaustive":
         if not ps.enumerable:
             raise StageNotEnumerableError(
@@ -481,19 +592,22 @@ def check_sheaf(ps: Presheaf, cov: Coverage, mode="exhaustive", families=(),
             )
         # enumerated families are compatible by construction (pairwise
         # squares on generators plus the extension lemma)
-        todo = [
-            (a, s, fam, False)
-            for a in ps.base.objects
-            for s in cov.covers(a)
-            for fam in enumerate_compatible_families(ps, s, budget)
-        ]
+        for a in ps.base.objects:
+            target = ps.at(a)
+            for s in cov.covers(a):
+                code = _encoded_cover(ps, s)
+                index = code.signature_index()
+                for partial in code.families(budget):
+                    hits = index.get(code.key(partial), ())
+                    n_checked += 1
+                    if len(hits) != 1:
+                        _flag_amalgamations(
+                            rep, a, s, [target[p] for p in hits],
+                            lambda: code.materialise(partial),
+                        )
     elif mode == "families":
-        todo = [(fam.cover.target, fam.cover, fam, True) for fam in families]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    n_checked = 0
-    for a, s, fam, verify in todo:
-        if verify:
+        for fam in families:
+            a = fam.cover.target
             witness = compatibility_witness(ps, fam)
             if witness is not None:
                 rep.flag(
@@ -501,20 +615,11 @@ def check_sheaf(ps: Presheaf, cov: Coverage, mode="exhaustive", families=(),
                     f"supplied family over {a!r} is incompatible: {witness!r}",
                 )
                 continue
-        matches = amalgamation_candidates(ps, fam)
-        n_checked += 1
-        if not matches:
-            sample = tuple(f"{x}" for _, x in fam.items()[:3])
-            rep.flag(
-                "existence",
-                f"no amalgamation at {a!r} over cover of size {len(s.members)}; "
-                f"family starts {sample!r}",
-            )
-        elif len(matches) > 1:
-            rep.flag(
-                "uniqueness",
-                f"{len(matches)} amalgamations at {a!r}: {matches[0]!r}, {matches[1]!r}",
-            )
+            matches = amalgamation_candidates(ps, fam)
+            n_checked += 1
+            _flag_amalgamations(rep, a, fam.cover, matches, lambda: fam)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     rep.note(f"checked {n_checked} families")
     return rep
 
@@ -618,29 +723,31 @@ def matching_presheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET)
     cat = ps.base
 
     def stages(a):
-        nodes = {}
-        for s in cov.covers(a):
-            for fam in enumerate_compatible_families(ps, s, budget):
-                nodes[(s, fam.assignment)] = fam
-        uf = UnionFind(nodes.keys())
-        covers = cov.covers(a)
-        for (s, key), fam in nodes.items():
-            for t in covers:
-                if t.members < s.members:
-                    sub = tuple(sorted((m, x) for m, x in fam.assignment if m in t.members))
-                    if (t, sub) in nodes:
-                        uf.union((s, key), (t, sub))
+        codes = [_encoded_cover(ps, s) for s in cov.covers(a)]
+        nodes = {}  # (cover position, family legs), in enumeration order
+        for i, code in enumerate(codes):
+            for partial in code.families(budget):
+                nodes[(i, code.legs(partial))] = None
+        uf = UnionFind(nodes)
+        for node in nodes:
+            i, legs = node
+            value = dict(zip(codes[i].members, legs))
+            for j, t in enumerate(codes):
+                if t.cover.members < codes[i].cover.members:
+                    sub = (j, tuple(value[m] for m in t.members))
+                    if sub in nodes:
+                        uf.union(node, sub)
         classes = {}
-        for node, fam in nodes.items():
-            root = uf.find(node)
-            if root not in classes:
-                classes[root] = []
-            classes[root].append(fam)
+        for node in nodes:
+            classes.setdefault(uf.find(node), []).append(node)
+        mc = cov.min_cover(a)
+        members = mc.sorted_members()
         out = []
-        for fams in classes.values():
-            min_nodes = [f for f in fams if f.cover == cov.min_cover(a)]
-            rep_fam = min_nodes[0]
-            out.append(_canonical_class(cov, a, dict(rep_fam.items())))
+        for class_nodes in classes.values():
+            legs = [legs for i, legs in class_nodes if codes[i].cover == mc][0]
+            out.append(MatchClass(a, members, tuple(
+                ps.element(cat.src(f), x) for f, x in zip(members, legs)
+            )))
         return out
 
     def restr(h, cls: MatchClass):

@@ -73,11 +73,10 @@ def generate_sieve(cat: FinCat, target, generators) -> Sieve:
         if f in members:
             continue
         members.add(f)
-        for k in cat.all_morphisms():
-            if cat.dst(k) == cat.src(f):
-                fk = cat.compose(f, k)
-                if fk not in members:
-                    frontier.append(fk)
+        for k in cat.mors_into(cat.src(f)):
+            fk = cat.compose(f, k)
+            if fk not in members:
+                frontier.append(fk)
     return Sieve(target, frozenset(members))
 
 
@@ -85,8 +84,8 @@ def is_sieve(cat: FinCat, s: Sieve) -> bool:
     for f in s.members:
         if cat.dst(f) != s.target:
             return False
-        for k in cat.all_morphisms():
-            if cat.dst(k) == cat.src(f) and cat.compose(f, k) not in s.members:
+        for k in cat.mors_into(cat.src(f)):
+            if cat.compose(f, k) not in s.members:
                 return False
     return True
 
@@ -98,30 +97,43 @@ def pullback_sieve(cat: FinCat, s: Sieve, h) -> Sieve:
             f"cannot pull back a sieve on {s.target!r} along {h!r}"
         )
     b = cat.src(h)
-    members = frozenset(g for g in cat.all_morphisms() if cat.dst(g) == b and cat.compose(h, g) in s.members)
+    members = frozenset(g for g in cat.mors_into(b) if cat.compose(h, g) in s.members)
     return Sieve(b, members)
 
 
 def all_sieves(cat: FinCat, a) -> list[Sieve]:
-    """Every sieve on `a`, by filtering subsets of the morphisms into a."""
+    """Every sieve on `a`: the subsets of the morphisms into a that are
+    closed under precomposition, grown one morphism at a time."""
     mors = cat.mors_into(a)
     if len(mors) > SIEVE_ENUM_LIMIT:
         raise BudgetExceededError(
             f"{len(mors)} morphisms into {a!r} exceed the sieve enumeration limit",
             size=len(mors),
         )
-    # precomposition closure relation: f -> {f.k}
-    closure = {f: set() for f in mors}
-    for f in mors:
-        for k in cat.all_morphisms():
-            if cat.dst(k) == cat.src(f):
-                closure[f].add(cat.compose(f, k))
-    out = []
-    n = len(mors)
-    for bits in range(1 << n):
-        chosen = {mors[i] for i in range(n) if bits >> i & 1}
-        if all(closure[f] <= chosen for f in chosen):
-            out.append(Sieve(a, frozenset(chosen)))
+    # bit j of closure[i] is set when mors[j] = mors[i].k for some k
+    pos = {f: i for i, f in enumerate(mors)}
+    closure = [0] * len(mors)
+    for i, f in enumerate(mors):
+        for k in cat.mors_into(cat.src(f)):
+            closure[i] |= 1 << pos[cat.compose(f, k)]
+    masks = []
+
+    def grow(i, chosen, refused):
+        # decide mors[i]: kept when forced by an earlier choice, otherwise
+        # refused, or chosen together with its closure if that refuses nothing
+        if i == len(mors):
+            masks.append(chosen)
+        elif chosen >> i & 1:
+            grow(i + 1, chosen, refused)
+        else:
+            grow(i + 1, chosen, refused | 1 << i)
+            if not closure[i] & refused:
+                grow(i + 1, chosen | closure[i], refused)
+
+    grow(0, 0, 0)
+    out = [
+        Sieve(a, frozenset(f for i, f in enumerate(mors) if m >> i & 1)) for m in masks
+    ]
     return sorted(out, key=lambda s: (len(s.members), s.sorted_members()))
 
 
@@ -295,9 +307,7 @@ def validate_coverage(cat: FinCat, cov: Coverage) -> Report:
             rep.flag("maximality", f"maximal sieve missing at {a!r}")
     for a in cat.objects:
         for s in cov.covers(a):
-            for h in cat.all_morphisms():
-                if cat.dst(h) != a:
-                    continue
+            for h in cat.mors_into(a):
                 pb = pullback_sieve(cat, s, h)
                 if not cov.is_cover(pb):
                     rep.flag(
@@ -344,9 +354,7 @@ def saturate_precoverage(cat: FinCat, assignment) -> Coverage:
                 raise PreCoverageError(
                     f"pre-cover on {pc.target!r} filed under {a!r}", precover=pc
                 )
-            for h in cat.all_morphisms():
-                if cat.dst(h) != a:
-                    continue
+            for h in cat.mors_into(a):
                 b = cat.src(h)
                 candidates = list(assignment[b]) + [_identity_precover(cat, b)]
                 if not any(
@@ -377,9 +385,7 @@ def saturate_precoverage(cat: FinCat, assignment) -> Coverage:
         changed = False
         for a in cat.objects:
             for s in list(sieves[a]):
-                for h in cat.all_morphisms():
-                    if cat.dst(h) != a:
-                        continue
+                for h in cat.mors_into(a):
                     pb = pullback_sieve(cat, s, h)
                     if pb not in sieves[cat.src(h)]:
                         sieves[cat.src(h)].add(pb)

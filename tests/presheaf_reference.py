@@ -1,0 +1,177 @@
+"""Element-level reference for the sheaf check, kept as a test oracle.
+
+This is the direct reading of the definitions that the index-encoded
+core in `sheafsep.presheaf` replaces: families are grown one generator
+at a time with every square re-restricted per partial, amalgamations
+are found by scanning the whole target stage, and every family is
+materialised before it is checked.  The differential tests compare the
+two on reports, family lists, matching classes and budget errors.
+"""
+
+from sheafsep.errors import BudgetExceededError, StageNotEnumerableError
+from sheafsep.presheaf import (
+    DEFAULT_FAMILY_BUDGET,
+    CompatibleFamily,
+    MatchClass,
+    UnionFind,
+    sorted_elements,
+)
+from sheafsep.report import Report
+
+
+def generators(cat, cover):
+    """Minimal subfamily through which every member factors."""
+    members = cover.sorted_members()
+    gens = []
+    for f in members:
+        redundant = False
+        for g in members:
+            if g == f:
+                continue
+            for k in cat.hom(cat.src(f), cat.src(g)):
+                if not cat.is_identity(k) and cat.compose(g, k) == f:
+                    redundant = True
+                    break
+            if redundant:
+                break
+        if not redundant:
+            gens.append(f)
+    covered = set(gens)
+    for f in members:
+        if f in covered:
+            continue
+        if not any(
+            cat.compose(g, k) == f
+            for g in gens
+            for k in cat.hom(cat.src(f), cat.src(g))
+        ):
+            return members
+    return tuple(gens)
+
+
+def square_maps(cat, f, g):
+    """All (k, h) with f.k = g.h, scanning every morphism of the base."""
+    out = []
+    for k in cat.all_morphisms():
+        if cat.dst(k) != cat.src(f):
+            continue
+        for h in cat.hom(cat.src(k), cat.src(g)):
+            if cat.compose(f, k) == cat.compose(g, h):
+                out.append((k, h))
+    return out
+
+
+def enumerate_compatible_families(ps, cover, budget=DEFAULT_FAMILY_BUDGET):
+    cat = ps.base
+    gens = generators(cat, cover)
+    squares = {(f, g): square_maps(cat, f, g) for f in gens for g in gens}
+    partials = [()]
+    for i, g in enumerate(gens):
+        options = ps.at(cat.src(g))
+        grown = []
+        for partial in partials:
+            for x in options:
+                ok = True
+                for k, h in squares[(g, g)]:
+                    if ps.restrict(k, x) != ps.restrict(h, x):
+                        ok = False
+                        break
+                if ok:
+                    for j in range(i):
+                        for k, h in squares[(g, gens[j])]:
+                            if ps.restrict(k, x) != ps.restrict(h, partial[j]):
+                                ok = False
+                                break
+                        if not ok:
+                            break
+                if ok:
+                    grown.append(partial + (x,))
+        partials = grown
+        if len(partials) > budget:
+            raise BudgetExceededError(
+                f"{len(partials)} partial families exceed the budget {budget}",
+                cover=cover,
+                size=len(cover.members),
+            )
+    factorisations = {}
+    for f in cover.members:
+        for g in gens:
+            ks = [k for k in cat.hom(cat.src(f), cat.src(g)) if cat.compose(g, k) == f]
+            if ks:
+                factorisations[f] = (g, ks[0])
+                break
+    out = []
+    for combo in partials:
+        vals = dict(zip(gens, combo))
+        full = {}
+        for f in cover.members:
+            g, k = factorisations[f]
+            full[f] = ps.restrict(k, vals[g])
+        out.append(CompatibleFamily.of(cover, full))
+    return out
+
+
+def amalgamation_candidates(ps, fam):
+    gens = generators(ps.base, fam.cover)
+    return [
+        a
+        for a in ps.at(fam.cover.target)
+        if all(ps.restrict(g, a) == fam.value(g) for g in gens)
+    ]
+
+
+def check_sheaf(ps, cov, budget=DEFAULT_FAMILY_BUDGET):
+    """The exhaustive sheaf check, scanning F(target) per family."""
+    rep = Report(f"sheaf condition ({ps.name})")
+    if not ps.enumerable:
+        raise StageNotEnumerableError(
+            f"{ps.name} cannot be checked exhaustively; supply families"
+        )
+    todo = [
+        (a, s, fam)
+        for a in ps.base.objects
+        for s in cov.covers(a)
+        for fam in enumerate_compatible_families(ps, s, budget)
+    ]
+    for a, s, fam in todo:
+        matches = amalgamation_candidates(ps, fam)
+        if not matches:
+            sample = tuple(f"{x}" for _, x in fam.items()[:3])
+            rep.flag(
+                "existence",
+                f"no amalgamation at {a!r} over cover of size {len(s.members)}; "
+                f"family starts {sample!r}",
+            )
+        elif len(matches) > 1:
+            rep.flag(
+                "uniqueness",
+                f"{len(matches)} amalgamations at {a!r}: {matches[0]!r}, {matches[1]!r}",
+            )
+    rep.note(f"checked {len(todo)} families")
+    return rep
+
+
+def matching_stage(ps, cov, a, budget=DEFAULT_FAMILY_BUDGET):
+    """The classes of `matching_presheaf(ps, cov).at(a)`, from materialised
+    families related by restriction to every covering subsieve."""
+    nodes = {}
+    for s in cov.covers(a):
+        for fam in enumerate_compatible_families(ps, s, budget):
+            nodes[(s, fam.assignment)] = fam
+    uf = UnionFind(nodes.keys())
+    for (s, key), fam in nodes.items():
+        for t in cov.covers(a):
+            if t.members < s.members:
+                sub = tuple(sorted((m, x) for m, x in fam.assignment if m in t.members))
+                if (t, sub) in nodes:
+                    uf.union((s, key), (t, sub))
+    classes = {}
+    for node, fam in nodes.items():
+        classes.setdefault(uf.find(node), []).append(fam)
+    mc = cov.min_cover(a)
+    out = []
+    for fams in classes.values():
+        rep_fam = [f for f in fams if f.cover == mc][0]
+        legs = mc.sorted_members()
+        out.append(MatchClass(a, legs, tuple(rep_fam.value(f) for f in legs)))
+    return sorted_elements(out)

@@ -339,6 +339,25 @@ def test_check_sheaf_at_the_size_bound():
     assert time.perf_counter() - started < 30
 
 
+def test_check_sheaf_restrictions_at_the_size_bound():
+    """Deterministic work gate: each restriction-table entry is computed
+    at most once, so the four-location check applies restrict_fn at most
+    sum over B of 6^|B| = 7^4 times."""
+    cat, _ = build_powerset_category({"a", "b", "c", "d"})
+    mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
+    cov = build_coverage(cat, "downward-closed")
+    calls = 0
+
+    def counted(f, x):
+        nonlocal calls
+        calls += 1
+        return mp.restrict(f, x)
+
+    rep = check_sheaf(Presheaf(cat, mp.at, counted, name=mp.name), cov)
+    assert rep.ok
+    assert 0 < calls <= 7**4
+
+
 def test_validate_at_finsurj_bound():
     from sheafsep.fincat import build_finsurj_category, validate_category
 

@@ -1,0 +1,151 @@
+"""Differential tests: the index-encoded presheaf core against the
+element-level reference in `presheaf_reference`."""
+
+import pytest
+
+import presheaf_reference as ref
+from sheafsep.day import day_coend, day_decomp
+from sheafsep.errors import BudgetExceededError
+from sheafsep.fincat import build_finsurj_category, build_powerset_category, incl
+from sheafsep.presheaf import (
+    Heap,
+    Presheaf,
+    amalgamation_candidates,
+    build_resource_sheaf,
+    check_sheaf,
+    enumerate_compatible_families,
+    matching_presheaf,
+    slice_restrict,
+)
+from sheafsep.site import build_coverage, slice_coverage, trivial_coverage
+
+BUILDERS = [
+    ("strict-memory", {"values": (0, 1)}),
+    ("partial-memory", {"values": (0, 1)}),
+    ("support-bounded", {"values": (0, 1), "bound": 1}),
+    ("constant", {"elements": (0, 1, 2)}),
+    ("yoneda", {"at_object": ("x",)}),
+    ("terminal", {}),
+]
+
+
+def _site(n_locs):
+    cat, mon = build_powerset_category(["x", "y", "z"][:n_locs])
+    return cat, mon, build_coverage(cat, "downward-closed")
+
+
+def assert_agrees(ps, cov):
+    """Equal reports, equal family lists and equal amalgamation
+    candidates on every cover."""
+    assert check_sheaf(ps, cov).as_dict() == ref.check_sheaf(ps, cov).as_dict()
+    for a in ps.base.objects:
+        for cover in cov.covers(a):
+            fams = enumerate_compatible_families(ps, cover)
+            assert fams == ref.enumerate_compatible_families(ps, cover)
+            for fam in fams:
+                assert amalgamation_candidates(ps, fam) == ref.amalgamation_candidates(ps, fam)
+
+
+@pytest.mark.parametrize("n_locs", [2, 3])
+@pytest.mark.parametrize("kind,kwargs", BUILDERS, ids=[k for k, _ in BUILDERS])
+def test_builders_agree_with_reference(kind, kwargs, n_locs):
+    cat, _, cov = _site(n_locs)
+    assert_agrees(build_resource_sheaf(cat, kind, **kwargs), cov)
+
+
+def test_trivial_coverage_and_finsurj_yoneda_agree():
+    cat, _, _ = _site(2)
+    assert_agrees(build_resource_sheaf(cat, "support-bounded", values=(0,), bound=1),
+                  trivial_coverage(cat))
+    fcat, _ = build_finsurj_category(2)
+    fcov = build_coverage(fcat, "atomic")
+    for obj in fcat.objects:
+        assert_agrees(build_resource_sheaf(fcat, "yoneda", at_object=obj), fcov)
+
+
+def test_slice_presheaf_agrees():
+    cat, _, cov = _site(2)
+    mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
+    for a in cat.objects:
+        scov = slice_coverage(cov, a)
+        sl = slice_restrict(mp, a, prebuilt=(scov.cat, _dom_functor(scov.cat, cat)))
+        assert_agrees(sl, scov)
+
+
+def _dom_functor(slice_cat, base):
+    from sheafsep.fincat import FunctorData
+
+    return FunctorData(
+        source=slice_cat,
+        target=base,
+        obj_map={p: base.src(p) for p in slice_cat.objects},
+        mor_map={m: m[1] for ms in slice_cat.homs.values() for m in ms},
+    )
+
+
+def test_day_convolutions_agree():
+    cat, mon, cov = _site(2)
+    mp = build_resource_sheaf(cat, "partial-memory", values=(0,))
+    sb = build_resource_sheaf(cat, "support-bounded", values=(0,), bound=1)
+    assert_agrees(day_decomp(mp, mp, mon), cov)
+    assert_agrees(day_decomp(sb, mp, mon), cov)
+    assert_agrees(day_coend(mp, mp, mon), cov)
+
+
+def test_restriction_leaving_the_stage_agrees():
+    """Images outside the stage get fresh ids; equal images share one,
+    distinct ones never collide with stage elements."""
+    cat, _, cov = _site(2)
+    mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
+    stray = Heap(("x",), (7,))
+
+    def restr(f, heap):
+        # along x <= {x,y}, heaps holding 1 at y leave the stage
+        if f == incl(("x",), ("x", "y")) and heap.get("y") == 1:
+            return stray
+        return mp.restrict(f, heap)
+
+    leaky = Presheaf(cat, mp.at, restr, name="leaky")
+    assert_agrees(leaky, cov)
+    assert not check_sheaf(leaky, cov).ok
+
+
+def test_duplicate_stage_elements_agree():
+    """A stage listing an element twice: both copies are amalgamations."""
+    cat, _, cov = _site(2)
+    dup = Presheaf(cat, lambda a: [0, 1, 0], lambda f, x: x, name="dup")
+    assert_agrees(dup, cov)
+    assert "uniqueness" in check_sheaf(dup, cov).kinds()
+
+
+@pytest.mark.parametrize("n_locs", [2, 3])
+def test_matching_classes_agree(n_locs):
+    cat, _, cov = _site(n_locs)
+    for ps in (
+        build_resource_sheaf(cat, "partial-memory", values=(0, 1)),
+        build_resource_sheaf(cat, "support-bounded", values=(0, 1), bound=1),
+    ):
+        match = matching_presheaf(ps, cov)
+        for a in cat.objects:
+            assert match.at(a) == ref.matching_stage(ps, cov, a)
+
+
+def test_budget_error_agrees():
+    cat, _, cov = _site(2)
+    mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
+    with pytest.raises(BudgetExceededError) as ours:
+        check_sheaf(mp, cov, budget=2)
+    with pytest.raises(BudgetExceededError) as theirs:
+        ref.check_sheaf(mp, cov, budget=2)
+    assert str(ours.value) == str(theirs.value)
+    assert ours.value.size == theirs.value.size
+    assert ours.value.cover == theirs.value.cover
+
+
+def test_four_locations_agree_with_reference():
+    cat, _ = build_powerset_category({"a", "b", "c", "d"})
+    cov = build_coverage(cat, "downward-closed")
+    sb = build_resource_sheaf(cat, "support-bounded", values=(0, 1), bound=1)
+    rep = check_sheaf(sb, cov)
+    assert rep.as_dict() == ref.check_sheaf(sb, cov).as_dict()
+    assert "existence" in rep.kinds()

@@ -50,6 +50,29 @@ def test_empty_sieve_never_covers(dc2):
         assert not cov.is_cover(Sieve(a, frozenset()))
 
 
+def _subset_sieves(cat, a):
+    """Reference: filter every subset of the morphisms into a."""
+    mors = cat.mors_into(a)
+    out = []
+    for bits in range(1 << len(mors)):
+        chosen = {f for i, f in enumerate(mors) if bits >> i & 1}
+        if all(cat.compose(f, k) in chosen for f in chosen for k in cat.mors_into(cat.src(f))):
+            out.append(Sieve(a, frozenset(chosen)))
+    return sorted(out, key=lambda s: (len(s.members), s.sorted_members()))
+
+
+def test_all_sieves_matches_subset_filter():
+    pcat, _ = build_powerset_category({"x", "y", "z"})
+    fcat, _ = build_finsurj_category(3)
+    scov = slice_coverage(build_coverage(pcat, "downward-closed"), ("x", "y", "z"))
+    for cat in (pcat, fcat, scov.cat):
+        for a in cat.objects:
+            assert all_sieves(cat, a) == _subset_sieves(cat, a)
+    # the Dedekind number M(4) - 168 down-sets of the subsets of 4 points
+    qcat, _ = build_powerset_category({"a", "b", "c", "d"})
+    assert len(all_sieves(qcat, ("a", "b", "c", "d"))) == 168
+
+
 def test_atomic_on_finsurj2():
     cat, _ = build_finsurj_category(2)
     cov = build_coverage(cat, "atomic")
