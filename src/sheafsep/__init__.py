@@ -37,7 +37,6 @@ from .pred import (
     glue_predicates,
     implication,
     join,
-    lattice_op,
     meet,
     reindex_preimage,
     restrict_predicate,

@@ -56,6 +56,11 @@ def _require(cond, path, message):
         raise ModelSchemaError(path, message)
 
 
+def _is_int(v):
+    """JSON integers only: true and false are not integers here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _load_memory_model(doc, name) -> ResourceModel:
     locations = doc.get("locations")
     _require(isinstance(locations, list) and locations, "locations", "nonempty list required")
@@ -67,7 +72,7 @@ def _load_memory_model(doc, name) -> ResourceModel:
     )
     values = doc.get("values")
     _require(isinstance(values, list) and values, "values", "nonempty list required")
-    _require(all(isinstance(v, int) for v in values), "values", "values must be integers")
+    _require(all(_is_int(v) for v in values), "values", "values must be integers")
     sheaf_kind = doc.get("sheaf", "partial-memory")
     _require(
         sheaf_kind in ("partial-memory", "strict-memory", "support-bounded"),
@@ -90,7 +95,7 @@ def _load_memory_model(doc, name) -> ResourceModel:
         raise ModelSchemaError("monoid", "a partial monoid requires the partial-memory sheaf")
     support_bound = doc.get("support_bound")
     if sheaf_kind == "support-bounded":
-        _require(isinstance(support_bound, int), "support_bound", "integer required")
+        _require(_is_int(support_bound), "support_bound", "integer required")
     model = make_memory_model(
         locations,
         values,
@@ -105,7 +110,7 @@ def _load_memory_model(doc, name) -> ResourceModel:
 
 
 def _parse_fraction_field(value, path):
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -123,7 +128,7 @@ def _load_psl_model(doc, name) -> PslModel:
         path = f"spaces.{sp_name}"
         _require(isinstance(sp_doc, dict), path, "object required")
         size = sp_doc.get("size")
-        _require(isinstance(size, int) and size >= 1, f"{path}.size", "positive integer required")
+        _require(_is_int(size) and size >= 1, f"{path}.size", "positive integer required")
         blocks = sp_doc.get("blocks")
         _require(isinstance(blocks, list) and blocks, f"{path}.blocks", "nonempty list required")
         measure = sp_doc.get("measure")
@@ -143,7 +148,7 @@ def _load_psl_model(doc, name) -> PslModel:
     for var_name, vals in (doc.get("variables") or {}).items():
         path = f"variables.{var_name}"
         _require(
-            isinstance(vals, list) and all(isinstance(v, int) for v in vals),
+            isinstance(vals, list) and all(_is_int(v) for v in vals),
             path,
             "list of integers required",
         )
@@ -221,7 +226,12 @@ def parse_heap(text, stage) -> Heap:
                     raise ModelSchemaError("--heap", f"bad cell {chunk.strip()!r}")
                 key, val = chunk.split(":", 1)
                 val = val.strip()
-                doc[key.strip()] = None if val == "null" else int(val)
+                try:
+                    doc[key.strip()] = None if val == "null" else int(val)
+                except ValueError:
+                    raise ModelSchemaError("--heap", f"bad value {val!r}") from None
+    if not isinstance(doc, dict) or not all(v is None or _is_int(v) for v in doc.values()):
+        raise ModelSchemaError("--heap", "cells must map locations to integers or null")
     if set(doc) != set(stage):
         raise ModelSchemaError(
             "--heap", f"heap domain {sorted(doc)!r} must equal the stage {sorted(stage)!r}"
@@ -310,6 +320,8 @@ def _cmd_check_sheaf(model, args, report):
 
 
 def _cmd_laws(model, args, report):
+    if args.samples < 1:
+        raise ModelSchemaError("--samples", f"at least 1 sample required, got {args.samples}")
     rng = random.Random(args.seed)
     site, mp = model.site, model.sheaf
     stage = model.stage

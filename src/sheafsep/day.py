@@ -76,21 +76,18 @@ def day_decomp(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure) -> 
     cat = f_sheaf.base
     if cat.kind == "powerset":
         def stages(a):
-            out = []
-            for b in cat.objects:
-                for c in cat.objects:
-                    if mon.tensor_defined(b, c) and mon.tensor(b, c) == a:
-                        for s in f_sheaf.at(b):
-                            for t in g_sheaf.at(c):
-                                out.append(Decomp(a, b, c, s, t))
-            return out
+            return [
+                Decomp(a, b, c, s, t)
+                for b, c in splittings(cat, mon, a)
+                for s in f_sheaf.at(b)
+                for t in g_sheaf.at(c)
+            ]
 
         def restr(h, d: Decomp):
+            # objects are sorted location tuples, so B & V keeps B's order
             v = cat.src(h)
-            b2 = next(o for o in cat.objects
-                      if set(o) == set(d.left_stage) & set(v))
-            c2 = next(o for o in cat.objects
-                      if set(o) == set(d.right_stage) & set(v))
+            b2 = tuple(x for x in d.left_stage if x in v)
+            c2 = tuple(x for x in d.right_stage if x in v)
             fb = cat.hom(b2, d.left_stage)[0]
             gc = cat.hom(c2, d.right_stage)[0]
             return Decomp(v, b2, c2, f_sheaf.restrict(fb, d.left),
@@ -100,23 +97,32 @@ def day_decomp(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure) -> 
         return Presheaf(cat, stages, restr, name=name)
 
     def stages(a):
-        out = []
-        for b in cat.objects:
-            for c in cat.objects:
-                if not mon.tensor_defined(b, c):
-                    continue
-                bc = mon.tensor(b, c)
-                for w in cat.hom(a, bc):
-                    for s in f_sheaf.at(b):
-                        for t in g_sheaf.at(c):
-                            out.append(Decomp(a, b, c, s, t, witness=w))
-        return out
+        return _coend_triples(cat, mon, f_sheaf, g_sheaf, a)
 
     def restr(h, d: Decomp):
-        return Decomp(cat.src(h), d.left_stage, d.right_stage, d.left, d.right,
-                      witness=cat.compose(d.witness, h))
+        return _precompose(cat, d, h)
 
     return Presheaf(cat, stages, restr, name=f"({f_sheaf.name} (*)w {g_sheaf.name})")
+
+
+def splittings(cat: FinCat, mon: MonoidalStructure, v):
+    """The exact splittings of v: pairs (b, c) with b tensor c = v, in
+    object order."""
+    return [
+        (b, c)
+        for b in cat.objects
+        for c in cat.objects
+        if mon.tensor_defined(b, c) and mon.tensor(b, c) == v
+    ]
+
+
+def _with_witness(d: Decomp, stage, witness) -> Decomp:
+    return Decomp(stage, d.left_stage, d.right_stage, d.left, d.right, witness=witness)
+
+
+def _precompose(cat: FinCat, d: Decomp, h) -> Decomp:
+    """A witnessed triple restricted along h: its witness precomposed with h."""
+    return _with_witness(d, cat.src(h), cat.compose(d.witness, h))
 
 
 def _coend_triples(cat, mon, f_sheaf, g_sheaf, a):
@@ -189,10 +195,7 @@ def day_coend(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure,
         return sorted_elements(set(classes_at(a).values()))
 
     def restr(h, cls: CoendClass):
-        d = cls.rep
-        moved = Decomp(cat.src(h), d.left_stage, d.right_stage, d.left, d.right,
-                       witness=cat.compose(d.witness, h))
-        return classes_at(cat.src(h))[moved]
+        return classes_at(cat.src(h))[_precompose(cat, cls.rep, h)]
 
     def class_of(d: Decomp) -> CoendClass:
         """Quotient map from (possibly canonical-poset) triples to classes."""
@@ -208,8 +211,7 @@ def day_coend(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure,
 def poset_witnessed(cat: FinCat, mon: MonoidalStructure, d: Decomp) -> Decomp:
     """Attach the canonical witness to a poset decomposition element."""
     bc = mon.tensor(d.left_stage, d.right_stage)
-    w = cat.hom(d.stage, bc)[0]
-    return Decomp(d.stage, d.left_stage, d.right_stage, d.left, d.right, witness=w)
+    return _with_witness(d, d.stage, cat.hom(d.stage, bc)[0])
 
 
 # -- resource monoids ------------------------------------------------------
@@ -454,48 +456,38 @@ def check_day_stability(site: Site, samples, inclusions=(), budget=DEFAULT_COEND
                 continue
             sl_a, _, _ = site.slice(a)
             sl_b, _, _ = site.slice(b)
+            sl_ab, _, _ = site.slice(mon.tensor(a, b))
             for p in sl_a.objects:
                 for q in sl_b.objects:
                     gp = on_obj(p, q)
                     if gp is None:
                         continue
                     ga = on_mor(sl_a.identities[p], sl_b.identities[q])
-                    sl_ab, _, _ = site.slice(mon.tensor(a, b))
                     if ga != sl_ab.identities.get(gp):
                         rep.flag("gamma", f"gamma does not preserve identities at ({p!r}, {q!r})")
                     pairs_checked += 1
-            for (q1, p1), ms1 in sl_a.homs.items():
-                for (q2, p2), ms2 in sl_b.homs.items():
+            for (q1, _), ms1 in sl_a.homs.items():
+                for (q2, _), ms2 in sl_b.homs.items():
                     for m1 in ms1:
                         for m2 in ms2:
                             g12 = on_mor(m1, m2)
                             if g12 is None:
                                 continue
-                            for (r1, rq1), ns1 in sl_a.homs.items():
-                                if rq1 != q1:
-                                    continue
-                                for (r2, rq2), ns2 in sl_b.homs.items():
-                                    if rq2 != q2:
+                            for n1 in sl_a.mors_into(q1):
+                                for n2 in sl_b.mors_into(q2):
+                                    gn = on_mor(n1, n2)
+                                    if gn is None:
                                         continue
-                                    for n1 in ns1:
-                                        for n2 in ns2:
-                                            gn = on_mor(n1, n2)
-                                            if gn is None:
-                                                continue
-                                            lhs = on_mor(
-                                                sl_a.compose(m1, n1),
-                                                sl_b.compose(m2, n2),
-                                            )
-                                            sl_ab, _, _ = site.slice(mon.tensor(a, b))
-                                            rhs = (
-                                                sl_ab.compose(g12, gn)
-                                                if (g12, gn) in sl_ab.compose_table
-                                                else None
-                                            )
-                                            if lhs != rhs:
-                                                rep.flag(
-                                                    "gamma",
-                                                    f"gamma not functorial on ({m1!r}, {m2!r})",
-                                                )
+                                    lhs = on_mor(sl_a.compose(m1, n1), sl_b.compose(m2, n2))
+                                    rhs = (
+                                        sl_ab.compose(g12, gn)
+                                        if (g12, gn) in sl_ab.compose_table
+                                        else None
+                                    )
+                                    if lhs != rhs:
+                                        rep.flag(
+                                            "gamma",
+                                            f"gamma not functorial on ({m1!r}, {m2!r})",
+                                        )
     rep.note(f"gamma checked on {pairs_checked} object pairs")
     return rep

@@ -58,18 +58,17 @@ class FinCat:
             for m in ms:
                 self._src[m] = a
                 self._dst[m] = b
-        self._into = {}
-        for a in self.objects:
-            ms = []
-            for b in self.objects:
-                ms.extend(self.homs.get((b, a), ()))
-            self._into[a] = tuple(ms)
+        self._into = {
+            a: tuple(m for b in self.objects for m in self.homs.get((b, a), ()))
+            for a in self.objects
+        }
+        self._from = {
+            a: tuple(m for b in self.objects for m in self.homs.get((a, b), ()))
+            for a in self.objects
+        }
         self.thin = all(len(ms) <= 1 for ms in self.homs.values())
 
     # -- basic accessors ------------------------------------------------
-
-    def has_object(self, a) -> bool:
-        return a in self._obj_index
 
     def require_object(self, a):
         if a not in self._obj_index:
@@ -105,12 +104,26 @@ class FinCat:
         self.require_object(a)
         return self._into[a]
 
+    def mors_from(self, a):
+        """All morphisms with src = a, in construction order."""
+        self.require_object(a)
+        return self._from[a]
+
     def all_morphisms(self):
         for a in self.objects:
             yield from self._into[a]
 
-    def obj_sort_key(self, a):
-        return self._obj_index[a]
+    def factorisations(self, f, g):
+        """Every k: src(f) -> src(g) with g.k = f, in hom order."""
+        return [k for k in self.hom(self.src(f), self.src(g)) if self.compose(g, k) == f]
+
+    def squares(self, f, g):
+        """Every (k, h) with f.k = g.h: the commuting squares on a cospan."""
+        return [
+            (k, h)
+            for k in self._into[self.src(f)]
+            for h in self.factorisations(self.compose(f, k), g)
+        ]
 
     def __repr__(self):
         n_mor = sum(len(ms) for ms in self.homs.values())
@@ -277,7 +290,7 @@ def build_finsurj_category(max_size, size_bound=FINSURJ_SIZE_BOUND):
     return cat, mon
 
 
-def tri(cat, g, q, p):
+def tri(g, q, p):
     return ("tri", g, q, p)
 
 
@@ -292,12 +305,9 @@ def slice_category(cat: FinCat, a):
     homs = {}
     for q in objects:
         for p in objects:
-            ms = []
-            for g in cat.hom(cat.src(q), cat.src(p)):
-                if cat.compose(p, g) == q:
-                    ms.append(tri(cat, g, q, p))
+            ms = tuple(tri(g, q, p) for g in cat.factorisations(q, p))
             if ms:
-                homs[(q, p)] = tuple(ms)
+                homs[(q, p)] = ms
     compose = {}
     for (q0, q1), fs in homs.items():
         for (r1, q2), gs in homs.items():
@@ -305,8 +315,8 @@ def slice_category(cat: FinCat, a):
                 continue
             for f in fs:
                 for g in gs:
-                    compose[(g, f)] = tri(cat, cat.compose(g[1], f[1]), q0, q2)
-    identities = {p: tri(cat, cat.id(cat.src(p)), p, p) for p in objects}
+                    compose[(g, f)] = tri(cat.compose(g[1], f[1]), q0, q2)
+    identities = {p: tri(cat.id(cat.src(p)), p, p) for p in objects}
     sl = FinCat(("slice", cat.kind, a), objects, homs, compose, identities)
     dom = FunctorData(
         source=sl,
@@ -347,12 +357,12 @@ def validate_category(cat: FinCat) -> Report:
             rep.flag("typing", f"compose({g!r}, {f!r}) = {h!r} has wrong endpoints")
     # associativity over all composable triples
     for f in mors:
-        for g in [m for m in mors if cat.src(m) == cat.dst(f)]:
+        for g in cat.mors_from(cat.dst(f)):
             gf = cat.compose_table.get((g, f))
             if gf is None:
                 rep.flag("typing", f"missing composite ({g!r}, {f!r})")
                 continue
-            for h in [m for m in mors if cat.src(m) == cat.dst(g)]:
+            for h in cat.mors_from(cat.dst(g)):
                 hg = cat.compose_table.get((h, g))
                 left = cat.compose_table.get((h, gf))
                 right = cat.compose_table.get((hg, f)) if hg is not None else None
@@ -384,20 +394,17 @@ def validate_monoidal(cat: FinCat, mon: MonoidalStructure) -> Report:
                 if mon.tensor_m(ia, ib) != cat.id(mon.tensor(a, b)):
                     rep.flag("functoriality", f"id tensor id != id at ({a!r}, {b!r})")
     for (f, g), fg in mon.tensor_mor.items():
-        for (f2, g2), f2g2 in mon.tensor_mor.items():
-            if cat.src(f2) != cat.dst(f) or cat.src(g2) != cat.dst(g):
-                continue
-            comp_f = cat.compose(f2, f)
-            comp_g = cat.compose(g2, g)
-            lhs = mon.tensor_mor.get((comp_f, comp_g))
-            if (f2g2, fg) not in cat.compose_table:
-                continue
-            rhs = cat.compose(f2g2, fg)
-            if lhs != rhs:
-                rep.flag(
-                    "functoriality",
-                    f"(f2.f) tensor (g2.g) != (f2 tensor g2).(f tensor g) at ({f!r},{g!r})",
-                )
+        for f2 in cat.mors_from(cat.dst(f)):
+            for g2 in cat.mors_from(cat.dst(g)):
+                f2g2 = mon.tensor_mor.get((f2, g2))
+                if f2g2 is None or (f2g2, fg) not in cat.compose_table:
+                    continue
+                lhs = mon.tensor_mor.get((cat.compose(f2, f), cat.compose(g2, g)))
+                if lhs != cat.compose(f2g2, fg):
+                    rep.flag(
+                        "functoriality",
+                        f"(f2.f) tensor (g2.g) != (f2 tensor g2).(f tensor g) at ({f!r},{g!r})",
+                    )
     return rep
 
 

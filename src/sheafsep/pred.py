@@ -27,7 +27,7 @@ from .errors import (
 from .fincat import element_key
 from .presheaf import Presheaf
 from .report import Report
-from .site import Sieve, Site
+from .site import Sieve, Site, pullback_sieve
 
 
 @dataclass
@@ -69,35 +69,32 @@ class KripkePredicate:
         _check_aligned(self, other)
         return all(self.family[p] <= other.family[p] for p in self.family)
 
-    def size(self) -> int:
-        return sum(len(s) for s in self.family.values())
-
 
 def _check_aligned(p: KripkePredicate, q: KripkePredicate):
     if p.resource is not q.resource or p.stage != q.stage:
         raise StageMismatchError("predicates live over different resources or stages")
 
 
-def _slice_morphisms_into(cat, stage, p):
-    """Pairs (q, k) where k: src(q) -> src(p) realises a slice morphism q -> p."""
-    out = []
-    for q in cat.mors_into(stage):
-        for k in cat.hom(cat.src(q), cat.src(p)):
-            if cat.compose(p, k) == q:
-                out.append((q, k))
-    return out
-
-
 def restriction_closure_witnesses(pred: KripkePredicate):
     """Slice morphisms along which the family is not closed."""
-    cat = pred.site.cat
+    slice_cat, dom, _ = pred.site.slice(pred.stage)
     out = []
     for p in pred.family:
-        for q, k in _slice_morphisms_into(cat, pred.stage, p):
+        for m in slice_cat.mors_into(p):
+            q, k = slice_cat.src(m), dom.on_mor(m)
             for x in pred.family[p]:
                 if pred.resource.restrict(k, x) not in pred.family[q]:
                     out.append((p, q, k, x))
     return out
+
+
+def _locally_in(resource, cat, dom, family, p, cover, a):
+    """Whether every leg of the slice cover restricts a into the family,
+    which forces a into the family at p by local character."""
+    return all(
+        resource.restrict(dom.on_mor(m), a) in family[cat.compose(p, dom.on_mor(m))]
+        for m in cover.members
+    )
 
 
 def local_character_witnesses(pred: KripkePredicate):
@@ -111,11 +108,7 @@ def local_character_witnesses(pred: KripkePredicate):
             continue
         for s in scov.covers(p):
             for a in sorted(candidates, key=element_key):
-                if all(
-                    pred.resource.restrict(dom.on_mor(m), a)
-                    in pred.family[cat.compose(p, dom.on_mor(m))]
-                    for m in s.members
-                ):
+                if _locally_in(pred.resource, cat, dom, pred.family, p, s, a):
                     out.append((p, a))
                     candidates = candidates - {a}
     return out
@@ -133,14 +126,14 @@ def validate_predicate(pred: KripkePredicate) -> Report:
 def _close(resource, site, stage, family):
     """Least restriction-closed, locally-closed family containing `family`."""
     cat = site.cat
-    _, dom, scov = site.slice(stage)
+    slice_cat, dom, scov = site.slice(stage)
     fam = {p: set(xs) for p, xs in family.items()}
-    slice_mors = {p: _slice_morphisms_into(cat, stage, p) for p in fam}
     changed = True
     while changed:
         changed = False
         for p in fam:
-            for q, k in slice_mors[p]:
+            for m in slice_cat.mors_into(p):
+                q, k = slice_cat.src(m), dom.on_mor(m)
                 for x in list(fam[p]):
                     rx = resource.restrict(k, x)
                     if rx not in fam[q]:
@@ -150,13 +143,7 @@ def _close(resource, site, stage, family):
             missing = [a for a in resource.at(cat.src(p)) if a not in fam[p]]
             for s in scov.covers(p):
                 for a in missing:
-                    if a in fam[p]:
-                        continue
-                    if all(
-                        resource.restrict(dom.on_mor(m), a)
-                        in fam[cat.compose(p, dom.on_mor(m))]
-                        for m in s.members
-                    ):
+                    if a not in fam[p] and _locally_in(resource, cat, dom, fam, p, s, a):
                         fam[p].add(a)
                         changed = True
     return {p: frozenset(xs) for p, xs in fam.items()}
@@ -191,32 +178,19 @@ def join(p: KripkePredicate, q: KripkePredicate) -> KripkePredicate:
     )
 
 
-def lattice_op(kind, *preds, resource=None, site=None, stage=None):
-    """Dispatch point mirroring the four lattice constructors."""
-    if kind in ("top", "bottom"):
-        if preds:
-            proto = preds[0]
-            resource, site, stage = proto.resource, proto.site, proto.stage
-        builder = top_predicate if kind == "top" else bottom_predicate
-        return builder(resource, site, stage)
-    if kind == "meet":
-        return meet(*preds)
-    if kind == "join":
-        return join(*preds)
-    raise ValueError(f"unknown lattice op {kind!r}")
-
-
 def implication(p: KripkePredicate, q: KripkePredicate) -> KripkePredicate:
     """Kripke implication: membership at a slice object quantifies over
     every further restriction."""
     _check_aligned(p, q)
     cat = p.site.cat
+    slice_cat, dom, _ = p.site.slice(p.stage)
     fam = {}
     for sl in p.family:
+        below = [(slice_cat.src(m), dom.on_mor(m)) for m in slice_cat.mors_into(sl)]
         members = []
         for s in p.resource.at(cat.src(sl)):
             ok = True
-            for r, k in _slice_morphisms_into(cat, p.stage, sl):
+            for r, k in below:
                 rs = p.resource.restrict(k, s)
                 if rs in p.family[r] and rs not in q.family[r]:
                     ok = False
@@ -292,14 +266,7 @@ def reindex_preimage(alpha: SheafMorphism, q: KripkePredicate,
 def direct_image(alpha: SheafMorphism, p: KripkePredicate) -> KripkePredicate:
     """The existential pushforward: smallest subsheaf containing the
     stage-wise image over the defined points."""
-    cat = p.site.cat
-    fam = {}
-    for sl in p.family:
-        b = cat.src(sl)
-        fam[sl] = {
-            alpha.apply(b, x) for x in p.family[sl] if alpha.defined_on(b, x)
-        }
-    closed = _close(alpha.target, p.site, p.stage, fam)
+    closed = _close(alpha.target, p.site, p.stage, raw_image(alpha, p).family)
     return KripkePredicate(alpha.target, p.site, p.stage, closed)
 
 
@@ -347,7 +314,7 @@ def glue_predicates(site: Site, resource: Presheaf, cover: Sieve, parts: dict) -
             full_parts[f] = parts[f]
             continue
         for g, part in parts.items():
-            ks = [k for k in cat.hom(cat.src(f), cat.src(g)) if cat.compose(g, k) == f]
+            ks = cat.factorisations(f, g)
             if ks:
                 full_parts[f] = restrict_predicate(part, ks[0])
                 break
@@ -359,18 +326,14 @@ def glue_predicates(site: Site, resource: Presheaf, cover: Sieve, parts: dict) -
         if part_f.stage != cat.src(f) or part_f.resource is not resource:
             raise StageMismatchError(f"part for {f!r} has wrong stage or resource")
         for g, part_g in full_parts.items():
-            for k in cat.all_morphisms():
-                if cat.dst(k) != cat.src(f):
-                    continue
-                for h in cat.hom(cat.src(k), cat.src(g)):
-                    if cat.compose(f, k) == cat.compose(g, h):
-                        lhs = restrict_predicate(part_f, k)
-                        rhs = restrict_predicate(part_g, h)
-                        if lhs.family != rhs.family:
-                            raise IncompatibleFamilyError(
-                                f"parts disagree on the overlap {f!r}.{k!r} = {g!r}.{h!r}",
-                                witness=(f, g, k, h),
-                            )
+            for k, h in cat.squares(f, g):
+                lhs = restrict_predicate(part_f, k)
+                rhs = restrict_predicate(part_g, h)
+                if lhs.family != rhs.family:
+                    raise IncompatibleFamilyError(
+                        f"parts disagree on the overlap {f!r}.{k!r} = {g!r}.{h!r}",
+                        witness=(f, g, k, h),
+                    )
     fam = {}
     for p in cat.mors_into(a):
         if p in full_parts:
@@ -378,9 +341,7 @@ def glue_predicates(site: Site, resource: Presheaf, cover: Sieve, parts: dict) -
         else:
             members = []
             pullback = [
-                (g, cat.compose(p, g))
-                for g in cat.all_morphisms()
-                if cat.dst(g) == cat.src(p) and cat.compose(p, g) in cover.members
+                (g, cat.compose(p, g)) for g in pullback_sieve(cat, cover, p).members
             ]
             for x in resource.at(cat.src(p)):
                 if all(

@@ -76,10 +76,6 @@ class Heap:
         locs = tuple(sorted(locs))
         return Heap(locs, tuple(self.get(x) for x in locs))
 
-    @property
-    def support(self):
-        return tuple(x for x, v in zip(self.locations, self.values) if v is not None)
-
     def as_dict(self):
         return dict(zip(self.locations, self.values))
 
@@ -198,9 +194,7 @@ def validate_presheaf(ps: Presheaf) -> Report:
             if ps.restrict(f, x) not in lower:
                 rep.flag("typing", f"restriction of {x!r} along {f!r} leaves the stage")
     for f in cat.all_morphisms():
-        for g in cat.all_morphisms():
-            if cat.dst(g) != cat.src(f):
-                continue
+        for g in cat.mors_into(cat.src(f)):
             fg = cat.compose(f, g)
             for x in ps.at(cat.dst(f)):
                 if ps.restrict(fg, x) != ps.restrict(g, ps.restrict(f, x)):
@@ -239,51 +233,33 @@ def build_resource_sheaf(cat: FinCat, kind: str, *, values=None, bound=None,
     set; support-bounded additionally takes the bound (a deliberately
     non-sheaf example); yoneda takes the representing object.
     """
-    if kind == "strict-memory":
+    if kind in ("strict-memory", "partial-memory", "support-bounded"):
+        # the memory kinds differ only in their cells (None marks an
+        # unallocated location) and in the support bound
         _require_powerset(cat, kind)
         vals = tuple(sorted(set(values)))
         if not vals:
-            raise ResourceKindError("strict-memory needs a nonempty value set")
-
-        def stages(a):
-            return [Heap(a, combo) for combo in product(vals, repeat=len(a))]
-
-        def restr(f, heap):
-            return heap.restrict(f[1])
-
-        return Presheaf(cat, stages, restr, name=f"M[{','.join(map(str, vals))}]",
-                        glue_fn=_heap_glue)
-    if kind == "partial-memory":
-        _require_powerset(cat, kind)
-        vals = tuple(sorted(set(values)))
-        if not vals:
-            raise ResourceKindError("partial-memory needs a nonempty value set")
-        vals_bot = vals + (None,)
-
-        def stages(a):
-            return [Heap(a, combo) for combo in product(vals_bot, repeat=len(a))]
-
-        def restr(f, heap):
-            return heap.restrict(f[1])
-
-        return Presheaf(cat, stages, restr, name=f"Mp[{','.join(map(str, vals))}]",
-                        glue_fn=_heap_glue)
-    if kind == "support-bounded":
-        _require_powerset(cat, kind)
-        vals = tuple(sorted(set(values)))
-        k = int(bound)
+            raise ResourceKindError(f"{kind} needs a nonempty value set")
+        listed = ",".join(map(str, vals))
+        if kind == "strict-memory":
+            cells, k, name, glue = vals, None, f"M[{listed}]", _heap_glue
+        elif kind == "partial-memory":
+            cells, k, name, glue = vals + (None,), None, f"Mp[{listed}]", _heap_glue
+        else:
+            k = int(bound)
+            cells, name, glue = vals + (None,), f"Mp|supp<={k}", None
 
         def stages(a):
             return [
                 Heap(a, combo)
-                for combo in product(vals + (None,), repeat=len(a))
-                if sum(v is not None for v in combo) <= k
+                for combo in product(cells, repeat=len(a))
+                if k is None or sum(v is not None for v in combo) <= k
             ]
 
         def restr(f, heap):
             return heap.restrict(f[1])
 
-        return Presheaf(cat, stages, restr, name=f"Mp|supp<={k}")
+        return Presheaf(cat, stages, restr, name=name, glue_fn=glue)
     if kind == "constant":
         xs = sorted_elements(elements)
 
@@ -352,7 +328,7 @@ def compatibility_witness(ps: Presheaf, fam: CompatibleFamily):
     legs = fam.items()
     for f, xf in legs:
         for g, xg in legs:
-            for k, h in _pairwise_square_maps(ps.base, f, g):
+            for k, h in ps.base.squares(f, g):
                 if ps.restrict(k, xf) != ps.restrict(h, xg):
                     return (f, g, k, h)
     return None
@@ -363,40 +339,19 @@ def _generators(cat: FinCat, cover: Sieve):
     members = cover.sorted_members()
     gens = []
     for f in members:
-        redundant = False
-        for g in members:
-            if g == f:
-                continue
-            for k in cat.hom(cat.src(f), cat.src(g)):
-                if not cat.is_identity(k) and cat.compose(g, k) == f:
-                    redundant = True
-                    break
-            if redundant:
-                break
-        if not redundant:
+        if not any(
+            not cat.is_identity(k)
+            for g in members
+            if g != f
+            for k in cat.factorisations(f, g)
+        ):
             gens.append(f)
     # safety: fall back to the whole sieve if factoring misses members
     covered = set(gens)
     for f in members:
-        if f in covered:
-            continue
-        if not any(
-            cat.compose(g, k) == f
-            for g in gens
-            for k in cat.hom(cat.src(f), cat.src(g))
-        ):
+        if f not in covered and not any(cat.factorisations(f, g) for g in gens):
             return members
     return tuple(gens)
-
-
-def _pairwise_square_maps(cat: FinCat, f, g):
-    """All (k, h) with f.k = g.h, the commuting squares on a leg pair."""
-    out = []
-    for k in cat.mors_into(cat.src(f)):
-        for h in cat.hom(cat.src(k), cat.src(g)):
-            if cat.compose(f, k) == cat.compose(g, h):
-                out.append((k, h))
-    return out
 
 
 class _EncodedCover:
@@ -421,7 +376,7 @@ class _EncodedCover:
         self.factors = []  # per member: (generator position, k) with g.k = member
         for f in self.members:
             for j, g in enumerate(gens):
-                ks = [k for k in cat.hom(cat.src(f), cat.src(g)) if cat.compose(g, k) == f]
+                ks = cat.factorisations(f, g)
                 if ks:
                     self.factors.append((j, ks[0]))
                     break
@@ -442,13 +397,13 @@ class _EncodedCover:
         partials = [()]
         for i, g in enumerate(gens):
             options = range(len(ps.at(cat.src(g))))
-            for k, h in _pairwise_square_maps(cat, g, g):
+            for k, h in cat.squares(g, g):
                 tk, th = ps.table(k), ps.table(h)
                 options = [x for x in options if tk[x] == th[x]]
             joins = [
                 (j, ps.table(k), ps.table(h))
                 for j in range(i)
-                for k, h in _pairwise_square_maps(cat, g, gens[j])
+                for k, h in cat.squares(g, gens[j])
             ]
             buckets = {}
             for x in options:

@@ -30,10 +30,6 @@ class Report:
     def note(self, text: str) -> None:
         self.notes.append(text)
 
-    def extend(self, other: "Report") -> None:
-        self.violations.extend(other.violations)
-        self.notes.extend(other.notes)
-
     @property
     def ok(self) -> bool:
         return not self.violations

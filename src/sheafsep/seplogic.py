@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .day import Decomp, ResourceMonoid, day_decomp
+from .day import Decomp, ResourceMonoid, day_decomp, splittings
 from .errors import (
     AtomTypeError,
     FormulaSyntaxError,
@@ -412,31 +412,28 @@ def atom_predicate(model: ResourceModel, atom, stage=None) -> KripkePredicate:
 # -- separating conjunction ---------------------------------------------------
 
 
+def _star_products(model, p, q, v):
+    """Yield (b, c, m1, m2, m1.m2) over the exact splittings b tensor c = v and
+    the halves m1 in p at b, m2 in q at c whose product is defined."""
+    cat, monoid = model.site.cat, model.monoid
+    for b, c in splittings(cat, model.site.monoidal, v):
+        for m1 in p.family[cat.hom(b, p.stage)[0]]:
+            for m2 in q.family[cat.hom(c, p.stage)[0]]:
+                prod = monoid.apply(Decomp(v, b, c, m1, m2))
+                if prod is not None:
+                    yield b, c, m1, m2, prod
+
+
 def _unfolded_star(model, p, q) -> KripkePredicate:
     """The direct comprehension: at each slice stage V, the resources
     obtained as defined products over exact decompositions of V whose
     halves satisfy the conjuncts."""
-    site, mp, monoid = model.site, model.sheaf, model.monoid
-    cat = site.cat
-    mon = site.monoidal
-    stage = p.stage
-    fam = {}
-    for sl in cat.mors_into(stage):
-        v = cat.src(sl)
-        members = set()
-        for b in cat.objects:
-            for c in cat.objects:
-                if not (mon.tensor_defined(b, c) and mon.tensor(b, c) == v):
-                    continue
-                leg_b = cat.hom(b, stage)[0]
-                leg_c = cat.hom(c, stage)[0]
-                for m1 in p.family[leg_b]:
-                    for m2 in q.family[leg_c]:
-                        prod = monoid.apply(Decomp(v, b, c, m1, m2))
-                        if prod is not None:
-                            members.add(prod)
-        fam[sl] = frozenset(members)
-    return KripkePredicate(mp, site, stage, fam)
+    cat = model.site.cat
+    fam = {
+        sl: frozenset(prod for _, _, _, _, prod in _star_products(model, p, q, cat.src(sl)))
+        for sl in cat.mors_into(p.stage)
+    }
+    return KripkePredicate(model.sheaf, model.site, p.stage, fam)
 
 
 def _pipeline_pieces(model):
@@ -548,22 +545,15 @@ class SatResult:
         return out
 
 
-def _star_witness(model, phi, stage, element, mode):
-    """Lexicographically least decomposition witnessing a top-level star
-    (ordered by half-stages first, then the canonical element order)."""
-    p = eval_formula(model, phi.left, stage, mode)
-    q = eval_formula(model, phi.right, stage, mode)
-    cat = model.site.cat
-    mon = model.site.monoidal
-    candidates = []
-    for b in cat.objects:
-        for c in cat.objects:
-            if not (mon.tensor_defined(b, c) and mon.tensor(b, c) == stage):
-                continue
-            for m1 in sorted(p.family[cat.hom(b, stage)[0]], key=element_key):
-                for m2 in sorted(q.family[cat.hom(c, stage)[0]], key=element_key):
-                    if model.monoid.apply(Decomp(stage, b, c, m1, m2)) == element:
-                        candidates.append((b, c, m1, m2))
+def _star_witness(model, p, q, element):
+    """Lexicographically least decomposition of the element into halves
+    of p and q (ordered by half-stages first, then the canonical element
+    order)."""
+    candidates = [
+        (b, c, m1, m2)
+        for b, c, m1, m2, prod in _star_products(model, p, q, p.stage)
+        if prod == element
+    ]
     if not candidates:
         return None
     b, c, m1, m2 = min(
@@ -582,9 +572,15 @@ def sat(model: ResourceModel, phi, stage, element, mode="unfolded") -> SatResult
     with the witnessing decomposition for a top-level star."""
     if element not in set(model.sheaf.at(stage)):
         raise StageMismatchError(f"{element!r} is not a resource at stage {stage!r}")
-    denot = eval_formula(model, phi, stage, mode)
+    if isinstance(phi, Star):
+        # evaluate the operands once: the witness search reuses them
+        p = eval_formula(model, phi.left, stage, mode)
+        q = eval_formula(model, phi.right, stage, mode)
+        denot = sep_conj(model, p, q, mode)
+    else:
+        denot = eval_formula(model, phi, stage, mode)
     holds = element in denot.family[model.site.cat.id(stage)]
     witness = None
     if holds and isinstance(phi, Star):
-        witness = _star_witness(model, phi, stage, element, mode)
+        witness = _star_witness(model, p, q, element)
     return SatResult(holds, stage, element, witness)

@@ -39,12 +39,6 @@ class Sieve:
     def sort_key(self):
         return (self.target, self.sorted_members())
 
-    def __le__(self, other):
-        return self.target == other.target and self.members <= other.members
-
-    def restrict_to(self, mors):
-        return Sieve(self.target, frozenset(m for m in self.members if m in mors))
-
 
 @dataclass(frozen=True)
 class PreCover:
@@ -144,12 +138,14 @@ class Coverage:
         self.cat = cat
         self.by_object = {a: frozenset(by_object.get(a, ())) for a in cat.objects}
         self.notes = tuple(notes)
+        self._sorted = {
+            a: tuple(sorted(ss, key=lambda s: (len(s.members), s.sorted_members())))
+            for a, ss in self.by_object.items()
+        }
 
     def covers(self, a) -> tuple:
         self.cat.require_object(a)
-        return tuple(
-            sorted(self.by_object[a], key=lambda s: (len(s.members), s.sorted_members()))
-        )
+        return self._sorted[a]
 
     def is_cover(self, s: Sieve) -> bool:
         return s in self.by_object.get(s.target, frozenset())
@@ -273,22 +269,9 @@ def build_coverage(cat: FinCat, kind: str) -> Coverage:
 
 def _cospan_completion_failure(cat: FinCat):
     """First cospan (f, h) with common target admitting no commuting span."""
-    mors = list(cat.all_morphisms())
-    for f in mors:
-        for h in mors:
-            if cat.dst(f) != cat.dst(h):
-                continue
-            found = False
-            for u in mors:
-                if cat.dst(u) != cat.src(h):
-                    continue
-                for v in cat.hom(cat.src(u), cat.src(f)):
-                    if cat.compose(h, u) == cat.compose(f, v):
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
+    for f in cat.all_morphisms():
+        for h in cat.mors_into(cat.dst(f)):
+            if not cat.squares(h, f):
                 return (f, h)
     return None
 
@@ -359,11 +342,7 @@ def saturate_precoverage(cat: FinCat, assignment) -> Coverage:
                 candidates = list(assignment[b]) + [_identity_precover(cat, b)]
                 if not any(
                     all(
-                        any(
-                            cat.compose(f, k) == cat.compose(h, g)
-                            for f in pc.family
-                            for k in cat.hom(cat.src(g), cat.src(f))
-                        )
+                        any(cat.factorisations(cat.compose(h, g), f) for f in pc.family)
                         for g in g_fam.family
                     )
                     for g_fam in candidates

@@ -98,6 +98,22 @@ def test_parse_stage_and_heap(tmp_path):
         parse_heap("{x:0}", ("x", "y"))
 
 
+def test_bad_heap_literals_exit_two(tmp_path, capsys):
+    model_path = write_model(tmp_path, MEMORY_DOC)
+    for bad in ("{x:abc, y:0}", '{"x": true, "y": 0}', "5"):
+        with pytest.raises(ModelSchemaError):
+            parse_heap(bad, ("x", "y"))
+        assert main(["sat", "--model", model_path, "--name", "both", "--heap", bad]) == 2
+
+
+def test_boolean_values_are_not_integers(tmp_path, capsys):
+    model_path = write_model(tmp_path, dict(MEMORY_DOC, values=[True, 0]))
+    with pytest.raises(ModelSchemaError) as exc:
+        load_model(model_path)
+    assert exc.value.path == "values"
+    assert main(["check-sheaf", "--model", model_path]) == 2
+
+
 def run_cli(argv):
     parser = build_arg_parser()
     args = parser.parse_args(argv)
@@ -168,6 +184,19 @@ def test_laws_small_model(tmp_path):
         ["laws", "--model", write_model(tmp_path, doc), "--samples", "10", "--seed", "7"]
     )
     assert report.exit_code == 0, report.status
+
+
+def test_laws_rejects_an_empty_sample_count(tmp_path, capsys):
+    doc = dict(MEMORY_DOC, locations=["x"], formulas={})
+    model_path = write_model(tmp_path, doc)
+    for samples in ("-3", "0"):
+        assert main(["laws", "--model", model_path, "--samples", samples, "--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "ModelSchemaError"
+
+
+def test_check_site_at_four_locations(tmp_path):
+    doc = dict(MEMORY_DOC, locations=["w", "x", "y", "z"], formulas={})
+    assert run_cli(["check-site", "--model", write_model(tmp_path, doc)]).exit_code == 0
 
 
 def test_psl_command(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 
 from sheafsep.errors import SizeBoundError, TensorUndefinedError
 from sheafsep.fincat import (
+    MonoidalStructure,
     build_finsurj_category,
     build_powerset_category,
     incl,
@@ -152,3 +153,63 @@ def test_slice_of_poset_hom_cardinality():
         sl, _ = slice_category(cat, a)
         assert all(len(ms) <= 1 for ms in sl.homs.values())
         assert len(sl.objects) == 2 ** len(a)
+
+
+def test_validate_monoidal_flags_a_corrupted_tensor_entry():
+    cat, mon = build_powerset_category({"x", "y"})
+    f, g = incl((), ("x",)), incl(("y",), ("y",))
+    bad = dict(mon.tensor_mor)
+    bad[(f, g)] = incl(("y",), ("y",))
+    broken = MonoidalStructure(mon.tensor_obj, bad, unit=mon.unit, symmetric=mon.symmetric)
+    rep = validate_monoidal(cat, broken)
+    assert "functoriality" in rep.kinds()
+
+
+# -- the FinCat helpers against brute-force filters over all_morphisms() --
+
+
+@pytest.fixture(
+    scope="module",
+    params=[lambda: build_powerset_category({"x", "y", "z"}), lambda: build_finsurj_category(3)],
+    ids=["powerset3", "finsurj3"],
+)
+def small_cat(request):
+    return request.param()[0]
+
+
+def test_mors_from_matches_brute_force(small_cat):
+    cat = small_cat
+    for a in cat.objects:
+        assert list(cat.mors_from(a)) == [m for m in cat.all_morphisms() if cat.src(m) == a]
+
+
+def test_factorisations_match_brute_force(small_cat):
+    cat = small_cat
+    mors = list(cat.all_morphisms())
+    for f in mors:
+        for g in mors:
+            expected = [
+                k
+                for k in mors
+                if cat.src(k) == cat.src(f) and cat.dst(k) == cat.src(g)
+                and cat.compose(g, k) == f
+            ]
+            assert cat.factorisations(f, g) == expected
+
+
+def test_squares_match_brute_force(small_cat):
+    cat = small_cat
+    mors = list(cat.all_morphisms())
+    for f in mors:
+        for g in mors:
+            if cat.dst(f) != cat.dst(g):
+                continue
+            expected = [
+                (k, h)
+                for k in mors
+                if cat.dst(k) == cat.src(f)
+                for h in mors
+                if cat.src(h) == cat.src(k) and cat.dst(h) == cat.src(g)
+                and cat.compose(f, k) == cat.compose(g, h)
+            ]
+            assert cat.squares(f, g) == expected

@@ -14,7 +14,6 @@ from sheafsep.pred import (
     glue_predicates,
     implication,
     join,
-    lattice_op,
     meet,
     random_closed_predicate,
     raw_image,
@@ -85,10 +84,10 @@ def test_join_of_two_singletons(site1):
 def test_lattice_op_dispatch(site1):
     site, mp = site1
     stage = ("x",)
-    t = lattice_op("top", resource=mp, site=site, stage=stage)
-    b = lattice_op("bottom", resource=mp, site=site, stage=stage)
-    assert lattice_op("meet", t, b) == b
-    assert lattice_op("join", t, b) == t
+    t = top_predicate(mp, site, stage)
+    b = bottom_predicate(mp, site, stage)
+    assert meet(t, b) == b
+    assert join(t, b) == t
 
 
 def test_implication_vacuous_and_reflexive(site1):

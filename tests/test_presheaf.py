@@ -69,6 +69,13 @@ def test_memory_kind_requires_powerset():
         build_resource_sheaf(fcat, "partial-memory", values=(0, 1))
 
 
+def test_memory_kinds_need_a_value(pset2):
+    cat, _ = pset2
+    for kind in ("strict-memory", "partial-memory", "support-bounded"):
+        with pytest.raises(ResourceKindError):
+            build_resource_sheaf(cat, kind, values=(), bound=1)
+
+
 def test_validate_builders(pset2, mp2):
     cat, _ = pset2
     for ps in (
