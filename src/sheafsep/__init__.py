@@ -30,7 +30,6 @@ from .fincat import (
 )
 from .pred import (
     KripkePredicate,
-    SheafMorphism,
     bottom_predicate,
     combine_alpha,
     direct_image,
@@ -42,7 +41,6 @@ from .pred import (
     restrict_predicate,
     top_predicate,
     validate_predicate,
-    validate_sheaf_morphism,
 )
 from .presheaf import (
     STAR,
@@ -50,6 +48,7 @@ from .presheaf import (
     Heap,
     MatchClass,
     Presheaf,
+    SheafMorphism,
     amalgamate,
     amalgamation_operator,
     build_resource_sheaf,
@@ -58,6 +57,7 @@ from .presheaf import (
     matching_presheaf,
     slice_restrict,
     validate_presheaf,
+    validate_sheaf_morphism,
 )
 from .psl import (
     ProbSpace,

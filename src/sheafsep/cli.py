@@ -273,10 +273,6 @@ class CommandReport:
         return "\n".join(lines)
 
 
-def _heap_json(h: Heap):
-    return {x: v for x, v in zip(h.locations, h.values)}
-
-
 def _family_table(pred):
     cat = pred.site.cat
     rows = []
@@ -285,7 +281,7 @@ def _family_table(pred):
             {
                 "at": list(cat.src(p)),
                 "members": [
-                    _heap_json(s) if isinstance(s, Heap) else str(s)
+                    s.as_dict() if isinstance(s, Heap) else str(s)
                     for s in sorted(pred.family[p], key=lambda e: str(e))
                 ],
             }
@@ -402,7 +398,7 @@ def _cmd_sat(model, args, report):
     res = sat(model, phi, stage, heap, mode=args.mode)
     report.status["result"] = res.result
     report.status["stage"] = "{" + ",".join(stage) + "}"
-    report.status["element"] = _heap_json(heap)
+    report.status["element"] = heap.as_dict()
     if res.witness is not None:
         report.witnesses.append(res.witness)
     report.exit_code = 0 if res.result else 1

@@ -24,8 +24,7 @@ from .errors import (
     StageMismatchError,
     UnknownObjectError,
 )
-from .fincat import element_key
-from .presheaf import Presheaf
+from .presheaf import Presheaf, SheafMorphism, validate_sheaf_morphism
 from .report import Report
 from .site import Sieve, Site, pullback_sieve
 
@@ -75,77 +74,53 @@ def _check_aligned(p: KripkePredicate, q: KripkePredicate):
         raise StageMismatchError("predicates live over different resources or stages")
 
 
-def restriction_closure_witnesses(pred: KripkePredicate):
-    """Slice morphisms along which the family is not closed."""
-    slice_cat, dom, _ = pred.site.slice(pred.stage)
-    out = []
-    for p in pred.family:
+def _forced(resource, site, stage, fam):
+    """What restriction-closure and local character force into `fam` but
+    it lacks, as (kind, p, x, q, y): the element y belongs at slice
+    object q because of x at p (for local character, p = q and x = y).
+
+    The family is read live, so a caller that adds each y at q as it is
+    yielded sweeps the enlarged family; each local-character pair is
+    yielded once.
+    """
+    cat = site.cat
+    slice_cat, dom, scov = site.slice(stage)
+    for p in fam:
         for m in slice_cat.mors_into(p):
             q, k = slice_cat.src(m), dom.on_mor(m)
-            for x in pred.family[p]:
-                if pred.resource.restrict(k, x) not in pred.family[q]:
-                    out.append((p, q, k, x))
-    return out
-
-
-def _locally_in(resource, cat, dom, family, p, cover, a):
-    """Whether every leg of the slice cover restricts a into the family,
-    which forces a into the family at p by local character."""
-    return all(
-        resource.restrict(dom.on_mor(m), a) in family[cat.compose(p, dom.on_mor(m))]
-        for m in cover.members
-    )
-
-
-def local_character_witnesses(pred: KripkePredicate):
-    """(p, element) pairs forced in by a slice cover but absent."""
-    cat = pred.site.cat
-    _, dom, scov = pred.site.slice(pred.stage)
-    out = []
-    for p in pred.family:
-        candidates = set(pred.resource.at(cat.src(p))) - pred.family[p]
-        if not candidates:
-            continue
+            for x in list(fam[p]):
+                rx = resource.restrict(k, x)
+                if rx not in fam[q]:
+                    yield "restriction", p, x, q, rx
+    for p in fam:
+        missing = dict.fromkeys(a for a in resource.at(cat.src(p)) if a not in fam[p])
         for s in scov.covers(p):
-            for a in sorted(candidates, key=element_key):
-                if _locally_in(pred.resource, cat, dom, pred.family, p, s, a):
-                    out.append((p, a))
-                    candidates = candidates - {a}
-    return out
+            legs = [(k, cat.compose(p, k)) for k in map(dom.on_mor, s.members)]
+            for a in list(missing):
+                if all(resource.restrict(k, a) in fam[pk] for k, pk in legs):
+                    del missing[a]
+                    yield "local-character", p, a, p, a
 
 
 def validate_predicate(pred: KripkePredicate) -> Report:
     rep = Report("predicate subsheaf conditions")
-    for p, q, k, x in restriction_closure_witnesses(pred):
-        rep.flag("restriction", f"{x} at {p!r} does not restrict into {q!r}")
-    for p, a in local_character_witnesses(pred):
-        rep.flag("local-character", f"{a} is locally present at {p!r} but missing")
+    for kind, p, x, q, _ in _forced(pred.resource, pred.site, pred.stage, pred.family):
+        if kind == "restriction":
+            rep.flag(kind, f"{x} at {p!r} does not restrict into {q!r}")
+        else:
+            rep.flag(kind, f"{x} is locally present at {p!r} but missing")
     return rep
 
 
 def _close(resource, site, stage, family):
     """Least restriction-closed, locally-closed family containing `family`."""
-    cat = site.cat
-    slice_cat, dom, scov = site.slice(stage)
     fam = {p: set(xs) for p, xs in family.items()}
     changed = True
     while changed:
         changed = False
-        for p in fam:
-            for m in slice_cat.mors_into(p):
-                q, k = slice_cat.src(m), dom.on_mor(m)
-                for x in list(fam[p]):
-                    rx = resource.restrict(k, x)
-                    if rx not in fam[q]:
-                        fam[q].add(rx)
-                        changed = True
-        for p in fam:
-            missing = [a for a in resource.at(cat.src(p)) if a not in fam[p]]
-            for s in scov.covers(p):
-                for a in missing:
-                    if a not in fam[p] and _locally_in(resource, cat, dom, fam, p, s, a):
-                        fam[p].add(a)
-                        changed = True
+        for _, _, _, q, y in _forced(resource, site, stage, fam):
+            fam[q].add(y)
+            changed = True
     return {p: frozenset(xs) for p, xs in fam.items()}
 
 
@@ -201,44 +176,7 @@ def implication(p: KripkePredicate, q: KripkePredicate) -> KripkePredicate:
     return KripkePredicate(p.resource, p.site, p.stage, fam)
 
 
-# -- morphisms of sheaves, reindexing and images -----------------------------
-
-
-@dataclass
-class SheafMorphism:
-    """Stage-wise (possibly partial) maps between two presheaves over the
-    same base; naturality is checked by `validate_sheaf_morphism`."""
-
-    source: Presheaf
-    target: Presheaf
-    components: dict  # object -> {element: element}
-    name: str = "alpha"
-
-    def apply(self, a, x):
-        return self.components[a].get(x)
-
-    def defined_on(self, a, x) -> bool:
-        return x in self.components[a]
-
-
-def validate_sheaf_morphism(alpha: SheafMorphism) -> Report:
-    """Naturality where defined; definedness must be restriction-stable."""
-    rep = Report(f"naturality ({alpha.name})")
-    cat = alpha.source.base
-    for h in cat.all_morphisms():
-        a, b = cat.src(h), cat.dst(h)
-        for x in alpha.source.at(b):
-            if not alpha.defined_on(b, x):
-                continue
-            down = alpha.source.restrict(h, x)
-            if not alpha.defined_on(a, down):
-                rep.flag("definedness", f"defined on {x!r} but not on its restriction along {h!r}")
-                continue
-            lhs = alpha.target.restrict(h, alpha.apply(b, x))
-            rhs = alpha.apply(a, down)
-            if lhs != rhs:
-                rep.flag("naturality", f"square fails along {h!r} on {x!r}")
-    return rep
+# -- reindexing and images along sheaf morphisms ----------------------------
 
 
 def reindex_preimage(alpha: SheafMorphism, q: KripkePredicate,

@@ -105,7 +105,7 @@ class Presheaf:
     stage_fn(A) yields the elements at A (cached); restrict_fn(f, x)
     applies the restriction map F(f): F(dst f) -> F(src f) to x.
     An optional glue_fn(target, legs) computes amalgamations directly
-    for builders whose stages are too big (or infinite) to scan.
+    for builders whose stages cannot be enumerated.
 
     Enumerable stages also have an integer encoding, built lazily:
     `index(A)` numbers the elements of A in `at(A)` order and `table(f)`
@@ -213,17 +213,6 @@ def _require_powerset(site_cat: FinCat, kind):
         raise ResourceKindError(f"{kind} requires a powerset base, got {site_cat.kind!r}")
 
 
-def _heap_glue(target, legs):
-    """Pointwise union of compatible heap legs; None when non-covering."""
-    cells = {}
-    for heap in legs.values():
-        for loc, v in zip(heap.locations, heap.values):
-            cells[loc] = v
-    if set(cells) != set(target):
-        return None
-    return Heap.of(target, cells)
-
-
 def build_resource_sheaf(cat: FinCat, kind: str, *, values=None, bound=None,
                          at_object=None, elements=None):
     """The named resource presheaf over a base category.
@@ -242,12 +231,12 @@ def build_resource_sheaf(cat: FinCat, kind: str, *, values=None, bound=None,
             raise ResourceKindError(f"{kind} needs a nonempty value set")
         listed = ",".join(map(str, vals))
         if kind == "strict-memory":
-            cells, k, name, glue = vals, None, f"M[{listed}]", _heap_glue
+            cells, k, name = vals, None, f"M[{listed}]"
         elif kind == "partial-memory":
-            cells, k, name, glue = vals + (None,), None, f"Mp[{listed}]", _heap_glue
+            cells, k, name = vals + (None,), None, f"Mp[{listed}]"
         else:
             k = int(bound)
-            cells, name, glue = vals + (None,), f"Mp|supp<={k}", None
+            cells, name = vals + (None,), f"Mp|supp<={k}"
 
         def stages(a):
             return [
@@ -259,7 +248,7 @@ def build_resource_sheaf(cat: FinCat, kind: str, *, values=None, bound=None,
         def restr(f, heap):
             return heap.restrict(f[1])
 
-        return Presheaf(cat, stages, restr, name=name, glue_fn=glue)
+        return Presheaf(cat, stages, restr, name=name)
     if kind == "constant":
         xs = sorted_elements(elements)
 
@@ -465,7 +454,18 @@ def enumerate_compatible_families(ps: Presheaf, cover: Sieve, budget=DEFAULT_FAM
 
 
 def amalgamation_candidates(ps: Presheaf, fam: CompatibleFamily):
-    """Elements of F(target) restricting to the family on its generators."""
+    """Elements of F(target) restricting to the family.
+
+    Non-enumerable stages glue through `glue_fn` and keep the glued
+    element when it restricts to every leg; enumerable stages are looked
+    up by the family's ids on the cover's generators, so that every
+    amalgamation is found.
+    """
+    if not ps.enumerable and ps.glue_fn is not None:
+        glued = ps.glue_fn(fam.cover.target, dict(fam.items()))
+        if glued is None or any(ps.restrict(f, glued) != x for f, x in fam.items()):
+            return []
+        return [glued]
     code = _encoded_cover(ps, fam.cover)
     index = code.signature_index()
     key = []
@@ -479,12 +479,9 @@ def amalgamation_candidates(ps: Presheaf, fam: CompatibleFamily):
 
 
 def amalgamate(ps: Presheaf, fam: CompatibleFamily):
-    """The unique element restricting to the family on its cover.
-
-    Built-in sheaves glue directly (heaps pointwise, probability by the
-    forced measure); enumerable stages are additionally looked up so
-    that non-uniqueness is detected.
-    """
+    """The unique element restricting to the family on its cover: the
+    family must be compatible, and `amalgamation_candidates` must find
+    exactly one element."""
     witness = compatibility_witness(ps, fam)
     if witness is not None:
         f, g, k, h = witness
@@ -492,17 +489,6 @@ def amalgamate(ps: Presheaf, fam: CompatibleFamily):
             f"family disagrees on the square {f!r}.{k!r} = {g!r}.{h!r}",
             witness=witness,
         )
-    target = fam.cover.target
-    if ps.glue_fn is not None:
-        candidate = ps.glue_fn(target, dict(fam.items()))
-        if candidate is not None:
-            bad = [f for f, x in fam.items() if ps.restrict(f, candidate) != x]
-            if bad:
-                candidate = None
-        if candidate is not None and not ps.enumerable:
-            return candidate
-        if candidate is None and not ps.enumerable:
-            raise NoAmalgamationError("no amalgamation for the given family")
     matches = amalgamation_candidates(ps, fam)
     if not matches:
         raise NoAmalgamationError("no amalgamation for the given family")
@@ -593,8 +579,7 @@ def slice_restrict(ps: Presheaf, a, prebuilt=None) -> Presheaf:
     def restr(m, x):
         return ps.restrict(dom.on_mor(m), x)
 
-    return Presheaf(sl, stages, restr, name=f"{ps.name}|{a!r}",
-                    glue_fn=None, enumerable=ps.enumerable)
+    return Presheaf(sl, stages, restr, name=f"{ps.name}|{a!r}", enumerable=ps.enumerable)
 
 
 # -- matching objects --------------------------------------------------------
@@ -716,6 +701,46 @@ def matching_presheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET)
     return Presheaf(cat, stages, restr, name=f"Match({ps.name})")
 
 
+# -- morphisms of presheaves -------------------------------------------------
+
+
+@dataclass
+class SheafMorphism:
+    """Stage-wise (possibly partial) maps between two presheaves over the
+    same base; naturality is checked by `validate_sheaf_morphism`."""
+
+    source: Presheaf
+    target: Presheaf
+    components: dict  # object -> {element: element}
+    name: str = "alpha"
+
+    def apply(self, a, x):
+        return self.components[a].get(x)
+
+    def defined_on(self, a, x) -> bool:
+        return x in self.components[a]
+
+
+def validate_sheaf_morphism(alpha: SheafMorphism) -> Report:
+    """Naturality where defined; definedness must be restriction-stable."""
+    rep = Report(f"naturality ({alpha.name})")
+    cat = alpha.source.base
+    for h in cat.all_morphisms():
+        a, b = cat.src(h), cat.dst(h)
+        for x in alpha.source.at(b):
+            if not alpha.defined_on(b, x):
+                continue
+            down = alpha.source.restrict(h, x)
+            if not alpha.defined_on(a, down):
+                rep.flag("definedness", f"defined on {x!r} but not on its restriction along {h!r}")
+                continue
+            lhs = alpha.target.restrict(h, alpha.apply(b, x))
+            rhs = alpha.apply(a, down)
+            if lhs != rhs:
+                rep.flag("naturality", f"square fails along {h!r} on {x!r}")
+    return rep
+
+
 # -- the amalgamation operator ----------------------------------------------
 
 
@@ -762,19 +787,9 @@ def amalgamation_operator(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUD
         if set(values) != set(ps.at(a)):
             rep.flag("bijectivity", f"amalgamation not surjective at {a!r}")
         from_sheaf[a] = {x: cls for cls, x in fwd.items()}
-    for h in cat.all_morphisms():
-        a, b = cat.src(h), cat.dst(h)
-        for cls in match.at(b):
-            lhs = ps.restrict(h, to_sheaf[b][cls])
-            rhs = to_sheaf[a][match.restrict(h, cls)]
-            if lhs != rhs:
-                rep.flag(
-                    "naturality",
-                    f"restrict o amalg != amalg o restrict along {h!r} on {cls!r}",
-                )
-        for x in ps.at(b):
-            lhs = from_sheaf[a].get(ps.restrict(h, x))
-            rhs = match.restrict(h, from_sheaf[b][x])
-            if lhs != rhs:
-                rep.flag("naturality", f"inverse not natural along {h!r} on {x!r}")
+    for alpha in (
+        SheafMorphism(match, ps, to_sheaf, name="amalgamation"),
+        SheafMorphism(ps, match, from_sheaf, name="amalgamation inverse"),
+    ):
+        rep.violations += validate_sheaf_morphism(alpha).violations
     return AmalgamationIso(match, to_sheaf, from_sheaf, rep)

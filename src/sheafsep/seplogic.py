@@ -111,6 +111,10 @@ class DistAtom:
 
 # -- tokenizer and recursive-descent parser ----------------------------------
 
+# deepest bracket nesting, implication chain or syntax tree a formula may
+# have; it keeps the recursive parser and evaluators off the stack limit
+MAX_FORMULA_DEPTH = 100
+
 _SYMBOLS = [
     ("|->!", "MAPSTO_ALLOC"),
     ("|->", "MAPSTO"),
@@ -168,9 +172,9 @@ def _tokenize(text):
                 break
         if matched:
             continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
+        if c.isdecimal() or (c == "-" and i + 1 < n and text[i + 1].isdecimal()):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("INT", text[i:j], i))
             i = j
@@ -199,6 +203,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -217,11 +222,15 @@ class _Parser:
         return tok
 
     def parse_formula(self):
-        left = self.parse_or()
+        self.depth += 1
+        if self.depth > MAX_FORMULA_DEPTH:
+            raise _too_deep(self.peek().pos)
+        node = self.parse_or()
         if self.peek().kind == "IMP":
             self.next()
-            return Imp(left, self.parse_formula())
-        return left
+            node = Imp(node, self.parse_formula())
+        self.depth -= 1
+        return node
 
     def parse_or(self):
         node = self.parse_and()
@@ -277,17 +286,25 @@ class _Parser:
 
     def parse_fraction(self):
         num = self.expect("INT")
+        den = 1
         if self.peek().kind == "SLASH":
             self.next()
-            den = self.expect("INT")
-            return Fraction(int(num.text), int(den.text))
-        return Fraction(int(num.text))
+            tok = self.expect("INT")
+            den = int(tok.text)
+            if den == 0:
+                raise FormulaSyntaxError("zero denominator", tok.pos)
+        prob = Fraction(int(num.text), den)
+        if prob < 0:
+            raise FormulaSyntaxError("negative probability", num.pos)
+        return prob
 
     def parse_distribution(self):
         self.expect("LBRACE")
         entries = []
         while True:
             val = self.expect("INT")
+            if any(v == int(val.text) for v, _ in entries):
+                raise FormulaSyntaxError(f"value {val.text} listed twice", val.pos)
             self.expect("COLON")
             prob = self.parse_fraction()
             entries.append((int(val.text), prob))
@@ -308,7 +325,21 @@ def parse_formula(text: str):
     tok = parser.peek()
     if tok.kind != "EOF":
         raise FormulaSyntaxError(f"trailing input {tok.text!r}", tok.pos)
+    # a chain of a left-associative connective grows the tree in a loop,
+    # so its height is measured here, without recursion
+    height, stack = 0, [(node, 1)]
+    while stack:
+        phi, h = stack.pop()
+        height = max(height, h)
+        if isinstance(phi, (And, Or, Imp, Star)):
+            stack += [(phi.left, h + 1), (phi.right, h + 1)]
+    if height > MAX_FORMULA_DEPTH:
+        raise _too_deep(0)
     return node
+
+
+def _too_deep(pos):
+    return FormulaSyntaxError(f"formula nests deeper than {MAX_FORMULA_DEPTH} levels", pos)
 
 
 def formula_atoms(phi):

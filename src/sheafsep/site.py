@@ -276,6 +276,28 @@ def _cospan_completion_failure(cat: FinCat):
     return None
 
 
+def _forced_sieves(cat: FinCat, covers, is_cover):
+    """Sieves that stability and transitivity force in but `is_cover`
+    lacks, as (axiom, sieve, cover, h): the pullback of `cover` along h,
+    or a sieve that is locally covering via `cover` (h is None).  `covers(a)` lists the covering sieves on a and is read
+    anew for every sieve tested, so a caller that adds each yielded
+    sieve sweeps the enlarged coverage."""
+    for a in cat.objects:
+        for s in covers(a):
+            for h in cat.mors_into(a):
+                pb = pullback_sieve(cat, s, h)
+                if not is_cover(pb):
+                    yield "stability", pb, s, h
+    for a in cat.objects:
+        for r in all_sieves(cat, a):
+            if is_cover(r):
+                continue
+            for s in covers(a):
+                if all(is_cover(pullback_sieve(cat, r, h)) for h in s.members):
+                    yield "transitivity", r, s, None
+                    break
+
+
 def validate_coverage(cat: FinCat, cov: Coverage) -> Report:
     """Replay maximality, stability and transitivity exhaustively."""
     rep = Report("coverage axioms")
@@ -288,30 +310,15 @@ def validate_coverage(cat: FinCat, cov: Coverage) -> Report:
     for a in cat.objects:
         if maximal_sieve(cat, a) not in cov.by_object.get(a, frozenset()):
             rep.flag("maximality", f"maximal sieve missing at {a!r}")
-    for a in cat.objects:
-        for s in cov.covers(a):
-            for h in cat.mors_into(a):
-                pb = pullback_sieve(cat, s, h)
-                if not cov.is_cover(pb):
-                    rep.flag(
-                        "stability",
-                        f"pullback of {s.sorted_members()!r} along {h!r} is not covering",
-                    )
-    for a in cat.objects:
-        covering = cov.by_object.get(a, frozenset())
-        for r in all_sieves(cat, a):
-            if r in covering:
-                continue
-            for s in covering:
-                if all(
-                    cov.is_cover(pullback_sieve(cat, r, h)) for h in s.members
-                ):
-                    rep.flag(
-                        "transitivity",
-                        f"sieve {r.sorted_members()!r} on {a!r} is locally covering "
-                        f"via {s.sorted_members()!r} but not covering",
-                    )
-                    break
+    for axiom, r, s, h in _forced_sieves(cat, cov.covers, cov.is_cover):
+        if axiom == "stability":
+            rep.flag(axiom, f"pullback of {s.sorted_members()!r} along {h!r} is not covering")
+        else:
+            rep.flag(
+                axiom,
+                f"sieve {r.sorted_members()!r} on {r.target!r} is locally covering "
+                f"via {s.sorted_members()!r} but not covering",
+            )
     return rep
 
 
@@ -353,34 +360,17 @@ def saturate_precoverage(cat: FinCat, assignment) -> Coverage:
                         precover=pc,
                         morphism=h,
                     )
-    sieves = {a: set() for a in cat.objects}
+    sieves = {a: {maximal_sieve(cat, a)} for a in cat.objects}
     for a in cat.objects:
-        sieves[a].add(maximal_sieve(cat, a))
-        for pc in assignment[a]:
-            sieves[a].add(generate_sieve(cat, a, pc.family))
-    lattice = {a: all_sieves(cat, a) for a in cat.objects}
+        sieves[a].update(generate_sieve(cat, a, pc.family) for pc in assignment[a])
     changed = True
     while changed:
         changed = False
-        for a in cat.objects:
-            for s in list(sieves[a]):
-                for h in cat.mors_into(a):
-                    pb = pullback_sieve(cat, s, h)
-                    if pb not in sieves[cat.src(h)]:
-                        sieves[cat.src(h)].add(pb)
-                        changed = True
-        for a in cat.objects:
-            for r in lattice[a]:
-                if r in sieves[a]:
-                    continue
-                for s in sieves[a]:
-                    if all(
-                        pullback_sieve(cat, r, h) in sieves[cat.src(h)]
-                        for h in s.members
-                    ):
-                        sieves[a].add(r)
-                        changed = True
-                        break
+        for _, r, _, _ in _forced_sieves(
+            cat, lambda a: list(sieves[a]), lambda s: s in sieves[s.target]
+        ):
+            sieves[r.target].add(r)
+            changed = True
     return Coverage(cat, sieves, ("saturation of a pre-coverage",))
 
 

@@ -238,6 +238,35 @@ def test_main_usage_error_exit_two(tmp_path, capsys):
     assert main(["eval", "--model", model_path, "--formula", "z |-> 9"]) == 2
 
 
+DEEP = 3000
+MALFORMED_FORMULAS = {
+    "deep-brackets": ("eval", "(" * DEEP + "T" + ")" * DEEP),
+    "long-implication": ("eval", " -> ".join(["T"] * DEEP)),
+    "long-conjunction": ("eval", " /\\ ".join(["x |-> 0"] * DEEP)),
+    "long-conjunction-psl": ("psl", " /\\ ".join(["X ~ {0: 1/2, 1: 1/2}"] * DEEP)),
+    "zero-denominator": ("psl", "X ~ {0: 1/0}"),
+    "negative-mass": ("psl", "X ~ {0: -1/2, 1: 3/2}"),
+    "repeated-value": ("psl", "X ~ {0: 1/4, 0: 3/4}"),
+    "superscript-digit": ("eval", "x |-> \u00b2"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_FORMULAS))
+def test_malformed_formula_exits_two(tmp_path, capsys, shape):
+    command, formula = MALFORMED_FORMULAS[shape]
+    doc, extra = (PSL_DOC, ["--space", "unif4"]) if command == "psl" else (MEMORY_DOC, [])
+    argv = [command, "--model", write_model(tmp_path, doc), f"--formula={formula}", "--json"]
+    assert main(argv + extra) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "FormulaSyntaxError"
+
+
+def test_malformed_model_formula_is_a_schema_error(tmp_path, capsys):
+    doc = dict(MEMORY_DOC, formulas={"deep": " -> ".join(["T"] * DEEP)})
+    argv = ["eval", "--model", write_model(tmp_path, doc), "--name", "deep", "--json"]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "ModelSchemaError"
+
+
 def test_main_unknown_model_file(capsys):
     assert main(["check-site", "--model", "/nonexistent.json"]) == 2
 

@@ -454,3 +454,22 @@ def test_allocated_atom_breaks_restriction_closure_as_documented(site1):
     alloc = KripkePredicate(mp, site, stage, fam)
     rep = validate_predicate(alloc)
     assert "restriction" in rep.kinds()
+
+
+@pytest.mark.parametrize("cells", [{"x": 0, "y": 1}, {"x": 0, "y": 1, "z": 0}])
+def test_local_character_witness_reported_once(cells):
+    """The restrictions of one heap sit at every slice below the top, so
+    local character forces the heap in at the top, which lacks it: one
+    local-character witness, however many covers force it (one at two
+    locations, several at three), and no restriction witness."""
+    site, mp = make_site(set(cells))
+    cat = site.cat
+    top = tuple(sorted(cells))
+    glued = Heap.of(top, cells)
+    fam = {
+        p: frozenset() if cat.src(p) == top else frozenset({glued.restrict(cat.src(p))})
+        for p in cat.mors_into(top)
+    }
+    rep = validate_predicate(KripkePredicate(mp, site, top, fam))
+    assert rep.kinds() == ["local-character"]
+    assert rep.violations[0].detail == f"{glued} is locally present at {cat.id(top)!r} but missing"

@@ -235,3 +235,26 @@ def test_full_probability_presheaf_per_family_amalgamation():
     fam_bad = CompatibleFamily.of(cover, {f: fair for f in cover.members})
     with pytest.raises(NoAmalgamationError):
         amalgamate(pres, fam_bad)
+
+
+def test_full_probability_presheaf_sheaf_check_on_supplied_families():
+    """Families mode glues through the presheaf's forced measure, since
+    its stages cannot be enumerated: the coarse-space family glues, the
+    fair-space family has no amalgamation."""
+    from sheafsep.fincat import build_finsurj_category, surj
+    from sheafsep.presheaf import CompatibleFamily, check_sheaf
+    from sheafsep.psl import full_probability_presheaf
+    from sheafsep.site import build_coverage, generate_sieve
+
+    cat, _ = build_finsurj_category(2)
+    pres = full_probability_presheaf(cat)
+    cov = build_coverage(cat, "atomic")
+    cover = generate_sieve(cat, 1, [surj(2, 1, (1, 1))])
+    coarse = ProbSpace.of(2, [(1, 2)], [Fraction(1)])
+    families = [
+        CompatibleFamily.of(cover, {f: sp for f in cover.members})
+        for sp in (coarse, ProbSpace.uniform(2))
+    ]
+    rep = check_sheaf(pres, cov, mode="families", families=families)
+    assert rep.kinds() == ["existence"]
+    assert rep.notes == ["checked 2 families"]

@@ -20,6 +20,7 @@ from sheafsep.seplogic import (
     PointsToNonStrict,
     PointsToStrict,
     Star,
+    MAX_FORMULA_DEPTH,
     Top,
     atom_predicate,
     eval_formula,
@@ -110,6 +111,20 @@ def test_parse_distribution_must_normalise():
 def test_parse_trailing_garbage():
     with pytest.raises(FormulaSyntaxError):
         parse_formula("T T")
+
+
+def test_parse_depth_bound():
+    """A chain of n operands is a tree of height n, for the recursive
+    implication and the looping connectives alike; brackets count one
+    level each on top of the formula's own."""
+    for op in (" -> ", " \\/ ", " /\\ ", " * "):
+        parse_formula(op.join(["T"] * MAX_FORMULA_DEPTH))
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula(op.join(["T"] * (MAX_FORMULA_DEPTH + 1)))
+    depth = MAX_FORMULA_DEPTH - 1
+    assert parse_formula("(" * depth + "T" + ")" * depth) == Top()
+    with pytest.raises(FormulaSyntaxError):
+        parse_formula("(" * (depth + 1) + "T" + ")" * (depth + 1))
 
 
 # -- atoms --------------------------------------------------------------------

@@ -236,3 +236,23 @@ def test_min_cover_is_intersection(dc2):
     assert cov.is_cover(mc)
     for s in cov.covers(top):
         assert mc.members <= s.members
+
+
+def test_validate_flags_transitivity_without_stability():
+    """Dropping the sieve generated by the three points from the top's
+    covers breaks transitivity only: it is still locally covering, and no
+    other cover pulls back to it.  The witness names the first cover in
+    `Coverage.covers` order that it is locally covering via."""
+    cat, _ = build_powerset_category({"x", "y", "z"})
+    cov = build_coverage(cat, "downward-closed")
+    top = ("x", "y", "z")
+    points = generate_sieve(cat, top, [incl((v,), top) for v in top])
+    via = generate_sieve(cat, top, [incl(("x", "y"), top), incl(("z",), top)])
+    broken = {a: set(cov.by_object[a]) for a in cat.objects}
+    broken[top].discard(points)
+    rep = validate_coverage(cat, Coverage(cat, broken))
+    assert rep.kinds() == ["transitivity"]
+    assert rep.violations[0].detail == (
+        f"sieve {points.sorted_members()!r} on {top!r} is locally covering "
+        f"via {via.sorted_members()!r} but not covering"
+    )
