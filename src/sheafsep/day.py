@@ -18,7 +18,7 @@ from .errors import (
     NoGammaWitnessError,
 )
 from .fincat import FinCat, MonoidalStructure, element_key
-from .presheaf import Heap, Presheaf, UnionFind, check_sheaf, sorted_elements
+from .presheaf import Heap, Presheaf, check_sheaf, sorted_elements
 from .report import Report
 from .site import Site
 
@@ -138,6 +138,24 @@ def _coend_triples(cat, mon, f_sheaf, g_sheaf, a):
     return out
 
 
+class UnionFind:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        r = x
+        while self.parent[r] != r:
+            r = self.parent[r]
+        while self.parent[x] != r:
+            self.parent[x], x = r, self.parent[x]
+        return r
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[ry] = rx
+
+
 def day_coend(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure,
               budget=DEFAULT_COEND_BUDGET) -> Presheaf:
     """Day convolution proper: witnessed triples modulo dinaturality.
@@ -161,25 +179,23 @@ def day_coend(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure,
                 size=len(triples),
             )
         uf = UnionFind(triples)
-        for b in cat.objects:
-            for b2 in cat.objects:
-                for u in cat.hom(b, b2):
-                    for c in cat.objects:
-                        for c2 in cat.objects:
-                            if not (mon.tensor_defined(b, c) and mon.tensor_defined(b2, c2)):
-                                continue
-                            for v in cat.hom(c, c2):
-                                uv = mon.tensor_m(u, v)
-                                for w in cat.hom(a, mon.tensor(b, c)):
-                                    w2 = cat.compose(uv, w)
-                                    for s2 in f_sheaf.at(b2):
-                                        s = f_sheaf.restrict(u, s2)
-                                        for t2 in g_sheaf.at(c2):
-                                            t = g_sheaf.restrict(v, t2)
-                                            uf.union(
-                                                Decomp(a, b, c, s, t, witness=w),
-                                                Decomp(a, b2, c2, s2, t2, witness=w2),
-                                            )
+        mors = list(cat.all_morphisms())
+        for u in mors:
+            b, b2 = cat.src(u), cat.dst(u)
+            for v in mors:
+                c, c2 = cat.src(v), cat.dst(v)
+                if not (mon.tensor_defined(b, c) and mon.tensor_defined(b2, c2)):
+                    continue
+                uv = mon.tensor_m(u, v)
+                for w in cat.hom(a, mon.tensor(b, c)):
+                    w2 = cat.compose(uv, w)
+                    for s2 in f_sheaf.at(b2):
+                        s = f_sheaf.restrict(u, s2)
+                        for t2 in g_sheaf.at(c2):
+                            uf.union(
+                                Decomp(a, b, c, s, g_sheaf.restrict(v, t2), witness=w),
+                                Decomp(a, b2, c2, s2, t2, witness=w2),
+                            )
         groups = {}
         for d in triples:
             groups.setdefault(uf.find(d), []).append(d)

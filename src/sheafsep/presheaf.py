@@ -610,11 +610,13 @@ def matching_object(ps: Presheaf, a, f, g, pullback):
 
 @dataclass(frozen=True)
 class MatchClass:
-    """Refinement-equivalence class of matching families.
+    """Refinement-equivalence class of matching families, named by its
+    family on the least covering sieve of the stage.
 
-    The canonical representative lives on the minimum covering sieve of
-    the stage (covers are intersection-closed on a finite site, so the
-    minimum exists; no tie-break is ever needed).
+    Covers are intersection-closed on a finite site, so the least cover
+    exists.  A family over any cover restricts to exactly one family over
+    it, and refining never changes that restriction, so each class holds
+    exactly one least-cover family.
     """
 
     stage: object
@@ -628,75 +630,31 @@ class MatchClass:
         return (self.stage, self.cover_members, tuple(element_key(x) for x in self.items))
 
 
-class UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        r = x
-        while self.parent[r] != r:
-            r = self.parent[r]
-        while self.parent[x] != r:
-            self.parent[x], x = r, self.parent[x]
-        return r
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-
-def _canonical_class(cov: Coverage, stage, family) -> MatchClass:
-    mc = cov.min_cover(stage)
-    legs = tuple(sorted(mc.members))
-    return MatchClass(stage, legs, tuple(family[f] for f in legs))
-
-
 def matching_presheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> Presheaf:
     """Refinement-equivalence classes of pairwise-compatible families.
 
-    Nodes are (cover, family) pairs; union-find relates each node with
-    its restriction to every covering subsieve, which realises the
-    agree-on-a-common-refinement equivalence.  Restriction pulls the
-    cover back and restricts the family componentwise.
+    Each class is read off the least cover (see `MatchClass`): the stage
+    at A is one class per compatible family over `cov.min_cover(A)`, and
+    restriction pulls that cover back and restricts the family
+    componentwise.  Only least covers are enumerated, so `budget` bounds
+    their families alone; `amalgamation_operator` checks every cover
+    against the same budget first.
     """
     cat = ps.base
 
     def stages(a):
-        codes = [_encoded_cover(ps, s) for s in cov.covers(a)]
-        nodes = {}  # (cover position, family legs), in enumeration order
-        for i, code in enumerate(codes):
-            for partial in code.families(budget):
-                nodes[(i, code.legs(partial))] = None
-        uf = UnionFind(nodes)
-        for node in nodes:
-            i, legs = node
-            value = dict(zip(codes[i].members, legs))
-            for j, t in enumerate(codes):
-                if t.cover.members < codes[i].cover.members:
-                    sub = (j, tuple(value[m] for m in t.members))
-                    if sub in nodes:
-                        uf.union(node, sub)
-        classes = {}
-        for node in nodes:
-            classes.setdefault(uf.find(node), []).append(node)
-        mc = cov.min_cover(a)
-        members = mc.sorted_members()
-        out = []
-        for class_nodes in classes.values():
-            legs = [legs for i, legs in class_nodes if codes[i].cover == mc][0]
-            out.append(MatchClass(a, members, tuple(
-                ps.element(cat.src(f), x) for f, x in zip(members, legs)
-            )))
-        return out
+        return {
+            MatchClass(a, fam.cover.sorted_members(), tuple(x for _, x in fam.items()))
+            for fam in enumerate_compatible_families(ps, cov.min_cover(a), budget)
+        }
 
     def restr(h, cls: MatchClass):
         # min_cover(src h) sits inside the pullback of min_cover(dst h)
         # by stability, so h.g always hits the stored family.
         fam = cls.family()
-        b = cat.src(h)
-        new_family = {g: fam[cat.compose(h, g)] for g in cov.min_cover(b).members}
-        return _canonical_class(cov, b, new_family)
+        members = cov.min_cover(cat.src(h)).sorted_members()
+        return MatchClass(cat.src(h), members,
+                          tuple(fam[cat.compose(h, g)] for g in members))
 
     return Presheaf(cat, stages, restr, name=f"Match({ps.name})")
 

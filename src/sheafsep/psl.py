@@ -80,12 +80,6 @@ class ProbSpace:
     def uniform(n):
         return ProbSpace.discrete([Fraction(1, n)] * n)
 
-    def block_of(self, point):
-        for block, p in zip(self.blocks, self.measure):
-            if point in block:
-                return block, p
-        raise KeyError(point)
-
     def measurable(self, subset) -> bool:
         subset = set(subset)
         return all(

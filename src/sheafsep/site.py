@@ -310,7 +310,9 @@ def validate_coverage(cat: FinCat, cov: Coverage) -> Report:
     for a in cat.objects:
         if maximal_sieve(cat, a) not in cov.by_object.get(a, frozenset()):
             rep.flag("maximality", f"maximal sieve missing at {a!r}")
-    for axiom, r, s, h in _forced_sieves(cat, cov.covers, cov.is_cover):
+    # a sieve filed under the wrong object is a typing fault, not a cover
+    filed = {a: [s for s in cov.covers(a) if s.target == a] for a in cat.objects}
+    for axiom, r, s, h in _forced_sieves(cat, filed.__getitem__, cov.is_cover):
         if axiom == "stability":
             rep.flag(axiom, f"pullback of {s.sorted_members()!r} along {h!r} is not covering")
         else:

@@ -8,12 +8,12 @@ materialised before it is checked.  The differential tests compare the
 two on reports, family lists, matching classes and budget errors.
 """
 
+from sheafsep.day import UnionFind
 from sheafsep.errors import BudgetExceededError, StageNotEnumerableError
 from sheafsep.presheaf import (
     DEFAULT_FAMILY_BUDGET,
     CompatibleFamily,
     MatchClass,
-    UnionFind,
     sorted_elements,
 )
 from sheafsep.report import Report

@@ -11,6 +11,7 @@ from sheafsep.presheaf import (
     Heap,
     Presheaf,
     amalgamation_candidates,
+    amalgamation_operator,
     build_resource_sheaf,
     check_sheaf,
     enumerate_compatible_families,
@@ -120,14 +121,25 @@ def test_duplicate_stage_elements_agree():
 
 @pytest.mark.parametrize("n_locs", [2, 3])
 def test_matching_classes_agree(n_locs):
+    """Least-cover classes against the refinement union-find, on
+    downward-closed covers, and at 2 locations also on the trivial
+    coverage and on the non-thin finsurj base."""
     cat, _, cov = _site(n_locs)
-    for ps in (
+    memory = [
         build_resource_sheaf(cat, "partial-memory", values=(0, 1)),
         build_resource_sheaf(cat, "support-bounded", values=(0, 1), bound=1),
-    ):
-        match = matching_presheaf(ps, cov)
-        for a in cat.objects:
-            assert match.at(a) == ref.matching_stage(ps, cov, a)
+    ]
+    cases = [(ps, cov) for ps in memory]
+    if n_locs == 2:
+        cases += [(ps, trivial_coverage(cat)) for ps in memory]
+        fcat, _ = build_finsurj_category(2)
+        fcov = build_coverage(fcat, "atomic")
+        cases += [(build_resource_sheaf(fcat, "yoneda", at_object=obj), fcov)
+                  for obj in fcat.objects]
+    for ps, c in cases:
+        match = matching_presheaf(ps, c)
+        for a in ps.base.objects:
+            assert match.at(a) == ref.matching_stage(ps, c, a)
 
 
 def test_budget_error_agrees():
@@ -140,6 +152,20 @@ def test_budget_error_agrees():
     assert str(ours.value) == str(theirs.value)
     assert ours.value.size == theirs.value.size
     assert ours.value.cover == theirs.value.cover
+
+
+def test_amalgamation_operator_budget_error_is_check_sheafs():
+    """The iso checks every cover before it builds Match(F), so a budget
+    blown on any cover raises the sheaf check's error."""
+    cat, _, cov = _site(2)
+    mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
+    with pytest.raises(BudgetExceededError) as iso:
+        amalgamation_operator(mp, cov, budget=2)
+    with pytest.raises(BudgetExceededError) as sheaf:
+        check_sheaf(mp, cov, budget=2)
+    assert str(iso.value) == str(sheaf.value)
+    assert iso.value.size == sheaf.value.size
+    assert iso.value.cover == sheaf.value.cover
 
 
 def test_four_locations_agree_with_reference():

@@ -154,6 +154,18 @@ def test_validate_flags_missing_pullback(dc2):
     assert "stability" in rep.kinds()
 
 
+def test_validate_flags_misfiled_sieve_without_raising(dc2):
+    """A cover of {y} filed under {x} is a typing fault; the stability
+    and transitivity sweeps skip it instead of pulling it back along
+    morphisms into {x}."""
+    cat, cov = dc2
+    broken = {a: set(cov.by_object[a]) for a in cat.objects}
+    broken[("x",)].add(maximal_sieve(cat, ("y",)))
+    rep = validate_coverage(cat, Coverage(cat, broken))
+    assert rep.kinds() == ["typing"]
+    assert rep.violations[0].detail == "sieve on ('y',) filed under ('x',)"
+
+
 def test_saturate_precover_of_two_singletons(pset2):
     """Fixpoint computed by hand on the four-element poset: the top
     object gains exactly the downward closure of {{x},{y}}; every other
