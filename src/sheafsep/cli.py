@@ -14,6 +14,7 @@ usage or model errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -482,8 +483,14 @@ def build_arg_parser():
     return parser
 
 
+@functools.cache
+def _arg_parser():
+    """The parser, built once: building it costs far more than a parse."""
+    return build_arg_parser()
+
+
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     try:
         report = run_command(args.command, args)
     except SheafSepError as exc:

@@ -6,14 +6,18 @@ The star search runs over pairs of partitions of the sample set rather
 than raw surjection pairs: a surjection enters the semantics only
 through its fibre partition and the transported measure, so canonical
 quotient maps (blocks labelled by least elements) are reconstructed for
-the witness.  Component sigma-algebras are discrete, the maximal choice
-compatible with checking variable measurability on the components; the
-partition-valued alternative would thread each component's algebra
-through the recursion instead.
+the witness.  The search is exact in integers: a measure is scaled to
+its common denominator, the candidate pairs come from a measure-free
+table per sample-set size, and everything derived from a space lives in
+a memo that ends with the top-level call.  Component sigma-algebras are
+discrete, the maximal choice compatible with checking variable
+measurability on the components; the partition-valued alternative
+would thread each component's algebra through the recursion instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,9 +57,10 @@ class ProbSpace:
         if tuple(sorted(self.blocks, key=lambda b: b[0])) != self.blocks:
             raise ValueError("blocks must be ordered by least element")
         for p in self.measure:
-            if not isinstance(p, Fraction) or p < 0:
+            if not isinstance(p, Fraction) or p.numerator < 0:
                 raise ValueError("measures must be non-negative Fractions")
-        if sum(self.measure, Fraction(0)) != 1:
+        d = math.lcm(*(p.denominator for p in self.measure))
+        if sum(p.numerator * (d // p.denominator) for p in self.measure) != d:
             raise ValueError("block measures must sum to exactly 1")
 
     @staticmethod
@@ -64,7 +69,7 @@ class ProbSpace:
         for m in measure_iter:
             if isinstance(m, float):
                 raise ValueError("measures must be exact rationals, not floats")
-            measures.append(Fraction(m))
+            measures.append(m if type(m) is Fraction else Fraction(m))
         pairs = sorted(
             zip((tuple(sorted(b)) for b in block_iter), measures),
             key=lambda bm: bm[0][0],
@@ -209,69 +214,234 @@ def _quotient_surjection(partition):
     return tuple(labels[i] for i in range(1, len(labels) + 1))
 
 
-_FACTORISATION_CACHE = {}
+def _mask(block):
+    return sum(1 << (i - 1) for i in block)
 
 
-def _factorising_pairs(sp: ProbSpace):
-    """All partition pairs realising the space as a product: every block
-    intersection is nonempty and measurable, and the measure of each
-    intersection is the product of the marginal masses.  Cached per
-    space: the star search revisits the same space many times."""
-    if sp in _FACTORISATION_CACHE:
-        return _FACTORISATION_CACHE[sp]
-    parts = list(set_partitions(range(1, sp.size + 1)))
+# size -> (partitions, pairs), see `_pair_table`; measure-free, so it
+# holds one entry per sample-set size and no per-space state
+_PAIR_TABLES = {}
+
+
+def _pair_table(n):
+    """The partitions of {1..n} in `set_partitions` order, each with its
+    block bitmasks, and the pairs of partitions whose blocks all meet, as
+    rows (i, [(j, grid), ...]) with p1 = partition i outer and p2 =
+    partition j inner, and grid the intersection bitmasks (blocks of p1
+    outer).  Only these pairs can realise a product."""
+    table = _PAIR_TABLES.get(n)
+    if table is None:
+        parts = [
+            (p, tuple(_mask(b) for b in p)) for p in set_partitions(range(1, n + 1))
+        ]
+        rows = []
+        for i, (_, masks1) in enumerate(parts):
+            row = []
+            for j, (_, masks2) in enumerate(parts):
+                if len(masks1) * len(masks2) > n:
+                    continue  # some intersection would be empty
+                grid = tuple(a & b for a in masks1 for b in masks2)
+                if all(grid):
+                    row.append((j, grid))
+            if row:
+                rows.append((i, row))
+        table = _PAIR_TABLES[n] = (parts, rows)
+    return table
+
+
+class _Space:
+    """A space in integers: block masses scaled to the common denominator
+    D of the measure, and the mass of every union of blocks (exactly the
+    measurable sets) keyed by bitmask."""
+
+    __slots__ = ("prob", "size", "blocks", "weights", "denominator", "mass")
+
+    def __init__(self, prob: ProbSpace, weights, denominator):
+        self.prob = prob
+        self.size = prob.size
+        self.blocks = prob.blocks
+        self.weights = weights
+        self.denominator = denominator
+        mass = {0: 0}
+        for block, w in zip(prob.blocks, weights):
+            bit = _mask(block)
+            mass.update([(u | bit, m + w) for u, m in mass.items()])
+        self.mass = mass
+
+    @staticmethod
+    def scaled(prob: ProbSpace):
+        """The space with its measure scaled to its common denominator."""
+        d = math.lcm(*(m.denominator for m in prob.measure))
+        return _Space(prob, tuple(m.numerator * (d // m.denominator) for m in prob.measure), d)
+
+    def marginals(self):
+        """The block measures as the witness prints them."""
+        return [str(m) for m in self.prob.measure]
+
+
+def _descend(x, partition):
+    """The values of x (a value tuple) per block of the partition, or None
+    when x is not constant on every block: x is then not measurable there,
+    and atoms on it are false rather than undeclared."""
+    if x is None:
+        return None
     out = []
-    for p1 in parts:
-        for p2 in parts:
-            ok = True
-            marg1 = {}
-            marg2 = {}
-            for b1 in p1:
-                for b2 in p2:
-                    inter = set(b1) & set(b2)
-                    if not inter or not sp.measurable(inter):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            for b1 in p1:
-                marg1[b1] = sp.mass(b1)
-            for b2 in p2:
-                marg2[b2] = sp.mass(b2)
-            for b1 in p1:
-                for b2 in p2:
-                    if sp.mass(set(b1) & set(b2)) != marg1[b1] * marg2[b2]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append((p1, p2))
-    _FACTORISATION_CACHE[sp] = out
-    return out
+    for block in partition:
+        v = x[block[0] - 1]
+        if any(x[i - 1] != v for i in block[1:]):
+            return None
+        out.append(v)
+    return tuple(out)
 
 
-def _descend_variables(variables, partition):
-    """Variables constant on every block descend to the quotient space;
-    the rest are kept as None so atoms mentioning them are false on the
-    component rather than undeclared."""
-    out = {}
-    for name, x in variables.items():
+class _Atom:
+    """A distribution atom whose variable is resolved to a position."""
+
+    __slots__ = ("position", "law")
+
+    def __init__(self, position, law):
+        self.position = position
+        self.law = {v: Fraction(p) for v, p in law.items()}
+
+    def holds(self, space: _Space, x) -> bool:
+        """The law of x (a value tuple) is the atom's; false when x does
+        not descend to the space or is not constant on a block."""
         if x is None:
-            out[name] = None
-            continue
-        vals = []
-        ok = True
-        for block in partition:
-            vs = {x(i) for i in block}
-            if len(vs) > 1:
-                ok = False
-                break
-            vals.append(vs.pop())
-        out[name] = RandomVariable(tuple(vals)) if ok else None
-    return out
+            return False
+        if len(x) != space.size:
+            raise ValueError("variable and space have different sample sets")
+        per_block = _descend(x, space.blocks)
+        if per_block is None:
+            return False
+        law = {}
+        for v, w in zip(per_block, space.weights):
+            if w:
+                law[v] = law.get(v, 0) + w
+        d = space.denominator
+        target = self.law
+        return len(law) == len(target) and all(
+            v in target and m * target[v].denominator == target[v].numerator * d
+            for v, m in law.items()
+        )
+
+
+def _resolve(phi, variables, positions):
+    """The formula with each distribution atom's variable resolved to its
+    position in `positions` (filled in order of first use), so that an
+    unknown variable raises even in a branch the search skips."""
+    if isinstance(phi, (Top, Bottom)):
+        return phi
+    if isinstance(phi, (And, Or, Imp, Star)):
+        return type(phi)(
+            _resolve(phi.left, variables, positions),
+            _resolve(phi.right, variables, positions),
+        )
+    if isinstance(phi, DistAtom):
+        if phi.var not in variables:
+            raise UnknownIdentifierError(f"unknown variable {phi.var!r}")
+        return _Atom(positions.setdefault(phi.var, len(positions)), phi.law())
+    raise TypeError(f"formula {phi!r} is not a probabilistic formula")
+
+
+class _StarSearch:
+    """The memo of one top-level `psl_sat` call: the factorising pairs per
+    space, one component space per marginal vector, the variables
+    descended per partition and the truth of each sub-formula per
+    (component, variables).  It is dropped when the call returns."""
+
+    def __init__(self):
+        self.pairs = {}
+        self.components = {}
+        self.descended = {}
+        self.truth = {}
+
+    def factorisations(self, space: _Space):
+        """The partition pairs (i, j, key1, key2), indices into
+        `_pair_table(space.size)`, onto whose product the measure
+        factorises, in search order: every block intersection is
+        measurable and its mass times D is the product of the two
+        marginal masses.  A key is a marginal vector in lowest terms,
+        see `component`."""
+        out = self.pairs.get(space)
+        if out is not None:
+            return out
+        parts, rows = _pair_table(space.size)
+        mass, d = space.mass, space.denominator
+        scaled = {u: m * d for u, m in mass.items()}
+        margins = []
+        for _, masks in parts:
+            ms = [mass.get(m) for m in masks]
+            margins.append(None if None in ms else ms)
+        keys = {}
+        out = self.pairs[space] = []
+        for i, row in rows:
+            m1 = margins[i]
+            if m1 is None:
+                continue
+            for j, grid in row:
+                m2 = margins[j]
+                if m2 is None or list(map(scaled.get, grid)) != [
+                    a * b for a in m1 for b in m2
+                ]:
+                    continue
+                for k, ms in ((i, m1), (j, m2)):
+                    if k not in keys:
+                        g = math.gcd(*ms)
+                        keys[k] = tuple(a // g for a in ms)
+                out.append((i, j, keys[i], keys[j]))
+        return out
+
+    def component(self, key):
+        """The discrete space with masses key / sum(key), built when the
+        search first visits it and then once per call."""
+        space = self.components.get(key)
+        if space is None:
+            total = sum(key)
+            space = self.components[key] = _Space(
+                ProbSpace.discrete([Fraction(a, total) for a in key]), key, total
+            )
+        return space
+
+    def first_pair(self, star, space, values):
+        """The first factorising pair whose components satisfy the
+        operands, as (p1, p2, space1, space2), or None."""
+        parts = _pair_table(space.size)[0]
+        descended = self.descended.setdefault((values, space.size), {})
+        for i, j, key1, key2 in self.factorisations(space):
+            for k in (i, j):
+                if k not in descended:
+                    descended[k] = tuple(_descend(x, parts[k][0]) for x in values)
+            space1 = self.component(key1)
+            if not self.holds(star.left, space1, descended[i]):
+                continue
+            space2 = self.component(key2)
+            if self.holds(star.right, space2, descended[j]):
+                return parts[i][0], parts[j][0], space1, space2
+        return None
+
+    def holds(self, phi, space, values) -> bool:
+        # by id: the resolved formula outlives the search, and a key by
+        # value would rehash the whole subtree on every lookup
+        key = (id(phi), space, values)
+        hit = self.truth.get(key)
+        if hit is None:
+            hit = self.truth[key] = self._holds(phi, space, values)
+        return hit
+
+    def _holds(self, phi, space, values):
+        if isinstance(phi, _Atom):
+            return phi.holds(space, values[phi.position])
+        if isinstance(phi, Star):
+            return self.first_pair(phi, space, values) is not None
+        if isinstance(phi, And):
+            return self.holds(phi.left, space, values) and self.holds(phi.right, space, values)
+        if isinstance(phi, Or):
+            return self.holds(phi.left, space, values) or self.holds(phi.right, space, values)
+        if isinstance(phi, Imp):
+            return not self.holds(phi.left, space, values) or self.holds(
+                phi.right, space, values
+            )
+        return isinstance(phi, Top)
 
 
 @dataclass
@@ -313,61 +483,35 @@ def psl_sat(sp: ProbSpace, phi, variables, bound=DEFAULT_SPACE_BOUND) -> PslResu
     Distribution atoms compare the exact law; star searches for a pair
     of quotients onto whose product the measure factorises, with the
     sub-formulas evaluated on the components under discrete algebras;
-    the propositional connectives are classical at a fixed space.
+    the propositional connectives are classical at a fixed space and
+    short-circuit.  Every variable is resolved before the search.
     """
     if sp.size > bound:
         raise PslBoundError(f"sample space of size {sp.size} exceeds bound {bound}")
-    if isinstance(phi, Top):
-        return PslResult(True)
-    if isinstance(phi, Bottom):
+    positions = {}
+    phi = _resolve(phi, variables, positions)
+    values = tuple(
+        None if variables[name] is None else variables[name].values for name in positions
+    )
+    search = _StarSearch()
+    space = _Space.scaled(sp)
+    if not isinstance(phi, Star):
+        return PslResult(search.holds(phi, space, values))
+    hit = search.first_pair(phi, space, values)
+    if hit is None:
         return PslResult(False)
-    if isinstance(phi, And):
-        left = psl_sat(sp, phi.left, variables, bound)
-        right = psl_sat(sp, phi.right, variables, bound)
-        return PslResult(left.result and right.result)
-    if isinstance(phi, Or):
-        left = psl_sat(sp, phi.left, variables, bound)
-        right = psl_sat(sp, phi.right, variables, bound)
-        return PslResult(left.result or right.result)
-    if isinstance(phi, Imp):
-        left = psl_sat(sp, phi.left, variables, bound)
-        right = psl_sat(sp, phi.right, variables, bound)
-        return PslResult((not left.result) or right.result)
-    if isinstance(phi, DistAtom):
-        if phi.var not in variables:
-            raise UnknownIdentifierError(f"unknown variable {phi.var!r}")
-        x = variables[phi.var]
-        if x is None:  # declared but does not descend to this component
-            return PslResult(False)
-        try:
-            law = law_of(x, sp)
-        except NotMeasurableError:
-            return PslResult(False)
-        return PslResult(law == phi.law())
-    if isinstance(phi, Star):
-        for p1, p2 in _factorising_pairs(sp):
-            vars1 = _descend_variables(variables, p1)
-            vars2 = _descend_variables(variables, p2)
-            sp1 = ProbSpace.discrete([sp.mass(b) for b in p1])
-            sp2 = ProbSpace.discrete([sp.mass(b) for b in p2])
-            left = psl_sat(sp1, phi.left, vars1, bound)
-            if not left.result:
-                continue
-            right = psl_sat(sp2, phi.right, vars2, bound)
-            if right.result:
-                return PslResult(
-                    True,
-                    witness={
-                        "q1": list(_quotient_surjection(p1)),
-                        "q2": list(_quotient_surjection(p2)),
-                        "blocks1": [list(b) for b in p1],
-                        "blocks2": [list(b) for b in p2],
-                        "marginal1": [str(sp.mass(b)) for b in p1],
-                        "marginal2": [str(sp.mass(b)) for b in p2],
-                    },
-                )
-        return PslResult(False)
-    raise TypeError(f"formula {phi!r} is not a probabilistic formula")
+    p1, p2, space1, space2 = hit
+    return PslResult(
+        True,
+        witness={
+            "q1": list(_quotient_surjection(p1)),
+            "q2": list(_quotient_surjection(p2)),
+            "blocks1": [list(b) for b in p1],
+            "blocks2": [list(b) for b in p2],
+            "marginal1": space1.marginals(),
+            "marginal2": space2.marginals(),
+        },
+    )
 
 
 # -- the probability presheaf over the surjection site ------------------------

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sheafsep import cli
 from sheafsep.cli import build_arg_parser, load_model, main, parse_heap, parse_stage, run_command
 from sheafsep.errors import ModelSchemaError
 from sheafsep.presheaf import Heap
@@ -236,6 +237,46 @@ def test_main_usage_error_exit_two(tmp_path, capsys):
     model_path = write_model(tmp_path, MEMORY_DOC)
     assert main(["sat", "--model", model_path, "--heap", "{x:0}", "--stage", "{x}"]) == 2
     assert main(["eval", "--model", model_path, "--formula", "z |-> 9"]) == 2
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    """main reuses one parser: an option given to one call must not leak
+    into the next, and usage errors still exit 2."""
+    model_path = write_model(tmp_path, MEMORY_DOC)
+    modes = []
+
+    def spy(command, args):
+        modes.append(args.mode)
+        return run_command(command, args)
+
+    monkeypatch.setattr(cli, "run_command", spy)
+    argv = ["sat", "--model", model_path, "--name", "both", "--heap", "{x:0, y:1}"]
+    assert main(argv + ["--mode", "pipeline"]) == 0
+    assert main(argv) == 0
+    assert modes == ["pipeline", "unfolded"]
+    for usage in (argv + ["--mode", "eager"], ["sat"], ["no-such-command"]):
+        with pytest.raises(SystemExit) as exc:
+            main(usage)
+        assert exc.value.code == 2
+    assert main(argv) == 0
+    assert modes[-1] == "unfolded"
+    assert cli._arg_parser() is cli._arg_parser()
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [
+        "T \\/ (Z ~ {0: 1})",
+        "F /\\ (Z ~ {0: 1})",
+        "F -> (Z ~ {0: 1})",
+        "F * (Z ~ {0: 1})",
+    ],
+)
+def test_psl_unknown_variable_in_skipped_branch_exits_two(tmp_path, capsys, formula):
+    """Connectives short-circuit, but every variable is resolved first."""
+    argv = ["psl", "--model", write_model(tmp_path, PSL_DOC), "--space", "unif4"]
+    assert main(argv + ["--formula", formula, "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "UnknownIdentifierError"
 
 
 DEEP = 3000
