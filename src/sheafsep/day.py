@@ -11,7 +11,7 @@ concrete witness), so it only lives on the decomposition form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from .errors import (
     BudgetExceededError,
     MonoidalStructureError,
@@ -233,66 +233,100 @@ def poset_witnessed(cat: FinCat, mon: MonoidalStructure, d: Decomp) -> Decomp:
 # -- resource monoids ------------------------------------------------------
 
 
+# the cell rule's value where two cells do not combine
+UNDEFINED = object()
+
+
 @dataclass(frozen=True)
 class ResourceMonoid:
-    """A (possibly partial) multiplication on a resource sheaf.
+    """A partial multiplication on a memory sheaf, defined cell by cell.
 
-    mult maps a Decomp element to an element of F(stage) or None when
-    undefined; unit is the designated point of F at the unit object.
+    `cell(x, y)` combines the values two halves store at a location they
+    share, or is UNDEFINED; a location in one half only keeps its value.
+    The product is defined iff every shared cell combines.  `apply` and
+    the product tables are both read off that one rule.  The unit is the
+    designated point of F at the unit object.
     """
 
     carrier: Presheaf
     variant: str
-    mult: object  # callable Decomp -> element | None
+    cell: object  # callable (value, value) -> value | UNDEFINED
     unit_stage: object
     unit: object
+    _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def apply(self, d: Decomp):
-        return self.mult(d)
+        """The product of d's halves, or None when it is undefined."""
+        left, right = d.left.as_dict(), d.right.as_dict()
+        cells = {**left, **right}
+        for x in left.keys() & right.keys():
+            cells[x] = self.cell(left[x], right[x])
+            if cells[x] is UNDEFINED:
+                return None
+        return Heap.of(cells, cells)
+
+    def products(self, b, c):
+        """The product table of the splitting (b, c), built on first use:
+        row i, column j is the id at b u c of the product of the elements
+        with ids i at b and j at c, or -1 when it is undefined.  An element
+        at b u c is given by the ids of its restrictions to b only, c only
+        and the overlap o, so a product is looked up from the halves'
+        restrictions, their overlaps combined by the cell rule."""
+        rows = self._tables.get((b, c))
+        if rows is None:
+            mp, cat = self.carrier, self.carrier.base
+            v = tuple(sorted(set(b) | set(c)))
+            o = tuple(x for x in b if x in c)
+            only_b, only_c = tuple(x for x in b if x not in c), tuple(x for x in c if x not in b)
+
+            def ids(a, part):
+                return mp.table(cat.hom(part, a)[0])
+
+            # glue[x][y][z]: the id at v with those ids at (only_b, only_c, o);
+            # the extra last slot answers z = -1, an undefined overlap
+            width = len(mp.at(o)) + 1
+            glue = [[[-1] * width for _ in mp.at(only_c)] for _ in mp.at(only_b)]
+            for k, (x, y, z) in enumerate(zip(ids(v, only_b), ids(v, only_c), ids(v, o))):
+                glue[x][y][z] = k
+            meets, right = self._meets(o), list(zip(ids(c, only_c), ids(c, o)))
+            rows = self._tables[b, c] = [
+                [glue[x][y][meets[z][t]] for y, t in right]
+                for x, z in zip(ids(b, only_b), ids(b, o))
+            ]
+        return rows
+
+    def _meets(self, o):
+        """The cell rule at o: row s, column t is the id of the cellwise
+        product of the elements with ids s and t, or -1."""
+        meets = self._tables.get(o)
+        if meets is None:
+            heaps = self.carrier.at(o)
+            index = {h.values: i for h, i in self.carrier.index(o).items()}
+            meets = self._tables[o] = [
+                [index.get(tuple(map(self.cell, s.values, t.values)), -1) for t in heaps]
+                for s in heaps
+            ]
+        return meets
 
 
 def build_memory_monoid(mp: Presheaf, variant: str) -> ResourceMonoid:
-    """The partial-memory monoid in its three flavours.
+    """The partial-memory monoid in its three flavours, by their cell rule.
 
-    total          conflicts collapse to the unallocated value
+    total          conflicting cells collapse to the unallocated value
     weak-partial   defined iff the halves agree on the overlap
     strong-partial defined iff the halves touch disjoint regions
     The unit is the empty heap at the empty region in all variants.
     """
     if mp.base.kind != "powerset":
         raise MonoidalStructureError("memory monoids need the powerset base")
-
-    def total(d: Decomp):
-        u1, u2 = set(d.left_stage), set(d.right_stage)
-        s1, s2 = d.left, d.right
-        cells = {}
-        for x in sorted(u1 | u2):
-            if x in u1 and x not in u2:
-                cells[x] = s1.get(x)
-            elif x in u2 and x not in u1:
-                cells[x] = s2.get(x)
-            elif s1.get(x) == s2.get(x):
-                cells[x] = s1.get(x)
-            else:
-                cells[x] = None
-        return Heap.of(tuple(sorted(u1 | u2)), cells)
-
-    def weak(d: Decomp):
-        u1, u2 = set(d.left_stage), set(d.right_stage)
-        overlap = u1 & u2
-        if any(d.left.get(x) != d.right.get(x) for x in overlap):
-            return None
-        return total(d)
-
-    def strong(d: Decomp):
-        if set(d.left_stage) & set(d.right_stage):
-            return None
-        return total(d)
-
-    mults = {"total": total, "weak-partial": weak, "strong-partial": strong}
-    if variant not in mults:
+    cells = {
+        "total": lambda x, y: x if x == y else None,
+        "weak-partial": lambda x, y: x if x == y else UNDEFINED,
+        "strong-partial": lambda x, y: UNDEFINED,
+    }
+    if variant not in cells:
         raise MonoidalStructureError(f"unknown monoid variant {variant!r}")
-    return ResourceMonoid(mp, variant, mults[variant], (), Heap((), ()))
+    return ResourceMonoid(mp, variant, cells[variant], (), Heap((), ()))
 
 
 def check_monoid_laws(monoid: ResourceMonoid, mon: MonoidalStructure) -> Report:

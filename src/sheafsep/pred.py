@@ -11,11 +11,16 @@ join and direct_image close their pointwise result under restriction
 and iterated amalgamation to a fixpoint: the pointwise union or image
 of subsheaves need not be a subsheaf, and the closure is the least one
 containing it.
+
+Families are bitsets over the resource's element ids, and every
+operation reads restriction tables (`Presheaf.index` and
+`Presheaf.table`); elements are decoded only by `family` and the
+validator's messages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import (
     IncompatibleFamilyError,
@@ -29,25 +34,37 @@ from .report import Report
 from .site import Sieve, Site, pullback_sieve
 
 
-@dataclass
 class KripkePredicate:
     """A family over the slice objects of `stage`, valued in subsets of
-    the resource's stages."""
+    the resource's stages.
 
-    resource: Presheaf
-    site: Site
-    stage: object
-    family: dict  # slice object (morphism into stage) -> frozenset
+    `bits[p]` is the subset at slice object p as an int over
+    `resource.index(src p)`: bit i is set when the element with id i
+    belongs.  A family of element sets is encoded on construction, and
+    `family` decodes the bits into a read-only mapping of frozensets.
+    """
 
-    def __post_init__(self):
-        slice_objs = self.site.cat.mors_into(self.stage)
-        missing = set(slice_objs) - set(self.family)
-        if missing:
-            raise UnknownObjectError(f"family missing slice objects {sorted(missing)!r}")
-        self.family = {p: frozenset(self.family[p]) for p in slice_objs}
+    def __init__(self, resource: Presheaf, site: Site, stage, family=None, *, bits=None):
+        self.resource, self.site, self.stage = resource, site, stage
+        if bits is None:
+            cat = site.cat
+            slice_objs = cat.mors_into(stage)
+            missing = set(slice_objs) - set(family)
+            if missing:
+                raise UnknownObjectError(f"family missing slice objects {sorted(missing)!r}")
+            bits = {p: _encode(resource, cat.src(p), family[p]) for p in slice_objs}
+        self.bits = bits
+        self._family = None
 
-    def at(self, p) -> frozenset:
-        return self.family[p]
+    @property
+    def family(self):
+        if self._family is None:
+            src, element = self.site.cat.src, self.resource.element
+            self._family = MappingProxyType({
+                p: frozenset(element(src(p), i) for i in _members(b))
+                for p, b in self.bits.items()
+            })
+        return self._family
 
     def at_subset(self, v) -> frozenset:
         """Poset convenience: the set at the inclusion of v into the stage."""
@@ -57,16 +74,12 @@ class KripkePredicate:
         return self.family[homs[0]]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, KripkePredicate)
-            and self.resource is other.resource
-            and self.stage == other.stage
-            and self.family == other.family
-        )
+        return (isinstance(other, KripkePredicate) and self.resource is other.resource
+                and self.stage == other.stage and self.bits == other.bits)
 
     def issubset(self, other) -> bool:
         _check_aligned(self, other)
-        return all(self.family[p] <= other.family[p] for p in self.family)
+        return not any(b & ~other.bits[p] for p, b in self.bits.items())
 
 
 def _check_aligned(p: KripkePredicate, q: KripkePredicate):
@@ -74,37 +87,72 @@ def _check_aligned(p: KripkePredicate, q: KripkePredicate):
         raise StageMismatchError("predicates live over different resources or stages")
 
 
-def _forced(resource, site, stage, fam):
-    """What restriction-closure and local character force into `fam` but
-    it lacks, as (kind, p, x, q, y): the element y belongs at slice
-    object q because of x at p (for local character, p = q and x = y).
+def _encode(resource, a, xs):
+    index = resource.index(a)
+    for x in xs:
+        if x not in index:
+            raise UnknownObjectError(f"{x!r} is not an element of {resource.name} at {a!r}")
+    return sum(1 << i for i in {index[x] for x in xs})
 
-    The family is read live, so a caller that adds each y at q as it is
+
+def _members(bits):
+    """The ids whose bits are set, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _all(resource, a):
+    return (1 << len(resource.at(a))) - 1
+
+
+def _preimage(table, bits):
+    """The positions whose image under a restriction table is in `bits`."""
+    return sum(1 << x for x, y in enumerate(table) if bits >> y & 1)
+
+
+def _image(ids, bits):
+    """The image of `bits` under a component on ids (-1 where undefined)."""
+    return sum(1 << j for j in {ids[i] for i in _members(bits)} if j >= 0)
+
+
+def _forced(resource, site, stage, bits):
+    """What restriction-closure and local character force into the family
+    `bits` but it lacks, as (kind, p, i, q, j): the element with id j
+    belongs at slice object q because of the one with id i at p (for
+    local character, p = q and i = j), read off `resource.table`.  The
+    family is read live, so a caller that sets each bit j at q as it is
     yielded sweeps the enlarged family; each local-character pair is
-    yielded once.
-    """
+    yielded once."""
     cat = site.cat
     slice_cat, dom, scov = site.slice(stage)
-    for p in fam:
+    for p in bits:
         for m in slice_cat.mors_into(p):
-            q, k = slice_cat.src(m), dom.on_mor(m)
-            for x in list(fam[p]):
-                rx = resource.restrict(k, x)
-                if rx not in fam[q]:
-                    yield "restriction", p, x, q, rx
-    for p in fam:
-        missing = dict.fromkeys(a for a in resource.at(cat.src(p)) if a not in fam[p])
+            q, table = slice_cat.src(m), resource.table(dom.on_mor(m))
+            for i in _members(bits[p]):
+                if not bits[q] >> table[i] & 1:
+                    yield "restriction", p, i, q, table[i]
+    for p in bits:
+        missing = _all(resource, cat.src(p)) & ~bits[p]
+        # the ids whose restriction along the leg k is in the family there
+        inside = {}
         for s in scov.covers(p):
-            legs = [(k, cat.compose(p, k)) for k in map(dom.on_mor, s.members)]
-            for a in list(missing):
-                if all(resource.restrict(k, a) in fam[pk] for k, pk in legs):
-                    del missing[a]
-                    yield "local-character", p, a, p, a
+            forced = missing
+            for k in map(dom.on_mor, s.members):
+                if k not in inside:
+                    inside[k] = _preimage(resource.table(k), bits[cat.compose(p, k)])
+                forced &= inside[k]
+            for i in _members(forced):
+                missing ^= 1 << i
+                yield "local-character", p, i, p, i
 
 
 def validate_predicate(pred: KripkePredicate) -> Report:
     rep = Report("predicate subsheaf conditions")
-    for kind, p, x, q, _ in _forced(pred.resource, pred.site, pred.stage, pred.family):
+    element, src = pred.resource.element, pred.site.cat.src
+    for kind, p, i, q, _ in _forced(pred.resource, pred.site, pred.stage, pred.bits):
+        x = element(src(p), i)
         if kind == "restriction":
             rep.flag(kind, f"{x} at {p!r} does not restrict into {q!r}")
         else:
@@ -112,68 +160,64 @@ def validate_predicate(pred: KripkePredicate) -> Report:
     return rep
 
 
-def _close(resource, site, stage, family):
-    """Least restriction-closed, locally-closed family containing `family`."""
-    fam = {p: set(xs) for p, xs in family.items()}
+def _close(resource, site, stage, bits):
+    """Least restriction-closed, locally-closed family containing `bits`."""
+    bits = dict(bits)
     changed = True
     while changed:
         changed = False
-        for _, _, _, q, y in _forced(resource, site, stage, fam):
-            fam[q].add(y)
+        for _, _, _, q, j in _forced(resource, site, stage, bits):
+            bits[q] |= 1 << j
             changed = True
-    return {p: frozenset(xs) for p, xs in fam.items()}
+    return bits
 
 
 # -- lattice structure ------------------------------------------------------
 
 
 def top_predicate(resource, site, stage) -> KripkePredicate:
-    cat = site.cat
-    fam = {p: frozenset(resource.at(cat.src(p))) for p in cat.mors_into(stage)}
-    return KripkePredicate(resource, site, stage, fam)
+    src = site.cat.src
+    bits = {p: _all(resource, src(p)) for p in site.cat.mors_into(stage)}
+    return KripkePredicate(resource, site, stage, bits=bits)
 
 
 def bottom_predicate(resource, site, stage) -> KripkePredicate:
-    fam = {p: frozenset() for p in site.cat.mors_into(stage)}
-    return KripkePredicate(resource, site, stage, fam)
+    bits = dict.fromkeys(site.cat.mors_into(stage), 0)
+    return KripkePredicate(resource, site, stage, bits=bits)
 
 
 def meet(p: KripkePredicate, q: KripkePredicate) -> KripkePredicate:
     _check_aligned(p, q)
-    fam = {sl: p.family[sl] & q.family[sl] for sl in p.family}
-    return KripkePredicate(p.resource, p.site, p.stage, fam)
+    bits = {sl: b & q.bits[sl] for sl, b in p.bits.items()}
+    return KripkePredicate(p.resource, p.site, p.stage, bits=bits)
 
 
 def join(p: KripkePredicate, q: KripkePredicate) -> KripkePredicate:
     """Stage-wise union closed up to the least subsheaf containing it."""
     _check_aligned(p, q)
-    fam = {sl: p.family[sl] | q.family[sl] for sl in p.family}
+    bits = {sl: b | q.bits[sl] for sl, b in p.bits.items()}
     return KripkePredicate(
-        p.resource, p.site, p.stage, _close(p.resource, p.site, p.stage, fam)
+        p.resource, p.site, p.stage, bits=_close(p.resource, p.site, p.stage, bits)
     )
 
 
 def implication(p: KripkePredicate, q: KripkePredicate) -> KripkePredicate:
     """Kripke implication: membership at a slice object quantifies over
-    every further restriction."""
+    every further restriction, so an element belongs unless some
+    restriction of it lands in p but not in q."""
     _check_aligned(p, q)
-    cat = p.site.cat
+    res, src = p.resource, p.site.cat.src
     slice_cat, dom, _ = p.site.slice(p.stage)
-    fam = {}
-    for sl in p.family:
-        below = [(slice_cat.src(m), dom.on_mor(m)) for m in slice_cat.mors_into(sl)]
-        members = []
-        for s in p.resource.at(cat.src(sl)):
-            ok = True
-            for r, k in below:
-                rs = p.resource.restrict(k, s)
-                if rs in p.family[r] and rs not in q.family[r]:
-                    ok = False
-                    break
-            if ok:
-                members.append(s)
-        fam[sl] = frozenset(members)
-    return KripkePredicate(p.resource, p.site, p.stage, fam)
+    bits = {}
+    for sl in p.bits:
+        members = _all(res, src(sl))
+        for m in slice_cat.mors_into(sl):
+            r = slice_cat.src(m)
+            bad = p.bits[r] & ~q.bits[r]
+            if bad:
+                members &= ~_preimage(res.table(dom.on_mor(m)), bad)
+        bits[sl] = members
+    return KripkePredicate(res, p.site, p.stage, bits=bits)
 
 
 # -- reindexing and images along sheaf morphisms ----------------------------
@@ -188,38 +232,26 @@ def reindex_preimage(alpha: SheafMorphism, q: KripkePredicate,
         rep = validate_sheaf_morphism(alpha)
         if not rep.ok:
             raise NaturalityError("reindexing needs a natural map", witness=rep.violations[0])
-    cat = q.site.cat
-    fam = {}
-    for sl in q.family:
-        b = cat.src(sl)
-        members = [
-            x
-            for x in alpha.source.at(b)
-            if (not alpha.defined_on(b, x)) or alpha.apply(b, x) in q.family[sl]
-        ]
-        fam[sl] = frozenset(members)
-    return KripkePredicate(alpha.source, q.site, q.stage, fam)
+    src = q.site.cat.src
+    bits = {
+        sl: sum(1 << x for x, y in enumerate(alpha.ids(src(sl))) if y < 0 or want >> y & 1)
+        for sl, want in q.bits.items()
+    }
+    return KripkePredicate(alpha.source, q.site, q.stage, bits=bits)
 
 
 def direct_image(alpha: SheafMorphism, p: KripkePredicate) -> KripkePredicate:
     """The existential pushforward: smallest subsheaf containing the
     stage-wise image over the defined points."""
-    closed = _close(alpha.target, p.site, p.stage, raw_image(alpha, p).family)
-    return KripkePredicate(alpha.target, p.site, p.stage, closed)
+    closed = _close(alpha.target, p.site, p.stage, raw_image(alpha, p).bits)
+    return KripkePredicate(alpha.target, p.site, p.stage, bits=closed)
 
 
 def raw_image(alpha: SheafMorphism, p: KripkePredicate) -> KripkePredicate:
     """Pointwise image without closure (for diagnostics and tests)."""
-    cat = p.site.cat
-    fam = {
-        sl: frozenset(
-            alpha.apply(cat.src(sl), x)
-            for x in p.family[sl]
-            if alpha.defined_on(cat.src(sl), x)
-        )
-        for sl in p.family
-    }
-    return KripkePredicate(alpha.target, p.site, p.stage, fam)
+    src = p.site.cat.src
+    bits = {sl: _image(alpha.ids(src(sl)), b) for sl, b in p.bits.items()}
+    return KripkePredicate(alpha.target, p.site, p.stage, bits=bits)
 
 
 # -- gluing -------------------------------------------------------------------
@@ -232,8 +264,8 @@ def restrict_predicate(p: KripkePredicate, f) -> KripkePredicate:
     if cat.dst(f) != p.stage:
         raise StageMismatchError(f"{f!r} does not target stage {p.stage!r}")
     b = cat.src(f)
-    fam = {q: p.family[cat.compose(f, q)] for q in cat.mors_into(b)}
-    return KripkePredicate(p.resource, p.site, b, fam)
+    bits = {q: p.bits[cat.compose(f, q)] for q in cat.mors_into(b)}
+    return KripkePredicate(p.resource, p.site, b, bits=bits)
 
 
 def glue_predicates(site: Site, resource: Presheaf, cover: Sieve, parts: dict) -> KripkePredicate:
@@ -267,28 +299,21 @@ def glue_predicates(site: Site, resource: Presheaf, cover: Sieve, parts: dict) -
             for k, h in cat.squares(f, g):
                 lhs = restrict_predicate(part_f, k)
                 rhs = restrict_predicate(part_g, h)
-                if lhs.family != rhs.family:
+                if lhs.bits != rhs.bits:
                     raise IncompatibleFamilyError(
                         f"parts disagree on the overlap {f!r}.{k!r} = {g!r}.{h!r}",
                         witness=(f, g, k, h),
                     )
-    fam = {}
+    bits = {}
     for p in cat.mors_into(a):
         if p in full_parts:
-            fam[p] = full_parts[p].family[cat.id(cat.src(p))]
-        else:
-            members = []
-            pullback = [
-                (g, cat.compose(p, g)) for g in pullback_sieve(cat, cover, p).members
-            ]
-            for x in resource.at(cat.src(p)):
-                if all(
-                    resource.restrict(g, x) in full_parts[pg].family[cat.id(cat.src(pg))]
-                    for g, pg in pullback
-                ):
-                    members.append(x)
-            fam[p] = frozenset(members)
-    return KripkePredicate(resource, site, a, fam)
+            bits[p] = full_parts[p].bits[cat.id(cat.src(p))]
+            continue
+        bits[p] = _all(resource, cat.src(p))
+        for g in pullback_sieve(cat, cover, p).members:
+            pg = cat.compose(p, g)
+            bits[p] &= _preimage(resource.table(g), full_parts[pg].bits[cat.id(cat.src(pg))])
+    return KripkePredicate(resource, site, a, bits=bits)
 
 
 # -- the combinator into predicates on convolutions ---------------------------
@@ -299,24 +324,20 @@ def combine_alpha(p: KripkePredicate, q: KripkePredicate, decomp: Presheaf) -> K
     decomposition presheaf: a decomposition pair belongs iff its halves
     belong to the respective predicates at their stages."""
     _check_aligned(p, q)
-    site = p.site
-    cat = site.cat
+    site, cat, u = p.site, p.site.cat, p.stage
     if cat.kind != "powerset":
         raise MonoidalStructureError(
-            "combine_alpha needs the canonical decompositions of a powerset base"
+            "combine_alpha needs the canonical decompositions of a powerset base")
+    fam = {
+        sl: frozenset(
+            d
+            for d in decomp.at(cat.src(sl))
+            if cat.hom(d.left_stage, u) and cat.hom(d.right_stage, u)
+            and d.left in p.family[cat.hom(d.left_stage, u)[0]]
+            and d.right in q.family[cat.hom(d.right_stage, u)[0]]
         )
-    u = p.stage
-    fam = {}
-    for sl in cat.mors_into(u):
-        members = []
-        for d in decomp.at(cat.src(sl)):
-            left_leg = cat.hom(d.left_stage, u)
-            right_leg = cat.hom(d.right_stage, u)
-            if not left_leg or not right_leg:
-                continue
-            if d.left in p.family[left_leg[0]] and d.right in q.family[right_leg[0]]:
-                members.append(d)
-        fam[sl] = frozenset(members)
+        for sl in cat.mors_into(u)
+    }
     return KripkePredicate(decomp, site, u, fam)
 
 
@@ -325,11 +346,11 @@ def combine_alpha(p: KripkePredicate, q: KripkePredicate, decomp: Presheaf) -> K
 
 def random_closed_predicate(rng, resource, site, stage) -> KripkePredicate:
     """Closure of a uniformly sampled family: a valid subsheaf predicate."""
-    cat = site.cat
-    fam = {}
-    for p in cat.mors_into(stage):
-        xs = [x for x in resource.at(cat.src(p)) if rng.random() < 0.5]
-        fam[p] = frozenset(xs)
+    src = site.cat.src
+    bits = {
+        p: sum(1 << i for i in range(len(resource.at(src(p)))) if rng.random() < 0.5)
+        for p in site.cat.mors_into(stage)
+    }
     return KripkePredicate(
-        resource, site, stage, _close(resource, site, stage, fam)
+        resource, site, stage, bits=_close(resource, site, stage, bits)
     )

@@ -13,7 +13,7 @@ already is the finitary one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import (
@@ -24,6 +24,7 @@ from .errors import (
     NotASheafError,
     ResourceKindError,
     SquareError,
+    StageMismatchError,
     StageNotEnumerableError,
 )
 from .fincat import FinCat, element_key, slice_category
@@ -313,12 +314,19 @@ class CompatibleFamily:
 
 
 def compatibility_witness(ps: Presheaf, fam: CompatibleFamily):
-    """First commuting square on which the family disagrees, or None."""
-    legs = fam.items()
+    """First commuting square on which the family disagrees, or None.
+    When every value is an element of its enumerable stage, both sides
+    of a square are compared as ids through the restriction tables."""
+    cat, legs, restrict = ps.base, fam.items(), ps.restrict
+    if ps.enumerable:
+        ids = [ps.index(cat.src(f)).get(x, len(ps.at(cat.src(f)))) for f, x in legs]
+        if all(i < len(ps.at(cat.src(f))) for i, (f, _) in zip(ids, legs)):
+            legs = [(f, i) for i, (f, _) in zip(ids, legs)]
+            restrict = lambda k, i: ps.table(k)[i]
     for f, xf in legs:
         for g, xg in legs:
-            for k, h in ps.base.squares(f, g):
-                if ps.restrict(k, xf) != ps.restrict(h, xg):
+            for k, h in cat.squares(f, g):
+                if restrict(k, xf) != restrict(h, xg):
                     return (f, g, k, h)
     return None
 
@@ -671,30 +679,39 @@ class SheafMorphism:
     target: Presheaf
     components: dict  # object -> {element: element}
     name: str = "alpha"
+    _ids: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def apply(self, a, x):
-        return self.components[a].get(x)
-
-    def defined_on(self, a, x) -> bool:
-        return x in self.components[a]
+    def ids(self, a):
+        """The component at a on ids: a list from the positions of
+        source.at(a) to ids in target.at(a), -1 where undefined."""
+        if a not in self._ids:
+            comp, target = self.components[a], self.target.index(a)
+            size = len(self.target.at(a))
+            out = [target.get(comp[x], size) if x in comp else -1 for x in self.source.at(a)]
+            if any(j >= size for j in out):
+                raise StageMismatchError(f"{self.name} maps outside its target at {a!r}")
+            self._ids[a] = out
+        return self._ids[a]
 
 
 def validate_sheaf_morphism(alpha: SheafMorphism) -> Report:
-    """Naturality where defined; definedness must be restriction-stable."""
+    """Naturality where defined; definedness must be restriction-stable.
+    Both sides are read from restriction tables and `alpha.ids`."""
     rep = Report(f"naturality ({alpha.name})")
     cat = alpha.source.base
     for h in cat.all_morphisms():
         a, b = cat.src(h), cat.dst(h)
-        for x in alpha.source.at(b):
-            if not alpha.defined_on(b, x):
+        down, image_down = alpha.source.table(h), alpha.target.table(h)
+        below, above = alpha.ids(a), alpha.ids(b)
+        for i, j in enumerate(above):
+            if j < 0:
                 continue
-            down = alpha.source.restrict(h, x)
-            if not alpha.defined_on(a, down):
+            k = below[down[i]] if down[i] < len(below) else -1
+            if k < 0:
+                x = alpha.source.element(b, i)
                 rep.flag("definedness", f"defined on {x!r} but not on its restriction along {h!r}")
-                continue
-            lhs = alpha.target.restrict(h, alpha.apply(b, x))
-            rhs = alpha.apply(a, down)
-            if lhs != rhs:
+            elif image_down[j] != k:
+                x = alpha.source.element(b, i)
                 rep.flag("naturality", f"square fails along {h!r} on {x!r}")
     return rep
 
@@ -707,15 +724,9 @@ class AmalgamationIso:
     """Both directions of Match(F) ~ F with the verification report."""
 
     match: Presheaf
-    to_sheaf: dict  # stage -> {MatchClass: element}
-    from_sheaf: dict  # stage -> {element: MatchClass}
+    forward: SheafMorphism  # Match(F) -> F, each class to its amalgamation
+    inverse: SheafMorphism  # F -> Match(F)
     report: Report
-
-    def apply(self, a, cls):
-        return self.to_sheaf[a][cls]
-
-    def invert(self, a, x):
-        return self.from_sheaf[a][x]
 
 
 def amalgamation_operator(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> AmalgamationIso:
@@ -745,9 +756,8 @@ def amalgamation_operator(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUD
         if set(values) != set(ps.at(a)):
             rep.flag("bijectivity", f"amalgamation not surjective at {a!r}")
         from_sheaf[a] = {x: cls for cls, x in fwd.items()}
-    for alpha in (
-        SheafMorphism(match, ps, to_sheaf, name="amalgamation"),
-        SheafMorphism(ps, match, from_sheaf, name="amalgamation inverse"),
-    ):
+    forward = SheafMorphism(match, ps, to_sheaf, name="amalgamation")
+    inverse = SheafMorphism(ps, match, from_sheaf, name="amalgamation inverse")
+    for alpha in (forward, inverse):
         rep.violations += validate_sheaf_morphism(alpha).violations
-    return AmalgamationIso(match, to_sheaf, from_sheaf, rep)
+    return AmalgamationIso(match, forward, inverse, rep)

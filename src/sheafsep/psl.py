@@ -142,40 +142,43 @@ def pullback_space(f, sp: ProbSpace) -> ProbSpace:
     return ProbSpace.of(n_prime, blocks, measures)
 
 
+def _block_values(x: RandomVariable, sp: ProbSpace) -> list:
+    """X's value on each block; X must be constant on every block."""
+    if x.size != sp.size:
+        raise ValueError("variable and space have different sample sets")
+    out = []
+    for block in sp.blocks:
+        vals = {x(i) for i in block}
+        if len(vals) > 1:
+            raise NotMeasurableError(f"variable takes {sorted(vals)!r} on one block", block=block)
+        out.append(vals.pop())
+    return out
+
+
 def law_of(x: RandomVariable, sp: ProbSpace) -> dict:
     """The induced distribution of X under the measure; X must be
     constant on every block."""
-    if x.size != sp.size:
-        raise ValueError("variable and space have different sample sets")
     law = {}
-    for block, p in zip(sp.blocks, sp.measure):
-        vals = {x(i) for i in block}
-        if len(vals) > 1:
-            raise NotMeasurableError(
-                f"variable takes {sorted(vals)!r} on one block", block=block
-            )
-        (v,) = vals
+    for v, p in zip(_block_values(x, sp), sp.measure):
         law[v] = law.get(v, Fraction(0)) + p
     return {v: p for v, p in sorted(law.items()) if p != 0}
 
 
 def independence_oracle(sp: ProbSpace, x: RandomVariable, y: RandomVariable) -> bool:
-    """Exact check that the joint law factorises into the marginals."""
-    law_x = law_of(x, sp)
-    law_y = law_of(y, sp)
-    for a in law_x:
-        for b in law_y:
-            joint = sum(
-                (
-                    p
-                    for block, p in zip(sp.blocks, sp.measure)
-                    if x(block[0]) == a and y(block[0]) == b
-                ),
-                Fraction(0),
-            )
-            if joint != law_x[a] * law_y[b]:
-                return False
-    return True
+    """Exact check that the joint law factorises into the marginals.  The
+    joint law comes from one pass over the blocks and the marginals from
+    the joint law; a mass is added only where two meet."""
+    joint, law_x, law_y = {}, {}, {}
+    for key, p in zip(zip(_block_values(x, sp), _block_values(y, sp)), sp.measure):
+        joint[key] = joint[key] + p if key in joint else p
+    for (a, b), p in joint.items():
+        law_x[a] = law_x[a] + p if a in law_x else p
+        law_y[b] = law_y[b] + p if b in law_y else p
+    return all(
+        joint.get((a, b), 0) == pa * pb
+        for a, pa in law_x.items() if pa
+        for b, pb in law_y.items() if pb
+    )
 
 
 # -- the separating conjunction search ---------------------------------------

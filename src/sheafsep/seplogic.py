@@ -19,6 +19,7 @@ Separating conjunction comes in two modes that must agree:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,19 +30,20 @@ from .errors import (
     StageMismatchError,
     UnknownIdentifierError,
 )
-from .fincat import element_key
 from .pred import (
     KripkePredicate,
     SheafMorphism,
+    _close,
+    _image,
+    _members,
     bottom_predicate,
-    combine_alpha,
     direct_image,
     implication,
     join,
     meet,
     top_predicate,
 )
-from .presheaf import Heap, Presheaf, amalgamation_operator
+from .presheaf import AmalgamationIso, Heap, Presheaf, amalgamation_operator
 from .site import Site
 
 
@@ -115,23 +117,17 @@ class DistAtom:
 # have; it keeps the recursive parser and evaluators off the stack limit
 MAX_FORMULA_DEPTH = 100
 
-_SYMBOLS = [
-    ("|->!", "MAPSTO_ALLOC"),
-    ("|->", "MAPSTO"),
-    ("~>", "HOOKS"),
-    ("->", "IMP"),
-    ("/\\", "AND"),
-    ("\\/", "OR"),
-    ("*", "STAR"),
-    ("~", "TILDE"),
-    ("(", "LPAREN"),
-    (")", "RPAREN"),
-    ("{", "LBRACE"),
-    ("}", "RBRACE"),
-    (":", "COLON"),
-    (",", "COMMA"),
-    ("/", "SLASH"),
-]
+# token symbols in the order they are tried, "|->!" before "|->"
+_SYMBOLS = {
+    "|->!": "MAPSTO_ALLOC", "|->": "MAPSTO", "~>": "HOOKS", "->": "IMP", "/\\": "AND",
+    "\\/": "OR", "*": "STAR", "~": "TILDE", "(": "LPAREN", ")": "RPAREN",
+    "{": "LBRACE", "}": "RBRACE", ":": "COLON", ",": "COMMA", "/": "SLASH",
+}
+# \s is str.isspace, \d str.isdecimal, \w str.isalnum or "_"; a word must also
+# start with str.isalpha or "_", which \w alone allows for digits such as "²"
+_TOKEN = re.compile(
+    r"\s+|(?P<SYMBOL>%s)|(?P<INT>-?\d+)|(?P<WORD>\w+)" % "|".join(map(re.escape, _SYMBOLS))
+)
 
 _UNICODE_ALIASES = {
     "⊤": "T",
@@ -157,43 +153,19 @@ def _tokenize(text):
         text = text.replace(uni, ascii_form)
     tokens = []
     i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        matched = False
-        for sym, kind in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(_Token(kind, sym, i))
-                i += len(sym)
-                matched = True
-                break
-        if matched:
-            continue
-        if c.isdecimal() or (c == "-" and i + 1 < n and text[i + 1].isdecimal()):
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(_Token("INT", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word == "T":
-                tokens.append(_Token("TOP", word, i))
-            elif word == "F":
-                tokens.append(_Token("BOT", word, i))
-            else:
-                tokens.append(_Token("IDENT", word, i))
-            i = j
-            continue
-        raise FormulaSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("EOF", "", n))
+    while i < len(text):
+        m = _TOKEN.match(text, i)
+        if m is None or m.lastgroup == "WORD" and not (text[i].isalpha() or text[i] == "_"):
+            raise FormulaSyntaxError(f"unexpected character {text[i]!r}", i)
+        kind, word = m.lastgroup, m.group()
+        if kind == "SYMBOL":
+            kind = _SYMBOLS[word]
+        elif kind == "WORD":
+            kind = {"T": "TOP", "F": "BOT"}.get(word, "IDENT")
+        if kind is not None:
+            tokens.append(_Token(kind, word, i))
+        i = m.end()
+    tokens.append(_Token("EOF", "", len(text)))
     return tokens
 
 
@@ -365,7 +337,7 @@ class ResourceModel:
     values: tuple
     stage: object
     name: str = "memory-model"
-    _pipeline: tuple | None = None
+    _pipeline: AmalgamationIso | None = None
 
     def check_formula(self, phi):
         for atom in formula_atoms(phi):
@@ -422,85 +394,90 @@ def atom_predicate(model: ResourceModel, atom, stage=None) -> KripkePredicate:
     stage = model.stage if stage is None else stage
     cat = model.site.cat
     model.check_formula(atom)
-    loc, val = atom.loc, atom.val
-    fam = {}
-    for p in cat.mors_into(stage):
-        v = cat.src(p)
-        members = []
-        for s in model.sheaf.at(v):
-            if loc not in v:
-                sat_here = not isinstance(atom, PointsToAlloc)
-            elif isinstance(atom, PointsToStrict):
-                sat_here = s.get(loc) == val
-            else:
-                sat_here = s.get(loc) is not None and s.get(loc) == val
-            if sat_here:
-                members.append(s)
-        fam[p] = frozenset(members)
-    return KripkePredicate(model.sheaf, model.site, stage, fam)
+    loc, val, src = atom.loc, atom.val, cat.src
+
+    def holds(v, s):
+        if loc not in v:
+            return not isinstance(atom, PointsToAlloc)
+        if isinstance(atom, PointsToStrict):
+            return s.get(loc) == val
+        return s.get(loc) is not None and s.get(loc) == val
+
+    bits = {
+        p: sum(1 << i for i, s in enumerate(model.sheaf.at(src(p))) if holds(src(p), s))
+        for p in cat.mors_into(stage)
+    }
+    return KripkePredicate(model.sheaf, model.site, stage, bits=bits)
 
 
 # -- separating conjunction ---------------------------------------------------
 
 
-def _star_products(model, p, q, v):
-    """Yield (b, c, m1, m2, m1.m2) over the exact splittings b tensor c = v and
-    the halves m1 in p at b, m2 in q at c whose product is defined."""
-    cat, monoid = model.site.cat, model.monoid
+def _star_bits(model, p, q, v):
+    """The ids at v of the defined products m1.m2 over the exact
+    splittings b (x) c = v with m1 in p at b and m2 in q at c, read from
+    the monoid's product tables."""
+    cat, stage = model.site.cat, p.stage
+    out = 0
     for b, c in splittings(cat, model.site.monoidal, v):
-        for m1 in p.family[cat.hom(b, p.stage)[0]]:
-            for m2 in q.family[cat.hom(c, p.stage)[0]]:
-                prod = monoid.apply(Decomp(v, b, c, m1, m2))
-                if prod is not None:
-                    yield b, c, m1, m2, prod
+        left, right = p.bits[cat.hom(b, stage)[0]], q.bits[cat.hom(c, stage)[0]]
+        if left and right:
+            rows, right = model.monoid.products(b, c), list(_members(right))
+            for i in _members(left):
+                row = rows[i]
+                for j in right:
+                    if row[j] >= 0:
+                        out |= 1 << row[j]
+    return out
 
 
 def _unfolded_star(model, p, q) -> KripkePredicate:
     """The direct comprehension: at each slice stage V, the resources
     obtained as defined products over exact decompositions of V whose
     halves satisfy the conjuncts."""
-    cat = model.site.cat
-    fam = {
-        sl: frozenset(prod for _, _, _, _, prod in _star_products(model, p, q, cat.src(sl)))
-        for sl in cat.mors_into(p.stage)
-    }
-    return KripkePredicate(model.sheaf, model.site, p.stage, fam)
+    src = model.site.cat.src
+    bits = {sl: _star_bits(model, p, q, src(sl)) for sl in p.bits}
+    return KripkePredicate(model.sheaf, model.site, p.stage, bits=bits)
 
 
-def _pipeline_pieces(model):
+def _pipeline_iso(model) -> AmalgamationIso:
     if model._pipeline is None:
-        site, mp, monoid = model.site, model.sheaf, model.monoid
-        decomp = day_decomp(mp, mp, site.monoidal)
-        iso = amalgamation_operator(mp, site.cov)
-        match = iso.match
-        cat = site.cat
-        mult_to_match = {}
-        for a in cat.objects:
-            table = {}
-            for d in decomp.at(a):
-                prod = monoid.apply(d)
-                if prod is not None:
-                    table[d] = iso.invert(a, prod)
-            mult_to_match[a] = table
-        mult_mor = SheafMorphism(decomp, match, mult_to_match, name="theta.mult")
-        amalg_mor = SheafMorphism(
-            match,
-            mp,
-            {a: dict(iso.to_sheaf[a]) for a in cat.objects},
-            name="amalgamation",
-        )
-        model._pipeline = (decomp, mult_mor, amalg_mor)
+        model._pipeline = amalgamation_operator(model.sheaf, model.site.cov)
     return model._pipeline
 
 
+def _pipeline_pieces(model):
+    """The pipeline's maps at the level of elements, for the law checks:
+    the decomposition presheaf, the multiplication into Match(F) decoded
+    from the product tables and the iso's inverse, and the amalgamation."""
+    site, mp, monoid = model.site, model.sheaf, model.monoid
+    iso = _pipeline_iso(model)
+    mult = {}
+    for a in site.cat.objects:
+        inverse = iso.inverse.ids(a)
+        mult[a] = {
+            Decomp(a, b, c, mp.element(b, i), mp.element(c, j)): iso.match.element(a, inverse[k])
+            for b, c in splittings(site.cat, site.monoidal, a)
+            for i, row in enumerate(monoid.products(b, c))
+            for j, k in enumerate(row)
+            if k >= 0
+        }
+    decomp = day_decomp(mp, mp, site.monoidal)
+    return decomp, SheafMorphism(decomp, iso.match, mult, name="theta.mult"), iso.forward
+
+
 def _pipeline_star(model, p, q) -> KripkePredicate:
-    """The categorical composite: combine the predicates on the
-    decomposition presheaf, push along the multiplication into the
-    matching-object presheaf, then along the amalgamation isomorphism."""
-    decomp, mult_mor, amalg_mor = _pipeline_pieces(model)
-    combined = combine_alpha(p, q, decomp)
-    over_match = direct_image(mult_mor, combined)
-    return direct_image(amalg_mor, over_match)
+    """The categorical composite, on ids.  The combined predicate on the
+    decomposition presheaf holds, at a splitting (b, c) of v, the pairs
+    of ids in p at b and q at c.  Its existential image along the
+    multiplication (the product table, then the iso's inverse) is closed
+    in the matching-object presheaf, and that predicate's image along
+    the amalgamation isomorphism is closed in F."""
+    iso, site, src = _pipeline_iso(model), model.site, model.site.cat.src
+    raw = {sl: _image(iso.inverse.ids(src(sl)), _star_bits(model, p, q, src(sl)))
+           for sl in p.bits}
+    closed = _close(iso.match, site, p.stage, raw)
+    return direct_image(iso.forward, KripkePredicate(iso.match, site, p.stage, bits=closed))
 
 
 def sep_conj(model: ResourceModel, p: KripkePredicate, q: KripkePredicate,
@@ -577,31 +554,31 @@ class SatResult:
 
 
 def _star_witness(model, p, q, element):
-    """Lexicographically least decomposition of the element into halves
-    of p and q (ordered by half-stages first, then the canonical element
-    order)."""
-    candidates = [
-        (b, c, m1, m2)
-        for b, c, m1, m2, prod in _star_products(model, p, q, p.stage)
-        if prod == element
-    ]
-    if not candidates:
-        return None
-    b, c, m1, m2 = min(
-        candidates, key=lambda t: (t[0], t[1], element_key(t[2]), element_key(t[3]))
-    )
-    return {
-        "left_stage": list(b),
-        "right_stage": list(c),
-        "left": m1.as_dict(),
-        "right": m2.as_dict(),
-    }
+    """The least decomposition of the element into halves of p and q,
+    ordered by half-stages first, then by ids (which follow the
+    canonical element order)."""
+    cat, mp, stage = model.site.cat, model.sheaf, p.stage
+    target = mp.index(stage)[element]
+    for b, c in sorted(splittings(cat, model.site.monoidal, stage)):
+        rows = model.monoid.products(b, c)
+        right = list(_members(q.bits[cat.hom(c, stage)[0]]))
+        for i in _members(p.bits[cat.hom(b, stage)[0]]):
+            for j in right:
+                if rows[i][j] == target:
+                    return {
+                        "left_stage": list(b),
+                        "right_stage": list(c),
+                        "left": mp.element(b, i).as_dict(),
+                        "right": mp.element(c, j).as_dict(),
+                    }
+    return None
 
 
 def sat(model: ResourceModel, phi, stage, element, mode="unfolded") -> SatResult:
     """Membership of the element in the denotation at the identity slice,
     with the witnessing decomposition for a top-level star."""
-    if element not in set(model.sheaf.at(stage)):
+    i = model.sheaf.index(stage).get(element)
+    if i is None or i >= len(model.sheaf.at(stage)):
         raise StageMismatchError(f"{element!r} is not a resource at stage {stage!r}")
     if isinstance(phi, Star):
         # evaluate the operands once: the witness search reuses them
@@ -610,7 +587,7 @@ def sat(model: ResourceModel, phi, stage, element, mode="unfolded") -> SatResult
         denot = sep_conj(model, p, q, mode)
     else:
         denot = eval_formula(model, phi, stage, mode)
-    holds = element in denot.family[model.site.cat.id(stage)]
+    holds = bool(denot.bits[model.site.cat.id(stage)] >> i & 1)
     witness = None
     if holds and isinstance(phi, Star):
         witness = _star_witness(model, p, q, element)

@@ -279,9 +279,11 @@ def _cospan_completion_failure(cat: FinCat):
 def _forced_sieves(cat: FinCat, covers, is_cover):
     """Sieves that stability and transitivity force in but `is_cover`
     lacks, as (axiom, sieve, cover, h): the pullback of `cover` along h,
-    or a sieve that is locally covering via `cover` (h is None).  `covers(a)` lists the covering sieves on a and is read
-    anew for every sieve tested, so a caller that adds each yielded
-    sieve sweeps the enlarged coverage."""
+    or a sieve that is locally covering via `cover` (h is None).
+    `covers(a)` lists the covering sieves on a and is read anew for every
+    sieve tested, so a caller that adds each yielded sieve sweeps the
+    enlarged coverage.  Pullbacks do not depend on the coverage, so a
+    sieve tested for transitivity is pulled back once per morphism."""
     for a in cat.objects:
         for s in covers(a):
             for h in cat.mors_into(a):
@@ -292,8 +294,14 @@ def _forced_sieves(cat: FinCat, covers, is_cover):
         for r in all_sieves(cat, a):
             if is_cover(r):
                 continue
+            covered = {}  # h -> whether r pulls back along h to a cover
             for s in covers(a):
-                if all(is_cover(pullback_sieve(cat, r, h)) for h in s.members):
+                for h in s.sorted_members():
+                    if h not in covered:
+                        covered[h] = is_cover(pullback_sieve(cat, r, h))
+                    if not covered[h]:
+                        break
+                else:
                     yield "transitivity", r, s, None
                     break
 

@@ -1,0 +1,197 @@
+"""Element-level reference for the predicate fibre and the star, kept as
+a test oracle.
+
+This is the direct reading of the definitions that the bitset encoding
+in `sheafsep.pred` and `sheafsep.seplogic` replaces: families are sets
+of elements, every restriction is applied with `Presheaf.restrict`, and
+the star multiplies each pair of halves with `ResourceMonoid.apply`.
+The differential tests compare the two on families, reports and
+witnesses.
+"""
+
+from sheafsep.day import Decomp, splittings
+from sheafsep.fincat import element_key
+from sheafsep.report import Report
+
+
+def forced(resource, site, stage, fam):
+    """What restriction-closure and local character force into `fam` but
+    it lacks, as (kind, p, x, q, y): the element y belongs at slice
+    object q because of x at p (for local character, p = q and x = y).
+    The family is read live; each local-character pair is yielded once."""
+    cat = site.cat
+    slice_cat, dom, scov = site.slice(stage)
+    for p in fam:
+        for m in slice_cat.mors_into(p):
+            q, k = slice_cat.src(m), dom.on_mor(m)
+            for x in list(fam[p]):
+                rx = resource.restrict(k, x)
+                if rx not in fam[q]:
+                    yield "restriction", p, x, q, rx
+    for p in fam:
+        missing = dict.fromkeys(a for a in resource.at(cat.src(p)) if a not in fam[p])
+        for s in scov.covers(p):
+            legs = [(k, cat.compose(p, k)) for k in map(dom.on_mor, s.members)]
+            for a in list(missing):
+                if all(resource.restrict(k, a) in fam[pk] for k, pk in legs):
+                    del missing[a]
+                    yield "local-character", p, a, p, a
+
+
+def validate_predicate(pred):
+    rep = Report("predicate subsheaf conditions")
+    for kind, p, x, q, _ in forced(pred.resource, pred.site, pred.stage, dict(pred.family)):
+        if kind == "restriction":
+            rep.flag(kind, f"{x} at {p!r} does not restrict into {q!r}")
+        else:
+            rep.flag(kind, f"{x} is locally present at {p!r} but missing")
+    return rep
+
+
+def close(resource, site, stage, family):
+    """Least restriction-closed, locally-closed family containing `family`."""
+    fam = {p: set(xs) for p, xs in family.items()}
+    changed = True
+    while changed:
+        changed = False
+        for _, _, _, q, y in forced(resource, site, stage, fam):
+            fam[q].add(y)
+            changed = True
+    return {p: frozenset(xs) for p, xs in fam.items()}
+
+
+def join(p, q):
+    fam = {sl: p.family[sl] | q.family[sl] for sl in p.family}
+    return close(p.resource, p.site, p.stage, fam)
+
+
+def implication(p, q):
+    """Kripke implication: membership at a slice object quantifies over
+    every further restriction."""
+    cat = p.site.cat
+    slice_cat, dom, _ = p.site.slice(p.stage)
+    fam = {}
+    for sl in p.family:
+        below = [(slice_cat.src(m), dom.on_mor(m)) for m in slice_cat.mors_into(sl)]
+        members = []
+        for s in p.resource.at(cat.src(sl)):
+            if not any(
+                p.resource.restrict(k, s) in p.family[r]
+                and p.resource.restrict(k, s) not in q.family[r]
+                for r, k in below
+            ):
+                members.append(s)
+        fam[sl] = frozenset(members)
+    return fam
+
+
+def reindex_preimage(alpha, q):
+    cat = q.site.cat
+    return {
+        sl: frozenset(
+            x
+            for x in alpha.source.at(cat.src(sl))
+            if x not in alpha.components[cat.src(sl)]
+            or alpha.components[cat.src(sl)][x] in q.family[sl]
+        )
+        for sl in q.family
+    }
+
+
+def raw_image(alpha, p):
+    cat = p.site.cat
+    return {
+        sl: frozenset(
+            alpha.components[cat.src(sl)][x]
+            for x in p.family[sl]
+            if x in alpha.components[cat.src(sl)]
+        )
+        for sl in p.family
+    }
+
+
+def direct_image(alpha, p):
+    return close(alpha.target, p.site, p.stage, raw_image(alpha, p))
+
+
+def star_products(model, p, q, v):
+    """Yield (b, c, m1, m2, m1.m2) over the exact splittings b tensor c = v
+    and the halves m1 in p at b, m2 in q at c whose product is defined."""
+    cat, monoid = model.site.cat, model.monoid
+    for b, c in splittings(cat, model.site.monoidal, v):
+        for m1 in p.family[cat.hom(b, p.stage)[0]]:
+            for m2 in q.family[cat.hom(c, p.stage)[0]]:
+                prod = monoid.apply(Decomp(v, b, c, m1, m2))
+                if prod is not None:
+                    yield b, c, m1, m2, prod
+
+
+def unfolded_star(model, p, q):
+    cat = model.site.cat
+    return {
+        sl: frozenset(prod for *_, prod in star_products(model, p, q, cat.src(sl)))
+        for sl in cat.mors_into(p.stage)
+    }
+
+
+def star_witness(model, p, q, element):
+    """Lexicographically least decomposition of the element into halves
+    of p and q (half-stages first, then the canonical element order)."""
+    candidates = [
+        (b, c, m1, m2)
+        for b, c, m1, m2, prod in star_products(model, p, q, p.stage)
+        if prod == element
+    ]
+    if not candidates:
+        return None
+    b, c, m1, m2 = min(
+        candidates, key=lambda t: (t[0], t[1], element_key(t[2]), element_key(t[3]))
+    )
+    return {
+        "left_stage": list(b),
+        "right_stage": list(c),
+        "left": m1.as_dict(),
+        "right": m2.as_dict(),
+    }
+
+
+def pipeline_maps(model):
+    """The decomposition presheaf, the multiplication into Match(F) (each
+    product sent through the amalgamation iso's inverse) and the iso."""
+    from sheafsep.day import day_decomp
+    from sheafsep.pred import SheafMorphism
+    from sheafsep.presheaf import amalgamation_operator
+
+    site, mp = model.site, model.sheaf
+    decomp = day_decomp(mp, mp, site.monoidal)
+    iso = amalgamation_operator(mp, site.cov)
+    mult = {}
+    for a in site.cat.objects:
+        mult[a] = {}
+        for d in decomp.at(a):
+            prod = model.monoid.apply(d)
+            if prod is not None:
+                mult[a][d] = iso.inverse.components[a][prod]
+    return decomp, SheafMorphism(decomp, iso.match, mult, name="mult"), iso
+
+
+def pipeline_star(model, p, q, maps):
+    """The categorical composite on elements: combine on the decomposition
+    presheaf, then the existential images along the multiplication into
+    Match(F) and along the amalgamation iso (`maps` from `pipeline_maps`)."""
+    from sheafsep.pred import KripkePredicate
+
+    decomp, mult, iso = maps
+    site, cat, u = model.site, model.site.cat, p.stage
+    combined = {
+        sl: frozenset(
+            d
+            for d in decomp.at(cat.src(sl))
+            if d.left in p.family[cat.hom(d.left_stage, u)[0]]
+            and d.right in q.family[cat.hom(d.right_stage, u)[0]]
+        )
+        for sl in cat.mors_into(u)
+    }
+    combined = KripkePredicate(decomp, site, u, combined)
+    over_match = KripkePredicate(iso.match, site, u, direct_image(mult, combined))
+    return direct_image(iso.forward, over_match)

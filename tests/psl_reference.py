@@ -9,6 +9,8 @@ differential tests compare the two on pair lists, component measures,
 marginal strings, verdicts and witnesses.
 """
 
+from fractions import Fraction
+
 from sheafsep.errors import NotMeasurableError, UnknownIdentifierError
 from sheafsep.psl import (
     ProbSpace,
@@ -126,3 +128,23 @@ def psl_sat(sp: ProbSpace, phi, variables) -> PslResult:
                 )
         return PslResult(False)
     raise TypeError(f"formula {phi!r} is not a probabilistic formula")
+
+
+def independence_oracle(sp: ProbSpace, x: RandomVariable, y: RandomVariable) -> bool:
+    """Exact check that the joint law factorises into the marginals: both
+    laws are re-derived and the joint mass is re-summed per value pair."""
+    law_x = law_of(x, sp)
+    law_y = law_of(y, sp)
+    for a in law_x:
+        for b in law_y:
+            joint = sum(
+                (
+                    p
+                    for block, p in zip(sp.blocks, sp.measure)
+                    if x(block[0]) == a and y(block[0]) == b
+                ),
+                Fraction(0),
+            )
+            if joint != law_x[a] * law_y[b]:
+                return False
+    return True

@@ -94,7 +94,7 @@ def test_criterion_02_amalgamation_isomorphism():
         assert iso.report.ok, iso.report.summary()
         for a in cat.objects:
             assert len(iso.match.at(a)) == len(mp.at(a))
-            assert set(iso.to_sheaf[a].values()) == set(mp.at(a))
+            assert set(iso.forward.components[a].values()) == set(mp.at(a))
 
 
 def _displayed_star_oracle(model, phi_l, phi_r, stage, disjoint):

@@ -109,8 +109,8 @@ def test_amalgamation_operator_examples():
     assert iso.report.ok
     top = ("x", "y")
     target = Heap.of(top, {"x": 0, "y": 1})
-    cls = iso.invert(top, target)
-    assert iso.apply(top, cls) == target
+    cls = iso.inverse.components[top][target]
+    assert iso.forward.components[top][cls] == target
     # the class over the minimum cover restricts to the sigma_x / sigma_y legs
     fam = cls.family()
     assert fam[incl(("x",), top)] == Heap.of(("x",), {"x": 0})

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import pred_reference as ref
 from sheafsep.day import Decomp, build_memory_monoid, day_decomp
 from sheafsep.errors import IncompatibleFamilyError
 from sheafsep.fincat import build_powerset_category, incl
@@ -50,9 +51,7 @@ def singleton_pred(site, mp, stage, v, heap):
     cat = site.cat
     fam = {p: set() for p in cat.mors_into(stage)}
     fam[cat.hom(v, stage)[0]].add(heap)
-    from sheafsep.pred import _close
-
-    return KripkePredicate(mp, site, stage, _close(mp, site, stage, fam))
+    return KripkePredicate(mp, site, stage, ref.close(mp, site, stage, fam))
 
 
 def test_meet_with_top_is_identity(site1):
@@ -285,9 +284,7 @@ def test_existential_image_of_decomposition_predicate(site1):
     d = Decomp(("x",), ("x",), (), Heap.of(("x",), {"x": 0}), Heap((), ()))
     fam = {p: set() for p in site.cat.mors_into(stage)}
     fam[site.cat.id(stage)].add(d)
-    from sheafsep.pred import _close
-
-    p = KripkePredicate(decomp, site, stage, _close(decomp, site, stage, fam))
+    p = KripkePredicate(decomp, site, stage, ref.close(decomp, site, stage, fam))
     img = direct_image(alpha, p)
     assert Heap.of(("x",), {"x": 0}) in img.at_subset(("x",))
 

@@ -1,0 +1,150 @@
+"""Differential tests: the bitset predicate fibre and the table-driven
+star against the element-level reference in `pred_reference`."""
+
+import functools
+import random
+
+import pytest
+
+import pred_reference as ref
+from sheafsep.day import Decomp, splittings
+from sheafsep.pred import (
+    KripkePredicate,
+    _close,
+    direct_image,
+    implication,
+    join,
+    random_closed_predicate,
+    reindex_preimage,
+    validate_predicate,
+)
+from sheafsep.seplogic import (
+    PointsToAlloc,
+    PointsToNonStrict,
+    PointsToStrict,
+    _pipeline_iso,
+    atom_predicate,
+    eval_formula,
+    make_memory_model,
+    parse_formula,
+    sat,
+    sep_conj,
+)
+
+VARIANTS = ("total", "weak-partial", "strong-partial")
+COVERAGES = ("downward-closed", "finite-covers")
+MODELS = [(n, v, c) for n in (2, 3) for v in VARIANTS for c in COVERAGES]
+
+
+@functools.cache
+def model(n, variant, coverage="downward-closed"):
+    locs = ("x", "y", "z", "w")[:n]
+    return make_memory_model(locs, (0, 1), monoid_variant=variant, coverage_kind=coverage)
+
+
+def predicates(m, seed):
+    """Seeded closed predicates and one atom of each kind."""
+    rng = random.Random(seed)
+    preds = [random_closed_predicate(rng, m.sheaf, m.site, m.stage) for _ in range(4)]
+    for kind, loc, val in ((PointsToStrict, "x", 0), (PointsToNonStrict, "y", 1),
+                           (PointsToAlloc, "x", 1)):
+        preds.append(atom_predicate(m, kind(loc, val)))
+    return preds
+
+
+def violations(rep):
+    return sorted((v.kind, v.detail) for v in rep.violations)
+
+
+def random_family(rng, resource, site, stage, density):
+    cat = site.cat
+    return {
+        p: frozenset(x for x in resource.at(cat.src(p)) if rng.random() < density)
+        for p in cat.mors_into(stage)
+    }
+
+
+@pytest.mark.parametrize("n,variant,coverage", MODELS)
+def test_lattice_closure_and_reports_match_reference(n, variant, coverage):
+    m = model(n, variant, coverage)
+    preds = predicates(m, seed=n)
+    for p in preds:
+        assert violations(validate_predicate(p)) == violations(ref.validate_predicate(p))
+        for q in preds[::2]:
+            assert join(p, q).family == ref.join(p, q)
+            assert implication(p, q).family == ref.implication(p, q)
+    rng = random.Random(7)
+    for density in (0.05, 0.2, 0.5):
+        fam = random_family(rng, m.sheaf, m.site, m.stage, density)
+        raw = KripkePredicate(m.sheaf, m.site, m.stage, fam)
+        assert violations(validate_predicate(raw)) == violations(ref.validate_predicate(raw))
+        closed = KripkePredicate(m.sheaf, m.site, m.stage,
+                                 bits=_close(m.sheaf, m.site, m.stage, raw.bits))
+        assert closed.family == ref.close(m.sheaf, m.site, m.stage, fam)
+
+
+@pytest.mark.parametrize("n,variant,coverage", MODELS)
+def test_images_along_the_pipeline_maps_match_reference(n, variant, coverage):
+    """Preimage and existential image along the amalgamation iso, both
+    ways, and along the multiplication into Match(F) at two locations."""
+    m = model(n, variant, coverage)
+    iso = _pipeline_iso(m)
+    rng = random.Random(n)
+    maps = [iso.forward, iso.inverse]
+    if n == 2:
+        from sheafsep.seplogic import _pipeline_pieces
+
+        maps.append(_pipeline_pieces(m)[1])
+    for alpha in maps:
+        for _ in range(3):
+            p = random_closed_predicate(rng, alpha.source, m.site, m.stage)
+            q = random_closed_predicate(rng, alpha.target, m.site, m.stage)
+            assert direct_image(alpha, p).family == ref.direct_image(alpha, p)
+            assert reindex_preimage(alpha, q).family == ref.reindex_preimage(alpha, q)
+
+
+@pytest.mark.parametrize("n,variant,coverage", MODELS)
+def test_stars_and_witnesses_match_reference(n, variant, coverage):
+    m = model(n, variant, coverage)
+    preds, maps = predicates(m, seed=10 + n), ref.pipeline_maps(m)
+    for p, q in zip(preds, preds[1:] + preds[:1]):
+        assert sep_conj(m, p, q, "unfolded").family == ref.unfolded_star(m, p, q)
+        assert sep_conj(m, p, q, "pipeline").family == ref.pipeline_star(m, p, q, maps)
+    ident = m.site.cat.id(m.stage)
+    for text in ("x ~> 0 * y |-> 1", "x |->! 1 * T", "(x ~> 1 \\/ y |->! 0) * y ~> 0"):
+        phi = parse_formula(text)
+        for mode in ("unfolded", "pipeline"):
+            p = eval_formula(m, phi.left, mode=mode)
+            q = eval_formula(m, phi.right, mode=mode)
+            star = sep_conj(m, p, q, mode)
+            for h in m.sheaf.at(m.stage)[::n]:
+                res = sat(m, phi, m.stage, h, mode)
+                assert res.result == (h in star.family[ident])
+                want = ref.star_witness(m, p, q, h) if res.result else None
+                assert res.witness == want, (text, mode, h)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_product_tables_match_apply_at_three_locations(variant):
+    m = model(3, variant)
+    mp, cat = m.sheaf, m.site.cat
+    for a in cat.objects:
+        index = mp.index(a)
+        for b, c in splittings(cat, m.site.monoidal, a):
+            rows = m.monoid.products(b, c)
+            for i, s in enumerate(mp.at(b)):
+                for j, t in enumerate(mp.at(c)):
+                    prod = m.monoid.apply(Decomp(a, b, c, s, t))
+                    assert rows[i][j] == (-1 if prod is None else index[prod])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_nested_star_at_four_locations_matches_reference(variant):
+    m = model(4, variant)
+    phi = parse_formula("(x ~> 0 * y |-> 1) * (z ~> 1 \\/ w |-> 0)")
+    left = eval_formula(m, phi.left.left)
+    inner = KripkePredicate(m.sheaf, m.site, m.stage,
+                            ref.unfolded_star(m, left, eval_formula(m, phi.left.right)))
+    want = ref.unfolded_star(m, inner, eval_formula(m, phi.right))
+    assert eval_formula(m, phi, mode="unfolded").family == want
+    assert eval_formula(m, phi, mode="pipeline").family == want

@@ -3,6 +3,7 @@ reference in `psl_reference.py`: pair lists, component spaces,
 marginals, verdicts and witnesses, plus the per-size pair table and the
 absence of per-space state between calls."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,11 +13,12 @@ import psl_reference as ref
 from test_acceptance import _agreement_spaces
 
 from sheafsep import psl
-from sheafsep.errors import UnknownIdentifierError
+from sheafsep.errors import NotMeasurableError, UnknownIdentifierError
 from sheafsep.psl import (
     DEFAULT_SPACE_BOUND,
     ProbSpace,
     RandomVariable,
+    independence_oracle,
     law_of,
     psl_sat,
     set_partitions,
@@ -221,3 +223,25 @@ def test_no_per_space_state_outlives_a_call():
     }
     assert list(held) == ["_PAIR_TABLES"]
     assert set(psl._PAIR_TABLES) <= set(range(1, DEFAULT_SPACE_BOUND + 1))
+
+
+def _oracle_or_error(oracle, sp, x, y):
+    try:
+        return oracle(sp, x, y)
+    except (NotMeasurableError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_independence_oracle_matches_the_reference():
+    """Every pair of variables with values in {0, 1, 2} up to 3 points,
+    and seeded pairs beyond, measurable or not."""
+    rng = random.Random(11)
+    for sp in _agreement_spaces():
+        variables = [RandomVariable(v) for v in itertools.product((0, 1, 2), repeat=sp.size)]
+        pairs = [(x, y) for x in variables for y in variables]
+        if len(pairs) > 3000:
+            pairs = rng.sample(pairs, 3000)
+        for x, y in pairs + [(RandomVariable((0,) * (sp.size + 1)), variables[0])]:
+            assert _oracle_or_error(independence_oracle, sp, x, y) == _oracle_or_error(
+                ref.independence_oracle, sp, x, y
+            ), (sp, x, y)

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tokenizer_reference
 from sheafsep.errors import (
     AtomTypeError,
     FormulaSyntaxError,
@@ -28,6 +31,7 @@ from sheafsep.seplogic import (
     parse_formula,
     sat,
     sep_conj,
+    _tokenize,
 )
 
 
@@ -366,3 +370,60 @@ def test_monoid_requires_partial_memory():
     with pytest.raises(AtomTypeError):
         make_memory_model({"x"}, (0, 1), sheaf_kind="strict-memory",
                           monoid_variant="weak-partial")
+
+
+# -- tokenizer against the character-by-character reference -------------------
+
+_TOKEN_PIECES = [
+    "|->!", "|->", "|-", "~>", "->", "-", "/\\", "\\/", "/", "\\", "*", "~", "(", ")",
+    "{", "}", ":", ",", "T", "F", "TF", "x1", "_a", "-1", "-", "007", "²", "x²", "½",
+    "٣", "é", "ǅ", "⊤", "∧", "∨", "→", "↦", "↪", " ", "\t", " ", " ", "\x1c",
+]
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except FormulaSyntaxError as exc:
+        return ("error", str(exc), exc.position)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(_TOKEN_PIECES)).map("".join)))
+def test_tokenizer_matches_reference(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(
+        tokenizer_reference.tokenize, text
+    )
+
+
+# -- deterministic work gate ---------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["unfolded", "pipeline"])
+def test_nested_star_work_at_the_size_bound(mode, monkeypatch):
+    """Deterministic work gate: at four locations and two values a nested
+    star multiplies through the product tables alone, so it makes no
+    ResourceMonoid.apply call, and the sheaf's restrict_fn runs at most
+    once per restriction-table entry it builds."""
+    from sheafsep.day import ResourceMonoid
+
+    model = make_memory_model(("a", "b", "c", "d"), (0, 1), monoid_variant="weak-partial")
+    mp = model.sheaf
+    calls = {"apply": 0, "restrict": 0}
+    apply, restrict_fn = ResourceMonoid.apply, mp._restrict_fn
+
+    def counted_apply(self, d):
+        calls["apply"] += 1
+        return apply(self, d)
+
+    def counted_restrict(f, x):
+        calls["restrict"] += 1
+        return restrict_fn(f, x)
+
+    monkeypatch.setattr(ResourceMonoid, "apply", counted_apply)
+    mp._restrict_fn = counted_restrict
+    phi = parse_formula("(a ~> 0 * b |-> 1) * (c ~> 1 \\/ d |-> 0)")
+    eval_formula(model, phi, mode=mode)
+    entries = sum(len(t) for t in mp._tables.values())
+    assert calls["apply"] == 0
+    assert 0 < calls["restrict"] <= entries

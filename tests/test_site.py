@@ -268,3 +268,24 @@ def test_validate_flags_transitivity_without_stability():
         f"sieve {points.sorted_members()!r} on {top!r} is locally covering "
         f"via {via.sorted_members()!r} but not covering"
     )
+
+
+def test_coverage_replay_pullbacks_at_the_size_bound(monkeypatch):
+    """Deterministic work gate: replaying the axioms of the four-location
+    downward-closed coverage pulls each sieve tested for transitivity
+    back once per morphism, in sorted member order, so the count does not
+    depend on the hash seed."""
+    import sheafsep.site as site
+
+    cat, _ = build_powerset_category({"a", "b", "c", "d"})
+    cov = build_coverage(cat, "downward-closed")
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return pullback_sieve(*args)
+
+    monkeypatch.setattr(site, "pullback_sieve", counted)
+    assert validate_coverage(cat, cov).ok
+    assert calls == 2803
