@@ -12,13 +12,15 @@ concrete witness), so it only lives on the decomposition form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+
 from .errors import (
     BudgetExceededError,
     MonoidalStructureError,
     NoGammaWitnessError,
 )
 from .fincat import FinCat, MonoidalStructure, element_key
-from .presheaf import Heap, Presheaf, check_sheaf, sorted_elements
+from .presheaf import Heap, Presheaf, check_sheaf
 from .report import Report
 from .site import Site
 
@@ -126,100 +128,115 @@ def _precompose(cat: FinCat, d: Decomp, h) -> Decomp:
 
 
 def _coend_triples(cat, mon, f_sheaf, g_sheaf, a):
-    out = []
-    for b in cat.objects:
-        for c in cat.objects:
-            if not mon.tensor_defined(b, c):
-                continue
-            for w in cat.hom(a, mon.tensor(b, c)):
-                for s in f_sheaf.at(b):
-                    for t in g_sheaf.at(c):
-                        out.append(Decomp(a, b, c, s, t, witness=w))
-    return out
+    return [Decomp(a, b, c, s, t, witness=w)
+            for b in cat.objects for c in cat.objects if mon.tensor_defined(b, c)
+            for w in cat.hom(a, mon.tensor(b, c)) for s in f_sheaf.at(b) for t in g_sheaf.at(c)]
 
 
-class UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        r = x
-        while self.parent[r] != r:
-            r = self.parent[r]
-        while self.parent[x] != r:
-            self.parent[x], x = r, self.parent[x]
-        return r
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
+def dinaturality_generators(cat: FinCat, mon: MonoidalStructure):
+    """The morphism pairs whose dinaturality squares generate the coend
+    relation: (u, id) and (id, v) with u and v not identities; a general
+    pair follows by transitivity, as u tensor v = (u tensor id).(id tensor
+    v) for a bifunctor.  On the powerset base u and v are covering
+    inclusions (one added location), of which every inclusion is a
+    composite."""
+    steps = [m for m in cat.all_morphisms() if not cat.is_identity(m)
+             and (cat.kind != "powerset" or len(cat.dst(m)) == len(cat.src(m)) + 1)]
+    pairs = [(u, cat.id(c)) for u in steps for c in cat.objects]
+    pairs += [(cat.id(b), v) for v in steps for b in cat.objects]
+    return [(u, v) for u, v in pairs if mon.tensor_defined(cat.src(u), cat.src(v))
+            and mon.tensor_defined(cat.dst(u), cat.dst(v))]
 
 
 def day_coend(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure,
               budget=DEFAULT_COEND_BUDGET) -> Presheaf:
     """Day convolution proper: witnessed triples modulo dinaturality.
 
-    The dinaturality relation (w, F(u)s, G(v)t) ~ ((u tensor v).w, s, t)
-    is closed off by union-find per stage; restriction acts on canonical
+    At stage a the witnessed triple (b, c, w, s, t), with s and t ids of
+    F(b) and G(c), is the node blocks[b, c, w] + s * |G(c)| + t.  The
+    relation (w, F(u)s, G(v)t) ~ ((u tensor v).w, s, t) is closed off by
+    a union-find over the nodes, on `dinaturality_generators` and the
+    restriction tables.  A class is named by its least triple under
+    `element_key`, the only `Decomp` built; restriction acts on
     representatives and is checked to be well-defined on classes.
     """
     if mon is None:
         raise MonoidalStructureError("day_coend needs a monoidal base")
     cat = f_sheaf.base
-    class_maps = {}
+    found = {}  # stage -> (blocks, class per node, representative's node per class)
+    gens, f_ids, g_ids = [], {}, {}
 
     def classes_at(a):
-        if a in class_maps:
-            return class_maps[a]
-        triples = _coend_triples(cat, mon, f_sheaf, g_sheaf, a)
-        if len(triples) > budget:
-            raise BudgetExceededError(
-                f"{len(triples)} coend triples at {a!r} exceed budget {budget}",
-                size=len(triples),
-            )
-        uf = UnionFind(triples)
-        mors = list(cat.all_morphisms())
-        for u in mors:
-            b, b2 = cat.src(u), cat.dst(u)
-            for v in mors:
-                c, c2 = cat.src(v), cat.dst(v)
-                if not (mon.tensor_defined(b, c) and mon.tensor_defined(b2, c2)):
-                    continue
-                uv = mon.tensor_m(u, v)
-                for w in cat.hom(a, mon.tensor(b, c)):
-                    w2 = cat.compose(uv, w)
-                    for s2 in f_sheaf.at(b2):
-                        s = f_sheaf.restrict(u, s2)
-                        for t2 in g_sheaf.at(c2):
-                            uf.union(
-                                Decomp(a, b, c, s, g_sheaf.restrict(v, t2), witness=w),
-                                Decomp(a, b2, c2, s2, t2, witness=w2),
-                            )
-        groups = {}
-        for d in triples:
-            groups.setdefault(uf.find(d), []).append(d)
-        mapping = {}
-        for members in groups.values():
-            rep = min(members, key=element_key)
-            for d in members:
-                mapping[d] = CoendClass(rep)
-        class_maps[a] = mapping
-        return mapping
+        if a in found:
+            return found[a]
+        blocks, n = {}, 0
+        for b in cat.objects:
+            for c in cat.objects:
+                for w in cat.hom(a, mon.tensor(b, c)) if mon.tensor_defined(b, c) else ():
+                    blocks[b, c, w] = n
+                    n += len(f_sheaf.at(b)) * len(g_sheaf.at(c))
+        if n > budget:
+            raise BudgetExceededError(f"{n} coend triples at {a!r} exceed budget {budget}", size=n)
+        if not gens:
+            gens.extend(dinaturality_generators(cat, mon))
+            for x in cat.objects:  # ids, not positions: at(x) may repeat an element
+                f_ids[x] = sorted(set(f_sheaf.index(x).values()))
+                g_ids[x] = sorted(set(g_sheaf.index(x).values()))
+        parent = list(range(n))
 
-    def stages(a):
-        return sorted_elements(set(classes_at(a).values()))
+        def find(x):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for u, v in gens:
+            b, b2, c, c2 = cat.src(u), cat.dst(u), cat.src(v), cat.dst(v)
+            fu, gv, uv = f_sheaf.table(u), g_sheaf.table(v), mon.tensor_m(u, v)
+            width, width2 = len(g_sheaf.at(c)), len(g_sheaf.at(c2))
+            for w in cat.hom(a, mon.tensor(b, c)):
+                lo, hi = blocks[b, c, w], blocks[b2, c2, cat.compose(uv, w)]
+                for s2 in f_ids[b2]:
+                    x0, y0 = lo + fu[s2] * width, hi + s2 * width2
+                    for t2 in g_ids[c2]:
+                        rx, ry = find(x0 + gv[t2]), find(y0 + t2)
+                        if rx != ry:
+                            parent[ry] = rx
+        # visit the nodes in the order of their Decomps' sort_key (ids follow
+        # at() order), so the first node seen in a class is its representative
+        by_pair, of, reps, named = {}, [None] * n, {}, {}
+        for (b, c, w), off in blocks.items():
+            by_pair.setdefault((b, c), []).append((repr(w), w, off))
+        for (b, c), ws in sorted(by_pair.items()):
+            ws.sort()
+            width = len(g_sheaf.at(c))
+            for s in f_ids[b]:
+                for t in g_ids[c]:
+                    for _, w, off in ws:
+                        r = find(off + s * width + t)
+                        if r not in named:
+                            named[r] = CoendClass(Decomp(
+                                a, b, c, f_sheaf.element(b, s), g_sheaf.element(c, t), witness=w))
+                            reps[named[r]] = (b, c, w, s, t)
+                        of[off + s * width + t] = named[r]
+        found[a] = blocks, of, reps
+        return found[a]
+
+    def lookup(a, b, c, w, s, t):
+        blocks, of, _ = classes_at(a)
+        return of[blocks[b, c, w] + s * len(g_sheaf.at(c)) + t]
 
     def restr(h, cls: CoendClass):
-        return classes_at(cat.src(h))[_precompose(cat, cls.rep, h)]
+        b, c, w, s, t = classes_at(cat.dst(h))[2][cls]
+        return lookup(cat.src(h), b, c, cat.compose(w, h), s, t)
 
     def class_of(d: Decomp) -> CoendClass:
         """Quotient map from (possibly canonical-poset) triples to classes."""
-        witnessed = d if d.witness is not None else poset_witnessed(cat, mon, d)
-        return classes_at(witnessed.stage)[witnessed]
+        d = d if d.witness is not None else poset_witnessed(cat, mon, d)
+        b, c = d.left_stage, d.right_stage
+        return lookup(d.stage, b, c, d.witness, f_sheaf.index(b)[d.left], g_sheaf.index(c)[d.right])
 
     name = f"({f_sheaf.name} (x) {g_sheaf.name})"
-    ps = Presheaf(cat, stages, restr, name=name)
+    ps = Presheaf(cat, lambda a: classes_at(a)[2], restr, name=name)
     ps.class_of = class_of
     return ps
 
@@ -330,62 +347,68 @@ def build_memory_monoid(mp: Presheaf, variant: str) -> ResourceMonoid:
 
 
 def check_monoid_laws(monoid: ResourceMonoid, mon: MonoidalStructure) -> Report:
-    """Exhaustive unit, associativity and commutativity checks.
-
-    Partial variants are compared by Kleene equality: both sides defined
-    and equal, or both undefined.
-    """
+    """Unit, associativity and commutativity on heaps, by a pointwise
+    certificate.  A pointwise product of partial commutative monoids is
+    one (Calcagno, O'Hearn and Yang, "Local Action and Abstract Separation
+    Logic", LICS 2007), so the heap laws follow from: every product-table
+    entry is the cellwise product of its pair, -1 exactly when a shared
+    cell is UNDEFINED ("pointwise"); and the cell rule is commutative and
+    associative on the carrier's values and None, UNDEFINED absorbing.
+    The unit law is read off the tables' unit rows and columns."""
     rep = Report(f"monoid laws ({monoid.variant})")
-    mp = monoid.carrier
+    mp, cell, e = monoid.carrier, monoid.cell, monoid.unit_stage
     cat = mp.base
-    unit = monoid.unit
 
-    def mult2(b, c, s, t):
-        a = mon.tensor(b, c)
-        return monoid.apply(Decomp(a, b, c, s, t))
+    def product(b, c, k):
+        return None if k == -1 else mp.element(mon.tensor(b, c), k)
 
+    for b in cat.objects:
+        for c in cat.objects:
+            v = mon.tensor(b, c)
+            index = {h.values: i for h, i in mp.index(v).items()}
+            # where each location of v is read: from b, from c, or both
+            where = [(b.index(x) if x in b else None, c.index(x) if x in c else None) for x in v]
+            for s, row in zip(mp.at(b), monoid.products(b, c)):
+                for t, got in zip(mp.at(c), row):
+                    cells = [t.values[j] if i is None else s.values[i] if j is None
+                             else cell(s.values[i], t.values[j]) for i, j in where]
+                    want = -1 if UNDEFINED in cells else index.get(tuple(cells))
+                    if got != want:
+                        cellwise = ("outside the carrier" if want is None
+                                    else f"{product(b, c, want)} cellwise")
+                        rep.flag("pointwise", f"{s}.{t} is {product(b, c, got)} in the "
+                                              f"product table, but {cellwise}")
+    unit = mp.index(e)[monoid.unit]
     n_unit = 0
     for a in cat.objects:
-        for s in mp.at(a):
-            left = mult2(monoid.unit_stage, a, unit, s)
-            right = mult2(a, monoid.unit_stage, s, unit)
+        lefts, rights = monoid.products(e, a)[unit], monoid.products(a, e)
+        for s, k, row in zip(mp.at(a), lefts, rights):
+            left, right = product(e, a, k), product(a, e, row[unit])
             n_unit += 1
             if left != s:
                 rep.flag("unit", f"unit . {s} = {left} != {s}")
             if right != s:
                 rep.flag("unit", f"{s} . unit = {right} != {s}")
-    n_assoc = 0
-    for b in cat.objects:
-        for c in cat.objects:
-            for d in cat.objects:
-                for s in mp.at(b):
-                    for t in mp.at(c):
-                        for u in mp.at(d):
-                            st = mult2(b, c, s, t)
-                            lhs = (
-                                None
-                                if st is None
-                                else mult2(mon.tensor(b, c), d, st, u)
-                            )
-                            tu = mult2(c, d, t, u)
-                            rhs = (
-                                None
-                                if tu is None
-                                else mult2(b, mon.tensor(c, d), s, tu)
-                            )
-                            n_assoc += 1
-                            if lhs != rhs:
-                                rep.flag(
-                                    "associativity",
-                                    f"({s}.{t}).{u} = {lhs} != {rhs} = {s}.({t}.{u})",
-                                )
-    for b in cat.objects:
-        for c in cat.objects:
-            for s in mp.at(b):
-                for t in mp.at(c):
-                    if mult2(b, c, s, t) != mult2(c, b, t, s):
-                        rep.flag("commutativity", f"{s}.{t} != {t}.{s}")
-    rep.note(f"checked {n_unit} unit and {n_assoc} associativity instances")
+
+    def mul(x, y):
+        return UNDEFINED if x is UNDEFINED or y is UNDEFINED else cell(x, y)
+
+    def show(x):
+        return "undefined" if x is UNDEFINED else repr(x)
+
+    values = list(dict.fromkeys([None] + [x for a in cat.objects for h in mp.at(a)
+                                          for x in h.values]))
+    for x in values:
+        for y in values:
+            if cell(x, y) != cell(y, x):
+                rep.flag("commutativity", f"cell {x!r}.{y!r} = {show(cell(x, y))} != "
+                                          f"{show(cell(y, x))} = {y!r}.{x!r}")
+            for z in values:
+                lhs, rhs = mul(mul(x, y), z), mul(x, mul(y, z))
+                if lhs != rhs:
+                    rep.flag("associativity", f"cell ({x!r}.{y!r}).{z!r} = {show(lhs)} != "
+                                              f"{show(rhs)} = {x!r}.({y!r}.{z!r})")
+    rep.note(f"checked {n_unit} unit and {len(values) ** 3} associativity instances")
     return rep
 
 
@@ -393,21 +416,19 @@ def check_monoid_laws(monoid: ResourceMonoid, mon: MonoidalStructure) -> Report:
 
 
 def powerset_gamma(cat: FinCat):
-    """Lax-monoidal witness for powerset slices: unions of slice legs."""
+    """Lax-monoidal witness for powerset slices: unions of slice legs,
+    tabulated per pair for the life of the returned maps."""
 
+    @cache
     def on_obj(p, q):
         v = tuple(sorted(set(cat.src(p)) | set(cat.src(q))))
         a = tuple(sorted(set(cat.dst(p)) | set(cat.dst(q))))
         return ("incl", v, a)
 
+    @cache
     def on_mor(m1, m2):
         # slice morphisms ("tri", g, q, p) map to the union inclusion
-        g = ("incl",
-             tuple(sorted(set(m1[1][1]) | set(m2[1][1]))),
-             tuple(sorted(set(m1[1][2]) | set(m2[1][2]))))
-        q = on_obj(m1[2], m2[2])
-        p = on_obj(m1[3], m2[3])
-        return ("tri", g, q, p)
+        return ("tri", on_obj(m1[1], m2[1]), on_obj(m1[2], m2[2]), on_obj(m1[3], m2[3]))
 
     return on_obj, on_mor
 
@@ -421,19 +442,10 @@ def finsurj_gamma(cat: FinCat, mon: MonoidalStructure):
         return mon.tensor_m(p, q)
 
     def on_mor(m1, m2):
-        g = (
-            mon.tensor_m(m1[1], m2[1])
-            if mon.tensor_defined(cat.src(m1[1]), cat.src(m2[1]))
-            and mon.tensor_defined(cat.dst(m1[1]), cat.dst(m2[1]))
-            else None
-        )
-        if g is None:
-            return None
-        q = on_obj(m1[2], m2[2])
-        p = on_obj(m1[3], m2[3])
-        if q is None or p is None:
-            return None
-        return ("tri", g, q, p)
+        # a surjection's source is at least its target, so a tensor defined
+        # on the sources of m1[1] and m2[1] is defined on their targets
+        g, q, p = (on_obj(x, y) for x, y in zip(m1[1:], m2[1:]))
+        return None if None in (g, q, p) else ("tri", g, q, p)
 
     return on_obj, on_mor
 
@@ -441,15 +453,11 @@ def finsurj_gamma(cat: FinCat, mon: MonoidalStructure):
 def _convolved_mono(cat, mon, inc_components, f_small, g_sheaf):
     """Stage-wise maps day(F', G) -> day(F, G) induced by F' >-> F."""
     day_small = day_decomp(f_small, g_sheaf, mon)
-    maps = {}
-    for a in cat.objects:
-        table = {}
-        for d in day_small.at(a):
-            img = inc_components[d.left_stage][d.left]
-            table[d] = Decomp(d.stage, d.left_stage, d.right_stage, img, d.right,
-                              witness=d.witness)
-        maps[a] = table
-    return maps
+    return {
+        a: {d: Decomp(d.stage, d.left_stage, d.right_stage, inc_components[d.left_stage][d.left],
+                      d.right, witness=d.witness) for d in day_small.at(a)}
+        for a in cat.objects
+    }
 
 
 def check_day_stability(site: Site, samples, inclusions=(), budget=DEFAULT_COEND_BUDGET) -> Report:
@@ -471,28 +479,21 @@ def check_day_stability(site: Site, samples, inclusions=(), budget=DEFAULT_COEND
     for f_sheaf in samples:
         for g_sheaf in samples:
             dec = day_decomp(f_sheaf, g_sheaf, mon)
-            sub = check_sheaf(dec, site.cov)
-            if not sub.ok:
-                for v in sub.violations:
-                    rep.flag("decomp-sheaf", f"{dec.name}: {v.detail}")
+            for v in check_sheaf(dec, site.cov).violations:
+                rep.flag("decomp-sheaf", f"{dec.name}: {v.detail}")
             coe = day_coend(f_sheaf, g_sheaf, mon, budget)
-            sub = check_sheaf(coe, site.cov)
-            if not sub.ok:
-                for v in sub.violations:
-                    rep.flag("coend-sheaf", f"{coe.name}: {v.detail}")
+            for v in check_sheaf(coe, site.cov).violations:
+                rep.flag("coend-sheaf", f"{coe.name}: {v.detail}")
     for name, components, small in inclusions:
         for a in cat.objects:
             col = components[a]
             if len(set(col.values())) != len(col):
                 rep.flag("mono", f"{name}: supplied components not injective at {a!r}")
         for g_sheaf in samples:
-            maps = _convolved_mono(cat, mon, components, small, g_sheaf)
-            for a, table in maps.items():
+            for a, table in _convolved_mono(cat, mon, components, small, g_sheaf).items():
                 if len(set(table.values())) != len(table):
-                    rep.flag(
-                        "mono-preservation",
-                        f"day({name}, {g_sheaf.name}) not injective at {a!r}",
-                    )
+                    rep.flag("mono-preservation",
+                             f"day({name}, {g_sheaf.name}) not injective at {a!r}")
     if cat.kind == "powerset":
         on_obj, on_mor = powerset_gamma(cat)
     elif cat.kind == "finsurj":
@@ -529,15 +530,8 @@ def check_day_stability(site: Site, samples, inclusions=(), budget=DEFAULT_COEND
                                     if gn is None:
                                         continue
                                     lhs = on_mor(sl_a.compose(m1, n1), sl_b.compose(m2, n2))
-                                    rhs = (
-                                        sl_ab.compose(g12, gn)
-                                        if (g12, gn) in sl_ab.compose_table
-                                        else None
-                                    )
-                                    if lhs != rhs:
-                                        rep.flag(
-                                            "gamma",
-                                            f"gamma not functorial on ({m1!r}, {m2!r})",
-                                        )
+                                    if lhs != sl_ab.compose_table.get((g12, gn)):
+                                        rep.flag("gamma",
+                                                 f"gamma not functorial on ({m1!r}, {m2!r})")
     rep.note(f"gamma checked on {pairs_checked} object pairs")
     return rep

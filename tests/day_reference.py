@@ -1,0 +1,134 @@
+"""Element-level reference for the coend and the monoid laws, kept as a
+test oracle.
+
+This is the direct reading of the definitions that `sheafsep.day`
+replaces: the coend closes off the dinaturality relation over every
+pair of morphisms (u, v) with a union-find on `Decomp` triples, and the
+monoid laws walk every triple of heaps through `ResourceMonoid.apply`.
+The differential tests compare the two on classes, representatives,
+the quotient map, restriction, budget errors and law reports.
+"""
+
+import functools
+
+from presheaf_reference import UnionFind
+from sheafsep.day import (
+    DEFAULT_COEND_BUDGET,
+    CoendClass,
+    Decomp,
+    _coend_triples,
+    _precompose,
+    poset_witnessed,
+)
+from sheafsep.errors import BudgetExceededError
+from sheafsep.fincat import element_key
+from sheafsep.presheaf import Presheaf, sorted_elements
+from sheafsep.report import Report
+
+
+def day_coend(f_sheaf, g_sheaf, mon, budget=DEFAULT_COEND_BUDGET):
+    """Witnessed triples modulo the relation generated by every pair
+    (u, v): (w, F(u)s, G(v)t) ~ ((u tensor v).w, s, t)."""
+    cat = f_sheaf.base
+    class_maps = {}
+
+    def classes_at(a):
+        if a in class_maps:
+            return class_maps[a]
+        triples = _coend_triples(cat, mon, f_sheaf, g_sheaf, a)
+        if len(triples) > budget:
+            raise BudgetExceededError(
+                f"{len(triples)} coend triples at {a!r} exceed budget {budget}",
+                size=len(triples),
+            )
+        uf = UnionFind(triples)
+        mors = list(cat.all_morphisms())
+        for u in mors:
+            b, b2 = cat.src(u), cat.dst(u)
+            for v in mors:
+                c, c2 = cat.src(v), cat.dst(v)
+                if not (mon.tensor_defined(b, c) and mon.tensor_defined(b2, c2)):
+                    continue
+                uv = mon.tensor_m(u, v)
+                ss = [(f_sheaf.restrict(u, s2), s2) for s2 in f_sheaf.at(b2)]
+                ts = [(g_sheaf.restrict(v, t2), t2) for t2 in g_sheaf.at(c2)]
+                for w in cat.hom(a, mon.tensor(b, c)):
+                    w2 = cat.compose(uv, w)
+                    for s, s2 in ss:
+                        for t, t2 in ts:
+                            uf.union(Decomp(a, b, c, s, t, witness=w),
+                                     Decomp(a, b2, c2, s2, t2, witness=w2))
+        groups = {}
+        for d in triples:
+            groups.setdefault(uf.find(d), []).append(d)
+        mapping = {}
+        for members in groups.values():
+            rep = min(members, key=element_key)
+            for d in members:
+                mapping[d] = CoendClass(rep)
+        class_maps[a] = mapping
+        return mapping
+
+    def stages(a):
+        return sorted_elements(set(classes_at(a).values()))
+
+    def restr(h, cls):
+        return classes_at(cat.src(h))[_precompose(cat, cls.rep, h)]
+
+    def class_of(d):
+        witnessed = d if d.witness is not None else poset_witnessed(cat, mon, d)
+        return classes_at(witnessed.stage)[witnessed]
+
+    ps = Presheaf(cat, stages, restr, name=f"({f_sheaf.name} (x) {g_sheaf.name})")
+    ps.class_of = class_of
+    ps.classes_at = classes_at
+    return ps
+
+
+def check_monoid_laws(monoid, mon):
+    """Unit, associativity and commutativity on every pair and triple of
+    heaps, by Kleene equality of `apply` (memoised per pair)."""
+    rep = Report(f"monoid laws ({monoid.variant})")
+    mp = monoid.carrier
+    cat = mp.base
+    unit = monoid.unit
+
+    @functools.cache
+    def mult2(b, c, s, t):
+        return monoid.apply(Decomp(mon.tensor(b, c), b, c, s, t))
+
+    n_unit = 0
+    for a in cat.objects:
+        for s in mp.at(a):
+            left = mult2(monoid.unit_stage, a, unit, s)
+            right = mult2(a, monoid.unit_stage, s, unit)
+            n_unit += 1
+            if left != s:
+                rep.flag("unit", f"unit . {s} = {left} != {s}")
+            if right != s:
+                rep.flag("unit", f"{s} . unit = {right} != {s}")
+    n_assoc = 0
+    for b in cat.objects:
+        for c in cat.objects:
+            for d in cat.objects:
+                for s in mp.at(b):
+                    for t in mp.at(c):
+                        for u in mp.at(d):
+                            st = mult2(b, c, s, t)
+                            lhs = None if st is None else mult2(mon.tensor(b, c), d, st, u)
+                            tu = mult2(c, d, t, u)
+                            rhs = None if tu is None else mult2(b, mon.tensor(c, d), s, tu)
+                            n_assoc += 1
+                            if lhs != rhs:
+                                rep.flag(
+                                    "associativity",
+                                    f"({s}.{t}).{u} = {lhs} != {rhs} = {s}.({t}.{u})",
+                                )
+    for b in cat.objects:
+        for c in cat.objects:
+            for s in mp.at(b):
+                for t in mp.at(c):
+                    if mult2(b, c, s, t) != mult2(c, b, t, s):
+                        rep.flag("commutativity", f"{s}.{t} != {t}.{s}")
+    rep.note(f"checked {n_unit} unit and {n_assoc} associativity instances")
+    return rep

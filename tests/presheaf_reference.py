@@ -8,7 +8,6 @@ materialised before it is checked.  The differential tests compare the
 two on reports, family lists, matching classes and budget errors.
 """
 
-from sheafsep.day import UnionFind
 from sheafsep.errors import BudgetExceededError, StageNotEnumerableError
 from sheafsep.presheaf import (
     DEFAULT_FAMILY_BUDGET,
@@ -17,6 +16,28 @@ from sheafsep.presheaf import (
     sorted_elements,
 )
 from sheafsep.report import Report
+
+
+class UnionFind:
+    """Union-find over hashable items.  Parents are always the stored
+    items themselves, so roots are told apart by identity, which spares
+    an element-wise comparison per step."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        r = self.parent[x]
+        while self.parent[r] is not r:
+            r = self.parent[r]
+        while self.parent[x] is not r:
+            self.parent[x], x = r, self.parent[x]
+        return r
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[ry] = rx
 
 
 def generators(cat, cover):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -185,6 +186,22 @@ def test_laws_small_model(tmp_path):
         ["laws", "--model", write_model(tmp_path, doc), "--samples", "10", "--seed", "7"]
     )
     assert report.exit_code == 0, report.status
+
+
+def test_laws_at_three_locations_within_its_wall_budget(tmp_path, capsys):
+    """The 3-location, 2-value laws run: pinned bytes inside 30 s."""
+    doc = dict(MEMORY_DOC, locations=["x", "y", "z"], formulas={})
+    model_path = write_model(tmp_path, doc)
+    started = time.perf_counter()
+    code = main(["laws", "--model", model_path, "--samples", "10", "--seed", "7", "--json"])
+    elapsed = time.perf_counter() - started
+    assert code == 0
+    assert capsys.readouterr().out == (
+        '{"command": "laws", "model": ' + json.dumps(model_path) + ', "status": '
+        '{"residuation": "ok (10 samples)", "monoid-laws": "ok", "day-stability": "ok", '
+        '"adjunction": "ok", "amalgamation-iso": "ok"}, "witnesses": [], "exit_code": 0}\n'
+    )
+    assert elapsed < 30, f"laws at 3 locations took {elapsed:.1f} s"
 
 
 def test_laws_rejects_an_empty_sample_count(tmp_path, capsys):

@@ -1,0 +1,209 @@
+"""Differential tests: the coend on ids and the pointwise monoid-law
+certificate in `sheafsep.day` against the element-level references in
+`day_reference`."""
+
+import functools
+
+import pytest
+
+import day_reference as ref
+from sheafsep import day
+from sheafsep.day import (
+    UNDEFINED,
+    ResourceMonoid,
+    _coend_triples,
+    build_memory_monoid,
+    check_monoid_laws,
+    day_coend,
+    day_decomp,
+    dinaturality_generators,
+)
+from sheafsep.errors import BudgetExceededError
+from sheafsep.fincat import build_finsurj_category, build_powerset_category
+from sheafsep.presheaf import Heap, build_resource_sheaf, check_sheaf
+from sheafsep.site import build_coverage
+
+KINDS = {
+    "M": ("strict-memory", {}),
+    "Mp": ("partial-memory", {}),
+    "bounded": ("support-bounded", {"bound": 1}),
+}
+VARIANTS = ("total", "weak-partial", "strong-partial")
+COVERAGES = ("downward-closed", "finite-covers")
+
+
+@functools.cache
+def _powerset(n_locs):
+    return build_powerset_category(["x", "y", "z"][:n_locs])
+
+
+@functools.cache
+def _sheaf(kind, n_locs, n_values):
+    name, kwargs = KINDS[kind]
+    return build_resource_sheaf(_powerset(n_locs)[0], name, values=(0, 1)[:n_values], **kwargs)
+
+
+def assert_same_coend(f_sheaf, g_sheaf, mon):
+    """Equal classes and representatives at every stage, equal classes of
+    every witnessed triple and equal restriction tables; returns both."""
+    new, old = day_coend(f_sheaf, g_sheaf, mon), ref.day_coend(f_sheaf, g_sheaf, mon)
+    cat = f_sheaf.base
+    for a in cat.objects:
+        assert new.at(a) == old.at(a)
+        for t in _coend_triples(cat, mon, f_sheaf, g_sheaf, a):
+            assert new.class_of(t) == old.class_of(t)
+    for h in cat.all_morphisms():
+        assert new.table(h) == old.table(h)
+    return new, old
+
+
+@functools.cache
+def _memory_coends(left, right, n_locs, n_values):
+    f_sheaf, g_sheaf = _sheaf(left, n_locs, n_values), _sheaf(right, n_locs, n_values)
+    mon = _powerset(n_locs)[1]
+    new, old = assert_same_coend(f_sheaf, g_sheaf, mon)
+    # canonical poset decompositions go through their canonical witness
+    decomp = day_decomp(f_sheaf, g_sheaf, mon)
+    for a in f_sheaf.base.objects:
+        for d in decomp.at(a):
+            assert new.class_of(d) == old.class_of(d)
+    return new, old
+
+
+@pytest.mark.parametrize("coverage", COVERAGES)
+@pytest.mark.parametrize("n_values", [1, 2])
+@pytest.mark.parametrize("n_locs", [2, 3])
+@pytest.mark.parametrize("right", KINDS)
+@pytest.mark.parametrize("left", KINDS)
+def test_memory_coend_agrees_with_reference(left, right, n_locs, n_values, coverage):
+    new, old = _memory_coends(left, right, n_locs, n_values)
+    cov = build_coverage(_powerset(n_locs)[0], coverage)
+    assert check_sheaf(new, cov).as_dict() == check_sheaf(old, cov).as_dict()
+
+
+def test_yoneda_coends_agree_with_reference_on_the_powerset():
+    cat, mon = _powerset(3)
+    yo = {a: build_resource_sheaf(cat, "yoneda", at_object=a) for a in cat.objects}
+    for a in cat.objects:
+        for b in cat.objects:
+            assert_same_coend(yo[a], yo[b], mon)
+
+
+def test_yoneda_coends_agree_with_reference_on_surjections():
+    cat, mon = build_finsurj_category(3)
+    yo = {n: build_resource_sheaf(cat, "yoneda", at_object=n) for n in cat.objects}
+    for n in cat.objects:
+        for m in cat.objects:
+            assert_same_coend(yo[n], yo[m], mon)
+
+
+def test_coend_of_a_stage_with_a_repeated_element_agrees_with_reference():
+    cat, mon = _powerset(2)
+    twice = build_resource_sheaf(cat, "constant", elements=(1, 0, 1))
+    assert twice.at(("x",)) == (0, 1, 1)
+    for other in (twice, _sheaf("Mp", 2, 1)):
+        assert_same_coend(twice, other, mon)
+        assert_same_coend(other, twice, mon)
+
+
+def test_budget_error_is_unchanged_and_comes_before_any_decomp(monkeypatch):
+    mp = _sheaf("Mp", 2, 2)
+    mon, top = _powerset(2)[1], ("x", "y")
+    with pytest.raises(BudgetExceededError) as want:
+        ref.day_coend(mp, mp, mon, budget=3).at(top)
+
+    def no_decomp(*args, **kwargs):
+        raise AssertionError("a Decomp was built before the budget check")
+
+    with monkeypatch.context() as m:
+        m.setattr(day, "Decomp", no_decomp)
+        with pytest.raises(BudgetExceededError) as got:
+            day_coend(mp, mp, mon, budget=3).at(top)
+    assert str(got.value) == str(want.value)
+    assert got.value.size == want.value.size
+    # the budget is inclusive
+    assert day_coend(mp, mp, mon, budget=got.value.size).at(top)
+
+
+@pytest.mark.parametrize("base,pairs", [("powerset", 192), ("finsurj", 28)])
+def test_dinaturality_generator_count(base, pairs, monkeypatch):
+    """The work gate: 192 generators on the 3-location powerset, against
+    729 pairs of morphisms; 28 on the size-3 surjection base, against 33."""
+    if base == "powerset":
+        cat, mon = _powerset(3)
+        sheaf = build_resource_sheaf(cat, "yoneda", at_object=("x",))
+    else:
+        cat, mon = build_finsurj_category(3)
+        sheaf = build_resource_sheaf(cat, "yoneda", at_object=1)
+    used = []
+
+    def counted(*args):
+        used.append(dinaturality_generators(*args))
+        return used[-1]
+
+    monkeypatch.setattr(day, "dinaturality_generators", counted)
+    coend = day_coend(sheaf, sheaf, mon)
+    for a in cat.objects:
+        coend.at(a)
+    assert [len(gens) for gens in used] == [pairs]
+
+
+@pytest.mark.parametrize("n_locs", [1, 2, 3])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_certificate_agrees_with_the_triple_walk(variant, n_locs):
+    mp, mon = _sheaf("Mp", n_locs, 2), _powerset(n_locs)[1]
+    new = check_monoid_laws(build_memory_monoid(mp, variant), mon)
+    old = ref.check_monoid_laws(build_memory_monoid(mp, variant), mon)
+    assert new.ok and old.ok
+    n_unit = sum(len(mp.at(a)) for a in mp.base.objects)
+    assert old.notes[0].startswith(f"checked {n_unit} unit and ")
+    # the cells are None, 0 and 1
+    assert new.notes == [f"checked {n_unit} unit and 27 associativity instances"]
+
+
+BROKEN_CELLS = {
+    "commutativity": lambda x, y: x,
+    "associativity": lambda x, y: (
+        None if x == y else y if x is None else x if y is None else UNDEFINED
+    ),
+}
+
+
+@pytest.mark.parametrize("law", BROKEN_CELLS)
+def test_both_flag_a_broken_cell_rule(law):
+    mp, mon = _sheaf("Mp", 2, 2), _powerset(2)[1]
+
+    def broken():
+        return ResourceMonoid(mp, "broken", BROKEN_CELLS[law], (), Heap((), ()))
+
+    assert set(check_monoid_laws(broken(), mon).kinds()) == {law}
+    assert set(ref.check_monoid_laws(broken(), mon).kinds()) == {law}
+
+
+@pytest.mark.parametrize("defined", [True, False])
+def test_certificate_flags_a_tampered_product_entry(defined):
+    mp, mon = _sheaf("Mp", 2, 2), _powerset(2)[1]
+    monoid = build_memory_monoid(mp, "weak-partial")
+    assert check_monoid_laws(monoid, mon).ok
+    rows = monoid.products(("x",), ("x", "y"))
+    i, j = next((i, j) for i, row in enumerate(rows) for j, k in enumerate(row)
+                if (k != -1) == defined)
+    rows[i][j] = -1 if defined else 0
+    rep = check_monoid_laws(monoid, mon)
+    assert rep.kinds() == ["pointwise"]
+    s, t = mp.at(("x",))[i], mp.at(("x", "y"))[j]
+    assert rep.violations[0].detail.startswith(f"{s}.{t} is ")
+
+
+def test_certificate_flags_products_that_leave_the_carrier():
+    """On a support-bounded carrier two disjoint singletons multiply to a
+    heap outside it.  The product table holds -1 there though no cell is
+    UNDEFINED, so the certificate flags it; the triple walk multiplies
+    heaps outside the carrier and does not notice."""
+    bounded, mon = _sheaf("bounded", 2, 1), _powerset(2)[1]
+    monoid = build_memory_monoid(bounded, "strong-partial")
+    rep = check_monoid_laws(monoid, mon)
+    assert set(rep.kinds()) == {"pointwise"}
+    assert "<x:0>.<y:0> is None in the product table, but outside the carrier" in {
+        v.detail for v in rep.violations}
+    assert ref.check_monoid_laws(build_memory_monoid(bounded, "strong-partial"), mon).ok
