@@ -47,6 +47,7 @@ from .site import validate_coverage
 
 SCHEMA_VERSION = 1
 POWERSET_LOCATION_BOUND = 4
+TOP_STAGE_HEAP_BOUND = 11**4  # (|values| + 1) ** |locations| partial heaps
 
 
 # -- model loading -------------------------------------------------------------
@@ -74,6 +75,10 @@ def _load_memory_model(doc, name) -> ResourceModel:
     values = doc.get("values")
     _require(isinstance(values, list) and values, "values", "nonempty list required")
     _require(all(_is_int(v) for v in values), "values", "values must be integers")
+    n_values, n_locations = len(set(values)), len(set(locations))
+    heaps = (n_values + 1) ** n_locations
+    _require(heaps <= TOP_STAGE_HEAP_BOUND, "values", f"bound exceeded: {n_values} values at "
+             f"{n_locations} locations give {heaps} heaps > {TOP_STAGE_HEAP_BOUND}")
     sheaf_kind = doc.get("sheaf", "partial-memory")
     _require(
         sheaf_kind in ("partial-memory", "strict-memory", "support-bounded"),

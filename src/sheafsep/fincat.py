@@ -174,13 +174,6 @@ class FunctorData:
 # -- builders -----------------------------------------------------------
 
 
-def _subsets(items):
-    out = [()]
-    for x in items:
-        out += [s + (x,) for s in out]
-    return sorted({tuple(sorted(s)) for s in out}, key=lambda s: (len(s), s))
-
-
 def incl(src, dst):
     return ("incl", tuple(src), tuple(dst))
 
@@ -196,32 +189,23 @@ def build_powerset_category(locations, size_bound=POWERSET_SIZE_BOUND):
         raise SizeBoundError(
             f"{len(locations)} locations exceed the powerset bound {size_bound}"
         )
-    objects = _subsets(locations)
-    homs = {}
-    for a in objects:
-        for b in objects:
-            if set(a) <= set(b):
-                homs[(a, b)] = (incl(a, b),)
-    compose = {}
-    for a in objects:
-        for b in objects:
-            if not set(a) <= set(b):
-                continue
-            for c in objects:
-                if set(b) <= set(c):
-                    compose[(incl(b, c), incl(a, b))] = incl(a, c)
-    identities = {a: incl(a, a) for a in objects}
+    # bit i of mask[a] is locations[i]: a <= b iff mask[a] | mask[b] == mask[b]
+    of_mask = {
+        m: tuple(x for i, x in enumerate(locations) if m >> i & 1)
+        for m in range(1 << len(locations))
+    }
+    mask = {a: m for m, a in of_mask.items()}
+    objects = sorted(mask, key=lambda a: (len(a), a))
+    above = {a: [b for b in objects if mask[a] | mask[b] == mask[b]] for a in objects}
+    homs = {(a, b): (incl(a, b),) for a in objects for b in above[a]}
+    compose = {(homs[b, c][0], homs[a, b][0]): homs[a, c][0]
+               for a in objects for b in above[a] for c in above[b]}
+    identities = {a: homs[a, a][0] for a in objects}
     cat = FinCat("powerset", objects, homs, compose, identities)
-    tensor_obj = {}
-    tensor_mor = {}
-    for a in objects:
-        for b in objects:
-            tensor_obj[(a, b)] = tuple(sorted(set(a) | set(b)))
-    for (a, b), fs in homs.items():
-        for (c, d), gs in homs.items():
-            tensor_mor[(fs[0], gs[0])] = incl(
-                tensor_obj[(a, c)], tensor_obj[(b, d)]
-            )
+    tensor_obj = {(a, b): of_mask[mask[a] | mask[b]] for a in objects for b in objects}
+    mors = [(f, mask[a], mask[b]) for (a, b), (f,) in homs.items()]
+    of_masks = {(ma, mb): f for f, ma, mb in mors}
+    tensor_mor = {(f, g): of_masks[ma | mc, mb | md] for f, ma, mb in mors for g, mc, md in mors}
     mon = MonoidalStructure(tensor_obj, tensor_mor, unit=(), symmetric=True)
     return cat, mon
 

@@ -2,7 +2,8 @@
 
 All three coverage axioms are decidable by exhaustive enumeration here,
 so a Coverage literally stores the set of covering sieves per object and
-`validate_coverage` replays the axioms against that table.
+`validate_coverage` replays the axioms against that table.  Both run on
+`SieveMasks`; `Sieve` objects are built only for covers and at the API.
 
 A cover of the empty stage: the union criterion on a powerset admits the
 empty sieve as a cover of the empty set.  We exclude it (a sieve must be
@@ -13,13 +14,10 @@ empty predicate is a valid subsheaf.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_
 
-from .errors import (
-    BudgetExceededError,
-    CoverageKindError,
-    PreCoverageError,
-    UnknownObjectError,
-)
+from .errors import BudgetExceededError, CoverageKindError, PreCoverageError, UnknownObjectError
 from .fincat import FinCat, MonoidalStructure, slice_category
 from .report import Report
 
@@ -51,93 +49,133 @@ class PreCover:
         return tuple(sorted(self.family))
 
 
+def _bits(m):
+    """Positions of the set bits of m, low to high."""
+    return [i for i, c in enumerate(reversed(bin(m))) if c == "1"]
+
+
+def _pull(table, m):
+    """h*(S) = {g | h.g in S} on masks: `table` pairs the bit of h.g on
+    dst(h) with the bit of g on src(h), for every g into src(h)."""
+    out = 0
+    for on_dst, on_src in table:
+        if m & on_dst:
+            out |= on_src
+    return out
+
+
+class SieveMasks:
+    """The sieves of `cat` as ints.  Bit i of a mask on `a` is the i-th
+    morphism into `a` in sorted order, so the set bits read low to high
+    are a sieve's `sorted_members`.  Tables are built on first use and
+    live as long as the instance."""
+
+    def __init__(self, cat: FinCat):
+        self.cat = cat
+        self._bit, self._pull, self._closure, self._all = {}, {}, {}, {}
+
+    def bit(self, a):
+        """Morphism into `a` -> its bit, in sorted order; empty for a non-object."""
+        if a not in self._bit:
+            into = self.cat.mors_into(a) if a in self.cat.objects else ()
+            self._bit[a] = {f: 1 << i for i, f in enumerate(sorted(into))}
+        return self._bit[a]
+
+    def pull(self, h):
+        if h not in self._pull:
+            cat, on_dst = self.cat, self.bit(self.cat.dst(h))
+            self._pull[h] = tuple(
+                (on_dst[cat.compose(h, g)], on_src) for g, on_src in self.bit(cat.src(h)).items()
+            )
+        return self._pull[h]
+
+    def generate(self, a, generators):
+        """The mask of the sieve on `a` generated by `generators`: every f.g."""
+        m = 0
+        for f in generators:
+            if self.cat.dst(f) != a:
+                raise UnknownObjectError(f"generator {f!r} does not target {a!r}")
+            for on_dst, _ in self.pull(f):
+                m |= on_dst
+        return m
+
+    def closure(self, a):
+        """Morphism into `a` -> the mask of the sieve it generates, in sorted order."""
+        if a not in self._closure:
+            self._closure[a] = {f: self.generate(a, (f,)) for f in self.bit(a)}
+        return self._closure[a]
+
+    def mask(self, a, members):
+        """The bits of the members that target `a`; the others are dropped,
+        so the mask is exact iff its popcount is len(members)."""
+        bit = self.bit(a)
+        return sum(bit.get(f, 0) for f in members)
+
+    def is_sieve(self, s: Sieve) -> bool:
+        m, closure = self.mask(s.target, s.members), self.closure(s.target)
+        exact = m.bit_count() == len(s.members)
+        return exact and all(closure[f] | m == m for f in s.members)
+
+    def sorted_members(self, a, m):
+        return tuple(f for f, on_a in self.bit(a).items() if m & on_a)
+
+    def sieve(self, a, m) -> Sieve:
+        return Sieve(a, frozenset(self.sorted_members(a, m)))
+
+    def all(self, a):
+        """Every sieve on `a`, in `all_sieves` order: the unions of the
+        sieves its morphisms generate."""
+        if a not in self._all:
+            closure = self.closure(a)
+            if len(closure) > SIEVE_ENUM_LIMIT:
+                raise BudgetExceededError(
+                    f"{len(closure)} morphisms into {a!r} exceed the sieve enumeration limit",
+                    size=len(closure),
+                )
+            found, frontier = {0}, [0]
+            while frontier:
+                m = frontier.pop()
+                for c in closure.values():
+                    if m | c not in found:
+                        found.add(m | c)
+                        frontier.append(m | c)
+            self._all[a] = sorted(found, key=lambda m: (m.bit_count(), _bits(m)))
+        return self._all[a]
+
+
 def maximal_sieve(cat: FinCat, a) -> Sieve:
     return Sieve(a, frozenset(cat.mors_into(a)))
 
 
 def generate_sieve(cat: FinCat, target, generators) -> Sieve:
     """Close a family of morphisms into `target` under precomposition."""
-    members = set()
-    frontier = list(generators)
-    for f in frontier:
-        if cat.dst(f) != target:
-            raise UnknownObjectError(f"generator {f!r} does not target {target!r}")
-    while frontier:
-        f = frontier.pop()
-        if f in members:
-            continue
-        members.add(f)
-        for k in cat.mors_into(cat.src(f)):
-            fk = cat.compose(f, k)
-            if fk not in members:
-                frontier.append(fk)
-    return Sieve(target, frozenset(members))
-
-
-def is_sieve(cat: FinCat, s: Sieve) -> bool:
-    for f in s.members:
-        if cat.dst(f) != s.target:
-            return False
-        for k in cat.mors_into(cat.src(f)):
-            if cat.compose(f, k) not in s.members:
-                return False
-    return True
+    sm = SieveMasks(cat)
+    return sm.sieve(target, sm.generate(target, generators))
 
 
 def pullback_sieve(cat: FinCat, s: Sieve, h) -> Sieve:
     """h*(S) = {g | h.g in S}, a sieve on src(h)."""
     if cat.dst(h) != s.target:
-        raise UnknownObjectError(
-            f"cannot pull back a sieve on {s.target!r} along {h!r}"
-        )
-    b = cat.src(h)
-    members = frozenset(g for g in cat.mors_into(b) if cat.compose(h, g) in s.members)
-    return Sieve(b, members)
+        raise UnknownObjectError(f"cannot pull back a sieve on {s.target!r} along {h!r}")
+    sm = SieveMasks(cat)
+    return sm.sieve(cat.src(h), _pull(sm.pull(h), sm.mask(s.target, s.members)))
 
 
 def all_sieves(cat: FinCat, a) -> list[Sieve]:
-    """Every sieve on `a`: the subsets of the morphisms into a that are
-    closed under precomposition, grown one morphism at a time."""
-    mors = cat.mors_into(a)
-    if len(mors) > SIEVE_ENUM_LIMIT:
-        raise BudgetExceededError(
-            f"{len(mors)} morphisms into {a!r} exceed the sieve enumeration limit",
-            size=len(mors),
-        )
-    # bit j of closure[i] is set when mors[j] = mors[i].k for some k
-    pos = {f: i for i, f in enumerate(mors)}
-    closure = [0] * len(mors)
-    for i, f in enumerate(mors):
-        for k in cat.mors_into(cat.src(f)):
-            closure[i] |= 1 << pos[cat.compose(f, k)]
-    masks = []
-
-    def grow(i, chosen, refused):
-        # decide mors[i]: kept when forced by an earlier choice, otherwise
-        # refused, or chosen together with its closure if that refuses nothing
-        if i == len(mors):
-            masks.append(chosen)
-        elif chosen >> i & 1:
-            grow(i + 1, chosen, refused)
-        else:
-            grow(i + 1, chosen, refused | 1 << i)
-            if not closure[i] & refused:
-                grow(i + 1, chosen | closure[i], refused)
-
-    grow(0, 0, 0)
-    out = [
-        Sieve(a, frozenset(f for i, f in enumerate(mors) if m >> i & 1)) for m in masks
-    ]
-    return sorted(out, key=lambda s: (len(s.members), s.sorted_members()))
+    """Every sieve on `a`, ordered by size and then sorted members."""
+    cat.require_object(a)
+    sm = SieveMasks(cat)
+    return [sm.sieve(a, m) for m in sm.all(a)]
 
 
 class Coverage:
     """Assignment object -> set of covering sieves, stored explicitly."""
 
-    def __init__(self, cat: FinCat, by_object, notes=()):
+    def __init__(self, cat: FinCat, by_object, notes=(), sieve_masks=None):
         self.cat = cat
         self.by_object = {a: frozenset(by_object.get(a, ())) for a in cat.objects}
         self.notes = tuple(notes)
+        self.sieve_masks = sieve_masks if sieve_masks is not None else SieveMasks(cat)
         self._sorted = {
             a: tuple(sorted(ss, key=lambda s: (len(s.members), s.sorted_members())))
             for a, ss in self.by_object.items()
@@ -152,11 +190,8 @@ class Coverage:
 
     def min_cover(self, a) -> Sieve:
         """The least covering sieve (covers are closed under intersection)."""
-        covers = self.covers(a)
         members = frozenset(self.cat.mors_into(a))
-        for s in covers:
-            members &= s.members
-        return Sieve(a, members)
+        return Sieve(a, members.intersection(*(s.members for s in self.covers(a))))
 
     def __repr__(self):
         total = sum(len(v) for v in self.by_object.values())
@@ -181,34 +216,6 @@ class Site:
         return self._slice_cache[a]
 
 
-# -- poset helpers ------------------------------------------------------
-
-
-def _leq(cat: FinCat, a, b) -> bool:
-    return bool(cat.hom(a, b))
-
-
-def _is_poset(cat: FinCat) -> bool:
-    if not cat.thin:
-        return False
-    for a in cat.objects:
-        for b in cat.objects:
-            if a != b and _leq(cat, a, b) and _leq(cat, b, a):
-                return False
-    return True
-
-
-def _lub(cat: FinCat, parts) -> object | None:
-    """Least upper bound of a set of objects in a finite poset, if any."""
-    uppers = [
-        u
-        for u in cat.objects
-        if all(_leq(cat, p, u) for p in parts)
-    ]
-    least = [u for u in uppers if all(_leq(cat, u, v) for v in uppers)]
-    return least[0] if least else None
-
-
 # -- coverage builders --------------------------------------------------
 
 
@@ -217,47 +224,47 @@ def build_coverage(cat: FinCat, kind: str) -> Coverage:
 
     downward-closed  on a poset: a nonempty sieve covers iff its sources
                      have the target as least upper bound (on a powerset:
-                     the union of the sources is the target).
+                     the union of the sources is the target), that is iff
+                     the AND of their up-set masks is the target's.
     finite-covers    downward closures of finite pre-covers; on a finite
                      base this coincides with downward-closed and the
                      coincidence is recorded in the coverage notes.
     atomic           every nonempty sieve covers; requires every cospan
                      to be completable (checked, witness reported).
     """
+    sm = SieveMasks(cat)
     if kind in ("downward-closed", "finite-covers"):
-        if not _is_poset(cat):
+        if not cat.thin or any(a != b and (b, a) in cat.homs for a, b in cat.homs):
             raise CoverageKindError(f"{kind} coverage requires a poset base, got {cat.kind!r}")
+        up = {x: sum(1 << u for u, y in enumerate(cat.objects) if (x, y) in cat.homs)
+              for x in cat.objects}  # bit u of up[x] is set when x <= objects[u]
         by_object = {}
         for a in cat.objects:
-            covering = []
-            for s in all_sieves(cat, a):
-                if not s.members:
-                    continue
-                srcs = {cat.src(f) for f in s.members}
-                if _lub(cat, srcs) == a:
-                    covering.append(s)
-            by_object[a] = covering
+            src_up = [up[cat.src(f)] for f in sm.bit(a)]
+            by_object[a] = [
+                m for m in sm.all(a)
+                if m and reduce(and_, (src_up[i] for i in _bits(m))) == up[a]
+            ]
         notes = [f"covering = nonempty sieve whose sources have lub equal to the stage ({kind})"]
         if kind == "finite-covers":
             notes.append(
                 "on a finite base every covering sieve is the downward closure of a "
                 "finite pre-cover, so finite-covers coincides with downward-closed"
             )
-        cov = Coverage(cat, by_object, notes)
     elif kind == "atomic":
-        witness = _cospan_completion_failure(cat)
-        if witness is not None:
-            f, h = witness
-            raise CoverageKindError(
-                "atomic coverage invalid: cospan "
-                f"({f!r}, {h!r}) admits no completion inside the size bound"
-            )
-        by_object = {
-            a: [s for s in all_sieves(cat, a) if s.members] for a in cat.objects
-        }
-        cov = Coverage(cat, by_object, ("covering = nonempty sieve (atomic)",))
+        for f in cat.all_morphisms():  # every cospan must have a commuting span
+            for h in cat.mors_into(cat.dst(f)):
+                if not cat.squares(h, f):
+                    raise CoverageKindError(
+                        f"atomic coverage invalid: cospan ({f!r}, {h!r}) admits no "
+                        "completion inside the size bound"
+                    )
+        by_object = {a: [m for m in sm.all(a) if m] for a in cat.objects}
+        notes = ("covering = nonempty sieve (atomic)",)
     else:
         raise CoverageKindError(f"unknown coverage kind {kind!r}")
+    cov = Coverage(cat, {a: [sm.sieve(a, m) for m in ms] for a, ms in by_object.items()},
+                   notes, sieve_masks=sm)
     rep = validate_coverage(cat, cov)
     if not rep.ok:
         raise CoverageKindError(
@@ -267,76 +274,73 @@ def build_coverage(cat: FinCat, kind: str) -> Coverage:
     return cov
 
 
-def _cospan_completion_failure(cat: FinCat):
-    """First cospan (f, h) with common target admitting no commuting span."""
-    for f in cat.all_morphisms():
-        for h in cat.mors_into(cat.dst(f)):
-            if not cat.squares(h, f):
-                return (f, h)
-    return None
-
-
-def _forced_sieves(cat: FinCat, covers, is_cover):
-    """Sieves that stability and transitivity force in but `is_cover`
-    lacks, as (axiom, sieve, cover, h): the pullback of `cover` along h,
-    or a sieve that is locally covering via `cover` (h is None).
-    `covers(a)` lists the covering sieves on a and is read anew for every
+def _forced_sieves(sm: SieveMasks, covers, covering):
+    """Sieves that stability and transitivity force in but the sets
+    `covering[b]` of covering masks lack, as (axiom, a, j, b, m, h): the
+    mask m on b is the pullback of the j-th mask in covers(a) along h, or
+    (h None) locally covering via it.  `covers(a)` is read anew for every
     sieve tested, so a caller that adds each yielded sieve sweeps the
-    enlarged coverage.  Pullbacks do not depend on the coverage, so a
-    sieve tested for transitivity is pulled back once per morphism."""
+    enlarged coverage.  A sieve tested for transitivity is pulled back at
+    most once per morphism."""
+    cat = sm.cat
     for a in cat.objects:
-        for s in covers(a):
-            for h in cat.mors_into(a):
-                pb = pullback_sieve(cat, s, h)
-                if not is_cover(pb):
-                    yield "stability", pb, s, h
+        legs = [(h, cat.src(h), sm.pull(h)) for h in cat.mors_into(a)]
+        for j, s in enumerate(covers(a)):
+            for h, b, table in legs:
+                pb = _pull(table, s)
+                if pb not in covering[b]:
+                    yield "stability", a, j, b, pb, h
     for a in cat.objects:
-        for r in all_sieves(cat, a):
-            if is_cover(r):
+        legs = [(cat.src(f), sm.pull(f)) for f in sm.bit(a)]
+        for r in sm.all(a):
+            if r in covering[a]:
                 continue
-            covered = {}  # h -> whether r pulls back along h to a cover
-            for s in covers(a):
-                for h in s.sorted_members():
-                    if h not in covered:
-                        covered[h] = is_cover(pullback_sieve(cat, r, h))
-                    if not covered[h]:
-                        break
-                else:
-                    yield "transitivity", r, s, None
+            good = bad = 0  # the legs along which r is known to pull back to a cover, or not
+            for j, s in enumerate(covers(a)):
+                # walk the members of s low to high until one is not good
+                rest = s & ~good
+                while rest and not rest & -rest & bad:
+                    low = rest & -rest
+                    b, table = legs[low.bit_length() - 1]
+                    if _pull(table, r) in covering[b]:
+                        good |= low
+                        rest ^= low
+                    else:
+                        bad |= low
+                if not rest:
+                    yield "transitivity", a, j, a, r, None
                     break
 
 
 def validate_coverage(cat: FinCat, cov: Coverage) -> Report:
     """Replay maximality, stability and transitivity exhaustively."""
     rep = Report("coverage axioms")
+    sm = cov.sieve_masks if cov.cat is cat else SieveMasks(cat)
     for a in cat.objects:
         for s in cov.by_object.get(a, ()):
             if s.target != a:
                 rep.flag("typing", f"sieve on {s.target!r} filed under {a!r}")
-            if not is_sieve(cat, s):
+            if not sm.is_sieve(s):
                 rep.flag("typing", f"member set on {a!r} is not a sieve: {s.sorted_members()!r}")
-    for a in cat.objects:
-        if maximal_sieve(cat, a) not in cov.by_object.get(a, frozenset()):
-            rep.flag("maximality", f"maximal sieve missing at {a!r}")
     # a sieve filed under the wrong object is a typing fault, not a cover
-    filed = {a: [s for s in cov.covers(a) if s.target == a] for a in cat.objects}
-    for axiom, r, s, h in _forced_sieves(cat, filed.__getitem__, cov.is_cover):
+    filed, masks, exact = {}, {}, {}  # exact: masks that drop no member
+    for a in cat.objects:
+        filed[a] = [s for s in cov.covers(a) if s.target == a]
+        masks[a] = [sm.mask(a, s.members) for s in filed[a]]
+        exact[a] = {m for m, s in zip(masks[a], filed[a]) if m.bit_count() == len(s.members)}
+        if (1 << len(sm.bit(a))) - 1 not in exact[a]:
+            rep.flag("maximality", f"maximal sieve missing at {a!r}")
+    for axiom, a, j, b, m, h in _forced_sieves(sm, masks.__getitem__, exact):
+        s = filed[a][j]
         if axiom == "stability":
             rep.flag(axiom, f"pullback of {s.sorted_members()!r} along {h!r} is not covering")
         else:
-            rep.flag(
-                axiom,
-                f"sieve {r.sorted_members()!r} on {r.target!r} is locally covering "
-                f"via {s.sorted_members()!r} but not covering",
-            )
+            rep.flag(axiom, f"sieve {sm.sorted_members(b, m)!r} on {b!r} is locally covering "
+                     f"via {s.sorted_members()!r} but not covering")
     return rep
 
 
 # -- pre-coverages and saturation ---------------------------------------
-
-
-def _identity_precover(cat: FinCat, a) -> PreCover:
-    return PreCover(a, frozenset({cat.id(a)}))
 
 
 def saturate_precoverage(cat: FinCat, assignment) -> Coverage:
@@ -356,7 +360,7 @@ def saturate_precoverage(cat: FinCat, assignment) -> Coverage:
                 )
             for h in cat.mors_into(a):
                 b = cat.src(h)
-                candidates = list(assignment[b]) + [_identity_precover(cat, b)]
+                candidates = list(assignment[b]) + [PreCover(b, frozenset({cat.id(b)}))]
                 if not any(
                     all(
                         any(cat.factorisations(cat.compose(h, g), f) for f in pc.family)
@@ -370,27 +374,24 @@ def saturate_precoverage(cat: FinCat, assignment) -> Coverage:
                         precover=pc,
                         morphism=h,
                     )
-    sieves = {a: {maximal_sieve(cat, a)} for a in cat.objects}
+    sm = SieveMasks(cat)
+    masks = {a: {(1 << len(sm.bit(a))) - 1} for a in cat.objects}
     for a in cat.objects:
-        sieves[a].update(generate_sieve(cat, a, pc.family) for pc in assignment[a])
+        masks[a].update(sm.generate(a, pc.family) for pc in assignment[a])
     changed = True
     while changed:
         changed = False
-        for _, r, _, _ in _forced_sieves(
-            cat, lambda a: list(sieves[a]), lambda s: s in sieves[s.target]
-        ):
-            sieves[r.target].add(r)
+        for _, _, _, b, m, _ in _forced_sieves(sm, lambda a: list(masks[a]), masks):
+            masks[b].add(m)
             changed = True
-    return Coverage(cat, sieves, ("saturation of a pre-coverage",))
+    sieves = {a: [sm.sieve(a, m) for m in ms] for a, ms in masks.items()}
+    return Coverage(cat, sieves, ("saturation of a pre-coverage",), sieve_masks=sm)
 
 
 def trivial_coverage(cat: FinCat) -> Coverage:
     """Only maximal sieves cover; the saturation of the empty assignment."""
-    return Coverage(
-        cat,
-        {a: [maximal_sieve(cat, a)] for a in cat.objects},
-        ("covering = maximal sieve only",),
-    )
+    maximal = {a: [maximal_sieve(cat, a)] for a in cat.objects}
+    return Coverage(cat, maximal, ("covering = maximal sieve only",))
 
 
 # -- slice coverages ----------------------------------------------------
@@ -398,17 +399,20 @@ def trivial_coverage(cat: FinCat) -> Coverage:
 
 def slice_coverage(cov: Coverage, a, prebuilt=None) -> Coverage:
     """Coverage induced on cat/a: a slice sieve covers iff its image
-    under the domain functor is covering in the base."""
+    under the domain functor is covering in the base.  That functor maps
+    the morphisms into p one to one onto those into src(p), and sieves
+    onto sieves, so the covers at p are the base covers at src(p)."""
     cat = cov.cat
     cat.require_object(a)
     sl, dom = prebuilt if prebuilt is not None else slice_category(cat, a)
+    sm = cov.sieve_masks
     by_object = {}
     for p in sl.objects:
-        covering = []
-        for s in all_sieves(sl, p):
-            base_members = frozenset(dom.on_mor(m) for m in s.members)
-            base_sieve = Sieve(cat.src(p), base_members)
-            if cov.is_cover(base_sieve):
-                covering.append(s)
-        by_object[p] = covering
+        b = cat.src(p)
+        over = {dom.on_mor(m): m for m in sl.mors_into(p)}
+        by_object[p] = [
+            Sieve(p, frozenset(over[g] for g in s.members))
+            for s in cov.covers(b)
+            if s.target == b and sm.is_sieve(s)
+        ]
     return Coverage(sl, by_object, (f"slice coverage over {a!r}",))

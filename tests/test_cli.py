@@ -62,6 +62,29 @@ def test_load_model_bound_exceeded(tmp_path):
     assert exc.value.path == "locations"
 
 
+def test_oversized_memory_model_refused_up_front(tmp_path, capsys):
+    """40 values at 4 locations give 41^4 partial heaps at the top stage;
+    the model is refused at load, before any site or sheaf is built."""
+    doc = dict(MEMORY_DOC, locations=["w", "x", "y", "z"], values=list(range(40)))
+    path = write_model(tmp_path, doc)
+    start = time.perf_counter()
+    assert main(["check-sheaf", "--model", path, "--json"]) == 2
+    assert time.perf_counter() - start < 2
+    error = json.loads(capsys.readouterr().out)
+    assert error["error"] == "ModelSchemaError"
+    assert "40 values at 4 locations give 2825761 heaps" in error["detail"]
+    with pytest.raises(ModelSchemaError) as exc:
+        load_model(path)
+    assert exc.value.path == "values"
+
+
+def test_ten_values_at_four_locations_still_load(tmp_path):
+    """11^4 heaps is the bound itself, so ten values still load."""
+    doc = dict(MEMORY_DOC, locations=["w", "x", "y", "z"], values=list(range(10)))
+    model = load_model(write_model(tmp_path, doc))
+    assert model.values == tuple(range(10))
+
+
 def test_load_model_monoid_needs_partial_memory(tmp_path):
     doc = dict(MEMORY_DOC, sheaf="strict-memory")
     with pytest.raises(ModelSchemaError) as exc:
@@ -348,9 +371,14 @@ def test_json_reports_byte_identical_across_processes(tmp_path):
         "both",
         "--json",
     ]
+    import sheafsep
+
+    # the child does not see pytest's pythonpath, so hand it the package's src
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sheafsep.__file__)))
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     outputs = set()
     for seed in ("0", "1", "314159"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
         proc = subprocess.run(argv, capture_output=True, env=env, check=True)
         outputs.add(proc.stdout)
     assert len(outputs) == 1

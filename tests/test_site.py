@@ -273,19 +273,47 @@ def test_validate_flags_transitivity_without_stability():
 def test_coverage_replay_pullbacks_at_the_size_bound(monkeypatch):
     """Deterministic work gate: replaying the axioms of the four-location
     downward-closed coverage pulls each sieve tested for transitivity
-    back once per morphism, in sorted member order, so the count does not
-    depend on the hash seed."""
+    back once per morphism, in sorted member order, so the count of
+    encoded pullbacks does not depend on the hash seed."""
     import sheafsep.site as site
 
     cat, _ = build_powerset_category({"a", "b", "c", "d"})
     cov = build_coverage(cat, "downward-closed")
     calls = 0
+    pull = site._pull
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return pullback_sieve(*args)
+        return pull(*args)
 
-    monkeypatch.setattr(site, "pullback_sieve", counted)
+    monkeypatch.setattr(site, "_pull", counted)
     assert validate_coverage(cat, cov).ok
     assert calls == 2803
+
+
+def test_model_load_builds_sieves_only_for_covers(monkeypatch, tmp_path):
+    """Work gate: loading a four-location model constructs one `Sieve`
+    per cover and none for the candidates that do not cover."""
+    import json
+
+    from sheafsep.cli import load_model
+
+    path = tmp_path / "m4.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "kind": "memory", "locations": ["a", "b", "c", "d"],
+        "values": [0, 1], "monoid": "weak-partial",
+    }))
+    built = 0
+    init = Sieve.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Sieve, "__init__", counted)
+    model = load_model(str(path))
+    cov = model.site.cov
+    assert sum(len(cov.covers(a)) for a in cov.cat.objects) == 167
+    assert built == 167

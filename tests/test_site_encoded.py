@@ -1,0 +1,188 @@
+"""Differential tests: the bitmask site core against the frozenset-level
+reference in `site_reference`."""
+
+import pytest
+
+import site_reference as ref
+from sheafsep.errors import BudgetExceededError, CoverageKindError
+from sheafsep.fincat import build_finsurj_category, build_powerset_category, incl
+from sheafsep.site import (
+    Coverage,
+    PreCover,
+    Sieve,
+    all_sieves,
+    build_coverage,
+    generate_sieve,
+    maximal_sieve,
+    pullback_sieve,
+    saturate_precoverage,
+    slice_coverage,
+    trivial_coverage,
+    validate_coverage,
+)
+
+LOCATIONS = ("a", "b", "c", "d")
+KINDS = ("downward-closed", "finite-covers")
+
+
+def _violations(rep):
+    return [(v.kind, v.detail) for v in rep.violations]
+
+
+def assert_same_covers(cov, expected):
+    assert cov.cat.objects == expected.cat.objects
+    for a in cov.cat.objects:
+        assert cov.covers(a) == expected.covers(a)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_powerset_coverage_agrees(n, kind):
+    cat, _ = build_powerset_category(LOCATIONS[:n])
+    cov = build_coverage(cat, kind)
+    assert_same_covers(cov, ref.build_coverage(cat, kind))
+    assert _violations(validate_coverage(cat, cov)) == []
+    if n <= 3:
+        assert _violations(ref.validate_coverage(cat, cov)) == []
+        for a in cat.objects:
+            assert all_sieves(cat, a) == ref.all_sieves(cat, a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_finsurj_coverages_agree(n):
+    cat, _ = build_finsurj_category(n)
+    enumerable = [a for a in cat.objects if len(cat.mors_into(a)) <= ref.SIEVE_ENUM_LIMIT]
+    for a in enumerable:
+        assert all_sieves(cat, a) == ref.all_sieves(cat, a)
+    for a in set(cat.objects) - set(enumerable):
+        with pytest.raises(BudgetExceededError) as got:
+            all_sieves(cat, a)
+        with pytest.raises(BudgetExceededError) as want:
+            ref.all_sieves(cat, a)
+        assert str(got.value) == str(want.value)
+    if n <= 2:
+        cov = build_coverage(cat, "atomic")
+        assert_same_covers(cov, ref.build_coverage(cat, "atomic"))
+        assert _violations(validate_coverage(cat, cov)) == []
+    else:
+        with pytest.raises(CoverageKindError):
+            build_coverage(cat, "atomic")
+    triv = trivial_coverage(cat)
+    if len(enumerable) == len(cat.objects):
+        assert _violations(validate_coverage(cat, triv)) == _violations(
+            ref.validate_coverage(cat, triv))
+    else:
+        with pytest.raises(BudgetExceededError) as got:
+            validate_coverage(cat, triv)
+        with pytest.raises(BudgetExceededError) as want:
+            ref.validate_coverage(cat, triv)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_slice_coverages_agree_at_every_stage(kind):
+    cat, _ = build_powerset_category(LOCATIONS[:3])
+    cov = build_coverage(cat, kind)
+    for a in cat.objects:
+        scov = slice_coverage(cov, a)
+        assert_same_covers(scov, ref.slice_coverage(cov, a))
+        assert _violations(validate_coverage(scov.cat, scov)) == []
+
+
+def test_atomic_slice_coverages_agree():
+    cat, _ = build_finsurj_category(2)
+    cov = build_coverage(cat, "atomic")
+    for a in cat.objects:
+        assert_same_covers(slice_coverage(cov, a), ref.slice_coverage(cov, a))
+
+
+def test_pullbacks_agree():
+    cat, _ = build_powerset_category(LOCATIONS[:3])
+    fcat, _ = build_finsurj_category(3)
+    for c in (cat, fcat):
+        for a in c.objects:
+            for s in ref.all_sieves(c, a):
+                for h in c.mors_into(a):
+                    assert pullback_sieve(c, s, h) == ref.pullback_sieve(c, s, h)
+
+
+def _points(a):
+    """The pre-cover of a stage by its one-location substages."""
+    return PreCover(a, frozenset(incl((x,), a) for x in a))
+
+
+def _precover_fixtures():
+    """The pre-coverages of tests/test_site.py, and the points of every
+    stage of at least two locations at three locations."""
+    cat2, _ = build_powerset_category(("x", "y"))
+    cat3, _ = build_powerset_category(("x", "y", "z"))
+    return [
+        (cat2, {}),
+        (cat2, {("x", "y"): [_points(("x", "y"))]}),
+        (cat3, {}),
+        (cat3, {a: [_points(a)] for a in cat3.objects if len(a) >= 2}),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_saturation_agrees(case):
+    cat, assignment = _precover_fixtures()[case]
+    cov = saturate_precoverage(cat, assignment)
+    generated = {
+        a: [generate_sieve(cat, a, pc.family) for pc in pcs] for a, pcs in assignment.items()
+    }
+    assert_same_covers(cov, ref.saturate(cat, generated))
+    assert _violations(validate_coverage(cat, cov)) == []
+
+
+def _tampered():
+    """The broken coverages of tests/test_site.py and a few more, by name."""
+    cat2, _ = build_powerset_category(("x", "y"))
+    dc2 = build_coverage(cat2, "downward-closed")
+    top = ("x", "y")
+    gen = generate_sieve(cat2, top, [incl(("x",), top), incl(("y",), top)])
+    cases = {}
+    broken = {a: {s for s in dc2.by_object[a] if s != maximal_sieve(cat2, a)} for a in cat2.objects}
+    cases["missing-maximal"] = (cat2, Coverage(cat2, broken))
+    broken = {a: set(dc2.by_object[a]) for a in cat2.objects}
+    broken[("x",)].discard(pullback_sieve(cat2, gen, incl(("x",), top)))
+    cases["missing-pullback"] = (cat2, Coverage(cat2, broken))
+    broken = {a: set(dc2.by_object[a]) for a in cat2.objects}
+    broken[("x",)].add(maximal_sieve(cat2, ("y",)))
+    cases["misfiled"] = (cat2, Coverage(cat2, broken))
+    broken = {a: set(dc2.by_object[a]) for a in cat2.objects}
+    broken[top].add(Sieve(top, frozenset({incl(("x",), top)})))
+    cases["not-a-sieve"] = (cat2, Coverage(cat2, broken))
+    broken = {a: set(dc2.by_object[a]) for a in cat2.objects}
+    broken[top].discard(maximal_sieve(cat2, top))
+    foreign = maximal_sieve(cat2, top).members | {incl((), ("x",))}
+    broken[top].add(Sieve(top, foreign))
+    cases["foreign-member"] = (cat2, Coverage(cat2, broken))
+    cat3, _ = build_powerset_category(("x", "y", "z"))
+    dc3 = build_coverage(cat3, "downward-closed")
+    top3 = ("x", "y", "z")
+    points = generate_sieve(cat3, top3, [incl((v,), top3) for v in top3])
+    broken = {a: set(dc3.by_object[a]) for a in cat3.objects}
+    broken[top3].discard(points)
+    cases["transitivity-only"] = (cat3, Coverage(cat3, broken))
+    broken = {a: set(dc3.by_object[a]) for a in cat3.objects}
+    broken[top3] = {maximal_sieve(cat3, top3), points}
+    cases["top-points-only"] = (cat3, Coverage(cat3, broken))
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_tampered()))
+def test_tampered_reports_agree(name):
+    cat, cov = _tampered()[name]
+    got = _violations(validate_coverage(cat, cov))
+    assert got
+    assert got == _violations(ref.validate_coverage(cat, cov))
+
+
+@pytest.mark.parametrize("name", ["misfiled", "not-a-sieve", "foreign-member"])
+def test_slices_of_tampered_coverages_agree(name):
+    """A slice cover is a base cover carried over only when that cover is
+    a sieve filed under its own target."""
+    cat, cov = _tampered()[name]
+    for a in cat.objects:
+        assert_same_covers(slice_coverage(cov, a), ref.slice_coverage(cov, a))
