@@ -497,6 +497,12 @@ def amalgamate(ps: Presheaf, fam: CompatibleFamily):
             f"family disagrees on the square {f!r}.{k!r} = {g!r}.{h!r}",
             witness=witness,
         )
+    return _unique_amalgamation(ps, fam)
+
+
+def _unique_amalgamation(ps: Presheaf, fam: CompatibleFamily):
+    """The one element `amalgamation_candidates` finds for a family
+    already known to be compatible."""
     matches = amalgamation_candidates(ps, fam)
     if not matches:
         raise NoAmalgamationError("no amalgamation for the given family")
@@ -748,7 +754,8 @@ def amalgamation_operator(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUD
             fam = CompatibleFamily.of(
                 Sieve(a, frozenset(cls.cover_members)), cls.family()
             )
-            fwd[cls] = amalgamate(ps, fam)
+            # a class is an enumerated family, compatible by construction
+            fwd[cls] = _unique_amalgamation(ps, fam)
         to_sheaf[a] = fwd
         values = list(fwd.values())
         if len(set(values)) != len(values):

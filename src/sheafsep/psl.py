@@ -142,16 +142,16 @@ def pullback_space(f, sp: ProbSpace) -> ProbSpace:
     return ProbSpace.of(n_prime, blocks, measures)
 
 
-def _block_values(x: RandomVariable, sp: ProbSpace) -> list:
+def _block_values(x: RandomVariable, sp: ProbSpace) -> tuple:
     """X's value on each block; X must be constant on every block."""
     if x.size != sp.size:
         raise ValueError("variable and space have different sample sets")
-    out = []
-    for block in sp.blocks:
-        vals = {x(i) for i in block}
-        if len(vals) > 1:
-            raise NotMeasurableError(f"variable takes {sorted(vals)!r} on one block", block=block)
-        out.append(vals.pop())
+    out = _descend(x.values, sp.blocks)
+    if out is None:
+        for block in sp.blocks:
+            vals = {x(i) for i in block}
+            if len(vals) > 1:
+                raise NotMeasurableError(f"variable takes {sorted(vals)!r} on one block", block=block)
     return out
 
 
@@ -165,19 +165,24 @@ def law_of(x: RandomVariable, sp: ProbSpace) -> dict:
 
 
 def independence_oracle(sp: ProbSpace, x: RandomVariable, y: RandomVariable) -> bool:
-    """Exact check that the joint law factorises into the marginals.  The
-    joint law comes from one pass over the blocks and the marginals from
-    the joint law; a mass is added only where two meet."""
+    """Exact check that the joint law factorises into the marginals, in
+    integers: the measure is scaled to its common denominator D once, the
+    joint weights come from one pass over the blocks and the marginal
+    weights from the joint, and joint · D is compared with the product of
+    the two marginals wherever both are nonzero."""
     joint, law_x, law_y = {}, {}, {}
-    for key, p in zip(zip(_block_values(x, sp), _block_values(y, sp)), sp.measure):
-        joint[key] = joint[key] + p if key in joint else p
-    for (a, b), p in joint.items():
-        law_x[a] = law_x[a] + p if a in law_x else p
-        law_y[b] = law_y[b] + p if b in law_y else p
+    values = zip(_block_values(x, sp), _block_values(y, sp))
+    space = _Space.scaled(sp)
+    for key, w in zip(values, space.weights):
+        joint[key] = joint.get(key, 0) + w
+    for (a, b), w in joint.items():
+        law_x[a] = law_x.get(a, 0) + w
+        law_y[b] = law_y.get(b, 0) + w
+    d = space.denominator
     return all(
-        joint.get((a, b), 0) == pa * pb
-        for a, pa in law_x.items() if pa
-        for b, pb in law_y.items() if pb
+        joint.get((a, b), 0) * d == wa * wb
+        for a, wa in law_x.items() if wa
+        for b, wb in law_y.items() if wb
     )
 
 
@@ -253,33 +258,42 @@ def _pair_table(n):
 
 
 class _Space:
-    """A space in integers: block masses scaled to the common denominator
-    D of the measure, and the mass of every union of blocks (exactly the
-    measurable sets) keyed by bitmask."""
+    """A space in integers: block weights scaled to the common
+    denominator D of the measure.  The weights must be non-negative and
+    sum to D > 0; a measure is a `Fraction` again only in `marginals`."""
 
-    __slots__ = ("prob", "size", "blocks", "weights", "denominator", "mass")
+    __slots__ = ("size", "blocks", "weights", "denominator")
 
-    def __init__(self, prob: ProbSpace, weights, denominator):
-        self.prob = prob
-        self.size = prob.size
-        self.blocks = prob.blocks
+    def __init__(self, size, blocks, weights, denominator):
+        if denominator <= 0 or min(weights) < 0 or sum(weights) != denominator:
+            raise ValueError(
+                f"block weights {weights!r} must be non-negative and sum to {denominator!r} > 0"
+            )
+        self.size = size
+        self.blocks = blocks
         self.weights = weights
         self.denominator = denominator
+
+    def masses(self):
+        """The mass of every union of blocks (exactly the measurable
+        sets), keyed by bitmask."""
         mass = {0: 0}
-        for block, w in zip(prob.blocks, weights):
+        for block, w in zip(self.blocks, self.weights):
             bit = _mask(block)
             mass.update([(u | bit, m + w) for u, m in mass.items()])
-        self.mass = mass
+        return mass
 
     @staticmethod
     def scaled(prob: ProbSpace):
         """The space with its measure scaled to its common denominator."""
         d = math.lcm(*(m.denominator for m in prob.measure))
-        return _Space(prob, tuple(m.numerator * (d // m.denominator) for m in prob.measure), d)
+        weights = tuple(m.numerator * (d // m.denominator) for m in prob.measure)
+        return _Space(prob.size, prob.blocks, weights, d)
 
     def marginals(self):
         """The block measures as the witness prints them."""
-        return [str(m) for m in self.prob.measure]
+        d = self.denominator
+        return [str(Fraction(w, d)) for w in self.weights]
 
 
 def _descend(x, partition):
@@ -369,8 +383,8 @@ class _StarSearch:
         if out is not None:
             return out
         parts, rows = _pair_table(space.size)
-        mass, d = space.mass, space.denominator
-        scaled = {u: m * d for u, m in mass.items()}
+        mass, d = space.masses(), space.denominator
+        cell = {u: m * d for u, m in mass.items()}.get
         margins = []
         for _, masks in parts:
             ms = [mass.get(m) for m in masks]
@@ -383,9 +397,18 @@ class _StarSearch:
                 continue
             for j, grid in row:
                 m2 = margins[j]
-                if m2 is None or list(map(scaled.get, grid)) != [
-                    a * b for a in m1 for b in m2
-                ]:
+                if m2 is None:
+                    continue
+                held = 0  # cells that hold, row by row; stop at the first that fails
+                for a in m1:
+                    for b in m2:
+                        if cell(grid[held]) != a * b:
+                            break
+                        held += 1
+                    else:
+                        continue
+                    break
+                if held < len(grid):
                     continue
                 for k, ms in ((i, m1), (j, m2)):
                     if k not in keys:
@@ -399,9 +422,9 @@ class _StarSearch:
         search first visits it and then once per call."""
         space = self.components.get(key)
         if space is None:
-            total = sum(key)
+            n = len(key)
             space = self.components[key] = _Space(
-                ProbSpace.discrete([Fraction(a, total) for a in key]), key, total
+                n, tuple((i,) for i in range(1, n + 1)), key, sum(key)
             )
         return space
 

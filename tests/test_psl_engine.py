@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import psl_reference as ref
 from test_acceptance import _agreement_spaces
@@ -60,6 +62,11 @@ SPACES = {
 }
 
 
+def as_prob(space):
+    """An integer component space as the reference's `ProbSpace`."""
+    return ProbSpace.discrete([Fraction(w, space.denominator) for w in space.weights])
+
+
 def engine_pairs(sp):
     """The engine's factorising pairs in the reference's shape."""
     search = psl._StarSearch()
@@ -68,7 +75,7 @@ def engine_pairs(sp):
     for i, j, key1, key2 in search.factorisations(psl._Space.scaled(sp)):
         c1, c2 = search.component(key1), search.component(key2)
         out.append(
-            (parts[i][0], parts[j][0], c1.prob, c2.prob, c1.marginals(), c2.marginals())
+            (parts[i][0], parts[j][0], as_prob(c1), as_prob(c2), c1.marginals(), c2.marginals())
         )
     return out
 
@@ -79,6 +86,18 @@ def test_factorising_pairs_match_the_reference(name):
     expected = ref.factorising_pairs(sp)
     assert expected  # the trivial factorisation always exists
     assert engine_pairs(sp) == expected
+
+
+@pytest.mark.parametrize(
+    "weights, denominator",
+    [((1, -1, 2), 2), ((1, 1), 3), ((2, 1), 2), ((0, 0), 0)],
+)
+def test_integer_space_rejects_an_invalid_measure(weights, denominator):
+    """Weights must be non-negative and sum to the denominator D > 0."""
+    blocks = tuple((i,) for i in range(1, len(weights) + 1))
+    with pytest.raises(ValueError):
+        psl._Space(len(weights), blocks, weights, denominator)
+    assert psl._Space(2, ((1,), (2,)), (0, 3), 3).marginals() == ["0", "1"]
 
 
 def test_uniform_six_has_705_factorising_pairs():
@@ -234,9 +253,10 @@ def _oracle_or_error(oracle, sp, x, y):
 
 def test_independence_oracle_matches_the_reference():
     """Every pair of variables with values in {0, 1, 2} up to 3 points,
-    and seeded pairs beyond, measurable or not."""
+    and seeded pairs beyond, measurable or not, on the agreement spaces
+    and on two spaces with zero block masses."""
     rng = random.Random(11)
-    for sp in _agreement_spaces():
+    for sp in [*_agreement_spaces(), SPACES["zero-mass-4"], SPACES["zero-mass-5"]]:
         variables = [RandomVariable(v) for v in itertools.product((0, 1, 2), repeat=sp.size)]
         pairs = [(x, y) for x in variables for y in variables]
         if len(pairs) > 3000:
@@ -245,3 +265,81 @@ def test_independence_oracle_matches_the_reference():
             assert _oracle_or_error(independence_oracle, sp, x, y) == _oracle_or_error(
                 ref.independence_oracle, sp, x, y
             ), (sp, x, y)
+
+
+def test_nested_star_builds_no_prob_space(monkeypatch):
+    """The search runs on integer spaces end to end: a nested star on six
+    points constructs no `ProbSpace`, component spaces included."""
+    sp = SPACES["product-6"]
+    variables = {
+        "X": RandomVariable((0, 0, 0, 1, 1, 1)),
+        "Y": RandomVariable((0, 1, 2, 0, 1, 2)),
+    }
+    lx, ly = (tuple(sorted(law_of(v, sp).items())) for v in variables.values())
+    phi = Star(Star(DistAtom("X", lx), DistAtom("Y", ly)), Top())
+    built = []
+    validate = ProbSpace.__post_init__
+
+    def counted(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(ProbSpace, "__post_init__", counted)
+    got = psl_sat(sp, phi, variables)
+    assert got.result
+    assert built == []
+    ProbSpace.uniform(2)
+    assert len(built) == 1  # the counter sees a construction
+
+
+@st.composite
+def psl_cases(draw):
+    """A space of two to five points (random blocks, zero masses
+    allowed), two variables, and a top-level star whose operands each
+    centre on one variable's atom, with its true law where it has one,
+    so that most stars ask whether the two variables are independent."""
+    n = draw(st.integers(2, 5))
+    labels = list(range(n))
+    if draw(st.booleans()):  # a coarser algebra than the discrete one
+        labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    blocks = {}
+    for point, label in enumerate(labels, start=1):
+        blocks.setdefault(label, []).append(point)
+    k = len(blocks)
+    weights = draw(st.lists(st.sampled_from([1, 2, 3, 0]), min_size=k, max_size=k))
+    if not any(weights):
+        weights[0] = 1
+    sp = ProbSpace.of(n, blocks.values(), [Fraction(w, sum(weights)) for w in weights])
+    # shuffles of one balanced 0/1 pattern, so that the fibres of the two
+    # variables usually cross
+    variables = {
+        name: RandomVariable(tuple(draw(st.permutations([i % 2 for i in range(n)]))))
+        for name in ("X", "Y")
+    }
+    laws = {}
+    for name, x in variables.items():
+        try:
+            laws[name] = tuple(sorted(law_of(x, sp).items()))
+        except NotMeasurableError:
+            laws[name] = ((x.values[0], Fraction(1)),)
+    other_laws = [*laws.values(), ((0, Fraction(1)),), ((0, Fraction(1, 2)), (1, Fraction(1, 2)))]
+    leaves = st.one_of(
+        st.builds(DistAtom, st.sampled_from(sorted(variables)), st.sampled_from(other_laws)),
+        st.sampled_from([Top(), Bottom()]),
+    )
+
+    def operand(name):
+        core = DistAtom(name, laws[name])
+        op = draw(st.sampled_from([None, None, None, And, Or, Imp, Star]))
+        return core if op is None else op(core, draw(leaves))
+
+    first = draw(st.sampled_from(["X", "Y"]))
+    second = draw(st.sampled_from(["Y", "X"]))
+    return sp, variables, Star(operand(first), operand(second))
+
+
+@given(psl_cases())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_random_stars_match_the_reference(case):
+    sp, variables, phi = case
+    assert psl_sat(sp, phi, variables).as_dict() == ref.psl_sat(sp, phi, variables).as_dict()
