@@ -32,7 +32,13 @@ from .pred import (
     random_closed_predicate,
     reindex_preimage,
 )
-from .presheaf import Heap, amalgamation_operator, build_resource_sheaf, check_sheaf
+from .presheaf import (
+    Heap,
+    SheafMorphism,
+    amalgamation_operator,
+    build_resource_sheaf,
+    check_sheaf,
+)
 from .psl import ProbSpace, PslModel, RandomVariable, psl_sat
 from .seplogic import (
     DistAtom,
@@ -210,6 +216,9 @@ def parse_stage(text, model: ResourceModel):
         raise ModelSchemaError("--stage", f"expected a brace literal, got {text!r}")
     body = text[1:-1].strip()
     locs = tuple(sorted(x.strip() for x in body.split(",") if x.strip()))
+    for x, y in zip(locs, locs[1:]):
+        if x == y:
+            raise ModelSchemaError("--stage", f"location {x!r} listed twice")
     for x in locs:
         if x not in model.locations:
             raise ModelSchemaError("--stage", f"unknown location {x!r}")
@@ -351,8 +360,9 @@ def _cmd_laws(model, args, report):
         report.status["monoid-laws"] = "skipped (no monoid)"
 
     m_strict = build_resource_sheaf(site.cat, "strict-memory", values=model.values)
-    inclusion = {a: {h: h for h in m_strict.at(a)} for a in site.cat.objects}
-    rep = check_day_stability(site, [m_strict, mp], inclusions=[("M>->Mp", inclusion, m_strict)])
+    inclusion = SheafMorphism(m_strict, mp, {a: {h: h for h in m_strict.at(a)}
+                                             for a in site.cat.objects}, name="M>->Mp")
+    rep = check_day_stability(site, [m_strict, mp], inclusions=[inclusion])
     report.status["day-stability"] = "ok" if rep.ok else "FAIL"
     failures += [{"law": "day-stability", "detail": v.detail} for v in rep.violations]
 

@@ -11,8 +11,9 @@ concrete witness), so it only lives on the decomposition form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from functools import cache, cached_property
 
 from .errors import (
     BudgetExceededError,
@@ -20,7 +21,7 @@ from .errors import (
     NoGammaWitnessError,
 )
 from .fincat import FinCat, MonoidalStructure, element_key
-from .presheaf import Heap, Presheaf, check_sheaf
+from .presheaf import Heap, Presheaf, SheafMorphism, check_sheaf
 from .report import Report
 from .site import Site
 
@@ -65,46 +66,133 @@ class CoendClass:
         return self.rep.sort_key()
 
 
+class _Triples:
+    """The ids of the triples (b, c, w, s, t) at each stage a, with s and
+    t positions in F(b) and G(c) and w: a -> b tensor c a witness.
+
+    A block per pair (b, c), in sorted order, holds |F(b)| * |G(c)| * n
+    ids, n the number of witnesses, sorted by repr.  Within a block the
+    triples run in `Decomp.sort_key` order: by s, then t, then w, where a
+    stage that lists an element several times has its copies side by
+    side, and copies of one triple come last, s before t.  Without copies
+    the id is offset + (s * |G(c)| + t) * n + the witness's position.  The
+    exact form, the decompositions of a powerset base, has a block per
+    exact splitting with the one witness None; the witnessed form has a
+    block per pair whose tensor a maps to.
+    """
+
+    def __init__(self, f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure, exact):
+        self.f, self.g, self.mon, self.exact = f_sheaf, g_sheaf, mon, exact
+        self.cat = f_sheaf.base
+        self.blocks, self.copies = cache(self._blocks), cache(self._copies)
+
+    def _blocks(self, a):
+        """{(b, c): (offset, ws, {w: position})} in id order, and the
+        number of triples at a."""
+        cat, mon = self.cat, self.mon
+        out, n = {}, 0
+        for b, c in sorted(splittings(cat, mon, a) if self.exact else mon.tensor_obj):
+            ws = [None] if self.exact else sorted(cat.hom(a, mon.tensor(b, c)), key=repr)
+            if ws:
+                out[b, c] = (n, ws, {w: k for k, w in enumerate(ws)})
+                n += self.f.size(b) * self.g.size(c) * len(ws)
+        return out, n
+
+    def _copies(self, sheaf, x):
+        """Per position of sheaf's stage x: the first position of its
+        element, and that element's number of copies."""
+        first = sheaf.table(self.cat.id(x))
+        counts = Counter(first)
+        return first, [counts[i] for i in first]
+
+    def size(self, a):
+        return self.blocks(a)[1]
+
+    @cached_property
+    def copied(self):
+        """Whether a stage of F or G lists an element more than once."""
+        return any(max(self.copies(ps, x)[1], default=1) > 1
+                   for ps in (self.f, self.g) for x in self.cat.objects)
+
+    def id(self, a, b, c, w, s, t):
+        off, ws, at = self.blocks(a)[0][b, c]
+        (fs, ms), (ft, mt) = self.copies(self.f, b), self.copies(self.g, c)
+        s0, t0 = fs[s], ft[t]
+        return (off + (s0 * self.g.size(c) + ms[s] * t0) * len(ws)
+                + (at[w] * ms[s] + s - s0) * mt[t] + t - t0)
+
+    def parts(self, a, i):
+        """(b, c, w, s, t) of the triple with id i at a."""
+        for (b, c), (off, ws, _) in self.blocks(a)[0].items():
+            r, n, width = i - off, len(ws), self.g.size(c)
+            if r < self.f.size(b) * width * n:
+                break
+        (fs, ms), (ft, mt) = self.copies(self.f, b), self.copies(self.g, c)
+        s0 = fs[r // (width * n)]
+        r -= s0 * width * n
+        t0 = ft[r // (ms[s0] * n)]
+        k, r = divmod(r - ms[s0] * t0 * n, ms[s0] * mt[t0])
+        return b, c, ws[k], s0 + r // mt[t0], t0 + r % mt[t0]
+
+    def decode(self, a, i) -> Decomp:
+        b, c, w, s, t = self.parts(a, i)
+        return Decomp(a, b, c, self.f.element(b, s), self.g.element(c, t), witness=w)
+
+
 def day_decomp(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure) -> Presheaf:
     """The decomposition presheaf of two presheaves on a monoidal base.
 
     Powerset base: stages index exact decompositions (B union C = A) and
-    restriction re-canonicalises componentwise through (B & V, C & V).
-    Other bases: triples keep an explicit witness morphism and restrict
-    by precomposition.
+    restriction re-canonicalises componentwise through (B & V, C & V), so
+    a table is offset arithmetic over F's and G's tables.  Other bases:
+    triples keep an explicit witness morphism and restrict by
+    precomposition.  Ids are those of `_Triples`; `blocks(a)` lists the
+    splittings (b, c) of a in id order, and a block without copies runs
+    row-major over F(b) x G(c).
     """
     if mon is None:
         raise MonoidalStructureError("day_decomp needs a monoidal base")
     cat = f_sheaf.base
-    if cat.kind == "powerset":
-        def stages(a):
-            return [
-                Decomp(a, b, c, s, t)
-                for b, c in splittings(cat, mon, a)
-                for s in f_sheaf.at(b)
-                for t in g_sheaf.at(c)
-            ]
+    exact = cat.kind == "powerset"
+    triples = _Triples(f_sheaf, g_sheaf, mon, exact)
 
-        def restr(h, d: Decomp):
-            # objects are sorted location tuples, so B & V keeps B's order
-            v = cat.src(h)
-            b2 = tuple(x for x in d.left_stage if x in v)
-            c2 = tuple(x for x in d.right_stage if x in v)
-            fb = cat.hom(b2, d.left_stage)[0]
-            gc = cat.hom(c2, d.right_stage)[0]
-            return Decomp(v, b2, c2, f_sheaf.restrict(fb, d.left),
-                          g_sheaf.restrict(gc, d.right))
+    def halves(h, b, c):
+        """The halves of the block (b, c) at dst h once restricted along h,
+        and the tables of F and G that restrict the sections."""
+        if not exact:
+            return b, c, f_sheaf.table(cat.id(b)), g_sheaf.table(cat.id(c))
+        # objects are sorted location tuples, so B & V keeps B's order
+        v = cat.src(h)
+        b2, c2 = tuple(x for x in b if x in v), tuple(x for x in c if x in v)
+        return b2, c2, f_sheaf.table(cat.hom(b2, b)[0]), g_sheaf.table(cat.hom(c2, c)[0])
 
-        name = f"({f_sheaf.name} (*) {g_sheaf.name})"
-        return Presheaf(cat, stages, restr, name=name)
+    def table(h):
+        v, a = cat.src(h), cat.dst(h)
+        if triples.copied:
+            out = []
+            for i in range(triples.size(a)):
+                b, c, w, s, t = triples.parts(a, i)
+                b2, c2, fs, gs = halves(h, b, c)
+                out.append(triples.id(v, b2, c2, w if exact else cat.compose(w, h), fs[s], gs[t]))
+            return tuple(out)
+        # without copies an id is offset + (s * |G(c)| + t) * n + k
+        below, out = triples.blocks(v)[0], []
+        for (b, c), (_, ws, _) in triples.blocks(a)[0].items():
+            b2, c2, fs, gs = halves(h, b, c)
+            off, ws2, at = below[b2, c2]
+            width, n = g_sheaf.size(c2), len(ws2)
+            if exact:
+                out += [r + y for r in [off + x * width for x in fs] for y in gs]
+            else:
+                moved = [at[cat.compose(w, h)] for w in ws]
+                out += [off + (x * width + y) * n + k for x in fs for y in gs for k in moved]
+        return tuple(out)
 
-    def stages(a):
-        return _coend_triples(cat, mon, f_sheaf, g_sheaf, a)
-
-    def restr(h, d: Decomp):
-        return _precompose(cat, d, h)
-
-    return Presheaf(cat, stages, restr, name=f"({f_sheaf.name} (*)w {g_sheaf.name})")
+    kind = "(*)" if exact else "(*)w"
+    ps = Presheaf.encoded(cat, triples.size, table, triples.decode,
+                          name=f"({f_sheaf.name} {kind} {g_sheaf.name})")
+    ps.blocks = lambda a: list(triples.blocks(a)[0])
+    return ps
 
 
 def splittings(cat: FinCat, mon: MonoidalStructure, v):
@@ -116,21 +204,6 @@ def splittings(cat: FinCat, mon: MonoidalStructure, v):
         for c in cat.objects
         if mon.tensor_defined(b, c) and mon.tensor(b, c) == v
     ]
-
-
-def _with_witness(d: Decomp, stage, witness) -> Decomp:
-    return Decomp(stage, d.left_stage, d.right_stage, d.left, d.right, witness=witness)
-
-
-def _precompose(cat: FinCat, d: Decomp, h) -> Decomp:
-    """A witnessed triple restricted along h: its witness precomposed with h."""
-    return _with_witness(d, cat.src(h), cat.compose(d.witness, h))
-
-
-def _coend_triples(cat, mon, f_sheaf, g_sheaf, a):
-    return [Decomp(a, b, c, s, t, witness=w)
-            for b in cat.objects for c in cat.objects if mon.tensor_defined(b, c)
-            for w in cat.hom(a, mon.tensor(b, c)) for s in f_sheaf.at(b) for t in g_sheaf.at(c)]
 
 
 def dinaturality_generators(cat: FinCat, mon: MonoidalStructure):
@@ -152,36 +225,33 @@ def day_coend(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure,
               budget=DEFAULT_COEND_BUDGET) -> Presheaf:
     """Day convolution proper: witnessed triples modulo dinaturality.
 
-    At stage a the witnessed triple (b, c, w, s, t), with s and t ids of
-    F(b) and G(c), is the node blocks[b, c, w] + s * |G(c)| + t.  The
+    The triples at a carry the ids of `_Triples` in witnessed form.  The
     relation (w, F(u)s, G(v)t) ~ ((u tensor v).w, s, t) is closed off by
-    a union-find over the nodes, on `dinaturality_generators` and the
-    restriction tables.  A class is named by its least triple under
-    `element_key`, the only `Decomp` built; restriction acts on
-    representatives and is checked to be well-defined on classes.
+    a union-find over those ids, on `dinaturality_generators` and the
+    restriction tables.  Only triples whose s and t are ids (first
+    positions) take part.  A class is named by its least id, so the
+    classes follow the order of their representatives' `Decomp.sort_key`,
+    and restriction acts on representatives; `class_of` is the quotient
+    map on elements.
     """
     if mon is None:
         raise MonoidalStructureError("day_coend needs a monoidal base")
     cat = f_sheaf.base
-    found = {}  # stage -> (blocks, class per node, representative's node per class)
+    triples = _Triples(f_sheaf, g_sheaf, mon, exact=False)
     gens, f_ids, g_ids = [], {}, {}
 
+    @cache
     def classes_at(a):
-        if a in found:
-            return found[a]
-        blocks, n = {}, 0
-        for b in cat.objects:
-            for c in cat.objects:
-                for w in cat.hom(a, mon.tensor(b, c)) if mon.tensor_defined(b, c) else ():
-                    blocks[b, c, w] = n
-                    n += len(f_sheaf.at(b)) * len(g_sheaf.at(c))
+        """The class of each triple id (-1 off the first positions), and
+        each class's least triple as (b, c, w, s, t)."""
+        blocks, n = triples.blocks(a)
         if n > budget:
             raise BudgetExceededError(f"{n} coend triples at {a!r} exceed budget {budget}", size=n)
         if not gens:
             gens.extend(dinaturality_generators(cat, mon))
-            for x in cat.objects:  # ids, not positions: at(x) may repeat an element
-                f_ids[x] = sorted(set(f_sheaf.index(x).values()))
-                g_ids[x] = sorted(set(g_sheaf.index(x).values()))
+            for x in cat.objects:
+                f_ids[x] = [s for s, i in enumerate(triples.copies(f_sheaf, x)[0]) if s == i]
+                g_ids[x] = [t for t, i in enumerate(triples.copies(g_sheaf, x)[0]) if t == i]
         parent = list(range(n))
 
         def find(x):
@@ -189,54 +259,65 @@ def day_coend(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure,
                 parent[x] = x = parent[parent[x]]
             return x
 
+        # the id of a first-position triple (s, t, k) in a block at
+        # offset off is off + s * |G(c)| * n + m_s * (t * n + k * m_t),
+        # m the copy counts (see `_Triples`)
         for u, v in gens:
             b, b2, c, c2 = cat.src(u), cat.dst(u), cat.src(v), cat.dst(v)
+            if (b, c) not in blocks:
+                continue
+            (lo, ws, _), (hi, ws2, at2) = blocks[b, c], blocks[b2, c2]
             fu, gv, uv = f_sheaf.table(u), g_sheaf.table(v), mon.tensor_m(u, v)
-            width, width2 = len(g_sheaf.at(c)), len(g_sheaf.at(c2))
-            for w in cat.hom(a, mon.tensor(b, c)):
-                lo, hi = blocks[b, c, w], blocks[b2, c2, cat.compose(uv, w)]
+            mf, mf2 = triples.copies(f_sheaf, b)[1], triples.copies(f_sheaf, b2)[1]
+            mg, mg2 = triples.copies(g_sheaf, c)[1], triples.copies(g_sheaf, c2)[1]
+            n1, n2 = len(ws), len(ws2)
+            w1, w2 = g_sheaf.size(c) * n1, g_sheaf.size(c2) * n2
+            for k, w in enumerate(ws):
+                k2 = at2[cat.compose(uv, w)]
+                gx = [gv[t2] * n1 + k * mg[gv[t2]] for t2 in g_ids[c2]]
+                gy = [t2 * n2 + k2 * mg2[t2] for t2 in g_ids[c2]]
                 for s2 in f_ids[b2]:
-                    x0, y0 = lo + fu[s2] * width, hi + s2 * width2
-                    for t2 in g_ids[c2]:
-                        rx, ry = find(x0 + gv[t2]), find(y0 + t2)
+                    x0, y0, mx, my = lo + fu[s2] * w1, hi + s2 * w2, mf[fu[s2]], mf2[s2]
+                    for dx, dy in zip(gx, gy):
+                        rx, ry = find(x0 + mx * dx), find(y0 + my * dy)
                         if rx != ry:
                             parent[ry] = rx
-        # visit the nodes in the order of their Decomps' sort_key (ids follow
-        # at() order), so the first node seen in a class is its representative
-        by_pair, of, reps, named = {}, [None] * n, {}, {}
-        for (b, c, w), off in blocks.items():
-            by_pair.setdefault((b, c), []).append((repr(w), w, off))
-        for (b, c), ws in sorted(by_pair.items()):
-            ws.sort()
-            width = len(g_sheaf.at(c))
+        # first-position ids ascend through the blocks, s, t and w in
+        # turn, so the first id seen in a class is its least
+        of, reps, named = [-1] * n, [], {}
+        for (b, c), (off, ws, _) in blocks.items():
+            mf, mg = triples.copies(f_sheaf, b)[1], triples.copies(g_sheaf, c)[1]
+            n1, width = len(ws), g_sheaf.size(c) * len(ws)
             for s in f_ids[b]:
                 for t in g_ids[c]:
-                    for _, w, off in ws:
-                        r = find(off + s * width + t)
+                    for k, w in enumerate(ws):
+                        i = off + s * width + mf[s] * (t * n1 + k * mg[t])
+                        r = find(i)
                         if r not in named:
-                            named[r] = CoendClass(Decomp(
-                                a, b, c, f_sheaf.element(b, s), g_sheaf.element(c, t), witness=w))
-                            reps[named[r]] = (b, c, w, s, t)
-                        of[off + s * width + t] = named[r]
-        found[a] = blocks, of, reps
-        return found[a]
+                            named[r] = len(reps)
+                            reps.append((b, c, w, s, t))
+                        of[i] = named[r]
+        return of, reps
 
-    def lookup(a, b, c, w, s, t):
-        blocks, of, _ = classes_at(a)
-        return of[blocks[b, c, w] + s * len(g_sheaf.at(c)) + t]
+    def table(h):
+        v, of = cat.src(h), classes_at(cat.src(h))[0]
+        return tuple(of[triples.id(v, b, c, cat.compose(w, h), s, t)]
+                     for b, c, w, s, t in classes_at(cat.dst(h))[1])
 
-    def restr(h, cls: CoendClass):
-        b, c, w, s, t = classes_at(cat.dst(h))[2][cls]
-        return lookup(cat.src(h), b, c, cat.compose(w, h), s, t)
+    def decode(a, k):
+        b, c, w, s, t = classes_at(a)[1][k]
+        return CoendClass(Decomp(a, b, c, f_sheaf.element(b, s), g_sheaf.element(c, t), witness=w))
 
     def class_of(d: Decomp) -> CoendClass:
         """Quotient map from (possibly canonical-poset) triples to classes."""
         d = d if d.witness is not None else poset_witnessed(cat, mon, d)
         b, c = d.left_stage, d.right_stage
-        return lookup(d.stage, b, c, d.witness, f_sheaf.index(b)[d.left], g_sheaf.index(c)[d.right])
+        i = triples.id(d.stage, b, c, d.witness, f_sheaf.index(b)[d.left],
+                       g_sheaf.index(c)[d.right])
+        return ps.element(d.stage, classes_at(d.stage)[0][i])
 
     name = f"({f_sheaf.name} (x) {g_sheaf.name})"
-    ps = Presheaf(cat, lambda a: classes_at(a)[2], restr, name=name)
+    ps = Presheaf.encoded(cat, lambda a: len(classes_at(a)[1]), table, decode, name=name)
     ps.class_of = class_of
     return ps
 
@@ -244,7 +325,7 @@ def day_coend(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure,
 def poset_witnessed(cat: FinCat, mon: MonoidalStructure, d: Decomp) -> Decomp:
     """Attach the canonical witness to a poset decomposition element."""
     bc = mon.tensor(d.left_stage, d.right_stage)
-    return _with_witness(d, d.stage, cat.hom(d.stage, bc)[0])
+    return replace(d, witness=cat.hom(d.stage, bc)[0])
 
 
 # -- resource monoids ------------------------------------------------------
@@ -260,9 +341,11 @@ class ResourceMonoid:
 
     `cell(x, y)` combines the values two halves store at a location they
     share, or is UNDEFINED; a location in one half only keeps its value.
-    The product is defined iff every shared cell combines.  `apply` and
-    the product tables are both read off that one rule.  The unit is the
-    designated point of F at the unit object.
+    The product is defined iff every shared cell combines.  The product
+    tables are read off that one rule; `apply` multiplies the heaps of one
+    decomposition by it, and nothing in the package calls it
+    (perfbench/spans.py counts its calls).  The unit is the designated
+    point of F at the unit object.
     """
 
     carrier: Presheaf
@@ -301,8 +384,8 @@ class ResourceMonoid:
 
             # glue[x][y][z]: the id at v with those ids at (only_b, only_c, o);
             # the extra last slot answers z = -1, an undefined overlap
-            width = len(mp.at(o)) + 1
-            glue = [[[-1] * width for _ in mp.at(only_c)] for _ in mp.at(only_b)]
+            width = mp.size(o) + 1
+            glue = [[[-1] * width for _ in range(mp.size(only_c))] for _ in range(mp.size(only_b))]
             for k, (x, y, z) in enumerate(zip(ids(v, only_b), ids(v, only_c), ids(v, o))):
                 glue[x][y][z] = k
             meets, right = self._meets(o), list(zip(ids(c, only_c), ids(c, o)))
@@ -450,14 +533,16 @@ def finsurj_gamma(cat: FinCat, mon: MonoidalStructure):
     return on_obj, on_mor
 
 
-def _convolved_mono(cat, mon, inc_components, f_small, g_sheaf):
-    """Stage-wise maps day(F', G) -> day(F, G) induced by F' >-> F."""
-    day_small = day_decomp(f_small, g_sheaf, mon)
-    return {
-        a: {d: Decomp(d.stage, d.left_stage, d.right_stage, inc_components[d.left_stage][d.left],
-                      d.right, witness=d.witness) for d in day_small.at(a)}
-        for a in cat.objects
-    }
+def _convolved_mono(mon, alpha: SheafMorphism, g_sheaf):
+    """Per stage, the images in day(F, G) of the triples of day(F', G)
+    under the map that alpha: F' -> F induces: (b, c, w, s, t) goes to
+    (b, c, w, alpha(s), t), or to -1 where alpha is undefined."""
+    small = _Triples(alpha.source, g_sheaf, mon, alpha.source.base.kind == "powerset")
+    big = _Triples(alpha.target, g_sheaf, mon, small.exact)
+    return {a: [-1 if j < 0 else big.id(a, b, c, w, j, t)
+                for (b, c), (_, ws, _) in small.blocks(a)[0].items()
+                for j in alpha.ids(b) for t in range(g_sheaf.size(c)) for w in ws]
+            for a in alpha.source.base.objects}
 
 
 def check_day_stability(site: Site, samples, inclusions=(), budget=DEFAULT_COEND_BUDGET) -> Report:
@@ -469,8 +554,7 @@ def check_day_stability(site: Site, samples, inclusions=(), budget=DEFAULT_COEND
         stage-wise;
     (3) the registered lax-monoidal witness for slices is functorial.
 
-    `inclusions` holds (name, components, small) triples where
-    components[stage] maps small-stage elements into big-stage elements.
+    `inclusions` holds sheaf morphisms F' >-> F, named by their `name`.
     """
     rep = Report("Day stability")
     cat, mon = site.cat, site.monoidal
@@ -484,16 +568,20 @@ def check_day_stability(site: Site, samples, inclusions=(), budget=DEFAULT_COEND
             coe = day_coend(f_sheaf, g_sheaf, mon, budget)
             for v in check_sheaf(coe, site.cov).violations:
                 rep.flag("coend-sheaf", f"{coe.name}: {v.detail}")
-    for name, components, small in inclusions:
+
+    def injective(col):
+        defined = [j for j in col if j >= 0]
+        return len(set(defined)) == len(defined)
+
+    for alpha in inclusions:
         for a in cat.objects:
-            col = components[a]
-            if len(set(col.values())) != len(col):
-                rep.flag("mono", f"{name}: supplied components not injective at {a!r}")
+            if not injective(alpha.ids(a)):
+                rep.flag("mono", f"{alpha.name}: supplied components not injective at {a!r}")
         for g_sheaf in samples:
-            for a, table in _convolved_mono(cat, mon, components, small, g_sheaf).items():
-                if len(set(table.values())) != len(table):
+            for a, col in _convolved_mono(mon, alpha, g_sheaf).items():
+                if not injective(col):
                     rep.flag("mono-preservation",
-                             f"day({name}, {g_sheaf.name}) not injective at {a!r}")
+                             f"day({alpha.name}, {g_sheaf.name}) not injective at {a!r}")
     if cat.kind == "powerset":
         on_obj, on_mor = powerset_gamma(cat)
     elif cat.kind == "finsurj":

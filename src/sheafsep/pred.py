@@ -104,7 +104,7 @@ def _members(bits):
 
 
 def _all(resource, a):
-    return (1 << len(resource.at(a))) - 1
+    return (1 << resource.size(a)) - 1
 
 
 def _preimage(table, bits):
@@ -348,7 +348,7 @@ def random_closed_predicate(rng, resource, site, stage) -> KripkePredicate:
     """Closure of a uniformly sampled family: a valid subsheaf predicate."""
     src = site.cat.src
     bits = {
-        p: sum(1 << i for i in range(len(resource.at(src(p)))) if rng.random() < 0.5)
+        p: sum(1 << i for i in range(resource.size(src(p))) if rng.random() < 0.5)
         for p in site.cat.mors_into(stage)
     }
     return KripkePredicate(

@@ -1,10 +1,20 @@
-"""Finite-set-valued presheaves, the sheaf condition, and amalgamation.
+"""Finite-set-valued presheaves on ids, the sheaf condition, and
+amalgamation.
 
-Stages are enumerated lazily and cached write-once; restriction maps are
-computed by rule (memory builders) or stored extensionally.  Elements
-are canonical hashable values: heaps, morphism witnesses, the terminal
-point, plain ints/strings, and the class elements built by the matching
-and coend quotients.
+A presheaf is held on integer ids: stage A has `size(A)` elements,
+numbered in `at(A)` order (the order of `element_key`), and `table(f)`
+is the restriction F(f) as a tuple from ids in F(dst f) to ids in
+F(src f).  Every checker reads the tables; elements are decoded one id
+at a time (`element`) for reports, witnesses and `--json`.
+
+Two constructors fill the tables.  `Presheaf.encoded` takes the sizes,
+the tables and the decoder directly, so a builder computes restriction
+by arithmetic on ids: the memory sheaves by projecting the digits of a
+mixed-radix number, the Day convolutions by offsets, the matching
+presheaf by reading its families' ids.  `Presheaf(base, stage_fn,
+restrict_fn)` lists elements and fills each table entry by restricting
+an element; it serves the builders whose elements are their data
+(constant, yoneda, terminal, the probability presheaves).
 
 Finitary heaps are not a separate builder: on a finite location set
 every partial heap is finitely supported, so the partial-memory sheaf
@@ -13,7 +23,8 @@ already is the finitary one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .errors import (
@@ -73,10 +84,6 @@ class Heap:
     def get(self, loc):
         return self.values[self.locations.index(loc)]
 
-    def restrict(self, locs):
-        locs = tuple(sorted(locs))
-        return Heap(locs, tuple(self.get(x) for x in locs))
-
     def as_dict(self):
         return dict(zip(self.locations, self.values))
 
@@ -101,79 +108,107 @@ def sorted_elements(xs):
 
 
 class Presheaf:
-    """A contravariant finite-set-valued functor on a FinCat.
+    """A contravariant finite-set-valued functor on a FinCat, on ids.
 
-    stage_fn(A) yields the elements at A (cached); restrict_fn(f, x)
-    applies the restriction map F(f): F(dst f) -> F(src f) to x.
-    An optional glue_fn(target, legs) computes amalgamations directly
-    for builders whose stages cannot be enumerated.
+    `size(A)` counts the elements at A, `table(f)` maps ids in F(dst f)
+    to ids in F(src f), and `element(A, i)` decodes an id.  `index(A)`
+    maps each element to the id of its first position in `at(A)`, so
+    equal ids mean equal elements; every table entry is such an id.
 
-    Enumerable stages also have an integer encoding, built lazily:
-    `index(A)` numbers the elements of A in `at(A)` order and `table(f)`
-    is F(f) as a tuple from positions in F(dst f) to ids in F(src f).
+    This constructor lists elements: stage_fn(A) yields the elements at
+    A (sorted here), restrict_fn(f, x) applies F(f) to one element, and
+    each table entry is filled by one restriction.  Images that leave
+    the stage get fresh ids past its end.  An optional glue_fn(target,
+    legs) computes amalgamations directly for builders whose stages
+    cannot be enumerated.  `Presheaf.encoded` is the table-native form.
     """
 
     def __init__(self, base: FinCat, stage_fn, restrict_fn, *, name="presheaf",
                  glue_fn=None, enumerable=True):
-        self.base = base
-        self.name = name
-        self._stage_fn = stage_fn
+        self.base, self.name, self.glue_fn, self.enumerable = base, name, glue_fn, enumerable
+        self._stage_fn = lambda a: sorted_elements(stage_fn(a))
         self._restrict_fn = restrict_fn
-        self.glue_fn = glue_fn
-        self.enumerable = enumerable
-        self._cache = {}
+        self._size_fn = lambda a: len(self.at(a))
+        self._table_fn = self._restriction_table
+        self._decode = lambda a, i: self._listing(a)[i]
+        self._cache = {}  # stage -> at()
         self._index = {}  # stage -> {element: id}
-        self._elements = {}  # stage -> elements by id
+        self._elements = {}  # stage -> listed elements by id, fresh ids included
         self._tables = {}  # morphism -> restriction table
         self._covers = {}  # sieve -> _EncodedCover
+
+    @classmethod
+    def encoded(cls, base: FinCat, size_fn, table_fn, decode, *, name="presheaf"):
+        """A presheaf given on ids: size_fn(A) elements at A, table_fn(f)
+        the restriction table along f (ids of first positions, as
+        `table` promises), decode(A, i) the element with id i.  Decoding
+        ids 0, 1, ... must list the stage in `element_key` order."""
+        ps = cls(base, None, None, name=name)
+        ps._stage_fn = lambda a: [decode(a, i) for i in range(size_fn(a))]
+        ps._restrict_fn = ps._restrict_by_table
+        ps._size_fn, ps._table_fn, ps._decode = size_fn, table_fn, decode
+        return ps
 
     def at(self, a):
         self.base.require_object(a)
         if not self.enumerable:
             raise StageNotEnumerableError(f"{self.name} has non-enumerable stages")
         if a not in self._cache:
-            self._cache[a] = sorted_elements(self._stage_fn(a))
+            self._cache[a] = tuple(self._stage_fn(a))
         return self._cache[a]
+
+    def size(self, a):
+        return self._size_fn(a)
 
     def restrict(self, f, x):
         return self._restrict_fn(f, x)
 
     def index(self, a):
         """Element -> id at stage a: an element's id is its first position
-        in at(a); images that leave the stage get fresh ids past the end,
-        so equal ids mean equal elements."""
+        in at(a)."""
         idx = self._index.get(a)
         if idx is None:
-            elems = self.at(a)
-            idx = {}
-            for i, x in enumerate(elems):
+            idx = self._index[a] = {}
+            for i, x in enumerate(self.at(a)):
                 idx.setdefault(x, i)
-            self._index[a] = idx
-            self._elements[a] = list(elems)
         return idx
 
     def element(self, a, i):
         """The element with id i at stage a."""
-        self.index(a)
-        return self._elements[a][i]
+        return self._decode(a, i)
 
     def table(self, f):
-        """F(f) encoded: position in at(dst f) -> id in F(src f)."""
+        """F(f) encoded: id in F(dst f) -> id in F(src f)."""
         t = self._tables.get(f)
         if t is None:
-            src = self.base.src(f)
-            idx = self.index(src)
-            elems = self._elements[src]
-            out = []
-            for x in self.at(self.base.dst(f)):
-                y = self.restrict(f, x)
-                i = idx.get(y)
-                if i is None:
-                    i = idx[y] = len(elems)
-                    elems.append(y)
-                out.append(i)
-            t = self._tables[f] = tuple(out)
+            t = self._tables[f] = self._table_fn(f)
         return t
+
+    def _listing(self, a):
+        elems = self._elements.get(a)
+        if elems is None:
+            elems = self._elements[a] = list(self.at(a))
+        return elems
+
+    def _restriction_table(self, f):
+        src = self.base.src(f)
+        idx, elems = self.index(src), self._listing(src)
+        out = []
+        for x in self.at(self.base.dst(f)):
+            y = self._restrict_fn(f, x)
+            i = idx.get(y)
+            if i is None:
+                i = idx[y] = len(elems)
+                elems.append(y)
+            out.append(i)
+        return tuple(out)
+
+    def _restrict_by_table(self, f, x):
+        a = self.base.dst(f)
+        i = self.index(a).get(x)
+        if i is None:
+            raise StageMismatchError(f"{x!r} is not an element of {self.name} at {a!r}")
+        return self.element(self.base.src(f), self.table(f)[i])
 
     def __repr__(self):
         return f"Presheaf({self.name!r} on {self.base.kind!r})"
@@ -239,17 +274,25 @@ def build_resource_sheaf(cat: FinCat, kind: str, *, values=None, bound=None,
             k = int(bound)
             cells, name = vals + (None,), f"Mp|supp<={k}"
 
-        def stages(a):
-            return [
-                Heap(a, combo)
-                for combo in product(cells, repeat=len(a))
-                if k is None or sum(v is not None for v in combo) <= k
-            ]
+        # a heap's id is its rank among the stage's cell tuples in product
+        # order: the first location is the most significant digit, so ids
+        # follow Heap.sort_key and restriction projects digits
+        @cache
+        def heaps(a):
+            return [combo for combo in product(cells, repeat=len(a))
+                    if k is None or sum(v is not None for v in combo) <= k]
 
-        def restr(f, heap):
-            return heap.restrict(f[1])
+        @cache
+        def ids(a):
+            return {combo: i for i, combo in enumerate(heaps(a))}
 
-        return Presheaf(cat, stages, restr, name=name)
+        def table(f):
+            v, a = cat.src(f), cat.dst(f)
+            keep, below = [a.index(x) for x in v], ids(v)
+            return tuple(below[tuple(combo[i] for i in keep)] for combo in heaps(a))
+
+        return Presheaf.encoded(cat, lambda a: len(heaps(a)), table,
+                                lambda a, i: Heap(a, heaps(a)[i]), name=name)
     if kind == "constant":
         xs = sorted_elements(elements)
 
@@ -315,14 +358,15 @@ class CompatibleFamily:
 
 def compatibility_witness(ps: Presheaf, fam: CompatibleFamily):
     """First commuting square on which the family disagrees, or None.
-    When every value is an element of its enumerable stage, both sides
-    of a square are compared as ids through the restriction tables."""
+    On an enumerable presheaf both sides of a square are compared as ids
+    through the restriction tables.  A value outside its stage is no
+    element of F, so its squares are not compared; it has no
+    amalgamation either.  Non-enumerable presheaves restrict elements."""
     cat, legs, restrict = ps.base, fam.items(), ps.restrict
     if ps.enumerable:
-        ids = [ps.index(cat.src(f)).get(x, len(ps.at(cat.src(f)))) for f, x in legs]
-        if all(i < len(ps.at(cat.src(f))) for i, (f, _) in zip(ids, legs)):
-            legs = [(f, i) for i, (f, _) in zip(ids, legs)]
-            restrict = lambda k, i: ps.table(k)[i]
+        ids = [(f, ps.index(cat.src(f)).get(x)) for f, x in legs]
+        legs = [(f, i) for f, i in ids if i is not None and i < ps.size(cat.src(f))]
+        restrict = lambda k, i: ps.table(k)[i]
     for f, xf in legs:
         for g, xg in legs:
             for k, h in cat.squares(f, g):
@@ -393,7 +437,7 @@ class _EncodedCover:
         ps, cat, gens = self.ps, self.ps.base, self.gens
         partials = [()]
         for i, g in enumerate(gens):
-            options = range(len(ps.at(cat.src(g))))
+            options = range(ps.size(cat.src(g)))
             for k, h in cat.squares(g, g):
                 tk, th = ps.table(k), ps.table(h)
                 options = [x for x in options if tk[x] == th[x]]
@@ -437,7 +481,7 @@ class _EncodedCover:
         if self._by_signature is None:
             tables = [self.ps.table(g) for g in self.gens]
             by_sig = {}
-            for p in range(len(self.ps.at(self.cover.target))):
+            for p in range(self.ps.size(self.cover.target)):
                 by_sig.setdefault(tuple(t[p] for t in tables), []).append(p)
             self._by_signature = by_sig
         return self._by_signature
@@ -482,8 +526,7 @@ def amalgamation_candidates(ps: Presheaf, fam: CompatibleFamily):
         if i is None:
             return []
         key.append(i)
-    target = ps.at(fam.cover.target)
-    return [target[p] for p in index.get(tuple(key), ())]
+    return [ps.element(fam.cover.target, p) for p in index.get(tuple(key), ())]
 
 
 def amalgamate(ps: Presheaf, fam: CompatibleFamily):
@@ -497,12 +540,6 @@ def amalgamate(ps: Presheaf, fam: CompatibleFamily):
             f"family disagrees on the square {f!r}.{k!r} = {g!r}.{h!r}",
             witness=witness,
         )
-    return _unique_amalgamation(ps, fam)
-
-
-def _unique_amalgamation(ps: Presheaf, fam: CompatibleFamily):
-    """The one element `amalgamation_candidates` finds for a family
-    already known to be compatible."""
     matches = amalgamation_candidates(ps, fam)
     if not matches:
         raise NoAmalgamationError("no amalgamation for the given family")
@@ -534,9 +571,9 @@ def check_sheaf(ps: Presheaf, cov: Coverage, mode="exhaustive", families=(),
                 budget=DEFAULT_FAMILY_BUDGET) -> Report:
     """Existence and uniqueness of amalgamations, per cover and family.
 
-    Exhaustive mode runs on the integer encoding: families are tuples of
-    positions, each looked up in its cover's signature index; elements
-    are built only for the notes of a violation.
+    Exhaustive mode runs on ids: families are tuples of positions, each
+    looked up in its cover's signature index; elements are decoded only
+    for the notes of a violation.
     """
     rep = Report(f"sheaf condition ({ps.name})")
     n_checked = 0
@@ -548,7 +585,6 @@ def check_sheaf(ps: Presheaf, cov: Coverage, mode="exhaustive", families=(),
         # enumerated families are compatible by construction (pairwise
         # squares on generators plus the extension lemma)
         for a in ps.base.objects:
-            target = ps.at(a)
             for s in cov.covers(a):
                 code = _encoded_cover(ps, s)
                 index = code.signature_index()
@@ -557,7 +593,7 @@ def check_sheaf(ps: Presheaf, cov: Coverage, mode="exhaustive", families=(),
                     n_checked += 1
                     if len(hits) != 1:
                         _flag_amalgamations(
-                            rep, a, s, [target[p] for p in hits],
+                            rep, a, s, [ps.element(a, p) for p in hits],
                             lambda: code.materialise(partial),
                         )
     elif mode == "families":
@@ -583,17 +619,13 @@ def check_sheaf(ps: Presheaf, cov: Coverage, mode="exhaustive", families=(),
 
 
 def slice_restrict(ps: Presheaf, a, prebuilt=None) -> Presheaf:
-    """F restricted to the slice over a: the composite F . dom_a."""
+    """F restricted to the slice over a: the composite F . dom_a, whose
+    tables are F's tables along the domains of slice morphisms."""
     ps.base.require_object(a)
     sl, dom = prebuilt if prebuilt is not None else slice_category(ps.base, a)
-
-    def stages(p):
-        return ps.at(dom.on_obj(p))
-
-    def restr(m, x):
-        return ps.restrict(dom.on_mor(m), x)
-
-    return Presheaf(sl, stages, restr, name=f"{ps.name}|{a!r}", enumerable=ps.enumerable)
+    return Presheaf.encoded(
+        sl, lambda p: ps.size(dom.on_obj(p)), lambda m: ps.table(dom.on_mor(m)),
+        lambda p, i: ps.element(dom.on_obj(p), i), name=f"{ps.name}|{a!r}")
 
 
 # -- matching objects --------------------------------------------------------
@@ -613,13 +645,14 @@ def matching_object(ps: Presheaf, a, f, g, pullback):
         raise SquareError("pullback projections must share the apex")
     if cat.compose(f, p_f) != cat.compose(g, p_g):
         raise SquareError("pullback square does not commute")
-    out = [
-        (sf, sg)
-        for sf in ps.at(cat.src(f))
-        for sg in ps.at(cat.src(g))
-        if ps.restrict(p_f, sf) == ps.restrict(p_g, sg)
-    ]
-    return tuple(sorted(out, key=lambda p: (element_key(p[0]), element_key(p[1]))))
+    # positions follow element order, so the pairs come out sorted
+    left, right = ps.table(p_f), ps.table(p_g)
+    return tuple(
+        (ps.element(cat.src(f), i), ps.element(cat.src(g), j))
+        for i, x in enumerate(left)
+        for j, y in enumerate(right)
+        if x == y
+    )
 
 
 @dataclass(frozen=True)
@@ -647,52 +680,80 @@ class MatchClass:
 def matching_presheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> Presheaf:
     """Refinement-equivalence classes of pairwise-compatible families.
 
-    Each class is read off the least cover (see `MatchClass`): the stage
-    at A is one class per compatible family over `cov.min_cover(A)`, and
-    restriction pulls that cover back and restricts the family
-    componentwise.  Only least covers are enumerated, so `budget` bounds
-    their families alone; `amalgamation_operator` checks every cover
-    against the same budget first.
+    Each class is read off the least cover (see `MatchClass`) and held as
+    that family's ids, one per member of `cov.min_cover(A)` in sorted
+    order.  The stage at A lists the distinct id tuples ascending, which
+    is `MatchClass.sort_key` order; `families(A)` returns them.
+    Restriction pulls the least cover back and reads the family's ids
+    off it.  Only least covers are enumerated, so `budget` bounds their
+    families alone; `amalgamation_operator` checks every cover against
+    the same budget first.
     """
     cat = ps.base
 
-    def stages(a):
-        return {
-            MatchClass(a, fam.cover.sorted_members(), tuple(x for _, x in fam.items()))
-            for fam in enumerate_compatible_families(ps, cov.min_cover(a), budget)
-        }
+    @cache
+    def families(a):
+        code = _encoded_cover(ps, cov.min_cover(a))
+        return tuple(sorted({code.legs(partial) for partial in code.families(budget)}))
 
-    def restr(h, cls: MatchClass):
+    @cache
+    def ids(a):
+        return {legs: i for i, legs in enumerate(families(a))}
+
+    def table(h):
         # min_cover(src h) sits inside the pullback of min_cover(dst h)
         # by stability, so h.g always hits the stored family.
-        fam = cls.family()
-        members = cov.min_cover(cat.src(h)).sorted_members()
-        return MatchClass(cat.src(h), members,
-                          tuple(fam[cat.compose(h, g)] for g in members))
+        above = cov.min_cover(cat.dst(h)).sorted_members()
+        picks = [above.index(cat.compose(h, g))
+                 for g in cov.min_cover(cat.src(h)).sorted_members()]
+        below = ids(cat.src(h))
+        return tuple(below[tuple(legs[j] for j in picks)] for legs in families(cat.dst(h)))
 
-    return Presheaf(cat, stages, restr, name=f"Match({ps.name})")
+    def decode(a, i):
+        members = cov.min_cover(a).sorted_members()
+        return MatchClass(a, members, tuple(
+            ps.element(cat.src(f), x) for f, x in zip(members, families(a)[i])))
+
+    match = Presheaf.encoded(cat, lambda a: len(families(a)), table, decode,
+                             name=f"Match({ps.name})")
+    match.families = families
+    return match
 
 
 # -- morphisms of presheaves -------------------------------------------------
 
 
-@dataclass
 class SheafMorphism:
     """Stage-wise (possibly partial) maps between two presheaves over the
-    same base; naturality is checked by `validate_sheaf_morphism`."""
+    same base; naturality is checked by `validate_sheaf_morphism`.
 
-    source: Presheaf
-    target: Presheaf
-    components: dict  # object -> {element: element}
-    name: str = "alpha"
-    _ids: dict = field(default_factory=dict, repr=False, compare=False)
+    `components[a]` maps elements of source.at(a) to elements of
+    target.at(a).  Given `ids=` instead, ids[a] is the component at a on
+    ids (see `ids`) and `components` is decoded on first use.
+    """
+
+    def __init__(self, source: Presheaf, target: Presheaf, components=None,
+                 name="alpha", *, ids=None):
+        self.source, self.target, self.name = source, target, name
+        self._components = components
+        self._ids = {} if ids is None else dict(ids)
+
+    @property
+    def components(self):
+        if self._components is None:
+            self._components = {
+                a: {self.source.element(a, i): self.target.element(a, j)
+                    for i, j in enumerate(col) if j >= 0}
+                for a, col in self._ids.items()
+            }
+        return self._components
 
     def ids(self, a):
         """The component at a on ids: a list from the positions of
         source.at(a) to ids in target.at(a), -1 where undefined."""
         if a not in self._ids:
-            comp, target = self.components[a], self.target.index(a)
-            size = len(self.target.at(a))
+            comp, target = self._components[a], self.target.index(a)
+            size = self.target.size(a)
             out = [target.get(comp[x], size) if x in comp else -1 for x in self.source.at(a)]
             if any(j >= size for j in out):
                 raise StageMismatchError(f"{self.name} maps outside its target at {a!r}")
@@ -737,7 +798,9 @@ class AmalgamationIso:
 
 def amalgamation_operator(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> AmalgamationIso:
     """Send each matching class to its amalgamation; verify that this is
-    a stage-wise bijection and natural in both directions."""
+    a stage-wise bijection and natural in both directions.  A class's
+    amalgamation is looked up on ids, by its family's ids on the least
+    cover's generators."""
     sheaf_rep = check_sheaf(ps, cov, budget=budget)
     if not sheaf_rep.ok:
         raise NotASheafError(
@@ -745,26 +808,22 @@ def amalgamation_operator(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUD
         )
     match = matching_presheaf(ps, cov, budget)
     rep = Report(f"amalgamation operator ({ps.name})")
-    cat = ps.base
-    to_sheaf = {}
-    from_sheaf = {}
-    for a in cat.objects:
-        fwd = {}
-        for cls in match.at(a):
-            fam = CompatibleFamily.of(
-                Sieve(a, frozenset(cls.cover_members)), cls.family()
-            )
-            # a class is an enumerated family, compatible by construction
-            fwd[cls] = _unique_amalgamation(ps, fam)
-        to_sheaf[a] = fwd
-        values = list(fwd.values())
-        if len(set(values)) != len(values):
+    to_sheaf, from_sheaf = {}, {}
+    for a in ps.base.objects:
+        code = _encoded_cover(ps, cov.min_cover(a))
+        index, at_gens = code.signature_index(), [code.members.index(g) for g in code.gens]
+        # F is a sheaf, so each family has exactly one amalgamation
+        fwd = [index[tuple(legs[j] for j in at_gens)][0] for legs in match.families(a)]
+        if len(set(fwd)) != len(fwd):
             rep.flag("bijectivity", f"amalgamation not injective at {a!r}")
-        if set(values) != set(ps.at(a)):
+        if set(fwd) != set(range(ps.size(a))):
             rep.flag("bijectivity", f"amalgamation not surjective at {a!r}")
-        from_sheaf[a] = {x: cls for cls, x in fwd.items()}
-    forward = SheafMorphism(match, ps, to_sheaf, name="amalgamation")
-    inverse = SheafMorphism(ps, match, from_sheaf, name="amalgamation inverse")
+        inverse = [-1] * ps.size(a)
+        for k, i in enumerate(fwd):
+            inverse[i] = k
+        to_sheaf[a], from_sheaf[a] = fwd, inverse
+    forward = SheafMorphism(match, ps, name="amalgamation", ids=to_sheaf)
+    inverse = SheafMorphism(ps, match, name="amalgamation inverse", ids=from_sheaf)
     for alpha in (forward, inverse):
         rep.violations += validate_sheaf_morphism(alpha).violations
     return AmalgamationIso(match, forward, inverse, rep)

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .day import Decomp, ResourceMonoid, day_decomp, splittings
+from .day import ResourceMonoid, day_decomp, splittings
 from .errors import (
     AtomTypeError,
     FormulaSyntaxError,
@@ -33,9 +33,11 @@ from .errors import (
 from .pred import (
     KripkePredicate,
     SheafMorphism,
+    _all,
     _close,
     _image,
     _members,
+    _preimage,
     bottom_predicate,
     direct_image,
     implication,
@@ -392,22 +394,21 @@ def atom_predicate(model: ResourceModel, atom, stage=None) -> KripkePredicate:
     if isinstance(atom, DistAtom):
         raise AtomTypeError("distribution atoms are not interpretable over memory")
     stage = model.stage if stage is None else stage
-    cat = model.site.cat
+    cat, mp = model.site.cat, model.sheaf
     model.check_formula(atom)
-    loc, val, src = atom.loc, atom.val, cat.src
-
-    def holds(v, s):
-        if loc not in v:
-            return not isinstance(atom, PointsToAlloc)
-        if isinstance(atom, PointsToStrict):
-            return s.get(loc) == val
-        return s.get(loc) is not None and s.get(loc) == val
-
-    bits = {
-        p: sum(1 << i for i, s in enumerate(model.sheaf.at(src(p))) if holds(src(p), s))
-        for p in cat.mors_into(stage)
-    }
-    return KripkePredicate(model.sheaf, model.site, stage, bits=bits)
+    # in view, every form holds of the heaps storing the value at the
+    # location: the preimage of that heap's id at the singleton stage
+    one = (atom.loc,)
+    i = mp.index(one).get(Heap(one, (atom.val,)))  # None under support bound 0
+    stores = 0 if i is None else 1 << i
+    bits = {}
+    for p in cat.mors_into(stage):
+        v = cat.src(p)
+        if atom.loc in v:
+            bits[p] = _preimage(mp.table(cat.hom(one, v)[0]), stores)
+        else:
+            bits[p] = 0 if isinstance(atom, PointsToAlloc) else _all(mp, v)
+    return KripkePredicate(mp, model.site, stage, bits=bits)
 
 
 # -- separating conjunction ---------------------------------------------------
@@ -447,23 +448,20 @@ def _pipeline_iso(model) -> AmalgamationIso:
 
 
 def _pipeline_pieces(model):
-    """The pipeline's maps at the level of elements, for the law checks:
-    the decomposition presheaf, the multiplication into Match(F) decoded
-    from the product tables and the iso's inverse, and the amalgamation."""
+    """The pipeline's maps for the law checks, on ids: the decomposition
+    presheaf, the multiplication into Match(F) (the product tables, then
+    the iso's inverse) and the amalgamation."""
     site, mp, monoid = model.site, model.sheaf, model.monoid
     iso = _pipeline_iso(model)
+    decomp = day_decomp(mp, mp, site.monoidal)
     mult = {}
     for a in site.cat.objects:
         inverse = iso.inverse.ids(a)
-        mult[a] = {
-            Decomp(a, b, c, mp.element(b, i), mp.element(c, j)): iso.match.element(a, inverse[k])
-            for b, c in splittings(site.cat, site.monoidal, a)
-            for i, row in enumerate(monoid.products(b, c))
-            for j, k in enumerate(row)
-            if k >= 0
-        }
-    decomp = day_decomp(mp, mp, site.monoidal)
-    return decomp, SheafMorphism(decomp, iso.match, mult, name="theta.mult"), iso.forward
+        # a block's ids run row-major through the halves' ids
+        mult[a] = [inverse[k] if k >= 0 else -1 for b, c in decomp.blocks(a)
+                   for row in monoid.products(b, c) for k in row]
+    mult = SheafMorphism(decomp, iso.match, name="theta.mult", ids=mult)
+    return decomp, mult, iso.forward
 
 
 def _pipeline_star(model, p, q) -> KripkePredicate:
@@ -578,7 +576,7 @@ def sat(model: ResourceModel, phi, stage, element, mode="unfolded") -> SatResult
     """Membership of the element in the denotation at the identity slice,
     with the witnessing decomposition for a top-level star."""
     i = model.sheaf.index(stage).get(element)
-    if i is None or i >= len(model.sheaf.at(stage)):
+    if i is None or i >= model.sheaf.size(stage):
         raise StageMismatchError(f"{element!r} is not a resource at stage {stage!r}")
     if isinstance(phi, Star):
         # evaluate the operands once: the witness search reuses them

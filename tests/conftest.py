@@ -1,0 +1,22 @@
+"""Shared fixtures."""
+
+from collections import Counter
+
+import pytest
+
+from sheafsep.day import CoendClass, Decomp
+from sheafsep.presheaf import Heap, MatchClass
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts, by class name, of the Heap, Decomp, CoendClass and
+    MatchClass objects constructed while the test runs."""
+    counts = Counter()
+    for cls in (Heap, Decomp, CoendClass, MatchClass):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return counts

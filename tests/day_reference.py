@@ -1,29 +1,93 @@
-"""Element-level reference for the coend and the monoid laws, kept as a
-test oracle.
+"""Element-level reference for the Day convolutions and the monoid laws,
+kept as a test oracle.
 
 This is the direct reading of the definitions that `sheafsep.day`
-replaces: the coend closes off the dinaturality relation over every
-pair of morphisms (u, v) with a union-find on `Decomp` triples, and the
-monoid laws walk every triple of heaps through `ResourceMonoid.apply`.
-The differential tests compare the two on classes, representatives,
-the quotient map, restriction, budget errors and law reports.
+replaces: the decomposition presheaf lists `Decomp` triples and
+restricts each one, the coend closes off the dinaturality relation over
+every pair of morphisms (u, v) with a union-find on `Decomp` triples,
+and the monoid laws walk every triple of heaps through `apply`.  Fed
+the element-level sheaves of `presheaf_reference`, none of it reads a
+restriction table of the code under test.  The differential tests
+compare the two on stages, tables, classes, representatives, the
+quotient map, budget errors and law reports.
 """
 
 import functools
+from dataclasses import replace
 
 from presheaf_reference import UnionFind
 from sheafsep.day import (
     DEFAULT_COEND_BUDGET,
+    UNDEFINED,
     CoendClass,
     Decomp,
-    _coend_triples,
-    _precompose,
     poset_witnessed,
+    splittings,
 )
-from sheafsep.errors import BudgetExceededError
+from sheafsep.errors import BudgetExceededError, MonoidalStructureError
 from sheafsep.fincat import element_key
-from sheafsep.presheaf import Presheaf, sorted_elements
+from sheafsep.presheaf import Heap, Presheaf, sorted_elements
 from sheafsep.report import Report
+
+
+def coend_triples(cat, mon, f_sheaf, g_sheaf, a):
+    """Every witnessed triple at stage a."""
+    return [Decomp(a, b, c, s, t, witness=w)
+            for b in cat.objects for c in cat.objects if mon.tensor_defined(b, c)
+            for w in cat.hom(a, mon.tensor(b, c)) for s in f_sheaf.at(b) for t in g_sheaf.at(c)]
+
+
+def precompose(cat, d, h):
+    """A witnessed triple restricted along h: its witness precomposed with h."""
+    return replace(d, stage=cat.src(h), witness=cat.compose(d.witness, h))
+
+
+def day_decomp(f_sheaf, g_sheaf, mon):
+    """The decomposition presheaf on elements.  Powerset base: exact
+    decompositions, restricted componentwise through (B & V, C & V).
+    Other bases: witnessed triples, restricted by precomposition."""
+    if mon is None:
+        raise MonoidalStructureError("day_decomp needs a monoidal base")
+    cat = f_sheaf.base
+    if cat.kind == "powerset":
+        def stages(a):
+            return [
+                Decomp(a, b, c, s, t)
+                for b, c in splittings(cat, mon, a)
+                for s in f_sheaf.at(b)
+                for t in g_sheaf.at(c)
+            ]
+
+        def restr(h, d):
+            v = cat.src(h)
+            b2 = tuple(x for x in d.left_stage if x in v)
+            c2 = tuple(x for x in d.right_stage if x in v)
+            fb = cat.hom(b2, d.left_stage)[0]
+            gc = cat.hom(c2, d.right_stage)[0]
+            return Decomp(v, b2, c2, f_sheaf.restrict(fb, d.left),
+                          g_sheaf.restrict(gc, d.right))
+
+        return Presheaf(cat, stages, restr, name=f"({f_sheaf.name} (*) {g_sheaf.name})")
+
+    def stages(a):
+        return coend_triples(cat, mon, f_sheaf, g_sheaf, a)
+
+    def restr(h, d):
+        return precompose(cat, d, h)
+
+    return Presheaf(cat, stages, restr, name=f"({f_sheaf.name} (*)w {g_sheaf.name})")
+
+
+def apply(monoid, d):
+    """The product of d's halves under the monoid's cell rule, or None
+    when it is undefined."""
+    left, right = d.left.as_dict(), d.right.as_dict()
+    cells = {**left, **right}
+    for x in left.keys() & right.keys():
+        cells[x] = monoid.cell(left[x], right[x])
+        if cells[x] is UNDEFINED:
+            return None
+    return Heap.of(cells, cells)
 
 
 def day_coend(f_sheaf, g_sheaf, mon, budget=DEFAULT_COEND_BUDGET):
@@ -35,7 +99,7 @@ def day_coend(f_sheaf, g_sheaf, mon, budget=DEFAULT_COEND_BUDGET):
     def classes_at(a):
         if a in class_maps:
             return class_maps[a]
-        triples = _coend_triples(cat, mon, f_sheaf, g_sheaf, a)
+        triples = coend_triples(cat, mon, f_sheaf, g_sheaf, a)
         if len(triples) > budget:
             raise BudgetExceededError(
                 f"{len(triples)} coend triples at {a!r} exceed budget {budget}",
@@ -73,7 +137,7 @@ def day_coend(f_sheaf, g_sheaf, mon, budget=DEFAULT_COEND_BUDGET):
         return sorted_elements(set(classes_at(a).values()))
 
     def restr(h, cls):
-        return classes_at(cat.src(h))[_precompose(cat, cls.rep, h)]
+        return classes_at(cat.src(h))[precompose(cat, cls.rep, h)]
 
     def class_of(d):
         witnessed = d if d.witness is not None else poset_witnessed(cat, mon, d)
@@ -95,7 +159,7 @@ def check_monoid_laws(monoid, mon):
 
     @functools.cache
     def mult2(b, c, s, t):
-        return monoid.apply(Decomp(mon.tensor(b, c), b, c, s, t))
+        return apply(monoid, Decomp(mon.tensor(b, c), b, c, s, t))
 
     n_unit = 0
     for a in cat.objects:

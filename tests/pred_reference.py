@@ -4,11 +4,12 @@ a test oracle.
 This is the direct reading of the definitions that the bitset encoding
 in `sheafsep.pred` and `sheafsep.seplogic` replaces: families are sets
 of elements, every restriction is applied with `Presheaf.restrict`, and
-the star multiplies each pair of halves with `ResourceMonoid.apply`.
+the star multiplies each pair of halves with `day_reference.apply`.
 The differential tests compare the two on families, reports and
 witnesses.
 """
 
+from day_reference import apply
 from sheafsep.day import Decomp, splittings
 from sheafsep.fincat import element_key
 from sheafsep.report import Report
@@ -121,7 +122,7 @@ def star_products(model, p, q, v):
     for b, c in splittings(cat, model.site.monoidal, v):
         for m1 in p.family[cat.hom(b, p.stage)[0]]:
             for m2 in q.family[cat.hom(c, p.stage)[0]]:
-                prod = monoid.apply(Decomp(v, b, c, m1, m2))
+                prod = apply(monoid, Decomp(v, b, c, m1, m2))
                 if prod is not None:
                     yield b, c, m1, m2, prod
 
@@ -169,7 +170,7 @@ def pipeline_maps(model):
     for a in site.cat.objects:
         mult[a] = {}
         for d in decomp.at(a):
-            prod = model.monoid.apply(d)
+            prod = apply(model.monoid, d)
             if prod is not None:
                 mult[a][d] = iso.inverse.components[a][prod]
     return decomp, SheafMorphism(decomp, iso.match, mult, name="mult"), iso

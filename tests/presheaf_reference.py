@@ -1,21 +1,57 @@
-"""Element-level reference for the sheaf check, kept as a test oracle.
+"""Element-level reference for the memory sheaves and the sheaf check,
+kept as a test oracle.
 
-This is the direct reading of the definitions that the index-encoded
-core in `sheafsep.presheaf` replaces: families are grown one generator
-at a time with every square re-restricted per partial, amalgamations
-are found by scanning the whole target stage, and every family is
-materialised before it is checked.  The differential tests compare the
-two on reports, family lists, matching classes and budget errors.
+This is the direct reading of the definitions that the id-encoded core
+in `sheafsep.presheaf` replaces: memory stages list `Heap` objects and
+restrict each heap by reading its cells, families are grown one
+generator at a time with every square re-restricted per partial,
+amalgamations are found by scanning the whole target stage, and every
+family is materialised before it is checked.  The differential tests
+compare the two on stages, tables, reports, family lists, matching
+classes and budget errors.
 """
+
+from itertools import product
 
 from sheafsep.errors import BudgetExceededError, StageNotEnumerableError
 from sheafsep.presheaf import (
     DEFAULT_FAMILY_BUDGET,
     CompatibleFamily,
+    Heap,
     MatchClass,
+    Presheaf,
     sorted_elements,
 )
 from sheafsep.report import Report
+
+
+def restrict_heap(heap, locs):
+    """The heap's cells at the locations locs."""
+    locs = tuple(sorted(locs))
+    return Heap(locs, tuple(heap.get(x) for x in locs))
+
+
+def memory_sheaf(cat, kind, values, bound=None):
+    """strict-memory, partial-memory or support-bounded memory on the
+    powerset base: every heap at a stage, restricted cell by cell."""
+    vals = tuple(sorted(set(values)))
+    cells = vals if kind == "strict-memory" else vals + (None,)
+    k = None if kind != "support-bounded" else int(bound)
+    listed = ",".join(map(str, vals))
+    name = {"strict-memory": f"M[{listed}]", "partial-memory": f"Mp[{listed}]"}.get(
+        kind, f"Mp|supp<={k}")
+
+    def stages(a):
+        return [
+            Heap(a, combo)
+            for combo in product(cells, repeat=len(a))
+            if k is None or sum(v is not None for v in combo) <= k
+        ]
+
+    def restr(f, heap):
+        return restrict_heap(heap, cat.src(f))
+
+    return Presheaf(cat, stages, restr, name=name)
 
 
 class UnionFind:
@@ -196,3 +232,29 @@ def matching_stage(ps, cov, a, budget=DEFAULT_FAMILY_BUDGET):
         legs = mc.sorted_members()
         out.append(MatchClass(a, legs, tuple(rep_fam.value(f) for f in legs)))
     return sorted_elements(out)
+
+
+def matching_presheaf(ps, cov, budget=DEFAULT_FAMILY_BUDGET):
+    """Match(F) on elements: the classes of `matching_stage`, each
+    restricted by pulling the least cover back and restricting the
+    family componentwise."""
+    cat = ps.base
+
+    def restr(h, cls):
+        fam = cls.family()
+        members = cov.min_cover(cat.src(h)).sorted_members()
+        return MatchClass(cat.src(h), members, tuple(fam[cat.compose(h, g)] for g in members))
+
+    return Presheaf(cat, lambda a: matching_stage(ps, cov, a, budget), restr,
+                    name=f"Match({ps.name})")
+
+
+def assert_same_presheaf(new, old):
+    """Equal stages, elements one id at a time, and restriction tables."""
+    cat = new.base
+    for a in cat.objects:
+        assert new.size(a) == len(old.at(a))
+        assert new.at(a) == old.at(a)
+        assert [new.element(a, i) for i in range(new.size(a))] == list(old.at(a))
+    for f in cat.all_morphisms():
+        assert new.table(f) == old.table(f), f

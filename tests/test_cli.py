@@ -123,6 +123,16 @@ def test_parse_stage_and_heap(tmp_path):
         parse_heap("{x:0}", ("x", "y"))
 
 
+def test_repeated_stage_location_is_a_schema_error(tmp_path, capsys):
+    model_path = write_model(tmp_path, MEMORY_DOC)
+    with pytest.raises(ModelSchemaError, match="'x' listed twice"):
+        parse_stage("{x,x}", load_model(model_path))
+    argv = ["eval", "--model", model_path, "--formula", "x |-> 0", "--stage", "{x, y, x}"]
+    assert main(argv + ["--json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ModelSchemaError", "detail": "--stage: location 'x' listed twice"}
+
+
 def test_bad_heap_literals_exit_two(tmp_path, capsys):
     model_path = write_model(tmp_path, MEMORY_DOC)
     for bad in ("{x:abc, y:0}", '{"x": true, "y": 0}', "5"):
@@ -225,6 +235,15 @@ def test_laws_at_three_locations_within_its_wall_budget(tmp_path, capsys):
         '"adjunction": "ok", "amalgamation-iso": "ok"}, "witnesses": [], "exit_code": 0}\n'
     )
     assert elapsed < 30, f"laws at 3 locations took {elapsed:.1f} s"
+
+
+def test_laws_at_three_locations_builds_no_decomposition_elements(tmp_path, capsys, built):
+    """Deterministic work gate: the Day convolutions, the matching
+    presheaf and the pipeline maps of a 3-location laws run stay on ids."""
+    doc = dict(MEMORY_DOC, locations=["x", "y", "z"], formulas={})
+    model_path = write_model(tmp_path, doc)
+    assert main(["laws", "--model", model_path, "--samples", "10", "--seed", "7"]) == 0
+    assert built["Decomp"] == built["CoendClass"] == built["MatchClass"] == 0
 
 
 def test_laws_rejects_an_empty_sample_count(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+import day_reference as ref
 from sheafsep.day import (
     Decomp,
     build_memory_monoid,
@@ -10,7 +11,7 @@ from sheafsep.day import (
     powerset_gamma,
 )
 from sheafsep.fincat import build_powerset_category, incl
-from sheafsep.presheaf import Heap, build_resource_sheaf, validate_presheaf
+from sheafsep.presheaf import Heap, SheafMorphism, build_resource_sheaf, validate_presheaf
 from sheafsep.site import Site, build_coverage
 
 
@@ -136,13 +137,11 @@ def test_quotient_map_surjective_and_natural(pset2, mp2):
 def test_coend_restriction_well_defined_on_classes(pset2, mp2):
     """Restriction is representative-independent: every witnessed triple
     of a class restricts into the same class."""
-    from sheafsep.day import _coend_triples
-
     cat, mon = pset2
     c = day_coend(mp2, mp2, mon)
     for h in cat.all_morphisms():
         a = cat.dst(h)
-        for t in _coend_triples(cat, mon, mp2, mp2, a):
+        for t in ref.coend_triples(cat, mon, mp2, mp2, a):
             moved = Decomp(
                 cat.src(h), t.left_stage, t.right_stage, t.left, t.right,
                 witness=cat.compose(t.witness, h),
@@ -170,15 +169,15 @@ def test_total_mult_not_dinatural(pset1, mp1):
     d_conflict = Decomp(("x",), ("x",), ("x",), s1, s2)
     d_single = Decomp(("x",), ("x",), (), s1, Heap((), ()))
     assert c.class_of(d_conflict) == c.class_of(d_single)
-    assert monoid.apply(d_conflict) == Heap.of(("x",), {"x": None})
-    assert monoid.apply(d_single) == Heap.of(("x",), {"x": 0})
-    assert monoid.apply(d_conflict) != monoid.apply(d_single)
+    assert ref.apply(monoid, d_conflict) == Heap.of(("x",), {"x": None})
+    assert ref.apply(monoid, d_single) == Heap.of(("x",), {"x": 0})
+    assert ref.apply(monoid, d_conflict) != ref.apply(monoid, d_single)
 
 
 def test_memory_monoid_total_conflict(pset1, mp1):
     monoid = build_memory_monoid(mp1, "total")
     d = Decomp(("x",), ("x",), ("x",), Heap.of(("x",), {"x": 0}), Heap.of(("x",), {"x": 1}))
-    assert monoid.apply(d) == Heap.of(("x",), {"x": None})
+    assert ref.apply(monoid, d) == Heap.of(("x",), {"x": None})
 
 
 def test_memory_monoid_disjoint_union_all_variants(pset2, mp2):
@@ -191,19 +190,19 @@ def test_memory_monoid_disjoint_union_all_variants(pset2, mp2):
     )
     expected = Heap.of(("x", "y"), {"x": 0, "y": 1})
     for variant in ("total", "weak-partial", "strong-partial"):
-        assert build_memory_monoid(mp2, variant).apply(d) == expected
+        assert ref.apply(build_memory_monoid(mp2, variant), d) == expected
 
 
 def test_memory_monoid_strong_rejects_overlap(pset1, mp1):
     monoid = build_memory_monoid(mp1, "strong-partial")
     s = Heap.of(("x",), {"x": 0})
-    assert monoid.apply(Decomp(("x",), ("x",), ("x",), s, s)) is None
+    assert ref.apply(monoid, Decomp(("x",), ("x",), ("x",), s, s)) is None
 
 
 def test_memory_monoid_weak_accepts_agreeing_overlap(pset1, mp1):
     monoid = build_memory_monoid(mp1, "weak-partial")
     s = Heap.of(("x",), {"x": 0})
-    assert monoid.apply(Decomp(("x",), ("x",), ("x",), s, s)) == s
+    assert ref.apply(monoid, Decomp(("x",), ("x",), ("x",), s, s)) == s
 
 
 def test_monoid_laws_all_variants(pset2, mp2):
@@ -217,7 +216,7 @@ def test_strong_associativity_shared_location_bothsides_undefined(pset1, mp1):
     cat, mon = pset1
     monoid = build_memory_monoid(mp1, "strong-partial")
     s = Heap.of(("x",), {"x": 0})
-    st = monoid.apply(Decomp(("x",), ("x",), ("x",), s, s))
+    st = ref.apply(monoid, Decomp(("x",), ("x",), ("x",), s, s))
     assert st is None  # and so both bracketings of s.s.s are undefined
 
 
@@ -227,14 +226,10 @@ def test_day_stability_powerset(pset2, mp2):
     site = Site(cat, cov, mon)
     m = build_resource_sheaf(cat, "strict-memory", values=(0, 1))
     yo_x = build_resource_sheaf(cat, "yoneda", at_object=("x",))
-    strict_into_partial = {
-        a: {h: h for h in m.at(a)} for a in cat.objects
-    }
-    rep = check_day_stability(
-        site,
-        [m, mp2, yo_x],
-        inclusions=[("M>->Mp", strict_into_partial, m)],
+    strict_into_partial = SheafMorphism(
+        m, mp2, {a: {h: h for h in m.at(a)} for a in cat.objects}, name="M>->Mp"
     )
+    rep = check_day_stability(site, [m, mp2, yo_x], inclusions=[strict_into_partial])
     assert rep.ok, rep.summary()
 
 
@@ -242,11 +237,11 @@ def test_day_stability_flags_injected_non_mono(pset2, mp2):
     cat, mon = pset2
     cov = build_coverage(cat, "downward-closed")
     site = Site(cat, cov, mon)
-    collapse = {
+    collapse = SheafMorphism(mp2, mp2, {
         a: {h: Heap.of(a, {x: None for x in a}) for h in mp2.at(a)}
         for a in cat.objects
-    }
-    rep = check_day_stability(site, [mp2], inclusions=[("collapse", collapse, mp2)])
+    }, name="collapse")
+    rep = check_day_stability(site, [mp2], inclusions=[collapse])
     kinds = rep.kinds()
     assert "mono" in kinds or "mono-preservation" in kinds
 

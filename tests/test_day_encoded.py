@@ -1,17 +1,18 @@
-"""Differential tests: the coend on ids and the pointwise monoid-law
-certificate in `sheafsep.day` against the element-level references in
-`day_reference`."""
+"""Differential tests: the Day convolutions on ids and the pointwise
+monoid-law certificate in `sheafsep.day` against the element-level
+references in `day_reference`, which are fed the element-level memory
+sheaves of `presheaf_reference`."""
 
 import functools
 
 import pytest
 
 import day_reference as ref
+import presheaf_reference
 from sheafsep import day
 from sheafsep.day import (
     UNDEFINED,
     ResourceMonoid,
-    _coend_triples,
     build_memory_monoid,
     check_monoid_laws,
     day_coend,
@@ -43,14 +44,23 @@ def _sheaf(kind, n_locs, n_values):
     return build_resource_sheaf(_powerset(n_locs)[0], name, values=(0, 1)[:n_values], **kwargs)
 
 
-def assert_same_coend(f_sheaf, g_sheaf, mon):
+@functools.cache
+def _ref_sheaf(kind, n_locs, n_values):
+    name, kwargs = KINDS[kind]
+    return presheaf_reference.memory_sheaf(_powerset(n_locs)[0], name, (0, 1)[:n_values],
+                                           **kwargs)
+
+
+def assert_same_coend(f_sheaf, g_sheaf, mon, ref_f=None, ref_g=None):
     """Equal classes and representatives at every stage, equal classes of
-    every witnessed triple and equal restriction tables; returns both."""
-    new, old = day_coend(f_sheaf, g_sheaf, mon), ref.day_coend(f_sheaf, g_sheaf, mon)
+    every witnessed triple and equal restriction tables; returns both.
+    The reference convolves ref_f and ref_g, default f_sheaf and g_sheaf."""
+    ref_f, ref_g = ref_f or f_sheaf, ref_g or g_sheaf
+    new, old = day_coend(f_sheaf, g_sheaf, mon), ref.day_coend(ref_f, ref_g, mon)
     cat = f_sheaf.base
     for a in cat.objects:
         assert new.at(a) == old.at(a)
-        for t in _coend_triples(cat, mon, f_sheaf, g_sheaf, a):
+        for t in ref.coend_triples(cat, mon, ref_f, ref_g, a):
             assert new.class_of(t) == old.class_of(t)
     for h in cat.all_morphisms():
         assert new.table(h) == old.table(h)
@@ -61,7 +71,8 @@ def assert_same_coend(f_sheaf, g_sheaf, mon):
 def _memory_coends(left, right, n_locs, n_values):
     f_sheaf, g_sheaf = _sheaf(left, n_locs, n_values), _sheaf(right, n_locs, n_values)
     mon = _powerset(n_locs)[1]
-    new, old = assert_same_coend(f_sheaf, g_sheaf, mon)
+    new, old = assert_same_coend(f_sheaf, g_sheaf, mon, _ref_sheaf(left, n_locs, n_values),
+                                 _ref_sheaf(right, n_locs, n_values))
     # canonical poset decompositions go through their canonical witness
     decomp = day_decomp(f_sheaf, g_sheaf, mon)
     for a in f_sheaf.base.objects:
@@ -79,6 +90,38 @@ def test_memory_coend_agrees_with_reference(left, right, n_locs, n_values, cover
     new, old = _memory_coends(left, right, n_locs, n_values)
     cov = build_coverage(_powerset(n_locs)[0], coverage)
     assert check_sheaf(new, cov).as_dict() == check_sheaf(old, cov).as_dict()
+
+
+@pytest.mark.parametrize("n_locs", [2, 3])
+@pytest.mark.parametrize("right", KINDS)
+@pytest.mark.parametrize("left", KINDS)
+def test_memory_decompositions_agree_with_reference(left, right, n_locs):
+    """Offset arithmetic over the halves' tables against restricting
+    every Decomp of the element-level sheaves."""
+    mon = _powerset(n_locs)[1]
+    new = day_decomp(_sheaf(left, n_locs, 2), _sheaf(right, n_locs, 2), mon)
+    old = ref.day_decomp(_ref_sheaf(left, n_locs, 2), _ref_sheaf(right, n_locs, 2), mon)
+    presheaf_reference.assert_same_presheaf(new, old)
+
+
+def test_witnessed_decompositions_agree_with_reference_on_surjections():
+    cat, mon = build_finsurj_category(3)
+    sheaves = [build_resource_sheaf(cat, "yoneda", at_object=n) for n in cat.objects]
+    sheaves += [build_resource_sheaf(cat, "terminal"),
+                build_resource_sheaf(cat, "constant", elements=(1, 0, 1))]
+    for f_sheaf in sheaves:
+        for g_sheaf in sheaves:
+            presheaf_reference.assert_same_presheaf(
+                day_decomp(f_sheaf, g_sheaf, mon), ref.day_decomp(f_sheaf, g_sheaf, mon))
+
+
+def test_decomposition_of_a_stage_with_a_repeated_element_agrees_with_reference():
+    cat, mon = _powerset(2)
+    twice = build_resource_sheaf(cat, "constant", elements=(1, 0, 1))
+    mp, ref_mp = _sheaf("Mp", 2, 1), _ref_sheaf("Mp", 2, 1)
+    for new, old in (((twice, twice), (twice, twice)), ((twice, mp), (twice, ref_mp)),
+                     ((mp, twice), (ref_mp, twice))):
+        presheaf_reference.assert_same_presheaf(day_decomp(*new, mon), ref.day_decomp(*old, mon))
 
 
 def test_yoneda_coends_agree_with_reference_on_the_powerset():
@@ -101,9 +144,10 @@ def test_coend_of_a_stage_with_a_repeated_element_agrees_with_reference():
     cat, mon = _powerset(2)
     twice = build_resource_sheaf(cat, "constant", elements=(1, 0, 1))
     assert twice.at(("x",)) == (0, 1, 1)
-    for other in (twice, _sheaf("Mp", 2, 1)):
-        assert_same_coend(twice, other, mon)
-        assert_same_coend(other, twice, mon)
+    assert_same_coend(twice, twice, mon)
+    mp, ref_mp = _sheaf("Mp", 2, 1), _ref_sheaf("Mp", 2, 1)
+    assert_same_coend(twice, mp, mon, twice, ref_mp)
+    assert_same_coend(mp, twice, mon, ref_mp, twice)
 
 
 def test_budget_error_is_unchanged_and_comes_before_any_decomp(monkeypatch):

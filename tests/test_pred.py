@@ -3,6 +3,8 @@ import random
 import pytest
 
 import pred_reference as ref
+from day_reference import apply
+from presheaf_reference import restrict_heap
 from sheafsep.day import Decomp, build_memory_monoid, day_decomp
 from sheafsep.errors import IncompatibleFamilyError
 from sheafsep.fincat import build_powerset_category, incl
@@ -188,7 +190,7 @@ def total_mult_morphism(site, mp, variant="total"):
     components = {}
     for a in site.cat.objects:
         components[a] = {
-            d: mon.apply(d) for d in decomp.at(a) if mon.apply(d) is not None
+            d: apply(mon, d) for d in decomp.at(a) if apply(mon, d) is not None
         }
     return decomp, SheafMorphism(decomp, mp, components, name=f"mult[{variant}]")
 
@@ -464,7 +466,7 @@ def test_local_character_witness_reported_once(cells):
     top = tuple(sorted(cells))
     glued = Heap.of(top, cells)
     fam = {
-        p: frozenset() if cat.src(p) == top else frozenset({glued.restrict(cat.src(p))})
+        p: frozenset() if cat.src(p) == top else frozenset({restrict_heap(glued, cat.src(p))})
         for p in cat.mors_into(top)
     }
     rep = validate_predicate(KripkePredicate(mp, site, top, fam))

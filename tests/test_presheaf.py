@@ -5,6 +5,7 @@ from sheafsep.errors import (
     NoAmalgamationError,
     NonUniqueAmalgamationError,
     ResourceKindError,
+    StageMismatchError,
 )
 from sheafsep.fincat import build_powerset_category, incl
 from sheafsep.presheaf import (
@@ -96,7 +97,7 @@ def test_validate_flags_tampered_identity(pset2, mp2):
         if f == cat.id(("x",)):
             vals = {0: 1, 1: 0, None: None}
             return Heap(heap.locations, tuple(vals[v] for v in heap.values))
-        return heap.restrict(f[1])
+        return mp2.restrict(f, heap)
 
     broken = Presheaf(cat, lambda a: mp2.at(a), bad_restrict, name="broken")
     rep = validate_presheaf(broken)
@@ -112,9 +113,9 @@ def test_validate_flags_composition_mismatch():
     def bad_restrict(f, heap):
         # tamper the middle step of the chain (x) <= (x,y) <= (x,y,z)
         if f == incl(("x", "y"), top):
-            restricted = heap.restrict(("x", "y"))
+            restricted = mp.restrict(f, heap)
             return Heap(restricted.locations, tuple(flip[v] for v in restricted.values))
-        return heap.restrict(f[1])
+        return mp.restrict(f, heap)
 
     broken = Presheaf(cat, lambda a: mp.at(a), bad_restrict, name="broken")
     rep = validate_presheaf(broken)
@@ -378,3 +379,28 @@ def test_check_sheaf_budget_exceeded(mp2, cov2):
     with pytest.raises(BudgetExceededError) as exc:
         check_sheaf(mp2, cov2, budget=2)
     assert exc.value.size is not None
+
+
+def test_supplied_family_with_legs_outside_their_stages(mp2, pset2, cov2):
+    """Legs that are no elements of their stages have no restriction to
+    compare, so the family is reported as having no amalgamation."""
+    cat, _ = pset2
+    top = ("x", "y")
+    cover = generate_sieve(cat, top, [incl(("x",), top), incl(("y",), top)])
+    fam = CompatibleFamily.of(cover, {
+        incl((), top): Heap((), ()),
+        incl(("x",), top): Heap(("x",), (7,)),
+        incl(("y",), top): Heap(("y",), (7,)),
+    })
+    rep = check_sheaf(mp2, cov2, mode="families", families=[fam])
+    assert [(v.kind, v.detail) for v in rep.violations] == [(
+        "existence",
+        "no amalgamation at ('x', 'y') over cover of size 3; family starts ('<>', '<x:7>', '<y:7>')",
+    )]
+    assert rep.notes == ["checked 1 families"]
+
+
+def test_restricting_an_element_outside_its_stage_is_a_stage_mismatch(mp2):
+    for stray in (Heap(("x",), (7,)), Heap(("y",), (0,)), "junk"):
+        with pytest.raises(StageMismatchError):
+            mp2.restrict(incl((), ("x",)), stray)

@@ -1,5 +1,5 @@
-"""Differential tests: the index-encoded presheaf core against the
-element-level reference in `presheaf_reference`."""
+"""Differential tests: the presheaf core on ids against the element-level
+reference in `presheaf_reference`."""
 
 import pytest
 
@@ -19,6 +19,8 @@ from sheafsep.presheaf import (
     slice_restrict,
 )
 from sheafsep.site import build_coverage, slice_coverage, trivial_coverage
+
+MEMORY_KINDS = ("strict-memory", "partial-memory", "support-bounded")
 
 BUILDERS = [
     ("strict-memory", {"values": (0, 1)}),
@@ -175,3 +177,55 @@ def test_four_locations_agree_with_reference():
     rep = check_sheaf(sb, cov)
     assert rep.as_dict() == ref.check_sheaf(sb, cov).as_dict()
     assert "existence" in rep.kinds()
+
+
+@pytest.mark.parametrize("n_locs", [1, 2, 3, 4])
+def test_memory_sheaves_agree_with_the_element_level_builder(n_locs):
+    """Digit projection against restricting heaps cell by cell, for every
+    kind and every support bound 0..n."""
+    cat, _ = build_powerset_category(["w", "x", "y", "z"][:n_locs])
+    cases = [("strict-memory", None), ("partial-memory", None)]
+    cases += [("support-bounded", k) for k in range(n_locs + 1)]
+    for kind, bound in cases:
+        kwargs = {} if bound is None else {"bound": bound}
+        new = build_resource_sheaf(cat, kind, values=(0, 1), **kwargs)
+        ref.assert_same_presheaf(new, ref.memory_sheaf(cat, kind, (0, 1), bound))
+        assert new.name == ref.memory_sheaf(cat, kind, (0, 1), bound).name
+
+
+@pytest.mark.parametrize("coverage", ["downward-closed", "finite-covers"])
+@pytest.mark.parametrize("n_locs", [2, 3])
+def test_matching_presheaf_agrees_with_the_element_level_reference(n_locs, coverage):
+    cat, _ = build_powerset_category(["x", "y", "z"][:n_locs])
+    cov = build_coverage(cat, coverage)
+    for kind, kwargs in (("partial-memory", {}), ("support-bounded", {"bound": 1})):
+        new = matching_presheaf(build_resource_sheaf(cat, kind, values=(0, 1), **kwargs), cov)
+        old = ref.matching_presheaf(ref.memory_sheaf(cat, kind, (0, 1), kwargs.get("bound")), cov)
+        ref.assert_same_presheaf(new, old)
+
+
+def test_matching_presheaf_of_a_stage_with_a_repeated_element_agrees():
+    cat, _, cov = _site(2)
+    dup = Presheaf(cat, lambda a: [0, 1, 0], lambda f, x: x, name="dup")
+    assert dup.at(("x",)) == (0, 0, 1)
+    ref.assert_same_presheaf(matching_presheaf(dup, cov), ref.matching_presheaf(dup, cov))
+
+
+def test_table_fills_and_sheaf_checks_construct_no_elements(built):
+    """Deterministic work gate: every restriction table of 4-location
+    Mp[0,1], of Mp (*) Mp and of M (x) Mp at 3 locations, and the sheaf
+    checks of all three, are computed on ids alone."""
+    big, _ = build_powerset_category(["w", "x", "y", "z"])
+    cat, mon = build_powerset_category(["x", "y", "z"])
+    mp, m = (build_resource_sheaf(cat, kind, values=(0, 1))
+             for kind in ("partial-memory", "strict-memory"))
+    cases = [(build_resource_sheaf(big, "partial-memory", values=(0, 1)),
+              build_coverage(big, "downward-closed")),
+             (day_decomp(mp, mp, mon), build_coverage(cat, "downward-closed")),
+             (day_coend(m, mp, mon), build_coverage(cat, "downward-closed"))]
+    built.clear()
+    for ps, cov in cases:
+        for f in ps.base.all_morphisms():
+            ps.table(f)
+        assert check_sheaf(ps, cov).ok
+    assert sum(built.values()) == 0, built

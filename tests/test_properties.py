@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from day_reference import apply
 from sheafsep.day import Decomp, build_memory_monoid
 from sheafsep.fincat import build_powerset_category
 from sheafsep.presheaf import Heap, build_resource_sheaf
@@ -33,7 +34,7 @@ def heap_triples(draw):
 
 def mult(monoid, s, t):
     a = MON.tensor(s.locations, t.locations)
-    return monoid.apply(Decomp(a, s.locations, t.locations, s, t))
+    return apply(monoid, Decomp(a, s.locations, t.locations, s, t))
 
 
 @given(heap_triples(), st.sampled_from(["total", "weak-partial", "strong-partial"]))
@@ -71,7 +72,9 @@ def test_restriction_composes(heap, data):
         st.sampled_from([a for a in CAT.objects if set(a) <= set(heap.locations)])
     )
     w = data.draw(st.sampled_from([a for a in CAT.objects if set(a) <= set(v)]))
-    assert heap.restrict(v).restrict(w) == heap.restrict(w)
+    a = heap.locations
+    down = MP.restrict(CAT.hom(w, v)[0], MP.restrict(CAT.hom(v, a)[0], heap))
+    assert down == MP.restrict(CAT.hom(w, a)[0], heap)
 
 
 @given(st.data())

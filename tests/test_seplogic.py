@@ -400,30 +400,15 @@ def test_tokenizer_matches_reference(text):
 
 
 @pytest.mark.parametrize("mode", ["unfolded", "pipeline"])
-def test_nested_star_work_at_the_size_bound(mode, monkeypatch):
+def test_nested_star_work_at_the_size_bound(mode, built):
     """Deterministic work gate: at four locations and two values a nested
-    star multiplies through the product tables alone, so it makes no
-    ResourceMonoid.apply call, and the sheaf's restrict_fn runs at most
-    once per restriction-table entry it builds."""
-    from sheafsep.day import ResourceMonoid
-
+    star multiplies through the product tables and builds the pipeline's
+    maps on ids, so it constructs no Decomp or MatchClass.  Its heaps are
+    the ones the cell rule decodes (`ResourceMonoid._meets` lists every
+    stage once, 4^4 = 256 heaps) and one probe heap per atom."""
     model = make_memory_model(("a", "b", "c", "d"), (0, 1), monoid_variant="weak-partial")
-    mp = model.sheaf
-    calls = {"apply": 0, "restrict": 0}
-    apply, restrict_fn = ResourceMonoid.apply, mp._restrict_fn
-
-    def counted_apply(self, d):
-        calls["apply"] += 1
-        return apply(self, d)
-
-    def counted_restrict(f, x):
-        calls["restrict"] += 1
-        return restrict_fn(f, x)
-
-    monkeypatch.setattr(ResourceMonoid, "apply", counted_apply)
-    mp._restrict_fn = counted_restrict
+    built.clear()
     phi = parse_formula("(a ~> 0 * b |-> 1) * (c ~> 1 \\/ d |-> 0)")
     eval_formula(model, phi, mode=mode)
-    entries = sum(len(t) for t in mp._tables.values())
-    assert calls["apply"] == 0
-    assert 0 < calls["restrict"] <= entries
+    assert built["Decomp"] == built["MatchClass"] == 0
+    assert built["Heap"] == 256 + 4
