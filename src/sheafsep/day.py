@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 from .errors import (
     BudgetExceededError,
@@ -72,19 +72,22 @@ class _Triples:
 
     A block per pair (b, c), in sorted order, holds |F(b)| * |G(c)| * n
     ids, n the number of witnesses, sorted by repr.  Within a block the
-    triples run in `Decomp.sort_key` order: by s, then t, then w, where a
-    stage that lists an element several times has its copies side by
-    side, and copies of one triple come last, s before t.  Without copies
-    the id is offset + (s * |G(c)| + t) * n + the witness's position.  The
-    exact form, the decompositions of a powerset base, has a block per
-    exact splitting with the one witness None; the witnessed form has a
-    block per pair whose tensor a maps to.
+    triples run in `Decomp.sort_key` order: by s, then t, then w.  The
+    node of a triple is offset + (s * |G(c)| + t) * n + the witness's
+    position; it is the triple's id when no stage of F or G lists an
+    element twice.  Otherwise a stage's copies sit side by side, so the
+    copies of one triple come last, s before t, and `id` and `parts`
+    count them; nodes of first positions still name the distinct
+    triples, in id order.  The exact form, the decompositions of a
+    powerset base, has a block per exact splitting with the one witness
+    None; the witnessed form has a block per pair whose tensor a maps to.
     """
 
     def __init__(self, f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure, exact):
         self.f, self.g, self.mon, self.exact = f_sheaf, g_sheaf, mon, exact
         self.cat = f_sheaf.base
         self.blocks, self.copies = cache(self._blocks), cache(self._copies)
+        self.firsts = cache(self._firsts)
 
     def _blocks(self, a):
         """{(b, c): (offset, ws, {w: position})} in id order, and the
@@ -105,8 +108,16 @@ class _Triples:
         counts = Counter(first)
         return first, [counts[i] for i in first]
 
+    def _firsts(self, sheaf, x):
+        """The ids of sheaf's stage x: the first positions."""
+        return [s for s, i in enumerate(self.copies(sheaf, x)[0]) if s == i]
+
     def size(self, a):
         return self.blocks(a)[1]
+
+    def node(self, a, b, c, w, s, t):
+        off, ws, at = self.blocks(a)[0][b, c]
+        return off + (s * self.g.size(c) + t) * len(ws) + at[w]
 
     @cached_property
     def copied(self):
@@ -225,11 +236,11 @@ def day_coend(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure,
               budget=DEFAULT_COEND_BUDGET) -> Presheaf:
     """Day convolution proper: witnessed triples modulo dinaturality.
 
-    The triples at a carry the ids of `_Triples` in witnessed form.  The
+    The triples at a are the nodes of `_Triples` in witnessed form.  The
     relation (w, F(u)s, G(v)t) ~ ((u tensor v).w, s, t) is closed off by
-    a union-find over those ids, on `dinaturality_generators` and the
+    a union-find over those nodes, on `dinaturality_generators` and the
     restriction tables.  Only triples whose s and t are ids (first
-    positions) take part.  A class is named by its least id, so the
+    positions) take part.  A class is named by its least node, so the
     classes follow the order of their representatives' `Decomp.sort_key`,
     and restriction acts on representatives; `class_of` is the quotient
     map on elements.
@@ -238,20 +249,18 @@ def day_coend(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure,
         raise MonoidalStructureError("day_coend needs a monoidal base")
     cat = f_sheaf.base
     triples = _Triples(f_sheaf, g_sheaf, mon, exact=False)
-    gens, f_ids, g_ids = [], {}, {}
+    f_ids, g_ids = partial(triples.firsts, f_sheaf), partial(triples.firsts, g_sheaf)
+    gens = []
 
     @cache
     def classes_at(a):
-        """The class of each triple id (-1 off the first positions), and
-        each class's least triple as (b, c, w, s, t)."""
+        """The class of each node (-1 off the first positions), and each
+        class's least triple as (b, c, w, s, t)."""
         blocks, n = triples.blocks(a)
         if n > budget:
             raise BudgetExceededError(f"{n} coend triples at {a!r} exceed budget {budget}", size=n)
         if not gens:
             gens.extend(dinaturality_generators(cat, mon))
-            for x in cat.objects:
-                f_ids[x] = [s for s, i in enumerate(triples.copies(f_sheaf, x)[0]) if s == i]
-                g_ids[x] = [t for t, i in enumerate(triples.copies(g_sheaf, x)[0]) if t == i]
         parent = list(range(n))
 
         def find(x):
@@ -259,39 +268,31 @@ def day_coend(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure,
                 parent[x] = x = parent[parent[x]]
             return x
 
-        # the id of a first-position triple (s, t, k) in a block at
-        # offset off is off + s * |G(c)| * n + m_s * (t * n + k * m_t),
-        # m the copy counts (see `_Triples`)
         for u, v in gens:
             b, b2, c, c2 = cat.src(u), cat.dst(u), cat.src(v), cat.dst(v)
             if (b, c) not in blocks:
                 continue
             (lo, ws, _), (hi, ws2, at2) = blocks[b, c], blocks[b2, c2]
             fu, gv, uv = f_sheaf.table(u), g_sheaf.table(v), mon.tensor_m(u, v)
-            mf, mf2 = triples.copies(f_sheaf, b)[1], triples.copies(f_sheaf, b2)[1]
-            mg, mg2 = triples.copies(g_sheaf, c)[1], triples.copies(g_sheaf, c2)[1]
             n1, n2 = len(ws), len(ws2)
             w1, w2 = g_sheaf.size(c) * n1, g_sheaf.size(c2) * n2
             for k, w in enumerate(ws):
                 k2 = at2[cat.compose(uv, w)]
-                gx = [gv[t2] * n1 + k * mg[gv[t2]] for t2 in g_ids[c2]]
-                gy = [t2 * n2 + k2 * mg2[t2] for t2 in g_ids[c2]]
-                for s2 in f_ids[b2]:
-                    x0, y0, mx, my = lo + fu[s2] * w1, hi + s2 * w2, mf[fu[s2]], mf2[s2]
-                    for dx, dy in zip(gx, gy):
-                        rx, ry = find(x0 + mx * dx), find(y0 + my * dy)
+                for s2 in f_ids(b2):
+                    x0, y0 = lo + fu[s2] * w1 + k, hi + s2 * w2 + k2
+                    for t2 in g_ids(c2):
+                        rx, ry = find(x0 + gv[t2] * n1), find(y0 + t2 * n2)
                         if rx != ry:
                             parent[ry] = rx
-        # first-position ids ascend through the blocks, s, t and w in
-        # turn, so the first id seen in a class is its least
+        # first-position nodes ascend through the blocks, s, t and w in
+        # turn, so the first node seen in a class is its least
         of, reps, named = [-1] * n, [], {}
         for (b, c), (off, ws, _) in blocks.items():
-            mf, mg = triples.copies(f_sheaf, b)[1], triples.copies(g_sheaf, c)[1]
-            n1, width = len(ws), g_sheaf.size(c) * len(ws)
-            for s in f_ids[b]:
-                for t in g_ids[c]:
+            width = g_sheaf.size(c)
+            for s in f_ids(b):
+                for t in g_ids(c):
                     for k, w in enumerate(ws):
-                        i = off + s * width + mf[s] * (t * n1 + k * mg[t])
+                        i = off + (s * width + t) * len(ws) + k
                         r = find(i)
                         if r not in named:
                             named[r] = len(reps)
@@ -301,7 +302,7 @@ def day_coend(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure,
 
     def table(h):
         v, of = cat.src(h), classes_at(cat.src(h))[0]
-        return tuple(of[triples.id(v, b, c, cat.compose(w, h), s, t)]
+        return tuple(of[triples.node(v, b, c, cat.compose(w, h), s, t)]
                      for b, c, w, s, t in classes_at(cat.dst(h))[1])
 
     def decode(a, k):
@@ -312,8 +313,8 @@ def day_coend(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure,
         """Quotient map from (possibly canonical-poset) triples to classes."""
         d = d if d.witness is not None else poset_witnessed(cat, mon, d)
         b, c = d.left_stage, d.right_stage
-        i = triples.id(d.stage, b, c, d.witness, f_sheaf.index(b)[d.left],
-                       g_sheaf.index(c)[d.right])
+        i = triples.node(d.stage, b, c, d.witness, f_sheaf.index(b)[d.left],
+                         g_sheaf.index(c)[d.right])
         return ps.element(d.stage, classes_at(d.stage)[0][i])
 
     name = f"({f_sheaf.name} (x) {g_sheaf.name})"
@@ -341,11 +342,10 @@ class ResourceMonoid:
 
     `cell(x, y)` combines the values two halves store at a location they
     share, or is UNDEFINED; a location in one half only keeps its value.
-    The product is defined iff every shared cell combines.  The product
-    tables are read off that one rule; `apply` multiplies the heaps of one
-    decomposition by it, and nothing in the package calls it
-    (perfbench/spans.py counts its calls).  The unit is the designated
-    point of F at the unit object.
+    The product is defined iff every shared cell combines.  `apply` is
+    that rule on two heaps over the same locations, and the product
+    tables are read off it.  The unit is the designated point of F at
+    the unit object.
     """
 
     carrier: Presheaf
@@ -355,15 +355,11 @@ class ResourceMonoid:
     unit: object
     _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def apply(self, d: Decomp):
-        """The product of d's halves, or None when it is undefined."""
-        left, right = d.left.as_dict(), d.right.as_dict()
-        cells = {**left, **right}
-        for x in left.keys() & right.keys():
-            cells[x] = self.cell(left[x], right[x])
-            if cells[x] is UNDEFINED:
-                return None
-        return Heap.of(cells, cells)
+    def apply(self, xs, ys):
+        """The cellwise product of two heaps' values over the same
+        locations, or None when a cell is UNDEFINED."""
+        cells = tuple(map(self.cell, xs, ys))
+        return None if UNDEFINED in cells else cells
 
     def products(self, b, c):
         """The product table of the splitting (b, c), built on first use:
@@ -396,14 +392,14 @@ class ResourceMonoid:
         return rows
 
     def _meets(self, o):
-        """The cell rule at o: row s, column t is the id of the cellwise
-        product of the elements with ids s and t, or -1."""
+        """The cell rule at o: row s, column t is the id of `apply` on the
+        elements with ids s and t, or -1."""
         meets = self._tables.get(o)
         if meets is None:
             heaps = self.carrier.at(o)
             index = {h.values: i for h, i in self.carrier.index(o).items()}
             meets = self._tables[o] = [
-                [index.get(tuple(map(self.cell, s.values, t.values)), -1) for t in heaps]
+                [index.get(self.apply(s.values, t.values), -1) for t in heaps]
                 for s in heaps
             ]
         return meets
@@ -534,15 +530,25 @@ def finsurj_gamma(cat: FinCat, mon: MonoidalStructure):
 
 
 def _convolved_mono(mon, alpha: SheafMorphism, g_sheaf):
-    """Per stage, the images in day(F, G) of the triples of day(F', G)
-    under the map that alpha: F' -> F induces: (b, c, w, s, t) goes to
-    (b, c, w, alpha(s), t), or to -1 where alpha is undefined."""
-    small = _Triples(alpha.source, g_sheaf, mon, alpha.source.base.kind == "powerset")
+    """Per stage, the images in day(F, G) of the distinct triples of
+    day(F', G) under the map that alpha: F' -> F induces: (b, c, w, s, t)
+    goes to the node of (b, c, w, alpha(s), t), or to -1 where alpha is
+    undefined.  Nodes of ids name distinct triples (see `_Triples`)."""
+    cat = alpha.source.base
+    small = _Triples(alpha.source, g_sheaf, mon, cat.kind == "powerset")
     big = _Triples(alpha.target, g_sheaf, mon, small.exact)
-    return {a: [-1 if j < 0 else big.id(a, b, c, w, j, t)
+    on = {b: _on_ids(alpha, b) for b in cat.objects}
+    return {a: [-1 if j < 0 else big.node(a, b, c, w, j, t)
                 for (b, c), (_, ws, _) in small.blocks(a)[0].items()
-                for j in alpha.ids(b) for t in range(g_sheaf.size(c)) for w in ws]
-            for a in alpha.source.base.objects}
+                for j in on[b] for t in small.firsts(g_sheaf, c) for w in ws]
+            for a in cat.objects}
+
+
+def _on_ids(alpha: SheafMorphism, a):
+    """alpha's component at a on its source's ids (first positions), so
+    copies of one element count once."""
+    first = alpha.source.table(alpha.source.base.id(a))
+    return [j for i, j in enumerate(alpha.ids(a)) if first[i] == i]
 
 
 def check_day_stability(site: Site, samples, inclusions=(), budget=DEFAULT_COEND_BUDGET) -> Report:
@@ -575,7 +581,7 @@ def check_day_stability(site: Site, samples, inclusions=(), budget=DEFAULT_COEND
 
     for alpha in inclusions:
         for a in cat.objects:
-            if not injective(alpha.ids(a)):
+            if not injective(_on_ids(alpha, a)):
                 rep.flag("mono", f"{alpha.name}: supplied components not injective at {a!r}")
         for g_sheaf in samples:
             for a, col in _convolved_mono(mon, alpha, g_sheaf).items():

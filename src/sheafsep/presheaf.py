@@ -620,12 +620,17 @@ def check_sheaf(ps: Presheaf, cov: Coverage, mode="exhaustive", families=(),
 
 def slice_restrict(ps: Presheaf, a, prebuilt=None) -> Presheaf:
     """F restricted to the slice over a: the composite F . dom_a, whose
-    tables are F's tables along the domains of slice morphisms."""
+    tables are F's tables along the domains of slice morphisms.  A
+    presheaf without listed stages is restricted element by element."""
     ps.base.require_object(a)
     sl, dom = prebuilt if prebuilt is not None else slice_category(ps.base, a)
+    name = f"{ps.name}|{a!r}"
+    if not ps.enumerable:
+        return Presheaf(sl, lambda p: ps.at(dom.on_obj(p)),
+                        lambda m, x: ps.restrict(dom.on_mor(m), x), name=name, enumerable=False)
     return Presheaf.encoded(
         sl, lambda p: ps.size(dom.on_obj(p)), lambda m: ps.table(dom.on_mor(m)),
-        lambda p, i: ps.element(dom.on_obj(p), i), name=f"{ps.name}|{a!r}")
+        lambda p, i: ps.element(dom.on_obj(p), i), name=name)
 
 
 # -- matching objects --------------------------------------------------------

@@ -246,6 +246,35 @@ def test_day_stability_flags_injected_non_mono(pset2, mp2):
     assert "mono" in kinds or "mono-preservation" in kinds
 
 
+def test_day_stability_counts_a_repeated_element_once(pset2, mp2):
+    """A source stage listing an element twice is not a failed mono: its
+    copies are one element, as for an element-keyed map."""
+    cat, mon = pset2
+    site = Site(cat, build_coverage(cat, "downward-closed"), mon)
+    twice = build_resource_sheaf(cat, "constant", elements=(1, 0, 1))
+    pair = build_resource_sheaf(cat, "constant", elements=(0, 1))
+    one = build_resource_sheaf(cat, "constant", elements=(0,))
+    ident = SheafMorphism(twice, pair, {a: {0: 0, 1: 1} for a in cat.objects}, name="dedupe")
+    assert check_day_stability(site, [mp2], inclusions=[ident]).ok
+    squash = SheafMorphism(twice, one, {a: {0: 0, 1: 0} for a in cat.objects}, name="squash")
+    kinds = check_day_stability(site, [mp2], inclusions=[squash]).kinds()
+    assert "mono" in kinds and "mono-preservation" in kinds
+
+
+def test_apply_is_the_cell_rule_on_one_stage(pset2, mp2):
+    """`ResourceMonoid.apply` against the reference product of two heaps
+    over the same locations, for every pair at every stage."""
+    cat, _ = pset2
+    for variant in ("total", "weak-partial", "strong-partial"):
+        monoid = build_memory_monoid(mp2, variant)
+        for a in cat.objects:
+            for s in mp2.at(a):
+                for t in mp2.at(a):
+                    want = ref.apply(monoid, Decomp(a, a, a, s, t))
+                    got = monoid.apply(s.values, t.values)
+                    assert got == (None if want is None else want.values), (variant, s, t)
+
+
 def test_day_stability_finsurj_two():
     from sheafsep.fincat import build_finsurj_category
 

@@ -400,6 +400,31 @@ def test_supplied_family_with_legs_outside_their_stages(mp2, pset2, cov2):
     assert rep.notes == ["checked 1 families"]
 
 
+def test_supplied_family_with_one_leg_outside_its_stage(mp2, pset2, cov2):
+    """A leg outside its stage is not restricted, even where projecting
+    its cells would disagree with an in-stage leg (<x:7, y:0> against
+    <x:0>): the family has no amalgamation, as when every leg is outside.
+    In-stage legs are still compared with each other."""
+    cat, _ = pset2
+    top = ("x", "y")
+    cover = generate_sieve(cat, top, [cat.id(top)])
+    legs = {
+        cat.id(top): Heap(top, (7, 0)),
+        incl(("x",), top): Heap(("x",), (0,)),
+        incl(("y",), top): Heap(("y",), (0,)),
+        incl((), top): Heap((), ()),
+    }
+    rep = check_sheaf(mp2, cov2, mode="families", families=[CompatibleFamily.of(cover, legs)])
+    assert [(v.kind, v.detail) for v in rep.violations] == [(
+        "existence",
+        "no amalgamation at ('x', 'y') over cover of size 4; family starts ('<>', '<x:0>', '<x:7, y:0>')",
+    )]
+    # in-stage legs that disagree are still reported
+    legs[cat.id(top)], legs[incl(("y",), top)] = Heap(top, (1, 0)), Heap(("y",), (7,))
+    rep = check_sheaf(mp2, cov2, mode="families", families=[CompatibleFamily.of(cover, legs)])
+    assert rep.kinds() == ["compatibility"]
+
+
 def test_restricting_an_element_outside_its_stage_is_a_stage_mismatch(mp2):
     for stray in (Heap(("x",), (7,)), Heap(("y",), (0,)), "junk"):
         with pytest.raises(StageMismatchError):

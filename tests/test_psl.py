@@ -258,3 +258,25 @@ def test_full_probability_presheaf_sheaf_check_on_supplied_families():
     rep = check_sheaf(pres, cov, mode="families", families=families)
     assert rep.kinds() == ["existence"]
     assert rep.notes == ["checked 2 families"]
+
+
+def test_slice_of_the_full_probability_presheaf_restricts_spaces():
+    """The full probability presheaf lists no stages, so its slice keeps
+    restricting one space at a time: along the slice morphism from c to
+    the identity over 1, the one-point space pulls back to the coarse
+    space on {1,2}."""
+    from sheafsep.errors import StageNotEnumerableError
+    from sheafsep.fincat import build_finsurj_category, surj
+    from sheafsep.presheaf import slice_restrict
+    from sheafsep.psl import full_probability_presheaf
+
+    cat, _ = build_finsurj_category(2)
+    pres = full_probability_presheaf(cat)
+    sl = slice_restrict(pres, 1)
+    assert not sl.enumerable
+    c = surj(2, 1, (1, 1))
+    with pytest.raises(StageNotEnumerableError):
+        sl.at(c)
+    (m,) = sl.base.hom(c, cat.id(1))
+    point = ProbSpace.of(1, [(1,)], [Fraction(1)])
+    assert sl.restrict(m, point) == pres.restrict(c, point) == ProbSpace.of(2, [(1, 2)], [Fraction(1)])
