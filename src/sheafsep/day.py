@@ -208,13 +208,17 @@ def day_decomp(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure) -> 
 
 def splittings(cat: FinCat, mon: MonoidalStructure, v):
     """The exact splittings of v: pairs (b, c) with b tensor c = v, in
-    object order."""
-    return [
-        (b, c)
-        for b in cat.objects
-        for c in cat.objects
-        if mon.tensor_defined(b, c) and mon.tensor(b, c) == v
-    ]
+    object order.  They are tabulated for every v on first use and kept
+    on the monoidal structure."""
+    by_v = mon.memo.get("splittings")
+    if by_v is None:
+        by_v = {}
+        for b in cat.objects:
+            for c in cat.objects:
+                if mon.tensor_defined(b, c):
+                    by_v.setdefault(mon.tensor(b, c), []).append((b, c))
+        by_v = mon.memo["splittings"] = {a: tuple(pairs) for a, pairs in by_v.items()}
+    return by_v.get(v, ())
 
 
 def dinaturality_generators(cat: FinCat, mon: MonoidalStructure):
@@ -343,9 +347,24 @@ class ResourceMonoid:
     `cell(x, y)` combines the values two halves store at a location they
     share, or is UNDEFINED; a location in one half only keeps its value.
     The product is defined iff every shared cell combines.  `apply` is
-    that rule on two heaps over the same locations, and the product
-    tables are read off it.  The unit is the designated point of F at
-    the unit object.
+    that rule on two heaps over the same locations.  The unit is the
+    designated point of F at the unit object.
+
+    Products are digit arithmetic.  Every singleton stage of a memory
+    sheaf lists the same r cells; a cell's id there is its digit, and an
+    element at a has the code sum of digit(x) * r^(|a| - 1 - position of
+    x): a mixed-radix number over its cells, the first location most
+    significant.  For a splitting (b, c) of v with overlap o, the
+    product of the ids i at b and j at c has the code E_b(i) + E_c(j) +
+    M_o(z_i, t_j) at v.  E_b(i) is i's digits at b only, at their weights
+    in v; z_i is the code of i's restriction to o; M_o combines two codes
+    at o digit by digit through `_digits`, the cell rule on one digit,
+    and places the result at v's weights, or is -1 when a digit is
+    UNDEFINED.  The three terms hold disjoint digits, so the sum carries
+    nothing.  A stage with r^|a| elements is taken to list them in code
+    order, as the memory builders do; on other stages (support-bounded
+    memory) codes and ids are translated.  Every table is built on first
+    use and kept on the monoid.
     """
 
     carrier: Presheaf
@@ -361,48 +380,115 @@ class ResourceMonoid:
         cells = tuple(map(self.cell, xs, ys))
         return None if UNDEFINED in cells else cells
 
-    def products(self, b, c):
-        """The product table of the splitting (b, c), built on first use:
-        row i, column j is the id at b u c of the product of the elements
-        with ids i at b and j at c, or -1 when it is undefined.  An element
-        at b u c is given by the ids of its restrictions to b only, c only
-        and the overlap o, so a product is looked up from the halves'
-        restrictions, their overlaps combined by the cell rule."""
-        rows = self._tables.get((b, c))
-        if rows is None:
-            mp, cat = self.carrier, self.carrier.base
+    def _memo(self, key, build):
+        try:
+            return self._tables[key]
+        except KeyError:
+            out = self._tables[key] = build()
+            return out
+
+    def _digits(self):
+        """(r, rule): the number of cells, and rule[d][e] the digit of the
+        product of the cells with digits d and e, or -1 where `apply`
+        leaves the carrier.  Read off the first singleton stage."""
+        def build():
+            mp = self.carrier
+            one = next((a for a in mp.base.objects if len(a) == 1), None)
+            if one is None:
+                return 1, [[0]]
+            index = {h.values: i for h, i in mp.index(one).items()}
+            cells = mp.at(one)
+            return len(cells), [[index.get(self.apply(s.values, t.values), -1) for t in cells]
+                                for s in cells]
+        return self._memo("digits", build)
+
+    def _numbering(self, a):
+        """None where the ids at a are the codes: a full stage, r^|a|
+        elements listed in the product order of their cells.  Otherwise
+        (per id its code, per code its id or -1), the digits read off the
+        restriction tables to the singleton stages below a."""
+        def build():
+            mp, cat, r = self.carrier, self.carrier.base, self._digits()[0]
+            if mp.size(a) == r ** len(a):
+                return None
+            codes = [0] * mp.size(a)
+            for x in a:
+                codes = [k * r + d for k, d in zip(codes, mp.table(cat.hom((x,), a)[0]))]
+            ids = [-1] * r ** len(a)
+            for i, k in enumerate(codes):
+                if ids[k] < 0:
+                    ids[k] = i
+            return codes, ids
+        return self._memo(("numbering", a), build)
+
+    def codes(self, a):
+        """Per id at a, its code; None where every id is its code."""
+        numbering = self._numbering(a)
+        return numbering and numbering[0]
+
+    def ids(self, a):
+        """Per code at a, its id or -1 off the carrier; None where every
+        code is its id."""
+        numbering = self._numbering(a)
+        return numbering and numbering[1]
+
+    def _part(self, a, s, v):
+        """Per id at a, the code at v of its digits on s, a sub-stage of a
+        and of v; the digits of a outside s are dropped."""
+        def build():
+            r, out = self._digits()[0], [0]
+            for x in a:
+                w = r ** (len(v) - 1 - v.index(x)) if x in s else 0
+                out = [k + d * w for k in out for d in range(r)]
+            codes = self.codes(a)
+            return out if codes is None else [out[k] for k in codes]
+        return self._memo(("part", a, s, v), build)
+
+    def _meet(self, o, v):
+        """M_o at v: the function of two codes z and t at o that applies
+        the cell rule digit by digit and places the result at v, or
+        gives -1 when a digit is UNDEFINED."""
+        r, rule = self._digits()
+        # o's weights in v, its last (least significant) location first
+        weights = [r ** (len(v) - 1 - v.index(x)) for x in reversed(o)]
+
+        def meet(z, t):
+            m = 0
+            for w in weights:
+                d = rule[z % r][t % r]
+                if d < 0:
+                    return -1
+                m += d * w
+                z //= r
+                t //= r
+            return m
+        return meet
+
+    def split(self, b, c):
+        """For the splitting (b, c) of v: (v, E_b, z, E_c, t, M_o), with o
+        the overlap and, per id at b, E_b and z its code at o; per id at
+        c, E_c and t likewise."""
+        def build():
             v = tuple(sorted(set(b) | set(c)))
             o = tuple(x for x in b if x in c)
             only_b, only_c = tuple(x for x in b if x not in c), tuple(x for x in c if x not in b)
+            return (v, self._part(b, only_b, v), self._part(b, o, o),
+                    self._part(c, only_c, v), self._part(c, o, o), self._meet(o, v))
+        return self._memo(("split", b, c), build)
 
-            def ids(a, part):
-                return mp.table(cat.hom(part, a)[0])
-
-            # glue[x][y][z]: the id at v with those ids at (only_b, only_c, o);
-            # the extra last slot answers z = -1, an undefined overlap
-            width = mp.size(o) + 1
-            glue = [[[-1] * width for _ in range(mp.size(only_c))] for _ in range(mp.size(only_b))]
-            for k, (x, y, z) in enumerate(zip(ids(v, only_b), ids(v, only_c), ids(v, o))):
-                glue[x][y][z] = k
-            meets, right = self._meets(o), list(zip(ids(c, only_c), ids(c, o)))
-            rows = self._tables[b, c] = [
-                [glue[x][y][meets[z][t]] for y, t in right]
-                for x, z in zip(ids(b, only_b), ids(b, o))
-            ]
-        return rows
-
-    def _meets(self, o):
-        """The cell rule at o: row s, column t is the id of `apply` on the
-        elements with ids s and t, or -1."""
-        meets = self._tables.get(o)
-        if meets is None:
-            heaps = self.carrier.at(o)
-            index = {h.values: i for h, i in self.carrier.index(o).items()}
-            meets = self._tables[o] = [
-                [index.get(self.apply(s.values, t.values), -1) for t in heaps]
-                for s in heaps
-            ]
-        return meets
+    def products(self, b, c):
+        """The product table of the splitting (b, c), built on first use:
+        row i, column j is the id at b u c of the product of the elements
+        with ids i at b and j at c, or -1 when it is undefined or leaves
+        the carrier."""
+        def build():
+            v, eb, zb, ec, tc, meet = self.split(b, c)
+            ids, rows = self.ids(v), []
+            for e, z in zip(eb, zb):
+                row = [m if m < 0 else e + f + m for f, m in zip(ec, (meet(z, t) for t in tc))]
+                rows.append(row if ids is None else [k if k < 0 else ids[k] for k in row])
+            return rows
+        return self._memo(("products", b, c), build)
 
 
 def build_memory_monoid(mp: Presheaf, variant: str) -> ResourceMonoid:

@@ -15,6 +15,7 @@ exhaustive enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from .errors import (
@@ -132,12 +133,23 @@ class FinCat:
 
 @dataclass(frozen=True)
 class MonoidalStructure:
-    """(Possibly partial) tensor on a FinCat; strict for the built-in posets."""
+    """(Possibly partial) tensor on a FinCat; strict for the built-in posets.
+
+    The tensor on morphisms is given as a dict, or as a function of no
+    arguments that builds it; `tensor_mor` then builds it on first read.
+    `memo` holds tables derived from the tensor, such as the splittings.
+    """
 
     tensor_obj: dict = field(hash=False)
-    tensor_mor: dict = field(hash=False)
+    tensor_mors: object = field(hash=False, repr=False)
     unit: object = None
     symmetric: bool = False
+    memo: dict = field(default_factory=dict, hash=False, compare=False, repr=False)
+
+    @cached_property
+    def tensor_mor(self) -> dict:
+        mors = self.tensor_mors
+        return mors() if callable(mors) else mors
 
     def tensor(self, a, b):
         try:
@@ -205,7 +217,11 @@ def build_powerset_category(locations, size_bound=POWERSET_SIZE_BOUND):
     tensor_obj = {(a, b): of_mask[mask[a] | mask[b]] for a in objects for b in objects}
     mors = [(f, mask[a], mask[b]) for (a, b), (f,) in homs.items()]
     of_masks = {(ma, mb): f for f, ma, mb in mors}
-    tensor_mor = {(f, g): of_masks[ma | mc, mb | md] for f, ma, mb in mors for g, mc, md in mors}
+
+    def tensor_mor():
+        # (3^n)^2 pairs, read only by the law checks and the coend
+        return {(f, g): of_masks[ma | mc, mb | md] for f, ma, mb in mors for g, mc, md in mors}
+
     mon = MonoidalStructure(tensor_obj, tensor_mor, unit=(), symmetric=True)
     return cat, mon
 

@@ -24,7 +24,7 @@ already is the finitary one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import product
 
 from .errors import (
@@ -425,6 +425,16 @@ class _EncodedCover:
         self._gen_factors = [self.factors[position[g]] for g in gens]
         self._by_signature = None
 
+    @cached_property
+    def _leg_tables(self):
+        """(generator position, F(k)) per member, F(k) read once per cover."""
+        return [(j, self.ps.table(k)) for j, k in self.factors]
+
+    @cached_property
+    def _key_tables(self):
+        """(generator position, F(k)) per generator."""
+        return [(j, self.ps.table(k)) for j, k in self._gen_factors]
+
     def families(self, budget):
         """Every compatible family, as position tuples in enumeration order.
 
@@ -464,8 +474,7 @@ class _EncodedCover:
 
     def legs(self, partial):
         """Ids of the family's values, parallel to the sorted members."""
-        table = self.ps.table
-        return tuple(table(k)[partial[j]] for j, k in self.factors)
+        return tuple(t[partial[j]] for j, t in self._leg_tables)
 
     def materialise(self, partial) -> CompatibleFamily:
         cat = self.ps.base
@@ -488,8 +497,7 @@ class _EncodedCover:
 
     def key(self, partial):
         """The generator ids an amalgamation of the family must have."""
-        table = self.ps.table
-        return tuple(table(k)[partial[j]] for j, k in self._gen_factors)
+        return tuple(t[partial[j]] for j, t in self._key_tables)
 
 
 def _encoded_cover(ps: Presheaf, cover: Sieve) -> _EncodedCover:

@@ -416,19 +416,38 @@ def atom_predicate(model: ResourceModel, atom, stage=None) -> KripkePredicate:
 
 def _star_bits(model, p, q, v):
     """The ids at v of the defined products m1.m2 over the exact
-    splittings b (x) c = v with m1 in p at b and m2 in q at c, read from
-    the monoid's product tables."""
-    cat, stage = model.site.cat, p.stage
+    splittings b (x) c = v with m1 in p at b and m2 in q at c, as bitset
+    products on the monoid's codes (see `ResourceMonoid`).
+
+    The members of p at b are grouped by their code z at the overlap o
+    into L_z, the bitset of their E_b values; q at c likewise into R_t.
+    Each pair of groups whose overlaps meet contributes (L_z * R_t) <<
+    M_o(z, t).  The big-int product carries nothing: distinct members of
+    one group differ in a digit at b only, so their E_b values are
+    distinct, and E_b and E_c hold disjoint digits, each below the radix;
+    so distinct pairs (i, j) give distinct sums E_b(i) + E_c(j), and
+    every coefficient of the product is 0 or 1."""
+    cat, stage, monoid = model.site.cat, p.stage, model.monoid
     out = 0
     for b, c in splittings(cat, model.site.monoidal, v):
         left, right = p.bits[cat.hom(b, stage)[0]], q.bits[cat.hom(c, stage)[0]]
         if left and right:
-            rows, right = model.monoid.products(b, c), list(_members(right))
-            for i in _members(left):
-                row = rows[i]
-                for j in right:
-                    if row[j] >= 0:
-                        out |= 1 << row[j]
+            _, eb, zb, ec, tc, meet = monoid.split(b, c)
+            rights = _groups(right, ec, tc).items()
+            for z, lz in _groups(left, eb, zb).items():
+                for t, rt in rights:
+                    m = meet(z, t)
+                    if m >= 0:
+                        out |= (lz * rt) << m
+    ids = monoid.ids(v)
+    return out if ids is None else _image(ids, out)
+
+
+def _groups(bits, e, z):
+    """{z[i]: the bitset of e[i]} over the members i of bits."""
+    out = {}
+    for i in _members(bits):
+        out[z[i]] = out.get(z[i], 0) | 1 << e[i]
     return out
 
 
@@ -554,15 +573,17 @@ class SatResult:
 def _star_witness(model, p, q, element):
     """The least decomposition of the element into halves of p and q,
     ordered by half-stages first, then by ids (which follow the
-    canonical element order)."""
-    cat, mp, stage = model.site.cat, model.sheaf, p.stage
-    target = mp.index(stage)[element]
+    canonical element order); each product is the monoid's code sum."""
+    cat, mp, stage, monoid = model.site.cat, model.sheaf, p.stage, model.monoid
+    k, codes = mp.index(stage)[element], monoid.codes(stage)
+    target = k if codes is None else codes[k]
     for b, c in sorted(splittings(cat, model.site.monoidal, stage)):
-        rows = model.monoid.products(b, c)
+        _, eb, zb, ec, tc, meet = monoid.split(b, c)
         right = list(_members(q.bits[cat.hom(c, stage)[0]]))
         for i in _members(p.bits[cat.hom(b, stage)[0]]):
             for j in right:
-                if rows[i][j] == target:
+                m = meet(zb[i], tc[j])
+                if m >= 0 and eb[i] + ec[j] + m == target:
                     return {
                         "left_stage": list(b),
                         "right_stage": list(c),

@@ -9,8 +9,14 @@ from sheafsep.day import (
     day_coend,
     day_decomp,
     powerset_gamma,
+    splittings,
 )
-from sheafsep.fincat import build_powerset_category, incl
+from sheafsep.fincat import (
+    MonoidalStructure,
+    build_finsurj_category,
+    build_powerset_category,
+    incl,
+)
 from sheafsep.presheaf import Heap, SheafMorphism, build_resource_sheaf, validate_presheaf
 from sheafsep.site import Site, build_coverage
 
@@ -317,3 +323,22 @@ def test_powerset_gamma_preserves_identities(pset2):
     sl_y, _ = slice_category(cat, ("y",))
     gid = on_mor(sl_xy.identities[p], sl_y.identities[q])
     assert gid == sl_xy.identities[on_obj(p, q)]
+
+
+@pytest.mark.parametrize("build", [lambda: build_powerset_category({"x", "y", "z"}),
+                                   lambda: build_finsurj_category(4)],
+                         ids=["powerset3", "finsurj4"])
+def test_splittings_are_tabulated_once_in_object_order(build, monkeypatch):
+    """`splittings` scans the object pairs once per monoidal structure and
+    returns, for every v, the pairs (b, c) with b (x) c = v in object
+    order."""
+    cat, mon = build()
+    scans = []
+    defined = MonoidalStructure.tensor_defined
+    monkeypatch.setattr(MonoidalStructure, "tensor_defined",
+                        lambda self, a, b: scans.append((a, b)) or defined(self, a, b))
+    for v in cat.objects:
+        assert list(splittings(cat, mon, v)) == [
+            (b, c) for b in cat.objects for c in cat.objects
+            if (b, c) in mon.tensor_obj and mon.tensor_obj[b, c] == v]
+    assert len(scans) == len(cat.objects) ** 2

@@ -165,6 +165,20 @@ def test_validate_monoidal_flags_a_corrupted_tensor_entry():
     assert "functoriality" in rep.kinds()
 
 
+def test_powerset_tensor_on_morphisms_is_built_on_first_read():
+    """Loading a memory model reads the tensor on objects only; the
+    (3^n)^2-entry table on morphisms waits for its first reader."""
+    from sheafsep.seplogic import eval_formula, make_memory_model, parse_formula
+
+    model = make_memory_model(("w", "x", "y", "z"), (0, 1))
+    mon = model.site.monoidal
+    eval_formula(model, parse_formula("(w ~> 0 * x |-> 1) * (y ~> 1 \\/ z |-> 0)"))
+    assert "tensor_mor" not in vars(mon)
+    assert validate_monoidal(model.site.cat, mon).ok
+    assert len(mon.tensor_mor) == 81 ** 2
+    assert mon.tensor_m(incl((), ("x",)), incl(("y",), ("y",))) == incl(("y",), ("x", "y"))
+
+
 # -- the FinCat helpers against brute-force filters over all_morphisms() --
 
 

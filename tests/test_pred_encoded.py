@@ -5,10 +5,12 @@ import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import day_reference
 import pred_reference as ref
-from sheafsep.day import Decomp, splittings
+from sheafsep.day import Decomp, build_memory_monoid, splittings
 from sheafsep.pred import (
     KripkePredicate,
     _close,
@@ -19,11 +21,14 @@ from sheafsep.pred import (
     reindex_preimage,
     validate_predicate,
 )
+from sheafsep.presheaf import build_resource_sheaf
 from sheafsep.seplogic import (
     PointsToAlloc,
     PointsToNonStrict,
     PointsToStrict,
+    ResourceModel,
     _pipeline_iso,
+    _star_witness,
     atom_predicate,
     eval_formula,
     make_memory_model,
@@ -149,3 +154,61 @@ def test_nested_star_at_four_locations_matches_reference(variant):
     want = ref.unfolded_star(m, inner, eval_formula(m, phi.right))
     assert eval_formula(m, phi, mode="unfolded").family == want
     assert eval_formula(m, phi, mode="pipeline").family == want
+
+
+@functools.cache
+def bounded_model(n, variant):
+    """A model on the support-bounded carrier (at most one allocated
+    cell), whose ids are not codes: products leaving it are dropped."""
+    m = model(n, variant)
+    mp = build_resource_sheaf(m.site.cat, "support-bounded", values=m.values, bound=1)
+    return ResourceModel(m.site, mp, build_memory_monoid(mp, variant), m.locations, m.values,
+                         m.stage)
+
+
+@pytest.mark.parametrize("carrier", [model, bounded_model], ids=["Mp", "bounded"])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("n", [2, 3])
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_arithmetic_star_matches_the_pair_loop(n, variant, carrier, data):
+    """The bitset star at every slice stage and the witness search at the
+    stage, on random bit predicates at 2-3 locations, against a pair loop
+    over `day_reference.apply`.  Every exact splitting is visited, so
+    b = c = v, an empty half and the empty stage are among them."""
+    m = carrier(n, variant)
+    cat, mp, stage = m.site.cat, m.sheaf, m.stage
+
+    def predicate():
+        bits = {}
+        for sl in cat.mors_into(stage):
+            full = (1 << mp.size(cat.src(sl))) - 1
+            bits[sl] = data.draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)),
+                                 label=repr(cat.src(sl)))
+        return KripkePredicate(mp, m.site, stage, bits=bits)
+
+    p, q = predicate(), predicate()
+    star, firsts = sep_conj(m, p, q, "unfolded"), {}
+    for sl in cat.mors_into(stage):
+        v, want = cat.src(sl), 0
+        first = firsts[v] = {}  # product id -> its least (b, c, i, j)
+        for b, c in sorted(splittings(cat, m.site.monoidal, v)):
+            left, right = p.bits[cat.hom(b, stage)[0]], q.bits[cat.hom(c, stage)[0]]
+            for i in (i for i in range(mp.size(b)) if left >> i & 1):
+                for j in (j for j in range(mp.size(c)) if right >> j & 1):
+                    prod = day_reference.apply(
+                        m.monoid, Decomp(v, b, c, mp.element(b, i), mp.element(c, j)))
+                    k = mp.index(v).get(prod)
+                    if k is not None:
+                        want |= 1 << k
+                        first.setdefault(k, (b, c, i, j))
+        assert star.bits[sl] == want, v
+    first = firsts[stage]
+    for k in range(mp.size(stage)):
+        got = _star_witness(m, p, q, mp.element(stage, k))
+        if k not in first:
+            assert got is None
+            continue
+        b, c, i, j = first[k]
+        assert got == {"left_stage": list(b), "right_stage": list(c),
+                       "left": mp.element(b, i).as_dict(), "right": mp.element(c, j).as_dict()}

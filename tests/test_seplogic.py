@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tokenizer_reference
+from sheafsep.day import ResourceMonoid
 from sheafsep.errors import (
     AtomTypeError,
     FormulaSyntaxError,
@@ -402,13 +403,31 @@ def test_tokenizer_matches_reference(text):
 @pytest.mark.parametrize("mode", ["unfolded", "pipeline"])
 def test_nested_star_work_at_the_size_bound(mode, built):
     """Deterministic work gate: at four locations and two values a nested
-    star multiplies through the product tables and builds the pipeline's
-    maps on ids, so it constructs no Decomp or MatchClass.  Its heaps are
-    the ones the cell rule decodes (`ResourceMonoid._meets` lists every
-    stage once, 4^4 = 256 heaps) and one probe heap per atom."""
+    star multiplies codes and builds the pipeline's maps on ids, so it
+    constructs no Decomp or MatchClass.  Its heaps are one probe per atom
+    and the four singleton stages the probes are looked up in (3 heaps
+    each); the monoid's digit table reads one of those listings."""
     model = make_memory_model(("a", "b", "c", "d"), (0, 1), monoid_variant="weak-partial")
     built.clear()
     phi = parse_formula("(a ~> 0 * b |-> 1) * (c ~> 1 \\/ d |-> 0)")
     eval_formula(model, phi, mode=mode)
     assert built["Decomp"] == built["MatchClass"] == 0
-    assert built["Heap"] == 256 + 4
+    assert built["Heap"] == 4 + 4 * 3
+
+
+@pytest.mark.parametrize("mode", ["unfolded", "pipeline"])
+@pytest.mark.parametrize("variant", ["total", "weak-partial", "strong-partial"])
+def test_eval_and_sat_build_no_product_table(variant, mode, monkeypatch):
+    """The star multiplies codes, so at four locations neither eval nor
+    sat (with its witness) fills a product table."""
+    model = make_memory_model(("a", "b", "c", "d"), (0, 1), monoid_variant=variant)
+
+    def refused(self, b, c):
+        raise AssertionError(f"products({b!r}, {c!r}) called")
+
+    monkeypatch.setattr(ResourceMonoid, "products", refused)
+    phi = parse_formula("(a ~> 0 * b ~> 1) * (c ~> 1 \\/ T)")
+    eval_formula(model, phi, mode=mode)
+    heap = Heap.of(model.stage, {"a": 0, "b": 1, "c": 1})
+    res = sat(model, phi, model.stage, heap, mode)
+    assert res.result and res.witness is not None
