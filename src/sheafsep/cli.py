@@ -69,10 +69,19 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _object_field(doc, key):
+    """An optional object field: absent or null reads as empty."""
+    value = doc.get(key)
+    _require(value is None or isinstance(value, dict), key, "object required")
+    return value or {}
+
+
 def _load_memory_model(doc, name) -> ResourceModel:
     locations = doc.get("locations")
     _require(isinstance(locations, list) and locations, "locations", "nonempty list required")
     _require(all(isinstance(x, str) for x in locations), "locations", "location names must be strings")
+    twice = next((x for x in locations if locations.count(x) > 1), None)
+    _require(twice is None, "locations", f"location {twice!r} listed twice")
     _require(
         len(locations) <= POWERSET_LOCATION_BOUND,
         "locations",
@@ -81,7 +90,7 @@ def _load_memory_model(doc, name) -> ResourceModel:
     values = doc.get("values")
     _require(isinstance(values, list) and values, "values", "nonempty list required")
     _require(all(_is_int(v) for v in values), "values", "values must be integers")
-    n_values, n_locations = len(set(values)), len(set(locations))
+    n_values, n_locations = len(set(values)), len(locations)
     heaps = (n_values + 1) ** n_locations
     _require(heaps <= TOP_STAGE_HEAP_BOUND, "values", f"bound exceeded: {n_values} values at "
              f"{n_locations} locations give {heaps} heaps > {TOP_STAGE_HEAP_BOUND}")
@@ -142,7 +151,9 @@ def _load_psl_model(doc, name) -> PslModel:
         size = sp_doc.get("size")
         _require(_is_int(size) and size >= 1, f"{path}.size", "positive integer required")
         blocks = sp_doc.get("blocks")
-        _require(isinstance(blocks, list) and blocks, f"{path}.blocks", "nonempty list required")
+        _require(isinstance(blocks, list) and blocks and all(
+            isinstance(b, list) and b and all(_is_int(x) for x in b) for b in blocks),
+            f"{path}.blocks", "nonempty list of nonempty integer lists required")
         measure = sp_doc.get("measure")
         _require(
             isinstance(measure, list) and len(measure) == len(blocks),
@@ -157,7 +168,7 @@ def _load_psl_model(doc, name) -> PslModel:
         except ValueError as exc:
             raise ModelSchemaError(path, str(exc)) from exc
     variables = {}
-    for var_name, vals in (doc.get("variables") or {}).items():
+    for var_name, vals in _object_field(doc, "variables").items():
         path = f"variables.{var_name}"
         _require(
             isinstance(vals, list) and all(_is_int(v) for v in vals),
@@ -172,7 +183,7 @@ def _load_psl_model(doc, name) -> PslModel:
 
 def _load_formulas(doc, checker):
     formulas = {}
-    for fname, text in (doc.get("formulas") or {}).items():
+    for fname, text in _object_field(doc, "formulas").items():
         _require(isinstance(text, str), f"formulas.{fname}", "formula text required")
         try:
             phi = parse_formula(text)
@@ -194,11 +205,9 @@ def load_model(path):
     except json.JSONDecodeError as exc:
         raise ModelSchemaError("<file>", f"invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "<root>", "object required")
-    _require(
-        doc.get("schema_version") == SCHEMA_VERSION,
-        "schema_version",
-        f"expected {SCHEMA_VERSION}",
-    )
+    version = doc.get("schema_version")
+    _require(_is_int(version) and version == SCHEMA_VERSION, "schema_version",
+             f"expected {SCHEMA_VERSION}")
     kind = doc.get("kind")
     if kind == "memory":
         return _load_memory_model(doc, name=str(path))

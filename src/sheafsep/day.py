@@ -11,9 +11,8 @@ concrete witness), so it only lives on the decomposition form.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property, partial
+from functools import cache
 
 from .errors import (
     BudgetExceededError,
@@ -73,12 +72,8 @@ class _Triples:
     A block per pair (b, c), in sorted order, holds |F(b)| * |G(c)| * n
     ids, n the number of witnesses, sorted by repr.  Within a block the
     triples run in `Decomp.sort_key` order: by s, then t, then w.  The
-    node of a triple is offset + (s * |G(c)| + t) * n + the witness's
-    position; it is the triple's id when no stage of F or G lists an
-    element twice.  Otherwise a stage's copies sit side by side, so the
-    copies of one triple come last, s before t, and `id` and `parts`
-    count them; nodes of first positions still name the distinct
-    triples, in id order.  The exact form, the decompositions of a
+    node of a triple, its id, is offset + (s * |G(c)| + t) * n + the
+    witness's position.  The exact form, the decompositions of a
     powerset base, has a block per exact splitting with the one witness
     None; the witnessed form has a block per pair whose tensor a maps to.
     """
@@ -86,8 +81,7 @@ class _Triples:
     def __init__(self, f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure, exact):
         self.f, self.g, self.mon, self.exact = f_sheaf, g_sheaf, mon, exact
         self.cat = f_sheaf.base
-        self.blocks, self.copies = cache(self._blocks), cache(self._copies)
-        self.firsts = cache(self._firsts)
+        self.blocks = cache(self._blocks)
 
     def _blocks(self, a):
         """{(b, c): (offset, ws, {w: position})} in id order, and the
@@ -101,17 +95,6 @@ class _Triples:
                 n += self.f.size(b) * self.g.size(c) * len(ws)
         return out, n
 
-    def _copies(self, sheaf, x):
-        """Per position of sheaf's stage x: the first position of its
-        element, and that element's number of copies."""
-        first = sheaf.table(self.cat.id(x))
-        counts = Counter(first)
-        return first, [counts[i] for i in first]
-
-    def _firsts(self, sheaf, x):
-        """The ids of sheaf's stage x: the first positions."""
-        return [s for s, i in enumerate(self.copies(sheaf, x)[0]) if s == i]
-
     def size(self, a):
         return self.blocks(a)[1]
 
@@ -119,31 +102,15 @@ class _Triples:
         off, ws, at = self.blocks(a)[0][b, c]
         return off + (s * self.g.size(c) + t) * len(ws) + at[w]
 
-    @cached_property
-    def copied(self):
-        """Whether a stage of F or G lists an element more than once."""
-        return any(max(self.copies(ps, x)[1], default=1) > 1
-                   for ps in (self.f, self.g) for x in self.cat.objects)
-
-    def id(self, a, b, c, w, s, t):
-        off, ws, at = self.blocks(a)[0][b, c]
-        (fs, ms), (ft, mt) = self.copies(self.f, b), self.copies(self.g, c)
-        s0, t0 = fs[s], ft[t]
-        return (off + (s0 * self.g.size(c) + ms[s] * t0) * len(ws)
-                + (at[w] * ms[s] + s - s0) * mt[t] + t - t0)
-
     def parts(self, a, i):
         """(b, c, w, s, t) of the triple with id i at a."""
         for (b, c), (off, ws, _) in self.blocks(a)[0].items():
             r, n, width = i - off, len(ws), self.g.size(c)
             if r < self.f.size(b) * width * n:
                 break
-        (fs, ms), (ft, mt) = self.copies(self.f, b), self.copies(self.g, c)
-        s0 = fs[r // (width * n)]
-        r -= s0 * width * n
-        t0 = ft[r // (ms[s0] * n)]
-        k, r = divmod(r - ms[s0] * t0 * n, ms[s0] * mt[t0])
-        return b, c, ws[k], s0 + r // mt[t0], t0 + r % mt[t0]
+        st, k = divmod(r, n)
+        s, t = divmod(st, width)
+        return b, c, ws[k], s, t
 
     def decode(self, a, i) -> Decomp:
         b, c, w, s, t = self.parts(a, i)
@@ -158,8 +125,8 @@ def day_decomp(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure) -> 
     a table is offset arithmetic over F's and G's tables.  Other bases:
     triples keep an explicit witness morphism and restrict by
     precomposition.  Ids are those of `_Triples`; `blocks(a)` lists the
-    splittings (b, c) of a in id order, and a block without copies runs
-    row-major over F(b) x G(c).
+    splittings (b, c) of a in id order, and a block runs row-major over
+    F(b) x G(c).
     """
     if mon is None:
         raise MonoidalStructureError("day_decomp needs a monoidal base")
@@ -178,15 +145,8 @@ def day_decomp(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure) -> 
         return b2, c2, f_sheaf.table(cat.hom(b2, b)[0]), g_sheaf.table(cat.hom(c2, c)[0])
 
     def table(h):
+        # an id is offset + (s * |G(c)| + t) * n + k
         v, a = cat.src(h), cat.dst(h)
-        if triples.copied:
-            out = []
-            for i in range(triples.size(a)):
-                b, c, w, s, t = triples.parts(a, i)
-                b2, c2, fs, gs = halves(h, b, c)
-                out.append(triples.id(v, b2, c2, w if exact else cat.compose(w, h), fs[s], gs[t]))
-            return tuple(out)
-        # without copies an id is offset + (s * |G(c)| + t) * n + k
         below, out = triples.blocks(v)[0], []
         for (b, c), (_, ws, _) in triples.blocks(a)[0].items():
             b2, c2, fs, gs = halves(h, b, c)
@@ -243,8 +203,7 @@ def day_coend(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure,
     The triples at a are the nodes of `_Triples` in witnessed form.  The
     relation (w, F(u)s, G(v)t) ~ ((u tensor v).w, s, t) is closed off by
     a union-find over those nodes, on `dinaturality_generators` and the
-    restriction tables.  Only triples whose s and t are ids (first
-    positions) take part.  A class is named by its least node, so the
+    restriction tables.  A class is named by its least node, so the
     classes follow the order of their representatives' `Decomp.sort_key`,
     and restriction acts on representatives; `class_of` is the quotient
     map on elements.
@@ -253,13 +212,12 @@ def day_coend(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure,
         raise MonoidalStructureError("day_coend needs a monoidal base")
     cat = f_sheaf.base
     triples = _Triples(f_sheaf, g_sheaf, mon, exact=False)
-    f_ids, g_ids = partial(triples.firsts, f_sheaf), partial(triples.firsts, g_sheaf)
     gens = []
 
     @cache
     def classes_at(a):
-        """The class of each node (-1 off the first positions), and each
-        class's least triple as (b, c, w, s, t)."""
+        """The class of each node, and each class's least triple as
+        (b, c, w, s, t)."""
         blocks, n = triples.blocks(a)
         if n > budget:
             raise BudgetExceededError(f"{n} coend triples at {a!r} exceed budget {budget}", size=n)
@@ -282,26 +240,24 @@ def day_coend(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure,
             w1, w2 = g_sheaf.size(c) * n1, g_sheaf.size(c2) * n2
             for k, w in enumerate(ws):
                 k2 = at2[cat.compose(uv, w)]
-                for s2 in f_ids(b2):
+                for s2 in range(f_sheaf.size(b2)):
                     x0, y0 = lo + fu[s2] * w1 + k, hi + s2 * w2 + k2
-                    for t2 in g_ids(c2):
+                    for t2 in range(g_sheaf.size(c2)):
                         rx, ry = find(x0 + gv[t2] * n1), find(y0 + t2 * n2)
                         if rx != ry:
                             parent[ry] = rx
-        # first-position nodes ascend through the blocks, s, t and w in
-        # turn, so the first node seen in a class is its least
-        of, reps, named = [-1] * n, [], {}
-        for (b, c), (off, ws, _) in blocks.items():
-            width = g_sheaf.size(c)
-            for s in f_ids(b):
-                for t in g_ids(c):
-                    for k, w in enumerate(ws):
-                        i = off + (s * width + t) * len(ws) + k
-                        r = find(i)
+        # nodes ascend through the blocks, s, t and w in turn, so the
+        # first node seen in a class is its least
+        of, reps, named = [], [], {}
+        for (b, c), (_, ws, _) in blocks.items():
+            for s in range(f_sheaf.size(b)):
+                for t in range(g_sheaf.size(c)):
+                    for w in ws:
+                        r = find(len(of))
                         if r not in named:
                             named[r] = len(reps)
                             reps.append((b, c, w, s, t))
-                        of[i] = named[r]
+                        of.append(named[r])
         return of, reps
 
     def table(h):
@@ -416,8 +372,7 @@ class ResourceMonoid:
                 codes = [k * r + d for k, d in zip(codes, mp.table(cat.hom((x,), a)[0]))]
             ids = [-1] * r ** len(a)
             for i, k in enumerate(codes):
-                if ids[k] < 0:
-                    ids[k] = i
+                ids[k] = i
             return codes, ids
         return self._memo(("numbering", a), build)
 
@@ -616,25 +571,17 @@ def finsurj_gamma(cat: FinCat, mon: MonoidalStructure):
 
 
 def _convolved_mono(mon, alpha: SheafMorphism, g_sheaf):
-    """Per stage, the images in day(F, G) of the distinct triples of
-    day(F', G) under the map that alpha: F' -> F induces: (b, c, w, s, t)
-    goes to the node of (b, c, w, alpha(s), t), or to -1 where alpha is
-    undefined.  Nodes of ids name distinct triples (see `_Triples`)."""
+    """Per stage, the images in day(F, G) of the triples of day(F', G)
+    under the map that alpha: F' -> F induces: (b, c, w, s, t) goes to
+    the id of (b, c, w, alpha(s), t), or to -1 where alpha is
+    undefined."""
     cat = alpha.source.base
     small = _Triples(alpha.source, g_sheaf, mon, cat.kind == "powerset")
     big = _Triples(alpha.target, g_sheaf, mon, small.exact)
-    on = {b: _on_ids(alpha, b) for b in cat.objects}
     return {a: [-1 if j < 0 else big.node(a, b, c, w, j, t)
                 for (b, c), (_, ws, _) in small.blocks(a)[0].items()
-                for j in on[b] for t in small.firsts(g_sheaf, c) for w in ws]
+                for j in alpha.ids(b) for t in range(g_sheaf.size(c)) for w in ws]
             for a in cat.objects}
-
-
-def _on_ids(alpha: SheafMorphism, a):
-    """alpha's component at a on its source's ids (first positions), so
-    copies of one element count once."""
-    first = alpha.source.table(alpha.source.base.id(a))
-    return [j for i, j in enumerate(alpha.ids(a)) if first[i] == i]
 
 
 def check_day_stability(site: Site, samples, inclusions=(), budget=DEFAULT_COEND_BUDGET) -> Report:
@@ -667,7 +614,7 @@ def check_day_stability(site: Site, samples, inclusions=(), budget=DEFAULT_COEND
 
     for alpha in inclusions:
         for a in cat.objects:
-            if not injective(_on_ids(alpha, a)):
+            if not injective(alpha.ids(a)):
                 rep.flag("mono", f"{alpha.name}: supplied components not injective at {a!r}")
         for g_sheaf in samples:
             for a, col in _convolved_mono(mon, alpha, g_sheaf).items():

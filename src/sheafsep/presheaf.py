@@ -111,22 +111,23 @@ class Presheaf:
     """A contravariant finite-set-valued functor on a FinCat, on ids.
 
     `size(A)` counts the elements at A, `table(f)` maps ids in F(dst f)
-    to ids in F(src f), and `element(A, i)` decodes an id.  `index(A)`
-    maps each element to the id of its first position in `at(A)`, so
-    equal ids mean equal elements; every table entry is such an id.
+    to ids in F(src f), and `element(A, i)` decodes an id.  A stage is a
+    set, so an id is an element: `index(A)` maps each element to its
+    position in `at(A)`.
 
     This constructor lists elements: stage_fn(A) yields the elements at
-    A (sorted here), restrict_fn(f, x) applies F(f) to one element, and
-    each table entry is filled by one restriction.  Images that leave
-    the stage get fresh ids past its end.  An optional glue_fn(target,
-    legs) computes amalgamations directly for builders whose stages
-    cannot be enumerated.  `Presheaf.encoded` is the table-native form.
+    A (collected into a set and sorted here), restrict_fn(f, x) applies
+    F(f) to one element, and each table entry is filled by one
+    restriction.  Images that leave the stage get fresh ids past its
+    end.  An optional glue_fn(target, legs) computes amalgamations
+    directly for builders whose stages cannot be enumerated.
+    `Presheaf.encoded` is the table-native form.
     """
 
     def __init__(self, base: FinCat, stage_fn, restrict_fn, *, name="presheaf",
                  glue_fn=None, enumerable=True):
         self.base, self.name, self.glue_fn, self.enumerable = base, name, glue_fn, enumerable
-        self._stage_fn = lambda a: sorted_elements(stage_fn(a))
+        self._stage_fn = lambda a: sorted_elements(set(stage_fn(a)))
         self._restrict_fn = restrict_fn
         self._size_fn = lambda a: len(self.at(a))
         self._table_fn = self._restriction_table
@@ -140,9 +141,9 @@ class Presheaf:
     @classmethod
     def encoded(cls, base: FinCat, size_fn, table_fn, decode, *, name="presheaf"):
         """A presheaf given on ids: size_fn(A) elements at A, table_fn(f)
-        the restriction table along f (ids of first positions, as
-        `table` promises), decode(A, i) the element with id i.  Decoding
-        ids 0, 1, ... must list the stage in `element_key` order."""
+        the restriction table along f, decode(A, i) the element with id
+        i.  Decoding ids 0, 1, ... must list the stage's distinct
+        elements in `element_key` order."""
         ps = cls(base, None, None, name=name)
         ps._stage_fn = lambda a: [decode(a, i) for i in range(size_fn(a))]
         ps._restrict_fn = ps._restrict_by_table
@@ -164,13 +165,10 @@ class Presheaf:
         return self._restrict_fn(f, x)
 
     def index(self, a):
-        """Element -> id at stage a: an element's id is its first position
-        in at(a)."""
+        """Element -> id at stage a: its position in at(a)."""
         idx = self._index.get(a)
         if idx is None:
-            idx = self._index[a] = {}
-            for i, x in enumerate(self.at(a)):
-                idx.setdefault(x, i)
+            idx = self._index[a] = {x: i for i, x in enumerate(self.at(a))}
         return idx
 
     def element(self, a, i):
@@ -294,7 +292,7 @@ def build_resource_sheaf(cat: FinCat, kind: str, *, values=None, bound=None,
         return Presheaf.encoded(cat, lambda a: len(heaps(a)), table,
                                 lambda a, i: Heap(a, heaps(a)[i]), name=name)
     if kind == "constant":
-        xs = sorted_elements(elements)
+        xs = sorted_elements(set(elements))
 
         def stages(a):
             return xs
@@ -401,11 +399,10 @@ class _EncodedCover:
     A family over the full sieve is determined by its values on any
     generating subfamily (precomposition closure); this implementation
     lemma has a dedicated test.  A family is therefore held as a tuple of
-    positions in the generators' stages, one per generator; each member
-    reads its value off the first generator it factors through.  Positions
-    are only ever read through restriction tables, whose images are ids,
-    so equal elements compare equal.  The index of F(target) by
-    restriction signature on the generators is built on first use.
+    ids in the generators' stages, one per generator; each member reads
+    its value off the first generator it factors through.  The index of
+    F(target) by restriction signature on the generators is built on
+    first use.
     """
 
     def __init__(self, ps: Presheaf, cover: Sieve):

@@ -50,7 +50,8 @@ class ProbSpace:
             if not block or tuple(sorted(block)) != block:
                 raise ValueError(f"block {block!r} must be nonempty and sorted")
             seen.update(block)
-        if seen != set(range(1, self.size + 1)):
+        # the length test first, so a huge size builds no huge range
+        if len(seen) != self.size or seen != set(range(1, self.size + 1)):
             raise ValueError("blocks must partition the sample set")
         if sum(len(b) for b in self.blocks) != self.size:
             raise ValueError("blocks overlap")

@@ -133,6 +133,50 @@ def test_repeated_stage_location_is_a_schema_error(tmp_path, capsys):
         "error": "ModelSchemaError", "detail": "--stage: location 'x' listed twice"}
 
 
+def test_repeated_model_location_is_a_schema_error(tmp_path, capsys):
+    """A location listed twice is refused at load, as on --stage."""
+    model_path = write_model(tmp_path, dict(MEMORY_DOC, locations=["x", "y", "x"]))
+    with pytest.raises(ModelSchemaError) as exc:
+        load_model(model_path)
+    assert exc.value.path == "locations"
+    assert main(["eval", "--model", model_path, "--formula", "x |-> 0", "--json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ModelSchemaError", "detail": "locations: location 'x' listed twice"}
+
+
+def _malformed_psl_blocks(blocks, size=4):
+    """PSL_DOC with unif4's blocks replaced, one measure per block."""
+    unif4 = dict(size=size, blocks=blocks, measure=[f"1/{len(blocks)}"] * len(blocks))
+    return dict(PSL_DOC, spaces=dict(PSL_DOC["spaces"], unif4=unif4))
+
+
+MALFORMED_FIELDS = {
+    "memory-formulas-list": (dict(MEMORY_DOC, formulas=["x |-> 0"]), "formulas"),
+    "psl-formulas-string": (dict(PSL_DOC, formulas="X ~ {0: 1}"), "formulas"),
+    "psl-variables-list": (dict(PSL_DOC, variables=[[0, 0, 1, 1]]), "variables"),
+    "blocks-of-ints": (_malformed_psl_blocks([1, 2]), "spaces.unif4.blocks"),
+    "blocks-of-strings": (_malformed_psl_blocks([["a"], [2]]), "spaces.unif4.blocks"),
+    "empty-block": (_malformed_psl_blocks([[], [1, 2, 3, 4]]), "spaces.unif4.blocks"),
+    "boolean-schema-version": (dict(MEMORY_DOC, schema_version=True), "schema_version"),
+    # refused by the length of the blocks' union, before any range of that size is built
+    "huge-size": (_malformed_psl_blocks([[1], [2]], size=10**12), "spaces.unif4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FIELDS))
+def test_malformed_model_field_exits_two(tmp_path, capsys, case):
+    """A field of the wrong shape is a ModelSchemaError naming it."""
+    doc, field = MALFORMED_FIELDS[case]
+    model_path = write_model(tmp_path, doc)
+    with pytest.raises(ModelSchemaError) as exc:
+        load_model(model_path)
+    assert exc.value.path == field
+    assert main(["check-site", "--model", model_path, "--json"]) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error["error"] == "ModelSchemaError"
+    assert error["detail"].startswith(f"{field}: ")
+
+
 def test_bad_heap_literals_exit_two(tmp_path, capsys):
     model_path = write_model(tmp_path, MEMORY_DOC)
     for bad in ("{x:abc, y:0}", '{"x": true, "y": 0}', "5"):

@@ -1,15 +1,17 @@
-"""Formula fuzzing of the CLI contract: whatever the formula text, a
-command exits 0, 1 or 2 and raises nothing.
+"""Fuzzing of the CLI contract: whatever the formula text or the model
+file, a command exits 0, 1 or 2 and raises nothing.
 
 The text is drawn from the tokenizer's alphabet (its symbols, unicode
 aliases, identifiers and integers) plus characters it rejects, either as
 a token soup, as a well-formed tree of atoms, or as a deep chain or
-bracket nest around such a tree.  Runs are derandomized, so the suite
-stays deterministic.
+bracket nest around such a tree.  A model file is one of the shipped
+models with one field, at any depth, replaced by a JSON value of another
+type.  Runs are derandomized, so the suite stays deterministic.
 """
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -64,3 +66,59 @@ def test_formula_text_never_escapes_the_exit_contract(text):
     assert run(["eval", "--model", memory, formula]) in (0, 1, 2)
     assert run(["sat", "--model", memory, formula, "--heap", "{x:0, y:1}"]) in (0, 1, 2)
     assert run(["psl", "--model", psl, formula, "--space", "unif4"]) in (0, 1, 2)
+
+
+def json_type(value):
+    """The JSON type of a decoded value; bool is not int here."""
+    for kind, types in (("bool", bool), ("int", int), ("string", str), ("list", list),
+                        ("object", dict)):
+        if isinstance(value, types):
+            return kind
+    return "null"
+
+
+def fields(doc, path=()):
+    """The path of every field of a JSON document: object keys and list
+    positions, at every depth."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from fields(value, path + (key,))
+
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4)),
+    lambda sub: st.one_of(st.lists(sub, max_size=3),
+                          st.dictionaries(st.text(max_size=3), sub, max_size=3)),
+    max_leaves=6,
+)
+MODEL_RUNS = {
+    "memory.json": [["check-sheaf"], ["eval", "--formula", "x |->! 0 * y |->! 1"]],
+    "psl.json": [["psl", "--space", "unif4", "--formula", "X ~ {0: 1/2, 1: 1/2}"]],
+}
+
+
+@st.composite
+def mutated_models(draw):
+    name = draw(st.sampled_from(sorted(MODEL_RUNS)))
+    doc = json.loads((MODELS / name).read_text())
+    *parents, key = draw(st.sampled_from(list(fields(doc))))
+    target = doc
+    for step in parents:
+        target = target[step]
+    kind = json_type(target[key])
+    target[key] = draw(json_values.filter(lambda v: json_type(v) != kind))
+    return name, doc
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(mutated_models())
+def test_model_fields_never_escape_the_exit_contract(tmp_path_factory, case):
+    name, doc = case
+    path = tmp_path_factory.mktemp("model") / name
+    path.write_text(json.dumps(doc))
+    for argv in MODEL_RUNS[name]:
+        assert run([argv[0], "--model", str(path)] + argv[1:]) in (0, 1, 2)

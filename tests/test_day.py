@@ -253,8 +253,8 @@ def test_day_stability_flags_injected_non_mono(pset2, mp2):
 
 
 def test_day_stability_counts_a_repeated_element_once(pset2, mp2):
-    """A source stage listing an element twice is not a failed mono: its
-    copies are one element, as for an element-keyed map."""
+    """An element given twice is listed once, so a map injective on
+    elements is a mono and one that merges elements is not."""
     cat, mon = pset2
     site = Site(cat, build_coverage(cat, "downward-closed"), mon)
     twice = build_resource_sheaf(cat, "constant", elements=(1, 0, 1))

@@ -83,12 +83,18 @@ def test_join_of_two_singletons(site1):
 
 
 def test_lattice_op_dispatch(site1):
+    """On memory and on a constant presheaf given an element twice, top
+    holds every element and is the unit of meet against bottom."""
     site, mp = site1
     stage = ("x",)
-    t = top_predicate(mp, site, stage)
-    b = bottom_predicate(mp, site, stage)
-    assert meet(t, b) == b
-    assert join(t, b) == t
+    twice = build_resource_sheaf(site.cat, "constant", elements=(1, 0, 1))
+    for ps in (mp, twice):
+        t = top_predicate(ps, site, stage)
+        b = bottom_predicate(ps, site, stage)
+        every = {p: ps.at(site.cat.src(p)) for p in site.cat.mors_into(stage)}
+        assert t == KripkePredicate(ps, site, stage, every)
+        assert meet(t, b) == b
+        assert join(t, b) == t
 
 
 def test_implication_vacuous_and_reflexive(site1):
