@@ -35,7 +35,6 @@ from .pred import (
 from .presheaf import (
     Heap,
     SheafMorphism,
-    amalgamation_operator,
     build_resource_sheaf,
     check_sheaf,
 )
@@ -43,6 +42,8 @@ from .psl import ProbSpace, PslModel, RandomVariable, psl_sat
 from .seplogic import (
     DistAtom,
     ResourceModel,
+    _pipeline_iso,
+    _pipeline_pieces,
     eval_formula,
     formula_atoms,
     make_memory_model,
@@ -134,6 +135,8 @@ def _parse_fraction_field(value, path):
     if _is_int(value):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction expands an exponent into 10 ** e, so a short string can stall the load
+        _require("e" not in value.lower(), path, f"exponent notation in {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -202,7 +205,7 @@ def load_model(path):
             doc = json.load(fh)
     except OSError as exc:
         raise ModelSchemaError("<file>", str(exc)) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax or encoding, or an integer past the digit limit
         raise ModelSchemaError("<file>", f"invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "<root>", "object required")
     version = doc.get("schema_version")
@@ -239,7 +242,7 @@ def parse_heap(text, stage) -> Heap:
     text = text.strip()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer past the digit limit
         if not (text.startswith("{") and text.endswith("}")):
             raise ModelSchemaError("--heap", f"expected a brace literal, got {text!r}")
         doc = {}
@@ -376,8 +379,6 @@ def _cmd_laws(model, args, report):
     failures += [{"law": "day-stability", "detail": v.detail} for v in rep.violations]
 
     if model.monoid is not None:
-        from .seplogic import _pipeline_pieces
-
         decomp, mult_mor, amalg_mor = _pipeline_pieces(model)
         match = mult_mor.target
         ok_adj = True
@@ -396,7 +397,7 @@ def _cmd_laws(model, args, report):
     else:
         report.status["adjunction"] = "skipped (no monoid)"
 
-    iso = amalgamation_operator(mp, site.cov)
+    iso = _pipeline_iso(model)
     report.status["amalgamation-iso"] = "ok" if iso.report.ok else "FAIL"
     failures += [
         {"law": "amalgamation-iso", "detail": v.detail} for v in iso.report.violations

@@ -19,7 +19,7 @@ from .errors import (
     MonoidalStructureError,
     NoGammaWitnessError,
 )
-from .fincat import FinCat, MonoidalStructure, element_key
+from .fincat import FinCat, MonoidalStructure, element_key, slice_category
 from .presheaf import Heap, Presheaf, SheafMorphism, check_sheaf
 from .report import Report
 from .site import Site
@@ -627,14 +627,13 @@ def check_day_stability(site: Site, samples, inclusions=(), budget=DEFAULT_COEND
         on_obj, on_mor = finsurj_gamma(cat, mon)
     else:
         raise NoGammaWitnessError(f"no gamma witness registered for base {cat.kind!r}")
+    slices = {a: slice_category(cat, a)[0] for a in cat.objects}
     pairs_checked = 0
     for a in cat.objects:
         for b in cat.objects:
             if not mon.tensor_defined(a, b):
                 continue
-            sl_a, _, _ = site.slice(a)
-            sl_b, _, _ = site.slice(b)
-            sl_ab, _, _ = site.slice(mon.tensor(a, b))
+            sl_a, sl_b, sl_ab = slices[a], slices[b], slices[mon.tensor(a, b)]
             for p in sl_a.objects:
                 for q in sl_b.objects:
                     gp = on_obj(p, q)

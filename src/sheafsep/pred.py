@@ -121,31 +121,27 @@ def _forced(resource, site, stage, bits):
     """What restriction-closure and local character force into the family
     `bits` but it lacks, as (kind, p, i, q, j): the element with id j
     belongs at slice object q because of the one with id i at p (for
-    local character, p = q and i = j), read off `resource.table`.  The
-    family is read live, so a caller that sets each bit j at q as it is
-    yielded sweeps the enlarged family; each local-character pair is
-    yielded once."""
+    local character, p = q and i = j), read off `resource.table`.
+
+    A slice morphism into p is a base morphism g into src(p), from the
+    slice object p.g, and the slice covers of p are the base covers of
+    src(p).  Every cover contains the least one, which is a cover, so
+    local character reads only `min_cover(src p)`.  The family is read
+    live, so a caller that sets each bit j at q as it is yielded sweeps
+    the enlarged family."""
     cat = site.cat
-    slice_cat, dom, scov = site.slice(stage)
     for p in bits:
-        for m in slice_cat.mors_into(p):
-            q, table = slice_cat.src(m), resource.table(dom.on_mor(m))
+        for g in cat.mors_into(cat.src(p)):
+            q, table = cat.compose(p, g), resource.table(g)
             for i in _members(bits[p]):
                 if not bits[q] >> table[i] & 1:
                     yield "restriction", p, i, q, table[i]
     for p in bits:
-        missing = _all(resource, cat.src(p)) & ~bits[p]
-        # the ids whose restriction along the leg k is in the family there
-        inside = {}
-        for s in scov.covers(p):
-            forced = missing
-            for k in map(dom.on_mor, s.members):
-                if k not in inside:
-                    inside[k] = _preimage(resource.table(k), bits[cat.compose(p, k)])
-                forced &= inside[k]
-            for i in _members(forced):
-                missing ^= 1 << i
-                yield "local-character", p, i, p, i
+        forced = _all(resource, cat.src(p)) & ~bits[p]
+        for k in site.cov.min_cover(cat.src(p)).members:
+            forced &= _preimage(resource.table(k), bits[cat.compose(p, k)])
+        for i in _members(forced):
+            yield "local-character", p, i, p, i
 
 
 def validate_predicate(pred: KripkePredicate) -> Report:
@@ -206,16 +202,15 @@ def implication(p: KripkePredicate, q: KripkePredicate) -> KripkePredicate:
     every further restriction, so an element belongs unless some
     restriction of it lands in p but not in q."""
     _check_aligned(p, q)
-    res, src = p.resource, p.site.cat.src
-    slice_cat, dom, _ = p.site.slice(p.stage)
+    res, cat = p.resource, p.site.cat
     bits = {}
     for sl in p.bits:
-        members = _all(res, src(sl))
-        for m in slice_cat.mors_into(sl):
-            r = slice_cat.src(m)
+        members = _all(res, cat.src(sl))
+        for g in cat.mors_into(cat.src(sl)):
+            r = cat.compose(sl, g)
             bad = p.bits[r] & ~q.bits[r]
             if bad:
-                members &= ~_preimage(res.table(dom.on_mor(m)), bad)
+                members &= ~_preimage(res.table(g), bad)
         bits[sl] = members
     return KripkePredicate(res, p.site, p.stage, bits=bits)
 

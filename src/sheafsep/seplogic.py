@@ -162,6 +162,12 @@ def _tokenize(text):
         kind, word = m.lastgroup, m.group()
         if kind == "SYMBOL":
             kind = _SYMBOLS[word]
+        elif kind == "INT":
+            try:
+                int(word)
+            except ValueError:  # past the interpreter's integer digit limit
+                raise FormulaSyntaxError(f"integer of {len(word)} characters is too long",
+                                         i) from None
         elif kind == "WORD":
             kind = {"T": "TOP", "F": "BOT"}.get(word, "IDENT")
         if kind is not None:

@@ -13,7 +13,7 @@ empty predicate is a valid subsheaf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
@@ -205,15 +205,6 @@ class Site:
     cat: FinCat
     cov: Coverage
     monoidal: MonoidalStructure | None = None
-    _slice_cache: dict = field(default_factory=dict, repr=False)
-
-    def slice(self, a):
-        """Cached (slice category, dom functor, slice coverage) at a."""
-        if a not in self._slice_cache:
-            sl, dom = slice_category(self.cat, a)
-            scov = slice_coverage(self.cov, a, prebuilt=(sl, dom))
-            self._slice_cache[a] = (sl, dom, scov)
-        return self._slice_cache[a]
 
 
 # -- coverage builders --------------------------------------------------
@@ -397,14 +388,13 @@ def trivial_coverage(cat: FinCat) -> Coverage:
 # -- slice coverages ----------------------------------------------------
 
 
-def slice_coverage(cov: Coverage, a, prebuilt=None) -> Coverage:
+def slice_coverage(cov: Coverage, a) -> Coverage:
     """Coverage induced on cat/a: a slice sieve covers iff its image
     under the domain functor is covering in the base.  That functor maps
     the morphisms into p one to one onto those into src(p), and sieves
     onto sieves, so the covers at p are the base covers at src(p)."""
     cat = cov.cat
-    cat.require_object(a)
-    sl, dom = prebuilt if prebuilt is not None else slice_category(cat, a)
+    sl, dom = slice_category(cat, a)
     sm = cov.sieve_masks
     by_object = {}
     for p in sl.objects:

@@ -5,15 +5,15 @@ from collections import Counter
 import pytest
 
 from sheafsep.day import CoendClass, Decomp
-from sheafsep.presheaf import Heap, MatchClass
+from sheafsep.presheaf import AmalgamationIso, Heap, MatchClass
 
 
 @pytest.fixture
 def built(monkeypatch):
-    """Counts, by class name, of the Heap, Decomp, CoendClass and
-    MatchClass objects constructed while the test runs."""
+    """Counts, by class name, of the Heap, Decomp, CoendClass, MatchClass
+    and AmalgamationIso objects constructed while the test runs."""
     counts = Counter()
-    for cls in (Heap, Decomp, CoendClass, MatchClass):
+    for cls in (Heap, Decomp, CoendClass, MatchClass, AmalgamationIso):
         def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             counts[_name] += 1
             _init(self, *args, **kwargs)

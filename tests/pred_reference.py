@@ -11,17 +11,21 @@ witnesses.
 
 from day_reference import apply
 from sheafsep.day import Decomp, splittings
-from sheafsep.fincat import element_key
+from sheafsep.fincat import element_key, slice_category
 from sheafsep.report import Report
+from sheafsep.site import slice_coverage
 
 
 def forced(resource, site, stage, fam):
     """What restriction-closure and local character force into `fam` but
     it lacks, as (kind, p, x, q, y): the element y belongs at slice
     object q because of x at p (for local character, p = q and x = y).
-    The family is read live; each local-character pair is yielded once."""
+    The family is read live; each local-character pair is yielded once.
+    Slice morphisms and every slice cover are read off the slice category
+    and its induced coverage."""
     cat = site.cat
-    slice_cat, dom, scov = site.slice(stage)
+    slice_cat, dom = slice_category(cat, stage)
+    scov = slice_coverage(site.cov, stage)
     for p in fam:
         for m in slice_cat.mors_into(p):
             q, k = slice_cat.src(m), dom.on_mor(m)
@@ -70,7 +74,7 @@ def implication(p, q):
     """Kripke implication: membership at a slice object quantifies over
     every further restriction."""
     cat = p.site.cat
-    slice_cat, dom, _ = p.site.slice(p.stage)
+    slice_cat, dom = slice_category(cat, p.stage)
     fam = {}
     for sl in p.family:
         below = [(slice_cat.src(m), dom.on_mor(m)) for m in slice_cat.mors_into(sl)]

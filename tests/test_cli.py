@@ -1,14 +1,19 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from sheafsep import cli
 from sheafsep.cli import build_arg_parser, load_model, main, parse_heap, parse_stage, run_command
 from sheafsep.errors import ModelSchemaError
+from sheafsep.fincat import FinCat
 from sheafsep.presheaf import Heap
 from sheafsep.psl import PslModel
 from sheafsep.seplogic import ResourceModel
+
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def write_model(tmp_path, doc, name="model.json"):
@@ -445,3 +450,98 @@ def test_json_reports_byte_identical_across_processes(tmp_path):
         proc = subprocess.run(argv, capture_output=True, env=env, check=True)
         outputs.add(proc.stdout)
     assert len(outputs) == 1
+
+
+def test_laws_builds_the_amalgamation_iso_once(capsys, built):
+    """The amalgamation-iso status reads the pipeline's iso, which the
+    adjunction checks built already."""
+    model_path = str(MODELS / "memory.json")
+    argv = ["laws", "--model", model_path, "--samples", "10", "--seed", "7", "--json"]
+    assert main(argv) == 0
+    assert built["AmalgamationIso"] == 1
+    assert capsys.readouterr().out == (
+        '{"command": "laws", "model": ' + json.dumps(model_path) + ', "status": '
+        '{"residuation": "ok (10 samples)", "monoid-laws": "ok", "day-stability": "ok", '
+        '"adjunction": "ok", "amalgamation-iso": "ok"}, "witnesses": [], "exit_code": 0}\n'
+    )
+
+
+@pytest.mark.parametrize("mode", ["unfolded", "pipeline"])
+def test_predicates_at_four_locations_build_no_slice_category(tmp_path, capsys, monkeypatch,
+                                                              mode):
+    """Joins, implications and stars read slice morphisms and covers off
+    the base site: no slice category is built."""
+    kinds = []
+
+    def counted(self, kind, *args, _init=FinCat.__init__):
+        kinds.append(kind)
+        _init(self, kind, *args)
+
+    monkeypatch.setattr(FinCat, "__init__", counted)
+    doc = dict(MEMORY_DOC, locations=["w", "x", "y", "z"])
+    model_path = write_model(tmp_path, doc)
+    formula = "(x ~> 0 -> y |-> 1) \\/ (x |->! 0 * (z ~> 1 \\/ w |-> 0))"
+    argv = ["--model", model_path, f"--formula={formula}", "--mode", mode, "--json"]
+    assert main(["eval"] + argv) == 0
+    code = main(["sat"] + argv + ["--heap", "{w:0, x:0, y:1, z:null}"])
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["exit_code"] == code != 2
+    assert "powerset" in kinds
+    assert not [k for k in kinds if isinstance(k, tuple) and k[0] == "slice"]
+
+
+BIG = "1" * 5000  # past the interpreter's 4,300-digit limit on int()
+HUGE_LITERALS = {
+    "points-to-value": ("eval", f"x |-> {BIG}"),
+    "distribution-value": ("psl", f"X ~ {{{BIG}: 1}}"),
+    "numerator": ("psl", f"X ~ {{0: {BIG}/{BIG}}}"),
+    "denominator": ("psl", f"X ~ {{0: 1/{BIG}}}"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(HUGE_LITERALS))
+def test_integer_literal_past_the_digit_limit_is_a_syntax_error(tmp_path, capsys, shape):
+    command, formula = HUGE_LITERALS[shape]
+    doc, extra = (PSL_DOC, ["--space", "unif4"]) if command == "psl" else (MEMORY_DOC, [])
+    argv = [command, "--model", write_model(tmp_path, doc), f"--formula={formula}", "--json"]
+    assert main(argv + extra) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error == {"error": "FormulaSyntaxError",
+                     "detail": "integer of 5000 characters is too long "
+                               f"(at position {formula.index(BIG)})"}
+
+
+def test_integer_past_the_digit_limit_in_a_model_file_is_a_schema_error(tmp_path, capsys):
+    formulas = dict(MEMORY_DOC, formulas={"big": f"x |-> {BIG}"})
+    values = json.dumps(MEMORY_DOC).replace('"values": [0, 1]', f'"values": [0, {BIG}]')
+    for name, text in (("formulas.json", json.dumps(formulas)), ("values.json", values)):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ModelSchemaError) as exc:
+            load_model(str(path))
+        assert exc.value.path == ("formulas.big" if name == "formulas.json" else "<file>")
+        assert main(["check-site", "--model", str(path), "--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "ModelSchemaError"
+
+
+def test_heap_json_integer_past_the_digit_limit_exits_two(tmp_path, capsys):
+    model_path = write_model(tmp_path, MEMORY_DOC)
+    argv = ["sat", "--model", model_path, "--name", "both", "--json"]
+    assert main(argv + ["--heap", f'{{"x": {BIG}, "y": 0}}']) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "ModelSchemaError"
+
+
+def test_measure_in_exponent_notation_is_refused(tmp_path, capsys):
+    """Fraction's time grows faster than the exponent, so "1e-3000000"
+    is refused before it is parsed."""
+    for measure in ("1e-3000000", "25E-2"):
+        space = dict(PSL_DOC["spaces"]["unif4"], measure=[measure, "1/4", "1/4", "1/4"])
+        doc = dict(PSL_DOC, spaces=dict(PSL_DOC["spaces"], unif4=space))
+        model_path = write_model(tmp_path, doc)
+        started = time.perf_counter()
+        with pytest.raises(ModelSchemaError) as exc:
+            load_model(model_path)
+        assert exc.value.path == "spaces.unif4.measure[0]"
+        assert main(["psl", "--model", model_path, "--space", "unif4", "--name", "indep",
+                     "--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "ModelSchemaError"
+        assert time.perf_counter() - started < 2

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import day_reference
 import pred_reference as ref
 from sheafsep.day import Decomp, build_memory_monoid, splittings
+from sheafsep.fincat import build_finsurj_category
 from sheafsep.pred import (
     KripkePredicate,
     _close,
@@ -22,6 +23,7 @@ from sheafsep.pred import (
     validate_predicate,
 )
 from sheafsep.presheaf import build_resource_sheaf
+from sheafsep.psl import probability_presheaf
 from sheafsep.seplogic import (
     PointsToAlloc,
     PointsToNonStrict,
@@ -36,6 +38,7 @@ from sheafsep.seplogic import (
     sat,
     sep_conj,
 )
+from sheafsep.site import Site, build_coverage, trivial_coverage
 
 VARIANTS = ("total", "weak-partial", "strong-partial")
 COVERAGES = ("downward-closed", "finite-covers")
@@ -87,6 +90,36 @@ def test_lattice_closure_and_reports_match_reference(n, variant, coverage):
         closed = KripkePredicate(m.sheaf, m.site, m.stage,
                                  bits=_close(m.sheaf, m.site, m.stage, raw.bits))
         assert closed.family == ref.close(m.sheaf, m.site, m.stage, fam)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_predicates_on_a_non_thin_base_match_reference(n):
+    """On finite surjections several slice morphisms share a source, and
+    under the atomic coverage (n = 2) a stage has several covers: the
+    base reading of slice morphisms and of the least cover against the
+    slice category and every slice cover, on the probability presheaf
+    and on representables."""
+    cat, _ = build_finsurj_category(n)
+    site = Site(cat, build_coverage(cat, "atomic") if n == 2 else trivial_coverage(cat))
+    resources = [probability_presheaf(cat, 2)] + [
+        build_resource_sheaf(cat, "yoneda", at_object=a) for a in (1, n)]
+    rng, kinds = random.Random(n), set()
+    for res in resources:
+        for stage in cat.objects:
+            preds = []
+            for density in (0.1, 0.3, 0.6) * 3:
+                fam = random_family(rng, res, site, stage, density)
+                raw = KripkePredicate(res, site, stage, fam)
+                found = violations(validate_predicate(raw))
+                assert found == violations(ref.validate_predicate(raw))
+                kinds.update(kind for kind, _ in found)
+                closed = KripkePredicate(res, site, stage, bits=_close(res, site, stage, raw.bits))
+                assert closed.family == ref.close(res, site, stage, fam)
+                preds += [raw, closed]
+            for p in preds[::2]:
+                for q in preds[1::3]:
+                    assert implication(p, q).family == ref.implication(p, q)
+    assert kinds == {"restriction", "local-character"} if n == 2 else {"restriction"}
 
 
 @pytest.mark.parametrize("n,variant,coverage", MODELS)

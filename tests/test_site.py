@@ -241,13 +241,23 @@ def test_slice_coverage_atomic_finsurj(dc2):
             assert scov.is_cover(s) == cov.is_cover(base)
 
 
-def test_min_cover_is_intersection(dc2):
-    cat, cov = dc2
-    top = ("x", "y")
-    mc = cov.min_cover(top)
-    assert cov.is_cover(mc)
-    for s in cov.covers(top):
-        assert mc.members <= s.members
+def test_min_cover_is_intersection():
+    """The least cover is itself a cover and lies inside every cover, so
+    local character may read it alone: every object of every built-in
+    coverage, 72 cases."""
+    coverages = []
+    for n in range(5):
+        cat, _ = build_powerset_category(("w", "x", "y", "z")[:n])
+        coverages += [build_coverage(cat, "downward-closed"), build_coverage(cat, "finite-covers")]
+    for n in range(1, 5):
+        cat, _ = build_finsurj_category(n)
+        coverages.append(build_coverage(cat, "atomic") if n <= 2 else trivial_coverage(cat))
+    cases = [(cov, a) for cov in coverages for a in cov.cat.objects]
+    assert len(cases) == 72
+    for cov, a in cases:
+        mc = cov.min_cover(a)
+        assert cov.is_cover(mc), (cov.cat.kind, a)
+        assert all(mc.members <= s.members for s in cov.covers(a)), (cov.cat.kind, a)
 
 
 def test_validate_flags_transitivity_without_stability():
