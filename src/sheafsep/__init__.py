@@ -53,6 +53,7 @@ from .presheaf import (
     amalgamation_operator,
     build_resource_sheaf,
     check_sheaf,
+    is_sheaf,
     matching_object,
     matching_presheaf,
     slice_restrict,

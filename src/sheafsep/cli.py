@@ -237,6 +237,11 @@ def parse_stage(text, model: ResourceModel):
     return locs
 
 
+def _excerpt(text, limit=40):
+    """`text` cut to `limit` characters, for echoing in an error detail."""
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def parse_heap(text, stage) -> Heap:
     """Accepts {"x": 0} JSON or the bare-identifier form {x:0, y:null}."""
     text = text.strip()
@@ -244,19 +249,24 @@ def parse_heap(text, stage) -> Heap:
         doc = json.loads(text)
     except ValueError:  # not JSON, or an integer past the digit limit
         if not (text.startswith("{") and text.endswith("}")):
-            raise ModelSchemaError("--heap", f"expected a brace literal, got {text!r}")
+            raise ModelSchemaError("--heap", f"expected a brace literal, got {_excerpt(text)!r}")
         doc = {}
         body = text[1:-1].strip()
         if body:
             for chunk in body.split(","):
                 if ":" not in chunk:
-                    raise ModelSchemaError("--heap", f"bad cell {chunk.strip()!r}")
+                    raise ModelSchemaError("--heap", f"bad cell {_excerpt(chunk.strip())!r}")
                 key, val = chunk.split(":", 1)
                 val = val.strip()
                 try:
                     doc[key.strip()] = None if val == "null" else int(val)
                 except ValueError:
-                    raise ModelSchemaError("--heap", f"bad value {val!r}") from None
+                    detail = f"bad value {_excerpt(val)!r}"
+                    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+                    if val.lstrip("+-").isdecimal() and len(val) > limit > 0:
+                        detail += (f": an integer of {len(val)} characters is past the "
+                                   f"{limit}-digit limit")
+                    raise ModelSchemaError("--heap", detail) from None
     if not isinstance(doc, dict) or not all(v is None or _is_int(v) for v in doc.values()):
         raise ModelSchemaError("--heap", "cells must map locations to integers or null")
     if set(doc) != set(stage):

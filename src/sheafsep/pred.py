@@ -128,12 +128,13 @@ def _forced(resource, site, stage, bits):
     src(p).  Every cover contains the least one, which is a cover, so
     local character reads only `min_cover(src p)`.  The family is read
     live, so a caller that sets each bit j at q as it is yielded sweeps
-    the enlarged family."""
+    the enlarged family; the members at p are enumerated once per p."""
     cat = site.cat
     for p in bits:
+        members = list(_members(bits[p]))
         for g in cat.mors_into(cat.src(p)):
             q, table = cat.compose(p, g), resource.table(g)
-            for i in _members(bits[p]):
+            for i in members:
                 if not bits[q] >> table[i] & 1:
                     yield "restriction", p, i, q, table[i]
     for p in bits:

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .fincat import FinCat, element_key, slice_category
 from .report import Report
-from .site import Coverage, Sieve
+from .site import Coverage, Sieve, sieve_masks
 
 DEFAULT_FAMILY_BUDGET = 200_000
 
@@ -373,26 +373,6 @@ def compatibility_witness(ps: Presheaf, fam: CompatibleFamily):
     return None
 
 
-def _generators(cat: FinCat, cover: Sieve):
-    """Minimal subfamily through which every member factors."""
-    members = cover.sorted_members()
-    gens = []
-    for f in members:
-        if not any(
-            not cat.is_identity(k)
-            for g in members
-            if g != f
-            for k in cat.factorisations(f, g)
-        ):
-            gens.append(f)
-    # safety: fall back to the whole sieve if factoring misses members
-    covered = set(gens)
-    for f in members:
-        if f not in covered and not any(cat.factorisations(f, g) for g in gens):
-            return members
-    return tuple(gens)
-
-
 class _EncodedCover:
     """A cover of a presheaf in index form.
 
@@ -400,24 +380,23 @@ class _EncodedCover:
     generating subfamily (precomposition closure); this implementation
     lemma has a dedicated test.  A family is therefore held as a tuple of
     ids in the generators' stages, one per generator; each member reads
-    its value off the first generator it factors through.  The index of
-    F(target) by restriction signature on the generators is built on
+    its value off the first generator it factors through.  Generators and
+    factorisations are read from the category's `SieveMasks`.  The index
+    of F(target) by restriction signature on the generators is built on
     first use.
     """
 
     def __init__(self, ps: Presheaf, cover: Sieve):
-        cat = ps.base
+        sm, a = sieve_masks(ps.base), cover.target
         self.ps = ps
         self.cover = cover
-        self.gens = gens = _generators(cat, cover)
+        self.gens = gens = sm.generators(a, sm.mask(a, cover.members))
         self.members = cover.sorted_members()
+        bit, reach = sm.bit(a), [sm.closure(a)[g] for g in gens]
         self.factors = []  # per member: (generator position, k) with g.k = member
         for f in self.members:
-            for j, g in enumerate(gens):
-                ks = cat.factorisations(f, g)
-                if ks:
-                    self.factors.append((j, ks[0]))
-                    break
+            j = next(j for j, r in enumerate(reach) if r & bit[f])
+            self.factors.append((j, sm.factor(gens[j], f)))
         position = {f: n for n, f in enumerate(self.members)}
         self._gen_factors = [self.factors[position[g]] for g in gens]
         self._by_signature = None
@@ -473,13 +452,14 @@ class _EncodedCover:
         """Ids of the family's values, parallel to the sorted members."""
         return tuple(t[partial[j]] for j, t in self._leg_tables)
 
+    def values(self, partial, n=None):
+        """The family's values, decoded, parallel to the sorted members;
+        only the first n when n is given."""
+        src, element = self.ps.base.src, self.ps.element
+        return [element(src(f), i) for f, i in zip(self.members[:n], self.legs(partial))]
+
     def materialise(self, partial) -> CompatibleFamily:
-        cat = self.ps.base
-        values = {
-            f: self.ps.element(cat.src(f), i)
-            for f, i in zip(self.members, self.legs(partial))
-        }
-        return CompatibleFamily.of(self.cover, values)
+        return CompatibleFamily.of(self.cover, dict(zip(self.members, self.values(partial))))
 
     def signature_index(self):
         """Positions in at(target) grouped by their ids on the generators.
@@ -555,21 +535,20 @@ def amalgamate(ps: Presheaf, fam: CompatibleFamily):
     return matches[0]
 
 
-def _flag_amalgamations(rep, a, s, matches, family):
-    """Existence and uniqueness for one family; `family()` builds it for
-    the existence note."""
-    if not matches:
-        sample = tuple(f"{x}" for _, x in family().items()[:3])
+def _flag_amalgamations(rep, a, s, n_matches, first_two, first_three):
+    """Existence and uniqueness for a family with n_matches amalgamations.
+    Each note decodes only what it prints: `first_two()` the first two
+    amalgamations, `first_three()` the family's first three values."""
+    if not n_matches:
+        sample = tuple(f"{x}" for x in first_three())
         rep.flag(
             "existence",
             f"no amalgamation at {a!r} over cover of size {len(s.members)}; "
             f"family starts {sample!r}",
         )
-    elif len(matches) > 1:
-        rep.flag(
-            "uniqueness",
-            f"{len(matches)} amalgamations at {a!r}: {matches[0]!r}, {matches[1]!r}",
-        )
+    elif n_matches > 1:
+        x, y = first_two()
+        rep.flag("uniqueness", f"{n_matches} amalgamations at {a!r}: {x!r}, {y!r}")
 
 
 def check_sheaf(ps: Presheaf, cov: Coverage, mode="exhaustive", families=(),
@@ -598,8 +577,8 @@ def check_sheaf(ps: Presheaf, cov: Coverage, mode="exhaustive", families=(),
                     n_checked += 1
                     if len(hits) != 1:
                         _flag_amalgamations(
-                            rep, a, s, [ps.element(a, p) for p in hits],
-                            lambda: code.materialise(partial),
+                            rep, a, s, len(hits), lambda: [ps.element(a, p) for p in hits[:2]],
+                            lambda: code.values(partial, 3),
                         )
     elif mode == "families":
         for fam in families:
@@ -613,11 +592,28 @@ def check_sheaf(ps: Presheaf, cov: Coverage, mode="exhaustive", families=(),
                 continue
             matches = amalgamation_candidates(ps, fam)
             n_checked += 1
-            _flag_amalgamations(rep, a, fam.cover, matches, lambda: fam)
+            _flag_amalgamations(rep, a, fam.cover, len(matches), lambda: matches[:2],
+                                lambda: [x for _, x in fam.items()[:3]])
     else:
         raise ValueError(f"unknown mode {mode!r}")
     rep.note(f"checked {n_checked} families")
     return rep
+
+
+def is_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> bool:
+    """The verdict of `check_sheaf`, certified on least covers alone.
+
+    On a finite site the covers of a stage are closed under intersection,
+    so each stage has a least cover, and a presheaf that is a sheaf for
+    every least cover is a sheaf for every cover (the least-cover lemma,
+    stated with its proof in the README).  A False verdict is
+    `check_sheaf`'s too; run it for the violations."""
+    for a in ps.base.objects:
+        code = _encoded_cover(ps, cov.min_cover(a))
+        index = code.signature_index()
+        if any(len(index.get(code.key(partial), ())) != 1 for partial in code.families(budget)):
+            return False
+    return True
 
 
 # -- slice restriction ------------------------------------------------------
@@ -696,8 +692,7 @@ def matching_presheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET)
     is `MatchClass.sort_key` order; `families(A)` returns them.
     Restriction pulls the least cover back and reads the family's ids
     off it.  Only least covers are enumerated, so `budget` bounds their
-    families alone; `amalgamation_operator` checks every cover against
-    the same budget first.
+    families alone.
     """
     cat = ps.base
 
@@ -810,20 +805,25 @@ def amalgamation_operator(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUD
     """Send each matching class to its amalgamation; verify that this is
     a stage-wise bijection and natural in both directions.  A class's
     amalgamation is looked up on ids, by its family's ids on the least
-    cover's generators."""
-    sheaf_rep = check_sheaf(ps, cov, budget=budget)
-    if not sheaf_rep.ok:
-        raise NotASheafError(
-            f"{ps.name} is not a sheaf for the coverage", report=sheaf_rep
-        )
+    cover's generators.
+
+    The lookup certifies the sheaf condition on least covers (see
+    `is_sheaf`): every class must have exactly one amalgamation.  Only
+    when one does not is `check_sheaf` run over every cover, for the
+    report of the `NotASheafError`.  The inverse of a natural bijection
+    is natural, so the inverse is checked only when the forward map
+    fails."""
     match = matching_presheaf(ps, cov, budget)
     rep = Report(f"amalgamation operator ({ps.name})")
     to_sheaf, from_sheaf = {}, {}
     for a in ps.base.objects:
         code = _encoded_cover(ps, cov.min_cover(a))
         index, at_gens = code.signature_index(), [code.members.index(g) for g in code.gens]
-        # F is a sheaf, so each family has exactly one amalgamation
-        fwd = [index[tuple(legs[j] for j in at_gens)][0] for legs in match.families(a)]
+        hits = [index.get(tuple(legs[j] for j in at_gens), ()) for legs in match.families(a)]
+        if any(len(h) != 1 for h in hits):
+            raise NotASheafError(f"{ps.name} is not a sheaf for the coverage",
+                                 report=check_sheaf(ps, cov, budget=budget))
+        fwd = [h[0] for h in hits]
         if len(set(fwd)) != len(fwd):
             rep.flag("bijectivity", f"amalgamation not injective at {a!r}")
         if set(fwd) != set(range(ps.size(a))):
@@ -834,6 +834,7 @@ def amalgamation_operator(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUD
         to_sheaf[a], from_sheaf[a] = fwd, inverse
     forward = SheafMorphism(match, ps, name="amalgamation", ids=to_sheaf)
     inverse = SheafMorphism(ps, match, name="amalgamation inverse", ids=from_sheaf)
-    for alpha in (forward, inverse):
-        rep.violations += validate_sheaf_morphism(alpha).violations
+    rep.violations += validate_sheaf_morphism(forward).violations
+    if not rep.ok:
+        rep.violations += validate_sheaf_morphism(inverse).violations
     return AmalgamationIso(match, forward, inverse, rep)

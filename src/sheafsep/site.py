@@ -72,7 +72,7 @@ class SieveMasks:
 
     def __init__(self, cat: FinCat):
         self.cat = cat
-        self._bit, self._pull, self._closure, self._all = {}, {}, {}, {}
+        self._bit, self._pull, self._closure, self._all, self._through = {}, {}, {}, {}, {}
 
     def bit(self, a):
         """Morphism into `a` -> its bit, in sorted order; empty for a non-object."""
@@ -104,6 +104,27 @@ class SieveMasks:
         if a not in self._closure:
             self._closure[a] = {f: self.generate(a, (f,)) for f in self.bit(a)}
         return self._closure[a]
+
+    def generators(self, a, m):
+        """The members of the sieve m on `a` that factor through no other
+        member, in sorted order; every member if those miss some."""
+        bit, closure = self.bit(a), self.closure(a)
+        members = self.sorted_members(a, m)
+        gens = [f for f in members
+                if not any(g != f and closure[g] & bit[f] for g in members)]
+        reach = 0
+        for g in gens:
+            reach |= closure[g]
+        return tuple(gens) if not m & ~reach else members
+
+    def factor(self, g, f):
+        """The first k in sorted order with g.k = f; f must factor through g."""
+        through = self._through.get(g)
+        if through is None:
+            through = self._through[g] = {}
+            for k, (on_dst, _) in zip(self.bit(self.cat.src(g)), self.pull(g)):
+                through.setdefault(on_dst, k)
+        return through[self.bit(self.cat.dst(g))[f]]
 
     def mask(self, a, members):
         """The bits of the members that target `a`; the others are dropped,
@@ -143,13 +164,22 @@ class SieveMasks:
         return self._all[a]
 
 
+def sieve_masks(cat: FinCat) -> SieveMasks:
+    """The one `SieveMasks` of `cat`, shared by its coverages and by the
+    presheaves' covers, and kept on the category."""
+    sm = getattr(cat, "_sieve_masks", None)
+    if sm is None:
+        sm = cat._sieve_masks = SieveMasks(cat)
+    return sm
+
+
 def maximal_sieve(cat: FinCat, a) -> Sieve:
     return Sieve(a, frozenset(cat.mors_into(a)))
 
 
 def generate_sieve(cat: FinCat, target, generators) -> Sieve:
     """Close a family of morphisms into `target` under precomposition."""
-    sm = SieveMasks(cat)
+    sm = sieve_masks(cat)
     return sm.sieve(target, sm.generate(target, generators))
 
 
@@ -157,25 +187,24 @@ def pullback_sieve(cat: FinCat, s: Sieve, h) -> Sieve:
     """h*(S) = {g | h.g in S}, a sieve on src(h)."""
     if cat.dst(h) != s.target:
         raise UnknownObjectError(f"cannot pull back a sieve on {s.target!r} along {h!r}")
-    sm = SieveMasks(cat)
+    sm = sieve_masks(cat)
     return sm.sieve(cat.src(h), _pull(sm.pull(h), sm.mask(s.target, s.members)))
 
 
 def all_sieves(cat: FinCat, a) -> list[Sieve]:
     """Every sieve on `a`, ordered by size and then sorted members."""
     cat.require_object(a)
-    sm = SieveMasks(cat)
+    sm = sieve_masks(cat)
     return [sm.sieve(a, m) for m in sm.all(a)]
 
 
 class Coverage:
     """Assignment object -> set of covering sieves, stored explicitly."""
 
-    def __init__(self, cat: FinCat, by_object, notes=(), sieve_masks=None):
+    def __init__(self, cat: FinCat, by_object, notes=()):
         self.cat = cat
         self.by_object = {a: frozenset(by_object.get(a, ())) for a in cat.objects}
         self.notes = tuple(notes)
-        self.sieve_masks = sieve_masks if sieve_masks is not None else SieveMasks(cat)
         self._sorted = {
             a: tuple(sorted(ss, key=lambda s: (len(s.members), s.sorted_members())))
             for a, ss in self.by_object.items()
@@ -223,7 +252,7 @@ def build_coverage(cat: FinCat, kind: str) -> Coverage:
     atomic           every nonempty sieve covers; requires every cospan
                      to be completable (checked, witness reported).
     """
-    sm = SieveMasks(cat)
+    sm = sieve_masks(cat)
     if kind in ("downward-closed", "finite-covers"):
         if not cat.thin or any(a != b and (b, a) in cat.homs for a, b in cat.homs):
             raise CoverageKindError(f"{kind} coverage requires a poset base, got {cat.kind!r}")
@@ -255,7 +284,7 @@ def build_coverage(cat: FinCat, kind: str) -> Coverage:
     else:
         raise CoverageKindError(f"unknown coverage kind {kind!r}")
     cov = Coverage(cat, {a: [sm.sieve(a, m) for m in ms] for a, ms in by_object.items()},
-                   notes, sieve_masks=sm)
+                   notes)
     rep = validate_coverage(cat, cov)
     if not rep.ok:
         raise CoverageKindError(
@@ -306,7 +335,7 @@ def _forced_sieves(sm: SieveMasks, covers, covering):
 def validate_coverage(cat: FinCat, cov: Coverage) -> Report:
     """Replay maximality, stability and transitivity exhaustively."""
     rep = Report("coverage axioms")
-    sm = cov.sieve_masks if cov.cat is cat else SieveMasks(cat)
+    sm = sieve_masks(cat)
     for a in cat.objects:
         for s in cov.by_object.get(a, ()):
             if s.target != a:
@@ -365,7 +394,7 @@ def saturate_precoverage(cat: FinCat, assignment) -> Coverage:
                         precover=pc,
                         morphism=h,
                     )
-    sm = SieveMasks(cat)
+    sm = sieve_masks(cat)
     masks = {a: {(1 << len(sm.bit(a))) - 1} for a in cat.objects}
     for a in cat.objects:
         masks[a].update(sm.generate(a, pc.family) for pc in assignment[a])
@@ -376,7 +405,7 @@ def saturate_precoverage(cat: FinCat, assignment) -> Coverage:
             masks[b].add(m)
             changed = True
     sieves = {a: [sm.sieve(a, m) for m in ms] for a, ms in masks.items()}
-    return Coverage(cat, sieves, ("saturation of a pre-coverage",), sieve_masks=sm)
+    return Coverage(cat, sieves, ("saturation of a pre-coverage",))
 
 
 def trivial_coverage(cat: FinCat) -> Coverage:
@@ -395,7 +424,7 @@ def slice_coverage(cov: Coverage, a) -> Coverage:
     onto sieves, so the covers at p are the base covers at src(p)."""
     cat = cov.cat
     sl, dom = slice_category(cat, a)
-    sm = cov.sieve_masks
+    sm = sieve_masks(cat)
     by_object = {}
     for p in sl.objects:
         b = cat.src(p)

@@ -106,6 +106,19 @@ def generators(cat, cover):
     return tuple(gens)
 
 
+def factors(cat, cover, gens):
+    """Per member in sorted order, (j, k): the first generator gens[j] it
+    factors through and the first k in hom order with gens[j].k = member."""
+    out = []
+    for f in cover.sorted_members():
+        for j, g in enumerate(gens):
+            ks = [k for k in cat.hom(cat.src(f), cat.src(g)) if cat.compose(g, k) == f]
+            if ks:
+                out.append((j, ks[0]))
+                break
+    return out
+
+
 def square_maps(cat, f, g):
     """All (k, h) with f.k = g.h, scanning every morphism of the base."""
     out = []
@@ -150,20 +163,13 @@ def enumerate_compatible_families(ps, cover, budget=DEFAULT_FAMILY_BUDGET):
                 cover=cover,
                 size=len(cover.members),
             )
-    factorisations = {}
-    for f in cover.members:
-        for g in gens:
-            ks = [k for k in cat.hom(cat.src(f), cat.src(g)) if cat.compose(g, k) == f]
-            if ks:
-                factorisations[f] = (g, ks[0])
-                break
+    through = dict(zip(cover.sorted_members(), factors(cat, cover, gens)))
     out = []
     for combo in partials:
-        vals = dict(zip(gens, combo))
         full = {}
         for f in cover.members:
-            g, k = factorisations[f]
-            full[f] = ps.restrict(k, vals[g])
+            j, k = through[f]
+            full[f] = ps.restrict(k, combo[j])
         out.append(CompatibleFamily.of(cover, full))
     return out
 

@@ -1,10 +1,11 @@
 import json
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from sheafsep import cli
+from sheafsep import cli, presheaf
 from sheafsep.cli import build_arg_parser, load_model, main, parse_heap, parse_stage, run_command
 from sheafsep.errors import ModelSchemaError
 from sheafsep.fincat import FinCat
@@ -295,6 +296,36 @@ def test_laws_at_three_locations_builds_no_decomposition_elements(tmp_path, caps
     assert built["Decomp"] == built["CoendClass"] == built["MatchClass"] == 0
 
 
+def test_pipeline_sat_certifies_the_iso_on_least_covers(tmp_path, capsys, monkeypatch, built):
+    """Deterministic work gate: at 3 locations the pipeline iso encodes
+    one cover per object, its least cover, and runs no all-cover sheaf
+    check."""
+    calls = []
+    original = presheaf.check_sheaf
+    monkeypatch.setattr(presheaf, "check_sheaf",
+                        lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+    model_path = write_model(tmp_path, dict(MEMORY_DOC, locations=["x", "y", "z"]))
+    argv = ["sat", "--model", model_path, "--formula=x |-> 0 * y |-> 1", "--mode", "pipeline",
+            "--heap", "{x:0, y:1, z:null}", "--json"]
+    assert main(argv) == 0
+    assert built["AmalgamationIso"] == 1
+    assert built["_EncodedCover"] == 8
+    assert calls == []
+
+
+def test_check_sheaf_decodes_only_what_its_notes_print(tmp_path, capsys, built):
+    """Deterministic work gate: on a 3-location support-bounded model an
+    existence note decodes the family's first three values and a
+    uniqueness note its first two amalgamations, nothing more."""
+    doc = dict(MEMORY_DOC, locations=["x", "y", "z"], sheaf="support-bounded",
+               support_bound=1, monoid=None, formulas={})
+    model_path = write_model(tmp_path, doc)
+    assert main(["check-sheaf", "--model", model_path, "--json"]) == 1
+    kinds = [w["kind"] for w in json.loads(capsys.readouterr().out)["witnesses"]]
+    assert kinds and set(kinds) <= {"existence", "uniqueness"}
+    assert built["Heap"] <= 3 * kinds.count("existence") + 2 * kinds.count("uniqueness")
+
+
 def test_laws_rejects_an_empty_sample_count(tmp_path, capsys):
     doc = dict(MEMORY_DOC, locations=["x"], formulas={})
     model_path = write_model(tmp_path, doc)
@@ -528,6 +559,22 @@ def test_heap_json_integer_past_the_digit_limit_exits_two(tmp_path, capsys):
     argv = ["sat", "--model", model_path, "--name", "both", "--json"]
     assert main(argv + ["--heap", f'{{"x": {BIG}, "y": 0}}']) == 2
     assert json.loads(capsys.readouterr().out)["error"] == "ModelSchemaError"
+
+
+def test_heap_integer_past_the_digit_limit_names_the_limit(tmp_path, capsys):
+    """The detail names the interpreter's digit limit and echoes a capped
+    excerpt of the literal, in the JSON and the bare-identifier forms."""
+    model_path = write_model(tmp_path, MEMORY_DOC)
+    argv = ["sat", "--model", model_path, "--name", "both", "--json"]
+    for heap in (f'{{"x": {BIG}, "y": 0}}', f"{{x: {BIG}, y: 0}}"):
+        assert main(argv + ["--heap", heap]) == 2
+        error = json.loads(capsys.readouterr().out)
+        assert error["error"] == "ModelSchemaError"
+        assert f"{sys.get_int_max_str_digits()}-digit limit" in error["detail"]
+        assert len(error["detail"]) < 200
+    assert main(argv + ["--heap", "{x: " + "a" * 5000 + ", y: 0}"]) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert "digit limit" not in error["detail"] and len(error["detail"]) < 200
 
 
 def test_measure_in_exponent_notation_is_refused(tmp_path, capsys):

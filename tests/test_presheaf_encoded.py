@@ -1,24 +1,28 @@
 """Differential tests: the presheaf core on ids against the element-level
 reference in `presheaf_reference`."""
 
+import random
+
 import pytest
 
 import presheaf_reference as ref
 from sheafsep.day import day_coend, day_decomp
-from sheafsep.errors import BudgetExceededError
+from sheafsep.errors import BudgetExceededError, NotASheafError
 from sheafsep.fincat import build_finsurj_category, build_powerset_category, incl
 from sheafsep.presheaf import (
     Heap,
     Presheaf,
     amalgamation_candidates,
     amalgamation_operator,
+    _EncodedCover,
     build_resource_sheaf,
     check_sheaf,
     enumerate_compatible_families,
+    is_sheaf,
     matching_presheaf,
     slice_restrict,
 )
-from sheafsep.site import build_coverage, slice_coverage, trivial_coverage
+from sheafsep.site import all_sieves, build_coverage, slice_coverage, trivial_coverage
 
 MEMORY_KINDS = ("strict-memory", "partial-memory", "support-bounded")
 
@@ -159,8 +163,9 @@ def test_budget_error_agrees():
 
 
 def test_amalgamation_operator_budget_error_is_check_sheafs():
-    """The iso checks every cover before it builds Match(F), so a budget
-    blown on any cover raises the sheaf check's error."""
+    """The iso enumerates least covers, so a budget blown on a least
+    cover that is also the sheaf check's first blown cover raises the
+    same error."""
     cat, _, cov = _site(2)
     mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
     with pytest.raises(BudgetExceededError) as iso:
@@ -230,4 +235,134 @@ def test_table_fills_and_sheaf_checks_construct_no_elements(built):
         for f in ps.base.all_morphisms():
             ps.table(f)
         assert check_sheaf(ps, cov).ok
-    assert sum(built.values()) == 0, built
+    assert sum(built[name] for name in ("Heap", "Decomp", "CoendClass", "MatchClass")) == 0, built
+
+
+# -- least-cover certificates against the all-cover check -------------------
+
+
+def _least_cover_sites():
+    """The powerset base at 2 and 3 locations under both poset coverages
+    (and the trivial one at 2), finsurj(2) atomic, finsurj(3) trivial."""
+    sites = []
+    for n_locs in (2, 3):
+        cat, mon = build_powerset_category(["x", "y", "z"][:n_locs])
+        covs = {kind: build_coverage(cat, kind) for kind in ("downward-closed", "finite-covers")}
+        if n_locs == 2:
+            covs["trivial"] = trivial_coverage(cat)
+        sites += [(f"powerset{n_locs}-{kind}", cat, mon, cov) for kind, cov in covs.items()]
+    fcat2, fmon2 = build_finsurj_category(2)
+    fcat3, fmon3 = build_finsurj_category(3)
+    sites.append(("finsurj2-atomic", fcat2, fmon2, build_coverage(fcat2, "atomic")))
+    sites.append(("finsurj3-trivial", fcat3, fmon3, trivial_coverage(fcat3)))
+    return sites
+
+
+def _sub_presheaf(ps, rng, name):
+    """A random sub-presheaf of ps: a random subset per stage, closed
+    under restriction."""
+    cat = ps.base
+    keep = {a: {i for i in range(ps.size(a)) if rng.random() < 0.6} for a in cat.objects}
+    changed = True
+    while changed:
+        changed = False
+        for f in cat.all_morphisms():
+            image = {ps.table(f)[i] for i in keep[cat.dst(f)]}
+            if not image <= keep[cat.src(f)]:
+                keep[cat.src(f)] |= image
+                changed = True
+    return Presheaf(cat, lambda a: [ps.element(a, i) for i in keep[a]], ps.restrict, name=name)
+
+
+def _doubled(ps, top):
+    """ps with two copies of each element at `top`, restrictions out of
+    `top` forgetting the copy: a presheaf that is not separated at top
+    unless top's least cover is maximal."""
+    cat = ps.base
+
+    def stages(a):
+        return [(x, c) for x in ps.at(a) for c in (0, 1)] if a == top else ps.at(a)
+
+    def restr(f, y):
+        if cat.dst(f) != top:
+            return ps.restrict(f, y)
+        x, c = y
+        return (ps.restrict(f, x), c) if cat.src(f) == top else ps.restrict(f, x)
+
+    return Presheaf(cat, stages, restr, name=f"{ps.name}x2@{top!r}")
+
+
+def _least_cover_cases(cat, mon):
+    """Sheaves and non-sheaves on one base: the builders, Day convolution
+    pairs, random sub-presheaves and doubled presheaves of `base`."""
+    rng = random.Random(11)
+    top = max(cat.objects, key=lambda a: len(cat.mors_into(a)))
+    const = build_resource_sheaf(cat, "constant", elements=(0, 1))
+    cases = [const, build_resource_sheaf(cat, "terminal")]
+    cases += [build_resource_sheaf(cat, "yoneda", at_object=a) for a in cat.objects]
+    if cat.kind == "powerset":
+        base = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
+        cases += [base, build_resource_sheaf(cat, "strict-memory", values=(0, 1))]
+        cases += [build_resource_sheaf(cat, "support-bounded", values=(0, 1), bound=k)
+                  for k in range(3)]
+        values = (0, 1) if len(top) == 2 else (0,)
+        small = [build_resource_sheaf(cat, kind, values=values)
+                 for kind in ("strict-memory", "partial-memory")]
+        small.append(build_resource_sheaf(cat, "support-bounded", values=values, bound=1))
+    else:
+        base = build_resource_sheaf(cat, "yoneda", at_object=top)
+        small = [build_resource_sheaf(cat, "yoneda", at_object=a) for a in cat.objects[:2]]
+    for f_sheaf in small:
+        for g_sheaf in small:
+            cases += [day_decomp(f_sheaf, g_sheaf, mon), day_coend(f_sheaf, g_sheaf, mon)]
+    cases += [_sub_presheaf(base, rng, f"sub{i}({base.name})") for i in range(6)]
+    cases += [_doubled(base, top), _doubled(const, top)]
+    return cases
+
+
+@pytest.mark.parametrize("site", _least_cover_sites(), ids=lambda s: s[0])
+def test_least_cover_verdict_is_the_all_cover_verdict(site):
+    """`is_sheaf` reads least covers only; `check_sheaf` is the oracle."""
+    _, cat, mon, cov = site
+    verdicts = []
+    for ps in _least_cover_cases(cat, mon):
+        verdict = check_sheaf(ps, cov).ok
+        assert is_sheaf(ps, cov) == verdict, ps.name
+        verdicts.append(verdict)
+    if "trivial" not in site[0]:
+        assert True in verdicts and False in verdicts
+
+
+CATEGORIES = {
+    **{f"powerset{n}": lambda n=n: build_powerset_category(["w", "x", "y", "z"][:n])[0]
+       for n in (2, 3, 4)},
+    **{f"finsurj{n}": lambda n=n: build_finsurj_category(n)[0] for n in (2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATEGORIES))
+def test_cover_generators_from_masks_agree_with_factorisations(name):
+    """Generators and factor positions read from `SieveMasks` against the
+    `factorisations`-based reference, on every nonempty sieve."""
+    cat = CATEGORIES[name]()
+    terminal = build_resource_sheaf(cat, "terminal")
+    for a in cat.objects:
+        for sieve in all_sieves(cat, a):
+            if not sieve.members:
+                continue
+            code = _EncodedCover(terminal, sieve)
+            assert code.gens == ref.generators(cat, sieve)
+            assert code.factors == ref.factors(cat, sieve, code.gens)
+
+
+@pytest.mark.parametrize("n_locs", [2, 3])
+def test_amalgamation_operator_on_a_non_sheaf_reports_check_sheafs(n_locs):
+    cat, _, cov = _site(n_locs)
+    top = max(cat.objects, key=len)
+    mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
+    for ps in (build_resource_sheaf(cat, "support-bounded", values=(0, 1), bound=1),
+               _doubled(mp, top)):
+        with pytest.raises(NotASheafError) as exc:
+            amalgamation_operator(ps, cov)
+        assert exc.value.report.as_dict() == check_sheaf(ps, cov).as_dict()
+        assert not exc.value.report.ok
