@@ -69,6 +69,17 @@ class FinCat:
         }
         self.thin = all(len(ms) <= 1 for ms in self.homs.values())
 
+    @cached_property
+    def thin_composition(self) -> bool:
+        """Thin, and each composable pair composes to a morphism between
+        the right ends: the category's half of the thinness lemma's
+        premise (`thin_typed`)."""
+        return self.thin and all(
+            self.compose_table.get((g, f)) in self.hom(self._src[f], self._dst[g])
+            for f, b in self._dst.items()
+            for g in self._from[b]
+        )
+
     # -- basic accessors ------------------------------------------------
 
     def require_object(self, a):
@@ -374,8 +385,24 @@ def validate_category(cat: FinCat) -> Report:
     return rep
 
 
+def thin_typed(cat: FinCat, images) -> bool:
+    """The premise of the thinness lemma for a map into `cat`, given by
+    its images: `cat.thin_composition` holds and each (m, a, b) in
+    `images` is a morphism a -> b.  A map so typed, and defined on the
+    composites of pairs it is defined on, preserves composition: both
+    sides of the law are morphisms between the same two objects, and a
+    thin category has at most one.  Its users are `validate_monoidal`
+    (the tensor) and `day.check_day_stability` (the gamma witness)."""
+    return cat.thin_composition and all(m in cat.hom(a, b) for m, a, b in images)
+
+
 def validate_monoidal(cat: FinCat, mon: MonoidalStructure) -> Report:
-    """Check functoriality of the (partial) tensor and strict unit laws."""
+    """Check functoriality of the (partial) tensor and strict unit laws.
+
+    On a thin base the tensor is functorial as soon as it is typed: each
+    pair (f, g) whose ends have tensors has an entry from src f (x) src g
+    to dst f (x) dst g, and no other entry exists (`thin_typed`).
+    Otherwise every composable quadruple is replayed for the report."""
     rep = Report("monoidal structure")
     for a in cat.objects:
         if mon.tensor_defined(a, mon.unit):
@@ -393,6 +420,28 @@ def validate_monoidal(cat: FinCat, mon: MonoidalStructure) -> Report:
             if (ia, ib) in mon.tensor_mor:
                 if mon.tensor_m(ia, ib) != cat.id(mon.tensor(a, b)):
                     rep.flag("functoriality", f"id tensor id != id at ({a!r}, {b!r})")
+    if not _tensor_typed(cat, mon):
+        _replay_tensor_functoriality(rep, cat, mon)
+    return rep
+
+
+def _tensor_typed(cat: FinCat, mon: MonoidalStructure) -> bool:
+    """The thinness lemma's premise for the tensor: a thin base, a typed
+    entry for every pair whose ends have tensors, and no other entry."""
+    tensor, table = mon.tensor_obj, mon.tensor_mor
+    images = [
+        (table.get((f, g)), tensor[a, c], tensor[b, d])
+        for (a, b), fs in cat.homs.items()
+        for (c, d), gs in cat.homs.items()
+        if (a, c) in tensor and (b, d) in tensor
+        for f in fs
+        for g in gs
+    ]
+    return len(images) == len(table) and thin_typed(cat, images)
+
+
+def _replay_tensor_functoriality(rep, cat: FinCat, mon: MonoidalStructure):
+    """(f2.f) (x) (g2.g) = (f2 (x) g2).(f (x) g) on every composable quadruple."""
     for (f, g), fg in mon.tensor_mor.items():
         for f2 in cat.mors_from(cat.dst(f)):
             for g2 in cat.mors_from(cat.dst(g)):
@@ -405,7 +454,6 @@ def validate_monoidal(cat: FinCat, mon: MonoidalStructure) -> Report:
                         "functoriality",
                         f"(f2.f) tensor (g2.g) != (f2 tensor g2).(f tensor g) at ({f!r},{g!r})",
                     )
-    return rep
 
 
 def validate_functor(fd: FunctorData) -> Report:

@@ -209,6 +209,7 @@ class Coverage:
             a: tuple(sorted(ss, key=lambda s: (len(s.members), s.sorted_members())))
             for a, ss in self.by_object.items()
         }
+        self._least = {}
 
     def covers(self, a) -> tuple:
         self.cat.require_object(a)
@@ -218,9 +219,14 @@ class Coverage:
         return s in self.by_object.get(s.target, frozenset())
 
     def min_cover(self, a) -> Sieve:
-        """The least covering sieve (covers are closed under intersection)."""
-        members = frozenset(self.cat.mors_into(a))
-        return Sieve(a, members.intersection(*(s.members for s in self.covers(a))))
+        """The least covering sieve (covers are closed under intersection),
+        computed on the first call for each object."""
+        least = self._least.get(a)
+        if least is None:
+            members = frozenset(self.cat.mors_into(a))
+            least = Sieve(a, members.intersection(*(s.members for s in self.covers(a))))
+            self._least[a] = least
+        return least
 
     def __repr__(self):
         total = sum(len(v) for v in self.by_object.values())

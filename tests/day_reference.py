@@ -5,11 +5,12 @@ This is the direct reading of the definitions that `sheafsep.day`
 replaces: the decomposition presheaf lists `Decomp` triples and
 restricts each one, the coend closes off the dinaturality relation over
 every pair of morphisms (u, v) with a union-find on `Decomp` triples,
-and the monoid laws walk every triple of heaps through `apply`.  Fed
-the element-level sheaves of `presheaf_reference`, none of it reads a
-restriction table of the code under test.  The differential tests
-compare the two on stages, tables, classes, representatives, the
-quotient map, budget errors and law reports.
+the monoid laws walk every triple of heaps through `apply`, and the
+gamma witness is replayed on every pair of slice morphisms and of their
+precomposites.  Fed the element-level sheaves of `presheaf_reference`,
+none of it reads a restriction table of the code under test.  The
+differential tests compare the two on stages, tables, classes,
+representatives, the quotient map, budget errors and law reports.
 """
 
 import functools
@@ -25,7 +26,7 @@ from sheafsep.day import (
     splittings,
 )
 from sheafsep.errors import BudgetExceededError, MonoidalStructureError
-from sheafsep.fincat import element_key
+from sheafsep.fincat import element_key, slice_category
 from sheafsep.presheaf import Heap, Presheaf, sorted_elements
 from sheafsep.report import Report
 
@@ -195,4 +196,46 @@ def check_monoid_laws(monoid, mon):
                     if mult2(b, c, s, t) != mult2(c, b, t, s):
                         rep.flag("commutativity", f"{s}.{t} != {t}.{s}")
     rep.note(f"checked {n_unit} unit and {n_assoc} associativity instances")
+    return rep
+
+
+def gamma_report(cat, mon, on_obj, on_mor):
+    """The gamma witness's identity and functoriality checks of Day
+    stability, replayed on every pair of slice morphisms and every pair
+    of their precomposites, as `check_day_stability` reports them with
+    no samples."""
+    rep = Report("Day stability")
+    slices = {a: slice_category(cat, a)[0] for a in cat.objects}
+    pairs_checked = 0
+    for a in cat.objects:
+        for b in cat.objects:
+            if not mon.tensor_defined(a, b):
+                continue
+            sl_a, sl_b, sl_ab = slices[a], slices[b], slices[mon.tensor(a, b)]
+            for p in sl_a.objects:
+                for q in sl_b.objects:
+                    gp = on_obj(p, q)
+                    if gp is None:
+                        continue
+                    ga = on_mor(sl_a.identities[p], sl_b.identities[q])
+                    if ga != sl_ab.identities.get(gp):
+                        rep.flag("gamma", f"gamma does not preserve identities at ({p!r}, {q!r})")
+                    pairs_checked += 1
+            for (q1, _), ms1 in sl_a.homs.items():
+                for (q2, _), ms2 in sl_b.homs.items():
+                    for m1 in ms1:
+                        for m2 in ms2:
+                            g12 = on_mor(m1, m2)
+                            if g12 is None:
+                                continue
+                            for n1 in sl_a.mors_into(q1):
+                                for n2 in sl_b.mors_into(q2):
+                                    gn = on_mor(n1, n2)
+                                    if gn is None:
+                                        continue
+                                    lhs = on_mor(sl_a.compose(m1, n1), sl_b.compose(m2, n2))
+                                    if lhs != sl_ab.compose_table.get((g12, gn)):
+                                        rep.flag("gamma",
+                                                 f"gamma not functorial on ({m1!r}, {m2!r})")
+    rep.note(f"gamma checked on {pairs_checked} object pairs")
     return rep

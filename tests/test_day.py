@@ -18,7 +18,7 @@ from sheafsep.fincat import (
     incl,
 )
 from sheafsep.presheaf import Heap, SheafMorphism, build_resource_sheaf, validate_presheaf
-from sheafsep.site import Site, build_coverage
+from sheafsep.site import Site, build_coverage, trivial_coverage
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +309,77 @@ def test_day_stability_requires_gamma_witness():
     site = Site(cat, trivial_coverage(cat), mon)
     with pytest.raises(NoGammaWitnessError):
         check_day_stability(site, [])
+
+
+def _corrupted(gamma, pair, value):
+    """The witness `gamma` with on_mor sending `pair` to `value`."""
+    on_obj, on_mor = gamma
+    return on_obj, lambda m1, m2: value if (m1, m2) == pair else on_mor(m1, m2)
+
+
+def _gamma_cases():
+    """Clean witnesses on powerset(1..3) and finsurj(2..3), and powerset(2)
+    witnesses with one pair of slice morphisms sent to a mistyped
+    morphism, to nothing, and an identity pair to a non-identity."""
+    from sheafsep.day import finsurj_gamma
+    from sheafsep.fincat import slice_category
+
+    cases = {}
+    for n in (1, 2, 3):
+        cat, mon = build_powerset_category(["x", "y", "z"][:n])
+        cases[f"powerset{n}"] = (cat, mon, powerset_gamma(cat))
+    for n in (2, 3):
+        cat, mon = build_finsurj_category(n)
+        cases[f"finsurj{n}"] = (cat, mon, finsurj_gamma(cat, mon))
+    cat, mon = build_powerset_category(["x", "y"])
+    sl_x, _ = slice_category(cat, ("x",))
+    sl_y, _ = slice_category(cat, ("y",))
+    sl_xy, _ = slice_category(cat, ("x", "y"))
+    m1 = sl_x.homs[incl((), ("x",)), incl(("x",), ("x",))][0]
+    e1 = sl_x.identities[incl(("x",), ("x",))]
+    e2 = sl_y.identities[incl(("y",), ("y",))]
+    wrong = sl_xy.identities[incl(("x", "y"), ("x", "y"))]
+    cases["mistyped"] = (cat, mon, _corrupted(powerset_gamma(cat), (m1, e2), wrong))
+    cases["undefined"] = (cat, mon, _corrupted(powerset_gamma(cat), (m1, e2), None))
+    not_id = sl_xy.homs[incl((), ("x", "y")), incl(("x", "y"), ("x", "y"))][0]
+    cases["identity"] = (cat, mon, _corrupted(powerset_gamma(cat), (e1, e2), not_id))
+    return cases
+
+
+GAMMA_CASES = _gamma_cases()
+
+
+@pytest.mark.parametrize("name", sorted(GAMMA_CASES))
+def test_gamma_certificate_reports_as_the_replay(name, monkeypatch):
+    """On thin slices a typed gamma is certified by the thinness lemma;
+    every witness gets the report of the replay over all pairs of slice
+    morphisms and their precomposites, and an untyped one is replayed."""
+    import sheafsep.day as day
+
+    cat, mon, gamma = GAMMA_CASES[name]
+    monkeypatch.setattr(day, "powerset_gamma", lambda _: gamma)
+    monkeypatch.setattr(day, "finsurj_gamma", lambda *_: gamma)
+    rep = check_day_stability(Site(cat, trivial_coverage(cat), mon), [])
+    assert rep.as_dict() == ref.gamma_report(cat, mon, *gamma).as_dict()
+    if name in ("mistyped", "identity"):
+        assert "gamma" in rep.kinds()
+    elif name != "undefined":  # the replay skips pairs gamma leaves undefined
+        assert rep.ok, rep.summary()
+
+
+def test_gamma_on_powerset_slices_composes_nothing(monkeypatch):
+    """Deterministic work gate: at 3 locations the gamma check composes no
+    slice morphisms."""
+    from sheafsep.fincat import FinCat
+
+    cat, mon = build_powerset_category(["x", "y", "z"])
+    site = Site(cat, build_coverage(cat, "downward-closed"), mon)
+    kinds = []
+    compose = FinCat.compose
+    monkeypatch.setattr(FinCat, "compose",
+                        lambda self, g, f: kinds.append(self.kind) or compose(self, g, f))
+    assert check_day_stability(site, []).ok
+    assert kinds and set(kinds) == {"powerset"}
 
 
 def test_powerset_gamma_preserves_identities(pset2):

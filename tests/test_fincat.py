@@ -2,8 +2,10 @@ from itertools import product
 
 import pytest
 
+import fincat_reference as ref
 from sheafsep.errors import SizeBoundError, TensorUndefinedError
 from sheafsep.fincat import (
+    FinCat,
     MonoidalStructure,
     build_finsurj_category,
     build_powerset_category,
@@ -163,6 +165,84 @@ def test_validate_monoidal_flags_a_corrupted_tensor_entry():
     broken = MonoidalStructure(mon.tensor_obj, bad, unit=mon.unit, symmetric=mon.symmetric)
     rep = validate_monoidal(cat, broken)
     assert "functoriality" in rep.kinds()
+
+
+def _outcome(check, cat, mon):
+    """A report as a dict, or the text of the lookup error the check
+    raised on a table entry keyed by a non-morphism."""
+    try:
+        return check(cat, mon).as_dict()
+    except KeyError as exc:
+        return "KeyError", str(exc)
+
+
+def _corrupted_tensors():
+    """Powerset(2) tensors with one mistyped entry, one missing entry, an
+    entry over a pair whose ends have no tensor, and an entry keyed by a
+    non-morphism."""
+    cat, mon = build_powerset_category({"x", "y"})
+    f, g = incl((), ("x",)), incl(("y",), ("y",))
+    mistyped = dict(mon.tensor_mor)
+    mistyped[(f, g)] = incl(("y",), ("y",))
+    missing = dict(mon.tensor_mor)
+    del missing[(f, g)]
+    partial_obj = {k: v for k, v in mon.tensor_obj.items()
+                   if k not in ((("x",), ("y",)), (("y",), ("x",)))}
+    junk = dict(mon.tensor_mor)
+    junk[(f, "junk")] = f
+    return {
+        "mistyped": (cat, MonoidalStructure(mon.tensor_obj, mistyped, unit=(), symmetric=True)),
+        "missing": (cat, MonoidalStructure(mon.tensor_obj, missing, unit=(), symmetric=True)),
+        "extra": (cat, MonoidalStructure(partial_obj, dict(mon.tensor_mor), unit=(),
+                                         symmetric=True)),
+        "junk-key": (cat, MonoidalStructure(mon.tensor_obj, junk, unit=(), symmetric=True)),
+    }
+
+
+MONOIDAL_CASES = {
+    **{f"powerset{n}": lambda n=n: build_powerset_category(["x", "y", "z"][:n])
+       for n in (1, 2, 3)},
+    **{name: lambda name=name: _corrupted_tensors()[name] for name in _corrupted_tensors()},
+    **{f"finsurj{n}": lambda n=n: build_finsurj_category(n) for n in (2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONOIDAL_CASES))
+def test_validate_monoidal_agrees_with_the_quadruple_replay(name):
+    """The thinness certificate and the replay give the same report (or
+    raise the same error) on clean, corrupted and non-thin tensors.  The
+    replay skips pairs without an entry, so it passes the missing and
+    extra entries; the certificate defers to it there."""
+    cat, mon = MONOIDAL_CASES[name]()
+    ours = _outcome(validate_monoidal, cat, mon)
+    assert ours == _outcome(ref.validate_monoidal, cat, mon)
+    if name.startswith(("powerset", "finsurj")):
+        assert ours["ok"]
+
+
+@pytest.mark.parametrize("n_locs", [3, 4])
+def test_validate_monoidal_on_a_thin_base_composes_nothing(n_locs, monkeypatch):
+    """Deterministic work gate: a well-typed tensor on the powerset base is
+    certified by its typing alone."""
+    cat, mon = build_powerset_category(["w", "x", "y", "z"][:n_locs])
+    calls = []
+    compose = FinCat.compose
+    monkeypatch.setattr(FinCat, "compose",
+                        lambda self, g, f: calls.append((g, f)) or compose(self, g, f))
+    assert validate_monoidal(cat, mon).ok
+    assert calls == []
+
+
+def test_thin_composition_needs_composites_with_the_right_ends():
+    cat, _ = build_powerset_category({"x"})
+    assert cat.thin_composition
+    f = incl((), ("x",))
+    bad = dict(cat.compose_table)
+    bad[(f, incl((), ()))] = incl(("x",), ("x",))
+    assert not FinCat(cat.kind, cat.objects, cat.homs, bad, cat.identities).thin_composition
+    del bad[(f, incl((), ()))]
+    assert not FinCat(cat.kind, cat.objects, cat.homs, bad, cat.identities).thin_composition
+    assert not build_finsurj_category(2)[0].thin_composition
 
 
 def test_powerset_tensor_on_morphisms_is_built_on_first_read():

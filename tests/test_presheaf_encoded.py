@@ -1,6 +1,7 @@
 """Differential tests: the presheaf core on ids against the element-level
 reference in `presheaf_reference`."""
 
+import functools
 import random
 
 import pytest
@@ -10,11 +11,13 @@ from sheafsep.day import day_coend, day_decomp
 from sheafsep.errors import BudgetExceededError, NotASheafError
 from sheafsep.fincat import build_finsurj_category, build_powerset_category, incl
 from sheafsep.presheaf import (
+    DEFAULT_FAMILY_BUDGET,
     Heap,
     Presheaf,
     amalgamation_candidates,
     amalgamation_operator,
     _EncodedCover,
+    _replay_sheaf,
     build_resource_sheaf,
     check_sheaf,
     enumerate_compatible_families,
@@ -22,6 +25,7 @@ from sheafsep.presheaf import (
     matching_presheaf,
     slice_restrict,
 )
+from sheafsep.report import Report
 from sheafsep.site import all_sieves, build_coverage, slice_coverage, trivial_coverage
 
 MEMORY_KINDS = ("strict-memory", "partial-memory", "support-bounded")
@@ -242,12 +246,14 @@ def test_table_fills_and_sheaf_checks_construct_no_elements(built):
 
 
 def _least_cover_sites():
-    """The powerset base at 2 and 3 locations under both poset coverages
-    (and the trivial one at 2), finsurj(2) atomic, finsurj(3) trivial."""
+    """The powerset base at 1 to 4 locations under the downward-closed
+    coverage, at 2 and 3 also under finite-covers (and the trivial one at
+    2), finsurj(2) atomic, finsurj(3) trivial."""
     sites = []
-    for n_locs in (2, 3):
-        cat, mon = build_powerset_category(["x", "y", "z"][:n_locs])
-        covs = {kind: build_coverage(cat, kind) for kind in ("downward-closed", "finite-covers")}
+    for n_locs in (1, 2, 3, 4):
+        cat, mon = build_powerset_category(["w", "x", "y", "z"][:n_locs])
+        kinds = ("downward-closed", "finite-covers") if n_locs in (2, 3) else ("downward-closed",)
+        covs = {kind: build_coverage(cat, kind) for kind in kinds}
         if n_locs == 2:
             covs["trivial"] = trivial_coverage(cat)
         sites += [(f"powerset{n_locs}-{kind}", cat, mon, cov) for kind, cov in covs.items()]
@@ -294,16 +300,22 @@ def _doubled(ps, top):
 
 def _least_cover_cases(cat, mon):
     """Sheaves and non-sheaves on one base: the builders, Day convolution
-    pairs, random sub-presheaves and doubled presheaves of `base`."""
+    pairs, random sub-presheaves and doubled presheaves of `base`, as a
+    pair (cases, decompositions).  At 4 locations the memory sheaves carry
+    one value, two representables stand for all sixteen, and only the
+    decompositions with left factor M[0] are taken."""
     rng = random.Random(11)
     top = max(cat.objects, key=lambda a: len(cat.mors_into(a)))
+    large = len(cat.objects) > 8
     const = build_resource_sheaf(cat, "constant", elements=(0, 1))
     cases = [const, build_resource_sheaf(cat, "terminal")]
-    cases += [build_resource_sheaf(cat, "yoneda", at_object=a) for a in cat.objects]
+    at = (cat.objects[1], top) if large else cat.objects
+    cases += [build_resource_sheaf(cat, "yoneda", at_object=a) for a in at]
     if cat.kind == "powerset":
-        base = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
-        cases += [base, build_resource_sheaf(cat, "strict-memory", values=(0, 1))]
-        cases += [build_resource_sheaf(cat, "support-bounded", values=(0, 1), bound=k)
+        values = (0,) if large else (0, 1)
+        base = build_resource_sheaf(cat, "partial-memory", values=values)
+        cases += [base, build_resource_sheaf(cat, "strict-memory", values=values)]
+        cases += [build_resource_sheaf(cat, "support-bounded", values=values, bound=k)
                   for k in range(3)]
         values = (0, 1) if len(top) == 2 else (0,)
         small = [build_resource_sheaf(cat, kind, values=values)
@@ -312,25 +324,111 @@ def _least_cover_cases(cat, mon):
     else:
         base = build_resource_sheaf(cat, "yoneda", at_object=top)
         small = [build_resource_sheaf(cat, "yoneda", at_object=a) for a in cat.objects[:2]]
-    for f_sheaf in small:
-        for g_sheaf in small:
-            cases += [day_decomp(f_sheaf, g_sheaf, mon), day_coend(f_sheaf, g_sheaf, mon)]
-    cases += [_sub_presheaf(base, rng, f"sub{i}({base.name})") for i in range(6)]
+    pairs = [(f_sheaf, g_sheaf) for f_sheaf in small for g_sheaf in small]
+    cases += [day_coend(f_sheaf, g_sheaf, mon) for f_sheaf, g_sheaf in pairs]
+    cases += [_sub_presheaf(base, rng, f"sub{i}({base.name})") for i in range(2 if large else 6)]
     cases += [_doubled(base, top), _doubled(const, top)]
-    return cases
+    decomp_pairs = pairs[:len(small)] if large else pairs
+    return cases, [day_decomp(f_sheaf, g_sheaf, mon) for f_sheaf, g_sheaf in decomp_pairs]
 
 
-@pytest.mark.parametrize("site", _least_cover_sites(), ids=lambda s: s[0])
-def test_least_cover_verdict_is_the_all_cover_verdict(site):
-    """`is_sheaf` reads least covers only; `check_sheaf` is the oracle."""
-    _, cat, mon, cov = site
+LEAST_COVER_SITES = {site[0]: site for site in _least_cover_sites()}
+
+
+def _replay_report(ps, cov):
+    """The all-cover check on ids: every family on every cover, replayed
+    whatever the least covers say."""
+    rep = Report(f"sheaf condition ({ps.name})")
+    rep.note(f"checked {_replay_sheaf(rep, ps, cov, DEFAULT_FAMILY_BUDGET)} families")
+    return rep.as_dict()
+
+
+@functools.cache
+def _reference_reports(name):
+    """Per case of the named site, the presheaf and its all-cover report:
+    the element-level reference's, but the id-level replay's on Day
+    decompositions, which have too many elements per stage for the
+    reference."""
+    _, cat, mon, cov = LEAST_COVER_SITES[name]
+    cases, decomps = _least_cover_cases(cat, mon)
+    return ([(ps, ref.check_sheaf(ps, cov).as_dict()) for ps in cases]
+            + [(ps, _replay_report(ps, cov)) for ps in decomps])
+
+
+@pytest.mark.parametrize("name", sorted(LEAST_COVER_SITES))
+def test_least_cover_verdict_is_the_all_cover_verdict(name):
+    """`is_sheaf` reads least covers only; an all-cover check is the
+    oracle.  Every site with a cover other than a maximal sieve has both
+    sheaves and non-sheaves among the cases."""
+    cov = LEAST_COVER_SITES[name][3]
     verdicts = []
-    for ps in _least_cover_cases(cat, mon):
-        verdict = check_sheaf(ps, cov).ok
-        assert is_sheaf(ps, cov) == verdict, ps.name
-        verdicts.append(verdict)
-    if "trivial" not in site[0]:
+    for ps, want in _reference_reports(name):
+        assert is_sheaf(ps, cov) == want["ok"], ps.name
+        verdicts.append(want["ok"])
+    if any(len(cov.covers(a)) > 1 for a in cov.cat.objects):
         assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("name", sorted(LEAST_COVER_SITES))
+def test_check_sheaf_agrees_with_the_all_cover_reference(name):
+    """The certified count on sheaves and the replay on non-sheaves give
+    the all-cover check's report, note included."""
+    cov = LEAST_COVER_SITES[name][3]
+    for ps, want in _reference_reports(name):
+        assert check_sheaf(ps, cov).as_dict() == want, ps.name
+
+
+def _smallest_budget(run):
+    """The smallest family budget under which `run(budget)` raises no
+    `BudgetExceededError`."""
+    lo, hi = 0, 1
+    while True:
+        try:
+            run(hi)
+            break
+        except BudgetExceededError:
+            lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            run(mid)
+            hi = mid
+        except BudgetExceededError:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("name", sorted(LEAST_COVER_SITES))
+def test_sheaf_budget_is_the_all_cover_budget(name):
+    """On a sheaf `check_sheaf` enumerates least covers only, so its
+    budget bounds their partial families alone.  On the built-in
+    coverages that is no weaker than the all-cover replay's bound: the
+    partials after i generators of a cover are the matching families of
+    the sieve the first i generate, which covers the union of their
+    sources (downward-closed), the stage itself (atomic), or is the
+    maximal sieve (trivial); on a sheaf they number |F| there, which that
+    stage's least cover reaches as well."""
+    cov = LEAST_COVER_SITES[name][3]
+    for ps, want in _reference_reports(name):
+        if want["ok"]:
+            least = _smallest_budget(lambda b: check_sheaf(ps, cov, budget=b))
+            replay = _smallest_budget(lambda b: _replay_sheaf(Report(""), ps, cov, b))
+            assert least == replay, ps.name
+
+
+def test_check_sheaf_of_a_four_location_sheaf_encodes_least_covers_only(built):
+    """Deterministic work gate: on a sheaf `check_sheaf` encodes one
+    cover per object, its least cover, and counts the other covers'
+    families in closed form."""
+    cat, _ = build_powerset_category(["w", "x", "y", "z"])
+    cov = build_coverage(cat, "downward-closed")
+    mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
+    built.clear()
+    rep = check_sheaf(mp, cov)
+    assert rep.ok
+    assert built["_EncodedCover"] == len(cat.objects) == 16
+    n_families = sum(len(cov.covers(a)) * mp.size(a) for a in cat.objects)
+    assert rep.notes == [f"checked {n_families} families"]
 
 
 CATEGORIES = {

@@ -258,6 +258,21 @@ def test_min_cover_is_intersection():
         mc = cov.min_cover(a)
         assert cov.is_cover(mc), (cov.cat.kind, a)
         assert all(mc.members <= s.members for s in cov.covers(a)), (cov.cat.kind, a)
+        assert cov.min_cover(a) is mc  # computed once per object
+
+
+def test_min_cover_intersects_the_covers_once_per_object(monkeypatch):
+    """Deterministic work gate: a coverage is immutable, so `min_cover`
+    reads an object's covers on its first call only."""
+    cat, _ = build_powerset_category(("x", "y", "z"))
+    cov = build_coverage(cat, "downward-closed")
+    reads = []
+    covers = Coverage.covers
+    monkeypatch.setattr(Coverage, "covers", lambda self, a: reads.append(a) or covers(self, a))
+    for _ in range(3):
+        for a in cat.objects:
+            cov.min_cover(a)
+    assert sorted(reads) == sorted(cat.objects)
 
 
 def test_validate_flags_transitivity_without_stability():
