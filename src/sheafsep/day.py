@@ -2,16 +2,18 @@
 
 The decomposition presheaf indexes exact decompositions (on a poset base
 the two halves union to the stage exactly) and is what the separating
-conjunction pipeline consumes.  The coend form keeps every witnessed
-triple and quotients by dinaturality; the two must not be conflated: the
-coend collapses summands that the unfolded semantics distinguishes, and
-the total memory multiplication is not dinatural (see the tests for the
-concrete witness), so it only lives on the decomposition form.
+conjunction pipeline consumes.  The coend form is its quotient by
+dinaturality: on the powerset base the exact splittings are final among
+all witnessed pairs, so no other triple is numbered.  The two must not be
+conflated: the coend collapses summands that the unfolded semantics
+distinguishes, and the total memory multiplication is not dinatural (see
+the tests for the concrete witness), so it only lives on the
+decomposition form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 
 from .errors import (
@@ -56,8 +58,8 @@ class Decomp:
 
 @dataclass(frozen=True)
 class CoendClass:
-    """Dinaturality class of witnessed triples, named by a canonical
-    representative (the least member under the deterministic order)."""
+    """Dinaturality class of witnessed triples, named by its least
+    decomposition under the deterministic order."""
 
     rep: Decomp
 
@@ -73,14 +75,16 @@ class _Triples:
     ids, n the number of witnesses, sorted by repr.  Within a block the
     triples run in `Decomp.sort_key` order: by s, then t, then w.  The
     node of a triple, its id, is offset + (s * |G(c)| + t) * n + the
-    witness's position.  The exact form, the decompositions of a
-    powerset base, has a block per exact splitting with the one witness
-    None; the witnessed form has a block per pair whose tensor a maps to.
+    witness's position.  The base picks the form.  On the powerset the
+    form is exact, the decompositions: a block per exact splitting with
+    the one witness None.  Otherwise it is witnessed: a block per pair
+    whose tensor a maps to.
     """
 
-    def __init__(self, f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure, exact):
-        self.f, self.g, self.mon, self.exact = f_sheaf, g_sheaf, mon, exact
+    def __init__(self, f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure):
+        self.f, self.g, self.mon = f_sheaf, g_sheaf, mon
         self.cat = f_sheaf.base
+        self.exact = self.cat.kind == "powerset"
         self.blocks = cache(self._blocks)
 
     def _blocks(self, a):
@@ -131,8 +135,8 @@ def day_decomp(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure) -> 
     if mon is None:
         raise MonoidalStructureError("day_decomp needs a monoidal base")
     cat = f_sheaf.base
-    exact = cat.kind == "powerset"
-    triples = _Triples(f_sheaf, g_sheaf, mon, exact)
+    triples = _Triples(f_sheaf, g_sheaf, mon)
+    exact = triples.exact
 
     def halves(h, b, c):
         """The halves of the block (b, c) at dst h once restricted along h,
@@ -198,29 +202,32 @@ def dinaturality_generators(cat: FinCat, mon: MonoidalStructure):
 
 def day_coend(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure,
               budget=DEFAULT_COEND_BUDGET) -> Presheaf:
-    """Day convolution proper: witnessed triples modulo dinaturality.
+    """Day convolution proper: `day_decomp` modulo dinaturality.
 
-    The triples at a are the nodes of `_Triples` in witnessed form.  The
-    relation (w, F(u)s, G(v)t) ~ ((u tensor v).w, s, t) is closed off by
-    a union-find over those nodes, on `dinaturality_generators` and the
-    restriction tables.  A class is named by its least node, so the
-    classes follow the order of their representatives' `Decomp.sort_key`,
-    and restriction acts on representatives; `class_of` is the quotient
-    map on elements.
+    On the powerset the exact splittings are final among the pairs (b, c)
+    with a -> b tensor c, as (b, c) |-> (b & a, c & a) is right adjoint to
+    their inclusion (Mac Lane, CWM IX.3).  So on either base the coend at
+    a is a quotient of the decompositions at a: a union-find over their
+    ids closes off (w, F(u)s, G(v)t) ~ ((u tensor v).w, s, t) on the
+    `dinaturality_generators` with both blocks at a.  The budget bounds
+    the decompositions at a stage.  A class is named by its least id,
+    restriction reads the decomposition tables, and `class_of` sends a
+    triple with witness w to the class of decomp(w) of its
+    identity-witness triple at b tensor c.
     """
     if mon is None:
         raise MonoidalStructureError("day_coend needs a monoidal base")
     cat = f_sheaf.base
-    triples = _Triples(f_sheaf, g_sheaf, mon, exact=False)
+    triples, decomp = _Triples(f_sheaf, g_sheaf, mon), day_decomp(f_sheaf, g_sheaf, mon)
     gens = []
 
     @cache
     def classes_at(a):
-        """The class of each node, and each class's least triple as
-        (b, c, w, s, t)."""
+        """The class of each decomposition id, and each class's least id."""
         blocks, n = triples.blocks(a)
         if n > budget:
-            raise BudgetExceededError(f"{n} coend triples at {a!r} exceed budget {budget}", size=n)
+            raise BudgetExceededError(f"{n} coend decompositions at {a!r} exceed budget {budget}",
+                                      size=n)
         if not gens:
             gens.extend(dinaturality_generators(cat, mon))
         parent = list(range(n))
@@ -232,61 +239,48 @@ def day_coend(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure,
 
         for u, v in gens:
             b, b2, c, c2 = cat.src(u), cat.dst(u), cat.src(v), cat.dst(v)
-            if (b, c) not in blocks:
+            if (b, c) not in blocks or (b2, c2) not in blocks:
                 continue
             (lo, ws, _), (hi, ws2, at2) = blocks[b, c], blocks[b2, c2]
-            fu, gv, uv = f_sheaf.table(u), g_sheaf.table(v), mon.tensor_m(u, v)
+            fu, gv = f_sheaf.table(u), g_sheaf.table(v)
             n1, n2 = len(ws), len(ws2)
             w1, w2 = g_sheaf.size(c) * n1, g_sheaf.size(c2) * n2
             for k, w in enumerate(ws):
-                k2 = at2[cat.compose(uv, w)]
+                k2 = 0 if triples.exact else at2[cat.compose(mon.tensor_m(u, v), w)]
                 for s2 in range(f_sheaf.size(b2)):
                     x0, y0 = lo + fu[s2] * w1 + k, hi + s2 * w2 + k2
                     for t2 in range(g_sheaf.size(c2)):
                         rx, ry = find(x0 + gv[t2] * n1), find(y0 + t2 * n2)
                         if rx != ry:
                             parent[ry] = rx
-        # nodes ascend through the blocks, s, t and w in turn, so the
-        # first node seen in a class is its least
-        of, reps, named = [], [], {}
-        for (b, c), (_, ws, _) in blocks.items():
-            for s in range(f_sheaf.size(b)):
-                for t in range(g_sheaf.size(c)):
-                    for w in ws:
-                        r = find(len(of))
-                        if r not in named:
-                            named[r] = len(reps)
-                            reps.append((b, c, w, s, t))
-                        of.append(named[r])
-        return of, reps
+        # ids ascend, so the first id seen in a class is its least
+        named, reps = {}, []
+        for i in range(n):
+            if named.setdefault(find(i), len(reps)) == len(reps):
+                reps.append(i)
+        return [named[find(i)] for i in range(n)], reps
 
     def table(h):
-        v, of = cat.src(h), classes_at(cat.src(h))[0]
-        return tuple(of[triples.node(v, b, c, cat.compose(w, h), s, t)]
-                     for b, c, w, s, t in classes_at(cat.dst(h))[1])
+        down, of = decomp.table(h), classes_at(cat.src(h))[0]
+        return tuple(of[down[i]] for i in classes_at(cat.dst(h))[1])
 
     def decode(a, k):
-        b, c, w, s, t = classes_at(a)[1][k]
-        return CoendClass(Decomp(a, b, c, f_sheaf.element(b, s), g_sheaf.element(c, t), witness=w))
+        return CoendClass(decomp.element(a, classes_at(a)[1][k]))
 
     def class_of(d: Decomp) -> CoendClass:
-        """Quotient map from (possibly canonical-poset) triples to classes."""
-        d = d if d.witness is not None else poset_witnessed(cat, mon, d)
-        b, c = d.left_stage, d.right_stage
-        i = triples.node(d.stage, b, c, d.witness, f_sheaf.index(b)[d.left],
-                         g_sheaf.index(c)[d.right])
-        return ps.element(d.stage, classes_at(d.stage)[0][i])
+        """Quotient map from triples to classes; a triple given without
+        a witness takes the one morphism a -> b tensor c."""
+        a, b, c = d.stage, d.left_stage, d.right_stage
+        bc = mon.tensor(b, c)
+        i = triples.node(bc, b, c, None if triples.exact else cat.id(bc),
+                         f_sheaf.index(b)[d.left], g_sheaf.index(c)[d.right])
+        w = cat.hom(a, bc)[0] if d.witness is None else d.witness
+        return ps.element(a, classes_at(a)[0][decomp.table(w)[i]])
 
     name = f"({f_sheaf.name} (x) {g_sheaf.name})"
     ps = Presheaf.encoded(cat, lambda a: len(classes_at(a)[1]), table, decode, name=name)
     ps.class_of = class_of
     return ps
-
-
-def poset_witnessed(cat: FinCat, mon: MonoidalStructure, d: Decomp) -> Decomp:
-    """Attach the canonical witness to a poset decomposition element."""
-    bc = mon.tensor(d.left_stage, d.right_stage)
-    return replace(d, witness=cat.hom(d.stage, bc)[0])
 
 
 # -- resource monoids ------------------------------------------------------
@@ -575,13 +569,11 @@ def _convolved_mono(mon, alpha: SheafMorphism, g_sheaf):
     under the map that alpha: F' -> F induces: (b, c, w, s, t) goes to
     the id of (b, c, w, alpha(s), t), or to -1 where alpha is
     undefined."""
-    cat = alpha.source.base
-    small = _Triples(alpha.source, g_sheaf, mon, cat.kind == "powerset")
-    big = _Triples(alpha.target, g_sheaf, mon, small.exact)
+    small, big = _Triples(alpha.source, g_sheaf, mon), _Triples(alpha.target, g_sheaf, mon)
     return {a: [-1 if j < 0 else big.node(a, b, c, w, j, t)
                 for (b, c), (_, ws, _) in small.blocks(a)[0].items()
                 for j in alpha.ids(b) for t in range(g_sheaf.size(c)) for w in ws]
-            for a in cat.objects}
+            for a in alpha.source.base.objects}
 
 
 def _replay_gamma(rep, sl_a, sl_b, sl_ab, on_mor):

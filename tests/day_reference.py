@@ -4,13 +4,16 @@ kept as a test oracle.
 This is the direct reading of the definitions that `sheafsep.day`
 replaces: the decomposition presheaf lists `Decomp` triples and
 restricts each one, the coend closes off the dinaturality relation over
-every pair of morphisms (u, v) with a union-find on `Decomp` triples,
-the monoid laws walk every triple of heaps through `apply`, and the
-gamma witness is replayed on every pair of slice morphisms and of their
-precomposites.  Fed the element-level sheaves of `presheaf_reference`,
-none of it reads a restriction table of the code under test.  The
-differential tests compare the two on stages, tables, classes,
-representatives, the quotient map, budget errors and law reports.
+every pair of morphisms (u, v) with a union-find on every witnessed
+`Decomp` triple (on the powerset base all pairs (b, c) with a inside
+b union c, not only the exact splittings), the monoid laws walk every
+triple of heaps through `apply`, and the gamma witness is replayed on
+every pair of slice morphisms and of their precomposites.  Fed the
+element-level sheaves of `presheaf_reference`, none of it reads a
+restriction table of the code under test.  The differential tests
+compare the two on stages, tables and law reports; for the coend they
+compare partitions through the quotient map, representatives (the least
+exact member of a class) and tables through the class bijection.
 """
 
 import functools
@@ -22,7 +25,6 @@ from sheafsep.day import (
     UNDEFINED,
     CoendClass,
     Decomp,
-    poset_witnessed,
     splittings,
 )
 from sheafsep.errors import BudgetExceededError, MonoidalStructureError
@@ -36,6 +38,11 @@ def coend_triples(cat, mon, f_sheaf, g_sheaf, a):
     return [Decomp(a, b, c, s, t, witness=w)
             for b in cat.objects for c in cat.objects if mon.tensor_defined(b, c)
             for w in cat.hom(a, mon.tensor(b, c)) for s in f_sheaf.at(b) for t in g_sheaf.at(c)]
+
+
+def poset_witnessed(cat, mon, d):
+    """Attach the canonical witness to a poset decomposition element."""
+    return replace(d, witness=cat.hom(d.stage, mon.tensor(d.left_stage, d.right_stage))[0])
 
 
 def precompose(cat, d, h):

@@ -271,6 +271,24 @@ def test_laws_small_model(tmp_path):
     assert report.exit_code == 0, report.status
 
 
+@pytest.mark.parametrize("bound", [0, 1])
+def test_laws_on_a_support_bounded_model(tmp_path, capsys, bound):
+    """The Day-stability inclusion M >-> F holds only the strict heaps the
+    support-bounded F contains.  Bound 0 is a sheaf and every law holds;
+    bound 1 is not, and the amalgamation iso fails with the sheaf check's
+    witnesses rather than erroring out."""
+    doc = dict(MEMORY_DOC, values=[0], sheaf="support-bounded", support_bound=bound,
+               monoid=None, formulas={})
+    model_path = write_model(tmp_path, doc)
+    assert main(["laws", "--model", model_path, "--samples", "10", "--seed", "7", "--json"]) == bound
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"]["amalgamation-iso"] == report["status"]["day-stability"] == (
+        "FAIL" if bound else "ok")
+    iso = [w["detail"] for w in report["witnesses"] if w["law"] == "amalgamation-iso"]
+    sheaf = run_cli(["check-sheaf", "--model", model_path])
+    assert iso == [w["detail"] for w in sheaf.witnesses]
+
+
 def test_laws_at_three_locations_within_its_wall_budget(tmp_path, capsys):
     """The 3-location, 2-value laws run: pinned bytes inside 30 s."""
     doc = dict(MEMORY_DOC, locations=["x", "y", "z"], formulas={})

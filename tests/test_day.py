@@ -102,16 +102,18 @@ def test_coend_yoneda_square_collapses(pset1):
     assert len(c.at(("x",))) == 1
 
 
-def test_coend_yoneda_strong_monoidality_two_locations(pset2):
-    cat, mon = pset2
+@pytest.mark.parametrize("n_locs", [2, 3])
+def test_coend_yoneda_strong_monoidality(n_locs):
+    """y(a) (x) y(b) has the stage sizes of y(a u b), empty stages
+    included: representables are not flabby, so unlike the memory
+    sheaves their coends are not terminal."""
+    cat, mon = build_powerset_category(["x", "y", "z"][:n_locs])
+    yo = {a: build_resource_sheaf(cat, "yoneda", at_object=a) for a in cat.objects}
     for a in cat.objects:
         for b in cat.objects:
-            yo_a = build_resource_sheaf(cat, "yoneda", at_object=a)
-            yo_b = build_resource_sheaf(cat, "yoneda", at_object=b)
-            yo_ab = build_resource_sheaf(cat, "yoneda", at_object=mon.tensor(a, b))
-            c = day_coend(yo_a, yo_b, mon)
+            c = day_coend(yo[a], yo[b], mon)
             for v in cat.objects:
-                assert len(c.at(v)) == len(yo_ab.at(v))
+                assert len(c.at(v)) == len(yo[mon.tensor(a, b)].at(v))
 
 
 def test_coend_unit_law(pset2, mp2):

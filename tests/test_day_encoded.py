@@ -4,6 +4,7 @@ references in `day_reference`, which are fed the element-level memory
 sheaves of `presheaf_reference`."""
 
 import functools
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +21,7 @@ from sheafsep.day import (
     dinaturality_generators,
 )
 from sheafsep.errors import BudgetExceededError
-from sheafsep.fincat import build_finsurj_category, build_powerset_category
+from sheafsep.fincat import build_finsurj_category, build_powerset_category, element_key
 from sheafsep.presheaf import Heap, build_resource_sheaf, check_sheaf
 from sheafsep.site import build_coverage
 
@@ -51,33 +52,59 @@ def _ref_sheaf(kind, n_locs, n_values):
                                            **kwargs)
 
 
+def _as_decomposition(cat, mon, t):
+    """A witnessed triple as an element of the decomposition presheaf, or
+    None: on the powerset base only the exact triples, without their
+    witness; on other bases every triple."""
+    if cat.kind != "powerset":
+        return t
+    return replace(t, witness=None) if mon.tensor(t.left_stage, t.right_stage) == t.stage else None
+
+
 def assert_same_coend(f_sheaf, g_sheaf, mon, ref_f=None, ref_g=None):
-    """Equal classes and representatives at every stage, equal classes of
-    every witnessed triple and equal restriction tables; returns both.
-    The reference convolves ref_f and ref_g, default f_sheaf and g_sheaf."""
+    """The coend on decomposition ids against the all-pairs reference.
+
+    Both quotient maps cut the witnessed triples of every stage into the
+    same classes (their pairing is a bijection); each class is named by
+    the least exact member of its reference class; and the restriction
+    tables agree through that bijection.  Returns both coends and the
+    bijection, per stage from reference classes to classes.  The
+    reference convolves ref_f and ref_g, default f_sheaf and g_sheaf."""
     ref_f, ref_g = ref_f or f_sheaf, ref_g or g_sheaf
     new, old = day_coend(f_sheaf, g_sheaf, mon), ref.day_coend(ref_f, ref_g, mon)
-    cat = f_sheaf.base
+    cat, to_new, ids = f_sheaf.base, {}, {}
     for a in cat.objects:
-        assert new.at(a) == old.at(a)
-        for t in ref.coend_triples(cat, mon, ref_f, ref_g, a):
-            assert new.class_of(t) == old.class_of(t)
+        triples = ref.coend_triples(cat, mon, ref_f, ref_g, a)
+        pairs = {(old.class_of(t), new.class_of(t)) for t in triples}
+        to_new[a] = dict(pairs)
+        # a function both ways, onto both stages
+        assert len(to_new[a]) == len(pairs) == len(set(to_new[a].values()))
+        assert len(pairs) == len(old.at(a)) == len(new.at(a))
+        least = {}
+        for t in triples:
+            d = _as_decomposition(cat, mon, t)
+            if d is not None:
+                o = old.class_of(t)
+                least[o] = min(least.get(o, d), d, key=element_key)
+        assert {o: to_new[a][o].rep for o in old.at(a)} == least
+        ids[a] = [new.index(a)[to_new[a][o]] for o in old.at(a)]
     for h in cat.all_morphisms():
-        assert new.table(h) == old.table(h)
-    return new, old
+        v, a = cat.src(h), cat.dst(h)
+        assert [new.table(h)[i] for i in ids[a]] == [ids[v][k] for k in old.table(h)]
+    return new, old, to_new
 
 
 @functools.cache
 def _memory_coends(left, right, n_locs, n_values):
     f_sheaf, g_sheaf = _sheaf(left, n_locs, n_values), _sheaf(right, n_locs, n_values)
     mon = _powerset(n_locs)[1]
-    new, old = assert_same_coend(f_sheaf, g_sheaf, mon, _ref_sheaf(left, n_locs, n_values),
-                                 _ref_sheaf(right, n_locs, n_values))
+    new, old, to_new = assert_same_coend(f_sheaf, g_sheaf, mon, _ref_sheaf(left, n_locs, n_values),
+                                         _ref_sheaf(right, n_locs, n_values))
     # canonical poset decompositions go through their canonical witness
     decomp = day_decomp(f_sheaf, g_sheaf, mon)
     for a in f_sheaf.base.objects:
         for d in decomp.at(a):
-            assert new.class_of(d) == old.class_of(d)
+            assert new.class_of(d) == to_new[a][old.class_of(d)]
     return new, old
 
 
@@ -150,11 +177,10 @@ def test_coend_of_a_stage_with_a_repeated_element_agrees_with_reference():
     assert_same_coend(mp, twice, mon, ref_mp, twice)
 
 
-def test_budget_error_is_unchanged_and_comes_before_any_decomp(monkeypatch):
-    mp = _sheaf("Mp", 2, 2)
+def test_budget_counts_decompositions_and_comes_before_any_decomp(monkeypatch):
+    mp, ref_mp = _sheaf("Mp", 2, 2), _ref_sheaf("Mp", 2, 2)
     mon, top = _powerset(2)[1], ("x", "y")
-    with pytest.raises(BudgetExceededError) as want:
-        ref.day_coend(mp, mp, mon, budget=3).at(top)
+    n = len(ref.day_decomp(ref_mp, ref_mp, mon).at(top))
 
     def no_decomp(*args, **kwargs):
         raise AssertionError("a Decomp was built before the budget check")
@@ -163,10 +189,45 @@ def test_budget_error_is_unchanged_and_comes_before_any_decomp(monkeypatch):
         m.setattr(day, "Decomp", no_decomp)
         with pytest.raises(BudgetExceededError) as got:
             day_coend(mp, mp, mon, budget=3).at(top)
-    assert str(got.value) == str(want.value)
-    assert got.value.size == want.value.size
+    assert str(got.value) == f"{n} coend decompositions at {top!r} exceed budget 3"
+    assert got.value.size == n
     # the budget is inclusive
-    assert day_coend(mp, mp, mon, budget=got.value.size).at(top)
+    assert day_coend(mp, mp, mon, budget=n).at(top)
+
+
+def test_four_location_coend_stays_within_a_decomposition_budget():
+    """The work gate: with one value, Mp (x) Mp has 8^4 decompositions at
+    the top of the 4-location powerset and fewer below it, so a budget of
+    8^4 evaluates all 16 stages.  Numbering every witnessed pair would
+    put 3^8 = 6561 triples at the empty stage."""
+    cat, mon = build_powerset_category(["w", "x", "y", "z"])
+    mp = build_resource_sheaf(cat, "partial-memory", values=(0,))
+    coend = day_coend(mp, mp, mon, budget=8 ** 4)
+    assert [len(coend.at(a)) for a in cat.objects] == [1] * 16
+    with pytest.raises(BudgetExceededError):
+        day_coend(mp, mp, mon, budget=8 ** 4 - 1).at(("w", "x", "y", "z"))
+
+
+@pytest.mark.parametrize("n_values", [1, 2])
+@pytest.mark.parametrize("n_locs", [2, 3])
+@pytest.mark.parametrize("right", KINDS)
+@pytest.mark.parametrize("left", KINDS)
+def test_memory_coends_have_one_class_per_stage(left, right, n_locs, n_values):
+    """The memory sheaves hold one element at the empty stage and every
+    section extends, so each decomposition at a is related to (a, a, s, t)
+    and from there to both one-sided halves: the coend is terminal."""
+    f_sheaf, g_sheaf = _sheaf(left, n_locs, n_values), _sheaf(right, n_locs, n_values)
+    coend = day_coend(f_sheaf, g_sheaf, _powerset(n_locs)[1])
+    assert [len(coend.at(a)) for a in f_sheaf.base.objects] == [1] * 2 ** n_locs
+
+
+@pytest.mark.parametrize("left", ["M", "Mp"])
+def test_memory_coends_have_one_class_per_stage_at_four_locations(left):
+    cat, mon = build_powerset_category(["w", "x", "y", "z"])
+    mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
+    f_sheaf = mp if left == "Mp" else build_resource_sheaf(cat, "strict-memory", values=(0, 1))
+    coend = day_coend(f_sheaf, mp, mon)
+    assert [len(coend.at(a)) for a in cat.objects] == [1] * 16
 
 
 @pytest.mark.parametrize("base,pairs", [("powerset", 192), ("finsurj", 28)])
