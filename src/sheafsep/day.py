@@ -9,6 +9,9 @@ conflated: the coend collapses summands that the unfolded semantics
 distinguishes, and the total memory multiplication is not dinatural (see
 the tests for the concrete witness), so it only lives on the
 decomposition form.
+
+Day stability asks for a lax-monoidal witness on slices; it is the
+tensor on base morphisms, so its check is `fincat.validate_monoidal`.
 """
 
 from __future__ import annotations
@@ -16,12 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 
-from .errors import (
-    BudgetExceededError,
-    MonoidalStructureError,
-    NoGammaWitnessError,
-)
-from .fincat import FinCat, MonoidalStructure, element_key, slice_category, thin_typed
+from .errors import BudgetExceededError, MonoidalStructureError
+from .fincat import FinCat, MonoidalStructure, element_key, validate_monoidal
 from .presheaf import Heap, Presheaf, SheafMorphism, check_sheaf
 from .report import Report
 from .site import Site
@@ -55,6 +54,10 @@ class Decomp:
             repr(self.witness),
         )
 
+    def __str__(self):
+        halves = f"{self.left}*{self.right}"
+        return halves if self.witness is None else f"{halves} via {self.witness!r}"
+
 
 @dataclass(frozen=True)
 class CoendClass:
@@ -65,6 +68,9 @@ class CoendClass:
 
     def sort_key(self):
         return self.rep.sort_key()
+
+    def __str__(self):
+        return f"[{self.rep}]"
 
 
 class _Triples:
@@ -213,7 +219,8 @@ def day_coend(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure,
     the decompositions at a stage.  A class is named by its least id,
     restriction reads the decomposition tables, and `class_of` sends a
     triple with witness w to the class of decomp(w) of its
-    identity-witness triple at b tensor c.
+    identity-witness triple at b tensor c.  The quotiented decomposition
+    presheaf is kept as `decomp`.
     """
     if mon is None:
         raise MonoidalStructureError("day_coend needs a monoidal base")
@@ -279,7 +286,7 @@ def day_coend(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure,
 
     name = f"({f_sheaf.name} (x) {g_sheaf.name})"
     ps = Presheaf.encoded(cat, lambda a: len(classes_at(a)[1]), table, decode, name=name)
-    ps.class_of = class_of
+    ps.class_of, ps.decomp = class_of, decomp
     return ps
 
 
@@ -529,41 +536,6 @@ def check_monoid_laws(monoid: ResourceMonoid, mon: MonoidalStructure) -> Report:
 # -- Day stability ----------------------------------------------------------
 
 
-def powerset_gamma(cat: FinCat):
-    """Lax-monoidal witness for powerset slices: unions of slice legs,
-    tabulated per pair for the life of the returned maps."""
-
-    @cache
-    def on_obj(p, q):
-        v = tuple(sorted(set(cat.src(p)) | set(cat.src(q))))
-        a = tuple(sorted(set(cat.dst(p)) | set(cat.dst(q))))
-        return ("incl", v, a)
-
-    @cache
-    def on_mor(m1, m2):
-        # slice morphisms ("tri", g, q, p) map to the union inclusion
-        return ("tri", on_obj(m1[1], m2[1]), on_obj(m1[2], m2[2]), on_obj(m1[3], m2[3]))
-
-    return on_obj, on_mor
-
-
-def finsurj_gamma(cat: FinCat, mon: MonoidalStructure):
-    """Partial witness for the surjection base: products of slice legs."""
-
-    def on_obj(p, q):
-        if not mon.tensor_defined(cat.src(p), cat.src(q)):
-            return None
-        return mon.tensor_m(p, q)
-
-    def on_mor(m1, m2):
-        # a surjection's source is at least its target, so a tensor defined
-        # on the sources of m1[1] and m2[1] is defined on their targets
-        g, q, p = (on_obj(x, y) for x, y in zip(m1[1:], m2[1:]))
-        return None if None in (g, q, p) else ("tri", g, q, p)
-
-    return on_obj, on_mor
-
-
 def _convolved_mono(mon, alpha: SheafMorphism, g_sheaf):
     """Per stage, the images in day(F, G) of the triples of day(F', G)
     under the map that alpha: F' -> F induces: (b, c, w, s, t) goes to
@@ -576,26 +548,6 @@ def _convolved_mono(mon, alpha: SheafMorphism, g_sheaf):
             for a in alpha.source.base.objects}
 
 
-def _replay_gamma(rep, sl_a, sl_b, sl_ab, on_mor):
-    """gamma(m1.n1, m2.n2) = gamma(m1, m2).gamma(n1, n2) on every pair of
-    slice morphisms and every pair of their precomposites."""
-    for (q1, _), ms1 in sl_a.homs.items():
-        for (q2, _), ms2 in sl_b.homs.items():
-            for m1 in ms1:
-                for m2 in ms2:
-                    g12 = on_mor(m1, m2)
-                    if g12 is None:
-                        continue
-                    for n1 in sl_a.mors_into(q1):
-                        for n2 in sl_b.mors_into(q2):
-                            gn = on_mor(n1, n2)
-                            if gn is None:
-                                continue
-                            lhs = on_mor(sl_a.compose(m1, n1), sl_b.compose(m2, n2))
-                            if lhs != sl_ab.compose_table.get((g12, gn)):
-                                rep.flag("gamma", f"gamma not functorial on ({m1!r}, {m2!r})")
-
-
 def check_day_stability(site: Site, samples, inclusions=(), budget=DEFAULT_COEND_BUDGET) -> Report:
     """Runtime checks for the three Day-stability conditions.
 
@@ -605,9 +557,13 @@ def check_day_stability(site: Site, samples, inclusions=(), budget=DEFAULT_COEND
         convolution that fails);
     (2) convolving a sampled subsheaf inclusion stays injective
         stage-wise;
-    (3) the registered lax-monoidal witness for slices is functorial
-        (on thin slices, as on the powerset base, read off its typing by
-        `fincat.thin_typed`; otherwise replayed on every composable pair).
+    (3) the lax-monoidal witness gamma: C/a x C/b -> C/(a tensor b) is
+        functorial.  It is the tensor on base morphisms: a slice morphism
+        g: q -> p is a base morphism with p.g = q, and gamma(g1, g2) =
+        g1 tensor g2.  So gamma is defined, preserves identities and
+        composition exactly when the tensor is a (partial) bifunctor,
+        which `fincat.validate_monoidal` decides; its functoriality,
+        definedness and typing violations are flagged as `gamma`.
 
     `inclusions` holds sheaf morphisms F' >-> F, named by their `name`.
     """
@@ -622,8 +578,9 @@ def check_day_stability(site: Site, samples, inclusions=(), budget=DEFAULT_COEND
 
     for f_sheaf in samples:
         for g_sheaf in samples:
-            sheaf_condition("decomp-sheaf", day_decomp(f_sheaf, g_sheaf, mon))
-            sheaf_condition("coend-sheaf", day_coend(f_sheaf, g_sheaf, mon, budget))
+            coend = day_coend(f_sheaf, g_sheaf, mon, budget)
+            sheaf_condition("decomp-sheaf", coend.decomp)
+            sheaf_condition("coend-sheaf", coend)
 
     def injective(col):
         defined = [j for j in col if j >= 0]
@@ -638,36 +595,7 @@ def check_day_stability(site: Site, samples, inclusions=(), budget=DEFAULT_COEND
                 if not injective(col):
                     rep.flag("mono-preservation",
                              f"day({alpha.name}, {g_sheaf.name}) not injective at {a!r}")
-    if cat.kind == "powerset":
-        on_obj, on_mor = powerset_gamma(cat)
-    elif cat.kind == "finsurj":
-        on_obj, on_mor = finsurj_gamma(cat, mon)
-    else:
-        raise NoGammaWitnessError(f"no gamma witness registered for base {cat.kind!r}")
-    slices = {a: slice_category(cat, a)[0] for a in cat.objects}
-    pairs_checked = 0
-    for a in cat.objects:
-        for b in cat.objects:
-            if not mon.tensor_defined(a, b):
-                continue
-            sl_a, sl_b, sl_ab = slices[a], slices[b], slices[mon.tensor(a, b)]
-            for p in sl_a.objects:
-                for q in sl_b.objects:
-                    gp = on_obj(p, q)
-                    if gp is None:
-                        continue
-                    ga = on_mor(sl_a.identities[p], sl_b.identities[q])
-                    if ga != sl_ab.identities.get(gp):
-                        rep.flag("gamma", f"gamma does not preserve identities at ({p!r}, {q!r})")
-                    pairs_checked += 1
-            # on thin slices (the powerset base) a typed gamma is functorial
-            images = ((on_mor(m1, m2), on_obj(q1, q2), on_obj(p1, p2))
-                      for (q1, p1), ms1 in sl_a.homs.items()
-                      for (q2, p2), ms2 in sl_b.homs.items()
-                      for m1 in ms1
-                      for m2 in ms2)
-            if not (sl_a.thin_composition and sl_b.thin_composition
-                    and thin_typed(sl_ab, images)):
-                _replay_gamma(rep, sl_a, sl_b, sl_ab, on_mor)
-    rep.note(f"gamma checked on {pairs_checked} object pairs")
+    for v in validate_monoidal(cat, mon).violations:
+        if v.kind in ("functoriality", "definedness", "typing"):
+            rep.flag("gamma", v.detail)
     return rep

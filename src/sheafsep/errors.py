@@ -99,10 +99,6 @@ class NaturalityError(SheafSepError):
         self.witness = witness
 
 
-class NoGammaWitnessError(SheafSepError):
-    """No lax-monoidal witness registered for the site."""
-
-
 class FormulaSyntaxError(SheafSepError):
     """Formula text failed to parse; `position` is a 0-based offset."""
 

@@ -73,7 +73,7 @@ class FinCat:
     def thin_composition(self) -> bool:
         """Thin, and each composable pair composes to a morphism between
         the right ends: the category's half of the thinness lemma's
-        premise (`thin_typed`)."""
+        premise (`_tensor_typed`)."""
         return self.thin and all(
             self.compose_table.get((g, f)) in self.hom(self._src[f], self._dst[g])
             for f, b in self._dst.items()
@@ -385,24 +385,14 @@ def validate_category(cat: FinCat) -> Report:
     return rep
 
 
-def thin_typed(cat: FinCat, images) -> bool:
-    """The premise of the thinness lemma for a map into `cat`, given by
-    its images: `cat.thin_composition` holds and each (m, a, b) in
-    `images` is a morphism a -> b.  A map so typed, and defined on the
-    composites of pairs it is defined on, preserves composition: both
-    sides of the law are morphisms between the same two objects, and a
-    thin category has at most one.  Its users are `validate_monoidal`
-    (the tensor) and `day.check_day_stability` (the gamma witness)."""
-    return cat.thin_composition and all(m in cat.hom(a, b) for m, a, b in images)
-
-
 def validate_monoidal(cat: FinCat, mon: MonoidalStructure) -> Report:
     """Check functoriality of the (partial) tensor and strict unit laws.
 
-    On a thin base the tensor is functorial as soon as it is typed: each
-    pair (f, g) whose ends have tensors has an entry from src f (x) src g
-    to dst f (x) dst g, and no other entry exists (`thin_typed`).
-    Otherwise every composable quadruple is replayed for the report."""
+    The tensor must have an entry for exactly the pairs (f, g) whose
+    source and target tensors are defined ("definedness"), each a
+    morphism src f (x) src g -> dst f (x) dst g ("typing").  On a thin
+    base a tensor so typed is functorial (`_tensor_typed`); otherwise
+    every composable quadruple is replayed for the report."""
     rep = Report("monoidal structure")
     for a in cat.objects:
         if mon.tensor_defined(a, mon.unit):
@@ -420,29 +410,48 @@ def validate_monoidal(cat: FinCat, mon: MonoidalStructure) -> Report:
             if (ia, ib) in mon.tensor_mor:
                 if mon.tensor_m(ia, ib) != cat.id(mon.tensor(a, b)):
                     rep.flag("functoriality", f"id tensor id != id at ({a!r}, {b!r})")
-    if not _tensor_typed(cat, mon):
+    if not (_tensor_typed(rep, cat, mon) and cat.thin_composition):
         _replay_tensor_functoriality(rep, cat, mon)
     return rep
 
 
-def _tensor_typed(cat: FinCat, mon: MonoidalStructure) -> bool:
-    """The thinness lemma's premise for the tensor: a thin base, a typed
-    entry for every pair whose ends have tensors, and no other entry."""
-    tensor, table = mon.tensor_obj, mon.tensor_mor
-    images = [
-        (table.get((f, g)), tensor[a, c], tensor[b, d])
-        for (a, b), fs in cat.homs.items()
-        for (c, d), gs in cat.homs.items()
-        if (a, c) in tensor and (b, d) in tensor
-        for f in fs
-        for g in gs
-    ]
-    return len(images) == len(table) and thin_typed(cat, images)
+def _tensor_typed(rep, cat: FinCat, mon: MonoidalStructure) -> bool:
+    """The thinness lemma's premise on the tensor's side, flagged where it
+    fails: an entry for every pair (f, g) whose ends have tensors, typed
+    between them, and no other entry.  On a base with `thin_composition`
+    a tensor so typed preserves composition: both sides of the law are
+    morphisms between the same two objects, and a thin category has at
+    most one."""
+    tensor, table, flagged = mon.tensor_obj, mon.tensor_mor, len(rep.violations)
+    seen = 0
+    for (a, b), fs in cat.homs.items():
+        for (c, d), gs in cat.homs.items():
+            if (a, c) not in tensor or (b, d) not in tensor:
+                continue
+            ends = cat.hom(tensor[a, c], tensor[b, d])
+            for f in fs:
+                for g in gs:
+                    fg = table.get((f, g))
+                    if fg is None:
+                        rep.flag("definedness", f"tensor missing on ({f!r}, {g!r})")
+                        continue
+                    seen += 1
+                    if fg not in ends:
+                        rep.flag("typing", f"{f!r} tensor {g!r} = {fg!r} is not a morphism "
+                                           f"{tensor[a, c]!r} -> {tensor[b, d]!r}")
+    if seen < len(table):  # some entry lies outside the pairs above
+        src, dst = cat._src, cat._dst
+        for f, g in table:
+            if (src.get(f), src.get(g)) not in tensor or (dst.get(f), dst.get(g)) not in tensor:
+                rep.flag("definedness", f"tensor on ({f!r}, {g!r}), whose ends have no tensor")
+    return len(rep.violations) == flagged
 
 
 def _replay_tensor_functoriality(rep, cat: FinCat, mon: MonoidalStructure):
     """(f2.f) (x) (g2.g) = (f2 (x) g2).(f (x) g) on every composable quadruple."""
     for (f, g), fg in mon.tensor_mor.items():
+        if f not in cat._dst or g not in cat._dst:
+            continue  # not a pair of morphisms: flagged by `_tensor_typed`
         for f2 in cat.mors_from(cat.dst(f)):
             for g2 in cat.mors_from(cat.dst(g)):
                 f2g2 = mon.tensor_mor.get((f2, g2))

@@ -7,8 +7,9 @@ restricts each one, the coend closes off the dinaturality relation over
 every pair of morphisms (u, v) with a union-find on every witnessed
 `Decomp` triple (on the powerset base all pairs (b, c) with a inside
 b union c, not only the exact splittings), the monoid laws walk every
-triple of heaps through `apply`, and the gamma witness is replayed on
-every pair of slice morphisms and of their precomposites.  Fed the
+triple of heaps through `apply`, and a gamma witness is replayed on
+every pair of slice morphisms of built slice categories and of their
+precomposites (the code under test reads it off the tensor).  Fed the
 element-level sheaves of `presheaf_reference`, none of it reads a
 restriction table of the code under test.  The differential tests
 compare the two on stages, tables and law reports; for the coend they
@@ -209,8 +210,8 @@ def check_monoid_laws(monoid, mon):
 def gamma_report(cat, mon, on_obj, on_mor):
     """The gamma witness's identity and functoriality checks of Day
     stability, replayed on every pair of slice morphisms and every pair
-    of their precomposites, as `check_day_stability` reports them with
-    no samples."""
+    of their precomposites; pairs the witness leaves undefined (None)
+    are skipped."""
     rep = Report("Day stability")
     slices = {a: slice_category(cat, a)[0] for a in cat.objects}
     pairs_checked = 0

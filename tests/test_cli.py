@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sheafsep import cli, presheaf
+from sheafsep import cli, day, presheaf, seplogic
 from sheafsep.cli import build_arg_parser, load_model, main, parse_heap, parse_stage, run_command
 from sheafsep.errors import ModelSchemaError
 from sheafsep.fincat import FinCat
@@ -515,11 +515,9 @@ def test_laws_builds_the_amalgamation_iso_once(capsys, built):
     )
 
 
-@pytest.mark.parametrize("mode", ["unfolded", "pipeline"])
-def test_predicates_at_four_locations_build_no_slice_category(tmp_path, capsys, monkeypatch,
-                                                              mode):
-    """Joins, implications and stars read slice morphisms and covers off
-    the base site: no slice category is built."""
+@pytest.fixture
+def fincat_kinds(monkeypatch):
+    """The kind of every FinCat constructed while the test runs."""
     kinds = []
 
     def counted(self, kind, *args, _init=FinCat.__init__):
@@ -527,6 +525,15 @@ def test_predicates_at_four_locations_build_no_slice_category(tmp_path, capsys, 
         _init(self, kind, *args)
 
     monkeypatch.setattr(FinCat, "__init__", counted)
+    return kinds
+
+
+@pytest.mark.parametrize("mode", ["unfolded", "pipeline"])
+def test_predicates_at_four_locations_build_no_slice_category(tmp_path, capsys, fincat_kinds,
+                                                              mode):
+    """Joins, implications and stars read slice morphisms and covers off
+    the base site: no slice category is built."""
+    kinds = fincat_kinds
     doc = dict(MEMORY_DOC, locations=["w", "x", "y", "z"])
     model_path = write_model(tmp_path, doc)
     formula = "(x ~> 0 -> y |-> 1) \\/ (x |->! 0 * (z ~> 1 \\/ w |-> 0))"
@@ -536,6 +543,48 @@ def test_predicates_at_four_locations_build_no_slice_category(tmp_path, capsys, 
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["exit_code"] == code != 2
     assert "powerset" in kinds
     assert not [k for k in kinds if isinstance(k, tuple) and k[0] == "slice"]
+
+
+@pytest.mark.parametrize("command", ["laws", "check-site"])
+def test_laws_and_check_site_build_no_slice_category(tmp_path, capsys, fincat_kinds, command):
+    """Day stability reads its gamma witness off the tensor on base
+    morphisms, and the site checks read the base: neither command builds
+    a slice category."""
+    model_path = write_model(tmp_path, dict(MEMORY_DOC, formulas={}))
+    assert main([command, "--model", model_path, "--json"]) == 0
+    assert "powerset" in fincat_kinds
+    assert not [k for k in fincat_kinds if isinstance(k, tuple) and k[0] == "slice"]
+
+
+def test_laws_builds_each_decomposition_presheaf_once(capsys, monkeypatch):
+    """Deterministic work gate: Day stability checks the decomposition
+    presheaf its coend quotients, so `laws` builds one per sample pair (4)
+    and one for the pipeline."""
+    calls = []
+    for module in (day, seplogic):
+        monkeypatch.setattr(module, "day_decomp", lambda *args, _f=module.day_decomp:
+                            calls.append(args) or _f(*args))
+    argv = ["laws", "--model", str(MODELS / "memory.json"), "--samples", "10", "--seed", "7"]
+    assert main(argv) == 0
+    assert len(calls) == 5
+
+
+def test_laws_witnesses_print_decompositions_as_heaps(tmp_path, capsys):
+    """On the 2-location, one-value, bound-1 support-bounded model the
+    convolutions are not sheaves, and each witness prints a decomposition
+    as its two halves' heaps, such as `<x:_>*<x:0>`."""
+    doc = dict(MEMORY_DOC, values=[0], sheaf="support-bounded", support_bound=1,
+               monoid=None, formulas={})
+    argv = ["laws", "--model", write_model(tmp_path, doc), "--samples", "10", "--seed", "7",
+            "--json"]
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == {"residuation": "ok (10 samples)",
+                                "monoid-laws": "skipped (no monoid)", "day-stability": "FAIL",
+                                "adjunction": "skipped (no monoid)", "amalgamation-iso": "FAIL"}
+    details = [w["detail"] for w in report["witnesses"]]
+    assert len(details) == 26 and max(map(len, details)) < 200
+    assert "family starts ('<>*<>', '<x:_>*<x:0>', '<y:_>*<y:0>')" in details[-2]
 
 
 BIG = "1" * 5000  # past the interpreter's 4,300-digit limit on int()

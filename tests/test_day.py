@@ -8,7 +8,6 @@ from sheafsep.day import (
     check_monoid_laws,
     day_coend,
     day_decomp,
-    powerset_gamma,
     splittings,
 )
 from sheafsep.fincat import (
@@ -296,9 +295,10 @@ def test_day_stability_finsurj_two():
 
 
 def test_day_stability_requires_gamma_witness():
-    from sheafsep.errors import NoGammaWitnessError
-    from sheafsep.fincat import FinCat, MonoidalStructure
-    from sheafsep.site import trivial_coverage
+    """gamma is the tensor on morphisms, so a base whose tensor has no
+    entry on the identity pair has no gamma there: a violation, not an
+    error."""
+    from sheafsep.fincat import FinCat
 
     cat = FinCat(
         "custom",
@@ -308,43 +308,51 @@ def test_day_stability_requires_gamma_witness():
         {"a": ("id", "a")},
     )
     mon = MonoidalStructure({("a", "a"): "a"}, {}, unit="a", symmetric=True)
-    site = Site(cat, trivial_coverage(cat), mon)
-    with pytest.raises(NoGammaWitnessError):
-        check_day_stability(site, [])
+    rep = check_day_stability(Site(cat, trivial_coverage(cat), mon), [])
+    assert rep.kinds() == ["gamma"]
 
 
-def _corrupted(gamma, pair, value):
-    """The witness `gamma` with on_mor sending `pair` to `value`."""
-    on_obj, on_mor = gamma
-    return on_obj, lambda m1, m2: value if (m1, m2) == pair else on_mor(m1, m2)
+def _with_tensor(mon, pair, value):
+    """`mon` with the tensor sending `pair` to `value`, or without an
+    entry for `pair` when `value` is None."""
+    table = dict(mon.tensor_mor)
+    if value is None:
+        del table[pair]
+    else:
+        table[pair] = value
+    return MonoidalStructure(mon.tensor_obj, table, unit=mon.unit, symmetric=mon.symmetric)
+
+
+def _gamma_of(mon):
+    """gamma read off the tensor: p (x) q on slice objects, and
+    ("tri", g1 (x) g2, q1 (x) q2, p1 (x) p2) on slice morphisms; None
+    where the tensor has no entry."""
+
+    def on_obj(p, q):
+        return mon.tensor_mor.get((p, q))
+
+    def on_mor(m1, m2):
+        parts = [on_obj(x, y) for x, y in zip(m1[1:], m2[1:])]
+        return None if None in parts else ("tri", *parts)
+
+    return on_obj, on_mor
 
 
 def _gamma_cases():
-    """Clean witnesses on powerset(1..3) and finsurj(2..3), and powerset(2)
-    witnesses with one pair of slice morphisms sent to a mistyped
-    morphism, to nothing, and an identity pair to a non-identity."""
-    from sheafsep.day import finsurj_gamma
-    from sheafsep.fincat import slice_category
-
+    """Clean tensors on powerset(1..3) and finsurj(1..3), and powerset(2)
+    tensors with one entry mistyped, one missing, and the identity pair
+    sent to a non-identity."""
     cases = {}
     for n in (1, 2, 3):
-        cat, mon = build_powerset_category(["x", "y", "z"][:n])
-        cases[f"powerset{n}"] = (cat, mon, powerset_gamma(cat))
-    for n in (2, 3):
-        cat, mon = build_finsurj_category(n)
-        cases[f"finsurj{n}"] = (cat, mon, finsurj_gamma(cat, mon))
+        cases[f"powerset{n}"] = build_powerset_category(["x", "y", "z"][:n])
+    for n in (1, 2, 3):
+        cases[f"finsurj{n}"] = build_finsurj_category(n)
     cat, mon = build_powerset_category(["x", "y"])
-    sl_x, _ = slice_category(cat, ("x",))
-    sl_y, _ = slice_category(cat, ("y",))
-    sl_xy, _ = slice_category(cat, ("x", "y"))
-    m1 = sl_x.homs[incl((), ("x",)), incl(("x",), ("x",))][0]
-    e1 = sl_x.identities[incl(("x",), ("x",))]
-    e2 = sl_y.identities[incl(("y",), ("y",))]
-    wrong = sl_xy.identities[incl(("x", "y"), ("x", "y"))]
-    cases["mistyped"] = (cat, mon, _corrupted(powerset_gamma(cat), (m1, e2), wrong))
-    cases["undefined"] = (cat, mon, _corrupted(powerset_gamma(cat), (m1, e2), None))
-    not_id = sl_xy.homs[incl((), ("x", "y")), incl(("x", "y"), ("x", "y"))][0]
-    cases["identity"] = (cat, mon, _corrupted(powerset_gamma(cat), (e1, e2), not_id))
+    x, y, xy = ("x",), ("y",), ("x", "y")
+    pair = (incl((), x), cat.id(y))
+    cases["mistyped"] = (cat, _with_tensor(mon, pair, cat.id(xy)))
+    cases["undefined"] = (cat, _with_tensor(mon, pair, None))
+    cases["identity"] = (cat, _with_tensor(mon, (cat.id(x), cat.id(y)), incl((), xy)))
     return cases
 
 
@@ -352,50 +360,31 @@ GAMMA_CASES = _gamma_cases()
 
 
 @pytest.mark.parametrize("name", sorted(GAMMA_CASES))
-def test_gamma_certificate_reports_as_the_replay(name, monkeypatch):
-    """On thin slices a typed gamma is certified by the thinness lemma;
-    every witness gets the report of the replay over all pairs of slice
-    morphisms and their precomposites, and an untyped one is replayed."""
-    import sheafsep.day as day
-
-    cat, mon, gamma = GAMMA_CASES[name]
-    monkeypatch.setattr(day, "powerset_gamma", lambda _: gamma)
-    monkeypatch.setattr(day, "finsurj_gamma", lambda *_: gamma)
+def test_gamma_certificate_reports_as_the_replay(name):
+    """Condition (3) reads gamma's functoriality off the tensor's.  Its
+    verdict is the replay's over every pair of slice morphisms and their
+    precomposites, with gamma read off the same tensor; where the tensor
+    has a missing entry the replay skips the pairs gamma leaves
+    undefined, and condition (3) flags it."""
+    cat, mon = GAMMA_CASES[name]
     rep = check_day_stability(Site(cat, trivial_coverage(cat), mon), [])
-    assert rep.as_dict() == ref.gamma_report(cat, mon, *gamma).as_dict()
-    if name in ("mistyped", "identity"):
-        assert "gamma" in rep.kinds()
-    elif name != "undefined":  # the replay skips pairs gamma leaves undefined
-        assert rep.ok, rep.summary()
+    replayed = ref.gamma_report(cat, mon, *_gamma_of(mon))
+    assert set(rep.kinds()) <= {"gamma"}
+    if name == "undefined":
+        assert replayed.ok and not rep.ok
+    else:
+        clean = name not in ("mistyped", "identity")
+        assert rep.ok == replayed.ok == clean, rep.summary()
 
 
-def test_gamma_on_powerset_slices_composes_nothing(monkeypatch):
-    """Deterministic work gate: at 3 locations the gamma check composes no
-    slice morphisms."""
-    from sheafsep.fincat import FinCat
-
-    cat, mon = build_powerset_category(["x", "y", "z"])
-    site = Site(cat, build_coverage(cat, "downward-closed"), mon)
-    kinds = []
-    compose = FinCat.compose
-    monkeypatch.setattr(FinCat, "compose",
-                        lambda self, g, f: kinds.append(self.kind) or compose(self, g, f))
-    assert check_day_stability(site, []).ok
-    assert kinds and set(kinds) == {"powerset"}
-
-
-def test_powerset_gamma_preserves_identities(pset2):
-    cat, _ = pset2
-    on_obj, on_mor = powerset_gamma(cat)
-    p = incl(("x",), ("x", "y"))
-    q = incl((), ("y",))
-    assert on_obj(p, q) == incl(("x",), ("x", "y"))
-    from sheafsep.fincat import slice_category
-
-    sl_xy, _ = slice_category(cat, ("x", "y"))
-    sl_y, _ = slice_category(cat, ("y",))
-    gid = on_mor(sl_xy.identities[p], sl_y.identities[q])
-    assert gid == sl_xy.identities[on_obj(p, q)]
+@pytest.mark.parametrize("build", [lambda: build_powerset_category({"w", "x", "y", "z"}),
+                                   lambda: build_finsurj_category(4)],
+                         ids=["powerset4", "finsurj4"])
+def test_gamma_holds_at_the_size_bounds(build):
+    """Where the slice replay of `test_gamma_certificate_reports_as_the_replay`
+    is too slow to run, condition (3) still passes."""
+    cat, mon = build()
+    assert check_day_stability(Site(cat, trivial_coverage(cat), mon), []).ok
 
 
 @pytest.mark.parametrize("build", [lambda: build_powerset_category({"x", "y", "z"}),

@@ -177,15 +177,24 @@ def _outcome(check, cat, mon):
 
 
 def _corrupted_tensors():
-    """Powerset(2) tensors with one mistyped entry, one missing entry, an
-    entry over a pair whose ends have no tensor, and an entry keyed by a
-    non-morphism."""
+    """Powerset(2) tensors with one mistyped entry, one missing entry (on
+    a pair of inclusions or of identities), an entry over a pair whose
+    ends have no tensor, and an entry keyed by a non-morphism; finsurj(3)
+    tensors with one missing entry and one over a pair whose ends have
+    no tensor."""
     cat, mon = build_powerset_category({"x", "y"})
     f, g = incl((), ("x",)), incl(("y",), ("y",))
     mistyped = dict(mon.tensor_mor)
     mistyped[(f, g)] = incl(("y",), ("y",))
     missing = dict(mon.tensor_mor)
     del missing[(f, g)]
+    missing_id = dict(mon.tensor_mor)
+    del missing_id[(incl(("x",), ("x",)), g)]
+    cat3, mon3 = build_finsurj_category(3)
+    missing3 = dict(mon3.tensor_mor)
+    del missing3[next(iter(missing3))]
+    extra3 = dict(mon3.tensor_mor)
+    extra3[cat3.id(2), cat3.id(2)] = cat3.id(3)  # 2 x 2 exceeds the bound 3
     partial_obj = {k: v for k, v in mon.tensor_obj.items()
                    if k not in ((("x",), ("y",)), (("y",), ("x",)))}
     junk = dict(mon.tensor_mor)
@@ -193,6 +202,10 @@ def _corrupted_tensors():
     return {
         "mistyped": (cat, MonoidalStructure(mon.tensor_obj, mistyped, unit=(), symmetric=True)),
         "missing": (cat, MonoidalStructure(mon.tensor_obj, missing, unit=(), symmetric=True)),
+        "missing-identity": (cat, MonoidalStructure(mon.tensor_obj, missing_id, unit=(),
+                                                    symmetric=True)),
+        "finsurj3-missing": (cat3, MonoidalStructure(mon3.tensor_obj, missing3, unit=1)),
+        "finsurj3-extra": (cat3, MonoidalStructure(mon3.tensor_obj, extra3, unit=1)),
         "extra": (cat, MonoidalStructure(partial_obj, dict(mon.tensor_mor), unit=(),
                                          symmetric=True)),
         "junk-key": (cat, MonoidalStructure(mon.tensor_obj, junk, unit=(), symmetric=True)),
@@ -209,14 +222,25 @@ MONOIDAL_CASES = {
 
 @pytest.mark.parametrize("name", sorted(MONOIDAL_CASES))
 def test_validate_monoidal_agrees_with_the_quadruple_replay(name):
-    """The thinness certificate and the replay give the same report (or
-    raise the same error) on clean, corrupted and non-thin tensors.  The
-    replay skips pairs without an entry, so it passes the missing and
-    extra entries; the certificate defers to it there."""
+    """The thinness certificate and the replay give the same report on
+    clean, corrupted and non-thin tensors, but for the definedness and
+    typing flags of the tensor's entries.  The replay has none: it skips
+    pairs without an entry, so it passes the missing and extra entries,
+    and it raises on an entry keyed by a non-morphism.  Each corrupted
+    entry is flagged, as typing where it is mistyped and as definedness
+    otherwise."""
     cat, mon = MONOIDAL_CASES[name]()
-    ours = _outcome(validate_monoidal, cat, mon)
-    assert ours == _outcome(ref.validate_monoidal, cat, mon)
-    if name.startswith(("powerset", "finsurj")):
+    ours = validate_monoidal(cat, mon).as_dict()
+    entries = [v for v in ours["violations"] if v["kind"] in ("definedness", "typing")]
+    rest = [v for v in ours["violations"] if v not in entries]
+    replayed = _outcome(ref.validate_monoidal, cat, mon)
+    if name == "junk-key":
+        assert replayed[0] == "KeyError" and not rest
+    else:
+        assert rest == replayed["violations"] and ours["notes"] == replayed["notes"]
+    if name in _corrupted_tensors():
+        assert {v["kind"] for v in entries} == {"typing" if name == "mistyped" else "definedness"}
+    else:
         assert ours["ok"]
 
 

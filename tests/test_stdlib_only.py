@@ -24,3 +24,23 @@ def test_package_imports_only_the_standard_library(path):
     outside = [(line, name) for line, name in absolute_imports(path)
                if name not in sys.stdlib_module_names]
     assert not outside, f"{path.name} imports non-stdlib modules: {outside}"
+
+
+def raised_names(path):
+    """The name of every class or call a `raise` statement in a file raises."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+
+
+def test_every_error_class_is_raised():
+    """Each error class in `errors.py` is raised somewhere in the package,
+    but for the base classes others derive from."""
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    bases = {base.id for node in classes for base in node.bases if isinstance(base, ast.Name)}
+    raised = {name for path in PACKAGE.glob("*.py") for name in raised_names(path)}
+    unraised = [node.name for node in classes if node.name not in bases | raised]
+    assert not unraised, f"error classes nothing raises: {unraised}"
