@@ -46,6 +46,7 @@ from .seplogic import (
     _pipeline_pieces,
     eval_formula,
     formula_atoms,
+    heap_id,
     make_memory_model,
     parse_formula,
     sat,
@@ -383,8 +384,8 @@ def _cmd_laws(model, args, report):
 
     m_strict = build_resource_sheaf(site.cat, "strict-memory", values=model.values)
     # partial where the model's sheaf holds fewer heaps (support-bounded)
-    inclusion = SheafMorphism(m_strict, mp, {a: {h: h for h in m_strict.at(a) if h in mp.index(a)}
-                                             for a in site.cat.objects}, name="M>->Mp")
+    inclusion = SheafMorphism(m_strict, mp, name="M>->Mp", ids={
+        a: [heap_id(mp, a, h.values) for h in m_strict.at(a)] for a in site.cat.objects})
     rep = check_day_stability(site, [m_strict, mp], inclusions=[inclusion])
     report.status["day-stability"] = "ok" if rep.ok else "FAIL"
     failures += [{"law": "day-stability", "detail": v.detail} for v in rep.violations]

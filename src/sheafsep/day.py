@@ -307,21 +307,16 @@ class ResourceMonoid:
     that rule on two heaps over the same locations.  The unit is the
     designated point of F at the unit object.
 
-    Products are digit arithmetic.  Every singleton stage of a memory
-    sheaf lists the same r cells; a cell's id there is its digit, and an
-    element at a has the code sum of digit(x) * r^(|a| - 1 - position of
-    x): a mixed-radix number over its cells, the first location most
-    significant.  For a splitting (b, c) of v with overlap o, the
-    product of the ids i at b and j at c has the code E_b(i) + E_c(j) +
-    M_o(z_i, t_j) at v.  E_b(i) is i's digits at b only, at their weights
-    in v; z_i is the code of i's restriction to o; M_o combines two codes
-    at o digit by digit through `_digits`, the cell rule on one digit,
-    and places the result at v's weights, or is -1 when a digit is
-    UNDEFINED.  The three terms hold disjoint digits, so the sum carries
-    nothing.  A stage with r^|a| elements is taken to list them in code
-    order, as the memory builders do; on other stages (support-bounded
-    memory) codes and ids are translated.  Every table is built on first
-    use and kept on the monoid.
+    Products are digit arithmetic on the carrier's numbering of heaps
+    (mixed-radix codes over its `cells`, see `build_resource_sheaf`).
+    For a splitting (b, c) of v with overlap o, the product of the ids i
+    at b and j at c has the code E_b(i) + E_c(j) + M_o(z_i, t_j) at v.
+    E_b(i) is i's digits at b only, at their weights in v; z_i is the
+    code of i's restriction to o; M_o combines two codes at o digit by
+    digit through `_digits`, the cell rule on one digit, and places the
+    result at v's weights, or is -1 when a digit is UNDEFINED.  The three
+    terms hold disjoint digits, so the sum carries nothing.  Every table
+    is built on first use and kept on the monoid.
     """
 
     carrier: Presheaf
@@ -345,60 +340,15 @@ class ResourceMonoid:
             return out
 
     def _digits(self):
-        """(r, rule): the number of cells, and rule[d][e] the digit of the
-        product of the cells with digits d and e, or -1 where `apply`
-        leaves the carrier.  Read off the first singleton stage."""
+        """(r, rule): the number of the carrier's cells, and rule[d][e] the
+        digit of the product of the cells with digits d and e, or -1 where
+        `apply` leaves the carrier."""
         def build():
-            mp = self.carrier
-            one = next((a for a in mp.base.objects if len(a) == 1), None)
-            if one is None:
-                return 1, [[0]]
-            index = {h.values: i for h, i in mp.index(one).items()}
-            cells = mp.at(one)
-            return len(cells), [[index.get(self.apply(s.values, t.values), -1) for t in cells]
-                                for s in cells]
+            cells = self.carrier.cells
+            digit = {(x,): d for d, x in enumerate(cells)}
+            return len(cells), [[digit.get(self.apply((x,), (y,)), -1) for y in cells]
+                                for x in cells]
         return self._memo("digits", build)
-
-    def _numbering(self, a):
-        """None where the ids at a are the codes: a full stage, r^|a|
-        elements listed in the product order of their cells.  Otherwise
-        (per id its code, per code its id or -1), the digits read off the
-        restriction tables to the singleton stages below a."""
-        def build():
-            mp, cat, r = self.carrier, self.carrier.base, self._digits()[0]
-            if mp.size(a) == r ** len(a):
-                return None
-            codes = [0] * mp.size(a)
-            for x in a:
-                codes = [k * r + d for k, d in zip(codes, mp.table(cat.hom((x,), a)[0]))]
-            ids = [-1] * r ** len(a)
-            for i, k in enumerate(codes):
-                ids[k] = i
-            return codes, ids
-        return self._memo(("numbering", a), build)
-
-    def codes(self, a):
-        """Per id at a, its code; None where every id is its code."""
-        numbering = self._numbering(a)
-        return numbering and numbering[0]
-
-    def ids(self, a):
-        """Per code at a, its id or -1 off the carrier; None where every
-        code is its id."""
-        numbering = self._numbering(a)
-        return numbering and numbering[1]
-
-    def _part(self, a, s, v):
-        """Per id at a, the code at v of its digits on s, a sub-stage of a
-        and of v; the digits of a outside s are dropped."""
-        def build():
-            r, out = self._digits()[0], [0]
-            for x in a:
-                w = r ** (len(v) - 1 - v.index(x)) if x in s else 0
-                out = [k + d * w for k in out for d in range(r)]
-            codes = self.codes(a)
-            return out if codes is None else [out[k] for k in codes]
-        return self._memo(("part", a, s, v), build)
 
     def _meet(self, o, v):
         """M_o at v: the function of two codes z and t at o that applies
@@ -428,8 +378,9 @@ class ResourceMonoid:
             v = tuple(sorted(set(b) | set(c)))
             o = tuple(x for x in b if x in c)
             only_b, only_c = tuple(x for x in b if x not in c), tuple(x for x in c if x not in b)
-            return (v, self._part(b, only_b, v), self._part(b, o, o),
-                    self._part(c, only_c, v), self._part(c, o, o), self._meet(o, v))
+            part = self.carrier.part
+            return (v, part(b, only_b, v), part(b, o, o), part(c, only_c, v), part(c, o, o),
+                    self._meet(o, v))
         return self._memo(("split", b, c), build)
 
     def products(self, b, c):
@@ -439,7 +390,7 @@ class ResourceMonoid:
         the carrier."""
         def build():
             v, eb, zb, ec, tc, meet = self.split(b, c)
-            ids, rows = self.ids(v), []
+            ids, rows = self.carrier.ids(v), []
             for e, z in zip(eb, zb):
                 row = [m if m < 0 else e + f + m for f, m in zip(ec, (meet(z, t) for t in tc))]
                 rows.append(row if ids is None else [k if k < 0 else ids[k] for k in row])
@@ -455,8 +406,8 @@ def build_memory_monoid(mp: Presheaf, variant: str) -> ResourceMonoid:
     strong-partial defined iff the halves touch disjoint regions
     The unit is the empty heap at the empty region in all variants.
     """
-    if mp.base.kind != "powerset":
-        raise MonoidalStructureError("memory monoids need the powerset base")
+    if not hasattr(mp, "cells"):
+        raise MonoidalStructureError(f"memory monoids need a memory sheaf, got {mp.name}")
     cells = {
         "total": lambda x, y: x if x == y else None,
         "weak-partial": lambda x, y: x if x == y else UNDEFINED,

@@ -24,8 +24,7 @@ already is the finitary one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
-from itertools import product
+from functools import cache, cached_property, reduce
 
 from .errors import (
     BudgetExceededError,
@@ -272,25 +271,64 @@ def build_resource_sheaf(cat: FinCat, kind: str, *, values=None, bound=None,
             k = int(bound)
             cells, name = vals + (None,), f"Mp|supp<={k}"
 
-        # a heap's id is its rank among the stage's cell tuples in product
-        # order: the first location is the most significant digit, so ids
-        # follow Heap.sort_key and restriction projects digits
+        # A heap's code is the mixed-radix number of its cells' positions
+        # in `cells`, the first location most significant, so codes follow
+        # Heap.sort_key.  Its id is its code on a full stage (all r^|a|
+        # heaps) and its code's rank among the stage's codes otherwise.
+        r, digit = len(cells), {x: d for d, x in enumerate(cells)}
+
         @cache
-        def heaps(a):
-            return [combo for combo in product(cells, repeat=len(a))
-                    if k is None or sum(v is not None for v in combo) <= k]
+        def codes(a):
+            """Per id at a, its code; None on a full stage."""
+            if k is None or k >= len(a):
+                return None
+            out = [(0, 0)]  # (code, allocated cells); None is the last cell
+            for _ in a:
+                out = [(c * r + d, n + (d < r - 1)) for c, n in out for d in range(r)]
+            return [c for c, n in out if n <= k]
 
         @cache
         def ids(a):
-            return {combo: i for i, combo in enumerate(heaps(a))}
+            """Per code at a, its id or -1 off the carrier; None on a full stage."""
+            if codes(a) is None:
+                return None
+            rank = {c: i for i, c in enumerate(codes(a))}
+            return [rank.get(c, -1) for c in range(r ** len(a))]
+
+        @cache
+        def part(a, s, v):
+            """Per id at a, the code at v of its digits on s, a sub-stage of
+            a and of v; the digits of a outside s are dropped."""
+            out = [0]
+            for x in a:
+                w = r ** (len(v) - 1 - v.index(x)) if x in s else 0
+                out = [c + d * w for c in out for d in range(r)]
+            return out if codes(a) is None else [out[c] for c in codes(a)]
+
+        def code(values):
+            """The code of a heap's cells, or None when one is not a cell."""
+            if all(x in digit for x in values):
+                return reduce(lambda c, x: c * r + digit[x], values, 0)
+            return None
+
+        @cache
+        def size(a):
+            return r ** len(a) if codes(a) is None else len(codes(a))
 
         def table(f):
-            v, a = cat.src(f), cat.dst(f)
-            keep, below = [a.index(x) for x in v], ids(v)
-            return tuple(below[tuple(combo[i] for i in keep)] for combo in heaps(a))
+            down, below = part(cat.dst(f), cat.src(f), cat.src(f)), ids(cat.src(f))
+            return tuple(down if below is None else (below[c] for c in down))
 
-        return Presheaf.encoded(cat, lambda a: len(heaps(a)), table,
-                                lambda a, i: Heap(a, heaps(a)[i]), name=name)
+        def decode(a, i):
+            c, out = i if codes(a) is None else codes(a)[i], []
+            for _ in a:
+                c, d = divmod(c, r)
+                out.append(cells[d])
+            return Heap(a, tuple(reversed(out)))
+
+        ps = Presheaf.encoded(cat, size, table, decode, name=name)
+        ps.cells, ps.codes, ps.ids, ps.part, ps.code = cells, codes, ids, part, code
+        return ps
     if kind == "constant":
         xs = sorted_elements(set(elements))
 

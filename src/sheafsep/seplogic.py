@@ -390,6 +390,13 @@ def make_memory_model(locations, values, sheaf_kind="partial-memory",
     return ResourceModel(site, sheaf, monoid, stage, tuple(sorted(values)), stage, name)
 
 
+def heap_id(mp: Presheaf, a, cells) -> int:
+    """The id at a of the heap with these cells in the memory sheaf's
+    numbering, or -1 when it is not in the sheaf."""
+    code, ids = mp.code(cells), mp.ids(a)
+    return -1 if code is None else code if ids is None else ids[code]
+
+
 def atom_predicate(model: ResourceModel, atom, stage=None) -> KripkePredicate:
     """Interpret a points-to atom as a predicate at the given stage.
 
@@ -405,8 +412,8 @@ def atom_predicate(model: ResourceModel, atom, stage=None) -> KripkePredicate:
     # in view, every form holds of the heaps storing the value at the
     # location: the preimage of that heap's id at the singleton stage
     one = (atom.loc,)
-    i = mp.index(one).get(Heap(one, (atom.val,)))  # None under support bound 0
-    stores = 0 if i is None else 1 << i
+    i = heap_id(mp, one, (atom.val,))  # -1 under support bound 0
+    stores = 0 if i < 0 else 1 << i
     bits = {}
     for p in cat.mors_into(stage):
         v = cat.src(p)
@@ -445,7 +452,7 @@ def _star_bits(model, p, q, v):
                     m = meet(z, t)
                     if m >= 0:
                         out |= (lz * rt) << m
-    ids = monoid.ids(v)
+    ids = model.sheaf.ids(v)
     return out if ids is None else _image(ids, out)
 
 
@@ -581,8 +588,7 @@ def _star_witness(model, p, q, element):
     ordered by half-stages first, then by ids (which follow the
     canonical element order); each product is the monoid's code sum."""
     cat, mp, stage, monoid = model.site.cat, model.sheaf, p.stage, model.monoid
-    k, codes = mp.index(stage)[element], monoid.codes(stage)
-    target = k if codes is None else codes[k]
+    target = mp.code(element.values)
     for b, c in sorted(splittings(cat, model.site.monoidal, stage)):
         _, eb, zb, ec, tc, meet = monoid.split(b, c)
         right = list(_members(q.bits[cat.hom(c, stage)[0]]))
@@ -602,8 +608,9 @@ def _star_witness(model, p, q, element):
 def sat(model: ResourceModel, phi, stage, element, mode="unfolded") -> SatResult:
     """Membership of the element in the denotation at the identity slice,
     with the witnessing decomposition for a top-level star."""
-    i = model.sheaf.index(stage).get(element)
-    if i is None or i >= model.sheaf.size(stage):
+    model.site.cat.require_object(stage)
+    i = heap_id(model.sheaf, stage, element.values) if element.locations == stage else -1
+    if i < 0:
         raise StageMismatchError(f"{element!r} is not a resource at stage {stage!r}")
     if isinstance(phi, Star):
         # evaluate the operands once: the witness search reuses them

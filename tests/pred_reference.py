@@ -139,25 +139,26 @@ def unfolded_star(model, p, q):
     }
 
 
+def star_witnesses(model, p, q):
+    """Per product at the stage, its lexicographically least decomposition
+    into halves of p and q (half-stages first, then the canonical element
+    order)."""
+    least = {}
+    for b, c, m1, m2, prod in star_products(model, p, q, p.stage):
+        key = (b, c, element_key(m1), element_key(m2))
+        if prod not in least or key < least[prod][0]:
+            least[prod] = key, {
+                "left_stage": list(b),
+                "right_stage": list(c),
+                "left": m1.as_dict(),
+                "right": m2.as_dict(),
+            }
+    return {prod: witness for prod, (_, witness) in least.items()}
+
+
 def star_witness(model, p, q, element):
-    """Lexicographically least decomposition of the element into halves
-    of p and q (half-stages first, then the canonical element order)."""
-    candidates = [
-        (b, c, m1, m2)
-        for b, c, m1, m2, prod in star_products(model, p, q, p.stage)
-        if prod == element
-    ]
-    if not candidates:
-        return None
-    b, c, m1, m2 = min(
-        candidates, key=lambda t: (t[0], t[1], element_key(t[2]), element_key(t[3]))
-    )
-    return {
-        "left_stage": list(b),
-        "right_stage": list(c),
-        "left": m1.as_dict(),
-        "right": m2.as_dict(),
-    }
+    """The least decomposition of the element, or None."""
+    return star_witnesses(model, p, q).get(element)
 
 
 def pipeline_maps(model):

@@ -20,7 +20,7 @@ from sheafsep.day import (
     day_decomp,
     dinaturality_generators,
 )
-from sheafsep.errors import BudgetExceededError
+from sheafsep.errors import BudgetExceededError, MonoidalStructureError
 from sheafsep.fincat import build_finsurj_category, build_powerset_category, element_key
 from sheafsep.presheaf import Heap, build_resource_sheaf, check_sheaf
 from sheafsep.site import build_coverage
@@ -312,3 +312,39 @@ def test_certificate_flags_products_that_leave_the_carrier():
     assert "<x:0>.<y:0> is None in the product table, but outside the carrier" in {
         v.detail for v in rep.violations}
     assert ref.check_monoid_laws(build_memory_monoid(bounded, "strong-partial"), mon).ok
+
+
+BOUNDED = [(n, k) for n in (1, 2, 3) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("n_values", [1, 2, 3])
+@pytest.mark.parametrize("n_locs,bound", BOUNDED)
+def test_products_on_support_bounded_carriers_match_apply(n_locs, bound, n_values, variant):
+    """The product tables read the carrier's numbering: every entry is
+    the id of the cellwise product in the stage's element listing, or -1
+    when it is undefined or leaves the carrier.  At bound 0 every stage
+    holds only the empty heap, yet the radix is the full cell count."""
+    cat, _ = _powerset(n_locs)
+    mp = build_resource_sheaf(cat, "support-bounded", values=(0, 1, 2)[:n_values], bound=bound)
+    monoid = build_memory_monoid(mp, variant)
+    assert monoid._digits()[0] == n_values + 1
+    for v in cat.objects:
+        index = mp.index(v)
+        for b, c in day.splittings(cat, _powerset(n_locs)[1], v):
+            rows = monoid.products(b, c)
+            for i, s in enumerate(mp.at(b)):
+                for j, t in enumerate(mp.at(c)):
+                    prod = ref.apply(monoid, day.Decomp(v, b, c, s, t))
+                    assert rows[i][j] == index.get(prod, -1), (b, c, s, t)
+
+
+@pytest.mark.parametrize("carrier", ["yoneda", "constant", "terminal"])
+def test_memory_monoid_needs_a_memory_sheaf(carrier):
+    """A carrier without the memory numbering is refused when the monoid
+    is built, not at its first product."""
+    cat, _ = build_powerset_category(["x", "y"])
+    kwargs = {"yoneda": {"at_object": ("x",)}, "constant": {"elements": (0, 1)}}
+    mp = build_resource_sheaf(cat, carrier, **kwargs.get(carrier, {}))
+    with pytest.raises(MonoidalStructureError, match="need a memory sheaf"):
+        build_memory_monoid(mp, "weak-partial")

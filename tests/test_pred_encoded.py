@@ -22,13 +22,15 @@ from sheafsep.pred import (
     reindex_preimage,
     validate_predicate,
 )
-from sheafsep.presheaf import build_resource_sheaf
+from sheafsep.errors import NotASheafError, StageMismatchError
+from sheafsep.presheaf import Heap, build_resource_sheaf
 from sheafsep.psl import probability_presheaf
 from sheafsep.seplogic import (
     PointsToAlloc,
     PointsToNonStrict,
     PointsToStrict,
     ResourceModel,
+    Top,
     _pipeline_iso,
     _star_witness,
     atom_predicate,
@@ -245,3 +247,52 @@ def test_arithmetic_star_matches_the_pair_loop(n, variant, carrier, data):
         b, c, i, j = first[k]
         assert got == {"left_stage": list(b), "right_stage": list(c),
                        "left": mp.element(b, i).as_dict(), "right": mp.element(c, j).as_dict()}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("n_values", [1, 2, 3])
+@pytest.mark.parametrize("n,bound", [(n, k) for n in (1, 2, 3) for k in range(n + 1)])
+def test_stars_on_support_bounded_carriers_match_reference(n, bound, n_values, variant):
+    """Both star modes, sat and its witness on the support-bounded carrier
+    at every bound, against the element-level references, which multiply
+    heaps; a product outside the carrier is no resource.  Below the
+    location count (bound 0 aside) the carrier is not a sheaf, so the
+    pipeline, which needs the amalgamation iso, raises; a heap with more
+    cells allocated than the bound is outside the carrier at any mode."""
+    values = (0, 1, 2)[:n_values]
+    base = make_memory_model(("x", "y", "z")[:n], values, monoid_variant=variant)
+    mp = build_resource_sheaf(base.site.cat, "support-bounded", values=values, bound=bound)
+    m = ResourceModel(base.site, mp, build_memory_monoid(mp, variant), base.locations, values,
+                      base.stage)
+    cat, stage, x, y, v = m.site.cat, m.stage, m.stage[0], m.stage[-1], values[-1]
+    sheaf = bound == 0 or bound >= n
+    maps = ref.pipeline_maps(m) if sheaf else None
+    ident = cat.id(stage)
+    for text in (f"{x} ~> {v} * T", f"{x} |->! 0 * {y} |-> {v}",
+                 f"T * ({y} ~> 0 \\/ {x} |->! {v})"):
+        phi = parse_formula(text)
+        for mode in ("unfolded", "pipeline") if sheaf else ("unfolded",):
+            p = eval_formula(m, phi.left, mode=mode)
+            q = eval_formula(m, phi.right, mode=mode)
+            star = sep_conj(m, p, q, mode)
+            if mode == "unfolded":
+                assert star.family == {
+                    sl: frozenset(h for h in fam if h in mp.index(cat.src(sl)))
+                    for sl, fam in ref.unfolded_star(m, p, q).items()}
+            else:
+                assert star.family == ref.pipeline_star(m, p, q, maps)
+            witnesses = ref.star_witnesses(m, p, q)
+            for h in mp.at(stage):
+                assert _star_witness(m, p, q, h) == witnesses.get(h), (text, mode, h)
+            for h in mp.at(stage)[::n]:
+                res = sat(m, phi, stage, h, mode)
+                assert res.result == (h in star.family[ident])
+                assert res.witness == (witnesses[h] if res.result else None), (text, mode, h)
+        if not sheaf:
+            with pytest.raises(NotASheafError):
+                sat(m, phi, stage, mp.element(stage, 0), "pipeline")
+    if bound < n:
+        crowded = Heap(stage, (values[0],) * (bound + 1) + (None,) * (n - bound - 1))
+        for mode in ("unfolded", "pipeline"):
+            with pytest.raises(StageMismatchError):
+                sat(m, Top(), stage, crowded, mode)

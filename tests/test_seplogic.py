@@ -404,15 +404,29 @@ def test_tokenizer_matches_reference(text):
 def test_nested_star_work_at_the_size_bound(mode, built):
     """Deterministic work gate: at four locations and two values a nested
     star multiplies codes and builds the pipeline's maps on ids, so it
-    constructs no Decomp or MatchClass.  Its heaps are one probe per atom
-    and the four singleton stages the probes are looked up in (3 heaps
-    each); the monoid's digit table reads one of those listings."""
+    constructs no Decomp or MatchClass.  It builds no heap either: an
+    atom's probe id is its value's cell position, and the monoid's digit
+    table applies the cell rule to the cells."""
     model = make_memory_model(("a", "b", "c", "d"), (0, 1), monoid_variant="weak-partial")
     built.clear()
     phi = parse_formula("(a ~> 0 * b |-> 1) * (c ~> 1 \\/ d |-> 0)")
     eval_formula(model, phi, mode=mode)
     assert built["Decomp"] == built["MatchClass"] == 0
-    assert built["Heap"] == 4 + 4 * 3
+    assert built["Heap"] == 0
+
+
+@pytest.mark.parametrize("mode", ["unfolded", "pipeline"])
+def test_sat_builds_only_the_witness_heaps(mode, built):
+    """Deterministic work gate: at four locations and three values, sat
+    of a nested star encodes the given heap's cells to find its id, so
+    the only heaps it builds are the two halves of its witness."""
+    model = make_memory_model(("a", "b", "c", "d"), (0, 1, 2), monoid_variant="weak-partial")
+    heap = Heap.of(model.stage, {"a": 0, "b": 1, "c": 2})
+    phi = parse_formula("(a ~> 0 * b |-> 1) * (c ~> 2 \\/ d |-> 0)")
+    built.clear()
+    res = sat(model, phi, model.stage, heap, mode)
+    assert res.result and res.witness is not None
+    assert built["Heap"] <= 2
 
 
 @pytest.mark.parametrize("mode", ["unfolded", "pipeline"])

@@ -342,3 +342,40 @@ def test_model_load_builds_sieves_only_for_covers(monkeypatch, tmp_path):
     cov = model.site.cov
     assert sum(len(cov.covers(a)) for a in cov.cat.objects) == 167
     assert built == 167
+
+
+@pytest.mark.parametrize("coverage", ["downward-closed", "finite-covers"])
+def test_model_load_replays_no_coverage_axiom(coverage, monkeypatch, tmp_path):
+    """Work gate: the built-in coverages are coverages by construction,
+    so loading a four-location model pulls no sieve back; check-site
+    replays the axioms."""
+    import json
+
+    import sheafsep.site as site
+    from sheafsep.cli import load_model, main
+
+    path = tmp_path / "m4.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "kind": "memory", "locations": ["a", "b", "c", "d"],
+        "values": [0, 1], "monoid": "weak-partial", "coverage": coverage,
+    }))
+    calls = 0
+    pull = site._pull
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return pull(*args)
+
+    monkeypatch.setattr(site, "_pull", counted)
+    load_model(str(path))
+    assert calls == 0
+    assert main(["check-site", "--model", str(path), "--json"]) == 0
+    assert calls > 0
+
+
+def test_lub_coverages_need_the_powerset():
+    cat, _ = build_finsurj_category(2)
+    for kind in ("downward-closed", "finite-covers"):
+        with pytest.raises(CoverageKindError, match="requires a powerset base"):
+            build_coverage(cat, kind)
