@@ -95,12 +95,26 @@ def _encode(resource, a, xs):
     return sum(1 << i for i in {index[x] for x in xs})
 
 
+# A set of at most this many ids is read and built bit by bit, as its
+# ints are small.  Above it each shift or sum copies a big int, which is
+# quadratic in the size, so the helpers make one pass over a string of
+# binary digits instead; that costs more per call on small sets.
+_LINEAR_BITS = 256
+
+
 def _members(bits):
     """The ids whose bits are set, ascending."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
+    if bits.bit_length() <= _LINEAR_BITS:
+        while bits:
+            low = bits & -bits
+            yield low.bit_length() - 1
+            bits ^= low
+    else:
+        digits = bin(bits)[:1:-1]  # digit i is bit i
+        i = digits.find("1")
+        while i >= 0:
+            yield i
+            i = digits.find("1", i + 1)
 
 
 def _all(resource, a):
@@ -109,12 +123,21 @@ def _all(resource, a):
 
 def _preimage(table, bits):
     """The positions whose image under a restriction table is in `bits`."""
-    return sum(1 << x for x, y in enumerate(table) if bits >> y & 1)
+    if len(table) <= _LINEAR_BITS:
+        return sum(1 << x for x, y in enumerate(table) if bits >> y & 1)
+    digits = bin(bits)[:1:-1].ljust(max(table) + 1, "0")
+    return int("".join(map(digits.__getitem__, reversed(table))), 2)
 
 
 def _image(ids, bits):
     """The image of `bits` under a component on ids (-1 where undefined)."""
-    return sum(1 << j for j in {ids[i] for i in _members(bits)} if j >= 0)
+    if len(ids) <= _LINEAR_BITS:
+        return sum(1 << j for j in {ids[i] for i in _members(bits)} if j >= 0)
+    digits = bytearray(b"0" * (max(ids) + 1))
+    for i in _members(bits):
+        if ids[i] >= 0:
+            digits[ids[i]] = ord("1")
+    return int(digits[::-1] or b"0", 2)
 
 
 def _forced(resource, site, stage, bits):

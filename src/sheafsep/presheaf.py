@@ -589,12 +589,16 @@ def _flag_amalgamations(rep, a, s, n_matches, first_two, first_three):
         rep.flag("uniqueness", f"{n_matches} amalgamations at {a!r}: {x}, {y}")
 
 
-def _replay_sheaf(rep, ps: Presheaf, cov: Coverage, budget) -> int:
+def _replay_sheaf(rep, ps: Presheaf, cov: Coverage, budget, certified=(), enumerated=None) -> int:
     """Every family on every cover, looked up in its cover's signature
     index; flags each family without exactly one amalgamation and
     returns the number of families.  Enumerated families are compatible
     by construction (pairwise squares on generators plus the extension
-    lemma).  Each element a note prints is decoded and printed once."""
+    lemma).  The least cover of a stage in `certified` has exactly
+    |F(A)| families, one per element, and is not enumerated again;
+    `enumerated` maps a cover to its partial families where they are
+    known already.  Each element a note prints is decoded and printed
+    once."""
     printed = {}
 
     def show(b, i, conv):
@@ -603,12 +607,19 @@ def _replay_sheaf(rep, ps: Presheaf, cov: Coverage, budget) -> int:
             printed[key] = conv(ps.element(b, i))
         return printed[key]
 
-    src, n_checked = ps.base.src, 0
+    src, n_checked, enumerated = ps.base.src, 0, enumerated or {}
     for a in ps.base.objects:
+        least = cov.min_cover(a) if a in certified else None
         for s in cov.covers(a):
+            if s == least:
+                n_checked += ps.size(a)
+                continue
             code = _encoded_cover(ps, s)
             index = code.signature_index()
-            for partial in code.families(budget):
+            partials = enumerated.get(s)
+            if partials is None:
+                partials = code.families(budget)
+            for partial in partials:
                 hits = index.get(code.key(partial), ())
                 n_checked += 1
                 if len(hits) != 1:
@@ -629,7 +640,9 @@ def check_sheaf(ps: Presheaf, cov: Coverage, mode="exhaustive", families=(),
     each has one amalgamation, and each element restricts to its own
     family.  So the note counts Σ_A |covers(A)|·|F(A)| families, and no
     other cover is enumerated.  Otherwise every family on every cover is
-    replayed on ids for the violations (`_replay_sheaf`); so is a budget
+    replayed on ids for the violations (`_replay_sheaf`), apart from the
+    least covers already certified, which the same count stands for, and
+    the failing least cover, whose families are reused; so is a budget
     blown on a least cover, which the replay raises again.  The budget
     bounds the families enumerated, so on a sheaf it bounds those of the
     least covers only; on the built-in coverages every cover's partial
@@ -644,14 +657,21 @@ def check_sheaf(ps: Presheaf, cov: Coverage, mode="exhaustive", families=(),
             raise StageNotEnumerableError(
                 f"{ps.name} cannot be checked exhaustively; supply families"
             )
+        certified, enumerated, sheaf = set(), {}, False
         try:
-            certified = is_sheaf(ps, cov, budget)
+            for a, cover, partials, ok in _least_cover_verdicts(ps, cov, budget):
+                if not ok:
+                    enumerated[cover] = partials
+                    break
+                certified.add(a)
+            else:
+                sheaf = True
         except BudgetExceededError:
-            certified = False  # the replay raises at this cover or an earlier one
-        if certified:
+            pass  # the replay raises at this cover or an earlier one
+        if sheaf:
             n_checked = sum(len(cov.covers(a)) * ps.size(a) for a in ps.base.objects)
         else:
-            n_checked = _replay_sheaf(rep, ps, cov, budget)
+            n_checked = _replay_sheaf(rep, ps, cov, budget, certified, enumerated)
     elif mode == "families":
         for fam in families:
             a = fam.cover.target
@@ -673,6 +693,16 @@ def check_sheaf(ps: Presheaf, cov: Coverage, mode="exhaustive", families=(),
     return rep
 
 
+def _least_cover_verdicts(ps: Presheaf, cov: Coverage, budget):
+    """Per stage in order: the stage, its least cover, that cover's
+    partial families and whether each has exactly one amalgamation."""
+    for a in ps.base.objects:
+        cover = cov.min_cover(a)
+        code = _encoded_cover(ps, cover)
+        index, partials = code.signature_index(), code.families(budget)
+        yield a, cover, partials, all(len(index.get(code.key(p), ())) == 1 for p in partials)
+
+
 def is_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> bool:
     """The verdict of `check_sheaf`, certified on least covers alone.
 
@@ -682,12 +712,7 @@ def is_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> bool:
     stated with its proof in the README).  A False verdict is
     `check_sheaf`'s too, and `check_sheaf` replays every cover for its
     violations."""
-    for a in ps.base.objects:
-        code = _encoded_cover(ps, cov.min_cover(a))
-        index = code.signature_index()
-        if any(len(index.get(code.key(partial), ())) != 1 for partial in code.families(budget)):
-            return False
-    return True
+    return all(ok for _, _, _, ok in _least_cover_verdicts(ps, cov, budget))
 
 
 # -- slice restriction ------------------------------------------------------

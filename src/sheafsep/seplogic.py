@@ -510,6 +510,13 @@ def _pipeline_star(model, p, q) -> KripkePredicate:
     return direct_image(iso.forward, KripkePredicate(iso.match, site, p.stage, bits=closed))
 
 
+def _check_conjuncts(model, p, q):
+    if model.monoid is None:
+        raise AtomTypeError("model has no resource monoid; * is unavailable")
+    if p.stage != q.stage:
+        raise StageMismatchError("separating conjuncts must share a stage")
+
+
 def sep_conj(model: ResourceModel, p: KripkePredicate, q: KripkePredicate,
              mode: str = "unfolded") -> KripkePredicate:
     """The two modes coincide on subsheaf predicates (the law suites
@@ -518,10 +525,7 @@ def sep_conj(model: ResourceModel, p: KripkePredicate, q: KripkePredicate,
     existential images close the result below the stage while the
     unfolded comprehension stays raw; satisfaction at the stage itself
     is unaffected."""
-    if model.monoid is None:
-        raise AtomTypeError("model has no resource monoid; * is unavailable")
-    if p.stage != q.stage:
-        raise StageMismatchError("separating conjuncts must share a stage")
+    _check_conjuncts(model, p, q)
     if mode == "unfolded":
         return _unfolded_star(model, p, q)
     if mode == "pipeline":
@@ -605,9 +609,34 @@ def _star_witness(model, p, q, element):
     return None
 
 
+def _star_at(model, p, q, mode):
+    """The bits of `sep_conj(model, p, q, mode)` at the identity slice.
+    The unfolded star there reads p and q at the splittings of the stage
+    alone, so it is `_star_bits` at the stage; the pipeline's closure
+    reads the lower slices, so it is evaluated in full."""
+    if mode == "unfolded":
+        _check_conjuncts(model, p, q)
+        return _star_bits(model, p, q, p.stage)
+    return sep_conj(model, p, q, mode).bits[model.site.cat.id(p.stage)]
+
+
+def _stage_bits(model, phi, stage, mode):
+    """The bits of phi's denotation at the identity slice of the stage:
+    a meet is pointwise, so a conjunction's are its operands' AND, and a
+    star's are `_star_at`."""
+    if isinstance(phi, And):
+        return (_stage_bits(model, phi.left, stage, mode)
+                & _stage_bits(model, phi.right, stage, mode))
+    if isinstance(phi, Star):
+        return _star_at(model, eval_formula(model, phi.left, stage, mode),
+                        eval_formula(model, phi.right, stage, mode), mode)
+    return eval_formula(model, phi, stage, mode).bits[model.site.cat.id(stage)]
+
+
 def sat(model: ResourceModel, phi, stage, element, mode="unfolded") -> SatResult:
     """Membership of the element in the denotation at the identity slice,
-    with the witnessing decomposition for a top-level star."""
+    read off that slice alone (`_stage_bits`), with the witnessing
+    decomposition for a top-level star."""
     model.site.cat.require_object(stage)
     i = heap_id(model.sheaf, stage, element.values) if element.locations == stage else -1
     if i < 0:
@@ -616,10 +645,10 @@ def sat(model: ResourceModel, phi, stage, element, mode="unfolded") -> SatResult
         # evaluate the operands once: the witness search reuses them
         p = eval_formula(model, phi.left, stage, mode)
         q = eval_formula(model, phi.right, stage, mode)
-        denot = sep_conj(model, p, q, mode)
+        bits = _star_at(model, p, q, mode)
     else:
-        denot = eval_formula(model, phi, stage, mode)
-    holds = bool(denot.bits[model.site.cat.id(stage)] >> i & 1)
+        bits = _stage_bits(model, phi, stage, mode)
+    holds = bool(bits >> i & 1)
     witness = None
     if holds and isinstance(phi, Star):
         witness = _star_witness(model, p, q, element)

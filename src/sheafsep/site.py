@@ -1,9 +1,11 @@
 """Sieves, Grothendieck coverages and sites on finite categories.
 
-All three coverage axioms are decidable by exhaustive enumeration here,
-so a Coverage literally stores the set of covering sieves per object and
-`validate_coverage` replays the axioms against that table.  Both run on
-`SieveMasks`; `Sieve` objects are built only for covers and at the API.
+All three coverage axioms are decidable by exhaustive enumeration here:
+a Coverage hands out the set of covering sieves per object, built the
+first time it is read, and `validate_coverage` replays the axioms
+against that table.  Both run on `SieveMasks`; `Sieve` objects are built
+only for the covers and least covers read and at the API, so a model
+load, which reads neither, builds none.
 
 A cover of the empty stage: the union criterion on a powerset admits the
 empty sieve as a cover of the empty set.  We exclude it (a sieve must be
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 
 from .errors import BudgetExceededError, CoverageKindError, PreCoverageError, UnknownObjectError
 from .fincat import FinCat, MonoidalStructure, slice_category
@@ -199,21 +201,47 @@ def all_sieves(cat: FinCat, a) -> list[Sieve]:
 
 
 class Coverage:
-    """Assignment object -> set of covering sieves, stored explicitly."""
+    """Assignment object -> set of covering sieves.
+
+    A coverage given by its sieves (`by_object`) keeps them.  The
+    built-in ones (`build_coverage`) keep a function giving an object's
+    covering masks in `covers` order, and may give its least cover's mask
+    in closed form; an object's covers are built on their first read,
+    and the mapping `by_object` when it is read."""
 
     def __init__(self, cat: FinCat, by_object, notes=()):
         self.cat = cat
-        self.by_object = {a: frozenset(by_object.get(a, ())) for a in cat.objects}
         self.notes = tuple(notes)
-        self._sorted = {
-            a: tuple(sorted(ss, key=lambda s: (len(s.members), s.sorted_members())))
-            for a, ss in self.by_object.items()
-        }
-        self._least = {}
+        self._by_object = {a: frozenset(by_object.get(a, ())) for a in cat.objects}
+        self._masks = self._least_mask = None
+        self._covers, self._least = {}, {}
+
+    @classmethod
+    def _on_masks(cls, cat: FinCat, masks, notes, least_mask=None) -> Coverage:
+        """The coverage whose covering masks on `a` are `masks(a)`, and
+        whose least cover's mask is `least_mask(a)` (their AND if None)."""
+        cov = cls(cat, {}, notes)
+        cov._by_object, cov._masks, cov._least_mask = None, masks, least_mask
+        return cov
+
+    @property
+    def by_object(self):
+        if self._by_object is None:
+            self._by_object = {a: frozenset(self.covers(a)) for a in self.cat.objects}
+        return self._by_object
 
     def covers(self, a) -> tuple:
-        self.cat.require_object(a)
-        return self._sorted[a]
+        covers = self._covers.get(a)
+        if covers is None:
+            self.cat.require_object(a)
+            if self._masks is None:
+                covers = tuple(sorted(self._by_object[a],
+                                      key=lambda s: (len(s.members), s.sorted_members())))
+            else:
+                sm = sieve_masks(self.cat)
+                covers = tuple(sm.sieve(a, m) for m in self._masks(a))
+            self._covers[a] = covers
+        return covers
 
     def is_cover(self, s: Sieve) -> bool:
         return s in self.by_object.get(s.target, frozenset())
@@ -223,14 +251,23 @@ class Coverage:
         computed on the first call for each object."""
         least = self._least.get(a)
         if least is None:
-            members = frozenset(self.cat.mors_into(a))
-            least = Sieve(a, members.intersection(*(s.members for s in self.covers(a))))
+            self.cat.require_object(a)
+            if self._masks is None:
+                members = frozenset(self.cat.mors_into(a))
+                least = Sieve(a, members.intersection(*(s.members for s in self._by_object[a])))
+            else:
+                sm = sieve_masks(self.cat)
+                if self._least_mask is None:
+                    m = reduce(and_, self._masks(a), (1 << len(sm.bit(a))) - 1)
+                else:
+                    m = self._least_mask(a)
+                least = sm.sieve(a, m)
             self._least[a] = least
         return least
 
     def __repr__(self):
         total = sum(len(v) for v in self.by_object.values())
-        return f"Coverage(objects={len(self.by_object)}, sieves={total})"
+        return f"Coverage(objects={len(self.cat.objects)}, sieves={total})"
 
 
 @dataclass
@@ -246,12 +283,13 @@ class Site:
 
 
 def build_coverage(cat: FinCat, kind: str) -> Coverage:
-    """One of the three built-in coverages.
+    """One of the three built-in coverages, whose covers are built on
+    first read.
 
     downward-closed  on a powerset: a nonempty sieve covers iff its
-                     sources have the target as least upper bound (their
-                     union is the target), that is iff the AND of their
-                     up-set masks is the target's.
+                     sources have the target as least upper bound, that
+                     is iff the OR of their location masks is the
+                     target's (their union is the target).
     finite-covers    downward closures of finite pre-covers; on a finite
                      base this coincides with downward-closed and the
                      coincidence is recorded in the coverage notes.
@@ -262,30 +300,39 @@ def build_coverage(cat: FinCat, kind: str) -> Coverage:
     replays them).  On the powerset the lub criterion is one: the maximal sieve covers; it is
     stable along b -> a, as b = b & (union of S) = union of (b & s) over
     s in S; and a sieve that pulls back to a cover of every s in a cover
-    S has sources with union a.  "Every nonempty sieve" is stable exactly
+    S has sources with union a.  Its least cover at a is the sieve of
+    the morphisms from stages of at most one location: the one the
+    singleton inclusions generate, and the maximal sieve at ().  It
+    covers, and every cover contains it, since a cover of a nonempty a
+    has, for each x in a, a member whose source holds x, through which
+    {x} -> a factors.  "Every nonempty sieve" is stable exactly
     when cospans complete (h*(S) is nonempty iff h and some member of S
-    have a commuting span), and it is always maximal and transitive.
+    have a commuting span), and it is always maximal and transitive;
+    its least cover is the AND of its covering masks.
     """
     sm = sieve_masks(cat)
     if kind in ("downward-closed", "finite-covers"):
         if cat.kind != "powerset":
             raise CoverageKindError(f"{kind} coverage requires a powerset base, got {cat.kind!r}")
-        up = {x: sum(1 << u for u, y in enumerate(cat.objects) if (x, y) in cat.homs)
-              for x in cat.objects}  # bit u of up[x] is set when x <= objects[u]
-        by_object = {}
-        for a in cat.objects:
-            src_up = [up[cat.src(f)] for f in sm.bit(a)]
-            by_object[a] = [
-                m for m in sm.all(a)
-                if m and reduce(and_, (src_up[i] for i in _bits(m))) == up[a]
-            ]
+
+        def masks(a):
+            on_a = {x: 1 << i for i, x in enumerate(a)}
+            src_locs = [sum(on_a[x] for x in cat.src(f)) for f in sm.bit(a)]
+            whole = (1 << len(a)) - 1
+            return [m for m in sm.all(a)
+                    if m and reduce(or_, (src_locs[i] for i in _bits(m))) == whole]
+
+        def least_mask(a):
+            return sum(on_a for f, on_a in sm.bit(a).items() if len(cat.src(f)) <= 1)
+
         notes = [f"covering = nonempty sieve whose sources have lub equal to the stage ({kind})"]
         if kind == "finite-covers":
             notes.append(
                 "on a finite base every covering sieve is the downward closure of a "
                 "finite pre-cover, so finite-covers coincides with downward-closed"
             )
-    elif kind == "atomic":
+        return Coverage._on_masks(cat, masks, notes, least_mask)
+    if kind == "atomic":
         for f in cat.all_morphisms():  # every cospan must have a commuting span
             for h in cat.mors_into(cat.dst(f)):
                 if not cat.squares(h, f):
@@ -293,12 +340,10 @@ def build_coverage(cat: FinCat, kind: str) -> Coverage:
                         f"atomic coverage invalid: cospan ({f!r}, {h!r}) admits no "
                         "completion inside the size bound"
                     )
-        by_object = {a: [m for m in sm.all(a) if m] for a in cat.objects}
-        notes = ("covering = nonempty sieve (atomic)",)
-    else:
-        raise CoverageKindError(f"unknown coverage kind {kind!r}")
-    return Coverage(cat, {a: [sm.sieve(a, m) for m in ms] for a, ms in by_object.items()},
-                    notes)
+        # the empty sieve sorts first
+        return Coverage._on_masks(cat, lambda a: sm.all(a)[1:],
+                                  ("covering = nonempty sieve (atomic)",))
+    raise CoverageKindError(f"unknown coverage kind {kind!r}")
 
 
 def _forced_sieves(sm: SieveMasks, covers, covering):

@@ -3,6 +3,7 @@ star against the element-level reference in `pred_reference`."""
 
 import functools
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,13 @@ import day_reference
 import pred_reference as ref
 from sheafsep.day import Decomp, build_memory_monoid, splittings
 from sheafsep.fincat import build_finsurj_category
+import sheafsep.pred as pred
 from sheafsep.pred import (
     KripkePredicate,
     _close,
+    _image,
+    _members,
+    _preimage,
     direct_image,
     implication,
     join,
@@ -296,3 +301,72 @@ def test_stars_on_support_bounded_carriers_match_reference(n, bound, n_values, v
         for mode in ("unfolded", "pipeline"):
             with pytest.raises(StageMismatchError):
                 sat(m, Top(), stage, crowded, mode)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_stage_only_sat_matches_the_full_star(n, variant):
+    """`sat` reads a top-level star, or one under /\\, at the identity
+    slice alone: its verdict is the bit of the denotation evaluated at
+    every slice, `sep_conj(...).bits[id(stage)]`, on every heap, on
+    partial memory and on the support-bounded carrier at every bound,
+    with the allocated atoms, which are not subsheaves, among the
+    operands.  The pipeline runs where the carrier is a sheaf."""
+    base = model(n, variant)
+    cat, stage, x, y = base.site.cat, base.stage, base.stage[0], base.stage[-1]
+    ident = cat.id(stage)
+    carriers = [(base, True)]
+    for bound in range(n + 1):
+        mp = build_resource_sheaf(cat, "support-bounded", values=base.values, bound=bound)
+        carriers.append((ResourceModel(base.site, mp, build_memory_monoid(mp, variant),
+                                       base.locations, base.values, stage),
+                         bound == 0 or bound >= n))
+    texts = (f"{x} ~> 0 * {y} |-> 1", f"{x} |->! 1 * T", f"T * ({y} ~> 0 \\/ {x} |->! 1)",
+             f"({x} |->! 0 * T) /\\ (T * {y} |->! 1)", f"{y} ~> 1 /\\ ({x} |-> 0 * T)",
+             f"({x} ~> 0 * {y} ~> 1) * T")
+    for m, sheaf in carriers:
+        for text in texts:
+            phi = parse_formula(text)
+            for mode in ("unfolded", "pipeline") if sheaf else ("unfolded",):
+                want = eval_formula(m, phi, mode=mode).bits[ident]  # every slice, by sep_conj
+                for k, h in enumerate(m.sheaf.at(stage)):
+                    assert sat(m, phi, stage, h, mode).result == bool(want >> k & 1), (text, mode, h)
+
+
+SIZES = st.sampled_from([1, 2, pred._LINEAR_BITS - 1, pred._LINEAR_BITS, pred._LINEAR_BITS + 1,
+                         2 * pred._LINEAR_BITS + 3]) | st.integers(1, 3 * pred._LINEAR_BITS)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(size=SIZES, target=SIZES, data=st.data())
+def test_bitset_helpers_agree_on_either_side_of_the_threshold(size, target, data):
+    """`_members`, `_preimage` and `_image` read and build their ints bit
+    by bit up to `_LINEAR_BITS` ids and through a string of binary digits
+    above it.  Forced onto either path (threshold 0, or none), they agree
+    with each other, with the default dispatch and with a scan, on sets,
+    tables and components whose sizes lie on either side."""
+    bits = data.draw(st.integers(0, (1 << size) - 1), label="bits")
+    on_target = data.draw(st.integers(0, (1 << target) - 1), label="on_target")
+    table = data.draw(st.lists(st.integers(0, target - 1), min_size=size, max_size=size))
+    ids = data.draw(st.lists(st.integers(-1, target - 1), min_size=size, max_size=size))
+
+    def run():
+        return list(_members(bits)), _preimage(table, on_target), _image(ids, bits)
+
+    members = [i for i in range(size) if bits >> i & 1]
+    want = (members,
+            sum(1 << x for x, y in enumerate(table) if on_target >> y & 1),
+            sum(1 << j for j in {ids[i] for i in members if ids[i] >= 0}))
+    assert run() == want
+    for threshold in (0, 1 << 62):
+        with patch.object(pred, "_LINEAR_BITS", threshold):
+            assert run() == want, threshold
+
+
+def test_query_and_verify_stages_keep_the_bit_by_bit_helpers():
+    """The largest stage `query` and `verify` evaluate on, 4 locations
+    with 3 values (4^4 heaps of partial memory), is at the threshold, so
+    the linear helpers run only above it (the decomposition and matching
+    presheaves of `laws` at 4 locations)."""
+    m = make_memory_model(("a", "b", "c", "d"), (0, 1, 2))
+    assert m.sheaf.size(m.stage) == 256 == pred._LINEAR_BITS

@@ -431,6 +431,28 @@ def test_check_sheaf_of_a_four_location_sheaf_encodes_least_covers_only(built):
     assert rep.notes == [f"checked {n_families} families"]
 
 
+def test_check_sheaf_of_a_non_sheaf_enumerates_each_cover_once(monkeypatch):
+    """Deterministic work gate: on a presheaf that is not a sheaf,
+    `check_sheaf` enumerates each cover's families at most once.  The
+    least covers `is_sheaf` certified count |F(A)| families each, one per
+    element, and the failing least cover's families are reused.  On the
+    3-location, 4-value, bound-2 support-bounded memory model that is one
+    enumeration for each of the 19 covers (27 before), with the report
+    of the replay that enumerates every cover."""
+    cat, _, cov = _site(3)
+    ps = build_resource_sheaf(cat, "support-bounded", values=(0, 1, 2, 3), bound=2)
+    calls = []
+    families = _EncodedCover.families
+    monkeypatch.setattr(_EncodedCover, "families",
+                        lambda self, budget: calls.append(self.cover) or families(self, budget))
+    rep = check_sheaf(ps, cov)
+    assert not rep.ok
+    assert len(calls) == len(set(calls)) == sum(len(cov.covers(a)) for a in cat.objects) == 19
+    replay = Report(rep.title)
+    replay.note(f"checked {_replay_sheaf(replay, ps, cov, DEFAULT_FAMILY_BUDGET)} families")
+    assert rep.as_dict() == replay.as_dict()
+
+
 CATEGORIES = {
     **{f"powerset{n}": lambda n=n: build_powerset_category(["w", "x", "y", "z"][:n])[0]
        for n in (2, 3, 4)},

@@ -241,10 +241,7 @@ def test_slice_coverage_atomic_finsurj(dc2):
             assert scov.is_cover(s) == cov.is_cover(base)
 
 
-def test_min_cover_is_intersection():
-    """The least cover is itself a cover and lies inside every cover, so
-    local character may read it alone: every object of every built-in
-    coverage, 72 cases."""
+def _builtin_coverages():
     coverages = []
     for n in range(5):
         cat, _ = build_powerset_category(("w", "x", "y", "z")[:n])
@@ -252,27 +249,46 @@ def test_min_cover_is_intersection():
     for n in range(1, 5):
         cat, _ = build_finsurj_category(n)
         coverages.append(build_coverage(cat, "atomic") if n <= 2 else trivial_coverage(cat))
-    cases = [(cov, a) for cov in coverages for a in cov.cat.objects]
+    return coverages
+
+
+def test_min_cover_is_intersection():
+    """The least cover, in closed form on the lub coverages, is the
+    intersection of the covers, computed here from `covers(a)` on
+    frozensets: it is itself a cover and lies inside every cover, so
+    local character may read it alone.  Every object of every built-in
+    coverage, 72 cases."""
+    cases = [(cov, a) for cov in _builtin_coverages() for a in cov.cat.objects]
     assert len(cases) == 72
     for cov, a in cases:
+        covers = cov.covers(a)
+        meet = frozenset(cov.cat.mors_into(a)).intersection(*(s.members for s in covers))
         mc = cov.min_cover(a)
-        assert cov.is_cover(mc), (cov.cat.kind, a)
-        assert all(mc.members <= s.members for s in cov.covers(a)), (cov.cat.kind, a)
+        assert mc == Sieve(a, meet), (cov.cat.kind, a)
+        assert mc in covers and cov.is_cover(mc), (cov.cat.kind, a)
         assert cov.min_cover(a) is mc  # computed once per object
 
 
 def test_min_cover_intersects_the_covers_once_per_object(monkeypatch):
-    """Deterministic work gate: a coverage is immutable, so `min_cover`
-    reads an object's covers on its first call only."""
-    cat, _ = build_powerset_category(("x", "y", "z"))
-    cov = build_coverage(cat, "downward-closed")
-    reads = []
-    covers = Coverage.covers
+    """Deterministic work gate: the lub coverages give the least cover in
+    closed form and read no cover for it; the atomic one ANDs an
+    object's covering masks, enumerated on its first call only."""
+    import sheafsep.site as site
+
+    reads, enumerated = [], []
+    covers, enumerate_all = Coverage.covers, site.SieveMasks.all
     monkeypatch.setattr(Coverage, "covers", lambda self, a: reads.append(a) or covers(self, a))
-    for _ in range(3):
-        for a in cat.objects:
-            cov.min_cover(a)
-    assert sorted(reads) == sorted(cat.objects)
+    monkeypatch.setattr(site.SieveMasks, "all",
+                        lambda self, a: enumerated.append(a) or enumerate_all(self, a))
+    pcat, _ = build_powerset_category(("x", "y", "z"))
+    fcat, _ = build_finsurj_category(2)
+    for cat, kind in ((pcat, "downward-closed"), (pcat, "finite-covers"), (fcat, "atomic")):
+        cov = build_coverage(cat, kind)
+        for _ in range(3):
+            for a in cat.objects:
+                cov.min_cover(a)
+    assert reads == []
+    assert sorted(enumerated) == sorted(fcat.objects)
 
 
 def test_validate_flags_transitivity_without_stability():
@@ -318,10 +334,13 @@ def test_coverage_replay_pullbacks_at_the_size_bound(monkeypatch):
 
 
 def test_model_load_builds_sieves_only_for_covers(monkeypatch, tmp_path):
-    """Work gate: loading a four-location model constructs one `Sieve`
-    per cover and none for the candidates that do not cover."""
+    """Work gate: a coverage builds its covers when they are read, and a
+    model load reads none, so loading a four-location model constructs
+    no `Sieve` and enumerates no sieve lattice; the covers read later
+    are the 167 of the downward-closed coverage."""
     import json
 
+    import sheafsep.site as site
     from sheafsep.cli import load_model
 
     path = tmp_path / "m4.json"
@@ -329,16 +348,23 @@ def test_model_load_builds_sieves_only_for_covers(monkeypatch, tmp_path):
         "schema_version": 1, "kind": "memory", "locations": ["a", "b", "c", "d"],
         "values": [0, 1], "monoid": "weak-partial",
     }))
-    built = 0
-    init = Sieve.__init__
+    built = enumerated = 0
+    init, enumerate_all = Sieve.__init__, site.SieveMasks.all
 
     def counted(self, *args, **kwargs):
         nonlocal built
         built += 1
         init(self, *args, **kwargs)
 
+    def counted_all(self, a):
+        nonlocal enumerated
+        enumerated += 1
+        return enumerate_all(self, a)
+
     monkeypatch.setattr(Sieve, "__init__", counted)
+    monkeypatch.setattr(site.SieveMasks, "all", counted_all)
     model = load_model(str(path))
+    assert (built, enumerated) == (0, 0)
     cov = model.site.cov
     assert sum(len(cov.covers(a)) for a in cov.cat.objects) == 167
     assert built == 167
