@@ -589,16 +589,14 @@ def _flag_amalgamations(rep, a, s, n_matches, first_two, first_three):
         rep.flag("uniqueness", f"{n_matches} amalgamations at {a!r}: {x}, {y}")
 
 
-def _replay_sheaf(rep, ps: Presheaf, cov: Coverage, budget, certified=(), enumerated=None) -> int:
+def _replay_sheaf(rep, ps: Presheaf, cov: Coverage, budget, known=None) -> int:
     """Every family on every cover, looked up in its cover's signature
     index; flags each family without exactly one amalgamation and
     returns the number of families.  Enumerated families are compatible
     by construction (pairwise squares on generators plus the extension
-    lemma).  The least cover of a stage in `certified` has exactly
-    |F(A)| families, one per element, and is not enumerated again;
-    `enumerated` maps a cover to its partial families where they are
-    known already.  Each element a note prints is decoded and printed
-    once."""
+    lemma).  `known` maps a cover to its partial families where they are
+    enumerated already, and those are read instead.  Each element a note
+    prints is decoded and printed once."""
     printed = {}
 
     def show(b, i, conv):
@@ -607,16 +605,12 @@ def _replay_sheaf(rep, ps: Presheaf, cov: Coverage, budget, certified=(), enumer
             printed[key] = conv(ps.element(b, i))
         return printed[key]
 
-    src, n_checked, enumerated = ps.base.src, 0, enumerated or {}
+    src, n_checked, known = ps.base.src, 0, known or {}
     for a in ps.base.objects:
-        least = cov.min_cover(a) if a in certified else None
         for s in cov.covers(a):
-            if s == least:
-                n_checked += ps.size(a)
-                continue
             code = _encoded_cover(ps, s)
             index = code.signature_index()
-            partials = enumerated.get(s)
+            partials = known.get(s)
             if partials is None:
                 partials = code.families(budget)
             for partial in partials:
@@ -640,10 +634,9 @@ def check_sheaf(ps: Presheaf, cov: Coverage, mode="exhaustive", families=(),
     each has one amalgamation, and each element restricts to its own
     family.  So the note counts Σ_A |covers(A)|·|F(A)| families, and no
     other cover is enumerated.  Otherwise every family on every cover is
-    replayed on ids for the violations (`_replay_sheaf`), apart from the
-    least covers already certified, which the same count stands for, and
-    the failing least cover, whose families are reused; so is a budget
-    blown on a least cover, which the replay raises again.  The budget
+    replayed on ids for the violations (`_replay_sheaf`), reading the
+    least covers' families already enumerated; so is a budget blown on a
+    least cover, which the replay raises again.  The budget
     bounds the families enumerated, so on a sheaf it bounds those of the
     least covers only; on the built-in coverages every cover's partial
     families are a stage's matching families, which its least cover
@@ -657,13 +650,12 @@ def check_sheaf(ps: Presheaf, cov: Coverage, mode="exhaustive", families=(),
             raise StageNotEnumerableError(
                 f"{ps.name} cannot be checked exhaustively; supply families"
             )
-        certified, enumerated, sheaf = set(), {}, False
+        known, sheaf = {}, False
         try:
-            for a, cover, partials, ok in _least_cover_verdicts(ps, cov, budget):
+            for cover, partials, ok in _least_cover_verdicts(ps, cov, budget):
+                known[cover] = partials
                 if not ok:
-                    enumerated[cover] = partials
                     break
-                certified.add(a)
             else:
                 sheaf = True
         except BudgetExceededError:
@@ -671,7 +663,7 @@ def check_sheaf(ps: Presheaf, cov: Coverage, mode="exhaustive", families=(),
         if sheaf:
             n_checked = sum(len(cov.covers(a)) * ps.size(a) for a in ps.base.objects)
         else:
-            n_checked = _replay_sheaf(rep, ps, cov, budget, certified, enumerated)
+            n_checked = _replay_sheaf(rep, ps, cov, budget, known)
     elif mode == "families":
         for fam in families:
             a = fam.cover.target
@@ -694,13 +686,13 @@ def check_sheaf(ps: Presheaf, cov: Coverage, mode="exhaustive", families=(),
 
 
 def _least_cover_verdicts(ps: Presheaf, cov: Coverage, budget):
-    """Per stage in order: the stage, its least cover, that cover's
-    partial families and whether each has exactly one amalgamation."""
+    """Per stage in order: its least cover, that cover's partial families
+    and whether each has exactly one amalgamation."""
     for a in ps.base.objects:
         cover = cov.min_cover(a)
         code = _encoded_cover(ps, cover)
         index, partials = code.signature_index(), code.families(budget)
-        yield a, cover, partials, all(len(index.get(code.key(p), ())) == 1 for p in partials)
+        yield cover, partials, all(len(index.get(code.key(p), ())) == 1 for p in partials)
 
 
 def is_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> bool:
@@ -712,7 +704,7 @@ def is_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> bool:
     stated with its proof in the README).  A False verdict is
     `check_sheaf`'s too, and `check_sheaf` replays every cover for its
     violations."""
-    return all(ok for _, _, _, ok in _least_cover_verdicts(ps, cov, budget))
+    return all(ok for _, _, ok in _least_cover_verdicts(ps, cov, budget))
 
 
 # -- slice restriction ------------------------------------------------------

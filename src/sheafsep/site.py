@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, or_
+from operator import or_
 
 from .errors import BudgetExceededError, CoverageKindError, PreCoverageError, UnknownObjectError
 from .fincat import FinCat, MonoidalStructure, slice_category
@@ -203,26 +203,19 @@ def all_sieves(cat: FinCat, a) -> list[Sieve]:
 class Coverage:
     """Assignment object -> set of covering sieves.
 
-    A coverage given by its sieves (`by_object`) keeps them.  The
-    built-in ones (`build_coverage`) keep a function giving an object's
-    covering masks in `covers` order, and may give its least cover's mask
-    in closed form; an object's covers are built on their first read,
-    and the mapping `by_object` when it is read."""
+    `covers` gives an object's covering sieves: a mapping, whose sieves
+    are sorted into `covers` order, or a function `covers(a)` giving them
+    in that order.  Either is read for an object the first time its
+    covers are, and `by_object` when it is read.  `least(a)`, when given,
+    is the least cover in closed form; otherwise `min_cover` intersects
+    the covers."""
 
-    def __init__(self, cat: FinCat, by_object, notes=()):
+    def __init__(self, cat: FinCat, covers, notes=(), least=None):
         self.cat = cat
         self.notes = tuple(notes)
-        self._by_object = {a: frozenset(by_object.get(a, ())) for a in cat.objects}
-        self._masks = self._least_mask = None
-        self._covers, self._least = {}, {}
-
-    @classmethod
-    def _on_masks(cls, cat: FinCat, masks, notes, least_mask=None) -> Coverage:
-        """The coverage whose covering masks on `a` are `masks(a)`, and
-        whose least cover's mask is `least_mask(a)` (their AND if None)."""
-        cov = cls(cat, {}, notes)
-        cov._by_object, cov._masks, cov._least_mask = None, masks, least_mask
-        return cov
+        self._covers_of = covers if callable(covers) else _listed(covers)
+        self._least_of = least
+        self._covers, self._least, self._by_object = {}, {}, None
 
     @property
     def by_object(self):
@@ -234,13 +227,7 @@ class Coverage:
         covers = self._covers.get(a)
         if covers is None:
             self.cat.require_object(a)
-            if self._masks is None:
-                covers = tuple(sorted(self._by_object[a],
-                                      key=lambda s: (len(s.members), s.sorted_members())))
-            else:
-                sm = sieve_masks(self.cat)
-                covers = tuple(sm.sieve(a, m) for m in self._masks(a))
-            self._covers[a] = covers
+            covers = self._covers[a] = tuple(self._covers_of(a))
         return covers
 
     def is_cover(self, s: Sieve) -> bool:
@@ -252,22 +239,23 @@ class Coverage:
         least = self._least.get(a)
         if least is None:
             self.cat.require_object(a)
-            if self._masks is None:
+            if self._least_of is None:
                 members = frozenset(self.cat.mors_into(a))
-                least = Sieve(a, members.intersection(*(s.members for s in self._by_object[a])))
+                least = Sieve(a, members.intersection(*(s.members for s in self.covers(a))))
             else:
-                sm = sieve_masks(self.cat)
-                if self._least_mask is None:
-                    m = reduce(and_, self._masks(a), (1 << len(sm.bit(a))) - 1)
-                else:
-                    m = self._least_mask(a)
-                least = sm.sieve(a, m)
+                least = self._least_of(a)
             self._least[a] = least
         return least
 
     def __repr__(self):
         total = sum(len(v) for v in self.by_object.values())
         return f"Coverage(objects={len(self.cat.objects)}, sieves={total})"
+
+
+def _listed(by_object):
+    """The covers function of a mapping object -> covering sieves."""
+    given = {a: frozenset(ss) for a, ss in by_object.items()}
+    return lambda a: sorted(given.get(a, ()), key=lambda s: (len(s.members), s.sorted_members()))
 
 
 @dataclass
@@ -308,22 +296,22 @@ def build_coverage(cat: FinCat, kind: str) -> Coverage:
     {x} -> a factors.  "Every nonempty sieve" is stable exactly
     when cospans complete (h*(S) is nonempty iff h and some member of S
     have a commuting span), and it is always maximal and transitive;
-    its least cover is the AND of its covering masks.
+    its least cover is the intersection of its covers.
     """
     sm = sieve_masks(cat)
     if kind in ("downward-closed", "finite-covers"):
         if cat.kind != "powerset":
             raise CoverageKindError(f"{kind} coverage requires a powerset base, got {cat.kind!r}")
 
-        def masks(a):
+        def covers(a):
             on_a = {x: 1 << i for i, x in enumerate(a)}
             src_locs = [sum(on_a[x] for x in cat.src(f)) for f in sm.bit(a)]
             whole = (1 << len(a)) - 1
-            return [m for m in sm.all(a)
+            return [sm.sieve(a, m) for m in sm.all(a)
                     if m and reduce(or_, (src_locs[i] for i in _bits(m))) == whole]
 
-        def least_mask(a):
-            return sum(on_a for f, on_a in sm.bit(a).items() if len(cat.src(f)) <= 1)
+        def least(a):
+            return sm.sieve(a, sum(on_a for f, on_a in sm.bit(a).items() if len(cat.src(f)) <= 1))
 
         notes = [f"covering = nonempty sieve whose sources have lub equal to the stage ({kind})"]
         if kind == "finite-covers":
@@ -331,7 +319,7 @@ def build_coverage(cat: FinCat, kind: str) -> Coverage:
                 "on a finite base every covering sieve is the downward closure of a "
                 "finite pre-cover, so finite-covers coincides with downward-closed"
             )
-        return Coverage._on_masks(cat, masks, notes, least_mask)
+        return Coverage(cat, covers, notes, least)
     if kind == "atomic":
         for f in cat.all_morphisms():  # every cospan must have a commuting span
             for h in cat.mors_into(cat.dst(f)):
@@ -341,8 +329,8 @@ def build_coverage(cat: FinCat, kind: str) -> Coverage:
                         "completion inside the size bound"
                     )
         # the empty sieve sorts first
-        return Coverage._on_masks(cat, lambda a: sm.all(a)[1:],
-                                  ("covering = nonempty sieve (atomic)",))
+        return Coverage(cat, lambda a: [sm.sieve(a, m) for m in sm.all(a)[1:]],
+                        ("covering = nonempty sieve (atomic)",))
     raise CoverageKindError(f"unknown coverage kind {kind!r}")
 
 

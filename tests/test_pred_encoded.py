@@ -3,10 +3,9 @@ star against the element-level reference in `pred_reference`."""
 
 import functools
 import random
-from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import day_reference
@@ -333,40 +332,24 @@ def test_stage_only_sat_matches_the_full_star(n, variant):
                     assert sat(m, phi, stage, h, mode).result == bool(want >> k & 1), (text, mode, h)
 
 
-SIZES = st.sampled_from([1, 2, pred._LINEAR_BITS - 1, pred._LINEAR_BITS, pred._LINEAR_BITS + 1,
-                         2 * pred._LINEAR_BITS + 3]) | st.integers(1, 3 * pred._LINEAR_BITS)
+SIZES = (st.sampled_from([0, 1, 2, 27, 63, 64, 65, 81, 256, 1296])
+         | st.integers(0, 12 * pred._SCAN_BITS))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(size=SIZES, target=SIZES, data=st.data())
-def test_bitset_helpers_agree_on_either_side_of_the_threshold(size, target, data):
-    """`_members`, `_preimage` and `_image` read and build their ints bit
-    by bit up to `_LINEAR_BITS` ids and through a string of binary digits
-    above it.  Forced onto either path (threshold 0, or none), they agree
-    with each other, with the default dispatch and with a scan, on sets,
-    tables and components whose sizes lie on either side."""
+def test_bitset_helpers_agree_with_a_scan(size, target, data):
+    """`_members`, `_preimage` and `_image` agree with a scan of the bits
+    on sets, tables and components from the empty stage to stages on
+    either side of `_SCAN_BITS`, above which they go through strings of
+    binary digits."""
+    assume(target or not size)  # nothing maps into an empty stage
     bits = data.draw(st.integers(0, (1 << size) - 1), label="bits")
     on_target = data.draw(st.integers(0, (1 << target) - 1), label="on_target")
-    table = data.draw(st.lists(st.integers(0, target - 1), min_size=size, max_size=size))
+    table = data.draw(st.lists(st.integers(0, max(target - 1, 0)), min_size=size, max_size=size))
     ids = data.draw(st.lists(st.integers(-1, target - 1), min_size=size, max_size=size))
-
-    def run():
-        return list(_members(bits)), _preimage(table, on_target), _image(ids, bits)
-
     members = [i for i in range(size) if bits >> i & 1]
-    want = (members,
-            sum(1 << x for x, y in enumerate(table) if on_target >> y & 1),
-            sum(1 << j for j in {ids[i] for i in members if ids[i] >= 0}))
-    assert run() == want
-    for threshold in (0, 1 << 62):
-        with patch.object(pred, "_LINEAR_BITS", threshold):
-            assert run() == want, threshold
-
-
-def test_query_and_verify_stages_keep_the_bit_by_bit_helpers():
-    """The largest stage `query` and `verify` evaluate on, 4 locations
-    with 3 values (4^4 heaps of partial memory), is at the threshold, so
-    the linear helpers run only above it (the decomposition and matching
-    presheaves of `laws` at 4 locations)."""
-    m = make_memory_model(("a", "b", "c", "d"), (0, 1, 2))
-    assert m.sheaf.size(m.stage) == 256 == pred._LINEAR_BITS
+    assert list(_members(bits)) == members
+    assert _preimage(table, on_target) == sum(1 << x for x, y in enumerate(table)
+                                              if on_target >> y & 1)
+    assert _image(ids, bits) == sum(1 << j for j in {ids[i] for i in members if ids[i] >= 0})

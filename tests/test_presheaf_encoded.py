@@ -433,9 +433,9 @@ def test_check_sheaf_of_a_four_location_sheaf_encodes_least_covers_only(built):
 
 def test_check_sheaf_of_a_non_sheaf_enumerates_each_cover_once(monkeypatch):
     """Deterministic work gate: on a presheaf that is not a sheaf,
-    `check_sheaf` enumerates each cover's families at most once.  The
-    least covers `is_sheaf` certified count |F(A)| families each, one per
-    element, and the failing least cover's families are reused.  On the
+    `check_sheaf` enumerates each cover's families at most once: the
+    replay reads the families of the least covers that the verdict
+    enumerated.  On the
     3-location, 4-value, bound-2 support-bounded memory model that is one
     enumeration for each of the 19 covers (27 before), with the report
     of the replay that enumerates every cover."""

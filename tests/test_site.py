@@ -271,24 +271,21 @@ def test_min_cover_is_intersection():
 
 def test_min_cover_intersects_the_covers_once_per_object(monkeypatch):
     """Deterministic work gate: the lub coverages give the least cover in
-    closed form and read no cover for it; the atomic one ANDs an
-    object's covering masks, enumerated on its first call only."""
-    import sheafsep.site as site
-
-    reads, enumerated = [], []
-    covers, enumerate_all = Coverage.covers, site.SieveMasks.all
+    closed form and read no cover for it; the atomic one intersects an
+    object's covers, read on its first call only."""
+    reads = []
+    covers = Coverage.covers
     monkeypatch.setattr(Coverage, "covers", lambda self, a: reads.append(a) or covers(self, a))
-    monkeypatch.setattr(site.SieveMasks, "all",
-                        lambda self, a: enumerated.append(a) or enumerate_all(self, a))
     pcat, _ = build_powerset_category(("x", "y", "z"))
     fcat, _ = build_finsurj_category(2)
-    for cat, kind in ((pcat, "downward-closed"), (pcat, "finite-covers"), (fcat, "atomic")):
+    for cat, kind, read in ((pcat, "downward-closed", []), (pcat, "finite-covers", []),
+                            (fcat, "atomic", sorted(fcat.objects))):
         cov = build_coverage(cat, kind)
         for _ in range(3):
             for a in cat.objects:
                 cov.min_cover(a)
-    assert reads == []
-    assert sorted(enumerated) == sorted(fcat.objects)
+        assert sorted(reads) == read, kind
+        reads.clear()
 
 
 def test_validate_flags_transitivity_without_stability():
