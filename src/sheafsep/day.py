@@ -21,6 +21,7 @@ from functools import cache
 
 from .errors import BudgetExceededError, MonoidalStructureError
 from .fincat import FinCat, MonoidalStructure, element_key, validate_monoidal
+from .pred import _bitset, _preimage
 from .presheaf import Heap, Presheaf, SheafMorphism, check_sheaf
 from .report import Report
 from .site import Site
@@ -315,8 +316,16 @@ class ResourceMonoid:
     code of i's restriction to o; M_o combines two codes at o digit by
     digit through `_digits`, the cell rule on one digit, and places the
     result at v's weights, or is -1 when a digit is UNDEFINED.  The three
-    terms hold disjoint digits, so the sum carries nothing.  Every table
-    is built on first use and kept on the monoid.
+    terms hold disjoint digits, so the sum carries nothing.
+
+    A rule is agreement-only (`agreement`) when two different digits
+    never combine and a digit d with itself gives d or nothing.  Such a
+    rule needs none of this arithmetic: a product is the heap h at b u c
+    with h|b and h|c the halves, defined iff h's cells at the overlap
+    lie in D = {d : d.d = d} (`agreeing`).  The star reads such a monoid
+    through restriction tables alone, and reads `split` only under the
+    other rules (the total one); `products` reads it under every rule.
+    Every table is built on first use and kept on the monoid.
     """
 
     carrier: Presheaf
@@ -349,6 +358,33 @@ class ResourceMonoid:
             return len(cells), [[digit.get(self.apply((x,), (y,)), -1) for y in cells]
                                 for x in cells]
         return self._memo("digits", build)
+
+    def agreement(self):
+        """D, the digits d with rule[d][d] = d, when the cell rule is
+        agreement-only: rule[d][e] is -1 for d != e and rule[d][d] is d
+        or -1.  None for any other rule."""
+        def build():
+            r, rule = self._digits()
+            if all(rule[d][e] in ((d, -1) if d == e else (-1,))
+                   for d in range(r) for e in range(r)):
+                return frozenset(d for d in range(r) if rule[d][d] == d)
+            return None
+        return self._memo("agreement", build)
+
+    def agreeing(self, o, v):
+        """Under an agreement-only rule, the ids at v whose cells at the
+        sub-stage o all lie in D, as a bitset: the heaps at v that are
+        the product of their restrictions to two halves overlapping at o."""
+        def build():
+            r, keep = self._digits()[0], self.agreement()
+            if not o or len(keep) == r:
+                return (1 << self.carrier.size(v)) - 1
+            if not keep:
+                return 0
+            ok = [all(z // r ** k % r in keep for k in range(len(o)))
+                  for z in self.carrier.part(o, o, o)]
+            return _preimage(self.carrier.table(self.carrier.base.hom(o, v)[0]), _bitset(ok))
+        return self._memo(("agreeing", o, v), build)
 
     def _meet(self, o, v):
         """M_o at v: the function of two codes z and t at o that applies

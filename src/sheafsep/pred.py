@@ -124,11 +124,23 @@ def _all(resource, a):
     return (1 << resource.size(a)) - 1
 
 
-def _preimage(table, bits):
-    """The positions whose image under a restriction table is in `bits`."""
+def _bitset(flags):
+    """The positions whose flag in the list is true, as a bitset."""
+    if len(flags) <= _SCAN_BITS:
+        return sum(1 << i for i, flag in enumerate(flags) if flag)
+    return int("".join("1" if flag else "0" for flag in reversed(flags)), 2)
+
+
+def _preimage(table, bits, undefined=False):
+    """The positions whose image under a restriction table, or a
+    component on ids, is in `bits`; a position the component leaves
+    undefined (-1) is in when `undefined` is true."""
     if len(table) <= _SCAN_BITS:
+        if undefined:
+            return sum(1 << x for x, y in enumerate(table) if y < 0 or bits >> y & 1)
         return sum(1 << x for x, y in enumerate(table) if bits >> y & 1)
-    digits = bin(bits)[:1:-1].ljust(max(table) + 1, "0")
+    # digit -1, after the padding, is read at the undefined positions
+    digits = bin(bits)[:1:-1].ljust(max(table) + 1, "0") + ("1" if undefined else "0")
     return int("".join(map(digits.__getitem__, reversed(table))), 2)
 
 
@@ -255,10 +267,8 @@ def reindex_preimage(alpha: SheafMorphism, q: KripkePredicate,
         if not rep.ok:
             raise NaturalityError("reindexing needs a natural map", witness=rep.violations[0])
     src = q.site.cat.src
-    bits = {
-        sl: sum(1 << x for x, y in enumerate(alpha.ids(src(sl))) if y < 0 or want >> y & 1)
-        for sl, want in q.bits.items()
-    }
+    bits = {sl: _preimage(alpha.ids(src(sl)), want, undefined=True)
+            for sl, want in q.bits.items()}
     return KripkePredicate(alpha.source, q.site, q.stage, bits=bits)
 
 
@@ -369,10 +379,8 @@ def combine_alpha(p: KripkePredicate, q: KripkePredicate, decomp: Presheaf) -> K
 def random_closed_predicate(rng, resource, site, stage) -> KripkePredicate:
     """Closure of a uniformly sampled family: a valid subsheaf predicate."""
     src = site.cat.src
-    bits = {
-        p: sum(1 << i for i in range(resource.size(src(p))) if rng.random() < 0.5)
-        for p in site.cat.mors_into(stage)
-    }
+    bits = {p: _bitset([rng.random() < 0.5 for _ in range(resource.size(src(p)))])
+            for p in site.cat.mors_into(stage)}
     return KripkePredicate(
         resource, site, stage, bits=_close(resource, site, stage, bits)
     )

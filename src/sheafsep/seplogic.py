@@ -429,8 +429,39 @@ def atom_predicate(model: ResourceModel, atom, stage=None) -> KripkePredicate:
 
 def _star_bits(model, p, q, v):
     """The ids at v of the defined products m1.m2 over the exact
-    splittings b (x) c = v with m1 in p at b and m2 in q at c, as bitset
-    products on the monoid's codes (see `ResourceMonoid`).
+    splittings b (x) c = v with m1 in p at b and m2 in q at c.
+
+    Under an agreement-only cell rule (`ResourceMonoid.agreement`) the
+    product of m1 and m2 is the heap h at v with h|b = m1 and h|c = m2,
+    defined iff h's cells at the overlap lie in D.  So each splitting
+    contributes the heaps at v whose restrictions lie in p at b and in q
+    at c and whose cells at the overlap lie in D: two restriction
+    preimages and a mask.  A half's preimage is taken once per b (or c),
+    however many splittings share it.  Any other rule multiplies codes
+    (`_product_star_bits`)."""
+    monoid = model.monoid
+    if monoid.agreement() is None:
+        return _product_star_bits(model, p, q, v)
+    cat, mp, stage = model.site.cat, model.sheaf, p.stage
+    lefts, rights, out = {}, {}, 0
+
+    def lift(memo, b, bits):
+        if b not in memo:
+            memo[b] = _preimage(mp.table(cat.hom(b, v)[0]), bits)
+        return memo[b]
+
+    for b, c in splittings(cat, model.site.monoidal, v):
+        left, right = p.bits[cat.hom(b, stage)[0]], q.bits[cat.hom(c, stage)[0]]
+        if left and right:
+            agree = monoid.agreeing(tuple(x for x in b if x in c), v)
+            if agree:
+                out |= lift(lefts, b, left) & lift(rights, c, right) & agree
+    return out
+
+
+def _product_star_bits(model, p, q, v):
+    """`_star_bits` as bitset products on the monoid's codes (see
+    `ResourceMonoid`), for a rule that is not agreement-only.
 
     The members of p at b are grouped by their code z at the overlap o
     into L_z, the bitset of their E_b values; q at c likewise into R_t.
@@ -590,22 +621,50 @@ class SatResult:
 def _star_witness(model, p, q, element):
     """The least decomposition of the element into halves of p and q,
     ordered by half-stages first, then by ids (which follow the
-    canonical element order); each product is the monoid's code sum."""
-    cat, mp, stage, monoid = model.site.cat, model.sheaf, p.stage, model.monoid
-    target = mp.code(element.values)
+    canonical element order).  Under an agreement-only rule a splitting
+    holds one candidate, the element's restrictions to its halves
+    (`_agreeing_halves`); otherwise each product is the monoid's code sum
+    (`_product_halves`)."""
+    cat, mp, stage = model.site.cat, model.sheaf, p.stage
+    if model.monoid.agreement() is None:
+        halves, k = _product_halves, mp.code(element.values)
+    else:
+        halves, k = _agreeing_halves, heap_id(mp, stage, element.values)
     for b, c in sorted(splittings(cat, model.site.monoidal, stage)):
-        _, eb, zb, ec, tc, meet = monoid.split(b, c)
-        right = list(_members(q.bits[cat.hom(c, stage)[0]]))
-        for i in _members(p.bits[cat.hom(b, stage)[0]]):
-            for j in right:
-                m = meet(zb[i], tc[j])
-                if m >= 0 and eb[i] + ec[j] + m == target:
-                    return {
-                        "left_stage": list(b),
-                        "right_stage": list(c),
-                        "left": mp.element(b, i).as_dict(),
-                        "right": mp.element(c, j).as_dict(),
-                    }
+        pair = halves(model, stage, b, c, p.bits[cat.hom(b, stage)[0]],
+                      q.bits[cat.hom(c, stage)[0]], k)
+        if pair is not None:
+            return {
+                "left_stage": list(b),
+                "right_stage": list(c),
+                "left": mp.element(b, pair[0]).as_dict(),
+                "right": mp.element(c, pair[1]).as_dict(),
+            }
+    return None
+
+
+def _agreeing_halves(model, stage, b, c, left, right, k):
+    """The restrictions (i, j) to b and c of the id k at the stage, when
+    i is in left, j in right and k's cells at the overlap lie in D, or
+    None."""
+    cat, mp = model.site.cat, model.sheaf
+    i, j = mp.table(cat.hom(b, stage)[0])[k], mp.table(cat.hom(c, stage)[0])[k]
+    if left >> i & 1 and right >> j & 1 and model.monoid.agreeing(
+            tuple(x for x in b if x in c), stage) >> k & 1:
+        return i, j
+    return None
+
+
+def _product_halves(model, stage, b, c, left, right, target):
+    """The least pair of ids (i, j), i in left at b and j in right at c,
+    whose product has the target code, or None."""
+    _, eb, zb, ec, tc, meet = model.monoid.split(b, c)
+    right = list(_members(right))
+    for i in _members(left):
+        for j in right:
+            m = meet(zb[i], tc[j])
+            if m >= 0 and eb[i] + ec[j] + m == target:
+                return i, j
     return None
 
 

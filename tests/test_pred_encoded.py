@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 import day_reference
 import pred_reference as ref
-from sheafsep.day import Decomp, build_memory_monoid, splittings
+from sheafsep.day import UNDEFINED, Decomp, ResourceMonoid, build_memory_monoid, splittings
 from sheafsep.fincat import build_finsurj_category
 import sheafsep.pred as pred
 from sheafsep.pred import (
     KripkePredicate,
+    _bitset,
     _close,
     _image,
     _members,
@@ -36,6 +37,7 @@ from sheafsep.seplogic import (
     ResourceModel,
     Top,
     _pipeline_iso,
+    _star_at,
     _star_witness,
     atom_predicate,
     eval_formula,
@@ -332,6 +334,116 @@ def test_stage_only_sat_matches_the_full_star(n, variant):
                     assert sat(m, phi, stage, h, mode).result == bool(want >> k & 1), (text, mode, h)
 
 
+# Cell rules: the three variants and two outside them.  "null-only"
+# combines two unallocated cells and nothing else, so it is
+# agreement-only with D = {null}; "total-named-weak" is the total rule
+# under the weak-partial name, so it is not agreement-only.  Together
+# they pin that the star's path follows the digit rule, not the name.
+RULES = VARIANTS + ("null-only", "total-named-weak")
+
+
+def rule_monoid(mp, rule):
+    if rule in VARIANTS:
+        return build_memory_monoid(mp, rule)
+    if rule == "null-only":
+        return ResourceMonoid(mp, rule, lambda x, y: None if x is None and y is None
+                              else UNDEFINED, (), Heap((), ()))
+    return ResourceMonoid(mp, "weak-partial", build_memory_monoid(mp, "total").cell, (),
+                          Heap((), ()))
+
+
+@functools.cache
+def rule_model(n, bound, rule):
+    """Two values at n locations under the rule, on partial memory (bound
+    None) or the support-bounded carrier, with the reference pipeline's
+    maps where the carrier is a sheaf (None elsewhere)."""
+    base = make_memory_model(("x", "y", "z")[:n], (0, 1), monoid_variant=None)
+    mp = base.sheaf if bound is None else build_resource_sheaf(
+        base.site.cat, "support-bounded", values=base.values, bound=bound)
+    m = ResourceModel(base.site, mp, rule_monoid(mp, rule), base.locations, base.values,
+                      base.stage)
+    return m, ref.pipeline_maps(m) if bound in (None, 0) or bound >= n else None
+
+
+CARRIERS = [(n, bound) for n in (1, 2, 3) for bound in (None, *range(n + 1))]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(carrier=st.sampled_from(CARRIERS), rule=st.sampled_from(RULES), data=st.data())
+def test_star_under_every_cell_rule_matches_the_reference(carrier, rule, data):
+    """Both star modes, the stage-only star and the witness of every heap
+    at the stage, against `pred_reference`, on random families that are
+    not restriction-closed (as the allocated atoms are not): 1 to 3
+    locations, partial memory and the support-bounded carrier at every
+    bound, the three variants and two other cell rules.  A product that
+    leaves the carrier is no resource; the pipeline runs where the
+    carrier is a sheaf."""
+    m, maps = rule_model(*carrier, rule)
+    cat, mp, stage = m.site.cat, m.sheaf, m.stage
+
+    def predicate():
+        bits = {}
+        for sl in cat.mors_into(stage):
+            full = (1 << mp.size(cat.src(sl))) - 1
+            bits[sl] = data.draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)),
+                                 label=repr(cat.src(sl)))
+        return KripkePredicate(mp, m.site, stage, bits=bits)
+
+    p, q = predicate(), predicate()
+    star = sep_conj(m, p, q, "unfolded")
+    assert star.family == {sl: frozenset(h for h in fam if h in mp.index(cat.src(sl)))
+                           for sl, fam in ref.unfolded_star(m, p, q).items()}
+    assert _star_at(m, p, q, "unfolded") == star.bits[cat.id(stage)]
+    witnesses = ref.star_witnesses(m, p, q)
+    for h in mp.at(stage):
+        assert _star_witness(m, p, q, h) == witnesses.get(h), h
+    if maps is not None:
+        assert sep_conj(m, p, q, "pipeline").family == ref.pipeline_star(m, p, q, maps)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_the_star_path_follows_the_digit_rule(rule, monkeypatch):
+    """The agreement-only rules (weak- and strong-partial, null-only)
+    read no code-product table; the others (total, and the total rule
+    under the weak-partial name) do, and all agree with the reference."""
+    m, _ = rule_model(3, None, rule)
+    cells = m.sheaf.cells
+    want = {"weak-partial": frozenset(range(len(cells))), "strong-partial": frozenset(),
+            "null-only": frozenset({cells.index(None)})}.get(rule)
+    assert m.monoid.agreement() == want
+    split, calls = ResourceMonoid.split, []
+
+    def counted(self, b, c):
+        calls.append((b, c))
+        return split(self, b, c)
+
+    monkeypatch.setattr(ResourceMonoid, "split", counted)
+    rng = random.Random(3)
+    p, q = (random_closed_predicate(rng, m.sheaf, m.site, m.stage) for _ in range(2))
+    assert sep_conj(m, p, q, "unfolded").family == ref.unfolded_star(m, p, q)
+    witnesses = ref.star_witnesses(m, p, q)
+    assert witnesses
+    for h in witnesses:
+        assert _star_witness(m, p, q, h) == witnesses[h]
+    assert bool(calls) == (want is None)
+
+
+def test_random_closed_predicate_keeps_its_draws():
+    """`random_closed_predicate` builds its bits with `_bitset` from the
+    same `rng.random()` draws, in the same order, as the sum it
+    replaced, at 2 and 4 locations (stages on either side of
+    `_SCAN_BITS`)."""
+    for n in (2, 4):
+        m = model(n, "weak-partial")
+        cat, mp = m.site.cat, m.sheaf
+        new, old = random.Random(n), random.Random(n)
+        got = random_closed_predicate(new, mp, m.site, m.stage)
+        bits = {sl: sum(1 << i for i in range(mp.size(cat.src(sl))) if old.random() < 0.5)
+                for sl in cat.mors_into(m.stage)}
+        assert got.bits == _close(mp, m.site, m.stage, bits)
+        assert new.random() == old.random()
+
+
 SIZES = (st.sampled_from([0, 1, 2, 27, 63, 64, 65, 81, 256, 1296])
          | st.integers(0, 12 * pred._SCAN_BITS))
 
@@ -339,10 +451,10 @@ SIZES = (st.sampled_from([0, 1, 2, 27, 63, 64, 65, 81, 256, 1296])
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(size=SIZES, target=SIZES, data=st.data())
 def test_bitset_helpers_agree_with_a_scan(size, target, data):
-    """`_members`, `_preimage` and `_image` agree with a scan of the bits
-    on sets, tables and components from the empty stage to stages on
-    either side of `_SCAN_BITS`, above which they go through strings of
-    binary digits."""
+    """`_members`, `_preimage` (also with undefined positions in), `_image`
+    and `_bitset` agree with a scan of the bits on sets, tables and
+    components from the empty stage to stages on either side of
+    `_SCAN_BITS`, above which they go through strings of binary digits."""
     assume(target or not size)  # nothing maps into an empty stage
     bits = data.draw(st.integers(0, (1 << size) - 1), label="bits")
     on_target = data.draw(st.integers(0, (1 << target) - 1), label="on_target")
@@ -352,4 +464,8 @@ def test_bitset_helpers_agree_with_a_scan(size, target, data):
     assert list(_members(bits)) == members
     assert _preimage(table, on_target) == sum(1 << x for x, y in enumerate(table)
                                               if on_target >> y & 1)
+    assert _preimage(ids, on_target, undefined=True) == sum(
+        1 << x for x, y in enumerate(ids) if y < 0 or on_target >> y & 1)
+    flags = [bool(bits >> i & 1) for i in range(size)]
+    assert _bitset(flags) == sum(1 << i for i, flag in enumerate(flags) if flag) == bits
     assert _image(ids, bits) == sum(1 << j for j in {ids[i] for i in members if ids[i] >= 0})

@@ -433,13 +433,17 @@ def test_sat_builds_only_the_witness_heaps(mode, built):
 @pytest.mark.parametrize("variant", ["total", "weak-partial", "strong-partial"])
 def test_eval_and_sat_build_no_product_table(variant, mode, monkeypatch):
     """The star multiplies codes, so at four locations neither eval nor
-    sat (with its witness) fills a product table."""
+    sat (with its witness) fills a product table; under the agreement-only
+    rules (weak- and strong-partial) it reads restriction tables alone, so
+    it builds no code-product `split` either."""
     model = make_memory_model(("a", "b", "c", "d"), (0, 1), monoid_variant=variant)
 
     def refused(self, b, c):
-        raise AssertionError(f"products({b!r}, {c!r}) called")
+        raise AssertionError(f"({b!r}, {c!r}) tabulated")
 
     monkeypatch.setattr(ResourceMonoid, "products", refused)
+    if variant != "total":
+        monkeypatch.setattr(ResourceMonoid, "split", refused)
     phi = parse_formula("(a ~> 0 * b ~> 1) * (c ~> 1 \\/ T)")
     eval_formula(model, phi, mode=mode)
     heap = Heap.of(model.stage, {"a": 0, "b": 1, "c": 1})
