@@ -19,6 +19,7 @@ import json
 import random
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -56,6 +57,7 @@ from .site import validate_coverage
 SCHEMA_VERSION = 1
 POWERSET_LOCATION_BOUND = 4
 TOP_STAGE_HEAP_BOUND = 11**4  # (|values| + 1) ** |locations| partial heaps
+LAWS_WITNESSES_PER_LAW = 32  # then one witness counting the rest
 
 
 # -- model loading -------------------------------------------------------------
@@ -418,8 +420,24 @@ def _cmd_laws(model, args, report):
         {"law": "amalgamation-iso", "detail": v.detail} for v in iso_report.violations
     ]
 
-    report.witnesses += failures
+    report.witnesses += _capped(failures)
     report.exit_code = 0 if not failures else 1
+
+
+def _capped(failures):
+    """The first LAWS_WITNESSES_PER_LAW failures of each law, in order,
+    and after the last of them one witness counting that law's failures
+    not listed (each law's failures are contiguous)."""
+    k = LAWS_WITNESSES_PER_LAW
+    total, seen, out = Counter(f["law"] for f in failures), Counter(), []
+    for f in failures:
+        law = f["law"]
+        seen[law] += 1
+        if seen[law] <= k:
+            out.append(f)
+        elif seen[law] == k + 1:
+            out.append({"law": law, "detail": f"{total[law] - k} more violations not listed"})
+    return out
 
 
 def _cmd_eval(model, args, report):

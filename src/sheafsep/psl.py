@@ -306,8 +306,9 @@ def _descend(x, partition):
     out = []
     for block in partition:
         v = x[block[0] - 1]
-        if any(x[i - 1] != v for i in block[1:]):
-            return None
+        for i in block[1:]:
+            if x[i - 1] != v:
+                return None
         out.append(v)
     return tuple(out)
 
@@ -362,44 +363,50 @@ def _resolve(phi, variables, positions):
 
 
 class _StarSearch:
-    """The memo of one top-level `psl_sat` call: the factorising pairs per
-    space, one component space per marginal vector, the variables
-    descended per partition and the truth of each sub-formula per
-    (component, variables).  It is dropped when the call returns."""
+    """The memo of one top-level `psl_sat` call: one component space per
+    marginal vector, the variables descended per partition, the truth of
+    each sub-formula per (component, variables), and `compared`, the
+    number of partition pairs whose cells the search compared.  It is
+    dropped when the call returns."""
 
     def __init__(self):
-        self.pairs = {}
         self.components = {}
         self.descended = {}
         self.truth = {}
+        self.compared = 0
 
-    def factorisations(self, space: _Space):
-        """The partition pairs (i, j, key1, key2), indices into
-        `_pair_table(space.size)`, onto whose product the measure
-        factorises, in search order: every block intersection is
-        measurable and its mass times D is the product of the two
-        marginal masses.  A key is a marginal vector in lowest terms,
-        see `component`."""
-        out = self.pairs.get(space)
-        if out is not None:
-            return out
+    def rows(self, space: _Space):
+        """The rows of `_pair_table(space.size)` whose outer partition is
+        measurable, in search order, as (i, key1, pairs).  `pairs` yields
+        the (j, key2) of the row onto whose product the measure
+        factorises, testing a pair's cells only when it is reached: every
+        block intersection is measurable and its mass times D is the
+        product of the two marginal masses.  A key is a marginal vector in
+        lowest terms, see `component`; a partition's margin and key are
+        computed when the partition is first reached.  Every row holds
+        (i, trivial), which factorises, so no measurable row is empty."""
         parts, rows = _pair_table(space.size)
         mass, d = space.masses(), space.denominator
         cell = {u: m * d for u, m in mass.items()}.get
-        margins = []
-        for _, masks in parts:
-            ms = [mass.get(m) for m in masks]
-            margins.append(None if None in ms else ms)
-        keys = {}
-        out = self.pairs[space] = []
-        for i, row in rows:
-            m1 = margins[i]
-            if m1 is None:
-                continue
+        margins = {}  # partition -> (masses, key), or None when not measurable
+
+        def margin(k):
+            if k not in margins:
+                ms = [mass.get(m) for m in parts[k][1]]
+                if None in ms:
+                    margins[k] = None
+                else:
+                    g = math.gcd(*ms)
+                    margins[k] = ms, tuple([a // g for a in ms])
+            return margins[k]
+
+        def pairs(m1, row):
             for j, grid in row:
-                m2 = margins[j]
-                if m2 is None:
+                hit = margin(j)
+                if hit is None:
                     continue
+                m2 = hit[0]
+                self.compared += 1
                 held = 0  # cells that hold, row by row; stop at the first that fails
                 for a in m1:
                     for b in m2:
@@ -409,14 +416,13 @@ class _StarSearch:
                     else:
                         continue
                     break
-                if held < len(grid):
-                    continue
-                for k, ms in ((i, m1), (j, m2)):
-                    if k not in keys:
-                        g = math.gcd(*ms)
-                        keys[k] = tuple(a // g for a in ms)
-                out.append((i, j, keys[i], keys[j]))
-        return out
+                if held == len(grid):
+                    yield j, hit[1]
+
+        for i, row in rows:
+            hit = margin(i)
+            if hit is not None:
+                yield i, hit[1], pairs(hit[0], row)
 
     def component(self, key):
         """The discrete space with masses key / sum(key), built when the
@@ -431,19 +437,30 @@ class _StarSearch:
 
     def first_pair(self, star, space, values):
         """The first factorising pair whose components satisfy the
-        operands, as (p1, p2, space1, space2), or None."""
+        operands, as (p1, p2, space1, space2), or None.  The left operand
+        is read once per row, before any of the row's cells; the right
+        one once per inner partition, and only on pairs that factorise."""
         parts = _pair_table(space.size)[0]
         descended = self.descended.setdefault((values, space.size), {})
-        for i, j, key1, key2 in self.factorisations(space):
-            for k in (i, j):
-                if k not in descended:
-                    descended[k] = tuple(_descend(x, parts[k][0]) for x in values)
+
+        def descend(k):
+            out = descended.get(k)
+            if out is None:
+                out = descended[k] = tuple([_descend(x, parts[k][0]) for x in values])
+            return out
+
+        rejected = set()  # inner partitions whose component fails the right operand
+        for i, key1, pairs in self.rows(space):
             space1 = self.component(key1)
-            if not self.holds(star.left, space1, descended[i]):
+            if not self.holds(star.left, space1, descend(i)):
                 continue
-            space2 = self.component(key2)
-            if self.holds(star.right, space2, descended[j]):
-                return parts[i][0], parts[j][0], space1, space2
+            for j, key2 in pairs:
+                if j in rejected:
+                    continue
+                space2 = self.component(key2)
+                if self.holds(star.right, space2, descend(j)):
+                    return parts[i][0], parts[j][0], space1, space2
+                rejected.add(j)
         return None
 
     def holds(self, phi, space, values) -> bool:

@@ -587,6 +587,35 @@ def test_laws_witnesses_print_decompositions_as_heaps(tmp_path, capsys):
     assert "family starts ('<>*<>', '<x:_>*<x:0>', '<y:_>*<y:0>')" in details[-2]
 
 
+def test_laws_lists_a_bounded_number_of_witnesses_per_law(tmp_path, capsys):
+    """On the 3-location, two-value, bound-1 support-bounded model the
+    convolutions fail on 12,600 families and the amalgamation iso on 68:
+    each law lists its first LAWS_WITNESSES_PER_LAW witnesses, in order,
+    and one more that counts the rest, with the statuses unchanged."""
+    k = cli.LAWS_WITNESSES_PER_LAW
+    assert k >= 32
+    doc = dict(MEMORY_DOC, locations=["x", "y", "z"], sheaf="support-bounded",
+               support_bound=1, monoid=None, formulas={})
+    argv = ["laws", "--model", write_model(tmp_path, doc), "--samples", "10", "--seed", "7",
+            "--json"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert len(out) < 16_000  # 2.25 MB with every witness listed
+    report = json.loads(out)
+    assert report["status"]["day-stability"] == report["status"]["amalgamation-iso"] == "FAIL"
+    by_law = {}
+    for w in report["witnesses"]:
+        by_law.setdefault(w["law"], []).append(w["detail"])
+    assert [w["law"] for w in report["witnesses"]] == [
+        law for law in by_law for _ in by_law[law]]  # each law's witnesses contiguous
+    assert {law: len(details) for law, details in by_law.items()} == {
+        "day-stability": k + 1, "amalgamation-iso": k + 1}
+    assert by_law["day-stability"][-1] == f"{12600 - k} more violations not listed"
+    assert by_law["amalgamation-iso"][-1] == f"{68 - k} more violations not listed"
+    sheaf = run_cli(["check-sheaf", "--model", argv[2]])
+    assert by_law["amalgamation-iso"][:k] == [w["detail"] for w in sheaf.witnesses][:k]
+
+
 BIG = "1" * 5000  # past the interpreter's 4,300-digit limit on int()
 HUGE_LITERALS = {
     "points-to-value": ("eval", f"x |-> {BIG}"),

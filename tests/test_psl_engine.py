@@ -72,11 +72,13 @@ def engine_pairs(sp):
     search = psl._StarSearch()
     parts = psl._pair_table(sp.size)[0]
     out = []
-    for i, j, key1, key2 in search.factorisations(psl._Space.scaled(sp)):
-        c1, c2 = search.component(key1), search.component(key2)
-        out.append(
-            (parts[i][0], parts[j][0], as_prob(c1), as_prob(c2), c1.marginals(), c2.marginals())
-        )
+    for i, key1, pairs in search.rows(psl._Space.scaled(sp)):
+        c1 = search.component(key1)
+        for j, key2 in pairs:
+            c2 = search.component(key2)
+            out.append(
+                (parts[i][0], parts[j][0], as_prob(c1), as_prob(c2), c1.marginals(), c2.marginals())
+            )
     return out
 
 
@@ -127,6 +129,34 @@ def test_pair_table_matches_brute_force(n):
             )
     if n == 6:
         assert len(meeting) == 915
+
+
+@pytest.mark.parametrize("n", range(1, DEFAULT_SPACE_BOUND + 1))
+def test_every_row_of_the_pair_table_holds_the_trivial_partition(n):
+    """The measure-free half of the lemma behind the row walk: every
+    partition meets the one-block partition, so every partition has a
+    row and every row holds it."""
+    parts, rows = psl._pair_table(n)
+    trivial = [p for p, _ in parts].index((tuple(range(1, n + 1)),))
+    assert [i for i, _ in rows] == list(range(len(parts)))
+    assert all(trivial in [j for j, _ in row] for _, row in rows)
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_every_measurable_row_factorises_with_the_trivial_partition(name):
+    """The measure half: the search walks exactly the measurable
+    partitions' rows, and (i, trivial) factorises on each, with key (1,),
+    so a row's left operand is read iff the partition is measurable."""
+    sp = SPACES[name]
+    parts = psl._pair_table(sp.size)[0]
+    trivial = [p for p, _ in parts].index((tuple(range(1, sp.size + 1)),))
+    walked = []
+    for i, _, pairs in psl._StarSearch().rows(psl._Space.scaled(sp)):
+        walked.append(i)
+        assert (trivial, (1,)) in list(pairs)
+    assert walked == [
+        i for i, (p, _) in enumerate(parts) if all(sp.measurable(b) for b in p)
+    ]
 
 
 def _random_formula(rng, atoms, depth):
@@ -244,6 +274,109 @@ def test_no_per_space_state_outlives_a_call():
     assert set(psl._PAIR_TABLES) <= set(range(1, DEFAULT_SPACE_BOUND + 1))
 
 
+@pytest.fixture
+def memoised_reference(monkeypatch):
+    """The reference's pair lists, memoised for one test: it rebuilds them
+    on every visit, so a nested star on six points would take seconds."""
+    memo = {}
+    pairs = ref.factorising_pairs
+
+    def memoised(sp):
+        if sp not in memo:
+            memo[sp] = pairs(sp)
+        return memo[sp]
+
+    monkeypatch.setattr(ref, "factorising_pairs", memoised)
+
+
+def grid_variables(sp):
+    """X halves the points and Y counts them mod 3 (the psl workload's
+    grid on six points), each with its true law, or a point mass where it
+    is not measurable."""
+    n = sp.size
+    variables = {
+        "X": RandomVariable(tuple(2 * i // n for i in range(n))),
+        "Y": RandomVariable(tuple(i % 3 for i in range(n))),
+    }
+    atoms = {}
+    for name, x in variables.items():
+        try:
+            atoms[name] = DistAtom(name, tuple(sorted(law_of(x, sp).items())))
+        except NotMeasurableError:
+            atoms[name] = DistAtom(name, ((x.values[0], Fraction(1)),))
+    return variables, atoms["X"], atoms["Y"]
+
+
+def star_shapes(a, b):
+    """Stars whose operands are F, T, atoms or nested stars on either
+    side, and stars whose left operand fails on every partition."""
+    never = DistAtom("X", ((-1, Fraction(1)),))  # X takes no negative value
+    ab = Star(a, b)
+    return [
+        Star(Bottom(), Top()), Star(Top(), Bottom()), Star(Top(), Top()), Star(Bottom(), Bottom()),
+        ab, Star(b, a), Star(a, Bottom()), Star(Top(), a),
+        Star(ab, Top()), Star(Top(), ab), Star(ab, Bottom()), Star(Bottom(), ab),
+        Star(ab, Star(b, a)), Star(Star(a, Top()), b),
+        Star(never, Top()), Star(never, ab), Star(And(a, never), b),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_star_shapes_match_the_reference(name, memoised_reference):
+    sp = SPACES[name]
+    variables, a, b = grid_variables(sp)
+    for phi in star_shapes(a, b):
+        got = psl_sat(sp, phi, variables).as_dict()
+        assert got == ref.psl_sat(sp, phi, variables).as_dict(), (name, phi)
+
+
+def search(sp, phi, variables):
+    """The verdict of phi on sp, the search memo that gave it and the
+    resolved formula, set up as `psl_sat` sets them up."""
+    positions = {}
+    phi = psl._resolve(phi, variables, positions)
+    values = tuple(variables[name].values for name in positions)
+    memo = psl._StarSearch()
+    return memo.holds(phi, psl._Space.scaled(sp), values), memo, phi
+
+
+SIX_POINTS = ["uniform-6", "product-6", "random-6", "correlated-6"]
+
+
+@pytest.mark.parametrize("name", SIX_POINTS)
+def test_a_left_operand_that_never_holds_compares_no_pair(name):
+    held, memo, _ = search(SPACES[name], Star(Bottom(), Top()), {})
+    assert not held and memo.compared == 0
+
+
+@pytest.mark.parametrize("name", SIX_POINTS)
+def test_a_star_of_truths_compares_one_pair(name):
+    """(discrete, trivial) is the first pair in search order."""
+    held, memo, _ = search(SPACES[name], Star(Top(), Top()), {})
+    assert held and memo.compared == 1
+
+
+@pytest.mark.parametrize("name, lazy, eager", [("random-6", 222, 7216), ("correlated-6", 186, 5214)])
+def test_a_nested_star_compares_a_tenth_of_the_eager_pairs(name, lazy, eager):
+    """Deterministic work gate: `((X ~ mu) * (Y ~ nu)) * T` with the true
+    laws, where X and Y are dependent, reads every row.  The eager walk
+    compared every pair with measurable margins on every space a star
+    was evaluated at; both walks read the same operands, so they reach
+    the same spaces."""
+    sp = SPACES[name]
+    variables, a, b = grid_variables(sp)
+    held, memo, phi = search(sp, Star(Star(a, b), Top()), variables)
+    assert not held
+    stars = {id(phi), id(phi.left)}
+    full = psl._StarSearch()
+    for space in {space for key, space, _ in memo.truth if key in stars}:
+        for _, _, pairs in full.rows(space):
+            for _ in pairs:
+                pass
+    assert (memo.compared, full.compared) == (lazy, eager)
+    assert 10 * memo.compared <= full.compared
+
+
 def _oracle_or_error(oracle, sp, x, y):
     try:
         return oracle(sp, x, y)
@@ -295,9 +428,11 @@ def test_nested_star_builds_no_prob_space(monkeypatch):
 @st.composite
 def psl_cases(draw):
     """A space of two to five points (random blocks, zero masses
-    allowed), two variables, and a top-level star whose operands each
+    allowed), two variables, and a top-level star whose operands mostly
     centre on one variable's atom, with its true law where it has one,
-    so that most stars ask whether the two variables are independent."""
+    so that most stars ask whether the two variables are independent.
+    An operand may also be T, F, a nested star with the atom on either
+    side, or an atom that fails on every partition."""
     n = draw(st.integers(2, 5))
     labels = list(range(n))
     if draw(st.booleans()):  # a coarser algebra than the discrete one
@@ -330,8 +465,14 @@ def psl_cases(draw):
 
     def operand(name):
         core = DistAtom(name, laws[name])
-        op = draw(st.sampled_from([None, None, None, And, Or, Imp, Star]))
-        return core if op is None else op(core, draw(leaves))
+        shape = draw(st.sampled_from(["atom", "atom", "atom", "op", "op", "T", "F", "never"]))
+        if shape == "atom":
+            return core
+        if shape == "op":  # a connective or a nested star, the atom on either side
+            op, leaf = draw(st.sampled_from([And, Or, Imp, Star, Star])), draw(leaves)
+            return op(core, leaf) if draw(st.booleans()) else op(leaf, core)
+        # "never" fails on every partition: the variables take only 0 and 1
+        return {"T": Top(), "F": Bottom(), "never": DistAtom(name, ((-1, Fraction(1)),))}[shape]
 
     first = draw(st.sampled_from(["X", "Y"]))
     second = draw(st.sampled_from(["Y", "X"]))
