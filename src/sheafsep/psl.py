@@ -9,10 +9,16 @@ quotient maps (blocks labelled by least elements) are reconstructed for
 the witness.  The search is exact in integers: a measure is scaled to
 its common denominator, the candidate pairs come from a measure-free
 table per sample-set size, and everything derived from a space lives in
-a memo that ends with the top-level call.  Component sigma-algebras are
-discrete, the maximal choice compatible with checking variable
-measurability on the components; the partition-valued alternative
-would thread each component's algebra through the recursion instead.
+a memo that ends with the top-level call.  The search decides by
+persistence: a formula with no implication outside a star that holds on
+the component of a measurable partition holds on the component of every
+finer one (the lemma and its proof are in the README), so an operand
+that fails on a partition rules out all its coarsenings, and one that
+fails on the space's own blocks rules out the whole search.  Component
+sigma-algebras are discrete, the maximal choice compatible with checking
+variable measurability on the components; the partition-valued
+alternative would thread each component's algebra through the recursion
+instead.
 """
 
 from __future__ import annotations
@@ -227,17 +233,20 @@ def _mask(block):
     return sum(1 << (i - 1) for i in block)
 
 
-# size -> (partitions, pairs), see `_pair_table`; measure-free, so it
-# holds one entry per sample-set size and no per-space state
+# size -> (partitions, pairs, coarsenings), see `_pair_table`;
+# measure-free, so it holds one entry per sample-set size and no
+# per-space state
 _PAIR_TABLES = {}
 
 
 def _pair_table(n):
     """The partitions of {1..n} in `set_partitions` order, each with its
-    block bitmasks, and the pairs of partitions whose blocks all meet, as
+    block bitmasks; the pairs of partitions whose blocks all meet, as
     rows (i, [(j, grid), ...]) with p1 = partition i outer and p2 =
     partition j inner, and grid the intersection bitmasks (blocks of p1
-    outer).  Only these pairs can realise a product."""
+    outer), since only these pairs can realise a product; and per
+    partition k the bitset, over partition indices, of k and all its
+    coarsenings."""
     table = _PAIR_TABLES.get(n)
     if table is None:
         parts = [
@@ -254,8 +263,28 @@ def _pair_table(n):
                     row.append((j, grid))
             if row:
                 rows.append((i, row))
-        table = _PAIR_TABLES[n] = (parts, rows)
+        table = _PAIR_TABLES[n] = (parts, rows, _coarsenings(parts))
     return table
+
+
+def _coarsenings(parts):
+    """Per partition, the bitset of itself and every partition it refines.
+    A coarsening merges blocks, so the coarsenings of k are k and the
+    coarsenings of every merge of two of its blocks; a merge has fewer
+    blocks, so partitions are visited by block count.  A merged block
+    keeps the place of its first block, which is the least-element
+    order again."""
+    index = {masks: k for k, (_, masks) in enumerate(parts)}
+    coarser = [0] * len(parts)
+    for k in sorted(range(len(parts)), key=lambda k: len(parts[k][1])):
+        masks = parts[k][1]
+        bits = 1 << k
+        for a in range(len(masks)):
+            for b in range(a + 1, len(masks)):
+                merged = (*masks[:a], masks[a] | masks[b], *masks[a + 1 : b], *masks[b + 1 :])
+                bits |= coarser[index[merged]]
+        coarser[k] = bits
+    return coarser
 
 
 class _Space:
@@ -295,6 +324,56 @@ class _Space:
         """The block measures as the witness prints them."""
         d = self.denominator
         return [str(Fraction(w, d)) for w in self.weights]
+
+
+def _lowest(masses):
+    """A marginal vector in lowest terms, the key of a component space."""
+    g = math.gcd(*masses)
+    return tuple([a // g for a in masses])
+
+
+def _factorises(grid, m1, m2, cell):
+    """Whether the measure factorises on a pair of measurable partitions:
+    cell(b1 & b2) == mass(b1) * mass(b2) for every cell of `grid`, where
+    `cell` gives a cell's mass times D by bitmask and m1, m2 are the two
+    margins.  Only the (r-1)·(c-1) cells outside the last row and column
+    are compared: on both sides the cells of a row sum to its margin
+    times D, and those of a column likewise, so these cells fix the
+    rest."""
+    c = len(m2)
+    head = m2[:-1]
+    for r, a in enumerate(m1[:-1]):
+        k = r * c
+        for b in head:
+            if cell(grid[k]) != a * b:
+                return False
+            k += 1
+    return True
+
+
+def _persists(phi) -> bool:
+    """Whether truth of the resolved formula on the component of a
+    measurable partition carries to the component of every finer one:
+    atoms, T, F, every star, and conjunctions and disjunctions of such
+    (see the persistence lemma in the README).  An implication is
+    classical at a fixed space, so it does not persist."""
+    if isinstance(phi, (And, Or)):
+        return _persists(phi.left) and _persists(phi.right)
+    return not isinstance(phi, Imp)
+
+
+class _RuledOut:
+    """The partitions one star search has ruled out, as bitsets over
+    `_pair_table` indices: `rows` whose outer partition cannot satisfy
+    the left operand and `columns` whose inner partition cannot satisfy
+    the right one.  The search grows them as it reads the operands, and
+    `_StarSearch.rows` reads them before a row's margin or a pair's
+    cells."""
+
+    __slots__ = ("rows", "columns")
+
+    def __init__(self):
+        self.rows = self.columns = 0
 
 
 def _descend(x, partition):
@@ -375,17 +454,21 @@ class _StarSearch:
         self.truth = {}
         self.compared = 0
 
-    def rows(self, space: _Space):
+    def rows(self, space: _Space, ruled=None):
         """The rows of `_pair_table(space.size)` whose outer partition is
-        measurable, in search order, as (i, key1, pairs).  `pairs` yields
-        the (j, key2) of the row onto whose product the measure
-        factorises, testing a pair's cells only when it is reached: every
-        block intersection is measurable and its mass times D is the
-        product of the two marginal masses.  A key is a marginal vector in
-        lowest terms, see `component`; a partition's margin and key are
-        computed when the partition is first reached.  Every row holds
-        (i, trivial), which factorises, so no measurable row is empty."""
-        parts, rows = _pair_table(space.size)
+        measurable and not in `ruled.rows`, in search order, as
+        (i, key1, pairs).  `pairs` yields the (j, key2) of the row, j not
+        in `ruled.columns`, onto whose product the measure factorises,
+        testing a pair's cells only when it is reached, see `_factorises`.
+        `ruled` (a `_RuledOut`, none ruled out by default) is read when a
+        row or a pair is reached, so the consumer may grow it during the
+        walk.  A key is a marginal vector in lowest terms, see
+        `component`; a partition's margin and key are computed when the
+        partition is first reached.  Every row holds (i, trivial), which
+        factorises, so no measurable row is empty."""
+        if ruled is None:
+            ruled = _RuledOut()
+        parts, rows, _ = _pair_table(space.size)
         mass, d = space.masses(), space.denominator
         cell = {u: m * d for u, m in mass.items()}.get
         margins = {}  # partition -> (masses, key), or None when not measurable
@@ -393,33 +476,23 @@ class _StarSearch:
         def margin(k):
             if k not in margins:
                 ms = [mass.get(m) for m in parts[k][1]]
-                if None in ms:
-                    margins[k] = None
-                else:
-                    g = math.gcd(*ms)
-                    margins[k] = ms, tuple([a // g for a in ms])
+                margins[k] = None if None in ms else (ms, _lowest(ms))
             return margins[k]
 
         def pairs(m1, row):
             for j, grid in row:
+                if ruled.columns >> j & 1:
+                    continue
                 hit = margin(j)
                 if hit is None:
                     continue
-                m2 = hit[0]
                 self.compared += 1
-                held = 0  # cells that hold, row by row; stop at the first that fails
-                for a in m1:
-                    for b in m2:
-                        if cell(grid[held]) != a * b:
-                            break
-                        held += 1
-                    else:
-                        continue
-                    break
-                if held == len(grid):
+                if _factorises(grid, m1, hit[0], cell):
                     yield j, hit[1]
 
         for i, row in rows:
+            if ruled.rows >> i & 1:
+                continue
             hit = margin(i)
             if hit is not None:
                 yield i, hit[1], pairs(hit[0], row)
@@ -439,8 +512,22 @@ class _StarSearch:
         """The first factorising pair whose components satisfy the
         operands, as (p1, p2, space1, space2), or None.  The left operand
         is read once per row, before any of the row's cells; the right
-        one once per inner partition, and only on pairs that factorise."""
-        parts = _pair_table(space.size)[0]
+        one once per inner partition, and only on pairs that factorise.
+
+        A persistent operand (`_persists`) that fails on a partition
+        fails on all its coarsenings, and every measurable partition
+        coarsens the finest one, the space's own blocks.  So a
+        persistent left operand is read on the finest partition first,
+        and a persistent right one when the walk first reaches a row
+        whose left operand holds, which is where the walk would read it
+        anyway; if it fails there, no pair exists.  During the walk a
+        row whose persistent left operand fails rules out its
+        coarsenings as rows, and an inner partition whose right operand
+        fails rules out its coarsenings as inner partitions (only itself
+        when the operand does not persist).  A ruled-out row or pair
+        only ever holds an operand that fails, so the first pair is the
+        one the full walk returns."""
+        parts, _, coarser = _pair_table(space.size)
         descended = self.descended.setdefault((values, space.size), {})
 
         def descend(k):
@@ -449,18 +536,31 @@ class _StarSearch:
                 out = descended[k] = tuple([_descend(x, parts[k][0]) for x in values])
             return out
 
-        rejected = set()  # inner partitions whose component fails the right operand
-        for i, key1, pairs in self.rows(space):
+        def holds_on_finest(phi):
+            k = next(k for k, (p, _) in enumerate(parts) if p == space.blocks)
+            return self.holds(phi, self.component(_lowest(space.weights)), descend(k))
+
+        left, right = star.left, star.right
+        left_persists = _persists(left)
+        if left_persists and not holds_on_finest(left):
+            return None
+        right_persists = right_unread = _persists(right)
+        ruled = _RuledOut()
+        for i, key1, pairs in self.rows(space, ruled):
             space1 = self.component(key1)
-            if not self.holds(star.left, space1, descend(i)):
+            if not self.holds(left, space1, descend(i)):
+                if left_persists:
+                    ruled.rows |= coarser[i]
                 continue
+            if right_unread:
+                if not holds_on_finest(right):
+                    return None
+                right_unread = False
             for j, key2 in pairs:
-                if j in rejected:
-                    continue
                 space2 = self.component(key2)
-                if self.holds(star.right, space2, descend(j)):
+                if self.holds(right, space2, descend(j)):
                     return parts[i][0], parts[j][0], space1, space2
-                rejected.add(j)
+                ruled.columns |= coarser[j] if right_persists else 1 << j
         return None
 
     def holds(self, phi, space, values) -> bool:

@@ -1,6 +1,7 @@
 import json
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -688,3 +689,26 @@ def test_measure_in_exponent_notation_is_refused(tmp_path, capsys):
                      "--json"]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "ModelSchemaError"
         assert time.perf_counter() - started < 2
+
+
+def test_ascii_rationals_parse_as_fraction_parses_them():
+    """Measures in ASCII digits "p/q" or "p" are read as integers; every
+    other string goes through Fraction's own parser, and both give the
+    value or the error that Fraction(str) behind the exponent guard gives."""
+
+    def by_fraction(value, path):
+        cli._require("e" not in value.lower(), path, f"exponent notation in {value!r}")
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ModelSchemaError(path, f"bad rational {value!r}") from exc
+
+    def outcome(parse, value):
+        try:
+            return parse(value, "spaces.s.measure[0]")
+        except ModelSchemaError as exc:
+            return str(exc)
+
+    for value in ("1/2", "5/21", "3", "0", "007/10", " 1/2", "+1/2", "-1/2", "0.5", "1_0/3",
+                  "1/0", "١/٢", "1e3", "1/", "/2", ""):
+        assert outcome(cli._parse_fraction_field, value) == outcome(by_fraction, value), value

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import psl_reference as ref
@@ -115,7 +115,7 @@ def test_pair_table_matches_brute_force(n):
         for p2 in parts
         if all(set(b1) & set(b2) for b1 in p1 for b2 in p2)
     ]
-    table_parts, rows = psl._pair_table(n)
+    table_parts, rows, _ = psl._pair_table(n)
     assert [p for p, _ in table_parts] == parts
     assert [
         (table_parts[i][0], table_parts[j][0]) for i, row in rows for j, _ in row
@@ -136,7 +136,7 @@ def test_every_row_of_the_pair_table_holds_the_trivial_partition(n):
     """The measure-free half of the lemma behind the row walk: every
     partition meets the one-block partition, so every partition has a
     row and every row holds it."""
-    parts, rows = psl._pair_table(n)
+    parts, rows, _ = psl._pair_table(n)
     trivial = [p for p, _ in parts].index((tuple(range(1, n + 1)),))
     assert [i for i, _ in rows] == list(range(len(parts)))
     assert all(trivial in [j for j, _ in row] for _, row in rows)
@@ -356,25 +356,169 @@ def test_a_star_of_truths_compares_one_pair(name):
     assert held and memo.compared == 1
 
 
-@pytest.mark.parametrize("name, lazy, eager", [("random-6", 222, 7216), ("correlated-6", 186, 5214)])
+@pytest.mark.parametrize("name, lazy, eager", [("random-6", 25, 7216), ("correlated-6", 25, 5214)])
 def test_a_nested_star_compares_a_tenth_of_the_eager_pairs(name, lazy, eager):
     """Deterministic work gate: `((X ~ mu) * (Y ~ nu)) * T` with the true
-    laws, where X and Y are dependent, reads every row.  The eager walk
-    compared every pair with measurable margins on every space a star
-    was evaluated at; both walks read the same operands, so they reach
-    the same spaces."""
+    laws, where X and Y are dependent.  The eager walk read the inner
+    star on the component of every measurable row and compared every
+    pair with measurable margins on each space it evaluated a star at.
+    The walk by persistence reads the inner star only on rows that
+    refine X's fibres and skips the coarsenings of every inner partition
+    whose Y atom fails."""
     sp = SPACES[name]
     variables, a, b = grid_variables(sp)
-    held, memo, phi = search(sp, Star(Star(a, b), Top()), variables)
+    held, memo, _ = search(sp, Star(Star(a, b), Top()), variables)
     assert not held
-    stars = {id(phi), id(phi.left)}
     full = psl._StarSearch()
-    for space in {space for key, space, _ in memo.truth if key in stars}:
+    top = psl._Space.scaled(sp)
+    reached = {top} | {full.component(key) for _, key, _ in full.rows(top)}
+    for space in reached:
         for _, _, pairs in full.rows(space):
             for _ in pairs:
                 pass
     assert (memo.compared, full.compared) == (lazy, eager)
     assert 10 * memo.compared <= full.compared
+
+
+def shifted(atom):
+    """The atom with a law of the same support that differs from its own."""
+    law = dict(atom.law())
+    (a, p), (b, q) = list(law.items())[:2]
+    law[a], law[b] = p - min(p, q) / 2, q + min(p, q) / 2
+    return DistAtom(atom.var, tuple(sorted(law.items())))
+
+
+@pytest.mark.parametrize("name", SIX_POINTS)
+def test_a_right_atom_with_a_wrong_law_compares_no_pair(name):
+    """Work gate: the right atom is read on the finest partition when the
+    walk first reaches a row whose left atom holds, before any of its
+    cells; it fails there, so no pair exists (the walk without
+    persistence compared 49 pairs on each of these measures)."""
+    variables, a, b = grid_variables(SPACES[name])
+    held, memo, _ = search(SPACES[name], Star(a, shifted(b)), variables)
+    assert not held and memo.compared == 0
+
+
+@pytest.mark.parametrize(
+    "name, reads", [("uniform-6", 20), ("product-6", 25), ("random-6", 34), ("correlated-6", 29)]
+)
+def test_a_failing_left_atom_rules_out_its_coarsenings(name, reads):
+    """Work gate: the left atom of `(X ~ mu) * (Y ~ nu)` is read `reads`
+    times over the 203 rows (once per distinct component and variables),
+    since a row where it fails rules out every coarsening of that row.
+    Without persistence the walk made 35, 66, 180 and 91 reads."""
+    variables, a, b = grid_variables(SPACES[name])
+    _, memo, phi = search(SPACES[name], Star(a, b), variables)
+    assert sum(1 for key, _, _ in memo.truth if key == id(phi.left)) == reads
+
+
+def test_a_failing_right_atom_rules_out_its_coarsenings():
+    """Work gate: on the uniform measure with the grid's points relabelled
+    (as the psl workload relabels them), `(X ~ mu) * (Y ~ nu)` compares
+    17 pairs, since an inner partition where the Y atom fails rules out
+    its coarsenings; ruling out only that partition compares 25."""
+    sp = SPACES["uniform-6"]
+    variables = {"X": RandomVariable((0, 1, 0, 1, 0, 1)), "Y": RandomVariable((0, 1, 2, 2, 1, 0))}
+    a, b = (DistAtom(name, tuple(sorted(law_of(x, sp).items()))) for name, x in variables.items())
+    held, memo, _ = search(sp, Star(a, b), variables)
+    assert held and memo.compared == 17
+
+
+def test_an_implication_is_not_persistent():
+    """`A -> F` holds where X does not descend and fails where it does, so
+    its truth does not carry to finer partitions: were `->` counted as
+    persistent, the left operand would fail on the discrete partition
+    and the star would answer false."""
+    phi = parse_formula("(X ~ {0: 1/2, 1: 1/2} -> F) * T")
+    variables = {"X": RandomVariable((0, 0, 1, 1))}
+    got = psl_sat(ProbSpace.uniform(4), phi, variables)
+    assert got.result and got.witness["blocks1"] == [[1], [2, 3], [4]]
+    assert got.as_dict() == ref.psl_sat(ProbSpace.uniform(4), phi, variables).as_dict()
+
+
+@pytest.mark.parametrize("sp, variables, text, blocks", [
+    # a right operand with `->` fails on the discrete partition and holds on
+    # a coarsening of it: only the failing partition itself is ruled out
+    (weighted(1, 0, 0), {"X": RandomVariable((1, 0, 1)), "Y": RandomVariable((0, 1, 1))},
+     "T * ((Y ~ {0: 1} -> X ~ {1: 1}) -> F)", ([[1, 2, 3]], [[1], [2, 3]])),
+    # on a coarse space a row whose left atom fails rules out its
+    # coarsenings, and no row next to them in search order
+    (ProbSpace.of(4, [(1, 4), (2,), (3,)], [Fraction(1, 3), Fraction(2, 3), Fraction(0)]),
+     {"Y": RandomVariable((1, 1, 0, 1))}, "(Y ~ {1: 1}) * T", ([[1, 2, 4], [3]], [[1, 2, 3, 4]])),
+])
+def test_a_ruled_out_partition_holds_only_a_failing_operand(sp, variables, text, blocks):
+    phi = parse_formula(text)
+    got = psl_sat(sp, phi, variables)
+    assert (got.witness["blocks1"], got.witness["blocks2"]) == blocks
+    assert got.as_dict() == ref.psl_sat(sp, phi, variables).as_dict()
+
+
+def test_a_persistent_operand_is_read_on_the_finest_partition_first():
+    """Work gate on a space whose finest measurable partition comes last
+    in search order: an atom that fails everywhere is read once, on the
+    space's own blocks, on either side of the star, and no pair is
+    compared."""
+    sp = SPACES["coarse-6-interleaved"]
+    variables = {"X": RandomVariable((0, 0, 0, 1, 1, 1))}
+    never = DistAtom("X", ((-1, Fraction(1)),))
+    for phi in (Star(never, Top()), Star(Top(), never)):
+        held, memo, resolved = search(sp, phi, variables)
+        atom = resolved.left if isinstance(phi.left, DistAtom) else resolved.right
+        assert not held and memo.compared == 0
+        assert sum(1 for key, _, _ in memo.truth if key == id(atom)) == 1
+
+
+def finer(q, p):
+    """Whether partition q refines partition p."""
+    return all(any(set(b) <= set(a) for a in p) for b in q)
+
+
+@pytest.mark.parametrize("n", range(1, DEFAULT_SPACE_BOUND + 1))
+def test_coarsenings_match_brute_force(n):
+    parts, _, coarser = psl._pair_table(n)
+    for k, (fine, _) in enumerate(parts):
+        assert coarser[k] == sum(
+            1 << c for c, (coarse, _) in enumerate(parts) if finer(fine, coarse)
+        )
+
+
+def random_space(rng, n):
+    """A space on n points with random blocks and integer weights in 0-3,
+    zero masses included."""
+    labels = [rng.randrange(n) for _ in range(n)] if rng.random() < 0.5 else range(n)
+    blocks = {}
+    for point, label in enumerate(labels, start=1):
+        blocks.setdefault(label, []).append(point)
+    weights = [rng.randrange(4) for _ in blocks]
+    weights[0] += not any(weights)
+    return ProbSpace.of(n, blocks.values(), [Fraction(w, sum(weights)) for w in weights])
+
+
+@pytest.mark.parametrize("n", range(1, DEFAULT_SPACE_BOUND + 1))
+def test_the_cells_outside_the_last_row_and_column_decide_a_pair(n):
+    """`_factorises` against the full r·c cell test on every pair of the
+    table, under uniform, product and random measures with zero masses
+    and coarse blocks."""
+    rng = random.Random(n)
+    spaces = [ProbSpace.uniform(n), weighted(*(2 ** (i % 2) * 3 ** (i % 3) for i in range(n)))]
+    spaces += [random_space(rng, n) for _ in range(30)]
+    parts, rows, _ = psl._pair_table(n)
+    verdicts = set()
+    for sp in spaces:
+        space = psl._Space.scaled(sp)
+        mass, d = space.masses(), space.denominator
+        cell = {u: m * d for u, m in mass.items()}.get
+        margins = [[mass.get(m) for m in masks] for _, masks in parts]
+        for i, row in rows:
+            for j, grid in row:
+                m1, m2 = margins[i], margins[j]
+                if None in m1 or None in m2:
+                    continue
+                full = all(cell(g) == a * b for g, (a, b) in zip(grid, itertools.product(m1, m2)))
+                assert psl._factorises(grid, m1, m2, cell) == full, (sp, parts[i][0], parts[j][0])
+                verdicts.add(full)
+    # below four points every meeting pair has a one-block side, which factorises
+    assert verdicts == ({True, False} if n >= 4 else {True})
 
 
 def _oracle_or_error(oracle, sp, x, y):
@@ -484,3 +628,62 @@ def psl_cases(draw):
 def test_random_stars_match_the_reference(case):
     sp, variables, phi = case
     assert psl_sat(sp, phi, variables).as_dict() == ref.psl_sat(sp, phi, variables).as_dict()
+
+
+@st.composite
+def persistence_cases(draw):
+    """A space of two to six points (random blocks, zero masses allowed),
+    two variables, and a formula built from atoms, T and F by /\\, \\/ and
+    stars, with `->` allowed inside a star only."""
+    n = draw(st.integers(2, 6))
+    labels = list(range(n))
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    blocks = {}
+    for point, label in enumerate(labels, start=1):
+        blocks.setdefault(label, []).append(point)
+    weights = draw(st.lists(st.sampled_from([1, 2, 0]), min_size=len(blocks),
+                            max_size=len(blocks)))
+    weights[0] += not any(weights)
+    sp = ProbSpace.of(n, blocks.values(), [Fraction(w, sum(weights)) for w in weights])
+    variables = {
+        name: RandomVariable(tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))))
+        for name in ("X", "Y")
+    }
+    atoms = []
+    for name, x in variables.items():
+        for values in ((0,), (1,), (0, 1)):  # point masses and the uniform law
+            atoms.append(DistAtom(name, tuple((v, Fraction(1, len(values))) for v in values)))
+        try:
+            atoms.append(DistAtom(name, tuple(sorted(law_of(x, sp).items()))))
+        except NotMeasurableError:
+            pass
+
+    def formula(depth, persistent):  # a connective at the top
+        if depth == 0 or depth < 3 and draw(st.integers(0, 2)) == 0:
+            return draw(st.sampled_from([*atoms, Top(), Bottom()]))
+        op = draw(st.sampled_from([And, Or, Star] if persistent else [And, Or, Imp, Star]))
+        inner = persistent and op is not Star
+        return op(formula(depth - 1, inner), formula(depth - 1, inner))
+
+    return sp, variables, formula(3, True)
+
+
+@given(persistence_cases())
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_truth_persists_to_finer_partitions(memoised_reference, case):
+    """The persistence lemma on the reference semantics: a formula with no
+    `->` outside a star that holds on the component of a measurable
+    partition holds on the component of every finer measurable one."""
+    sp, variables, phi = case
+    measurable = [
+        p for p in set_partitions(range(1, sp.size + 1)) if all(sp.measurable(b) for b in p)
+    ]
+    held = [
+        p for p in measurable
+        if ref.psl_sat(ProbSpace.discrete([sp.mass(b) for b in p]), phi,
+                       ref.descend_variables(variables, p)).result
+    ]
+    for p in held:
+        assert all(q in held for q in measurable if finer(q, p)), (sp, phi, p)
