@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .day import check_day_stability, check_monoid_laws
-from .errors import ModelSchemaError, NotASheafError, SheafSepError
+from .errors import ModelSchemaError, NotASheafError, SheafSepError, UnknownIdentifierError
 from .fincat import validate_category, validate_monoidal
 from .pred import (
     direct_image,
@@ -254,15 +254,26 @@ def _excerpt(text, limit=40):
     return text if len(text) <= limit else text[:limit] + "..."
 
 
+def _heap_cells(pairs):
+    """A heap literal's (location, value) pairs as a dict, refusing a location
+    listed twice."""
+    doc = {}
+    for key, val in pairs:
+        if key in doc:
+            raise ModelSchemaError("--heap", f"location {key!r} listed twice")
+        doc[key] = val
+    return doc
+
+
 def parse_heap(text, stage) -> Heap:
     """Accepts {"x": 0} JSON or the bare-identifier form {x:0, y:null}."""
     text = text.strip()
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_heap_cells)
     except ValueError:  # not JSON, or an integer past the digit limit
         if not (text.startswith("{") and text.endswith("}")):
             raise ModelSchemaError("--heap", f"expected a brace literal, got {_excerpt(text)!r}")
-        doc = {}
+        cells = []
         body = text[1:-1].strip()
         if body:
             for chunk in body.split(","):
@@ -271,7 +282,7 @@ def parse_heap(text, stage) -> Heap:
                 key, val = chunk.split(":", 1)
                 val = val.strip()
                 try:
-                    doc[key.strip()] = None if val == "null" else int(val)
+                    cells.append((key.strip(), None if val == "null" else int(val)))
                 except ValueError:
                     detail = f"bad value {_excerpt(val)!r}"
                     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
@@ -279,6 +290,7 @@ def parse_heap(text, stage) -> Heap:
                         detail += (f": an integer of {len(val)} characters is past the "
                                    f"{limit}-digit limit")
                     raise ModelSchemaError("--heap", detail) from None
+        doc = _heap_cells(cells)
     if not isinstance(doc, dict) or not all(v is None or _is_int(v) for v in doc.values()):
         raise ModelSchemaError("--heap", "cells must map locations to integers or null")
     if set(doc) != set(stage):
@@ -481,7 +493,12 @@ def _cmd_psl(model, args, report):
     for atom in formula_atoms(phi):
         if not isinstance(atom, DistAtom):
             raise ModelSchemaError("--formula", "psl formulas use distribution atoms only")
-    res = psl_sat(sp, phi, variables, bound=model.bound)
+        x = model.variables.get(atom.var)
+        if x is not None and atom.var not in variables:
+            raise UnknownIdentifierError(
+                f"unknown variable {atom.var!r} on space {args.space!r}: it has {x.size} "
+                f"values and the space {sp.size} points")
+    res = psl_sat(sp, phi, variables)
     report.status["result"] = res.result
     report.status["space"] = args.space
     if res.witness is not None:

@@ -201,16 +201,16 @@ def incl(src, dst):
     return ("incl", tuple(src), tuple(dst))
 
 
-def build_powerset_category(locations, size_bound=POWERSET_SIZE_BOUND):
+def build_powerset_category(locations):
     """Powerset of a finite location set as a thin monoidal category.
 
     Objects are sorted tuples of locations, a unique inclusion morphism
     A -> B exists iff A is a subset of B, tensor is union with unit ().
     """
     locations = tuple(sorted(set(locations)))
-    if len(locations) > size_bound:
+    if len(locations) > POWERSET_SIZE_BOUND:
         raise SizeBoundError(
-            f"{len(locations)} locations exceed the powerset bound {size_bound}"
+            f"{len(locations)} locations exceed the powerset bound {POWERSET_SIZE_BOUND}"
         )
     # bit i of mask[a] is locations[i]: a <= b iff mask[a] | mask[b] == mask[b]
     of_mask = {
@@ -252,14 +252,14 @@ def surj(n, m, vals):
     return ("surj", n, m, tuple(vals))
 
 
-def build_finsurj_category(max_size, size_bound=FINSURJ_SIZE_BOUND):
+def build_finsurj_category(max_size):
     """Finite sets {1..n}, n <= max_size, with surjections; tensor = product.
 
     The tensor is partial: pairs whose product exceeds max_size are
     rejected, which keeps the category finite.
     """
-    if not (1 <= max_size <= size_bound):
-        raise SizeBoundError(f"max_size must be in 1..{size_bound}, got {max_size}")
+    if not (1 <= max_size <= FINSURJ_SIZE_BOUND):
+        raise SizeBoundError(f"max_size must be in 1..{FINSURJ_SIZE_BOUND}, got {max_size}")
     objects = tuple(range(1, max_size + 1))
     homs = {}
     for n in objects:

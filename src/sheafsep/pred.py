@@ -7,10 +7,12 @@ at construction, because the allocated points-to atom deliberately
 breaks restriction-closure (its family is empty at stages missing the
 location) and the bottom predicate is empty everywhere.
 
-join and direct_image close their pointwise result under restriction
-and iterated amalgamation to a fixpoint: the pointwise union or image
-of subsheaves need not be a subsheaf, and the closure is the least one
-containing it.
+join and direct_image close their pointwise result, which need not be
+a subsheaf, in two passes: a down pass to its restriction closure R,
+then an up pass keeping at each p the elements whose restrictions along
+the least cover of src(p) lie in R.  On a maximal, stable and
+transitive coverage this is the least subsheaf containing the result
+(the README proves it); on any other the passes promise nothing.
 
 Families are bitsets over the resource's element ids, and every
 operation reads restriction tables (`Presheaf.index` and
@@ -155,18 +157,23 @@ def _image(ids, bits):
     return int(digits[::-1] or b"0", 2)
 
 
-def _forced(resource, site, stage, bits):
+def _local(resource, site, bits, p):
+    """The elements at slice object p whose restrictions along every
+    member of the least cover of src(p) lie in `bits`: the slice covers
+    of p are the base covers of src(p), and each contains that one."""
+    cat = site.cat
+    out = _all(resource, cat.src(p))
+    for k in site.cov.min_cover(cat.src(p)).members:
+        out &= _preimage(resource.table(k), bits[cat.compose(p, k)])
+    return out
+
+
+def _forced(resource, site, bits):
     """What restriction-closure and local character force into the family
     `bits` but it lacks, as (kind, p, i, q, j): the element with id j
     belongs at slice object q because of the one with id i at p (for
-    local character, p = q and i = j), read off `resource.table`.
-
-    A slice morphism into p is a base morphism g into src(p), from the
-    slice object p.g, and the slice covers of p are the base covers of
-    src(p).  Every cover contains the least one, which is a cover, so
-    local character reads only `min_cover(src p)`.  The family is read
-    live, so a caller that sets each bit j at q as it is yielded sweeps
-    the enlarged family; the members at p are enumerated once per p."""
+    local character, p = q and i = j), read off `resource.table`.  A
+    slice morphism into p is a base morphism g into src(p), from p.g."""
     cat = site.cat
     for p in bits:
         members = list(_members(bits[p]))
@@ -176,17 +183,14 @@ def _forced(resource, site, stage, bits):
                 if not bits[q] >> table[i] & 1:
                     yield "restriction", p, i, q, table[i]
     for p in bits:
-        forced = _all(resource, cat.src(p)) & ~bits[p]
-        for k in site.cov.min_cover(cat.src(p)).members:
-            forced &= _preimage(resource.table(k), bits[cat.compose(p, k)])
-        for i in _members(forced):
+        for i in _members(_local(resource, site, bits, p) & ~bits[p]):
             yield "local-character", p, i, p, i
 
 
 def validate_predicate(pred: KripkePredicate) -> Report:
     rep = Report("predicate subsheaf conditions")
     element, src = pred.resource.element, pred.site.cat.src
-    for kind, p, i, q, _ in _forced(pred.resource, pred.site, pred.stage, pred.bits):
+    for kind, p, i, q, _ in _forced(pred.resource, pred.site, pred.bits):
         x = element(src(p), i)
         if kind == "restriction":
             rep.flag(kind, f"{x} at {p!r} does not restrict into {q!r}")
@@ -195,16 +199,16 @@ def validate_predicate(pred: KripkePredicate) -> Report:
     return rep
 
 
-def _close(resource, site, stage, bits):
-    """Least restriction-closed, locally-closed family containing `bits`."""
-    bits = dict(bits)
-    changed = True
-    while changed:
-        changed = False
-        for _, _, _, q, j in _forced(resource, site, stage, bits):
-            bits[q] |= 1 << j
-            changed = True
-    return bits
+def _close(resource, site, bits):
+    """Least restriction-closed, locally-closed family containing `bits`,
+    by the module docstring's down and up passes."""
+    cat = site.cat
+    down = dict.fromkeys(bits, 0)
+    for p, b in bits.items():
+        if b:
+            for g in cat.mors_into(cat.src(p)):
+                down[cat.compose(p, g)] |= _image(resource.table(g), b)
+    return {p: _local(resource, site, down, p) for p in bits}
 
 
 # -- lattice structure ------------------------------------------------------
@@ -232,7 +236,7 @@ def join(p: KripkePredicate, q: KripkePredicate) -> KripkePredicate:
     _check_aligned(p, q)
     bits = {sl: b | q.bits[sl] for sl, b in p.bits.items()}
     return KripkePredicate(
-        p.resource, p.site, p.stage, bits=_close(p.resource, p.site, p.stage, bits)
+        p.resource, p.site, p.stage, bits=_close(p.resource, p.site, bits)
     )
 
 
@@ -275,7 +279,7 @@ def reindex_preimage(alpha: SheafMorphism, q: KripkePredicate,
 def direct_image(alpha: SheafMorphism, p: KripkePredicate) -> KripkePredicate:
     """The existential pushforward: smallest subsheaf containing the
     stage-wise image over the defined points."""
-    closed = _close(alpha.target, p.site, p.stage, raw_image(alpha, p).bits)
+    closed = _close(alpha.target, p.site, raw_image(alpha, p).bits)
     return KripkePredicate(alpha.target, p.site, p.stage, bits=closed)
 
 
@@ -382,5 +386,5 @@ def random_closed_predicate(rng, resource, site, stage) -> KripkePredicate:
     bits = {p: _bitset([rng.random() < 0.5 for _ in range(resource.size(src(p)))])
             for p in site.cat.mors_into(stage)}
     return KripkePredicate(
-        resource, site, stage, bits=_close(resource, site, stage, bits)
+        resource, site, stage, bits=_close(resource, site, bits)
     )

@@ -595,7 +595,6 @@ class PslModel:
     spaces: dict
     variables: dict
     formulas: dict
-    bound: int = DEFAULT_SPACE_BOUND
     name: str = "psl-model"
 
     def space(self, space_name):
@@ -621,7 +620,7 @@ class PslResult:
         return out
 
 
-def psl_sat(sp: ProbSpace, phi, variables, bound=DEFAULT_SPACE_BOUND) -> PslResult:
+def psl_sat(sp: ProbSpace, phi, variables) -> PslResult:
     """Satisfaction over a probability space.
 
     Distribution atoms compare the exact law; star searches for a pair
@@ -630,8 +629,9 @@ def psl_sat(sp: ProbSpace, phi, variables, bound=DEFAULT_SPACE_BOUND) -> PslResu
     the propositional connectives are classical at a fixed space and
     short-circuit.  Every variable is resolved before the search.
     """
-    if sp.size > bound:
-        raise PslBoundError(f"sample space of size {sp.size} exceeds bound {bound}")
+    if sp.size > DEFAULT_SPACE_BOUND:
+        raise PslBoundError(
+            f"sample space of size {sp.size} exceeds bound {DEFAULT_SPACE_BOUND}")
     positions = {}
     phi = _resolve(phi, variables, positions)
     values = tuple(

@@ -537,7 +537,7 @@ def _pipeline_star(model, p, q) -> KripkePredicate:
     iso, site, src = _pipeline_iso(model), model.site, model.site.cat.src
     raw = {sl: _image(iso.inverse.ids(src(sl)), _star_bits(model, p, q, src(sl)))
            for sl in p.bits}
-    closed = _close(iso.match, site, p.stage, raw)
+    closed = _close(iso.match, site, raw)
     return direct_image(iso.forward, KripkePredicate(iso.match, site, p.stage, bits=closed))
 
 

@@ -6,12 +6,14 @@ in `sheafsep.pred` and `sheafsep.seplogic` replaces: families are sets
 of elements, every restriction is applied with `Presheaf.restrict`, and
 the star multiplies each pair of halves with `day_reference.apply`.
 The differential tests compare the two on families, reports and
-witnesses.
+witnesses.  `close_bits` is the closure as a fixpoint on ids, the
+oracle of `pred._close`'s two passes.
 """
 
 from day_reference import apply
 from sheafsep.day import Decomp, splittings
 from sheafsep.fincat import element_key, slice_category
+from sheafsep.pred import _forced
 from sheafsep.report import Report
 from sheafsep.site import slice_coverage
 
@@ -63,6 +65,18 @@ def close(resource, site, stage, family):
             fam[q].add(y)
             changed = True
     return {p: frozenset(xs) for p, xs in fam.items()}
+
+
+def close_bits(resource, site, bits):
+    """The same closure on ids, as a fixpoint: set every bit that
+    `pred._forced` names until it names none."""
+    bits = dict(bits)
+    while True:
+        forced = [(q, j) for _, _, _, q, j in _forced(resource, site, bits)]
+        if not forced:
+            return bits
+        for q, j in forced:
+            bits[q] |= 1 << j
 
 
 def join(p, q):

@@ -151,6 +151,16 @@ def test_repeated_model_location_is_a_schema_error(tmp_path, capsys):
         "error": "ModelSchemaError", "detail": "locations: location 'x' listed twice"}
 
 
+@pytest.mark.parametrize("heap", ["{x:0,x:1,y:0}", '{"x":0,"x":1,"y":0}'])
+def test_repeated_heap_location_is_a_schema_error(tmp_path, capsys, heap):
+    """A location listed twice in --heap is refused, in both literal
+    forms, rather than the last cell silently winning."""
+    argv = ["sat", "--model", str(MODELS / "memory.json"), "--formula", "T", "--heap", heap]
+    assert main(argv + ["--json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ModelSchemaError", "detail": "--heap: location 'x' listed twice"}
+
+
 def _malformed_psl_blocks(blocks, size=4):
     """PSL_DOC with unif4's blocks replaced, one measure per block."""
     unif4 = dict(size=size, blocks=blocks, measure=[f"1/{len(blocks)}"] * len(blocks))
@@ -435,6 +445,18 @@ def test_psl_unknown_variable_in_skipped_branch_exits_two(tmp_path, capsys, form
     argv = ["psl", "--model", write_model(tmp_path, PSL_DOC), "--space", "unif4"]
     assert main(argv + ["--formula", formula, "--json"]) == 2
     assert json.loads(capsys.readouterr().out)["error"] == "UnknownIdentifierError"
+
+
+def test_psl_variable_of_another_size_names_both_sizes(tmp_path, capsys):
+    """A declared variable whose values do not match the space's size is
+    unknown on that space, and the detail says why."""
+    two = {"size": 2, "blocks": [[1], [2]], "measure": ["1/2", "1/2"]}
+    doc = dict(PSL_DOC, spaces=dict(PSL_DOC["spaces"], two=two))
+    argv = ["psl", "--model", write_model(tmp_path, doc), "--space", "two"]
+    assert main(argv + ["--formula", "X ~ {0: 1/2, 1: 1/2}", "--json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "UnknownIdentifierError",
+        "detail": "unknown variable 'X' on space 'two': it has 4 values and the space 2 points"}
 
 
 DEEP = 3000

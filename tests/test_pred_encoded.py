@@ -10,8 +10,15 @@ from hypothesis import strategies as st
 
 import day_reference
 import pred_reference as ref
-from sheafsep.day import UNDEFINED, Decomp, ResourceMonoid, build_memory_monoid, splittings
-from sheafsep.fincat import build_finsurj_category
+from sheafsep.day import (
+    UNDEFINED,
+    Decomp,
+    ResourceMonoid,
+    build_memory_monoid,
+    day_decomp,
+    splittings,
+)
+from sheafsep.fincat import build_finsurj_category, build_powerset_category
 import sheafsep.pred as pred
 from sheafsep.pred import (
     KripkePredicate,
@@ -28,7 +35,7 @@ from sheafsep.pred import (
     validate_predicate,
 )
 from sheafsep.errors import NotASheafError, StageMismatchError
-from sheafsep.presheaf import Heap, build_resource_sheaf
+from sheafsep.presheaf import Heap, build_resource_sheaf, matching_presheaf
 from sheafsep.psl import probability_presheaf
 from sheafsep.seplogic import (
     PointsToAlloc,
@@ -96,7 +103,7 @@ def test_lattice_closure_and_reports_match_reference(n, variant, coverage):
         raw = KripkePredicate(m.sheaf, m.site, m.stage, fam)
         assert violations(validate_predicate(raw)) == violations(ref.validate_predicate(raw))
         closed = KripkePredicate(m.sheaf, m.site, m.stage,
-                                 bits=_close(m.sheaf, m.site, m.stage, raw.bits))
+                                 bits=_close(m.sheaf, m.site, raw.bits))
         assert closed.family == ref.close(m.sheaf, m.site, m.stage, fam)
 
 
@@ -121,13 +128,59 @@ def test_predicates_on_a_non_thin_base_match_reference(n):
                 found = violations(validate_predicate(raw))
                 assert found == violations(ref.validate_predicate(raw))
                 kinds.update(kind for kind, _ in found)
-                closed = KripkePredicate(res, site, stage, bits=_close(res, site, stage, raw.bits))
+                closed = KripkePredicate(res, site, stage, bits=_close(res, site, raw.bits))
                 assert closed.family == ref.close(res, site, stage, fam)
                 preds += [raw, closed]
             for p in preds[::2]:
                 for q in preds[1::3]:
                     assert implication(p, q).family == ref.implication(p, q)
     assert kinds == {"restriction", "local-character"} if n == 2 else {"restriction"}
+
+
+@functools.cache
+def closure_site(base, size, coverage):
+    """A built-in site and the resources the closure test draws from: on
+    the powerset M, Mp, a support-bounded Mp, Mp's Day decompositions
+    and Match(Mp) (one value at 4 locations for the decompositions,
+    whose top stage would hold 50,625 pairs with two); on finite
+    surjections the probability presheaf and every representable."""
+    if base == "powerset":
+        cat, mon = build_powerset_category(("x", "y", "z", "w")[:size])
+        cov = build_coverage(cat, coverage)
+        mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
+        mp0 = build_resource_sheaf(cat, "partial-memory", values=(0, 1) if size < 4 else (0,))
+        return Site(cat, cov, mon), (
+            build_resource_sheaf(cat, "strict-memory", values=(0, 1)), mp,
+            build_resource_sheaf(cat, "support-bounded", values=(0, 1), bound=1),
+            day_decomp(mp0, mp0, mon), matching_presheaf(mp, cov))
+    cat, _ = build_finsurj_category(size)
+    cov = trivial_coverage(cat) if coverage == "trivial" else build_coverage(cat, coverage)
+    return Site(cat, cov), (probability_presheaf(cat, 2),) + tuple(
+        build_resource_sheaf(cat, "yoneda", at_object=a) for a in cat.objects)
+
+
+CLOSURE_SITES = ([("powerset", n, "downward-closed") for n in (1, 2, 3, 4)]
+                 + [("finsurj", n, "trivial") for n in (1, 2, 3, 4)]
+                 + [("finsurj", n, "atomic") for n in (1, 2)])
+
+
+@pytest.mark.parametrize("base,size,coverage", CLOSURE_SITES)
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data(), density=st.floats(0, 0.5), seed=st.integers(0, 2**32))
+def test_two_pass_closure_is_the_fixpoint(base, size, coverage, data, density, seed):
+    """`_close`'s down and up passes give the fixpoint of `_forced` on
+    every built-in site (finite-covers builds the covers of
+    downward-closed), and the result is a closed subsheaf predicate."""
+    site, resources = closure_site(base, size, coverage)
+    res = data.draw(st.sampled_from(resources))
+    stage = data.draw(st.sampled_from(site.cat.objects))
+    rng, src = random.Random(seed), site.cat.src
+    bits = {p: _bitset([rng.random() < density for _ in range(res.size(src(p)))])
+            for p in site.cat.mors_into(stage)}
+    closed = _close(res, site, bits)
+    assert closed == ref.close_bits(res, site, bits)
+    assert _close(res, site, closed) == closed
+    assert validate_predicate(KripkePredicate(res, site, stage, bits=closed)).ok
 
 
 @pytest.mark.parametrize("n,variant,coverage", MODELS)
@@ -440,7 +493,7 @@ def test_random_closed_predicate_keeps_its_draws():
         got = random_closed_predicate(new, mp, m.site, m.stage)
         bits = {sl: sum(1 << i for i in range(mp.size(cat.src(sl))) if old.random() < 0.5)
                 for sl in cat.mors_into(m.stage)}
-        assert got.bits == _close(mp, m.site, m.stage, bits)
+        assert got.bits == _close(mp, m.site, bits)
         assert new.random() == old.random()
 
 
