@@ -8,7 +8,8 @@ brace-wrapped location lists ("{x,y}").
 JSON reports contain no wall-clock data, so identical inputs produce
 byte-identical output; text mode appends timing as an extra line.
 Exit codes: 0 all checks pass / formula satisfied, 1 otherwise, 2 on
-usage or model errors.
+usage or model errors, and EXIT_CLOSED_STDOUT (141) when the reader of
+stdout closed it before the report was written.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
-import re
 import sys
 import time
 from collections import Counter
@@ -40,7 +41,7 @@ from .presheaf import (
     build_resource_sheaf,
     check_sheaf,
 )
-from .psl import ProbSpace, PslModel, RandomVariable, psl_sat
+from .psl import PslModel, RandomVariable, check_space, psl_sat
 from .seplogic import (
     DistAtom,
     ResourceModel,
@@ -59,6 +60,7 @@ SCHEMA_VERSION = 1
 POWERSET_LOCATION_BOUND = 4
 TOP_STAGE_HEAP_BOUND = 11**4  # (|values| + 1) ** |locations| partial heaps
 LAWS_WITNESSES_PER_LAW = 32  # then one witness counting the rest
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ended
 
 
 # -- model loading -------------------------------------------------------------
@@ -135,28 +137,35 @@ def _load_memory_model(doc, name) -> ResourceModel:
     return model
 
 
-# "p/q" or "p" in ASCII digits, which Fraction(int(p), int(q)) reads in
-# about two thirds of the time Fraction's own string parser takes
-_ASCII_RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]+))?")
-
-
-def _parse_fraction_field(value, path):
-    if _is_int(value):
-        return Fraction(value)
+def _rational_field(value, path):
+    """A measure field as a (numerator, denominator) pair of integers with
+    a positive denominator: a JSON integer, or a string that Fraction
+    reads.  "p/q" and "p" in ASCII digits are read straight to integers,
+    skipping Fraction's own string parser."""
     if isinstance(value, str):
-        # Fraction expands an exponent into 10 ** e, so a short string can stall the load
-        _require("e" not in value.lower(), path, f"exponent notation in {value!r}")
-        digits = _ASCII_RATIONAL.fullmatch(value)
+        num, slash, den = value.partition("/")
+        if not (value.isascii() and num.isdigit() and (den.isdigit() or not slash)):
+            # Fraction expands an exponent into 10 ** e, so a short string can stall the load
+            _require("e" not in value.lower(), path, f"exponent notation in {value!r}")
+            num = den = None
         try:
-            if digits:
-                return Fraction(int(digits[1]), int(digits[2] or 1))
-            return Fraction(value)
+            if num is None:
+                f = Fraction(value)
+                return f.numerator, f.denominator
+            p, q = int(num), int(den or 1)  # ValueError past the integer digit limit
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelSchemaError(path, f"bad rational {value!r}") from exc
+        _require(q, path, f"bad rational {value!r}")
+        return p, q
+    if _is_int(value):
+        return value, 1
     raise ModelSchemaError(path, "rationals must be strings like '1/2' or integers")
 
 
 def _load_psl_model(doc, name) -> PslModel:
+    """Every space is checked in integers (`psl.check_space`); the
+    `ProbSpace` of a space is built only when a command reads it.  JSON
+    gives exact `int`s and `list`s, so the type tests compare types."""
     spaces_doc = doc.get("spaces")
     _require(isinstance(spaces_doc, dict) and spaces_doc, "spaces", "nonempty object required")
     spaces = {}
@@ -164,24 +173,23 @@ def _load_psl_model(doc, name) -> PslModel:
         path = f"spaces.{sp_name}"
         _require(isinstance(sp_doc, dict), path, "object required")
         size = sp_doc.get("size")
-        _require(_is_int(size) and size >= 1, f"{path}.size", "positive integer required")
+        _require(type(size) is int and size >= 1, f"{path}.size", "positive integer required")
         blocks = sp_doc.get("blocks")
-        _require(isinstance(blocks, list) and blocks and all(
-            isinstance(b, list) and b and all(_is_int(x) for x in b) for b in blocks),
+        _require(type(blocks) is list and blocks and all(
+            type(b) is list and b and all([type(x) is int for x in b]) for b in blocks),
             f"{path}.blocks", "nonempty list of nonempty integer lists required")
         measure = sp_doc.get("measure")
         _require(
-            isinstance(measure, list) and len(measure) == len(blocks),
+            type(measure) is list and len(measure) == len(blocks),
             f"{path}.measure",
             "one rational per block required",
         )
-        fractions = [
-            _parse_fraction_field(m, f"{path}.measure[{i}]") for i, m in enumerate(measure)
-        ]
+        pairs = [_rational_field(m, f"{path}.measure[{i}]") for i, m in enumerate(measure)]
         try:
-            spaces[sp_name] = ProbSpace.of(size, [tuple(b) for b in blocks], fractions)
+            check_space(size, blocks, pairs)
         except ValueError as exc:
             raise ModelSchemaError(path, str(exc)) from exc
+        spaces[sp_name] = (size, blocks, pairs)
     variables = {}
     for var_name, vals in _object_field(doc, "variables").items():
         path = f"variables.{var_name}"
@@ -546,23 +554,43 @@ def run_command(command, args) -> CommandReport:
     return report
 
 
+# the options each command's handler reads, besides --model and --json
+_OPTIONS = {
+    "formula": (("--formula",), {"help": "formula text"}),
+    "name": (("--name",), {"help": "named formula from the model file"}),
+    "stage": (("--stage",), {"help": "stage literal like '{x,y}'"}),
+    "heap": (("--heap",), {"help": "heap literal like '{x:0, y:null}'"}),
+    "space": (("--space",), {"help": "named probability space"}),
+    "mode": (("--mode",), {"choices": ["pipeline", "unfolded"], "default": "unfolded"}),
+    "seed": (("--seed",), {"type": int, "default": 2024}),
+    "samples": (("--samples",), {"type": int, "default": 50}),
+}
+_COMMAND_OPTIONS = {
+    "check-site": (),
+    "check-sheaf": (),
+    "laws": ("seed", "samples"),
+    "eval": ("formula", "name", "stage", "mode"),
+    "sat": ("formula", "name", "stage", "heap", "mode"),
+    "psl": ("formula", "name", "space"),
+}
+
+
 def build_arg_parser():
+    """One subparser per command, with only the options its handler
+    reads, so argparse refuses any other option with exit code 2.  An
+    option must be spelled out: were abbreviations allowed, `--mode` on
+    a command without it would be read as `--model`."""
     parser = argparse.ArgumentParser(
         prog="sheafsep",
         description="separation-logic model checking over finite sites",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--model", required=True, help="path to a model JSON file")
-        p.add_argument("--formula", help="formula text")
-        p.add_argument("--name", help="named formula from the model file")
-        p.add_argument("--stage", help="stage literal like '{x,y}'")
-        p.add_argument("--heap", help="heap literal like '{x:0, y:null}'")
-        p.add_argument("--space", help="named probability space")
-        p.add_argument("--mode", choices=["pipeline", "unfolded"], default="unfolded")
-        p.add_argument("--seed", type=int, default=2024)
-        p.add_argument("--samples", type=int, default=50)
+        for option in _COMMAND_OPTIONS[name]:
+            flags, kwargs = _OPTIONS[option]
+            p.add_argument(*flags, **kwargs)
         p.add_argument("--json", action="store_true", dest="as_json")
     return parser
 
@@ -580,15 +608,27 @@ def main(argv=None) -> int:
     except SheafSepError as exc:
         error = {"error": type(exc).__name__, "detail": str(exc)}
         if args.as_json:
-            print(json.dumps(error))
-        else:
-            print(f"error: {error['detail']}", file=sys.stderr)
+            return _emit(json.dumps(error), 2)
+        print(f"error: {error['detail']}", file=sys.stderr)
         return 2
-    if args.as_json:
-        print(json.dumps(report.as_dict()))
-    else:
-        print(report.render_text())
-    return report.exit_code
+    text = json.dumps(report.as_dict()) if args.as_json else report.render_text()
+    return _emit(text, report.exit_code)
+
+
+def _emit(text, code):
+    """Print the report and return `code`, or EXIT_CLOSED_STDOUT when the
+    reader of stdout has gone.  As the "Note on SIGPIPE" in the Python
+    `signal` documentation advises, the flush happens here so a closed
+    pipe raises inside the try, and stdout is then pointed at devnull so
+    that the interpreter's flush at exit raises nothing either."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
+    return code
 
 
 if __name__ == "__main__":

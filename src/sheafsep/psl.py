@@ -24,8 +24,10 @@ instead.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import (
     NotMeasurableError,
@@ -35,6 +37,30 @@ from .errors import (
 from .seplogic import And, Bottom, DistAtom, Imp, Or, Star, Top
 
 DEFAULT_SPACE_BOUND = 6
+
+
+def check_space(size, blocks, measure):
+    """Check in integers that `blocks` partition {1..size} and that
+    `measure`, one (numerator, denominator) pair per block with positive
+    denominators, is non-negative and sums to exactly 1 over the common
+    denominator; raises ValueError naming the first check that fails, in
+    that order.  The model loader and `ProbSpace` both validate here."""
+    seen, points = set(), 0
+    for block in blocks:
+        seen.update(block)
+        points += len(block)
+    # the length test first, so a huge size builds no huge range
+    if len(seen) != size or seen != set(range(1, size + 1)):
+        raise ValueError("blocks must partition the sample set")
+    if points != size:
+        raise ValueError("blocks overlap")
+    d, total = math.lcm(*[q for _, q in measure]), 0
+    for p, q in measure:
+        if p < 0:
+            raise ValueError("measures must be non-negative Fractions")
+        total += p * (d // q)
+    if total != d:
+        raise ValueError("block measures must sum to exactly 1")
 
 
 @dataclass(frozen=True)
@@ -51,24 +77,14 @@ class ProbSpace:
     measure: tuple
 
     def __post_init__(self):
-        seen = set()
         for block in self.blocks:
             if not block or tuple(sorted(block)) != block:
                 raise ValueError(f"block {block!r} must be nonempty and sorted")
-            seen.update(block)
-        # the length test first, so a huge size builds no huge range
-        if len(seen) != self.size or seen != set(range(1, self.size + 1)):
-            raise ValueError("blocks must partition the sample set")
-        if sum(len(b) for b in self.blocks) != self.size:
-            raise ValueError("blocks overlap")
         if tuple(sorted(self.blocks, key=lambda b: b[0])) != self.blocks:
             raise ValueError("blocks must be ordered by least element")
-        for p in self.measure:
-            if not isinstance(p, Fraction) or p.numerator < 0:
-                raise ValueError("measures must be non-negative Fractions")
-        d = math.lcm(*(p.denominator for p in self.measure))
-        if sum(p.numerator * (d // p.denominator) for p in self.measure) != d:
-            raise ValueError("block measures must sum to exactly 1")
+        if not all(isinstance(p, Fraction) for p in self.measure):
+            raise ValueError("measures must be non-negative Fractions")
+        check_space(self.size, self.blocks, [(p.numerator, p.denominator) for p in self.measure])
 
     @staticmethod
     def of(size, block_iter, measure_iter):
@@ -252,13 +268,19 @@ def _pair_table(n):
         parts = [
             (p, tuple(_mask(b) for b in p)) for p in set_partitions(range(1, n + 1))
         ]
+        # every block of one partition meets every block of the other only
+        # if each block is at least as large as the other's block count:
+        # per (block count, least block size), the partitions that fit, in order
+        shapes = [(len(p), min(map(len, p))) for p, _ in parts]
+        fits = {}
+        for r, least in set(shapes):
+            fits[r, least] = [(j, parts[j][1]) for j, (c, least2) in enumerate(shapes)
+                              if c <= least and least2 >= r]
         rows = []
         for i, (_, masks1) in enumerate(parts):
             row = []
-            for j, (_, masks2) in enumerate(parts):
-                if len(masks1) * len(masks2) > n:
-                    continue  # some intersection would be empty
-                grid = tuple(a & b for a in masks1 for b in masks2)
+            for j, masks2 in fits[shapes[i]]:
+                grid = tuple([a & b for a in masks1 for b in masks2])
                 if all(grid):
                     row.append((j, grid))
             if row:
@@ -290,9 +312,13 @@ def _coarsenings(parts):
 class _Space:
     """A space in integers: block weights scaled to the common
     denominator D of the measure.  The weights must be non-negative and
-    sum to D > 0; a measure is a `Fraction` again only in `marginals`."""
+    sum to D > 0; a measure is a `Fraction` again only in `marginals`.
+    It is `discrete` when every block is a single point.  The tables the
+    star search reads on it, `tables` and `margins`, are built when first
+    read and live as long as the space, which lives no longer than the
+    search that built it."""
 
-    __slots__ = ("size", "blocks", "weights", "denominator")
+    __slots__ = ("size", "blocks", "weights", "denominator", "discrete", "margins", "_tables")
 
     def __init__(self, size, blocks, weights, denominator):
         if denominator <= 0 or min(weights) < 0 or sum(weights) != denominator:
@@ -303,6 +329,9 @@ class _Space:
         self.blocks = blocks
         self.weights = weights
         self.denominator = denominator
+        self.discrete = len(blocks) == size
+        self.margins = {}  # partition index -> (masses, key), or None, see `_StarSearch.rows`
+        self._tables = None
 
     def masses(self):
         """The mass of every union of blocks (exactly the measurable
@@ -312,6 +341,24 @@ class _Space:
             bit = _mask(block)
             mass.update([(u | bit, m + w) for u, m in mass.items()])
         return mass
+
+    def tables(self):
+        """(mass, cell): by bitmask, the mass of a measurable set and that
+        mass times D, as lookups that give None on a set that is not
+        measurable.  On a discrete space block i is point i + 1, so the
+        subset sums of the weights, doubled block by block, are the
+        masses in bitmask order."""
+        if self._tables is None:
+            d = self.denominator
+            if self.discrete:
+                mass = [0]
+                for w in self.weights:
+                    mass += [m + w for m in mass]
+                self._tables = mass.__getitem__, [m * d for m in mass].__getitem__
+            else:
+                mass = self.masses()
+                self._tables = mass.get, {u: m * d for u, m in mass.items()}.get
+        return self._tables
 
     @staticmethod
     def scaled(prob: ProbSpace):
@@ -393,34 +440,44 @@ def _descend(x, partition):
 
 
 class _Atom:
-    """A distribution atom whose variable is resolved to a position."""
+    """A distribution atom whose variable is resolved to a position, with
+    its law as value -> (numerator, denominator)."""
 
     __slots__ = ("position", "law")
 
     def __init__(self, position, law):
         self.position = position
-        self.law = {v: Fraction(p) for v, p in law.items()}
+        self.law = {}
+        for v, p in law.items():
+            if not isinstance(p, Fraction):
+                p = Fraction(p)
+            self.law[v] = p.numerator, p.denominator
 
     def holds(self, space: _Space, x) -> bool:
         """The law of x (a value tuple) is the atom's; false when x does
-        not descend to the space or is not constant on a block."""
+        not descend to the space or is not constant on a block.  On a
+        discrete space x is its own value per block."""
         if x is None:
             return False
         if len(x) != space.size:
             raise ValueError("variable and space have different sample sets")
-        per_block = _descend(x, space.blocks)
-        if per_block is None:
-            return False
+        if not space.discrete:
+            x = _descend(x, space.blocks)
+            if x is None:
+                return False
         law = {}
-        for v, w in zip(per_block, space.weights):
+        for v, w in zip(x, space.weights):
             if w:
                 law[v] = law.get(v, 0) + w
-        d = space.denominator
         target = self.law
-        return len(law) == len(target) and all(
-            v in target and m * target[v].denominator == target[v].numerator * d
-            for v, m in law.items()
-        )
+        if len(law) != len(target):
+            return False
+        d = space.denominator
+        for v, m in law.items():
+            p = target.get(v)
+            if p is None or m * p[1] != p[0] * d:
+                return False
+        return True
 
 
 def _resolve(phi, variables, positions):
@@ -464,18 +521,18 @@ class _StarSearch:
         row or a pair is reached, so the consumer may grow it during the
         walk.  A key is a marginal vector in lowest terms, see
         `component`; a partition's margin and key are computed when the
-        partition is first reached.  Every row holds (i, trivial), which
-        factorises, so no measurable row is empty."""
+        partition is first reached on the space (`_Space.margins`).  Every
+        row holds (i, trivial), which factorises, so no measurable row is
+        empty."""
         if ruled is None:
             ruled = _RuledOut()
         parts, rows, _ = _pair_table(space.size)
-        mass, d = space.masses(), space.denominator
-        cell = {u: m * d for u, m in mass.items()}.get
-        margins = {}  # partition -> (masses, key), or None when not measurable
+        mass, cell = space.tables()
+        margins = space.margins
 
         def margin(k):
             if k not in margins:
-                ms = [mass.get(m) for m in parts[k][1]]
+                ms = [mass(m) for m in parts[k][1]]
                 margins[k] = None if None in ms else (ms, _lowest(ms))
             return margins[k]
 
@@ -502,10 +559,9 @@ class _StarSearch:
         search first visits it and then once per call."""
         space = self.components.get(key)
         if space is None:
-            n = len(key)
-            space = self.components[key] = _Space(
-                n, tuple((i,) for i in range(1, n + 1)), key, sum(key)
-            )
+            # the discrete partition, the least in `set_partitions` order
+            discrete = _pair_table(len(key))[0][0][0]
+            space = self.components[key] = _Space(len(key), discrete, key, sum(key))
         return space
 
     def first_pair(self, star, space, values):
@@ -537,7 +593,8 @@ class _StarSearch:
             return out
 
         def holds_on_finest(phi):
-            k = next(k for k, (p, _) in enumerate(parts) if p == space.blocks)
+            # `parts` is in `set_partitions` order, which is sorted
+            k = bisect_left(parts, space.blocks, key=itemgetter(0))
             return self.holds(phi, self.component(_lowest(space.weights)), descend(k))
 
         left, right = star.left, star.right
@@ -590,7 +647,13 @@ class _StarSearch:
 
 @dataclass
 class PslModel:
-    """A probabilistic model: named spaces, shared variables, formulas."""
+    """A probabilistic model: named spaces, shared variables, formulas.
+
+    A space is a `ProbSpace`, or a (size, blocks, measure) triple that
+    `check_space` has passed, with the measure as (numerator,
+    denominator) pairs; `space` builds the `ProbSpace` of a triple when
+    it is first read, so a model file's spaces are all checked at load
+    but only the ones a command reads are built."""
 
     spaces: dict
     variables: dict
@@ -600,7 +663,12 @@ class PslModel:
     def space(self, space_name):
         if space_name not in self.spaces:
             raise UnknownIdentifierError(f"unknown space {space_name!r}")
-        return self.spaces[space_name]
+        sp = self.spaces[space_name]
+        if not isinstance(sp, ProbSpace):
+            size, blocks, measure = sp
+            sp = self.spaces[space_name] = ProbSpace.of(
+                size, blocks, [Fraction(p, q) for p, q in measure])
+        return sp
 
     def variables_for(self, sp: ProbSpace):
         return {

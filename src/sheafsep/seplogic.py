@@ -19,7 +19,9 @@ Separating conjunction comes in two modes that must agree:
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -127,10 +129,19 @@ _SYMBOLS = {
     "{": "LBRACE", "}": "RBRACE", ":": "COLON", ",": "COMMA", "/": "SLASH",
 }
 # \s is str.isspace, \d str.isdecimal, \w str.isalnum or "_"; a word must also
-# start with str.isalpha or "_", which \w alone allows for digits such as "²"
+# start with str.isalpha or "_", which \w alone allows for digits such as "²".
+# A match is one token with the whitespace before it, ERROR a character
+# that starts no token, so the matches of one finditer pass tile the text
+# up to its trailing whitespace.
 _TOKEN = re.compile(
-    r"\s+|(?P<SYMBOL>%s)|(?P<INT>-?\d+)|(?P<WORD>\w+)" % "|".join(map(re.escape, _SYMBOLS))
+    r"\s*(?:(?P<SYMBOL>%s)|(?P<INT>-?\d+)|(?P<WORD>\w+)|(?P<ERROR>\S))"
+    % "|".join(map(re.escape, _SYMBOLS))
 )
+_WORDS = {"T": "TOP", "F": "BOT"}
+# int() reads a literal of at most this many characters whatever the
+# interpreter's digit limit, since sys.set_int_max_str_digits refuses a
+# lower one (no limit at all before Python 3.11)
+_INT_DIGITS_ALWAYS_READ = getattr(sys.int_info, "str_digits_check_threshold", math.inf)
 
 _UNICODE_ALIASES = {
     "⊤": "T",
@@ -151,28 +162,32 @@ class _Token(NamedTuple):
 
 
 def _tokenize(text):
-    for uni, ascii_form in _UNICODE_ALIASES.items():
-        text = text.replace(uni, ascii_form)
+    if not text.isascii():
+        for uni, ascii_form in _UNICODE_ALIASES.items():
+            text = text.replace(uni, ascii_form)
     tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        if m is None or m.lastgroup == "WORD" and not (text[i].isalpha() or text[i] == "_"):
-            raise FormulaSyntaxError(f"unexpected character {text[i]!r}", i)
-        kind, word = m.lastgroup, m.group()
+    # the matches stop at the last character that is not whitespace: a
+    # trailing run, which starts no match, would be rescanned from each of
+    # its positions
+    for m in _TOKEN.finditer(text, 0, len(text.rstrip())):
+        kind = m.lastgroup
+        word, i = m[kind], m.start(kind)
         if kind == "SYMBOL":
             kind = _SYMBOLS[word]
         elif kind == "INT":
-            try:
-                int(word)
-            except ValueError:  # past the interpreter's integer digit limit
-                raise FormulaSyntaxError(f"integer of {len(word)} characters is too long",
-                                         i) from None
-        elif kind == "WORD":
-            kind = {"T": "TOP", "F": "BOT"}.get(word, "IDENT")
-        if kind is not None:
-            tokens.append(_Token(kind, word, i))
-        i = m.end()
+            if len(word) > _INT_DIGITS_ALWAYS_READ:
+                try:
+                    int(word)
+                except ValueError:  # past the interpreter's integer digit limit
+                    raise FormulaSyntaxError(f"integer of {len(word)} characters is too long",
+                                             i) from None
+        elif kind == "WORD" and (word[0].isalpha() or word[0] == "_"):
+            kind = _WORDS.get(word, "IDENT")
+        else:
+            raise FormulaSyntaxError(f"unexpected character {word[0]!r}", i)
+        # tuple.__new__, as _Token._make does: the NamedTuple's own __new__
+        # is a Python function, a frame per token
+        tokens.append(tuple.__new__(_Token, (kind, word, i)))
     tokens.append(_Token("EOF", "", len(text)))
     return tokens
 
@@ -265,6 +280,8 @@ class _Parser:
         return int(tok.text)
 
     def parse_fraction(self):
+        """A probability as (numerator, denominator), the denominator
+        positive."""
         num = self.expect("INT")
         den = 1
         if self.peek().kind == "SLASH":
@@ -273,29 +290,33 @@ class _Parser:
             den = int(tok.text)
             if den == 0:
                 raise FormulaSyntaxError("zero denominator", tok.pos)
-        prob = Fraction(int(num.text), den)
-        if prob < 0:
+        p = int(num.text)
+        if p < 0 < den or den < 0 < p:
             raise FormulaSyntaxError("negative probability", num.pos)
-        return prob
+        return (-p, -den) if den < 0 else (p, den)
 
     def parse_distribution(self):
+        """The law as sorted (value, Fraction) pairs without the zero
+        masses; the masses must sum to 1, checked in integers over their
+        common denominator."""
         self.expect("LBRACE")
-        entries = []
+        entries = {}
         while True:
             val = self.expect("INT")
-            if any(v == int(val.text) for v, _ in entries):
+            v = int(val.text)
+            if v in entries:
                 raise FormulaSyntaxError(f"value {val.text} listed twice", val.pos)
             self.expect("COLON")
-            prob = self.parse_fraction()
-            entries.append((int(val.text), prob))
+            entries[v] = self.parse_fraction()
             tok = self.next()
             if tok.kind == "RBRACE":
                 break
             if tok.kind != "COMMA":
                 raise FormulaSyntaxError("expected ',' or '}' in distribution", tok.pos)
-        if sum(p for _, p in entries) != 1:
+        d = math.lcm(*(q for _, q in entries.values()))
+        if sum(p * (d // q) for p, q in entries.values()) != d:
             raise FormulaSyntaxError("distribution does not sum to 1", self.peek().pos)
-        return tuple(sorted((v, p) for v, p in entries if p != 0))
+        return tuple([(v, Fraction(p, q)) for v, (p, q) in sorted(entries.items()) if p])
 
 
 def parse_formula(text: str):

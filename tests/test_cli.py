@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sheafsep import cli, day, presheaf, seplogic
+from sheafsep import cli, day, presheaf, psl, seplogic
 from sheafsep.cli import build_arg_parser, load_model, main, parse_heap, parse_stage, run_command
 from sheafsep.errors import ModelSchemaError
 from sheafsep.fincat import FinCat
@@ -716,7 +718,14 @@ def test_measure_in_exponent_notation_is_refused(tmp_path, capsys):
 def test_ascii_rationals_parse_as_fraction_parses_them():
     """Measures in ASCII digits "p/q" or "p" are read as integers; every
     other string goes through Fraction's own parser, and both give the
-    value or the error that Fraction(str) behind the exponent guard gives."""
+    value, as a (numerator, denominator) pair with a positive
+    denominator, or the error that Fraction(str) behind the exponent
+    guard gives."""
+
+    def by_pair(value, path):
+        p, q = cli._rational_field(value, path)
+        assert q > 0
+        return Fraction(p, q)
 
     def by_fraction(value, path):
         cli._require("e" not in value.lower(), path, f"exponent notation in {value!r}")
@@ -733,4 +742,172 @@ def test_ascii_rationals_parse_as_fraction_parses_them():
 
     for value in ("1/2", "5/21", "3", "0", "007/10", " 1/2", "+1/2", "-1/2", "0.5", "1_0/3",
                   "1/0", "١/٢", "1e3", "1/", "/2", ""):
-        assert outcome(cli._parse_fraction_field, value) == outcome(by_fraction, value), value
+        assert outcome(by_pair, value) == outcome(by_fraction, value), value
+
+
+# -- each command accepts only the options its handler reads -----------------
+
+OPTION_VALUES = {
+    "--formula": "T", "--name": "both", "--stage": "{x}", "--heap": "{x:0}",
+    "--space": "unif4", "--mode": "unfolded", "--seed": "1", "--samples": "1",
+}
+OWN_OPTIONS = {
+    "check-site": set(),
+    "check-sheaf": set(),
+    "laws": {"--seed", "--samples"},
+    "eval": {"--formula", "--name", "--stage", "--mode"},
+    "sat": {"--formula", "--name", "--stage", "--heap", "--mode"},
+    "psl": {"--formula", "--name", "--space"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OWN_OPTIONS))
+def test_a_command_refuses_every_option_it_does_not_read(command, tmp_path, capsys):
+    """argparse exits 2 on an option that the command's handler would
+    ignore, and accepts the command's own options."""
+    assert set(OWN_OPTIONS) == set(cli._COMMANDS)
+    doc = PSL_DOC if command == "psl" else MEMORY_DOC
+    base = [command, "--model", write_model(tmp_path, doc), "--json"]
+    for option in sorted(OWN_OPTIONS[command]):
+        args = build_arg_parser().parse_args(base + [option, OPTION_VALUES[option]])
+        assert getattr(args, option[2:]) is not None
+    for option in sorted(set(OPTION_VALUES) - OWN_OPTIONS[command]):
+        with pytest.raises(SystemExit) as exc:
+            main(base + [option, OPTION_VALUES[option]])
+        assert exc.value.code == 2, option
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["psl", "--model", str(MODELS / "psl.json"), "--name", "indep", "--space", "unif4",
+     "--stage", "{x}", "--heap", "{x:0}", "--samples", "0", "--json"],
+    ["check-site", "--formula", "x |-> 9", "--space", "nope", "--model",
+     str(MODELS / "memory.json")],
+])
+def test_foreign_options_exit_two_without_a_report(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+# -- a psl model: every space checked at load, only the named one built ------
+
+# the detail of each load-time refusal, on a space the request does not
+# read, as the loader gave it when it built every space
+UNREAD_SPACE_REFUSALS = {
+    "not-a-partition": ({"blocks": [[1], [2], [3]], "measure": ["1/2", "0", "1/2"]},
+                        "spaces.corr: blocks must partition the sample set"),
+    "point-outside": ({"blocks": [[1], [2], [3], [5]]},
+                      "spaces.corr: blocks must partition the sample set"),
+    "overlap": ({"blocks": [[1, 2], [2, 3], [4]], "measure": ["1/2", "0", "1/2"]},
+                "spaces.corr: blocks overlap"),
+    "repeated-point": ({"blocks": [[1, 1], [2], [3], [4]]}, "spaces.corr: blocks overlap"),
+    "negative-string": ({"measure": ["-1/2", "1", "0", "1/2"]},
+                        "spaces.corr: measures must be non-negative Fractions"),
+    "negative-integer": ({"measure": [-1, "1", "1/2", "1/2"]},
+                         "spaces.corr: measures must be non-negative Fractions"),
+    "sum": ({"measure": ["1/2", "1/2", "1/2", "0"]},
+            "spaces.corr: block measures must sum to exactly 1"),
+    "bad-rational": ({"measure": ["a/2", "0", "0", "1/2"]},
+                     "spaces.corr.measure[0]: bad rational 'a/2'"),
+    "zero-denominator": ({"measure": ["1/0", "0", "0", "1/2"]},
+                         "spaces.corr.measure[0]: bad rational '1/0'"),
+    "exponent": ({"measure": ["5e-1", "0", "0", "1/2"]},
+                 "spaces.corr.measure[0]: exponent notation in '5e-1'"),
+    "true": ({"measure": [True, "0", "0", "1/2"]},
+             "spaces.corr.measure[0]: rationals must be strings like '1/2' or integers"),
+    "float": ({"measure": [0.5, "0", "0", "1/2"]},
+              "spaces.corr.measure[0]: rationals must be strings like '1/2' or integers"),
+    "size": ({"size": 0}, "spaces.corr.size: positive integer required"),
+    "measure-count": ({"measure": ["1/2", "1/2"]},
+                      "spaces.corr.measure: one rational per block required"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_SPACE_REFUSALS))
+def test_a_bad_space_is_refused_though_the_request_reads_another(case, tmp_path, capsys):
+    change, detail = UNREAD_SPACE_REFUSALS[case]
+    doc = json.loads(json.dumps(PSL_DOC))
+    doc["spaces"]["corr"].update(change)
+    model_path = write_model(tmp_path, doc)
+    with pytest.raises(ModelSchemaError) as exc:
+        load_model(model_path)
+    assert str(exc.value) == detail
+    assert main(["psl", "--model", model_path, "--name", "indep", "--space", "unif4",
+                 "--json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": "ModelSchemaError", "detail": detail}
+
+
+def test_one_psl_request_builds_only_the_space_it_names(tmp_path, capsys, monkeypatch):
+    """On a four-space model one request constructs one ProbSpace, and
+    its verdict is the one on a model that holds only that space."""
+    built = []
+    post_init = psl.ProbSpace.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    spaces = dict(PSL_DOC["spaces"])
+    spaces["half"] = {"size": 2, "blocks": [[1, 2]], "measure": [1]}
+    spaces["skew"] = {"size": 4, "blocks": [[1, 2], [3], [4]], "measure": ["1/2", "1/3", "1/6"]}
+    four = write_model(tmp_path, dict(PSL_DOC, spaces=spaces), name="four.json")
+    one = write_model(tmp_path, dict(PSL_DOC, spaces={"unif4": spaces["unif4"]}), name="one.json")
+    monkeypatch.setattr(psl.ProbSpace, "__post_init__", counted)
+    reports = []
+    for path in (four, one):
+        built.clear()
+        assert main(["psl", "--model", path, "--name", "indep", "--space", "unif4",
+                     "--json"]) == 0
+        assert [b.measure for b in built] == [(Fraction(1, 4),) * 4]
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0]["status"] == reports[1]["status"]
+    assert reports[0]["witnesses"] == reports[1]["witnesses"]
+
+
+# -- a closed stdout -----------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_sheafsep(argv, stdout):
+    """`python -m sheafsep argv` with its stdout on `stdout`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.Popen([sys.executable, "-m", "sheafsep", *argv], stdout=stdout,
+                            stderr=subprocess.PIPE, env=env)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--model", str(MODELS / "memory.json"), "--formula", "T", "--json"],
+    ["check-site", "--model", str(MODELS / "memory.json")],
+    ["laws", "--model", str(MODELS / "memory.json"), "--samples", "2"],
+    ["psl", "--model", str(MODELS / "nope.json"), "--space", "s", "--formula", "T", "--json"],
+])
+def test_a_stdout_closed_before_the_report_ends_without_a_traceback(argv):
+    """A pipe whose reader has gone: the report's write fails, and the
+    process exits EXIT_CLOSED_STDOUT with nothing on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_sheafsep(argv, write_end)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode == cli.EXIT_CLOSED_STDOUT not in (0, 1, 2)
+
+
+def test_a_reader_that_stops_early_leaves_no_traceback(tmp_path):
+    """`eval ... --json | head -c 100` on a report larger than a pipe
+    holds: the write fails mid-report."""
+    doc = dict(MEMORY_DOC, locations=["a", "b", "c", "d"], values=list(range(7)), formulas={})
+    proc = run_sheafsep(["eval", "--model", write_model(tmp_path, doc), "--formula", "T",
+                         "--json"], subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.wait(timeout=60)
+    assert b"Traceback" not in err and err == b""
+    assert proc.returncode == cli.EXIT_CLOSED_STDOUT
