@@ -482,6 +482,8 @@ def _cmd_eval(model, args, report):
 def _cmd_sat(model, args, report):
     phi = _formula_from_args(model, args)
     stage = parse_stage(args.stage, model) if args.stage else model.stage
+    if args.heap is None:
+        raise ModelSchemaError("--heap", "a heap literal is required")
     heap = parse_heap(args.heap, stage)
     res = sat(model, phi, stage, heap, mode=args.mode)
     report.status["result"] = res.result

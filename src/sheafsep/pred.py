@@ -9,8 +9,9 @@ location) and the bottom predicate is empty everywhere.
 
 join and direct_image close their pointwise result, which need not be
 a subsheaf, in two passes: a down pass to its restriction closure R,
-then an up pass keeping at each p the elements whose restrictions along
-the least cover of src(p) lie in R.  On a maximal, stable and
+computed only at the slice objects the up pass reads, then an up pass
+keeping at each p the elements whose restrictions along the least cover
+of src(p) lie in R.  On a maximal, stable and
 transitive coverage this is the least subsheaf containing the result
 (the README proves it); on any other the passes promise nothing.
 
@@ -201,13 +202,17 @@ def validate_predicate(pred: KripkePredicate) -> Report:
 
 def _close(resource, site, bits):
     """Least restriction-closed, locally-closed family containing `bits`,
-    by the module docstring's down and up passes."""
-    cat = site.cat
-    down = dict.fromkeys(bits, 0)
+    by the module docstring's down and up passes.  The up pass reads the
+    down pass only at p.k for k in the least cover of src(p), so the
+    down pass writes nowhere else."""
+    cat, cov = site.cat, site.cov
+    down = {cat.compose(p, k): 0 for p in bits for k in cov.min_cover(cat.src(p)).members}
     for p, b in bits.items():
         if b:
             for g in cat.mors_into(cat.src(p)):
-                down[cat.compose(p, g)] |= _image(resource.table(g), b)
+                q = cat.compose(p, g)
+                if q in down:
+                    down[q] |= _image(resource.table(g), b)
     return {p: _local(resource, site, down, p) for p in bits}
 
 

@@ -422,6 +422,14 @@ class _EncodedCover:
     factorisations are read from the category's `SieveMasks`.  The index
     of F(target) by restriction signature on the generators is built on
     first use.
+
+    A family is its own signature.  An amalgamation x restricts along
+    each generator g to the value g reads off the generator it first
+    factors through, g' with g'.k = g; that is F(k) of g''s id.  The
+    enumeration already forces that value to be g's own id: (id, k) is
+    a square of g and g' (a join when g' is earlier, g's own filter when
+    g' is g), so once identity tables are identities the family's tuple
+    is the key its amalgamations are indexed by.
     """
 
     def __init__(self, ps: Presheaf, cover: Sieve):
@@ -435,19 +443,12 @@ class _EncodedCover:
         for f in self.members:
             j = next(j for j, r in enumerate(reach) if r & bit[f])
             self.factors.append((j, sm.factor(gens[j], f)))
-        position = {f: n for n, f in enumerate(self.members)}
-        self._gen_factors = [self.factors[position[g]] for g in gens]
         self._by_signature = None
 
     @cached_property
     def _leg_tables(self):
         """(generator position, F(k)) per member, F(k) read once per cover."""
         return [(j, self.ps.table(k)) for j, k in self.factors]
-
-    @cached_property
-    def _key_tables(self):
-        """(generator position, F(k)) per generator."""
-        return [(j, self.ps.table(k)) for j, k in self._gen_factors]
 
     def families(self, budget):
         """Every compatible family, as position tuples in enumeration order.
@@ -479,11 +480,7 @@ class _EncodedCover:
                 for x in buckets.get(tuple(th[partial[j]] for j, _, th in joins), ())
             ]
             if len(partials) > budget:
-                raise BudgetExceededError(
-                    f"{len(partials)} partial families exceed the budget {budget}",
-                    cover=self.cover,
-                    size=len(self.cover.members),
-                )
+                raise _budget_error(self.cover, len(partials), budget)
         return partials
 
     def legs(self, partial):
@@ -504,14 +501,12 @@ class _EncodedCover:
         if self._by_signature is None:
             tables = [self.ps.table(g) for g in self.gens]
             by_sig = {}
-            for p in range(self.ps.size(self.cover.target)):
-                by_sig.setdefault(tuple(t[p] for t in tables), []).append(p)
+            # a table of F(target) holds one id per position; the empty sieve has no generator
+            sigs = zip(*tables) if tables else [()] * self.ps.size(self.cover.target)
+            for p, sig in enumerate(sigs):
+                by_sig.setdefault(sig, []).append(p)
             self._by_signature = by_sig
         return self._by_signature
-
-    def key(self, partial):
-        """The generator ids an amalgamation of the family must have."""
-        return tuple(t[partial[j]] for j, t in self._key_tables)
 
 
 def _encoded_cover(ps: Presheaf, cover: Sieve) -> _EncodedCover:
@@ -572,31 +567,59 @@ def amalgamate(ps: Presheaf, fam: CompatibleFamily):
     return matches[0]
 
 
-def _flag_amalgamations(rep, a, s, n_matches, first_two, first_three):
-    """Existence and uniqueness for a family with n_matches amalgamations.
-    Each note prints only what it needs: `first_two()` the first two
-    amalgamations as `repr`s, `first_three()` the family's first three
-    values as `str`s."""
-    if not n_matches:
-        sample = tuple(first_three())
-        rep.flag(
-            "existence",
-            f"no amalgamation at {a!r} over cover of size {len(s.members)}; "
-            f"family starts {sample!r}",
-        )
-    elif n_matches > 1:
-        x, y = first_two()
-        rep.flag("uniqueness", f"{n_matches} amalgamations at {a!r}: {x}, {y}")
+def _existence_note(s, first_three):
+    """The note on a family over the cover s with no amalgamation, given
+    the family's first three values as `str`s."""
+    return (f"no amalgamation at {s.target!r} over cover of size {len(s.members)}; "
+            f"family starts {tuple(first_three)!r}")
+
+
+def _uniqueness_note(a, n_matches, first_two):
+    """The note on a family at a with n_matches > 1 amalgamations, given
+    the first two as `repr`s."""
+    x, y = first_two
+    return f"{n_matches} amalgamations at {a!r}: {x}, {y}"
+
+
+def _budget_error(cover, n, budget):
+    return BudgetExceededError(f"{n} partial families exceed the budget {budget}",
+                               cover=cover, size=len(cover.members))
+
+
+def _identity_families(ps: Presheaf, cover: Sieve, budget):
+    """|F(A)| when `cover` is the maximal sieve of its target A and id_A
+    is its one generator (on a thin base every maximal sieve is), else
+    None.  Such a cover's families are counted in closed form (the
+    maximal-sieve lemma): the enumeration would list |F(A)| of them,
+    each with one amalgamation, and raises the same `BudgetExceededError`
+    when they exceed the budget, as its one generator's options are all
+    of F(A)."""
+    cat, a = ps.base, cover.target
+    if len(cover.members) != len(cat.mors_into(a)):
+        return None
+    # every member factors through id_A, so id_A is the one generator
+    # unless id_A factors through another member
+    sm, ida = sieve_masks(cat), cat.id(a)
+    on_id = sm.bit(a)[ida]
+    if any(f != ida and reach & on_id for f, reach in sm.closure(a).items()):
+        return None
+    n = ps.size(a)
+    if n > budget:
+        raise _budget_error(cover, n, budget)
+    return n
 
 
 def _replay_sheaf(rep, ps: Presheaf, cov: Coverage, budget, known=None) -> int:
-    """Every family on every cover, looked up in its cover's signature
-    index; flags each family without exactly one amalgamation and
-    returns the number of families.  Enumerated families are compatible
-    by construction (pairwise squares on generators plus the extension
-    lemma).  `known` maps a cover to its partial families where they are
-    enumerated already, and those are read instead.  Each element a note
-    prints is decoded and printed once."""
+    """Every family on every cover that the maximal-sieve lemma does not
+    decide, looked up in its cover's signature index by its own ids;
+    flags each family without exactly one amalgamation and returns the
+    number of families, those counted in closed form included.
+    Enumerated families are compatible by construction (pairwise squares
+    on generators plus the extension lemma).  `known` maps a cover to
+    its partial families where they are enumerated already, and those
+    are read instead.  Each element a note prints is decoded and printed
+    once, and each distinct existence note, which reads only the cover
+    and the family's first three legs, is formatted once."""
     printed = {}
 
     def show(b, i, conv):
@@ -608,20 +631,29 @@ def _replay_sheaf(rep, ps: Presheaf, cov: Coverage, budget, known=None) -> int:
     src, n_checked, known = ps.base.src, 0, known or {}
     for a in ps.base.objects:
         for s in cov.covers(a):
+            n = _identity_families(ps, s, budget)
+            if n is not None:
+                n_checked += n
+                continue
             code = _encoded_cover(ps, s)
             index = code.signature_index()
             partials = known.get(s)
             if partials is None:
                 partials = code.families(budget)
+            n_checked += len(partials)
+            first_three, notes = code._leg_tables[:3], {}
             for partial in partials:
-                hits = index.get(code.key(partial), ())
-                n_checked += 1
-                if len(hits) != 1:
-                    _flag_amalgamations(
-                        rep, a, s, len(hits), lambda: [show(a, p, repr) for p in hits[:2]],
-                        lambda: [show(src(f), i, str)
-                                 for f, i in zip(code.members[:3], code.legs(partial))],
-                    )
+                hits = index.get(partial, ())
+                if len(hits) > 1:
+                    rep.flag("uniqueness", _uniqueness_note(
+                        a, len(hits), [show(a, p, repr) for p in hits[:2]]))
+                elif not hits:
+                    start = tuple(t[partial[j]] for j, t in first_three)
+                    note = notes.get(start)
+                    if note is None:
+                        note = notes[start] = _existence_note(s, [
+                            show(src(f), i, str) for f, i in zip(code.members, start)])
+                    rep.flag("existence", note)
     return n_checked
 
 
@@ -636,7 +668,10 @@ def check_sheaf(ps: Presheaf, cov: Coverage, mode="exhaustive", families=(),
     other cover is enumerated.  Otherwise every family on every cover is
     replayed on ids for the violations (`_replay_sheaf`), reading the
     least covers' families already enumerated; so is a budget blown on a
-    least cover, which the replay raises again.  The budget
+    least cover, which the replay raises again.  Neither pass enumerates
+    a maximal sieve generated by the identity: its families are the
+    restrictions of F(A)'s elements, each its own one amalgamation, so
+    it adds |F(A)| to the count and no violation.  The budget
     bounds the families enumerated, so on a sheaf it bounds those of the
     least covers only; on the built-in coverages every cover's partial
     families are a stage's matching families, which its least cover
@@ -676,9 +711,12 @@ def check_sheaf(ps: Presheaf, cov: Coverage, mode="exhaustive", families=(),
                 continue
             matches = amalgamation_candidates(ps, fam)
             n_checked += 1
-            _flag_amalgamations(rep, a, fam.cover, len(matches),
-                                lambda: [repr(x) for x in matches[:2]],
-                                lambda: [str(x) for _, x in fam.items()[:3]])
+            if not matches:
+                rep.flag("existence", _existence_note(
+                    fam.cover, [str(x) for _, x in fam.items()[:3]]))
+            elif len(matches) > 1:
+                rep.flag("uniqueness", _uniqueness_note(
+                    a, len(matches), [repr(x) for x in matches[:2]]))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     rep.note(f"checked {n_checked} families")
@@ -690,9 +728,12 @@ def _least_cover_verdicts(ps: Presheaf, cov: Coverage, budget):
     and whether each has exactly one amalgamation."""
     for a in ps.base.objects:
         cover = cov.min_cover(a)
+        if _identity_families(ps, cover, budget) is not None:
+            yield cover, None, True
+            continue
         code = _encoded_cover(ps, cover)
         index, partials = code.signature_index(), code.families(budget)
-        yield cover, partials, all(len(index.get(code.key(p), ())) == 1 for p in partials)
+        yield cover, partials, all(len(index.get(p, ())) == 1 for p in partials)
 
 
 def is_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> bool:

@@ -8,7 +8,10 @@ generator at a time with every square re-restricted per partial,
 amalgamations are found by scanning the whole target stage, and every
 family is materialised before it is checked.  The differential tests
 compare the two on stages, tables, reports, family lists, matching
-classes and budget errors.
+classes and budget errors.  `replay_sheaf` is the all-cover check on
+ids, for presheaves too large for the element-level one: it enumerates
+every cover, maximal sieves included, and looks each family up by the
+ids its generators' factorisations give, where the core reads neither.
 """
 
 from itertools import product
@@ -20,6 +23,7 @@ from sheafsep.presheaf import (
     Heap,
     MatchClass,
     Presheaf,
+    _encoded_cover,
     sorted_elements,
 )
 from sheafsep.report import Report
@@ -211,6 +215,57 @@ def check_sheaf(ps, cov, budget=DEFAULT_FAMILY_BUDGET):
                 f"{len(matches)} amalgamations at {a!r}: {matches[0]!r}, {matches[1]!r}",
             )
     rep.note(f"checked {len(todo)} families")
+    return rep
+
+
+def family_key(code, partial):
+    """The generator ids an amalgamation of the family must have: each
+    generator's value read off its factorisation through the first
+    generator that reaches it."""
+    position = {f: n for n, f in enumerate(code.members)}
+    through = [code.factors[position[g]] for g in code.gens]
+    return tuple(code.ps.table(k)[partial[j]] for j, k in through)
+
+
+def replay_sheaf(rep, ps, cov, budget=DEFAULT_FAMILY_BUDGET):
+    """The all-cover check on ids: every family on every cover, maximal
+    sieves included, looked up in its cover's signature index by its
+    `family_key`; flags each family without exactly one amalgamation and
+    returns the number of families."""
+    printed = {}
+
+    def show(b, i, conv):
+        key = (b, i, conv)
+        if key not in printed:
+            printed[key] = conv(ps.element(b, i))
+        return printed[key]
+
+    src, n_checked = ps.base.src, 0
+    for a in ps.base.objects:
+        for s in cov.covers(a):
+            code = _encoded_cover(ps, s)
+            index = code.signature_index()
+            for partial in code.families(budget):
+                hits = index.get(family_key(code, partial), ())
+                n_checked += 1
+                if not hits:
+                    sample = tuple(show(src(f), i, str)
+                                   for f, i in zip(code.members[:3], code.legs(partial)))
+                    rep.flag(
+                        "existence",
+                        f"no amalgamation at {a!r} over cover of size {len(s.members)}; "
+                        f"family starts {sample!r}",
+                    )
+                elif len(hits) > 1:
+                    x, y = (show(a, p, repr) for p in hits[:2])
+                    rep.flag("uniqueness", f"{len(hits)} amalgamations at {a!r}: {x}, {y}")
+    return n_checked
+
+
+def replay_report(ps, cov, budget=DEFAULT_FAMILY_BUDGET):
+    """`replay_sheaf`'s report, noted as `check_sheaf` notes its count."""
+    rep = Report(f"sheaf condition ({ps.name})")
+    rep.note(f"checked {replay_sheaf(rep, ps, cov, budget)} families")
     return rep
 
 

@@ -204,6 +204,15 @@ def test_bad_heap_literals_exit_two(tmp_path, capsys):
         assert main(["sat", "--model", model_path, "--name", "both", "--heap", bad]) == 2
 
 
+def test_sat_without_a_heap_is_a_schema_error(capsys):
+    """`sat` needs --heap as `psl` needs --space: a missing one exits 2
+    and names the option, where exit 1 would read "checked and failed"."""
+    argv = ["sat", "--model", str(MODELS / "memory.json"), "--formula", "T", "--json"]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ModelSchemaError", "detail": "--heap: a heap literal is required"}
+
+
 def test_boolean_values_are_not_integers(tmp_path, capsys):
     model_path = write_model(tmp_path, dict(MEMORY_DOC, values=[True, 0]))
     with pytest.raises(ModelSchemaError) as exc:
@@ -911,3 +920,12 @@ def test_a_reader_that_stops_early_leaves_no_traceback(tmp_path):
     proc.wait(timeout=60)
     assert b"Traceback" not in err and err == b""
     assert proc.returncode == cli.EXIT_CLOSED_STDOUT
+
+
+def test_sat_without_a_heap_leaves_no_traceback():
+    proc = run_sheafsep(["sat", "--model", str(MODELS / "memory.json"), "--formula", "T"],
+                        subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert b"Traceback" not in err
+    assert err == b"error: --heap: a heap literal is required\n" and out == b""

@@ -23,7 +23,7 @@ from sheafsep.day import (
 from sheafsep.errors import BudgetExceededError, MonoidalStructureError
 from sheafsep.fincat import build_finsurj_category, build_powerset_category, element_key
 from sheafsep.presheaf import Heap, build_resource_sheaf, check_sheaf
-from sheafsep.site import build_coverage
+from sheafsep.site import Site, build_coverage
 
 KINDS = {
     "M": ("strict-memory", {}),
@@ -228,6 +228,126 @@ def test_memory_coends_have_one_class_per_stage_at_four_locations(left):
     f_sheaf = mp if left == "Mp" else build_resource_sheaf(cat, "strict-memory", values=(0, 1))
     coend = day_coend(f_sheaf, mp, mon)
     assert [len(coend.at(a)) for a in cat.objects] == [1] * 16
+
+
+# -- Day stability by lemma against the replay --------------------------------
+
+
+def _stability_samples(cat):
+    """M, Mp, the support-bounded carrier at every bound, representables
+    at {}, at a singleton and at the top, a two-point constant and the
+    terminal presheaf, on the powerset at `cat`."""
+    top = cat.objects[-1]
+    samples = [build_resource_sheaf(cat, kind, values=(0, 1))
+               for kind in ("strict-memory", "partial-memory")]
+    samples += [build_resource_sheaf(cat, "support-bounded", values=(0, 1), bound=k)
+                for k in range(len(top) + 1)]
+    samples += [build_resource_sheaf(cat, "yoneda", at_object=a)
+                for a in dict.fromkeys([(), cat.objects[1], top])]
+    return samples + [build_resource_sheaf(cat, "constant", elements=(0, 1)),
+                      build_resource_sheaf(cat, "terminal")]
+
+
+def _one_point_onto(ps):
+    """Lemma C's premise, read off the elements: one element at {} and
+    every restriction onto."""
+    cat = ps.base
+    return len(ps.at(())) == 1 and all(
+        {ps.restrict(f, x) for x in ps.at(cat.dst(f))} == set(ps.at(cat.src(f)))
+        for f in cat.all_morphisms())
+
+
+@pytest.mark.parametrize("n_locs,coverage", [
+    (n, coverage) for n in (1, 2, 3) for coverage in COVERAGES + ("atomic",)
+    if n < 3 or coverage == "downward-closed"])
+def test_day_stability_by_lemma_is_the_replay(n_locs, coverage, monkeypatch):
+    """Lemmas B and C decide the sheaf condition of a convolution from its
+    factors.  The report equals the one `check_sheaf` gives on every
+    convolution built, and `check_sheaf` runs on exactly the convolutions
+    whose lemma's premise fails, each premise read here off the
+    element-level sheaf check and the samples' elements.  Atomic least
+    covers are not the lub ones, so under it every decomposition form is
+    replayed.  Finite-covers (downward-closed under another name on a
+    finite base) and atomic stop at 2 locations: at 3 the oracle's
+    replays under them take about 20 s."""
+    cat, mon = _powerset(n_locs)
+    cov = build_coverage(cat, coverage)
+    site = Site(cat, cov, mon)
+    samples = _stability_samples(cat)
+    sheaf = [coverage != "atomic" and presheaf_reference.check_sheaf(ps, cov).ok
+             for ps in samples]
+    point = [_one_point_onto(ps) for ps in samples]
+    if coverage != "atomic" and n_locs > 1:  # one location: every least cover is maximal
+        assert any(sheaf) and not all(sheaf)
+    assert any(point) and not all(point)
+    replayed = []
+    monkeypatch.setattr(day, "check_sheaf",
+                        lambda conv, c: replayed.append(conv.name) or check_sheaf(conv, c))
+    got = day.check_day_stability(site, samples)
+    monkeypatch.undo()
+    want, premise_fails = [], []
+    for i, f_sheaf in enumerate(samples):
+        for j, g_sheaf in enumerate(samples):
+            coend = day_coend(f_sheaf, g_sheaf, mon)
+            for kind, conv, certified in (("decomp-sheaf", coend.decomp, sheaf[i] and sheaf[j]),
+                                          ("coend-sheaf", coend, point[i] and point[j])):
+                rep = check_sheaf(conv, cov)
+                assert rep.ok or not certified, conv.name
+                want += [(kind, f"{conv.name}: {v.detail}") for v in rep.violations]
+                if not certified:
+                    premise_fails.append(conv.name)
+    assert [(v.kind, v.detail) for v in got.violations] == want
+    assert replayed == premise_fails
+    if n_locs > 1:
+        assert any(kind == "decomp-sheaf" for kind, _ in want)
+
+
+@pytest.mark.parametrize("n_locs", [2, 3])
+def test_day_stability_of_the_memory_sheaves_encodes_no_convolution_cover(n_locs, built):
+    """Deterministic work gate: on M and Mp every convolution is decided
+    by lemma, so the only covers encoded are the samples' own least
+    covers, read by `is_sheaf` for lemma B's premise."""
+    cat, mon = _powerset(n_locs)
+    site = Site(cat, build_coverage(cat, "downward-closed"), mon)
+    m, mp = (build_resource_sheaf(cat, kind, values=(0, 1))
+             for kind in ("strict-memory", "partial-memory"))
+    built.clear()
+    assert day.check_day_stability(site, [m, mp]).ok
+    assert built["_EncodedCover"] == len(m._covers) + len(mp._covers)
+    assert built["_EncodedCover"] == 2 * sum(len(a) >= 2 for a in cat.objects)
+
+
+def _raised(run):
+    """The message, size and cover of the `BudgetExceededError` that
+    `run()` raises, or None."""
+    try:
+        run()
+    except BudgetExceededError as exc:
+        return str(exc), exc.size, getattr(exc, "cover", None)
+    return None
+
+
+def test_certified_convolutions_raise_the_budget_errors_of_the_replay():
+    """A convolution decided by lemma raises what `check_sheaf` on it
+    would.  The coend's decomposition budget, at the same stage; and
+    under every family budget from 0 past the largest stage, the
+    decomposition form's, at the same cover with the same count."""
+    cat, mon = _powerset(2)
+    site = Site(cat, build_coverage(cat, "downward-closed"), mon)
+    mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
+    certified = _raised(lambda: day.check_day_stability(site, [mp], budget=20))
+    assert certified is not None
+    assert certified == _raised(lambda: check_sheaf(day_coend(mp, mp, mon, budget=20), site.cov))
+    for n_locs in (2, 3):
+        cat, mon = _powerset(n_locs)
+        cov = build_coverage(cat, "downward-closed")
+        m, mp = (build_resource_sheaf(cat, kind, values=(0, 1))
+                 for kind in ("strict-memory", "partial-memory"))
+        for decomp in (day_decomp(m, mp, mon), day_decomp(mp, mp, mon)):
+            sizes = sorted({decomp.size(a) for a in cat.objects})
+            for budget in sorted({0, *sizes, *(n - 1 for n in sizes)}):
+                want = _raised(lambda: check_sheaf(decomp, cov, budget=budget))
+                assert _raised(lambda: day._certified_sheaf(decomp, cov, budget)) == want
 
 
 @pytest.mark.parametrize("base,pairs", [("powerset", 192), ("finsurj", 28)])

@@ -11,13 +11,11 @@ from sheafsep.day import day_coend, day_decomp
 from sheafsep.errors import BudgetExceededError, NotASheafError
 from sheafsep.fincat import build_finsurj_category, build_powerset_category, incl
 from sheafsep.presheaf import (
-    DEFAULT_FAMILY_BUDGET,
     Heap,
     Presheaf,
     amalgamation_candidates,
     amalgamation_operator,
     _EncodedCover,
-    _replay_sheaf,
     build_resource_sheaf,
     check_sheaf,
     enumerate_compatible_families,
@@ -335,24 +333,17 @@ def _least_cover_cases(cat, mon):
 LEAST_COVER_SITES = {site[0]: site for site in _least_cover_sites()}
 
 
-def _replay_report(ps, cov):
-    """The all-cover check on ids: every family on every cover, replayed
-    whatever the least covers say."""
-    rep = Report(f"sheaf condition ({ps.name})")
-    rep.note(f"checked {_replay_sheaf(rep, ps, cov, DEFAULT_FAMILY_BUDGET)} families")
-    return rep.as_dict()
-
-
 @functools.cache
 def _reference_reports(name):
     """Per case of the named site, the presheaf and its all-cover report:
-    the element-level reference's, but the id-level replay's on Day
-    decompositions, which have too many elements per stage for the
-    reference."""
+    the element-level reference's, but on Day decompositions, which have
+    too many elements per stage for it, the reference's replay on ids
+    (`ref.replay_sheaf`: every cover, maximal sieves included, each
+    family looked up by its generators' factorisations)."""
     _, cat, mon, cov = LEAST_COVER_SITES[name]
     cases, decomps = _least_cover_cases(cat, mon)
     return ([(ps, ref.check_sheaf(ps, cov).as_dict()) for ps in cases]
-            + [(ps, _replay_report(ps, cov)) for ps in decomps])
+            + [(ps, ref.replay_report(ps, cov).as_dict()) for ps in decomps])
 
 
 @pytest.mark.parametrize("name", sorted(LEAST_COVER_SITES))
@@ -412,21 +403,22 @@ def test_sheaf_budget_is_the_all_cover_budget(name):
     for ps, want in _reference_reports(name):
         if want["ok"]:
             least = _smallest_budget(lambda b: check_sheaf(ps, cov, budget=b))
-            replay = _smallest_budget(lambda b: _replay_sheaf(Report(""), ps, cov, b))
+            replay = _smallest_budget(lambda b: ref.replay_sheaf(Report(""), ps, cov, b))
             assert least == replay, ps.name
 
 
 def test_check_sheaf_of_a_four_location_sheaf_encodes_least_covers_only(built):
-    """Deterministic work gate: on a sheaf `check_sheaf` encodes one
-    cover per object, its least cover, and counts the other covers'
-    families in closed form."""
+    """Deterministic work gate: on a sheaf `check_sheaf` encodes the least
+    cover of each object whose least cover is not its maximal sieve (the
+    11 stages of two or more locations; 16 when maximal sieves were
+    encoded too), and counts the other covers' families in closed form."""
     cat, _ = build_powerset_category(["w", "x", "y", "z"])
     cov = build_coverage(cat, "downward-closed")
     mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
     built.clear()
     rep = check_sheaf(mp, cov)
     assert rep.ok
-    assert built["_EncodedCover"] == len(cat.objects) == 16
+    assert built["_EncodedCover"] == sum(len(a) >= 2 for a in cat.objects) == 11
     n_families = sum(len(cov.covers(a)) * mp.size(a) for a in cat.objects)
     assert rep.notes == [f"checked {n_families} families"]
 
@@ -435,10 +427,13 @@ def test_check_sheaf_of_a_non_sheaf_enumerates_each_cover_once(monkeypatch):
     """Deterministic work gate: on a presheaf that is not a sheaf,
     `check_sheaf` enumerates each cover's families at most once: the
     replay reads the families of the least covers that the verdict
-    enumerated.  On the
+    enumerated, and neither pass enumerates a maximal sieve.  On the
     3-location, 4-value, bound-2 support-bounded memory model that is one
-    enumeration for each of the 19 covers (27 before), with the report
-    of the replay that enumerates every cover."""
+    enumeration for each of the 11 covers that are not maximal sieves
+    (19 covers in all; 27 enumerations before the replay read the least
+    covers' families, 19 before maximal sieves were counted in closed
+    form), with the report of the reference replay that enumerates every
+    cover."""
     cat, _, cov = _site(3)
     ps = build_resource_sheaf(cat, "support-bounded", values=(0, 1, 2, 3), bound=2)
     calls = []
@@ -447,10 +442,10 @@ def test_check_sheaf_of_a_non_sheaf_enumerates_each_cover_once(monkeypatch):
                         lambda self, budget: calls.append(self.cover) or families(self, budget))
     rep = check_sheaf(ps, cov)
     assert not rep.ok
-    assert len(calls) == len(set(calls)) == sum(len(cov.covers(a)) for a in cat.objects) == 19
-    replay = Report(rep.title)
-    replay.note(f"checked {_replay_sheaf(replay, ps, cov, DEFAULT_FAMILY_BUDGET)} families")
-    assert rep.as_dict() == replay.as_dict()
+    assert sum(len(cov.covers(a)) for a in cat.objects) == 19
+    assert len(calls) == len(set(calls)) == 19 - len(cat.objects) == 11
+    assert all(len(s.members) < len(cat.mors_into(s.target)) for s in calls)
+    assert rep.as_dict() == ref.replay_report(ps, cov).as_dict()
 
 
 CATEGORIES = {
