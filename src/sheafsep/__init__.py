@@ -44,12 +44,10 @@ from .pred import (
 )
 from .presheaf import (
     STAR,
-    CompatibleFamily,
     Heap,
     MatchClass,
     Presheaf,
     SheafMorphism,
-    amalgamate,
     amalgamation_operator,
     build_resource_sheaf,
     check_sheaf,

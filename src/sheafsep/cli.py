@@ -471,9 +471,9 @@ def _capped(failures):
 
 def _cmd_eval(model, args, report):
     phi = _formula_from_args(model, args)
-    stage = parse_stage(args.stage, model) if args.stage else model.stage
+    stage = model.stage if args.stage is None else parse_stage(args.stage, model)
     pred = eval_formula(model, phi, stage, mode=args.mode)
-    report.status["formula"] = args.formula or args.name
+    report.status["formula"] = args.name if args.formula is None else args.formula
     report.status["stage"] = "{" + ",".join(stage) + "}"
     report.status["family"] = _family_table(pred)
     report.exit_code = 0
@@ -481,7 +481,7 @@ def _cmd_eval(model, args, report):
 
 def _cmd_sat(model, args, report):
     phi = _formula_from_args(model, args)
-    stage = parse_stage(args.stage, model) if args.stage else model.stage
+    stage = model.stage if args.stage is None else parse_stage(args.stage, model)
     if args.heap is None:
         raise ModelSchemaError("--heap", "a heap literal is required")
     heap = parse_heap(args.heap, stage)
@@ -517,12 +517,12 @@ def _cmd_psl(model, args, report):
 
 
 def _formula_from_args(model, args):
-    if args.formula:
+    if args.formula is not None:
         phi = parse_formula(args.formula)
         if isinstance(model, ResourceModel):
             model.check_formula(phi)
         return phi
-    if args.name:
+    if args.name is not None:
         formulas = getattr(model, "formulas", {})
         if args.name not in formulas:
             raise ModelSchemaError("--name", f"model has no formula named {args.name!r}")

@@ -42,10 +42,6 @@ class ResourceKindError(SheafSepError):
     """Resource sheaf kind incompatible with the given site."""
 
 
-class StageNotEnumerableError(SheafSepError):
-    """Stage of a lazily-defined presheaf cannot be enumerated."""
-
-
 class BudgetExceededError(SheafSepError):
     """Exhaustive enumeration exceeded the configured budget."""
 
@@ -61,18 +57,6 @@ class IncompatibleFamilyError(SheafSepError):
     def __init__(self, message, *, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class NoAmalgamationError(SheafSepError):
-    """No element restricts to the given compatible family."""
-
-
-class NonUniqueAmalgamationError(SheafSepError):
-    """At least two elements restrict to the family; carries both."""
-
-    def __init__(self, message, *, witnesses=None):
-        super().__init__(message)
-        self.witnesses = witnesses
 
 
 class NotASheafError(SheafSepError):

