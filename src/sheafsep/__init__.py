@@ -19,13 +19,10 @@ from .day import (
 )
 from .fincat import (
     FinCat,
-    FunctorData,
     MonoidalStructure,
     build_finsurj_category,
     build_powerset_category,
-    slice_category,
     validate_category,
-    validate_functor,
     validate_monoidal,
 )
 from .pred import (
@@ -33,14 +30,11 @@ from .pred import (
     bottom_predicate,
     combine_alpha,
     direct_image,
-    glue_predicates,
     implication,
     join,
     meet,
     reindex_preimage,
-    restrict_predicate,
     top_predicate,
-    validate_predicate,
 )
 from .presheaf import (
     STAR,
@@ -52,10 +46,7 @@ from .presheaf import (
     build_resource_sheaf,
     check_sheaf,
     is_sheaf,
-    matching_object,
     matching_presheaf,
-    slice_restrict,
-    validate_presheaf,
     validate_sheaf_morphism,
 )
 from .psl import (
@@ -78,13 +69,9 @@ from .seplogic import (
 )
 from .site import (
     Coverage,
-    PreCover,
     Sieve,
     Site,
     build_coverage,
-    pullback_sieve,
-    saturate_precoverage,
-    slice_coverage,
     validate_coverage,
 )
 

@@ -496,7 +496,7 @@ def _cmd_sat(model, args, report):
 
 def _cmd_psl(model, args, report):
     phi = _formula_from_args(model, args)
-    if not args.space:
+    if args.space is None:
         raise ModelSchemaError("--space", "a named space is required")
     sp = model.space(args.space)
     variables = model.variables_for(sp)

@@ -29,15 +29,6 @@ class CoverageKindError(SheafSepError):
     """Coverage kind incompatible with the given category."""
 
 
-class PreCoverageError(SheafSepError):
-    """Pre-coverage condition violated; carries the witness cospan."""
-
-    def __init__(self, message, *, precover=None, morphism=None):
-        super().__init__(message)
-        self.precover = precover
-        self.morphism = morphism
-
-
 class ResourceKindError(SheafSepError):
     """Resource sheaf kind incompatible with the given site."""
 
@@ -51,14 +42,6 @@ class BudgetExceededError(SheafSepError):
         self.size = size
 
 
-class IncompatibleFamilyError(SheafSepError):
-    """Family violates compatibility; carries a witness square."""
-
-    def __init__(self, message, *, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class NotASheafError(SheafSepError):
     """Operation required a sheaf; forwarded failure report attached."""
 
@@ -67,20 +50,8 @@ class NotASheafError(SheafSepError):
         self.report = report
 
 
-class SquareError(SheafSepError):
-    """Supplied square does not commute."""
-
-
 class StageMismatchError(SheafSepError):
     """Predicates or elements live at incompatible stages/resources."""
-
-
-class NaturalityError(SheafSepError):
-    """A claimed natural transformation fails naturality; witness attached."""
-
-    def __init__(self, message, *, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class FormulaSyntaxError(SheafSepError):

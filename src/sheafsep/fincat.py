@@ -6,7 +6,6 @@ Morphism identifiers:
 
   powerset base:  ("incl", src_tuple, dst_tuple)
   finsurj base:   ("surj", n, m, values)        values[i] = f(i+1)
-  slice category: ("tri", g, q, p)              g base morphism, q = p.g
 
 The built-in bases are small enough that every law is checked by
 exhaustive enumeration.
@@ -178,22 +177,6 @@ class MonoidalStructure:
             raise TensorUndefinedError(f"tensor undefined on morphism pair ({f!r}, {g!r})") from None
 
 
-@dataclass(frozen=True)
-class FunctorData:
-    """Object/morphism maps between two FinCats."""
-
-    source: FinCat = field(hash=False)
-    target: FinCat = field(hash=False)
-    obj_map: dict = field(hash=False)
-    mor_map: dict = field(hash=False)
-
-    def on_obj(self, a):
-        return self.obj_map[a]
-
-    def on_mor(self, f):
-        return self.mor_map[f]
-
-
 # -- builders -----------------------------------------------------------
 
 
@@ -299,43 +282,6 @@ def build_finsurj_category(max_size):
                     tensor_mor[(f, g)] = surj(n * m, n2 * m2, tuple(vals))
     mon = MonoidalStructure(tensor_obj, tensor_mor, unit=1, symmetric=False)
     return cat, mon
-
-
-def tri(g, q, p):
-    return ("tri", g, q, p)
-
-
-def slice_category(cat: FinCat, a):
-    """Slice category cat/a together with the domain functor into cat.
-
-    Objects are the morphisms p with dst(p) = a; a morphism q -> p is a
-    base morphism g with p.g = q, interned as ("tri", g, q, p).
-    """
-    cat.require_object(a)
-    objects = cat.mors_into(a)
-    homs = {}
-    for q in objects:
-        for p in objects:
-            ms = tuple(tri(g, q, p) for g in cat.factorisations(q, p))
-            if ms:
-                homs[(q, p)] = ms
-    compose = {}
-    for (q0, q1), fs in homs.items():
-        for (r1, q2), gs in homs.items():
-            if r1 != q1:
-                continue
-            for f in fs:
-                for g in gs:
-                    compose[(g, f)] = tri(cat.compose(g[1], f[1]), q0, q2)
-    identities = {p: tri(cat.id(cat.src(p)), p, p) for p in objects}
-    sl = FinCat(("slice", cat.kind, a), objects, homs, compose, identities)
-    dom = FunctorData(
-        source=sl,
-        target=cat,
-        obj_map={p: cat.src(p) for p in objects},
-        mor_map={m: m[1] for ms in homs.values() for m in ms},
-    )
-    return sl, dom
 
 
 # -- validation ---------------------------------------------------------
@@ -464,20 +410,3 @@ def _replay_tensor_functoriality(rep, cat: FinCat, mon: MonoidalStructure):
                         f"(f2.f) tensor (g2.g) != (f2 tensor g2).(f tensor g) at ({f!r},{g!r})",
                     )
 
-
-def validate_functor(fd: FunctorData) -> Report:
-    rep = Report("functor data")
-    for m in fd.mor_map:
-        src_img = fd.obj_map.get(fd.source.src(m))
-        dst_img = fd.obj_map.get(fd.source.dst(m))
-        fm = fd.mor_map[m]
-        if fd.target.src(fm) != src_img or fd.target.dst(fm) != dst_img:
-            rep.flag("typing", f"image of {m!r} mistyped")
-    for a, e in fd.source.identities.items():
-        if fd.mor_map.get(e) != fd.target.identities.get(fd.obj_map[a]):
-            rep.flag("identity", f"identity of {a!r} not preserved")
-    for (g, f), h in fd.source.compose_table.items():
-        img = fd.target.compose_table.get((fd.mor_map[g], fd.mor_map[f]))
-        if img != fd.mor_map.get(h):
-            rep.flag("composition", f"composition not preserved at ({g!r}, {f!r})")
-    return rep

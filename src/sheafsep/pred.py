@@ -2,8 +2,8 @@
 
 A predicate at stage A assigns to every slice object p: B -> A a subset
 of F(B).  Genuine subsheaf predicates are restriction-closed and locally
-closed; both conditions are checked by validators rather than enforced
-at construction, because the allocated points-to atom deliberately
+closed; neither condition is enforced at construction, because the
+allocated points-to atom deliberately
 breaks restriction-closure (its family is empty at stages missing the
 location) and the bottom predicate is empty everywhere.
 
@@ -17,24 +17,16 @@ transitive coverage this is the least subsheaf containing the result
 
 Families are bitsets over the resource's element ids, and every
 operation reads restriction tables (`Presheaf.index` and
-`Presheaf.table`); elements are decoded only by `family` and the
-validator's messages.
+`Presheaf.table`); elements are decoded only by `family`.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
 
-from .errors import (
-    IncompatibleFamilyError,
-    MonoidalStructureError,
-    NaturalityError,
-    StageMismatchError,
-    UnknownObjectError,
-)
-from .presheaf import Presheaf, SheafMorphism, validate_sheaf_morphism
-from .report import Report
-from .site import Sieve, Site, pullback_sieve
+from .errors import MonoidalStructureError, StageMismatchError, UnknownObjectError
+from .presheaf import Presheaf, SheafMorphism
+from .site import Site
 
 
 class KripkePredicate:
@@ -169,37 +161,6 @@ def _local(resource, site, bits, p):
     return out
 
 
-def _forced(resource, site, bits):
-    """What restriction-closure and local character force into the family
-    `bits` but it lacks, as (kind, p, i, q, j): the element with id j
-    belongs at slice object q because of the one with id i at p (for
-    local character, p = q and i = j), read off `resource.table`.  A
-    slice morphism into p is a base morphism g into src(p), from p.g."""
-    cat = site.cat
-    for p in bits:
-        members = list(_members(bits[p]))
-        for g in cat.mors_into(cat.src(p)):
-            q, table = cat.compose(p, g), resource.table(g)
-            for i in members:
-                if not bits[q] >> table[i] & 1:
-                    yield "restriction", p, i, q, table[i]
-    for p in bits:
-        for i in _members(_local(resource, site, bits, p) & ~bits[p]):
-            yield "local-character", p, i, p, i
-
-
-def validate_predicate(pred: KripkePredicate) -> Report:
-    rep = Report("predicate subsheaf conditions")
-    element, src = pred.resource.element, pred.site.cat.src
-    for kind, p, i, q, _ in _forced(pred.resource, pred.site, pred.bits):
-        x = element(src(p), i)
-        if kind == "restriction":
-            rep.flag(kind, f"{x} at {p!r} does not restrict into {q!r}")
-        else:
-            rep.flag(kind, f"{x} is locally present at {p!r} but missing")
-    return rep
-
-
 def _close(resource, site, bits):
     """Least restriction-closed, locally-closed family containing `bits`,
     by the module docstring's down and up passes.  The up pass reads the
@@ -266,15 +227,10 @@ def implication(p: KripkePredicate, q: KripkePredicate) -> KripkePredicate:
 # -- reindexing and images along sheaf morphisms ----------------------------
 
 
-def reindex_preimage(alpha: SheafMorphism, q: KripkePredicate,
-                     check_naturality=False) -> KripkePredicate:
+def reindex_preimage(alpha: SheafMorphism, q: KripkePredicate) -> KripkePredicate:
     """f*: stage-wise preimage; restriction-closure follows from
     naturality of alpha.  Undefined points never enter the preimage of a
     proper subset but always satisfy the adjoint's vacuous clause."""
-    if check_naturality:
-        rep = validate_sheaf_morphism(alpha)
-        if not rep.ok:
-            raise NaturalityError("reindexing needs a natural map", witness=rep.violations[0])
     src = q.site.cat.src
     bits = {sl: _preimage(alpha.ids(src(sl)), want, undefined=True)
             for sl, want in q.bits.items()}
@@ -293,68 +249,6 @@ def raw_image(alpha: SheafMorphism, p: KripkePredicate) -> KripkePredicate:
     src = p.site.cat.src
     bits = {sl: _image(alpha.ids(src(sl)), b) for sl, b in p.bits.items()}
     return KripkePredicate(alpha.target, p.site, p.stage, bits=bits)
-
-
-# -- gluing -------------------------------------------------------------------
-
-
-def restrict_predicate(p: KripkePredicate, f) -> KripkePredicate:
-    """The predicate at stage src(f) obtained by composing slice objects
-    with f (restriction of the predicate along f)."""
-    cat = p.site.cat
-    if cat.dst(f) != p.stage:
-        raise StageMismatchError(f"{f!r} does not target stage {p.stage!r}")
-    b = cat.src(f)
-    bits = {q: p.bits[cat.compose(f, q)] for q in cat.mors_into(b)}
-    return KripkePredicate(p.resource, p.site, b, bits=bits)
-
-
-def glue_predicates(site: Site, resource: Presheaf, cover: Sieve, parts: dict) -> KripkePredicate:
-    """The unique predicate on the cover's target restricting to the parts.
-
-    `parts` maps cover morphisms (a generating subset suffices) to
-    predicates at their sources.  Pairwise compatibility is checked on
-    common factorisations; the family at slice objects outside the cover
-    is forced by the subsheaf condition.
-    """
-    cat = site.cat
-    a = cover.target
-    full_parts = {}
-    for f in sorted(cover.members):
-        if f in parts:
-            full_parts[f] = parts[f]
-            continue
-        for g, part in parts.items():
-            ks = cat.factorisations(f, g)
-            if ks:
-                full_parts[f] = restrict_predicate(part, ks[0])
-                break
-        else:
-            raise IncompatibleFamilyError(
-                f"no part supplied or derivable for cover member {f!r}"
-            )
-    for f, part_f in full_parts.items():
-        if part_f.stage != cat.src(f) or part_f.resource is not resource:
-            raise StageMismatchError(f"part for {f!r} has wrong stage or resource")
-        for g, part_g in full_parts.items():
-            for k, h in cat.squares(f, g):
-                lhs = restrict_predicate(part_f, k)
-                rhs = restrict_predicate(part_g, h)
-                if lhs.bits != rhs.bits:
-                    raise IncompatibleFamilyError(
-                        f"parts disagree on the overlap {f!r}.{k!r} = {g!r}.{h!r}",
-                        witness=(f, g, k, h),
-                    )
-    bits = {}
-    for p in cat.mors_into(a):
-        if p in full_parts:
-            bits[p] = full_parts[p].bits[cat.id(cat.src(p))]
-            continue
-        bits[p] = _all(resource, cat.src(p))
-        for g in pullback_sieve(cat, cover, p).members:
-            pg = cat.compose(p, g)
-            bits[p] &= _preimage(resource.table(g), full_parts[pg].bits[cat.id(cat.src(pg))])
-    return KripkePredicate(resource, site, a, bits=bits)
 
 
 # -- the combinator into predicates on convolutions ---------------------------

@@ -32,10 +32,9 @@ from .errors import (
     BudgetExceededError,
     NotASheafError,
     ResourceKindError,
-    SquareError,
     StageMismatchError,
 )
-from .fincat import FinCat, element_key, slice_category
+from .fincat import FinCat, element_key
 from .report import Report
 from .site import Coverage, Sieve, sieve_masks
 
@@ -202,33 +201,6 @@ class Presheaf:
 
     def __repr__(self):
         return f"Presheaf({self.name!r} on {self.base.kind!r})"
-
-
-def validate_presheaf(ps: Presheaf) -> Report:
-    """Identity and composition functoriality, plus well-typed images."""
-    rep = Report(f"presheaf functoriality ({ps.name})")
-    cat = ps.base
-    for a in cat.objects:
-        ida = cat.id(a)
-        for x in ps.at(a):
-            if ps.restrict(ida, x) != x:
-                rep.flag("identity", f"restrict(id_{a!r}) moves {x!r}")
-    for f in cat.all_morphisms():
-        a, b = cat.src(f), cat.dst(f)
-        lower = set(ps.at(a))
-        for x in ps.at(b):
-            if ps.restrict(f, x) not in lower:
-                rep.flag("typing", f"restriction of {x!r} along {f!r} leaves the stage")
-    for f in cat.all_morphisms():
-        for g in cat.mors_into(cat.src(f)):
-            fg = cat.compose(f, g)
-            for x in ps.at(cat.dst(f)):
-                if ps.restrict(fg, x) != ps.restrict(g, ps.restrict(f, x)):
-                    rep.flag(
-                        "composition",
-                        f"restrict({fg!r}) != restrict({g!r}).restrict({f!r}) on {x!r}",
-                    )
-    return rep
 
 
 # -- resource sheaf builders ----------------------------------------------
@@ -596,44 +568,7 @@ def is_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> bool:
     return all(ok for _, _, ok in _least_cover_verdicts(ps, cov, budget))
 
 
-# -- slice restriction ------------------------------------------------------
-
-
-def slice_restrict(ps: Presheaf, a, prebuilt=None) -> Presheaf:
-    """F restricted to the slice over a: the composite F . dom_a, whose
-    tables are F's tables along the domains of slice morphisms."""
-    ps.base.require_object(a)
-    sl, dom = prebuilt if prebuilt is not None else slice_category(ps.base, a)
-    return Presheaf.encoded(
-        sl, lambda p: ps.size(dom.on_obj(p)), lambda m: ps.table(dom.on_mor(m)),
-        lambda p, i: ps.element(dom.on_obj(p), i), name=f"{ps.name}|{a!r}")
-
-
-# -- matching objects --------------------------------------------------------
-
-
-def matching_object(ps: Presheaf, a, f, g, pullback):
-    """Pairs of sections agreeing on the given pullback of f and g.
-
-    `pullback` is (P, p_f, p_g) with f.p_f = g.p_g; on a powerset base
-    that square is the intersection with its inclusions.
-    """
-    cat = ps.base
-    if cat.dst(f) != a or cat.dst(g) != a:
-        raise SquareError(f"{f!r} and {g!r} must target {a!r}")
-    p_obj, p_f, p_g = pullback
-    if cat.src(p_f) != p_obj or cat.src(p_g) != p_obj:
-        raise SquareError("pullback projections must share the apex")
-    if cat.compose(f, p_f) != cat.compose(g, p_g):
-        raise SquareError("pullback square does not commute")
-    # positions follow element order, so the pairs come out sorted
-    left, right = ps.table(p_f), ps.table(p_g)
-    return tuple(
-        (ps.element(cat.src(f), i), ps.element(cat.src(g), j))
-        for i, x in enumerate(left)
-        for j, y in enumerate(right)
-        if x == y
-    )
+# -- the matching presheaf ----------------------------------------------------
 
 
 @dataclass(frozen=True)

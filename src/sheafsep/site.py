@@ -3,9 +3,10 @@
 All three coverage axioms are decidable by exhaustive enumeration here:
 a Coverage hands out the set of covering sieves per object, built the
 first time it is read, and `validate_coverage` replays the axioms
-against that table.  Both run on `SieveMasks`; `Sieve` objects are built
-only for the covers and least covers read and at the API, so a model
-load, which reads neither, builds none.
+against that table.  Both run on `SieveMasks`, which enumerates the
+sieves of an object, pulls them back and generates them on ints;
+`Sieve` objects are built only for the covers and least covers read,
+so a model load, which reads neither, builds none.
 
 A cover of the empty stage: the union criterion on a powerset admits the
 empty sieve as a cover of the empty set.  We exclude it (a sieve must be
@@ -19,11 +20,11 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .errors import BudgetExceededError, CoverageKindError, PreCoverageError, UnknownObjectError
-from .fincat import FinCat, MonoidalStructure, slice_category
+from .errors import BudgetExceededError, CoverageKindError
+from .fincat import FinCat, MonoidalStructure
 from .report import Report
 
-SIEVE_ENUM_LIMIT = 20  # max morphisms-into-object for all_sieves enumeration
+SIEVE_ENUM_LIMIT = 20  # max morphisms into an object for SieveMasks.all
 
 
 @dataclass(frozen=True)
@@ -38,17 +39,6 @@ class Sieve:
 
     def sort_key(self):
         return (self.target, self.sorted_members())
-
-
-@dataclass(frozen=True)
-class PreCover:
-    """An arbitrary family of morphisms into `target` (not yet a sieve)."""
-
-    target: object
-    family: frozenset
-
-    def sorted_family(self):
-        return tuple(sorted(self.family))
 
 
 def _bits(m):
@@ -91,20 +81,12 @@ class SieveMasks:
             )
         return self._pull[h]
 
-    def generate(self, a, generators):
-        """The mask of the sieve on `a` generated by `generators`: every f.g."""
-        m = 0
-        for f in generators:
-            if self.cat.dst(f) != a:
-                raise UnknownObjectError(f"generator {f!r} does not target {a!r}")
-            for on_dst, _ in self.pull(f):
-                m |= on_dst
-        return m
-
     def closure(self, a):
-        """Morphism into `a` -> the mask of the sieve it generates, in sorted order."""
+        """Morphism f into `a` -> the mask of the sieve it generates (every
+        f.g), in sorted order."""
         if a not in self._closure:
-            self._closure[a] = {f: self.generate(a, (f,)) for f in self.bit(a)}
+            self._closure[a] = {f: reduce(or_, (on_dst for on_dst, _ in self.pull(f)))
+                                for f in self.bit(a)}
         return self._closure[a]
 
     def generators(self, a, m):
@@ -146,8 +128,8 @@ class SieveMasks:
         return Sieve(a, frozenset(self.sorted_members(a, m)))
 
     def all(self, a):
-        """Every sieve on `a`, in `all_sieves` order: the unions of the
-        sieves its morphisms generate."""
+        """Every sieve on `a`, ordered by size and then sorted members:
+        the unions of the sieves its morphisms generate."""
         if a not in self._all:
             closure = self.closure(a)
             if len(closure) > SIEVE_ENUM_LIMIT:
@@ -177,27 +159,6 @@ def sieve_masks(cat: FinCat) -> SieveMasks:
 
 def maximal_sieve(cat: FinCat, a) -> Sieve:
     return Sieve(a, frozenset(cat.mors_into(a)))
-
-
-def generate_sieve(cat: FinCat, target, generators) -> Sieve:
-    """Close a family of morphisms into `target` under precomposition."""
-    sm = sieve_masks(cat)
-    return sm.sieve(target, sm.generate(target, generators))
-
-
-def pullback_sieve(cat: FinCat, s: Sieve, h) -> Sieve:
-    """h*(S) = {g | h.g in S}, a sieve on src(h)."""
-    if cat.dst(h) != s.target:
-        raise UnknownObjectError(f"cannot pull back a sieve on {s.target!r} along {h!r}")
-    sm = sieve_masks(cat)
-    return sm.sieve(cat.src(h), _pull(sm.pull(h), sm.mask(s.target, s.members)))
-
-
-def all_sieves(cat: FinCat, a) -> list[Sieve]:
-    """Every sieve on `a`, ordered by size and then sorted members."""
-    cat.require_object(a)
-    sm = sieve_masks(cat)
-    return [sm.sieve(a, m) for m in sm.all(a)]
 
 
 class Coverage:
@@ -334,46 +295,16 @@ def build_coverage(cat: FinCat, kind: str) -> Coverage:
     raise CoverageKindError(f"unknown coverage kind {kind!r}")
 
 
-def _forced_sieves(sm: SieveMasks, covers, covering):
-    """Sieves that stability and transitivity force in but the sets
-    `covering[b]` of covering masks lack, as (axiom, a, j, b, m, h): the
-    mask m on b is the pullback of the j-th mask in covers(a) along h, or
-    (h None) locally covering via it.  `covers(a)` is read anew for every
-    sieve tested, so a caller that adds each yielded sieve sweeps the
-    enlarged coverage.  A sieve tested for transitivity is pulled back at
-    most once per morphism."""
-    cat = sm.cat
-    for a in cat.objects:
-        legs = [(h, cat.src(h), sm.pull(h)) for h in cat.mors_into(a)]
-        for j, s in enumerate(covers(a)):
-            for h, b, table in legs:
-                pb = _pull(table, s)
-                if pb not in covering[b]:
-                    yield "stability", a, j, b, pb, h
-    for a in cat.objects:
-        legs = [(cat.src(f), sm.pull(f)) for f in sm.bit(a)]
-        for r in sm.all(a):
-            if r in covering[a]:
-                continue
-            good = bad = 0  # the legs along which r is known to pull back to a cover, or not
-            for j, s in enumerate(covers(a)):
-                # walk the members of s low to high until one is not good
-                rest = s & ~good
-                while rest and not rest & -rest & bad:
-                    low = rest & -rest
-                    b, table = legs[low.bit_length() - 1]
-                    if _pull(table, r) in covering[b]:
-                        good |= low
-                        rest ^= low
-                    else:
-                        bad |= low
-                if not rest:
-                    yield "transitivity", a, j, a, r, None
-                    break
+def trivial_coverage(cat: FinCat) -> Coverage:
+    """Only maximal sieves cover: the least coverage."""
+    maximal = {a: [maximal_sieve(cat, a)] for a in cat.objects}
+    return Coverage(cat, maximal, ("covering = maximal sieve only",))
 
 
 def validate_coverage(cat: FinCat, cov: Coverage) -> Report:
-    """Replay maximality, stability and transitivity exhaustively."""
+    """Replay maximality, stability and transitivity exhaustively.  A
+    sieve tested for transitivity is pulled back at most once per
+    morphism."""
     rep = Report("coverage axioms")
     sm = sieve_masks(cat)
     for a in cat.objects:
@@ -383,95 +314,39 @@ def validate_coverage(cat: FinCat, cov: Coverage) -> Report:
             if not sm.is_sieve(s):
                 rep.flag("typing", f"member set on {a!r} is not a sieve: {s.sorted_members()!r}")
     # a sieve filed under the wrong object is a typing fault, not a cover
-    filed, masks, exact = {}, {}, {}  # exact: masks that drop no member
+    filed, exact = {}, {}  # exact: masks that drop no member
     for a in cat.objects:
-        filed[a] = [s for s in cov.covers(a) if s.target == a]
-        masks[a] = [sm.mask(a, s.members) for s in filed[a]]
-        exact[a] = {m for m, s in zip(masks[a], filed[a]) if m.bit_count() == len(s.members)}
+        filed[a] = [(s, sm.mask(a, s.members)) for s in cov.covers(a) if s.target == a]
+        exact[a] = {m for s, m in filed[a] if m.bit_count() == len(s.members)}
         if (1 << len(sm.bit(a))) - 1 not in exact[a]:
             rep.flag("maximality", f"maximal sieve missing at {a!r}")
-    for axiom, a, j, b, m, h in _forced_sieves(sm, masks.__getitem__, exact):
-        s = filed[a][j]
-        if axiom == "stability":
-            rep.flag(axiom, f"pullback of {s.sorted_members()!r} along {h!r} is not covering")
-        else:
-            rep.flag(axiom, f"sieve {sm.sorted_members(b, m)!r} on {b!r} is locally covering "
-                     f"via {s.sorted_members()!r} but not covering")
+    for a in cat.objects:
+        legs = [(h, cat.src(h), sm.pull(h)) for h in cat.mors_into(a)]
+        for s, m in filed[a]:
+            for h, b, table in legs:
+                if _pull(table, m) not in exact[b]:
+                    rep.flag("stability",
+                             f"pullback of {s.sorted_members()!r} along {h!r} is not covering")
+    for a in cat.objects:
+        legs = [(cat.src(f), sm.pull(f)) for f in sm.bit(a)]
+        for r in sm.all(a):
+            if r in exact[a]:
+                continue
+            good = bad = 0  # the legs along which r is known to pull back to a cover, or not
+            for s, m in filed[a]:
+                # walk the members of s low to high until one is not good
+                rest = m & ~good
+                while rest and not rest & -rest & bad:
+                    low = rest & -rest
+                    b, table = legs[low.bit_length() - 1]
+                    if _pull(table, r) in exact[b]:
+                        good |= low
+                        rest ^= low
+                    else:
+                        bad |= low
+                if not rest:
+                    rep.flag("transitivity",
+                             f"sieve {sm.sorted_members(a, r)!r} on {a!r} is locally covering "
+                             f"via {s.sorted_members()!r} but not covering")
+                    break
     return rep
-
-
-# -- pre-coverages and saturation ---------------------------------------
-
-
-def saturate_precoverage(cat: FinCat, assignment) -> Coverage:
-    """Least Grothendieck coverage containing the given pre-covers.
-
-    The pre-coverage condition is checked first (identity pre-covers are
-    admitted implicitly as refinements); the result is the fixpoint of
-    the three saturation axioms over the finite sieve lattice.
-    """
-    assignment = {a: tuple(assignment.get(a, ())) for a in cat.objects}
-    # pre-coverage condition
-    for a in cat.objects:
-        for pc in assignment[a]:
-            if pc.target != a:
-                raise PreCoverageError(
-                    f"pre-cover on {pc.target!r} filed under {a!r}", precover=pc
-                )
-            for h in cat.mors_into(a):
-                b = cat.src(h)
-                candidates = list(assignment[b]) + [PreCover(b, frozenset({cat.id(b)}))]
-                if not any(
-                    all(
-                        any(cat.factorisations(cat.compose(h, g), f) for f in pc.family)
-                        for g in g_fam.family
-                    )
-                    for g_fam in candidates
-                ):
-                    raise PreCoverageError(
-                        f"pre-coverage condition fails for pre-cover "
-                        f"{pc.sorted_family()!r} along {h!r}",
-                        precover=pc,
-                        morphism=h,
-                    )
-    sm = sieve_masks(cat)
-    masks = {a: {(1 << len(sm.bit(a))) - 1} for a in cat.objects}
-    for a in cat.objects:
-        masks[a].update(sm.generate(a, pc.family) for pc in assignment[a])
-    changed = True
-    while changed:
-        changed = False
-        for _, _, _, b, m, _ in _forced_sieves(sm, lambda a: list(masks[a]), masks):
-            masks[b].add(m)
-            changed = True
-    sieves = {a: [sm.sieve(a, m) for m in ms] for a, ms in masks.items()}
-    return Coverage(cat, sieves, ("saturation of a pre-coverage",))
-
-
-def trivial_coverage(cat: FinCat) -> Coverage:
-    """Only maximal sieves cover; the saturation of the empty assignment."""
-    maximal = {a: [maximal_sieve(cat, a)] for a in cat.objects}
-    return Coverage(cat, maximal, ("covering = maximal sieve only",))
-
-
-# -- slice coverages ----------------------------------------------------
-
-
-def slice_coverage(cov: Coverage, a) -> Coverage:
-    """Coverage induced on cat/a: a slice sieve covers iff its image
-    under the domain functor is covering in the base.  That functor maps
-    the morphisms into p one to one onto those into src(p), and sieves
-    onto sieves, so the covers at p are the base covers at src(p)."""
-    cat = cov.cat
-    sl, dom = slice_category(cat, a)
-    sm = sieve_masks(cat)
-    by_object = {}
-    for p in sl.objects:
-        b = cat.src(p)
-        over = {dom.on_mor(m): m for m in sl.mors_into(p)}
-        by_object[p] = [
-            Sieve(p, frozenset(over[g] for g in s.members))
-            for s in cov.covers(b)
-            if s.target == b and sm.is_sieve(s)
-        ]
-    return Coverage(sl, by_object, (f"slice coverage over {a!r}",))

@@ -6,16 +6,24 @@ in `sheafsep.pred` and `sheafsep.seplogic` replaces: families are sets
 of elements, every restriction is applied with `Presheaf.restrict`, and
 the star multiplies each pair of halves with `day_reference.apply`.
 The differential tests compare the two on families, reports and
-witnesses.  `close_bits` is the closure as a fixpoint on ids, the
-oracle of `pred._close`'s two passes.
+witnesses.
+
+On ids, `forced_bits` names what the subsheaf condition forces into a
+family, `validate_predicate_bits` reports it, and `close_bits` sets it
+to a fixpoint, the oracle of `pred._close`'s two passes.
+`restrict_predicate` and `glue_predicates` restrict a predicate along
+a morphism and glue a compatible family of them over a cover.
 """
 
 from day_reference import apply
+from fincat_reference import slice_category
+from presheaf_reference import IncompatibleFamilyError
 from sheafsep.day import Decomp, splittings
-from sheafsep.fincat import element_key, slice_category
-from sheafsep.pred import _forced
+from sheafsep.errors import StageMismatchError
+from sheafsep.fincat import element_key
+from sheafsep.pred import KripkePredicate, _all, _local, _members, _preimage
 from sheafsep.report import Report
-from sheafsep.site import slice_coverage
+from site_reference import pullback_sieve, slice_coverage
 
 
 def forced(resource, site, stage, fam):
@@ -67,12 +75,43 @@ def close(resource, site, stage, family):
     return {p: frozenset(xs) for p, xs in fam.items()}
 
 
+def forced_bits(resource, site, bits):
+    """What restriction-closure and local character force into the family
+    `bits` but it lacks, as (kind, p, i, q, j): the element with id j
+    belongs at slice object q because of the one with id i at p (for
+    local character, p = q and i = j), read off `resource.table`.  A
+    slice morphism into p is a base morphism g into src(p), from p.g."""
+    cat = site.cat
+    for p in bits:
+        members = list(_members(bits[p]))
+        for g in cat.mors_into(cat.src(p)):
+            q, table = cat.compose(p, g), resource.table(g)
+            for i in members:
+                if not bits[q] >> table[i] & 1:
+                    yield "restriction", p, i, q, table[i]
+    for p in bits:
+        for i in _members(_local(resource, site, bits, p) & ~bits[p]):
+            yield "local-character", p, i, p, i
+
+
+def validate_predicate_bits(pred):
+    rep = Report("predicate subsheaf conditions")
+    element, src = pred.resource.element, pred.site.cat.src
+    for kind, p, i, q, _ in forced_bits(pred.resource, pred.site, pred.bits):
+        x = element(src(p), i)
+        if kind == "restriction":
+            rep.flag(kind, f"{x} at {p!r} does not restrict into {q!r}")
+        else:
+            rep.flag(kind, f"{x} is locally present at {p!r} but missing")
+    return rep
+
+
 def close_bits(resource, site, bits):
     """The same closure on ids, as a fixpoint: set every bit that
-    `pred._forced` names until it names none."""
+    `forced_bits` names until it names none."""
     bits = dict(bits)
     while True:
-        forced = [(q, j) for _, _, _, q, j in _forced(resource, site, bits)]
+        forced = [(q, j) for _, _, _, q, j in forced_bits(resource, site, bits)]
         if not forced:
             return bits
         for q, j in forced:
@@ -199,8 +238,6 @@ def pipeline_star(model, p, q, maps):
     """The categorical composite on elements: combine on the decomposition
     presheaf, then the existential images along the multiplication into
     Match(F) and along the amalgamation iso (`maps` from `pipeline_maps`)."""
-    from sheafsep.pred import KripkePredicate
-
     decomp, mult, iso = maps
     site, cat, u = model.site, model.site.cat, p.stage
     combined = {
@@ -215,3 +252,62 @@ def pipeline_star(model, p, q, maps):
     combined = KripkePredicate(decomp, site, u, combined)
     over_match = KripkePredicate(iso.match, site, u, direct_image(mult, combined))
     return direct_image(iso.forward, over_match)
+
+
+def restrict_predicate(p, f):
+    """The predicate at stage src(f) obtained by composing slice objects
+    with f (restriction of the predicate along f)."""
+    cat = p.site.cat
+    if cat.dst(f) != p.stage:
+        raise StageMismatchError(f"{f!r} does not target stage {p.stage!r}")
+    b = cat.src(f)
+    bits = {q: p.bits[cat.compose(f, q)] for q in cat.mors_into(b)}
+    return KripkePredicate(p.resource, p.site, b, bits=bits)
+
+
+def glue_predicates(site, resource, cover, parts):
+    """The unique predicate on the cover's target restricting to the parts.
+
+    `parts` maps cover morphisms (a generating subset suffices) to
+    predicates at their sources.  Pairwise compatibility is checked on
+    common factorisations; the family at slice objects outside the cover
+    is forced by the subsheaf condition.
+    """
+    cat = site.cat
+    a = cover.target
+    full_parts = {}
+    for f in sorted(cover.members):
+        if f in parts:
+            full_parts[f] = parts[f]
+            continue
+        for g, part in parts.items():
+            ks = cat.factorisations(f, g)
+            if ks:
+                full_parts[f] = restrict_predicate(part, ks[0])
+                break
+        else:
+            raise IncompatibleFamilyError(
+                f"no part supplied or derivable for cover member {f!r}"
+            )
+    for f, part_f in full_parts.items():
+        if part_f.stage != cat.src(f) or part_f.resource is not resource:
+            raise StageMismatchError(f"part for {f!r} has wrong stage or resource")
+        for g, part_g in full_parts.items():
+            for k, h in cat.squares(f, g):
+                lhs = restrict_predicate(part_f, k)
+                rhs = restrict_predicate(part_g, h)
+                if lhs.bits != rhs.bits:
+                    raise IncompatibleFamilyError(
+                        f"parts disagree on the overlap {f!r}.{k!r} = {g!r}.{h!r}",
+                        witness=(f, g, k, h),
+                    )
+    bits = {}
+    for p in cat.mors_into(a):
+        if p in full_parts:
+            bits[p] = full_parts[p].bits[cat.id(cat.src(p))]
+            continue
+        bits[p] = _all(resource, cat.src(p))
+        for g in pullback_sieve(cat, cover, p).members:
+            pg = cat.compose(p, g)
+            bits[p] &= _preimage(resource.table(g), full_parts[pg].bits[cat.id(cat.src(pg))])
+    return KripkePredicate(resource, site, a, bits=bits)

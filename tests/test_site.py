@@ -1,21 +1,31 @@
 import pytest
 
-from sheafsep.errors import CoverageKindError, PreCoverageError
+from fincat_reference import slice_category
+from sheafsep.errors import CoverageKindError
 from sheafsep.fincat import build_finsurj_category, build_powerset_category, incl
 from sheafsep.site import (
     Coverage,
-    PreCover,
     Sieve,
-    all_sieves,
+    _pull,
     build_coverage,
-    generate_sieve,
     maximal_sieve,
-    pullback_sieve,
-    saturate_precoverage,
-    slice_coverage,
+    sieve_masks,
     trivial_coverage,
     validate_coverage,
 )
+from site_reference import generate_sieve, saturate, slice_coverage
+
+
+def _sieves(cat, a):
+    """Every sieve on a, as `SieveMasks.all` lists them."""
+    sm = sieve_masks(cat)
+    return [sm.sieve(a, m) for m in sm.all(a)]
+
+
+def _pullback(cat, s, h):
+    """h*(S), pulled back on the masks as `validate_coverage` does."""
+    sm = sieve_masks(cat)
+    return sm.sieve(cat.src(h), _pull(sm.pull(h), sm.mask(s.target, s.members)))
 
 
 @pytest.fixture(scope="module")
@@ -64,19 +74,19 @@ def _subset_sieves(cat, a):
 def test_all_sieves_matches_subset_filter():
     pcat, _ = build_powerset_category({"x", "y", "z"})
     fcat, _ = build_finsurj_category(3)
-    scov = slice_coverage(build_coverage(pcat, "downward-closed"), ("x", "y", "z"))
-    for cat in (pcat, fcat, scov.cat):
+    scat, _ = slice_category(pcat, ("x", "y", "z"))
+    for cat in (pcat, fcat, scat):
         for a in cat.objects:
-            assert all_sieves(cat, a) == _subset_sieves(cat, a)
+            assert _sieves(cat, a) == _subset_sieves(cat, a)
     # the Dedekind number M(4) - 168 down-sets of the subsets of 4 points
     qcat, _ = build_powerset_category({"a", "b", "c", "d"})
-    assert len(all_sieves(qcat, ("a", "b", "c", "d"))) == 168
+    assert len(_sieves(qcat, ("a", "b", "c", "d"))) == 168
 
 
 def test_atomic_on_finsurj2():
     cat, _ = build_finsurj_category(2)
     cov = build_coverage(cat, "atomic")
-    for s in all_sieves(cat, 2):
+    for s in _sieves(cat, 2):
         assert cov.is_cover(s) == bool(s.members)
     assert validate_coverage(cat, cov).ok
 
@@ -102,7 +112,7 @@ def test_pullback_of_generated_sieve(dc2):
     cat, _ = dc2
     top = ("x", "y")
     s = generate_sieve(cat, top, [incl(("x",), top), incl(("y",), top)])
-    pb = pullback_sieve(cat, s, incl(("x",), top))
+    pb = _pullback(cat, s, incl(("x",), top))
     assert pb == maximal_sieve(cat, ("x",))
 
 
@@ -110,9 +120,9 @@ def test_pullback_identity_and_maximal(dc2):
     cat, cov = dc2
     top = ("x", "y")
     for s in cov.covers(top):
-        assert pullback_sieve(cat, s, cat.id(top)) == s
+        assert _pullback(cat, s, cat.id(top)) == s
     for h in cat.all_morphisms():
-        pb = pullback_sieve(cat, maximal_sieve(cat, cat.dst(h)), h)
+        pb = _pullback(cat, maximal_sieve(cat, cat.dst(h)), h)
         assert pb == maximal_sieve(cat, cat.src(h))
 
 
@@ -122,7 +132,7 @@ def test_pullback_of_cover_is_cover(dc2):
         for s in cov.covers(a):
             for h in cat.all_morphisms():
                 if cat.dst(h) == a:
-                    assert cov.is_cover(pullback_sieve(cat, s, h))
+                    assert cov.is_cover(_pullback(cat, s, h))
 
 
 def test_validate_builtin_coverages(pset2):
@@ -147,7 +157,7 @@ def test_validate_flags_missing_pullback(dc2):
     cat, cov = dc2
     top = ("x", "y")
     gen = generate_sieve(cat, top, [incl(("x",), top), incl(("y",), top)])
-    pb = pullback_sieve(cat, gen, incl(("x",), top))
+    pb = _pullback(cat, gen, incl(("x",), top))
     broken = {a: set(cov.by_object[a]) for a in cat.objects}
     broken[("x",)].discard(pb)
     rep = validate_coverage(cat, Coverage(cat, broken))
@@ -172,9 +182,8 @@ def test_saturate_precover_of_two_singletons(pset2):
     object keeps only its maximal sieve."""
     cat, _ = pset2
     top = ("x", "y")
-    pc = PreCover(top, frozenset({incl(("x",), top), incl(("y",), top)}))
-    cov = saturate_precoverage(cat, {top: [pc]})
-    gen = generate_sieve(cat, top, pc.family)
+    gen = generate_sieve(cat, top, [incl(("x",), top), incl(("y",), top)])
+    cov = saturate(cat, {top: [gen]})
     assert cov.is_cover(gen)
     assert set(cov.covers(top)) == {gen, maximal_sieve(cat, top)}
     for a in cat.objects:
@@ -185,18 +194,9 @@ def test_saturate_precover_of_two_singletons(pset2):
 
 def test_saturate_empty_assignment_gives_trivial(pset2):
     cat, _ = pset2
-    cov = saturate_precoverage(cat, {})
+    cov = saturate(cat, {})
     assert cov.by_object == trivial_coverage(cat).by_object
     assert validate_coverage(cat, cov).ok
-
-
-def test_saturate_rejects_non_stable_precover(pset2):
-    cat, _ = pset2
-    top = ("x", "y")
-    pc = PreCover(top, frozenset({incl(("x",), top)}))
-    with pytest.raises(PreCoverageError) as exc:
-        saturate_precoverage(cat, {top: [pc]})
-    assert exc.value.morphism == incl(("y",), top)
 
 
 def test_slice_coverage_over_top(pset2):
@@ -235,7 +235,7 @@ def test_slice_coverage_atomic_finsurj(dc2):
     scov = slice_coverage(cov, 2)
     assert validate_coverage(scov.cat, scov).ok
     for p in scov.cat.objects:
-        for s in all_sieves(scov.cat, p):
+        for s in _sieves(scov.cat, p):
             dom_members = frozenset(m[1] for m in s.members)
             base = Sieve(fcat.src(p), dom_members)
             assert scov.is_cover(s) == cov.is_cover(base)

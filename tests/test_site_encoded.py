@@ -8,15 +8,11 @@ from sheafsep.errors import BudgetExceededError, CoverageKindError
 from sheafsep.fincat import build_finsurj_category, build_powerset_category, incl
 from sheafsep.site import (
     Coverage,
-    PreCover,
     Sieve,
-    all_sieves,
+    _pull,
     build_coverage,
-    generate_sieve,
     maximal_sieve,
-    pullback_sieve,
-    saturate_precoverage,
-    slice_coverage,
+    sieve_masks,
     trivial_coverage,
     validate_coverage,
 )
@@ -27,6 +23,12 @@ KINDS = ("downward-closed", "finite-covers")
 
 def _violations(rep):
     return [(v.kind, v.detail) for v in rep.violations]
+
+
+def _sieves(cat, a):
+    """Every sieve on a, as `SieveMasks.all` lists them."""
+    sm = sieve_masks(cat)
+    return [sm.sieve(a, m) for m in sm.all(a)]
 
 
 def assert_same_covers(cov, expected):
@@ -45,7 +47,7 @@ def test_powerset_coverage_agrees(n, kind):
     if n <= 3:
         assert _violations(ref.validate_coverage(cat, cov)) == []
         for a in cat.objects:
-            assert all_sieves(cat, a) == ref.all_sieves(cat, a)
+            assert _sieves(cat, a) == ref.all_sieves(cat, a)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -53,10 +55,10 @@ def test_finsurj_coverages_agree(n):
     cat, _ = build_finsurj_category(n)
     enumerable = [a for a in cat.objects if len(cat.mors_into(a)) <= ref.SIEVE_ENUM_LIMIT]
     for a in enumerable:
-        assert all_sieves(cat, a) == ref.all_sieves(cat, a)
+        assert _sieves(cat, a) == ref.all_sieves(cat, a)
     for a in set(cat.objects) - set(enumerable):
         with pytest.raises(BudgetExceededError) as got:
-            all_sieves(cat, a)
+            _sieves(cat, a)
         with pytest.raises(BudgetExceededError) as want:
             ref.all_sieves(cat, a)
         assert str(got.value) == str(want.value)
@@ -79,13 +81,19 @@ def test_finsurj_coverages_agree(n):
         assert str(got.value) == str(want.value)
 
 
+def assert_same_reports(cat, cov):
+    assert _violations(validate_coverage(cat, cov)) == _violations(ref.validate_coverage(cat, cov))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_slice_coverages_agree_at_every_stage(kind):
+    """On slice sites, whose objects are morphisms, the replay finds what
+    its reference finds: nothing."""
     cat, _ = build_powerset_category(LOCATIONS[:3])
     cov = build_coverage(cat, kind)
     for a in cat.objects:
-        scov = slice_coverage(cov, a)
-        assert_same_covers(scov, ref.slice_coverage(cov, a))
+        scov = ref.slice_coverage(cov, a)
+        assert_same_reports(scov.cat, scov)
         assert _violations(validate_coverage(scov.cat, scov)) == []
 
 
@@ -93,45 +101,47 @@ def test_atomic_slice_coverages_agree():
     cat, _ = build_finsurj_category(2)
     cov = build_coverage(cat, "atomic")
     for a in cat.objects:
-        assert_same_covers(slice_coverage(cov, a), ref.slice_coverage(cov, a))
+        scov = ref.slice_coverage(cov, a)
+        assert_same_reports(scov.cat, scov)
 
 
 def test_pullbacks_agree():
     cat, _ = build_powerset_category(LOCATIONS[:3])
     fcat, _ = build_finsurj_category(3)
     for c in (cat, fcat):
+        sm = sieve_masks(c)
         for a in c.objects:
             for s in ref.all_sieves(c, a):
                 for h in c.mors_into(a):
-                    assert pullback_sieve(c, s, h) == ref.pullback_sieve(c, s, h)
+                    pb = _pull(sm.pull(h), sm.mask(a, s.members))
+                    assert sm.sieve(c.src(h), pb) == ref.pullback_sieve(c, s, h)
 
 
-def _points(a):
-    """The pre-cover of a stage by its one-location substages."""
-    return PreCover(a, frozenset(incl((x,), a) for x in a))
+def _points(cat, a):
+    """The sieve on a stage that its one-location substages generate."""
+    return ref.generate_sieve(cat, a, [incl((x,), a) for x in a])
 
 
 def _precover_fixtures():
-    """The pre-coverages of tests/test_site.py, and the points of every
+    """The generated covers of tests/test_site.py, and the points of every
     stage of at least two locations at three locations."""
     cat2, _ = build_powerset_category(("x", "y"))
     cat3, _ = build_powerset_category(("x", "y", "z"))
     return [
         (cat2, {}),
-        (cat2, {("x", "y"): [_points(("x", "y"))]}),
+        (cat2, {("x", "y"): [_points(cat2, ("x", "y"))]}),
         (cat3, {}),
-        (cat3, {a: [_points(a)] for a in cat3.objects if len(a) >= 2}),
+        (cat3, {a: [_points(cat3, a)] for a in cat3.objects if len(a) >= 2}),
     ]
 
 
 @pytest.mark.parametrize("case", range(4))
 def test_saturation_agrees(case):
-    cat, assignment = _precover_fixtures()[case]
-    cov = saturate_precoverage(cat, assignment)
-    generated = {
-        a: [generate_sieve(cat, a, pc.family) for pc in pcs] for a, pcs in assignment.items()
-    }
-    assert_same_covers(cov, ref.saturate(cat, generated))
+    """The replay and its reference agree on saturated coverages: both
+    find nothing."""
+    cat, generated = _precover_fixtures()[case]
+    cov = ref.saturate(cat, generated)
+    assert_same_reports(cat, cov)
     assert _violations(validate_coverage(cat, cov)) == []
 
 
@@ -140,12 +150,12 @@ def _tampered():
     cat2, _ = build_powerset_category(("x", "y"))
     dc2 = build_coverage(cat2, "downward-closed")
     top = ("x", "y")
-    gen = generate_sieve(cat2, top, [incl(("x",), top), incl(("y",), top)])
+    gen = ref.generate_sieve(cat2, top, [incl(("x",), top), incl(("y",), top)])
     cases = {}
     broken = {a: {s for s in dc2.by_object[a] if s != maximal_sieve(cat2, a)} for a in cat2.objects}
     cases["missing-maximal"] = (cat2, Coverage(cat2, broken))
     broken = {a: set(dc2.by_object[a]) for a in cat2.objects}
-    broken[("x",)].discard(pullback_sieve(cat2, gen, incl(("x",), top)))
+    broken[("x",)].discard(ref.pullback_sieve(cat2, gen, incl(("x",), top)))
     cases["missing-pullback"] = (cat2, Coverage(cat2, broken))
     broken = {a: set(dc2.by_object[a]) for a in cat2.objects}
     broken[("x",)].add(maximal_sieve(cat2, ("y",)))
@@ -161,7 +171,7 @@ def _tampered():
     cat3, _ = build_powerset_category(("x", "y", "z"))
     dc3 = build_coverage(cat3, "downward-closed")
     top3 = ("x", "y", "z")
-    points = generate_sieve(cat3, top3, [incl((v,), top3) for v in top3])
+    points = ref.generate_sieve(cat3, top3, [incl((v,), top3) for v in top3])
     broken = {a: set(dc3.by_object[a]) for a in cat3.objects}
     broken[top3].discard(points)
     cases["transitivity-only"] = (cat3, Coverage(cat3, broken))
@@ -181,8 +191,9 @@ def test_tampered_reports_agree(name):
 
 @pytest.mark.parametrize("name", ["misfiled", "not-a-sieve", "foreign-member"])
 def test_slices_of_tampered_coverages_agree(name):
-    """A slice cover is a base cover carried over only when that cover is
-    a sieve filed under its own target."""
+    """The replay and its reference agree on the slices of broken
+    coverages, whose covers are the base covers that are sieves."""
     cat, cov = _tampered()[name]
     for a in cat.objects:
-        assert_same_covers(slice_coverage(cov, a), ref.slice_coverage(cov, a))
+        scov = ref.slice_coverage(cov, a)
+        assert_same_reports(scov.cat, scov)

@@ -49,17 +49,6 @@ def test_every_error_class_is_raised():
 # Public names no other code in the package calls, each still to be given
 # a caller or moved to a test reference; a reason per name.
 UNCALLED = {
-    "validate_functor": "fincat: a functor check that no command replays",
-    "validate_predicate": "pred: the subsheaf-condition check; `laws` closes predicates instead",
-    "glue_predicates": "pred: could back a `laws` check that predicates satisfy descent",
-    "validate_presheaf": "presheaf: could make check-sheaf replay functoriality first",
-    "matching_object": "presheaf: acceptance criterion 01 reads it",
-    "slice_restrict": "presheaf: the slice presheaf, which only tests build",
-    "generate_sieve": "site: the sieve a family of morphisms generates, for tests",
-    "all_sieves": "site: the listed sieves that `SieveMasks` replaced, for tests",
-    "saturate_precoverage": "site: closes a pre-coverage under the axioms, for tests",
-    "slice_coverage": "site: the slice coverage, which only tests build",
-    "independence_oracle": "psl: perfbench's verdict checker reads it",
     "kripke_cross_check": "psl: the probability-presheaf block, waiting on the Day-star rewrite",
 }
 
@@ -80,14 +69,17 @@ def read_names(node):
 def test_every_public_name_has_a_caller():
     """Each public top-level `def` and `class` is read by code in the
     package outside its own definition (re-exports in `__init__` are no
-    callers) or by `perfbench/spans.py`, whose tracer wraps it by name;
-    the rest are `UNCALLED`, and an entry that gained a caller leaves it."""
+    callers) or by the benchmark: `perfbench/spans.py`, whose tracer
+    wraps it by name, or `perfbench/verdicts.py`, which imports it; the
+    rest are `UNCALLED`, and an entry that gained a caller leaves it."""
     tops = [top for path in PACKAGE.glob("*.py") if path.name != "__init__.py"
             for top in ast.parse(path.read_text()).body]
     reads = [(top, read_names(top)) for top in tops]
-    spans = ast.parse((PACKAGE.parent.parent / "perfbench" / "spans.py").read_text())
+    perfbench = PACKAGE.parent.parent / "perfbench"
+    spans = ast.parse((perfbench / "spans.py").read_text())
     traced = read_names(spans) | {node.value for node in ast.walk(spans)
                                   if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    traced |= read_names(ast.parse((perfbench / "verdicts.py").read_text()))
     uncalled = {
         top.name for top in tops
         if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_")
