@@ -37,7 +37,6 @@ from .pred import (
     top_predicate,
 )
 from .presheaf import (
-    STAR,
     Heap,
     MatchClass,
     Presheaf,
@@ -56,7 +55,6 @@ from .psl import (
     independence_oracle,
     law_of,
     psl_sat,
-    pullback_space,
 )
 from .seplogic import (
     ResourceModel,

@@ -415,8 +415,8 @@ def _cmd_laws(model, args, report):
 
     m_strict = build_resource_sheaf(site.cat, "strict-memory", values=model.values)
     # partial where the model's sheaf holds fewer heaps (support-bounded)
-    inclusion = SheafMorphism(m_strict, mp, name="M>->Mp", ids={
-        a: [heap_id(mp, a, h.values) for h in m_strict.at(a)] for a in site.cat.objects})
+    inclusion = SheafMorphism(m_strict, mp, {
+        a: [heap_id(mp, a, h.values) for h in m_strict.at(a)] for a in site.cat.objects}, "M>->Mp")
     rep = check_day_stability(site, [m_strict, mp], inclusions=[inclusion])
     report.status["day-stability"] = "ok" if rep.ok else "FAIL"
     failures += [{"law": "day-stability", "detail": v.detail} for v in rep.violations]

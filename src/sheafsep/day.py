@@ -179,8 +179,8 @@ def day_decomp(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure) -> 
         return tuple(out)
 
     kind = "(*)" if exact else "(*)w"
-    ps = Presheaf.encoded(cat, triples.size, table, triples.decode,
-                          name=f"({f_sheaf.name} {kind} {g_sheaf.name})")
+    ps = Presheaf(cat, triples.size, table, triples.decode,
+                  name=f"({f_sheaf.name} {kind} {g_sheaf.name})")
     ps.blocks = lambda a: list(triples.blocks(a)[0])
     return ps
 
@@ -300,7 +300,7 @@ def day_coend(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure,
         return ps.element(a, classes_at(a)[0][decomp.table(w)[i]])
 
     name = f"({f_sheaf.name} (x) {g_sheaf.name})"
-    ps = Presheaf.encoded(cat, lambda a: len(classes_at(a)[1]), table, decode, name=name)
+    ps = Presheaf(cat, lambda a: len(classes_at(a)[1]), table, decode, name=name)
     ps.class_of, ps.decomp, ps.decompositions = class_of, decomp, decompositions
     return ps
 

@@ -17,14 +17,15 @@ transitive coverage this is the least subsheaf containing the result
 
 Families are bitsets over the resource's element ids, and every
 operation reads restriction tables (`Presheaf.index` and
-`Presheaf.table`); elements are decoded only by `family`.
+`Presheaf.table`); elements are decoded only by `family`, and by
+`combine_alpha`, which looks each decomposition's halves up by id.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
 
-from .errors import MonoidalStructureError, StageMismatchError, UnknownObjectError
+from .errors import MonoidalStructureError, StageMismatchError
 from .presheaf import Presheaf, SheafMorphism
 from .site import Site
 
@@ -35,20 +36,12 @@ class KripkePredicate:
 
     `bits[p]` is the subset at slice object p as an int over
     `resource.index(src p)`: bit i is set when the element with id i
-    belongs.  A family of element sets is encoded on construction, and
-    `family` decodes the bits into a read-only mapping of frozensets.
+    belongs.  `family` decodes the bits into a read-only mapping of
+    frozensets.
     """
 
-    def __init__(self, resource: Presheaf, site: Site, stage, family=None, *, bits=None):
-        self.resource, self.site, self.stage = resource, site, stage
-        if bits is None:
-            cat = site.cat
-            slice_objs = cat.mors_into(stage)
-            missing = set(slice_objs) - set(family)
-            if missing:
-                raise UnknownObjectError(f"family missing slice objects {sorted(missing)!r}")
-            bits = {p: _encode(resource, cat.src(p), family[p]) for p in slice_objs}
-        self.bits = bits
+    def __init__(self, resource: Presheaf, site: Site, stage, bits):
+        self.resource, self.site, self.stage, self.bits = resource, site, stage, bits
         self._family = None
 
     @property
@@ -60,13 +53,6 @@ class KripkePredicate:
                 for p, b in self.bits.items()
             })
         return self._family
-
-    def at_subset(self, v) -> frozenset:
-        """Poset convenience: the set at the inclusion of v into the stage."""
-        homs = self.site.cat.hom(v, self.stage)
-        if not homs:
-            raise UnknownObjectError(f"{v!r} is not below stage {self.stage!r}")
-        return self.family[homs[0]]
 
     def __eq__(self, other):
         return (isinstance(other, KripkePredicate) and self.resource is other.resource
@@ -80,14 +66,6 @@ class KripkePredicate:
 def _check_aligned(p: KripkePredicate, q: KripkePredicate):
     if p.resource is not q.resource or p.stage != q.stage:
         raise StageMismatchError("predicates live over different resources or stages")
-
-
-def _encode(resource, a, xs):
-    index = resource.index(a)
-    for x in xs:
-        if x not in index:
-            raise UnknownObjectError(f"{x!r} is not an element of {resource.name} at {a!r}")
-    return sum(1 << i for i in {index[x] for x in xs})
 
 
 # A set of at most this many ids is read and built bit by bit.  Above
@@ -183,27 +161,25 @@ def _close(resource, site, bits):
 def top_predicate(resource, site, stage) -> KripkePredicate:
     src = site.cat.src
     bits = {p: _all(resource, src(p)) for p in site.cat.mors_into(stage)}
-    return KripkePredicate(resource, site, stage, bits=bits)
+    return KripkePredicate(resource, site, stage, bits)
 
 
 def bottom_predicate(resource, site, stage) -> KripkePredicate:
     bits = dict.fromkeys(site.cat.mors_into(stage), 0)
-    return KripkePredicate(resource, site, stage, bits=bits)
+    return KripkePredicate(resource, site, stage, bits)
 
 
 def meet(p: KripkePredicate, q: KripkePredicate) -> KripkePredicate:
     _check_aligned(p, q)
     bits = {sl: b & q.bits[sl] for sl, b in p.bits.items()}
-    return KripkePredicate(p.resource, p.site, p.stage, bits=bits)
+    return KripkePredicate(p.resource, p.site, p.stage, bits)
 
 
 def join(p: KripkePredicate, q: KripkePredicate) -> KripkePredicate:
     """Stage-wise union closed up to the least subsheaf containing it."""
     _check_aligned(p, q)
     bits = {sl: b | q.bits[sl] for sl, b in p.bits.items()}
-    return KripkePredicate(
-        p.resource, p.site, p.stage, bits=_close(p.resource, p.site, bits)
-    )
+    return KripkePredicate(p.resource, p.site, p.stage, _close(p.resource, p.site, bits))
 
 
 def implication(p: KripkePredicate, q: KripkePredicate) -> KripkePredicate:
@@ -221,7 +197,7 @@ def implication(p: KripkePredicate, q: KripkePredicate) -> KripkePredicate:
             if bad:
                 members &= ~_preimage(res.table(g), bad)
         bits[sl] = members
-    return KripkePredicate(res, p.site, p.stage, bits=bits)
+    return KripkePredicate(res, p.site, p.stage, bits)
 
 
 # -- reindexing and images along sheaf morphisms ----------------------------
@@ -234,21 +210,21 @@ def reindex_preimage(alpha: SheafMorphism, q: KripkePredicate) -> KripkePredicat
     src = q.site.cat.src
     bits = {sl: _preimage(alpha.ids(src(sl)), want, undefined=True)
             for sl, want in q.bits.items()}
-    return KripkePredicate(alpha.source, q.site, q.stage, bits=bits)
+    return KripkePredicate(alpha.source, q.site, q.stage, bits)
 
 
 def direct_image(alpha: SheafMorphism, p: KripkePredicate) -> KripkePredicate:
     """The existential pushforward: smallest subsheaf containing the
     stage-wise image over the defined points."""
     closed = _close(alpha.target, p.site, raw_image(alpha, p).bits)
-    return KripkePredicate(alpha.target, p.site, p.stage, bits=closed)
+    return KripkePredicate(alpha.target, p.site, p.stage, closed)
 
 
 def raw_image(alpha: SheafMorphism, p: KripkePredicate) -> KripkePredicate:
     """Pointwise image without closure (for diagnostics and tests)."""
     src = p.site.cat.src
     bits = {sl: _image(alpha.ids(src(sl)), b) for sl, b in p.bits.items()}
-    return KripkePredicate(alpha.target, p.site, p.stage, bits=bits)
+    return KripkePredicate(alpha.target, p.site, p.stage, bits)
 
 
 # -- the combinator into predicates on convolutions ---------------------------
@@ -263,17 +239,18 @@ def combine_alpha(p: KripkePredicate, q: KripkePredicate, decomp: Presheaf) -> K
     if cat.kind != "powerset":
         raise MonoidalStructureError(
             "combine_alpha needs the canonical decompositions of a powerset base")
-    fam = {
-        sl: frozenset(
-            d
-            for d in decomp.at(cat.src(sl))
-            if cat.hom(d.left_stage, u) and cat.hom(d.right_stage, u)
-            and d.left in p.family[cat.hom(d.left_stage, u)[0]]
-            and d.right in q.family[cat.hom(d.right_stage, u)[0]]
-        )
+
+    def holds(pred, stage, x):
+        homs = cat.hom(stage, u)
+        i = pred.resource.index(stage).get(x) if homs else None
+        return i is not None and pred.bits[homs[0]] >> i & 1
+
+    bits = {
+        sl: _bitset([holds(p, d.left_stage, d.left) and holds(q, d.right_stage, d.right)
+                     for d in decomp.at(cat.src(sl))])
         for sl in cat.mors_into(u)
     }
-    return KripkePredicate(decomp, site, u, fam)
+    return KripkePredicate(decomp, site, u, bits)
 
 
 # -- sampling (deterministic, for the law suites) -----------------------------
@@ -284,6 +261,4 @@ def random_closed_predicate(rng, resource, site, stage) -> KripkePredicate:
     src = site.cat.src
     bits = {p: _bitset([rng.random() < 0.5 for _ in range(resource.size(src(p)))])
             for p in site.cat.mors_into(stage)}
-    return KripkePredicate(
-        resource, site, stage, bits=_close(resource, site, bits)
-    )
+    return KripkePredicate(resource, site, stage, _close(resource, site, bits))

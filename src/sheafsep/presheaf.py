@@ -9,14 +9,9 @@ at a time (`element`) for reports, witnesses and `--json`.  Every
 presheaf lists its stages, so the sheaf condition is checked
 exhaustively, on ids (`check_sheaf`).
 
-Two constructors fill the tables.  `Presheaf.encoded` takes the sizes,
-the tables and the decoder directly, so a builder computes restriction
-by arithmetic on ids: the memory sheaves by projecting the digits of a
-mixed-radix number, the Day convolutions by offsets, the matching
-presheaf by reading its families' ids.  `Presheaf(base, stage_fn,
-restrict_fn)` lists elements and fills each table entry by restricting
-an element; it serves the builders whose elements are their data
-(constant, yoneda, terminal, the probability presheaf).
+Every builder fills the tables by arithmetic on ids: the memory sheaves
+by projecting the digits of a mixed-radix number, the Day convolutions
+by offsets, the matching presheaf by reading its families' ids.
 
 Finitary heaps are not a separate builder: on a finite location set
 every partial heap is finitely supported, so the partial-memory sheaf
@@ -42,17 +37,6 @@ DEFAULT_FAMILY_BUDGET = 200_000
 
 
 # -- elements -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Star:
-    """The unique point of the terminal presheaf."""
-
-    def sort_key(self):
-        return ()
-
-
-STAR = Star()
 
 
 @dataclass(frozen=True)
@@ -96,64 +80,42 @@ class Heap:
         return "<" + cells + ">"
 
 
-def sorted_elements(xs):
-    return tuple(sorted(xs, key=element_key))
-
-
 # -- presheaf -------------------------------------------------------------
 
 
 class Presheaf:
     """A contravariant finite-set-valued functor on a FinCat, on ids.
 
-    `size(A)` counts the elements at A, `table(f)` maps ids in F(dst f)
-    to ids in F(src f), and `element(A, i)` decodes an id.  A stage is a
-    set, so an id is an element: `index(A)` maps each element to its
-    position in `at(A)`.
-
-    This constructor lists elements: stage_fn(A) yields the elements at
-    A (collected into a set and sorted here), restrict_fn(f, x) applies
-    F(f) to one element, and each table entry is filled by one
-    restriction.  Images that leave the stage get fresh ids past its
-    end.  `Presheaf.encoded` is the table-native form.
+    `size_fn(A)` counts the elements at A, `table_fn(f)` maps ids in
+    F(dst f) to ids in F(src f), and `decode(A, i)` is the element with
+    id i; decoding ids 0, 1, ... must list the stage's distinct elements
+    in `element_key` order.  A stage is a set, so an id is an element:
+    `index(A)` maps each element to its position in `at(A)`.
     """
 
-    def __init__(self, base: FinCat, stage_fn, restrict_fn, *, name="presheaf"):
+    def __init__(self, base: FinCat, size_fn, table_fn, decode, *, name="presheaf"):
         self.base, self.name = base, name
-        self._stage_fn = lambda a: sorted_elements(set(stage_fn(a)))
-        self._restrict_fn = restrict_fn
-        self._size_fn = lambda a: len(self.at(a))
-        self._table_fn = self._restriction_table
-        self._decode = lambda a, i: self._listing(a)[i]
+        self._size_fn, self._table_fn, self._decode = size_fn, table_fn, decode
         self._cache = {}  # stage -> at()
         self._index = {}  # stage -> {element: id}
-        self._elements = {}  # stage -> listed elements by id, fresh ids included
         self._tables = {}  # morphism -> restriction table
         self._covers = {}  # sieve -> _EncodedCover
-
-    @classmethod
-    def encoded(cls, base: FinCat, size_fn, table_fn, decode, *, name="presheaf"):
-        """A presheaf given on ids: size_fn(A) elements at A, table_fn(f)
-        the restriction table along f, decode(A, i) the element with id
-        i.  Decoding ids 0, 1, ... must list the stage's distinct
-        elements in `element_key` order."""
-        ps = cls(base, None, None, name=name)
-        ps._stage_fn = lambda a: [decode(a, i) for i in range(size_fn(a))]
-        ps._restrict_fn = ps._restrict_by_table
-        ps._size_fn, ps._table_fn, ps._decode = size_fn, table_fn, decode
-        return ps
 
     def at(self, a):
         self.base.require_object(a)
         if a not in self._cache:
-            self._cache[a] = tuple(self._stage_fn(a))
+            self._cache[a] = tuple(self._decode(a, i) for i in range(self._size_fn(a)))
         return self._cache[a]
 
     def size(self, a):
         return self._size_fn(a)
 
     def restrict(self, f, x):
-        return self._restrict_fn(f, x)
+        a = self.base.dst(f)
+        i = self.index(a).get(x)
+        if i is None:
+            raise StageMismatchError(f"{x!r} is not an element of {self.name} at {a!r}")
+        return self.element(self.base.src(f), self.table(f)[i])
 
     def index(self, a):
         """Element -> id at stage a: its position in at(a)."""
@@ -173,32 +135,6 @@ class Presheaf:
             t = self._tables[f] = self._table_fn(f)
         return t
 
-    def _listing(self, a):
-        elems = self._elements.get(a)
-        if elems is None:
-            elems = self._elements[a] = list(self.at(a))
-        return elems
-
-    def _restriction_table(self, f):
-        src = self.base.src(f)
-        idx, elems = self.index(src), self._listing(src)
-        out = []
-        for x in self.at(self.base.dst(f)):
-            y = self._restrict_fn(f, x)
-            i = idx.get(y)
-            if i is None:
-                i = idx[y] = len(elems)
-                elems.append(y)
-            out.append(i)
-        return tuple(out)
-
-    def _restrict_by_table(self, f, x):
-        a = self.base.dst(f)
-        i = self.index(a).get(x)
-        if i is None:
-            raise StageMismatchError(f"{x!r} is not an element of {self.name} at {a!r}")
-        return self.element(self.base.src(f), self.table(f)[i])
-
     def __repr__(self):
         return f"Presheaf({self.name!r} on {self.base.kind!r})"
 
@@ -206,124 +142,89 @@ class Presheaf:
 # -- resource sheaf builders ----------------------------------------------
 
 
-def _require_powerset(site_cat: FinCat, kind):
-    if site_cat.kind != "powerset":
-        raise ResourceKindError(f"{kind} requires a powerset base, got {site_cat.kind!r}")
+def build_resource_sheaf(cat: FinCat, kind: str, *, values=None, bound=None):
+    """The named memory sheaf over the powerset base.
 
-
-def build_resource_sheaf(cat: FinCat, kind: str, *, values=None, bound=None,
-                         at_object=None, elements=None):
-    """The named resource presheaf over a base category.
-
-    kinds: strict-memory | partial-memory | support-bounded | constant |
-    yoneda | terminal.  Memory kinds need the powerset base and a value
-    set; support-bounded additionally takes the bound (a deliberately
-    non-sheaf example); yoneda takes the representing object.
+    kinds: strict-memory | partial-memory | support-bounded.  Each needs a
+    value set; support-bounded additionally takes the bound (a
+    deliberately non-sheaf example).
     """
-    if kind in ("strict-memory", "partial-memory", "support-bounded"):
-        # the memory kinds differ only in their cells (None marks an
-        # unallocated location) and in the support bound
-        _require_powerset(cat, kind)
-        vals = tuple(sorted(set(values)))
-        if not vals:
-            raise ResourceKindError(f"{kind} needs a nonempty value set")
-        listed = ",".join(map(str, vals))
-        if kind == "strict-memory":
-            cells, k, name = vals, None, f"M[{listed}]"
-        elif kind == "partial-memory":
-            cells, k, name = vals + (None,), None, f"Mp[{listed}]"
-        else:
-            k = int(bound)
-            cells, name = vals + (None,), f"Mp|supp<={k}"
+    if kind not in ("strict-memory", "partial-memory", "support-bounded"):
+        raise ResourceKindError(f"unknown resource kind {kind!r}")
+    if cat.kind != "powerset":
+        raise ResourceKindError(f"{kind} requires a powerset base, got {cat.kind!r}")
+    vals = tuple(sorted(set(values)))
+    if not vals:
+        raise ResourceKindError(f"{kind} needs a nonempty value set")
+    # the memory kinds differ only in their cells (None marks an
+    # unallocated location) and in the support bound
+    listed = ",".join(map(str, vals))
+    if kind == "strict-memory":
+        cells, k, name = vals, None, f"M[{listed}]"
+    elif kind == "partial-memory":
+        cells, k, name = vals + (None,), None, f"Mp[{listed}]"
+    else:
+        k = int(bound)
+        cells, name = vals + (None,), f"Mp|supp<={k}"
 
-        # A heap's code is the mixed-radix number of its cells' positions
-        # in `cells`, the first location most significant, so codes follow
-        # Heap.sort_key.  Its id is its code on a full stage (all r^|a|
-        # heaps) and its code's rank among the stage's codes otherwise.
-        r, digit = len(cells), {x: d for d, x in enumerate(cells)}
+    # A heap's code is the mixed-radix number of its cells' positions
+    # in `cells`, the first location most significant, so codes follow
+    # Heap.sort_key.  Its id is its code on a full stage (all r^|a|
+    # heaps) and its code's rank among the stage's codes otherwise.
+    r, digit = len(cells), {x: d for d, x in enumerate(cells)}
 
-        @cache
-        def codes(a):
-            """Per id at a, its code; None on a full stage."""
-            if k is None or k >= len(a):
-                return None
-            out = [(0, 0)]  # (code, allocated cells); None is the last cell
-            for _ in a:
-                out = [(c * r + d, n + (d < r - 1)) for c, n in out for d in range(r)]
-            return [c for c, n in out if n <= k]
-
-        @cache
-        def ids(a):
-            """Per code at a, its id or -1 off the carrier; None on a full stage."""
-            if codes(a) is None:
-                return None
-            rank = {c: i for i, c in enumerate(codes(a))}
-            return [rank.get(c, -1) for c in range(r ** len(a))]
-
-        @cache
-        def part(a, s, v):
-            """Per id at a, the code at v of its digits on s, a sub-stage of
-            a and of v; the digits of a outside s are dropped."""
-            out = [0]
-            for x in a:
-                w = r ** (len(v) - 1 - v.index(x)) if x in s else 0
-                out = [c + d * w for c in out for d in range(r)]
-            return out if codes(a) is None else [out[c] for c in codes(a)]
-
-        def code(values):
-            """The code of a heap's cells, or None when one is not a cell."""
-            if all(x in digit for x in values):
-                return reduce(lambda c, x: c * r + digit[x], values, 0)
+    @cache
+    def codes(a):
+        """Per id at a, its code; None on a full stage."""
+        if k is None or k >= len(a):
             return None
+        out = [(0, 0)]  # (code, allocated cells); None is the last cell
+        for _ in a:
+            out = [(c * r + d, n + (d < r - 1)) for c, n in out for d in range(r)]
+        return [c for c, n in out if n <= k]
 
-        @cache
-        def size(a):
-            return r ** len(a) if codes(a) is None else len(codes(a))
+    @cache
+    def ids(a):
+        """Per code at a, its id or -1 off the carrier; None on a full stage."""
+        if codes(a) is None:
+            return None
+        rank = {c: i for i, c in enumerate(codes(a))}
+        return [rank.get(c, -1) for c in range(r ** len(a))]
 
-        def table(f):
-            down, below = part(cat.dst(f), cat.src(f), cat.src(f)), ids(cat.src(f))
-            return tuple(down if below is None else (below[c] for c in down))
+    @cache
+    def part(a, s, v):
+        """Per id at a, the code at v of its digits on s, a sub-stage of
+        a and of v; the digits of a outside s are dropped."""
+        out = [0]
+        for x in a:
+            w = r ** (len(v) - 1 - v.index(x)) if x in s else 0
+            out = [c + d * w for c in out for d in range(r)]
+        return out if codes(a) is None else [out[c] for c in codes(a)]
 
-        def decode(a, i):
-            c, out = i if codes(a) is None else codes(a)[i], []
-            for _ in a:
-                c, d = divmod(c, r)
-                out.append(cells[d])
-            return Heap(a, tuple(reversed(out)))
+    def code(values):
+        """The code of a heap's cells, or None when one is not a cell."""
+        if all(x in digit for x in values):
+            return reduce(lambda c, x: c * r + digit[x], values, 0)
+        return None
 
-        ps = Presheaf.encoded(cat, size, table, decode, name=name)
-        ps.cells, ps.codes, ps.ids, ps.part, ps.code = cells, codes, ids, part, code
-        return ps
-    if kind == "constant":
-        xs = sorted_elements(set(elements))
+    @cache
+    def size(a):
+        return r ** len(a) if codes(a) is None else len(codes(a))
 
-        def stages(a):
-            return xs
+    def table(f):
+        down, below = part(cat.dst(f), cat.src(f), cat.src(f)), ids(cat.src(f))
+        return tuple(down if below is None else (below[c] for c in down))
 
-        def restr(f, x):
-            return x
+    def decode(a, i):
+        c, out = i if codes(a) is None else codes(a)[i], []
+        for _ in a:
+            c, d = divmod(c, r)
+            out.append(cells[d])
+        return Heap(a, tuple(reversed(out)))
 
-        return Presheaf(cat, stages, restr, name=f"const({len(xs)})")
-    if kind == "yoneda":
-        cat.require_object(at_object)
-        rep_obj = at_object
-
-        def stages(b):
-            return cat.hom(b, rep_obj)
-
-        def restr(f, g):
-            return cat.compose(g, f)
-
-        return Presheaf(cat, stages, restr, name=f"yo({rep_obj!r})")
-    if kind == "terminal":
-        def stages(a):
-            return (STAR,)
-
-        def restr(f, x):
-            return STAR
-
-        return Presheaf(cat, stages, restr, name="terminal")
-    raise ResourceKindError(f"unknown resource kind {kind!r}")
+    ps = Presheaf(cat, size, table, decode, name=name)
+    ps.cells, ps.codes, ps.ids, ps.part, ps.code = cells, codes, ids, part, code
+    return ps
 
 
 # -- the sheaf condition -----------------------------------------------------
@@ -629,8 +530,7 @@ def matching_presheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET)
         return MatchClass(a, members, tuple(
             ps.element(cat.src(f), x) for f, x in zip(members, families(a)[i])))
 
-    match = Presheaf.encoded(cat, lambda a: len(families(a)), table, decode,
-                             name=f"Match({ps.name})")
+    match = Presheaf(cat, lambda a: len(families(a)), table, decode, name=f"Match({ps.name})")
     match.families = families
     return match
 
@@ -642,37 +542,15 @@ class SheafMorphism:
     """Stage-wise (possibly partial) maps between two presheaves over the
     same base; naturality is checked by `validate_sheaf_morphism`.
 
-    `components[a]` maps elements of source.at(a) to elements of
-    target.at(a).  Given `ids=` instead, ids[a] is the component at a on
-    ids (see `ids`) and `components` is decoded on first use.
+    `ids[a]` is the component at a on ids: a list from the positions of
+    source.at(a) to ids in target.at(a), -1 where undefined.
     """
 
-    def __init__(self, source: Presheaf, target: Presheaf, components=None,
-                 name="alpha", *, ids=None):
-        self.source, self.target, self.name = source, target, name
-        self._components = components
-        self._ids = {} if ids is None else dict(ids)
-
-    @property
-    def components(self):
-        if self._components is None:
-            self._components = {
-                a: {self.source.element(a, i): self.target.element(a, j)
-                    for i, j in enumerate(col) if j >= 0}
-                for a, col in self._ids.items()
-            }
-        return self._components
+    def __init__(self, source: Presheaf, target: Presheaf, ids, name):
+        self.source, self.target, self.name, self._ids = source, target, name, ids
 
     def ids(self, a):
-        """The component at a on ids: a list from the positions of
-        source.at(a) to ids in target.at(a), -1 where undefined."""
-        if a not in self._ids:
-            comp, target = self._components[a], self.target.index(a)
-            size = self.target.size(a)
-            out = [target.get(comp[x], size) if x in comp else -1 for x in self.source.at(a)]
-            if any(j >= size for j in out):
-                raise StageMismatchError(f"{self.name} maps outside its target at {a!r}")
-            self._ids[a] = out
+        """The component at a on ids."""
         return self._ids[a]
 
 
@@ -742,8 +620,8 @@ def amalgamation_operator(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUD
         for k, i in enumerate(fwd):
             inverse[i] = k
         to_sheaf[a], from_sheaf[a] = fwd, inverse
-    forward = SheafMorphism(match, ps, name="amalgamation", ids=to_sheaf)
-    inverse = SheafMorphism(ps, match, name="amalgamation inverse", ids=from_sheaf)
+    forward = SheafMorphism(match, ps, to_sheaf, "amalgamation")
+    inverse = SheafMorphism(ps, match, from_sheaf, "amalgamation inverse")
     rep.violations += validate_sheaf_morphism(forward).violations
     if not rep.ok:
         rep.violations += validate_sheaf_morphism(inverse).violations

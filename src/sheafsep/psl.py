@@ -1,6 +1,6 @@
 """Probabilistic separation at finite scale: probability spaces with
-exact rational measures, pullback along surjections, distribution atoms,
-and the independence-based separating conjunction.
+exact rational measures, distribution atoms, and the independence-based
+separating conjunction.
 
 The star search runs over pairs of partitions of the sample set rather
 than raw surjection pairs: a surjection enters the semantics only
@@ -99,15 +99,6 @@ class ProbSpace:
         )
         return ProbSpace(size, tuple(b for b, _ in pairs), tuple(m for _, m in pairs))
 
-    @staticmethod
-    def discrete(weights):
-        n = len(weights)
-        return ProbSpace.of(n, [(i,) for i in range(1, n + 1)], weights)
-
-    @staticmethod
-    def uniform(n):
-        return ProbSpace.discrete([Fraction(1, n)] * n)
-
     def measurable(self, subset) -> bool:
         subset = set(subset)
         return all(
@@ -139,30 +130,6 @@ class RandomVariable:
 
     def __call__(self, point):
         return self.values[point - 1]
-
-    def fibre_partition(self):
-        fibres = {}
-        for point in range(1, self.size + 1):
-            fibres.setdefault(self(point), []).append(point)
-        return tuple(sorted((tuple(v) for v in fibres.values()), key=lambda b: b[0]))
-
-
-def pullback_space(f, sp: ProbSpace) -> ProbSpace:
-    """Transport a space backward along a surjection f: S' ->> S.
-
-    f is the value tuple of the surjection; blocks become preimages and
-    keep their measures.
-    """
-    n_prime = len(f)
-    if set(f) != set(range(1, sp.size + 1)):
-        raise ValueError(f"{f!r} is not a surjection onto 1..{sp.size}")
-    blocks = []
-    measures = []
-    for block, p in zip(sp.blocks, sp.measure):
-        pre = tuple(i for i in range(1, n_prime + 1) if f[i - 1] in block)
-        blocks.append(pre)
-        measures.append(p)
-    return ProbSpace.of(n_prime, blocks, measures)
 
 
 def _block_values(x: RandomVariable, sp: ProbSpace) -> tuple:
@@ -725,110 +692,3 @@ def psl_sat(sp: ProbSpace, phi, variables) -> PslResult:
         },
     )
 
-
-# -- the probability presheaf over the surjection site ------------------------
-
-
-def probability_presheaf(cat, denominator=4):
-    """Spaces on {1..n} whose block measures are multiples of 1/d.
-
-    Pullback preserves the multiset of block measures, so this is a
-    restriction-closed finite fragment of the probability presheaf (whose
-    rational measures form a continuum), enumerable stage by stage for
-    the stage-indexed Kripke semantics.
-    """
-    from .presheaf import Presheaf
-
-    def spaces(n):
-        out = []
-        for blocks in set_partitions(range(1, n + 1)):
-            k = len(blocks)
-            for combo in _compositions(denominator, k):
-                measure = [Fraction(c, denominator) for c in combo]
-                out.append(ProbSpace.of(n, blocks, measure))
-        return out
-
-    def restr(f, sp):
-        return pullback_space(f[3], sp)
-
-    return Presheaf(cat, spaces, restr, name=f"P[1/{denominator}]")
-
-
-def _compositions(total, k):
-    if k == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, k - 1):
-            yield (head,) + tail
-
-
-def dist_atom_kripke(pres, site, stage, x: RandomVariable, dist) -> "KripkePredicate":
-    """The distribution atom as a stage-indexed predicate over the
-    probability presheaf: at a slice p: T ->> S the transported variable
-    X.p must be measurable with the stated law."""
-    from .pred import KripkePredicate
-
-    cat = site.cat
-    law_target = {v: p for v, p in dist if p != 0}
-    fam = {}
-    for p in cat.mors_into(stage):
-        members = []
-        transported = RandomVariable(tuple(x(p[3][i - 1]) for i in range(1, p[1] + 1)))
-        for sp in pres.at(cat.src(p)):
-            try:
-                members_law = law_of(transported, sp)
-            except NotMeasurableError:
-                continue
-            if members_law == law_target:
-                members.append(sp)
-        fam[p] = frozenset(members)
-    return KripkePredicate(pres, site, stage, fam)
-
-
-def kripke_cross_check(max_size=3, denominator=4, samples=40, seed=3) -> int:
-    """Compare the classical evaluation with the stage-indexed Kripke
-    semantics (meet/implication over distribution atoms) on sampled
-    spaces; returns the number of comparisons made, raising on mismatch."""
-    import random
-
-    from .fincat import build_finsurj_category
-    from .pred import implication, meet
-    from .site import Site, build_coverage, trivial_coverage
-
-    cat, mon = build_finsurj_category(max_size)
-    if max_size <= 2:
-        cov = build_coverage(cat, "atomic")
-    else:
-        # the truncated surjection category fails cospan completion at
-        # size 3, so only the always-valid trivial coverage is available
-        cov = trivial_coverage(cat)
-    site = Site(cat, cov, mon)
-    pres = probability_presheaf(cat, denominator)
-    rng = random.Random(seed)
-    checked = 0
-    for stage in cat.objects:
-        spaces = pres.at(stage)
-        for _ in range(samples):
-            sp = spaces[rng.randrange(len(spaces))]
-            x = RandomVariable(tuple(rng.randrange(2) for _ in range(stage)))
-            dist_pairs = tuple(sorted(law_of_discrete(x, stage).items()))
-            variables = {"X": x}
-            atom = DistAtom("X", dist_pairs)
-            atom_pred = dist_atom_kripke(pres, site, stage, x, dist_pairs)
-            both = meet(atom_pred, atom_pred)
-            imp_pred = implication(atom_pred, atom_pred)
-            ident = cat.id(stage)
-            classical = psl_sat(sp, atom, variables)
-            assert (sp in atom_pred.family[ident]) == classical.result
-            assert (sp in both.family[ident]) == psl_sat(
-                sp, And(atom, atom), variables
-            ).result
-            assert sp in imp_pred.family[ident]  # P -> P is Kripke-valid
-            checked += 3
-    return checked
-
-
-def law_of_discrete(x: RandomVariable, n: int) -> dict:
-    """Law of a variable under the uniform discrete space on {1..n}."""
-    return law_of(x, ProbSpace.uniform(n))

@@ -14,9 +14,6 @@ class Violation:
     kind: str
     detail: str
 
-    def __str__(self):
-        return f"[{self.kind}] {self.detail}"
-
 
 @dataclass
 class Report:
@@ -33,16 +30,6 @@ class Report:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def kinds(self) -> list[str]:
-        return [v.kind for v in self.violations]
-
-    def summary(self) -> str:
-        status = "ok" if self.ok else f"{len(self.violations)} violation(s)"
-        lines = [f"{self.title}: {status}"]
-        lines += [f"  {v}" for v in self.violations]
-        lines += [f"  note: {n}" for n in self.notes]
-        return "\n".join(lines)
 
     def as_dict(self) -> dict:
         return {

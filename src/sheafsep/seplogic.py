@@ -442,7 +442,7 @@ def atom_predicate(model: ResourceModel, atom, stage=None) -> KripkePredicate:
             bits[p] = _preimage(mp.table(cat.hom(one, v)[0]), stores)
         else:
             bits[p] = 0 if isinstance(atom, PointsToAlloc) else _all(mp, v)
-    return KripkePredicate(mp, model.site, stage, bits=bits)
+    return KripkePredicate(mp, model.site, stage, bits)
 
 
 # -- separating conjunction ---------------------------------------------------
@@ -522,7 +522,7 @@ def _unfolded_star(model, p, q) -> KripkePredicate:
     halves satisfy the conjuncts."""
     src = model.site.cat.src
     bits = {sl: _star_bits(model, p, q, src(sl)) for sl in p.bits}
-    return KripkePredicate(model.sheaf, model.site, p.stage, bits=bits)
+    return KripkePredicate(model.sheaf, model.site, p.stage, bits)
 
 
 def _pipeline_iso(model) -> AmalgamationIso:
@@ -544,7 +544,7 @@ def _pipeline_pieces(model):
         # a block's ids run row-major through the halves' ids
         mult[a] = [inverse[k] if k >= 0 else -1 for b, c in decomp.blocks(a)
                    for row in monoid.products(b, c) for k in row]
-    mult = SheafMorphism(decomp, iso.match, name="theta.mult", ids=mult)
+    mult = SheafMorphism(decomp, iso.match, mult, "theta.mult")
     return decomp, mult, iso.forward
 
 
@@ -559,7 +559,7 @@ def _pipeline_star(model, p, q) -> KripkePredicate:
     raw = {sl: _image(iso.inverse.ids(src(sl)), _star_bits(model, p, q, src(sl)))
            for sl in p.bits}
     closed = _close(iso.match, site, raw)
-    return direct_image(iso.forward, KripkePredicate(iso.match, site, p.stage, bits=closed))
+    return direct_image(iso.forward, KripkePredicate(iso.match, site, p.stage, closed))
 
 
 def _check_conjuncts(model, p, q):

@@ -157,10 +157,6 @@ def sieve_masks(cat: FinCat) -> SieveMasks:
     return sm
 
 
-def maximal_sieve(cat: FinCat, a) -> Sieve:
-    return Sieve(a, frozenset(cat.mors_into(a)))
-
-
 class Coverage:
     """Assignment object -> set of covering sieves.
 
@@ -190,9 +186,6 @@ class Coverage:
             self.cat.require_object(a)
             covers = self._covers[a] = tuple(self._covers_of(a))
         return covers
-
-    def is_cover(self, s: Sieve) -> bool:
-        return s in self.by_object.get(s.target, frozenset())
 
     def min_cover(self, a) -> Sieve:
         """The least covering sieve (covers are closed under intersection),
@@ -293,12 +286,6 @@ def build_coverage(cat: FinCat, kind: str) -> Coverage:
         return Coverage(cat, lambda a: [sm.sieve(a, m) for m in sm.all(a)[1:]],
                         ("covering = nonempty sieve (atomic)",))
     raise CoverageKindError(f"unknown coverage kind {kind!r}")
-
-
-def trivial_coverage(cat: FinCat) -> Coverage:
-    """Only maximal sieves cover: the least coverage."""
-    maximal = {a: [maximal_sieve(cat, a)] for a in cat.objects}
-    return Coverage(cat, maximal, ("covering = maximal sieve only",))
 
 
 def validate_coverage(cat: FinCat, cov: Coverage) -> Report:

@@ -21,7 +21,7 @@ import functools
 from dataclasses import replace
 
 from fincat_reference import slice_category
-from presheaf_reference import UnionFind
+from presheaf_reference import UnionFind, listed, sorted_elements
 from sheafsep.day import (
     DEFAULT_COEND_BUDGET,
     UNDEFINED,
@@ -31,7 +31,7 @@ from sheafsep.day import (
 )
 from sheafsep.errors import BudgetExceededError, MonoidalStructureError
 from sheafsep.fincat import element_key
-from sheafsep.presheaf import Heap, Presheaf, sorted_elements
+from sheafsep.presheaf import Heap
 from sheafsep.report import Report
 
 
@@ -77,7 +77,7 @@ def day_decomp(f_sheaf, g_sheaf, mon):
             return Decomp(v, b2, c2, f_sheaf.restrict(fb, d.left),
                           g_sheaf.restrict(gc, d.right))
 
-        return Presheaf(cat, stages, restr, name=f"({f_sheaf.name} (*) {g_sheaf.name})")
+        return listed(cat, stages, restr, name=f"({f_sheaf.name} (*) {g_sheaf.name})")
 
     def stages(a):
         return coend_triples(cat, mon, f_sheaf, g_sheaf, a)
@@ -85,7 +85,7 @@ def day_decomp(f_sheaf, g_sheaf, mon):
     def restr(h, d):
         return precompose(cat, d, h)
 
-    return Presheaf(cat, stages, restr, name=f"({f_sheaf.name} (*)w {g_sheaf.name})")
+    return listed(cat, stages, restr, name=f"({f_sheaf.name} (*)w {g_sheaf.name})")
 
 
 def apply(monoid, d):
@@ -153,7 +153,7 @@ def day_coend(f_sheaf, g_sheaf, mon, budget=DEFAULT_COEND_BUDGET):
         witnessed = d if d.witness is not None else poset_witnessed(cat, mon, d)
         return classes_at(witnessed.stage)[witnessed]
 
-    ps = Presheaf(cat, stages, restr, name=f"({f_sheaf.name} (x) {g_sheaf.name})")
+    ps = listed(cat, stages, restr, name=f"({f_sheaf.name} (x) {g_sheaf.name})")
     ps.class_of = class_of
     ps.classes_at = classes_at
     return ps

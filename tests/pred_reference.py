@@ -13,17 +13,33 @@ family, `validate_predicate_bits` reports it, and `close_bits` sets it
 to a fixpoint, the oracle of `pred._close`'s two passes.
 `restrict_predicate` and `glue_predicates` restrict a predicate along
 a morphism and glue a compatible family of them over a cover.
+`predicate` builds a `KripkePredicate` from sets of elements, and
+`at_subset` reads one at a sub-stage of a poset base.
 """
 
 from day_reference import apply
 from fincat_reference import slice_category
-from presheaf_reference import IncompatibleFamilyError
+from presheaf_reference import IncompatibleFamilyError, components, morphism
 from sheafsep.day import Decomp, splittings
 from sheafsep.errors import StageMismatchError
 from sheafsep.fincat import element_key
 from sheafsep.pred import KripkePredicate, _all, _local, _members, _preimage
 from sheafsep.report import Report
 from site_reference import pullback_sieve, slice_coverage
+
+
+def predicate(resource, site, stage, family):
+    """The predicate holding `family[p]`, a set of elements of the
+    resource at src(p), at each slice object p of `stage`."""
+    src = site.cat.src
+    bits = {p: sum(1 << i for i in {resource.index(src(p))[x] for x in family[p]})
+            for p in site.cat.mors_into(stage)}
+    return KripkePredicate(resource, site, stage, bits)
+
+
+def at_subset(pred, v):
+    """The set at the inclusion of v into the stage, on a poset base."""
+    return pred.family[pred.site.cat.hom(v, pred.stage)[0]]
 
 
 def forced(resource, site, stage, fam):
@@ -144,28 +160,22 @@ def implication(p, q):
 
 
 def reindex_preimage(alpha, q):
-    cat = q.site.cat
-    return {
-        sl: frozenset(
-            x
-            for x in alpha.source.at(cat.src(sl))
-            if x not in alpha.components[cat.src(sl)]
-            or alpha.components[cat.src(sl)][x] in q.family[sl]
-        )
-        for sl in q.family
-    }
+    src = q.site.cat.src
+    out = {}
+    for sl in q.family:
+        comp = components(alpha, src(sl))
+        out[sl] = frozenset(x for x in alpha.source.at(src(sl))
+                            if x not in comp or comp[x] in q.family[sl])
+    return out
 
 
 def raw_image(alpha, p):
-    cat = p.site.cat
-    return {
-        sl: frozenset(
-            alpha.components[cat.src(sl)][x]
-            for x in p.family[sl]
-            if x in alpha.components[cat.src(sl)]
-        )
-        for sl in p.family
-    }
+    src = p.site.cat.src
+    out = {}
+    for sl in p.family:
+        comp = components(alpha, src(sl))
+        out[sl] = frozenset(comp[x] for x in p.family[sl] if x in comp)
+    return out
 
 
 def direct_image(alpha, p):
@@ -218,7 +228,6 @@ def pipeline_maps(model):
     """The decomposition presheaf, the multiplication into Match(F) (each
     product sent through the amalgamation iso's inverse) and the iso."""
     from sheafsep.day import day_decomp
-    from sheafsep.pred import SheafMorphism
     from sheafsep.presheaf import amalgamation_operator
 
     site, mp = model.site, model.sheaf
@@ -226,12 +235,12 @@ def pipeline_maps(model):
     iso = amalgamation_operator(mp, site.cov)
     mult = {}
     for a in site.cat.objects:
-        mult[a] = {}
+        mult[a], inverse = {}, components(iso.inverse, a)
         for d in decomp.at(a):
             prod = apply(model.monoid, d)
             if prod is not None:
-                mult[a][d] = iso.inverse.components[a][prod]
-    return decomp, SheafMorphism(decomp, iso.match, mult, name="mult"), iso
+                mult[a][d] = inverse[prod]
+    return decomp, morphism(decomp, iso.match, mult, "mult"), iso
 
 
 def pipeline_star(model, p, q, maps):
@@ -249,8 +258,8 @@ def pipeline_star(model, p, q, maps):
         )
         for sl in cat.mors_into(u)
     }
-    combined = KripkePredicate(decomp, site, u, combined)
-    over_match = KripkePredicate(iso.match, site, u, direct_image(mult, combined))
+    combined = predicate(decomp, site, u, combined)
+    over_match = predicate(iso.match, site, u, direct_image(mult, combined))
     return direct_image(iso.forward, over_match)
 
 
@@ -262,7 +271,7 @@ def restrict_predicate(p, f):
         raise StageMismatchError(f"{f!r} does not target stage {p.stage!r}")
     b = cat.src(f)
     bits = {q: p.bits[cat.compose(f, q)] for q in cat.mors_into(b)}
-    return KripkePredicate(p.resource, p.site, b, bits=bits)
+    return KripkePredicate(p.resource, p.site, b, bits)
 
 
 def glue_predicates(site, resource, cover, parts):
@@ -310,4 +319,4 @@ def glue_predicates(site, resource, cover, parts):
         for g in pullback_sieve(cat, cover, p).members:
             pg = cat.compose(p, g)
             bits[p] &= _preimage(resource.table(g), full_parts[pg].bits[cat.id(cat.src(pg))])
-    return KripkePredicate(resource, site, a, bits=bits)
+    return KripkePredicate(resource, site, a, bits)

@@ -18,20 +18,28 @@ factorisations give, where the core reads neither.
 `validate_presheaf` replays functoriality, `slice_restrict` restricts
 a presheaf to a slice, and `matching_object` pairs the sections that
 agree on a pullback: constructions that only tests make.
+
+`listed` builds a presheaf from its elements, filling each table entry
+by restricting one; it serves the presheaves whose elements are their
+data: the element-level builders here and in the other references, and
+the `constant`, `yoneda` and `terminal` kinds.  `morphism` builds a
+`SheafMorphism` from element-keyed components and `components` decodes
+one.
 """
 
 from dataclasses import dataclass
 from itertools import product
 
 from fincat_reference import slice_category
-from sheafsep.errors import BudgetExceededError, SheafSepError
+from sheafsep.errors import BudgetExceededError, SheafSepError, StageMismatchError
+from sheafsep.fincat import element_key
 from sheafsep.presheaf import (
     DEFAULT_FAMILY_BUDGET,
     Heap,
     MatchClass,
     Presheaf,
+    SheafMorphism,
     _encoded_cover,
-    sorted_elements,
 )
 from sheafsep.report import Report
 from sheafsep.site import Sieve
@@ -82,6 +90,82 @@ class CompatibleFamily:
         return self.assignment
 
 
+def sorted_elements(xs):
+    return tuple(sorted(xs, key=element_key))
+
+
+def listed(base, stage_fn, restrict_fn, *, name="presheaf"):
+    """A presheaf from its elements: stage_fn(A) yields the elements at A,
+    collected into a set and sorted, and restrict_fn(f, x) applies F(f)
+    to one element, once per table entry.  An image that leaves its
+    stage gets a fresh id past the stage's end."""
+    stages = {}  # stage -> (elements by id, fresh ones last; their ids; stage size)
+
+    def stage(a):
+        if a not in stages:
+            xs = sorted_elements(set(stage_fn(a)))
+            stages[a] = (list(xs), {x: i for i, x in enumerate(xs)}, len(xs))
+        return stages[a]
+
+    def table(f):
+        elems, ids, _ = stage(base.src(f))
+        above, _, n = stage(base.dst(f))
+        out = []
+        for x in above[:n]:
+            y = restrict_fn(f, x)
+            if y not in ids:
+                ids[y] = len(elems)
+                elems.append(y)
+            out.append(ids[y])
+        return tuple(out)
+
+    return Presheaf(base, lambda a: stage(a)[2], table, lambda a, i: stage(a)[0][i], name=name)
+
+
+def constant(cat, elements):
+    xs = frozenset(elements)
+    return listed(cat, lambda a: xs, lambda f, x: x, name=f"const({len(xs)})")
+
+
+def yoneda(cat, at_object):
+    cat.require_object(at_object)
+    return listed(cat, lambda b: cat.hom(b, at_object), lambda f, g: cat.compose(g, f),
+                  name=f"yo({at_object!r})")
+
+
+@dataclass(frozen=True)
+class Star:
+    """The unique point of the terminal presheaf."""
+
+    def sort_key(self):
+        return ()
+
+
+STAR = Star()
+
+
+def terminal(cat):
+    return listed(cat, lambda a: (STAR,), lambda f, x: STAR, name="terminal")
+
+
+def morphism(source, target, components, name):
+    """The `SheafMorphism` whose component at a maps the elements of
+    source.at(a) as `components[a]` does, undefined off its keys."""
+    ids = {}
+    for a, comp in components.items():
+        index, size = target.index(a), target.size(a)
+        ids[a] = [index.get(comp[x], size) if x in comp else -1 for x in source.at(a)]
+        if size in ids[a]:
+            raise StageMismatchError(f"{name} maps outside its target at {a!r}")
+    return SheafMorphism(source, target, ids, name)
+
+
+def components(alpha, a):
+    """alpha's component at a, element-keyed."""
+    return {alpha.source.element(a, i): alpha.target.element(a, j)
+            for i, j in enumerate(alpha.ids(a)) if j >= 0}
+
+
 def restrict_heap(heap, locs):
     """The heap's cells at the locations locs."""
     locs = tuple(sorted(locs))
@@ -94,8 +178,8 @@ def memory_sheaf(cat, kind, values, bound=None):
     vals = tuple(sorted(set(values)))
     cells = vals if kind == "strict-memory" else vals + (None,)
     k = None if kind != "support-bounded" else int(bound)
-    listed = ",".join(map(str, vals))
-    name = {"strict-memory": f"M[{listed}]", "partial-memory": f"Mp[{listed}]"}.get(
+    shown = ",".join(map(str, vals))
+    name = {"strict-memory": f"M[{shown}]", "partial-memory": f"Mp[{shown}]"}.get(
         kind, f"Mp|supp<={k}")
 
     def stages(a):
@@ -108,7 +192,7 @@ def memory_sheaf(cat, kind, values, bound=None):
     def restr(f, heap):
         return restrict_heap(heap, cat.src(f))
 
-    return Presheaf(cat, stages, restr, name=name)
+    return listed(cat, stages, restr, name=name)
 
 
 class UnionFind:
@@ -380,8 +464,8 @@ def matching_presheaf(ps, cov, budget=DEFAULT_FAMILY_BUDGET):
         members = cov.min_cover(cat.src(h)).sorted_members()
         return MatchClass(cat.src(h), members, tuple(fam[cat.compose(h, g)] for g in members))
 
-    return Presheaf(cat, lambda a: matching_stage(ps, cov, a, budget), restr,
-                    name=f"Match({ps.name})")
+    return listed(cat, lambda a: matching_stage(ps, cov, a, budget), restr,
+                  name=f"Match({ps.name})")
 
 
 def assert_same_presheaf(new, old):
@@ -427,7 +511,7 @@ def slice_restrict(ps: Presheaf, a, prebuilt=None) -> Presheaf:
     tables are F's tables along the domains of slice morphisms."""
     ps.base.require_object(a)
     sl, dom = prebuilt if prebuilt is not None else slice_category(ps.base, a)
-    return Presheaf.encoded(
+    return Presheaf(
         sl, lambda p: ps.size(dom.on_obj(p)), lambda m: ps.table(dom.on_mor(m)),
         lambda p, i: ps.element(dom.on_obj(p), i), name=f"{ps.name}|{a!r}")
 

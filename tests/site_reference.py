@@ -8,13 +8,14 @@ the slice category, and the stability and transitivity replay pulls
 `Sieve` objects back.  The differential tests compare the two on
 covers, in `covers()` order, and on (kind, detail) violation lists, and
 `SieveMasks`' sieves and pullbacks with `all_sieves` and
-`pullback_sieve`.  `generate_sieve` and `saturate` build the sieves and
-coverages that tests start from.
+`pullback_sieve`.  `generate_sieve`, `maximal_sieve`, `saturate` and
+`trivial_coverage` build the sieves and coverages that tests start
+from, and `is_cover` asks a coverage whether it holds a sieve.
 """
 
 from fincat_reference import slice_category
 from sheafsep.errors import BudgetExceededError
-from sheafsep.site import SIEVE_ENUM_LIMIT, Coverage, Sieve, maximal_sieve
+from sheafsep.site import SIEVE_ENUM_LIMIT, Coverage, Sieve
 from sheafsep.report import Report
 
 
@@ -30,6 +31,20 @@ def is_sieve(cat, s):
             if cat.compose(f, k) not in s.members:
                 return False
     return True
+
+
+def maximal_sieve(cat, a):
+    return Sieve(a, frozenset(cat.mors_into(a)))
+
+
+def trivial_coverage(cat):
+    """Only maximal sieves cover: the least coverage."""
+    maximal = {a: [maximal_sieve(cat, a)] for a in cat.objects}
+    return Coverage(cat, maximal, ("covering = maximal sieve only",))
+
+
+def is_cover(cov, s):
+    return s in cov.by_object.get(s.target, frozenset())
 
 
 def generate_sieve(cat, target, generators):
@@ -87,21 +102,21 @@ def build_coverage(cat, kind):
     return Coverage(cat, by_object)
 
 
-def forced_sieves(cat, covers, is_cover):
-    """What stability and transitivity force in but `is_cover` lacks, as
+def forced_sieves(cat, covers, covering):
+    """What stability and transitivity force in but `covering` lacks, as
     (axiom, sieve, cover, h); `covers(a)` is read anew per sieve tested."""
     for a in cat.objects:
         for s in covers(a):
             for h in cat.mors_into(a):
                 pb = pullback_sieve(cat, s, h)
-                if not is_cover(pb):
+                if not covering(pb):
                     yield "stability", pb, s, h
     for a in cat.objects:
         for r in all_sieves(cat, a):
-            if is_cover(r):
+            if covering(r):
                 continue
             for s in covers(a):
-                if all(is_cover(pullback_sieve(cat, r, h)) for h in s.sorted_members()):
+                if all(covering(pullback_sieve(cat, r, h)) for h in s.sorted_members()):
                     yield "transitivity", r, s, None
                     break
 
@@ -118,7 +133,7 @@ def validate_coverage(cat, cov):
         if maximal_sieve(cat, a) not in cov.by_object.get(a, frozenset()):
             rep.flag("maximality", f"maximal sieve missing at {a!r}")
     filed = {a: [s for s in cov.covers(a) if s.target == a] for a in cat.objects}
-    for axiom, r, s, h in forced_sieves(cat, filed.__getitem__, cov.is_cover):
+    for axiom, r, s, h in forced_sieves(cat, filed.__getitem__, lambda s: is_cover(cov, s)):
         if axiom == "stability":
             rep.flag(axiom, f"pullback of {s.sorted_members()!r} along {h!r} is not covering")
         else:
@@ -153,6 +168,6 @@ def slice_coverage(cov, a):
     for p in sl.objects:
         by_object[p] = [
             s for s in all_sieves(sl, p)
-            if cov.is_cover(Sieve(cat.src(p), frozenset(dom.on_mor(m) for m in s.members)))
+            if is_cover(cov, Sieve(cat.src(p), frozenset(dom.on_mor(m) for m in s.members)))
         ]
     return Coverage(sl, by_object)

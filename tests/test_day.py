@@ -1,7 +1,7 @@
 import pytest
 
 import day_reference as ref
-from presheaf_reference import validate_presheaf
+from presheaf_reference import constant, morphism, terminal, validate_presheaf, yoneda
 from sheafsep.day import (
     Decomp,
     build_memory_monoid,
@@ -17,8 +17,9 @@ from sheafsep.fincat import (
     build_powerset_category,
     incl,
 )
-from sheafsep.presheaf import Heap, SheafMorphism, build_resource_sheaf
-from sheafsep.site import Site, build_coverage, trivial_coverage
+from sheafsep.presheaf import Heap, build_resource_sheaf
+from sheafsep.site import Site, build_coverage
+from site_reference import trivial_coverage
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +60,7 @@ def test_decomp_count_single_location(pset1, mp1):
 
 def test_decomp_with_yoneda_unit(pset2, mp2):
     cat, mon = pset2
-    yo_empty = build_resource_sheaf(cat, "yoneda", at_object=())
+    yo_empty = yoneda(cat, ())
     d = day_decomp(mp2, yo_empty, mon)
     for a in cat.objects:
         # hom(U, empty) is nonempty iff U is empty, so only (A, ()) decomposes
@@ -68,7 +69,7 @@ def test_decomp_with_yoneda_unit(pset2, mp2):
 
 def test_decomp_yoneda_square(pset1):
     cat, mon = pset1
-    yo_x = build_resource_sheaf(cat, "yoneda", at_object=("x",))
+    yo_x = yoneda(cat, ("x",))
     d = day_decomp(yo_x, yo_x, mon)
     assert len(d.at(("x",))) == 3
 
@@ -97,7 +98,7 @@ def test_decomp_restriction_recanonicalises(pset2, mp2):
 
 def test_coend_yoneda_square_collapses(pset1):
     cat, mon = pset1
-    yo_x = build_resource_sheaf(cat, "yoneda", at_object=("x",))
+    yo_x = yoneda(cat, ("x",))
     c = day_coend(yo_x, yo_x, mon)
     assert len(c.at(("x",))) == 1
 
@@ -108,7 +109,7 @@ def test_coend_yoneda_strong_monoidality(n_locs):
     included: representables are not flabby, so unlike the memory
     sheaves their coends are not terminal."""
     cat, mon = build_powerset_category(["x", "y", "z"][:n_locs])
-    yo = {a: build_resource_sheaf(cat, "yoneda", at_object=a) for a in cat.objects}
+    yo = {a: yoneda(cat, a) for a in cat.objects}
     for a in cat.objects:
         for b in cat.objects:
             c = day_coend(yo[a], yo[b], mon)
@@ -118,7 +119,7 @@ def test_coend_yoneda_strong_monoidality(n_locs):
 
 def test_coend_unit_law(pset2, mp2):
     cat, mon = pset2
-    yo_empty = build_resource_sheaf(cat, "yoneda", at_object=())
+    yo_empty = yoneda(cat, ())
     c = day_coend(mp2, yo_empty, mon)
     for a in cat.objects:
         assert len(c.at(a)) == len(mp2.at(a))
@@ -217,7 +218,7 @@ def test_monoid_laws_all_variants(pset2, mp2):
     cat, mon = pset2
     for variant in ("total", "weak-partial", "strong-partial"):
         rep = check_monoid_laws(build_memory_monoid(mp2, variant), mon)
-        assert rep.ok, rep.summary()
+        assert rep.ok, rep.violations
 
 
 def test_strong_associativity_shared_location_bothsides_undefined(pset1, mp1):
@@ -233,24 +234,24 @@ def test_day_stability_powerset(pset2, mp2):
     cov = build_coverage(cat, "downward-closed")
     site = Site(cat, cov, mon)
     m = build_resource_sheaf(cat, "strict-memory", values=(0, 1))
-    yo_x = build_resource_sheaf(cat, "yoneda", at_object=("x",))
-    strict_into_partial = SheafMorphism(
+    yo_x = yoneda(cat, ("x",))
+    strict_into_partial = morphism(
         m, mp2, {a: {h: h for h in m.at(a)} for a in cat.objects}, name="M>->Mp"
     )
     rep = check_day_stability(site, [m, mp2, yo_x], inclusions=[strict_into_partial])
-    assert rep.ok, rep.summary()
+    assert rep.ok, rep.violations
 
 
 def test_day_stability_flags_injected_non_mono(pset2, mp2):
     cat, mon = pset2
     cov = build_coverage(cat, "downward-closed")
     site = Site(cat, cov, mon)
-    collapse = SheafMorphism(mp2, mp2, {
+    collapse = morphism(mp2, mp2, {
         a: {h: Heap.of(a, {x: None for x in a}) for h in mp2.at(a)}
         for a in cat.objects
     }, name="collapse")
     rep = check_day_stability(site, [mp2], inclusions=[collapse])
-    kinds = rep.kinds()
+    kinds = [v.kind for v in rep.violations]
     assert "mono" in kinds or "mono-preservation" in kinds
 
 
@@ -259,13 +260,13 @@ def test_day_stability_counts_a_repeated_element_once(pset2, mp2):
     elements is a mono and one that merges elements is not."""
     cat, mon = pset2
     site = Site(cat, build_coverage(cat, "downward-closed"), mon)
-    twice = build_resource_sheaf(cat, "constant", elements=(1, 0, 1))
-    pair = build_resource_sheaf(cat, "constant", elements=(0, 1))
-    one = build_resource_sheaf(cat, "constant", elements=(0,))
-    ident = SheafMorphism(twice, pair, {a: {0: 0, 1: 1} for a in cat.objects}, name="dedupe")
+    twice = constant(cat, (1, 0, 1))
+    pair = constant(cat, (0, 1))
+    one = constant(cat, (0,))
+    ident = morphism(twice, pair, {a: {0: 0, 1: 1} for a in cat.objects}, name="dedupe")
     assert check_day_stability(site, [mp2], inclusions=[ident]).ok
-    squash = SheafMorphism(twice, one, {a: {0: 0, 1: 0} for a in cat.objects}, name="squash")
-    kinds = check_day_stability(site, [mp2], inclusions=[squash]).kinds()
+    squash = morphism(twice, one, {a: {0: 0, 1: 0} for a in cat.objects}, name="squash")
+    kinds = [v.kind for v in check_day_stability(site, [mp2], inclusions=[squash]).violations]
     assert "mono" in kinds and "mono-preservation" in kinds
 
 
@@ -289,10 +290,10 @@ def test_day_stability_finsurj_two():
     cat, mon = build_finsurj_category(2)
     cov = build_coverage(cat, "atomic")
     site = Site(cat, cov, mon)
-    yo1 = build_resource_sheaf(cat, "yoneda", at_object=1)
-    term = build_resource_sheaf(cat, "terminal")
+    yo1 = yoneda(cat, 1)
+    term = terminal(cat)
     rep = check_day_stability(site, [yo1, term])
-    assert rep.ok, rep.summary()
+    assert rep.ok, rep.violations
 
 
 def test_day_stability_requires_gamma_witness():
@@ -310,7 +311,7 @@ def test_day_stability_requires_gamma_witness():
     )
     mon = MonoidalStructure({("a", "a"): "a"}, {}, unit="a", symmetric=True)
     rep = check_day_stability(Site(cat, trivial_coverage(cat), mon), [])
-    assert rep.kinds() == ["gamma"]
+    assert [v.kind for v in rep.violations] == ["gamma"]
 
 
 def _with_tensor(mon, pair, value):
@@ -370,12 +371,12 @@ def test_gamma_certificate_reports_as_the_replay(name):
     cat, mon = GAMMA_CASES[name]
     rep = check_day_stability(Site(cat, trivial_coverage(cat), mon), [])
     replayed = ref.gamma_report(cat, mon, *_gamma_of(mon))
-    assert set(rep.kinds()) <= {"gamma"}
+    assert {v.kind for v in rep.violations} <= {"gamma"}
     if name == "undefined":
         assert replayed.ok and not rep.ok
     else:
         clean = name not in ("mistyped", "identity")
-        assert rep.ok == replayed.ok == clean, rep.summary()
+        assert rep.ok == replayed.ok == clean, rep.violations
 
 
 @pytest.mark.parametrize("build", [lambda: build_powerset_category({"w", "x", "y", "z"}),

@@ -10,6 +10,7 @@ import pytest
 
 import day_reference as ref
 import presheaf_reference
+from presheaf_reference import constant, terminal, yoneda
 from sheafsep import day
 from sheafsep.day import (
     UNDEFINED,
@@ -133,9 +134,8 @@ def test_memory_decompositions_agree_with_reference(left, right, n_locs):
 
 def test_witnessed_decompositions_agree_with_reference_on_surjections():
     cat, mon = build_finsurj_category(3)
-    sheaves = [build_resource_sheaf(cat, "yoneda", at_object=n) for n in cat.objects]
-    sheaves += [build_resource_sheaf(cat, "terminal"),
-                build_resource_sheaf(cat, "constant", elements=(1, 0, 1))]
+    sheaves = [yoneda(cat, n) for n in cat.objects]
+    sheaves += [terminal(cat), constant(cat, (1, 0, 1))]
     for f_sheaf in sheaves:
         for g_sheaf in sheaves:
             presheaf_reference.assert_same_presheaf(
@@ -144,7 +144,7 @@ def test_witnessed_decompositions_agree_with_reference_on_surjections():
 
 def test_decomposition_of_a_stage_with_a_repeated_element_agrees_with_reference():
     cat, mon = _powerset(2)
-    twice = build_resource_sheaf(cat, "constant", elements=(1, 0, 1))
+    twice = constant(cat, (1, 0, 1))
     mp, ref_mp = _sheaf("Mp", 2, 1), _ref_sheaf("Mp", 2, 1)
     for new, old in (((twice, twice), (twice, twice)), ((twice, mp), (twice, ref_mp)),
                      ((mp, twice), (ref_mp, twice))):
@@ -153,7 +153,7 @@ def test_decomposition_of_a_stage_with_a_repeated_element_agrees_with_reference(
 
 def test_yoneda_coends_agree_with_reference_on_the_powerset():
     cat, mon = _powerset(3)
-    yo = {a: build_resource_sheaf(cat, "yoneda", at_object=a) for a in cat.objects}
+    yo = {a: yoneda(cat, a) for a in cat.objects}
     for a in cat.objects:
         for b in cat.objects:
             assert_same_coend(yo[a], yo[b], mon)
@@ -161,7 +161,7 @@ def test_yoneda_coends_agree_with_reference_on_the_powerset():
 
 def test_yoneda_coends_agree_with_reference_on_surjections():
     cat, mon = build_finsurj_category(3)
-    yo = {n: build_resource_sheaf(cat, "yoneda", at_object=n) for n in cat.objects}
+    yo = {n: yoneda(cat, n) for n in cat.objects}
     for n in cat.objects:
         for m in cat.objects:
             assert_same_coend(yo[n], yo[m], mon)
@@ -169,7 +169,7 @@ def test_yoneda_coends_agree_with_reference_on_surjections():
 
 def test_coend_of_a_stage_with_a_repeated_element_agrees_with_reference():
     cat, mon = _powerset(2)
-    twice = build_resource_sheaf(cat, "constant", elements=(1, 0, 1))
+    twice = constant(cat, (1, 0, 1))
     assert twice.at(("x",)) == (0, 1)
     assert_same_coend(twice, twice, mon)
     mp, ref_mp = _sheaf("Mp", 2, 1), _ref_sheaf("Mp", 2, 1)
@@ -242,10 +242,8 @@ def _stability_samples(cat):
                for kind in ("strict-memory", "partial-memory")]
     samples += [build_resource_sheaf(cat, "support-bounded", values=(0, 1), bound=k)
                 for k in range(len(top) + 1)]
-    samples += [build_resource_sheaf(cat, "yoneda", at_object=a)
-                for a in dict.fromkeys([(), cat.objects[1], top])]
-    return samples + [build_resource_sheaf(cat, "constant", elements=(0, 1)),
-                      build_resource_sheaf(cat, "terminal")]
+    samples += [yoneda(cat, a) for a in dict.fromkeys([(), cat.objects[1], top])]
+    return samples + [constant(cat, (0, 1)), terminal(cat)]
 
 
 def _one_point_onto(ps):
@@ -356,10 +354,10 @@ def test_dinaturality_generator_count(base, pairs, monkeypatch):
     729 pairs of morphisms; 28 on the size-3 surjection base, against 33."""
     if base == "powerset":
         cat, mon = _powerset(3)
-        sheaf = build_resource_sheaf(cat, "yoneda", at_object=("x",))
+        sheaf = yoneda(cat, ("x",))
     else:
         cat, mon = build_finsurj_category(3)
-        sheaf = build_resource_sheaf(cat, "yoneda", at_object=1)
+        sheaf = yoneda(cat, 1)
     used = []
 
     def counted(*args):
@@ -401,8 +399,8 @@ def test_both_flag_a_broken_cell_rule(law):
     def broken():
         return ResourceMonoid(mp, "broken", BROKEN_CELLS[law], (), Heap((), ()))
 
-    assert set(check_monoid_laws(broken(), mon).kinds()) == {law}
-    assert set(ref.check_monoid_laws(broken(), mon).kinds()) == {law}
+    assert {v.kind for v in check_monoid_laws(broken(), mon).violations} == {law}
+    assert {v.kind for v in ref.check_monoid_laws(broken(), mon).violations} == {law}
 
 
 @pytest.mark.parametrize("defined", [True, False])
@@ -415,7 +413,7 @@ def test_certificate_flags_a_tampered_product_entry(defined):
                 if (k != -1) == defined)
     rows[i][j] = -1 if defined else 0
     rep = check_monoid_laws(monoid, mon)
-    assert rep.kinds() == ["pointwise"]
+    assert [v.kind for v in rep.violations] == ["pointwise"]
     s, t = mp.at(("x",))[i], mp.at(("x", "y"))[j]
     assert rep.violations[0].detail.startswith(f"{s}.{t} is ")
 
@@ -428,7 +426,7 @@ def test_certificate_flags_products_that_leave_the_carrier():
     bounded, mon = _sheaf("bounded", 2, 1), _powerset(2)[1]
     monoid = build_memory_monoid(bounded, "strong-partial")
     rep = check_monoid_laws(monoid, mon)
-    assert set(rep.kinds()) == {"pointwise"}
+    assert {v.kind for v in rep.violations} == {"pointwise"}
     assert "<x:0>.<y:0> is None in the product table, but outside the carrier" in {
         v.detail for v in rep.violations}
     assert ref.check_monoid_laws(build_memory_monoid(bounded, "strong-partial"), mon).ok
@@ -464,7 +462,7 @@ def test_memory_monoid_needs_a_memory_sheaf(carrier):
     """A carrier without the memory numbering is refused when the monoid
     is built, not at its first product."""
     cat, _ = build_powerset_category(["x", "y"])
-    kwargs = {"yoneda": {"at_object": ("x",)}, "constant": {"elements": (0, 1)}}
-    mp = build_resource_sheaf(cat, carrier, **kwargs.get(carrier, {}))
+    mp = {"yoneda": yoneda(cat, ("x",)), "constant": constant(cat, (0, 1)),
+          "terminal": terminal(cat)}[carrier]
     with pytest.raises(MonoidalStructureError, match="need a memory sheaf"):
         build_memory_monoid(mp, "weak-partial")

@@ -139,7 +139,7 @@ def test_validate_detects_mistyped_composition():
     broken = FinCat(cat.kind, cat.objects, cat.homs, bad, cat.identities)
     rep = validate_category(broken)
     assert not rep.ok
-    assert "typing" in rep.kinds() or "identity" in rep.kinds()
+    assert {"typing", "identity"} & {v.kind for v in rep.violations}
 
 
 def test_validate_finsurj_exhaustive_associativity():
@@ -162,7 +162,7 @@ def test_validate_monoidal_flags_a_corrupted_tensor_entry():
     bad[(f, g)] = incl(("y",), ("y",))
     broken = MonoidalStructure(mon.tensor_obj, bad, unit=mon.unit, symmetric=mon.symmetric)
     rep = validate_monoidal(cat, broken)
-    assert "functoriality" in rep.kinds()
+    assert "functoriality" in [v.kind for v in rep.violations]
 
 
 def _outcome(check, cat, mon):

@@ -4,6 +4,7 @@ from presheaf_reference import (
     CompatibleFamily,
     SquareError,
     amalgamate,
+    components,
     matching_object,
     validate_presheaf,
 )
@@ -15,7 +16,8 @@ from sheafsep.presheaf import (
     build_resource_sheaf,
     matching_presheaf,
 )
-from sheafsep.site import Sieve, build_coverage, trivial_coverage
+from sheafsep.site import Sieve, build_coverage
+from site_reference import trivial_coverage
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +116,8 @@ def test_amalgamation_operator_examples():
     assert iso.report.ok
     top = ("x", "y")
     target = Heap.of(top, {"x": 0, "y": 1})
-    cls = iso.inverse.components[top][target]
-    assert iso.forward.components[top][cls] == target
+    cls = components(iso.inverse, top)[target]
+    assert components(iso.forward, top)[cls] == target
     # the class over the minimum cover restricts to the sigma_x / sigma_y legs
     fam = cls.family()
     assert fam[incl(("x",), top)] == Heap.of(("x",), {"x": 0})
@@ -145,7 +147,7 @@ def test_amalgamation_operator_replays_no_compatibility_square():
     assert sum(len(iso.match.at(a)) for a in cat.objects) == 64
     cls = next(iter(iso.match.at(("x", "y", "z"))))
     fam = CompatibleFamily.of(Sieve(cls.stage, frozenset(cls.cover_members)), cls.family())
-    assert amalgamate(mp, fam) == iso.forward.components[cls.stage][cls]
+    assert amalgamate(mp, fam) == components(iso.forward, cls.stage)[cls]
 
 
 def test_amalgamation_operator_rejects_non_sheaf():

@@ -4,12 +4,10 @@ import pytest
 
 import pred_reference as ref
 from day_reference import apply
-from presheaf_reference import IncompatibleFamilyError, restrict_heap
+from presheaf_reference import IncompatibleFamilyError, constant, morphism, restrict_heap
 from sheafsep.day import Decomp, build_memory_monoid, day_decomp
 from sheafsep.fincat import build_powerset_category, incl
 from sheafsep.pred import (
-    KripkePredicate,
-    SheafMorphism,
     bottom_predicate,
     combine_alpha,
     direct_image,
@@ -23,7 +21,7 @@ from sheafsep.pred import (
 )
 from sheafsep.presheaf import Heap, build_resource_sheaf, validate_sheaf_morphism
 from sheafsep.site import Site, build_coverage
-from site_reference import generate_sieve
+from site_reference import generate_sieve, maximal_sieve
 
 
 def make_site(locs, vals=(0, 1)):
@@ -49,7 +47,7 @@ def singleton_pred(site, mp, stage, v, heap):
     cat = site.cat
     fam = {p: set() for p in cat.mors_into(stage)}
     fam[cat.hom(v, stage)[0]].add(heap)
-    return KripkePredicate(mp, site, stage, ref.close(mp, site, stage, fam))
+    return ref.predicate(mp, site, stage, ref.close(mp, site, stage, fam))
 
 
 def test_meet_with_top_is_identity(site1):
@@ -72,10 +70,10 @@ def test_join_of_two_singletons(site1):
     p0 = singleton_pred(site, mp, stage, ("x",), Heap.of(("x",), {"x": 0}))
     p1 = singleton_pred(site, mp, stage, ("x",), Heap.of(("x",), {"x": 1}))
     j = join(p0, p1)
-    assert j.at_subset(("x",)) == frozenset(
+    assert ref.at_subset(j, ("x",)) == frozenset(
         {Heap.of(("x",), {"x": 0}), Heap.of(("x",), {"x": 1})}
     )
-    assert j.at_subset(()) == frozenset({Heap((), ())})
+    assert ref.at_subset(j, ()) == frozenset({Heap((), ())})
 
 
 def test_lattice_op_dispatch(site1):
@@ -83,12 +81,12 @@ def test_lattice_op_dispatch(site1):
     holds every element and is the unit of meet against bottom."""
     site, mp = site1
     stage = ("x",)
-    twice = build_resource_sheaf(site.cat, "constant", elements=(1, 0, 1))
+    twice = constant(site.cat, (1, 0, 1))
     for ps in (mp, twice):
         t = top_predicate(ps, site, stage)
         b = bottom_predicate(ps, site, stage)
         every = {p: ps.at(site.cat.src(p)) for p in site.cat.mors_into(stage)}
-        assert t == KripkePredicate(ps, site, stage, every)
+        assert t == ref.predicate(ps, site, stage, every)
         assert meet(t, b) == b
         assert join(t, b) == t
 
@@ -110,7 +108,7 @@ def nonstrict_pointsto(site, mp, stage, loc, val):
         fam[p] = frozenset(
             s for s in mp.at(v) if loc not in v or s.get(loc) == val
         )
-    return KripkePredicate(mp, site, stage, fam)
+    return ref.predicate(mp, site, stage, fam)
 
 
 def test_implication_to_bottom_is_kripke_negation(site1):
@@ -120,8 +118,8 @@ def test_implication_to_bottom_is_kripke_negation(site1):
     stage = ("x",)
     atom = nonstrict_pointsto(site, mp, stage, "x", 0)
     neg = implication(atom, bottom_predicate(mp, site, stage))
-    assert neg.at_subset(("x",)) == frozenset()
-    assert neg.at_subset(()) == frozenset()
+    assert ref.at_subset(neg, ("x",)) == frozenset()
+    assert ref.at_subset(neg, ()) == frozenset()
 
 
 def test_residuation_exhaustive_single_location(site1):
@@ -151,7 +149,7 @@ def all_predicates(site, mp, stage):
     out = []
     for combo in iproduct(*pools):
         fam = dict(zip(slice_objs, combo))
-        cand = KripkePredicate(mp, site, stage, fam)
+        cand = ref.predicate(mp, site, stage, fam)
         if ref.validate_predicate_bits(cand).ok:
             out.append(cand)
     return out
@@ -194,7 +192,7 @@ def total_mult_morphism(site, mp, variant="total"):
         components[a] = {
             d: apply(mon, d) for d in decomp.at(a) if apply(mon, d) is not None
         }
-    return decomp, SheafMorphism(decomp, mp, components, name=f"mult[{variant}]")
+    return decomp, morphism(decomp, mp, components, name=f"mult[{variant}]")
 
 
 def test_mult_is_natural(site2):
@@ -223,14 +221,14 @@ def test_preimage_rejects_non_natural_map(site2):
         }
         for a in site.cat.objects
     }
-    crooked = SheafMorphism(mp, mp, components, name="crooked")
+    crooked = morphism(mp, mp, components, name="crooked")
     assert not validate_sheaf_morphism(crooked).ok
 
 
 def test_preimage_identity_and_top(site1):
     site, mp = site1
     stage = ("x",)
-    ident = SheafMorphism(
+    ident = morphism(
         mp, mp, {a: {x: x for x in mp.at(a)} for a in site.cat.objects}, name="id"
     )
     q = singleton_pred(site, mp, stage, ("x",), Heap.of(("x",), {"x": 0}))
@@ -250,7 +248,7 @@ def test_preimage_of_conflict_heap_under_total_mult(site1):
         ("x",), ("x",), ("x",),
         Heap.of(("x",), {"x": 0}), Heap.of(("x",), {"x": 1}),
     )
-    assert conflict in pre.at_subset(("x",))
+    assert conflict in ref.at_subset(pre, ("x",))
 
 
 def test_direct_image_closes_raw_image(site2):
@@ -268,7 +266,7 @@ def test_direct_image_closes_raw_image(site2):
 def test_image_identity_and_bottom(site1):
     site, mp = site1
     stage = ("x",)
-    ident = SheafMorphism(
+    ident = morphism(
         mp, mp, {a: {x: x for x in mp.at(a)} for a in site.cat.objects}, name="id"
     )
     p = singleton_pred(site, mp, stage, ("x",), Heap.of(("x",), {"x": 1}))
@@ -285,9 +283,9 @@ def test_existential_image_of_decomposition_predicate(site1):
     d = Decomp(("x",), ("x",), (), Heap.of(("x",), {"x": 0}), Heap((), ()))
     fam = {p: set() for p in site.cat.mors_into(stage)}
     fam[site.cat.id(stage)].add(d)
-    p = KripkePredicate(decomp, site, stage, ref.close(decomp, site, stage, fam))
+    p = ref.predicate(decomp, site, stage, ref.close(decomp, site, stage, fam))
     img = direct_image(alpha, p)
-    assert Heap.of(("x",), {"x": 0}) in img.at_subset(("x",))
+    assert Heap.of(("x",), {"x": 0}) in ref.at_subset(img, ("x",))
 
 
 def test_galois_connection_sampled(site2):
@@ -351,14 +349,12 @@ def test_glue_two_compatible_parts(site2):
     want = frozenset(
         s for s in mp.at(top) if s.get("x") == 0 and s.get("y") == 1
     )
-    assert glued.at_subset(top) == want
+    assert ref.at_subset(glued, top) == want
 
 
 def test_glue_over_maximal_sieve_returns_part(site1):
     site, mp = site1
     stage = ("x",)
-    from sheafsep.site import maximal_sieve
-
     p = nonstrict_pointsto(site, mp, stage, "x", 0)
     cover = maximal_sieve(site.cat, stage)
     glued = ref.glue_predicates(site, mp, cover, {site.cat.id(stage): p})
@@ -375,7 +371,7 @@ def test_glue_rejects_incompatible_parts(site2):
     # tamper the empty-stage family of one part to clash at the overlap
     bad_fam = dict(py.family)
     bad_fam[incl((), ("y",))] = frozenset()
-    py_bad = KripkePredicate(mp, site, ("y",), bad_fam)
+    py_bad = ref.predicate(mp, site, ("y",), bad_fam)
     with pytest.raises(IncompatibleFamilyError):
         ref.glue_predicates(
             site, mp, cover, {incl(("x",), top): px, incl(("y",), top): py_bad}
@@ -386,8 +382,6 @@ def test_glued_predicate_is_unique_by_exhaustion(site1):
     """Among all subsheaf predicates, exactly one restricts to the parts."""
     site, mp = site1
     stage = ("x",)
-    from sheafsep.site import maximal_sieve
-
     part = nonstrict_pointsto(site, mp, stage, "x", 0)
     cover = maximal_sieve(site.cat, stage)
     glued = ref.glue_predicates(site, mp, cover, {site.cat.id(stage): part})
@@ -425,14 +419,14 @@ def test_combine_alpha_pointsto_pair(site2):
             fam[p] = frozenset(
                 s for s in mp.at(v) if loc in v and s.get(loc) == val
             )
-        return KripkePredicate(mp, site, stage, fam)
+        return ref.predicate(mp, site, stage, fam)
 
     combined = combine_alpha(alloc("x", 0), alloc("y", 1), decomp)
     d = Decomp(
         stage, ("x",), ("y",),
         Heap.of(("x",), {"x": 0}), Heap.of(("y",), {"y": 1}),
     )
-    assert d in combined.at_subset(stage)
+    assert d in ref.at_subset(combined, stage)
 
 
 def test_allocated_atom_breaks_restriction_closure_as_documented(site1):
@@ -445,9 +439,9 @@ def test_allocated_atom_breaks_restriction_closure_as_documented(site1):
         )
         for p in cat.mors_into(stage)
     }
-    alloc = KripkePredicate(mp, site, stage, fam)
+    alloc = ref.predicate(mp, site, stage, fam)
     rep = ref.validate_predicate_bits(alloc)
-    assert "restriction" in rep.kinds()
+    assert "restriction" in [v.kind for v in rep.violations]
 
 
 @pytest.mark.parametrize("cells", [{"x": 0, "y": 1}, {"x": 0, "y": 1, "z": 0}])
@@ -464,6 +458,6 @@ def test_local_character_witness_reported_once(cells):
         p: frozenset() if cat.src(p) == top else frozenset({restrict_heap(glued, cat.src(p))})
         for p in cat.mors_into(top)
     }
-    rep = ref.validate_predicate_bits(KripkePredicate(mp, site, top, fam))
-    assert rep.kinds() == ["local-character"]
+    rep = ref.validate_predicate_bits(ref.predicate(mp, site, top, fam))
+    assert [v.kind for v in rep.violations] == ["local-character"]
     assert rep.violations[0].detail == f"{glued} is locally present at {cat.id(top)!r} but missing"

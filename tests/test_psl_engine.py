@@ -40,7 +40,7 @@ from sheafsep.seplogic import (
 
 def weighted(*weights):
     total = sum(weights)
-    return ProbSpace.discrete([Fraction(w, total) for w in weights])
+    return ref.discrete([Fraction(w, total) for w in weights])
 
 
 SPACES = {
@@ -64,7 +64,7 @@ SPACES = {
 
 def as_prob(space):
     """An integer component space as the reference's `ProbSpace`."""
-    return ProbSpace.discrete([Fraction(w, space.denominator) for w in space.weights])
+    return ref.discrete([Fraction(w, space.denominator) for w in space.weights])
 
 
 def engine_pairs(sp):
@@ -237,7 +237,7 @@ def test_atoms_need_measurable_variables():
 
 
 def test_variables_are_resolved_before_the_search():
-    sp = ProbSpace.uniform(2)
+    sp = ref.uniform(2)
     variables = {"X": RandomVariable((0, 1))}
     for text in ("T \\/ (Z ~ {0: 1})", "F /\\ (Z ~ {0: 1})", "F * (Z ~ {0: 1})"):
         with pytest.raises(UnknownIdentifierError):
@@ -431,9 +431,9 @@ def test_an_implication_is_not_persistent():
     and the star would answer false."""
     phi = parse_formula("(X ~ {0: 1/2, 1: 1/2} -> F) * T")
     variables = {"X": RandomVariable((0, 0, 1, 1))}
-    got = psl_sat(ProbSpace.uniform(4), phi, variables)
+    got = psl_sat(ref.uniform(4), phi, variables)
     assert got.result and got.witness["blocks1"] == [[1], [2, 3], [4]]
-    assert got.as_dict() == ref.psl_sat(ProbSpace.uniform(4), phi, variables).as_dict()
+    assert got.as_dict() == ref.psl_sat(ref.uniform(4), phi, variables).as_dict()
 
 
 @pytest.mark.parametrize("sp, variables, text, blocks", [
@@ -500,7 +500,7 @@ def test_the_cells_outside_the_last_row_and_column_decide_a_pair(n):
     table, under uniform, product and random measures with zero masses
     and coarse blocks."""
     rng = random.Random(n)
-    spaces = [ProbSpace.uniform(n), weighted(*(2 ** (i % 2) * 3 ** (i % 3) for i in range(n)))]
+    spaces = [ref.uniform(n), weighted(*(2 ** (i % 2) * 3 ** (i % 3) for i in range(n)))]
     spaces += [random_space(rng, n) for _ in range(30)]
     parts, rows, _ = psl._pair_table(n)
     verdicts = set()
@@ -565,7 +565,7 @@ def test_nested_star_builds_no_prob_space(monkeypatch):
     got = psl_sat(sp, phi, variables)
     assert got.result
     assert built == []
-    ProbSpace.uniform(2)
+    ref.uniform(2)
     assert len(built) == 1  # the counter sees a construction
 
 
@@ -682,7 +682,7 @@ def test_truth_persists_to_finer_partitions(memoised_reference, case):
     ]
     held = [
         p for p in measurable
-        if ref.psl_sat(ProbSpace.discrete([sp.mass(b) for b in p]), phi,
+        if ref.psl_sat(ref.discrete([sp.mass(b) for b in p]), phi,
                        ref.descend_variables(variables, p)).result
     ]
     for p in held:

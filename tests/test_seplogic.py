@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tokenizer_reference
+from pred_reference import at_subset, predicate
 from sheafsep.day import ResourceMonoid
 from sheafsep.errors import (
     AtomTypeError,
@@ -138,19 +139,19 @@ def test_parse_depth_bound():
 
 def test_strict_atom_at_location_stage(weak2):
     pred = atom_predicate(weak2, PointsToStrict("x", 0), stage=("x",))
-    assert pred.at_subset(("x",)) == frozenset(
+    assert at_subset(pred, ("x",)) == frozenset(
         s for s in weak2.sheaf.at(("x",)) if s.get("x") == 0
     )
 
 
 def test_nonstrict_atom_vacuous_at_empty_stage(weak2):
     pred = atom_predicate(weak2, PointsToNonStrict("x", 0), stage=("x", "y"))
-    assert pred.at_subset(()) == frozenset(weak2.sheaf.at(()))
+    assert at_subset(pred, ()) == frozenset(weak2.sheaf.at(()))
 
 
 def test_alloc_atom_empty_when_location_out_of_view(weak2):
     pred = atom_predicate(weak2, PointsToAlloc("x", 0), stage=("y",))
-    assert pred.at_subset(("y",)) == frozenset()
+    assert at_subset(pred, ("y",)) == frozenset()
 
 
 def test_atom_unknown_identifier(weak2):
@@ -253,8 +254,8 @@ def test_pipeline_closes_allocated_atoms_below_stage(weak2):
     ident = weak2.site.cat.id(top)
     assert unfolded.family[ident] == pipeline.family[ident]
     assert unfolded.issubset(pipeline)
-    assert unfolded.at_subset(("x",)) == frozenset()
-    assert pipeline.at_subset(("x",)) == frozenset({heap(("x",), {"x": 0})})
+    assert at_subset(unfolded, ("x",)) == frozenset()
+    assert at_subset(pipeline, ("x",)) == frozenset({heap(("x",), {"x": 0})})
 
 
 def test_star_commutative(weak2, strong2, total2):
@@ -302,8 +303,6 @@ def test_star_associative_total_strong_and_weak_report(weak2, strong2, total2):
 
 def test_star_unit_contains_conjunct(weak2, strong2, total2):
     """P * emp_top contains P; exact equality is measured per variant."""
-    from sheafsep.pred import KripkePredicate
-
     rng = random.Random(23)
     for model in (weak2, strong2, total2):
         stage = model.stage
@@ -312,7 +311,7 @@ def test_star_unit_contains_conjunct(weak2, strong2, total2):
             p: frozenset([Heap.of(cat.src(p), {z: None for z in cat.src(p)})])
             for p in cat.mors_into(stage)
         }
-        emp_top = KripkePredicate(model.sheaf, model.site, stage, fam)
+        emp_top = predicate(model.sheaf, model.site, stage, fam)
         equal = 0
         for _ in range(10):
             p = random_closed_predicate(rng, model.sheaf, model.site, stage)
@@ -334,13 +333,13 @@ def test_eval_top_and_identity(weak2):
 def test_eval_kripke_negation_empty(weak2):
     phi = parse_formula("x ~> 0 -> F")
     denot = eval_formula(weak2, phi, ("x",))
-    assert denot.at_subset(("x",)) == frozenset()
+    assert at_subset(denot, ("x",)) == frozenset()
 
 
 def test_eval_disjunction_of_alloc_atoms(weak2):
     phi = parse_formula("x |->! 0 \\/ x |->! 1")
     denot = eval_formula(weak2, phi, ("x",))
-    assert denot.at_subset(("x",)) == frozenset(
+    assert at_subset(denot, ("x",)) == frozenset(
         {heap(("x",), {"x": 0}), heap(("x",), {"x": 1})}
     )
 

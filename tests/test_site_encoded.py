@@ -11,9 +11,7 @@ from sheafsep.site import (
     Sieve,
     _pull,
     build_coverage,
-    maximal_sieve,
     sieve_masks,
-    trivial_coverage,
     validate_coverage,
 )
 
@@ -69,7 +67,7 @@ def test_finsurj_coverages_agree(n):
     else:
         with pytest.raises(CoverageKindError):
             build_coverage(cat, "atomic")
-    triv = trivial_coverage(cat)
+    triv = ref.trivial_coverage(cat)
     if len(enumerable) == len(cat.objects):
         assert _violations(validate_coverage(cat, triv)) == _violations(
             ref.validate_coverage(cat, triv))
@@ -152,20 +150,21 @@ def _tampered():
     top = ("x", "y")
     gen = ref.generate_sieve(cat2, top, [incl(("x",), top), incl(("y",), top)])
     cases = {}
-    broken = {a: {s for s in dc2.by_object[a] if s != maximal_sieve(cat2, a)} for a in cat2.objects}
+    broken = {a: {s for s in dc2.by_object[a] if s != ref.maximal_sieve(cat2, a)}
+              for a in cat2.objects}
     cases["missing-maximal"] = (cat2, Coverage(cat2, broken))
     broken = {a: set(dc2.by_object[a]) for a in cat2.objects}
     broken[("x",)].discard(ref.pullback_sieve(cat2, gen, incl(("x",), top)))
     cases["missing-pullback"] = (cat2, Coverage(cat2, broken))
     broken = {a: set(dc2.by_object[a]) for a in cat2.objects}
-    broken[("x",)].add(maximal_sieve(cat2, ("y",)))
+    broken[("x",)].add(ref.maximal_sieve(cat2, ("y",)))
     cases["misfiled"] = (cat2, Coverage(cat2, broken))
     broken = {a: set(dc2.by_object[a]) for a in cat2.objects}
     broken[top].add(Sieve(top, frozenset({incl(("x",), top)})))
     cases["not-a-sieve"] = (cat2, Coverage(cat2, broken))
     broken = {a: set(dc2.by_object[a]) for a in cat2.objects}
-    broken[top].discard(maximal_sieve(cat2, top))
-    foreign = maximal_sieve(cat2, top).members | {incl((), ("x",))}
+    broken[top].discard(ref.maximal_sieve(cat2, top))
+    foreign = ref.maximal_sieve(cat2, top).members | {incl((), ("x",))}
     broken[top].add(Sieve(top, foreign))
     cases["foreign-member"] = (cat2, Coverage(cat2, broken))
     cat3, _ = build_powerset_category(("x", "y", "z"))
@@ -176,7 +175,7 @@ def _tampered():
     broken[top3].discard(points)
     cases["transitivity-only"] = (cat3, Coverage(cat3, broken))
     broken = {a: set(dc3.by_object[a]) for a in cat3.objects}
-    broken[top3] = {maximal_sieve(cat3, top3), points}
+    broken[top3] = {ref.maximal_sieve(cat3, top3), points}
     cases["top-points-only"] = (cat3, Coverage(cat3, broken))
     return cases
 

@@ -47,14 +47,14 @@ def test_every_error_class_is_raised():
 
 
 # Public names no other code in the package calls, each still to be given
-# a caller or moved to a test reference; a reason per name.
-UNCALLED = {
-    "kripke_cross_check": "psl: the probability-presheaf block, waiting on the Day-star rewrite",
-}
+# a caller or moved to a test reference; a reason per name.  A method is
+# named `Class.method`.
+UNCALLED = {}
 
 
 def read_names(node):
-    """Every name, attribute and imported name read under an AST node."""
+    """Every name, attribute, imported name and string constant read
+    under an AST node; a string names what `getattr` or a tracer reads."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
@@ -63,28 +63,58 @@ def read_names(node):
             out.add(sub.attr)
         elif isinstance(sub, ast.alias):
             out.add(sub.name)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.add(sub.value)
     return out
+
+
+def package_and_benchmark_reads():
+    """Each top-level node of the package but `__init__` (its re-exports
+    are no callers) with the names it reads, and the names the benchmark
+    reads: those of `perfbench/spans.py`, whose tracer wraps and counts
+    by name, and of `perfbench/verdicts.py`, which imports from the
+    package."""
+    tops = [top for path in PACKAGE.glob("*.py") if path.name != "__init__.py"
+            for top in ast.parse(path.read_text()).body]
+    perfbench = PACKAGE.parent.parent / "perfbench"
+    traced = {name for path in ("spans.py", "verdicts.py")
+              for name in read_names(ast.parse((perfbench / path).read_text()))}
+    return [(top, read_names(top)) for top in tops], traced
 
 
 def test_every_public_name_has_a_caller():
     """Each public top-level `def` and `class` is read by code in the
-    package outside its own definition (re-exports in `__init__` are no
-    callers) or by the benchmark: `perfbench/spans.py`, whose tracer
-    wraps it by name, or `perfbench/verdicts.py`, which imports it; the
-    rest are `UNCALLED`, and an entry that gained a caller leaves it."""
-    tops = [top for path in PACKAGE.glob("*.py") if path.name != "__init__.py"
-            for top in ast.parse(path.read_text()).body]
-    reads = [(top, read_names(top)) for top in tops]
-    perfbench = PACKAGE.parent.parent / "perfbench"
-    spans = ast.parse((perfbench / "spans.py").read_text())
-    traced = read_names(spans) | {node.value for node in ast.walk(spans)
-                                  if isinstance(node, ast.Constant) and isinstance(node.value, str)}
-    traced |= read_names(ast.parse((perfbench / "verdicts.py").read_text()))
+    package outside its own definition or by the benchmark; the rest
+    are `UNCALLED`, and an entry that gained a caller leaves it."""
+    reads, traced = package_and_benchmark_reads()
     uncalled = {
-        top.name for top in tops
+        top.name for top, _ in reads
         if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_")
         and top.name not in traced
         and not any(top.name in names for other, names in reads if other is not top)
     }
-    assert not uncalled - UNCALLED.keys(), f"public names nothing calls: {uncalled - UNCALLED.keys()}"
-    assert not UNCALLED.keys() - uncalled, f"allowed but called: {UNCALLED.keys() - uncalled}"
+    allowed = {name for name in UNCALLED if "." not in name}
+    assert not uncalled - allowed, f"public names nothing calls: {uncalled - allowed}"
+    assert not allowed - uncalled, f"allowed but called: {allowed - uncalled}"
+
+
+def test_every_public_method_has_a_caller():
+    """Each public method of a class in the package (properties and
+    static methods included) is read by package code outside the method
+    itself or by the benchmark, as a top-level name is; the rest are
+    `UNCALLED` as `Class.method`."""
+    reads, traced = package_and_benchmark_reads()
+    uncalled = set()
+    for cls, _ in reads:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                continue
+            outside = [names for other, names in reads if other is not cls]
+            outside += [read_names(node) for node in cls.body if node is not method]
+            if method.name not in traced and not any(method.name in names for names in outside):
+                uncalled.add(f"{cls.name}.{method.name}")
+    allowed = {name for name in UNCALLED if "." in name}
+    assert not uncalled - allowed, f"public methods nothing calls: {uncalled - allowed}"
+    assert not allowed - uncalled, f"allowed but called: {allowed - uncalled}"
