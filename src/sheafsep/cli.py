@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .day import check_day_stability, check_monoid_laws
 from .errors import ModelSchemaError, NotASheafError, SheafSepError, UnknownIdentifierError
-from .fincat import validate_category, validate_monoidal
+from .fincat import POWERSET_SIZE_BOUND, validate_category, validate_monoidal
 from .pred import (
     direct_image,
     implication,
@@ -57,7 +57,6 @@ from .seplogic import (
 from .site import validate_coverage
 
 SCHEMA_VERSION = 1
-POWERSET_LOCATION_BOUND = 4
 TOP_STAGE_HEAP_BOUND = 11**4  # (|values| + 1) ** |locations| partial heaps
 LAWS_WITNESSES_PER_LAW = 32  # then one witness counting the rest
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ended
@@ -90,9 +89,9 @@ def _load_memory_model(doc, name) -> ResourceModel:
     twice = next((x for x in locations if locations.count(x) > 1), None)
     _require(twice is None, "locations", f"location {twice!r} listed twice")
     _require(
-        len(locations) <= POWERSET_LOCATION_BOUND,
+        len(locations) <= POWERSET_SIZE_BOUND,
         "locations",
-        f"bound exceeded: {len(locations)} > {POWERSET_LOCATION_BOUND}",
+        f"bound exceeded: {len(locations)} > {POWERSET_SIZE_BOUND}",
     )
     values = doc.get("values")
     _require(isinstance(values, list) and values, "values", "nonempty list required")
@@ -199,9 +198,7 @@ def _load_psl_model(doc, name) -> PslModel:
             "list of integers required",
         )
         variables[var_name] = RandomVariable(tuple(vals))
-    model = PslModel(spaces, variables, {}, name=name)
-    model.formulas = _load_formulas(doc, None)
-    return model
+    return PslModel(spaces, variables, _load_formulas(doc, None), name=name)
 
 
 def _load_formulas(doc, checker):
@@ -523,10 +520,9 @@ def _formula_from_args(model, args):
             model.check_formula(phi)
         return phi
     if args.name is not None:
-        formulas = getattr(model, "formulas", {})
-        if args.name not in formulas:
+        if args.name not in model.formulas:
             raise ModelSchemaError("--name", f"model has no formula named {args.name!r}")
-        return formulas[args.name]
+        return model.formulas[args.name]
     raise ModelSchemaError("--formula", "a formula (or --name) is required")
 
 

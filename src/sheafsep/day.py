@@ -107,7 +107,7 @@ class _Triples:
         number of triples at a."""
         cat, mon = self.cat, self.mon
         out, n = {}, 0
-        for b, c in sorted(splittings(cat, mon, a) if self.exact else mon.tensor_obj):
+        for b, c in splittings(cat, mon, a) if self.exact else sorted(mon.tensor_obj):
             ws = [None] if self.exact else sorted(cat.hom(a, mon.tensor(b, c)), key=repr)
             if ws:
                 out[b, c] = (n, ws, {w: k for k, w in enumerate(ws)})
@@ -187,7 +187,7 @@ def day_decomp(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure) -> 
 
 def splittings(cat: FinCat, mon: MonoidalStructure, v):
     """The exact splittings of v: pairs (b, c) with b tensor c = v, in
-    object order.  They are tabulated for every v on first use and kept
+    sorted order.  They are tabulated for every v on first use and kept
     on the monoidal structure."""
     by_v = mon.memo.get("splittings")
     if by_v is None:
@@ -196,7 +196,7 @@ def splittings(cat: FinCat, mon: MonoidalStructure, v):
             for c in cat.objects:
                 if mon.tensor_defined(b, c):
                     by_v.setdefault(mon.tensor(b, c), []).append((b, c))
-        by_v = mon.memo["splittings"] = {a: tuple(pairs) for a, pairs in by_v.items()}
+        by_v = mon.memo["splittings"] = {a: tuple(sorted(pairs)) for a, pairs in by_v.items()}
     return by_v.get(v, ())
 
 

@@ -99,21 +99,6 @@ class ProbSpace:
         )
         return ProbSpace(size, tuple(b for b, _ in pairs), tuple(m for _, m in pairs))
 
-    def measurable(self, subset) -> bool:
-        subset = set(subset)
-        return all(
-            set(b) <= subset or not (set(b) & subset) for b in self.blocks
-        )
-
-    def mass(self, subset) -> Fraction:
-        subset = set(subset)
-        if not self.measurable(subset):
-            raise NotMeasurableError(f"{sorted(subset)!r} is not measurable")
-        return sum(
-            (p for b, p in zip(self.blocks, self.measure) if set(b) <= subset),
-            Fraction(0),
-        )
-
     def sort_key(self):
         return (self.size, self.blocks, tuple((m.numerator, m.denominator) for m in self.measure))
 

@@ -14,7 +14,8 @@ Separating conjunction comes in two modes that must agree:
              iff some exact decomposition multiplies to it;
   pipeline   existential image along the multiplication into the
              matching-object presheaf followed by the amalgamation
-             isomorphism back to the resource sheaf.
+             isomorphism back to the resource sheaf, which is the
+             closure of the unfolded comprehension.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -42,7 +43,6 @@ from .pred import (
     _members,
     _preimage,
     bottom_predicate,
-    direct_image,
     implication,
     join,
     meet,
@@ -356,8 +356,9 @@ def formula_atoms(phi):
 
 @dataclass
 class ResourceModel:
-    """A memory model: site, resource sheaf, monoid, declared atoms and
-    the default stage of interest (the full location set)."""
+    """A memory model: site, resource sheaf, monoid, declared atoms, the
+    default stage of interest (the full location set) and the model's
+    named formulas."""
 
     site: Site
     sheaf: Presheaf
@@ -366,6 +367,7 @@ class ResourceModel:
     values: tuple
     stage: object
     name: str = "memory-model"
+    formulas: dict = field(default_factory=dict)
     _pipeline: AmalgamationIso | None = None
 
     def check_formula(self, phi):
@@ -448,23 +450,26 @@ def atom_predicate(model: ResourceModel, atom, stage=None) -> KripkePredicate:
 # -- separating conjunction ---------------------------------------------------
 
 
-def _star_bits(model, p, q, v):
-    """The ids at v of the defined products m1.m2 over the exact
-    splittings b (x) c = v with m1 in p at b and m2 in q at c.
+def _star_terms(model, p, q, v):
+    """Yield (b, c, the ids at v of the defined products m1.m2, m1 in p
+    at b and m2 in q at c) for each exact splitting b (x) c = v, in
+    sorted order, whose halves are both nonempty: the one walk that
+    every reading of the star takes.
 
     Under an agreement-only cell rule (`ResourceMonoid.agreement`) the
     product of m1 and m2 is the heap h at v with h|b = m1 and h|c = m2,
-    defined iff h's cells at the overlap lie in D.  So each splitting
-    contributes the heaps at v whose restrictions lie in p at b and in q
-    at c and whose cells at the overlap lie in D: two restriction
-    preimages and a mask.  A half's preimage is taken once per b (or c),
-    however many splittings share it.  Any other rule multiplies codes
-    (`_product_star_bits`)."""
-    monoid = model.monoid
-    if monoid.agreement() is None:
-        return _product_star_bits(model, p, q, v)
-    cat, mp, stage = model.site.cat, model.sheaf, p.stage
-    lefts, rights, out = {}, {}, 0
+    defined iff h's cells at the overlap lie in D: two restriction
+    preimages (each taken once per half-stage) and a mask.  Any other
+    rule multiplies codes (see `ResourceMonoid`): the members of p at b
+    are grouped by their code z at the overlap o into L_z, the bitset of
+    their E_b values, q at c likewise into R_t, and each pair of groups
+    whose overlaps meet contributes (L_z * R_t) << M_o(z, t).  The
+    product carries nothing: distinct members of one group differ in a
+    digit at b only, and E_b and E_c hold disjoint digits, each below
+    the radix, so distinct pairs (i, j) give distinct sums."""
+    cat, mp, stage, monoid = model.site.cat, model.sheaf, p.stage, model.monoid
+    agreement, ids = monoid.agreement() is not None, mp.ids(v)
+    lefts, rights = {}, {}
 
     def lift(memo, b, bits):
         if b not in memo:
@@ -473,39 +478,20 @@ def _star_bits(model, p, q, v):
 
     for b, c in splittings(cat, model.site.monoidal, v):
         left, right = p.bits[cat.hom(b, stage)[0]], q.bits[cat.hom(c, stage)[0]]
-        if left and right:
+        if not (left and right):
+            continue
+        if agreement:
             agree = monoid.agreeing(tuple(x for x in b if x in c), v)
-            if agree:
-                out |= lift(lefts, b, left) & lift(rights, c, right) & agree
-    return out
-
-
-def _product_star_bits(model, p, q, v):
-    """`_star_bits` as bitset products on the monoid's codes (see
-    `ResourceMonoid`), for a rule that is not agreement-only.
-
-    The members of p at b are grouped by their code z at the overlap o
-    into L_z, the bitset of their E_b values; q at c likewise into R_t.
-    Each pair of groups whose overlaps meet contributes (L_z * R_t) <<
-    M_o(z, t).  The big-int product carries nothing: distinct members of
-    one group differ in a digit at b only, so their E_b values are
-    distinct, and E_b and E_c hold disjoint digits, each below the radix;
-    so distinct pairs (i, j) give distinct sums E_b(i) + E_c(j), and
-    every coefficient of the product is 0 or 1."""
-    cat, stage, monoid = model.site.cat, p.stage, model.monoid
-    out = 0
-    for b, c in splittings(cat, model.site.monoidal, v):
-        left, right = p.bits[cat.hom(b, stage)[0]], q.bits[cat.hom(c, stage)[0]]
-        if left and right:
-            _, eb, zb, ec, tc, meet = monoid.split(b, c)
-            rights = _groups(right, ec, tc).items()
-            for z, lz in _groups(left, eb, zb).items():
-                for t, rt in rights:
-                    m = meet(z, t)
-                    if m >= 0:
-                        out |= (lz * rt) << m
-    ids = model.sheaf.ids(v)
-    return out if ids is None else _image(ids, out)
+            yield b, c, agree and lift(lefts, b, left) & lift(rights, c, right) & agree
+            continue
+        _, eb, zb, ec, tc, meet = monoid.split(b, c)
+        out, groups = 0, _groups(right, ec, tc).items()
+        for z, lz in _groups(left, eb, zb).items():
+            for t, rt in groups:
+                m = meet(z, t)
+                if m >= 0:
+                    out |= (lz * rt) << m
+        yield b, c, out if ids is None else _image(ids, out)
 
 
 def _groups(bits, e, z):
@@ -516,13 +502,13 @@ def _groups(bits, e, z):
     return out
 
 
-def _unfolded_star(model, p, q) -> KripkePredicate:
-    """The direct comprehension: at each slice stage V, the resources
-    obtained as defined products over exact decompositions of V whose
-    halves satisfy the conjuncts."""
-    src = model.site.cat.src
-    bits = {sl: _star_bits(model, p, q, src(sl)) for sl in p.bits}
-    return KripkePredicate(model.sheaf, model.site, p.stage, bits)
+def _star_bits(model, p, q, v):
+    """The ids at v of the defined products over every exact splitting:
+    the OR of the terms of `_star_terms`."""
+    out = 0
+    for _, _, bits in _star_terms(model, p, q, v):
+        out |= bits
+    return out
 
 
 def _pipeline_iso(model) -> AmalgamationIso:
@@ -548,20 +534,6 @@ def _pipeline_pieces(model):
     return decomp, mult, iso.forward
 
 
-def _pipeline_star(model, p, q) -> KripkePredicate:
-    """The categorical composite, on ids.  The combined predicate on the
-    decomposition presheaf holds, at a splitting (b, c) of v, the pairs
-    of ids in p at b and q at c.  Its existential image along the
-    multiplication (the product table, then the iso's inverse) is closed
-    in the matching-object presheaf, and that predicate's image along
-    the amalgamation isomorphism is closed in F."""
-    iso, site, src = _pipeline_iso(model), model.site, model.site.cat.src
-    raw = {sl: _image(iso.inverse.ids(src(sl)), _star_bits(model, p, q, src(sl)))
-           for sl in p.bits}
-    closed = _close(iso.match, site, raw)
-    return direct_image(iso.forward, KripkePredicate(iso.match, site, p.stage, closed))
-
-
 def _check_conjuncts(model, p, q):
     if model.monoid is None:
         raise AtomTypeError("model has no resource monoid; * is unavailable")
@@ -571,18 +543,28 @@ def _check_conjuncts(model, p, q):
 
 def sep_conj(model: ResourceModel, p: KripkePredicate, q: KripkePredicate,
              mode: str = "unfolded") -> KripkePredicate:
-    """The two modes coincide on subsheaf predicates (the law suites
+    """The unfolded star is `_star_bits` at each slice stage.  The
+    pipeline's composite, closed in Match(F) and carried back along the
+    amalgamation iso, is the closure in F of the same bits (the README's
+    transport lemma); the iso is still built first, so a carrier that
+    is not a sheaf raises `NotASheafError`.
+
+    The two modes coincide on subsheaf predicates (the law suites
     check hundreds of sampled pairs per variant).  On the allocated
     atoms, which are deliberately not subsheaves, the pipeline's
-    existential images close the result below the stage while the
-    unfolded comprehension stays raw; satisfaction at the stage itself
-    is unaffected."""
+    closure adds results below the stage while the unfolded
+    comprehension stays raw; satisfaction at the stage itself is
+    unaffected."""
     _check_conjuncts(model, p, q)
-    if mode == "unfolded":
-        return _unfolded_star(model, p, q)
     if mode == "pipeline":
-        return _pipeline_star(model, p, q)
-    raise ValueError(f"unknown mode {mode!r}")
+        _pipeline_iso(model)
+    elif mode != "unfolded":
+        raise ValueError(f"unknown mode {mode!r}")
+    src = model.site.cat.src
+    bits = {sl: _star_bits(model, p, q, src(sl)) for sl in p.bits}
+    if mode == "pipeline":
+        bits = _close(model.sheaf, model.site, bits)
+    return KripkePredicate(model.sheaf, model.site, p.stage, bits)
 
 
 # -- evaluation and satisfaction ----------------------------------------------
@@ -642,43 +624,31 @@ class SatResult:
 def _star_witness(model, p, q, element):
     """The least decomposition of the element into halves of p and q,
     ordered by half-stages first, then by ids (which follow the
-    canonical element order).  Under an agreement-only rule a splitting
-    holds one candidate, the element's restrictions to its halves
-    (`_agreeing_halves`); otherwise each product is the monoid's code sum
-    (`_product_halves`)."""
+    canonical element order): the first term of `_star_terms` at the
+    stage that holds the element's id.  Under an agreement-only rule
+    that term's halves are the element's restrictions; otherwise
+    `_product_halves` searches its splitting."""
     cat, mp, stage = model.site.cat, model.sheaf, p.stage
-    if model.monoid.agreement() is None:
-        halves, k = _product_halves, mp.code(element.values)
-    else:
-        halves, k = _agreeing_halves, heap_id(mp, stage, element.values)
-    for b, c in sorted(splittings(cat, model.site.monoidal, stage)):
-        pair = halves(model, stage, b, c, p.bits[cat.hom(b, stage)[0]],
-                      q.bits[cat.hom(c, stage)[0]], k)
-        if pair is not None:
+    k = heap_id(mp, stage, element.values)
+    for b, c, bits in _star_terms(model, p, q, stage):
+        if bits >> k & 1:
+            if model.monoid.agreement() is None:
+                i, j = _product_halves(model, b, c, p.bits[cat.hom(b, stage)[0]],
+                                       q.bits[cat.hom(c, stage)[0]], mp.code(element.values))
+            else:
+                i, j = mp.table(cat.hom(b, stage)[0])[k], mp.table(cat.hom(c, stage)[0])[k]
             return {
                 "left_stage": list(b),
                 "right_stage": list(c),
-                "left": mp.element(b, pair[0]).as_dict(),
-                "right": mp.element(c, pair[1]).as_dict(),
+                "left": mp.element(b, i).as_dict(),
+                "right": mp.element(c, j).as_dict(),
             }
     return None
 
 
-def _agreeing_halves(model, stage, b, c, left, right, k):
-    """The restrictions (i, j) to b and c of the id k at the stage, when
-    i is in left, j in right and k's cells at the overlap lie in D, or
-    None."""
-    cat, mp = model.site.cat, model.sheaf
-    i, j = mp.table(cat.hom(b, stage)[0])[k], mp.table(cat.hom(c, stage)[0])[k]
-    if left >> i & 1 and right >> j & 1 and model.monoid.agreeing(
-            tuple(x for x in b if x in c), stage) >> k & 1:
-        return i, j
-    return None
-
-
-def _product_halves(model, stage, b, c, left, right, target):
+def _product_halves(model, b, c, left, right, target):
     """The least pair of ids (i, j), i in left at b and j in right at c,
-    whose product has the target code, or None."""
+    whose product has the target code."""
     _, eb, zb, ec, tc, meet = model.monoid.split(b, c)
     right = list(_members(right))
     for i in _members(left):
@@ -686,50 +656,41 @@ def _product_halves(model, stage, b, c, left, right, target):
             m = meet(zb[i], tc[j])
             if m >= 0 and eb[i] + ec[j] + m == target:
                 return i, j
-    return None
-
-
-def _star_at(model, p, q, mode):
-    """The bits of `sep_conj(model, p, q, mode)` at the identity slice.
-    The unfolded star there reads p and q at the splittings of the stage
-    alone, so it is `_star_bits` at the stage; the pipeline's closure
-    reads the lower slices, so it is evaluated in full."""
-    if mode == "unfolded":
-        _check_conjuncts(model, p, q)
-        return _star_bits(model, p, q, p.stage)
-    return sep_conj(model, p, q, mode).bits[model.site.cat.id(p.stage)]
 
 
 def _stage_bits(model, phi, stage, mode):
     """The bits of phi's denotation at the identity slice of the stage:
-    a meet is pointwise, so a conjunction's are its operands' AND, and a
-    star's are `_star_at`."""
+    a meet is pointwise, so a conjunction's are its operands' AND, and an
+    unfolded star there reads p and q at the splittings of the stage
+    alone, so its bits are `_star_bits` at the stage.  The pipeline's
+    closure reads the lower slices, so it is evaluated in full."""
     if isinstance(phi, And):
         return (_stage_bits(model, phi.left, stage, mode)
                 & _stage_bits(model, phi.right, stage, mode))
-    if isinstance(phi, Star):
-        return _star_at(model, eval_formula(model, phi.left, stage, mode),
-                        eval_formula(model, phi.right, stage, mode), mode)
+    if isinstance(phi, Star) and mode == "unfolded":
+        p, q = (eval_formula(model, half, stage, mode) for half in (phi.left, phi.right))
+        _check_conjuncts(model, p, q)
+        return _star_bits(model, p, q, stage)
     return eval_formula(model, phi, stage, mode).bits[model.site.cat.id(stage)]
 
 
 def sat(model: ResourceModel, phi, stage, element, mode="unfolded") -> SatResult:
     """Membership of the element in the denotation at the identity slice,
     read off that slice alone (`_stage_bits`), with the witnessing
-    decomposition for a top-level star."""
+    decomposition for a top-level star.  An unfolded top-level star is
+    decided by its witness search, which stops at the first hit."""
     model.site.cat.require_object(stage)
     i = heap_id(model.sheaf, stage, element.values) if element.locations == stage else -1
     if i < 0:
         raise StageMismatchError(f"{element!r} is not a resource at stage {stage!r}")
-    if isinstance(phi, Star):
-        # evaluate the operands once: the witness search reuses them
-        p = eval_formula(model, phi.left, stage, mode)
-        q = eval_formula(model, phi.right, stage, mode)
-        bits = _star_at(model, p, q, mode)
-    else:
-        bits = _stage_bits(model, phi, stage, mode)
-    holds = bool(bits >> i & 1)
-    witness = None
-    if holds and isinstance(phi, Star):
-        witness = _star_witness(model, p, q, element)
-    return SatResult(holds, stage, element, witness)
+    if not isinstance(phi, Star):
+        return SatResult(bool(_stage_bits(model, phi, stage, mode) >> i & 1), stage, element)
+    # evaluate the operands once: the witness search reuses them
+    p, q = (eval_formula(model, half, stage, mode) for half in (phi.left, phi.right))
+    if mode == "unfolded":
+        _check_conjuncts(model, p, q)
+    elif not sep_conj(model, p, q, mode).bits[model.site.cat.id(stage)] >> i & 1:
+        return SatResult(False, stage, element)
+    witness = _star_witness(model, p, q, element)
+    # the pipeline's closure may hold an element that no splitting gives
+    return SatResult(witness is not None or mode != "unfolded", stage, element, witness)

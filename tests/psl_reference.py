@@ -3,8 +3,8 @@
 This is the direct reading of the product-measure star that the
 exact-integer engine in `sheafsep.psl` replaces: every pair of
 partitions of the sample set is tried, measurability and the product
-law are checked with `ProbSpace.mass` in `Fraction` arithmetic, and the
-component spaces and marginals are rebuilt on every visit.  The
+law are checked with `measurable` and `mass` in `Fraction` arithmetic,
+and the component spaces and marginals are rebuilt on every visit.  The
 differential tests compare the two on pair lists, component measures,
 marginal strings, verdicts and witnesses.
 
@@ -37,6 +37,20 @@ from sheafsep.site import Site, build_coverage
 from site_reference import trivial_coverage
 
 
+def measurable(sp: ProbSpace, subset) -> bool:
+    """Whether the subset is a union of the space's blocks."""
+    subset = set(subset)
+    return all(set(b) <= subset or not (set(b) & subset) for b in sp.blocks)
+
+
+def mass(sp: ProbSpace, subset) -> Fraction:
+    """The measure of a measurable subset."""
+    subset = set(subset)
+    if not measurable(sp, subset):
+        raise NotMeasurableError(f"{sorted(subset)!r} is not measurable")
+    return sum((p for b, p in zip(sp.blocks, sp.measure) if set(b) <= subset), Fraction(0))
+
+
 def factorising_pairs(sp: ProbSpace):
     """All partition pairs realising the space as a product, in search
     order, each with its two component spaces and marginal strings."""
@@ -48,17 +62,17 @@ def factorising_pairs(sp: ProbSpace):
             for b1 in p1:
                 for b2 in p2:
                     inter = set(b1) & set(b2)
-                    if not inter or not sp.measurable(inter):
+                    if not inter or not measurable(sp, inter):
                         ok = False
                         break
                 if not ok:
                     break
             if not ok:
                 continue
-            marg1 = {b1: sp.mass(b1) for b1 in p1}
-            marg2 = {b2: sp.mass(b2) for b2 in p2}
+            marg1 = {b1: mass(sp, b1) for b1 in p1}
+            marg2 = {b2: mass(sp, b2) for b2 in p2}
             if all(
-                sp.mass(set(b1) & set(b2)) == marg1[b1] * marg2[b2]
+                mass(sp, set(b1) & set(b2)) == marg1[b1] * marg2[b2]
                 for b1 in p1
                 for b2 in p2
             ):

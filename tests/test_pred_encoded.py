@@ -44,7 +44,7 @@ from sheafsep.seplogic import (
     ResourceModel,
     Top,
     _pipeline_iso,
-    _star_at,
+    _star_bits,
     _star_witness,
     atom_predicate,
     eval_formula,
@@ -446,7 +446,7 @@ def test_star_under_every_cell_rule_matches_the_reference(carrier, rule, data):
     star = sep_conj(m, p, q, "unfolded")
     assert star.family == {sl: frozenset(h for h in fam if h in mp.index(cat.src(sl)))
                            for sl, fam in ref.unfolded_star(m, p, q).items()}
-    assert _star_at(m, p, q, "unfolded") == star.bits[cat.id(stage)]
+    assert _star_bits(m, p, q, stage) == star.bits[cat.id(stage)]
     witnesses = ref.star_witnesses(m, p, q)
     for h in mp.at(stage):
         assert _star_witness(m, p, q, h) == witnesses.get(h), h

@@ -155,7 +155,7 @@ def test_every_measurable_row_factorises_with_the_trivial_partition(name):
         walked.append(i)
         assert (trivial, (1,)) in list(pairs)
     assert walked == [
-        i for i, (p, _) in enumerate(parts) if all(sp.measurable(b) for b in p)
+        i for i, (p, _) in enumerate(parts) if all(ref.measurable(sp, b) for b in p)
     ]
 
 
@@ -678,11 +678,12 @@ def test_truth_persists_to_finer_partitions(memoised_reference, case):
     partition holds on the component of every finer measurable one."""
     sp, variables, phi = case
     measurable = [
-        p for p in set_partitions(range(1, sp.size + 1)) if all(sp.measurable(b) for b in p)
+        p for p in set_partitions(range(1, sp.size + 1))
+        if all(ref.measurable(sp, b) for b in p)
     ]
     held = [
         p for p in measurable
-        if ref.psl_sat(ref.discrete([sp.mass(b) for b in p]), phi,
+        if ref.psl_sat(ref.discrete([ref.mass(sp, b) for b in p]), phi,
                        ref.descend_variables(variables, p)).result
     ]
     for p in held:

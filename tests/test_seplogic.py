@@ -467,26 +467,28 @@ def test_eval_and_sat_build_no_product_table(variant, mode, monkeypatch):
 
 def test_unfolded_sat_multiplies_at_the_stage_alone(monkeypatch):
     """Deterministic work gate: an unfolded `sat` reads a star's
-    denotation at the identity slice only, so a top-level star calls
-    `_star_bits` once, and so does each star under a top-level /\\ (meet
-    is pointwise).  A full evaluation, and the pipeline, whose closure
-    reads the lower slices, call it once per slice: 16 at four locations."""
+    denotation at the identity slice only, so a top-level star walks
+    `_star_terms` once (the walk that decides it also gives its witness),
+    and so does each star under a top-level /\\ (meet is pointwise).  A
+    full evaluation, and the pipeline, whose closure reads the lower
+    slices, walk it once per slice: 16 at four locations, and the
+    pipeline's witness one walk more."""
     import sheafsep.seplogic as seplogic
 
     model = make_memory_model(("a", "b", "c", "d"), (0, 1), monoid_variant="weak-partial")
     heap = Heap.of(model.stage, {"a": 0, "b": 1, "c": 1})
     calls = 0
-    star_bits = seplogic._star_bits
+    star_terms = seplogic._star_terms
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return star_bits(*args)
+        return star_terms(*args)
 
-    monkeypatch.setattr(seplogic, "_star_bits", counted)
+    monkeypatch.setattr(seplogic, "_star_terms", counted)
     for text, mode, want in (("a ~> 0 * (b |-> 1 \\/ c ~> 1)", "unfolded", 1),
                              ("(a |->! 0 * T) /\\ (T * b |-> 1)", "unfolded", 2),
-                             ("a ~> 0 * (b |-> 1 \\/ c ~> 1)", "pipeline", 16)):
+                             ("a ~> 0 * (b |-> 1 \\/ c ~> 1)", "pipeline", 17)):
         calls = 0
         assert sat(model, parse_formula(text), model.stage, heap, mode).result
         assert calls == want, (text, mode)

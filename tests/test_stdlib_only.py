@@ -55,31 +55,39 @@ UNCALLED = {}
 def read_names(node):
     """Every name, attribute, imported name and string constant read
     under an AST node; a string names what `getattr` or a tracer reads."""
-    out = set()
+    out = attribute_reads(node)
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             out.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
         elif isinstance(sub, ast.alias):
             out.add(sub.name)
+    return out
+
+
+def attribute_reads(node):
+    """Every attribute and string constant read under an AST node: the
+    only ways to reach a method, since a bare name never calls one."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             out.add(sub.value)
     return out
 
 
-def package_and_benchmark_reads():
+def package_and_benchmark_reads(read=read_names):
     """Each top-level node of the package but `__init__` (its re-exports
-    are no callers) with the names it reads, and the names the benchmark
-    reads: those of `perfbench/spans.py`, whose tracer wraps and counts
-    by name, and of `perfbench/verdicts.py`, which imports from the
-    package."""
+    are no callers) with the names `read` finds in it, and the names it
+    finds in the benchmark: in `perfbench/spans.py`, whose tracer wraps
+    and counts by name, and in `perfbench/verdicts.py`, which imports
+    from the package."""
     tops = [top for path in PACKAGE.glob("*.py") if path.name != "__init__.py"
             for top in ast.parse(path.read_text()).body]
     perfbench = PACKAGE.parent.parent / "perfbench"
     traced = {name for path in ("spans.py", "verdicts.py")
-              for name in read_names(ast.parse((perfbench / path).read_text()))}
-    return [(top, read_names(top)) for top in tops], traced
+              for name in read(ast.parse((perfbench / path).read_text()))}
+    return [(top, read(top)) for top in tops], traced
 
 
 def test_every_public_name_has_a_caller():
@@ -100,10 +108,10 @@ def test_every_public_name_has_a_caller():
 
 def test_every_public_method_has_a_caller():
     """Each public method of a class in the package (properties and
-    static methods included) is read by package code outside the method
-    itself or by the benchmark, as a top-level name is; the rest are
-    `UNCALLED` as `Class.method`."""
-    reads, traced = package_and_benchmark_reads()
+    static methods included) is read as an attribute or a string by
+    package code outside the method itself or by the benchmark; the
+    rest are `UNCALLED` as `Class.method`."""
+    reads, traced = package_and_benchmark_reads(attribute_reads)
     uncalled = set()
     for cls, _ in reads:
         if not isinstance(cls, ast.ClassDef):
@@ -112,7 +120,7 @@ def test_every_public_method_has_a_caller():
             if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
                 continue
             outside = [names for other, names in reads if other is not cls]
-            outside += [read_names(node) for node in cls.body if node is not method]
+            outside += [attribute_reads(node) for node in cls.body if node is not method]
             if method.name not in traced and not any(method.name in names for names in outside):
                 uncalled.add(f"{cls.name}.{method.name}")
     allowed = {name for name in UNCALLED if "." in name}
