@@ -46,6 +46,7 @@ from .presheaf import (
     check_sheaf,
     is_sheaf,
     matching_presheaf,
+    require_sheaf,
     validate_sheaf_morphism,
 )
 from .psl import (

@@ -38,6 +38,7 @@ from .pred import (
 from .presheaf import (
     Heap,
     SheafMorphism,
+    amalgamation_operator,
     build_resource_sheaf,
     check_sheaf,
 )
@@ -45,7 +46,6 @@ from .psl import PslModel, RandomVariable, check_space, psl_sat
 from .seplogic import (
     DistAtom,
     ResourceModel,
-    _pipeline_iso,
     _pipeline_pieces,
     eval_formula,
     formula_atoms,
@@ -346,10 +346,7 @@ def _family_table(pred):
         rows.append(
             {
                 "at": list(cat.src(p)),
-                "members": [
-                    s.as_dict() if isinstance(s, Heap) else str(s)
-                    for s in sorted(pred.family[p], key=lambda e: str(e))
-                ],
+                "members": [s.as_dict() for s in sorted(pred.family[p], key=str)],
             }
         )
     return rows
@@ -419,7 +416,9 @@ def _cmd_laws(model, args, report):
     failures += [{"law": "day-stability", "detail": v.detail} for v in rep.violations]
 
     if model.monoid is not None:
-        decomp, mult_mor, amalg_mor = _pipeline_pieces(model)
+        iso = amalgamation_operator(mp, site.cov)
+        iso_report = iso.report
+        decomp, mult_mor, amalg_mor = _pipeline_pieces(model, iso)
         match = mult_mor.target
         ok_adj = True
         for alpha, source in ((mult_mor, decomp), (amalg_mor, match)):
@@ -436,11 +435,11 @@ def _cmd_laws(model, args, report):
         report.status["adjunction"] = "ok" if ok_adj else "FAIL"
     else:
         report.status["adjunction"] = "skipped (no monoid)"
+        try:
+            iso_report = amalgamation_operator(mp, site.cov).report
+        except NotASheafError as e:
+            iso_report = e.report
 
-    try:
-        iso_report = _pipeline_iso(model).report
-    except NotASheafError as e:
-        iso_report = e.report
     report.status["amalgamation-iso"] = "ok" if iso_report.ok else "FAIL"
     failures += [
         {"law": "amalgamation-iso", "detail": v.detail} for v in iso_report.violations

@@ -100,6 +100,7 @@ class Presheaf:
         self._index = {}  # stage -> {element: id}
         self._tables = {}  # morphism -> restriction table
         self._covers = {}  # sieve -> _EncodedCover
+        self._sheaf_for = set()  # (coverage, budget) pairs `require_sheaf` certified
 
     def at(self, a):
         self.base.require_object(a)
@@ -469,6 +470,19 @@ def is_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> bool:
     return all(ok for _, _, ok in _least_cover_verdicts(ps, cov, budget))
 
 
+def require_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> None:
+    """Certify that ps is a sheaf for the coverage by `is_sheaf`'s
+    least-cover verdict, once per coverage and budget; on a presheaf
+    that is not one, raise `NotASheafError` with `check_sheaf`'s
+    report, which replays every cover for the violations."""
+    if (cov, budget) in ps._sheaf_for:
+        return
+    if not is_sheaf(ps, cov, budget):
+        raise NotASheafError(f"{ps.name} is not a sheaf for the coverage",
+                             report=check_sheaf(ps, cov, budget=budget))
+    ps._sheaf_for.add((cov, budget))
+
+
 # -- the matching presheaf ----------------------------------------------------
 
 
@@ -595,23 +609,18 @@ def amalgamation_operator(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUD
     amalgamation is looked up on ids, by its family's ids on the least
     cover's generators.
 
-    The lookup certifies the sheaf condition on least covers (see
-    `is_sheaf`): every class must have exactly one amalgamation.  Only
-    when one does not is `check_sheaf` run over every cover, for the
-    report of the `NotASheafError`.  The inverse of a natural bijection
-    is natural, so the inverse is checked only when the forward map
-    fails."""
+    The carrier is certified a sheaf first (`require_sheaf`), so every
+    class has exactly one amalgamation.  The inverse of a natural
+    bijection is natural, so the inverse is checked only when the
+    forward map fails."""
+    require_sheaf(ps, cov, budget)
     match = matching_presheaf(ps, cov, budget)
     rep = Report(f"amalgamation operator ({ps.name})")
     to_sheaf, from_sheaf = {}, {}
     for a in ps.base.objects:
         code = _encoded_cover(ps, cov.min_cover(a))
         index, at_gens = code.signature_index(), [code.members.index(g) for g in code.gens]
-        hits = [index.get(tuple(legs[j] for j in at_gens), ()) for legs in match.families(a)]
-        if any(len(h) != 1 for h in hits):
-            raise NotASheafError(f"{ps.name} is not a sheaf for the coverage",
-                                 report=check_sheaf(ps, cov, budget=budget))
-        fwd = [h[0] for h in hits]
+        fwd = [index[tuple(legs[j] for j in at_gens)][0] for legs in match.families(a)]
         if len(set(fwd)) != len(fwd):
             rep.flag("bijectivity", f"amalgamation not injective at {a!r}")
         if set(fwd) != set(range(ps.size(a))):

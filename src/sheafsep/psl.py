@@ -633,12 +633,6 @@ class PslResult:
     result: bool
     witness: dict | None = None
 
-    def as_dict(self):
-        out = {"result": self.result}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
 
 def psl_sat(sp: ProbSpace, phi, variables) -> PslResult:
     """Satisfaction over a probability space.

@@ -30,11 +30,3 @@ class Report:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def as_dict(self) -> dict:
-        return {
-            "title": self.title,
-            "ok": self.ok,
-            "violations": [{"kind": v.kind, "detail": v.detail} for v in self.violations],
-            "notes": list(self.notes),
-        }

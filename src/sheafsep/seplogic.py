@@ -15,7 +15,11 @@ Separating conjunction comes in two modes that must agree:
   pipeline   existential image along the multiplication into the
              matching-object presheaf followed by the amalgamation
              isomorphism back to the resource sheaf, which is the
-             closure of the unfolded comprehension.
+             closure of the unfolded comprehension (the README's
+             transport lemma): it is computed as that closure on a
+             carrier certified a sheaf (`require_sheaf`), so neither
+             the matching presheaf nor the iso is built; only `laws`
+             builds them, for its adjunction and iso checks.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .pred import (
     meet,
     top_predicate,
 )
-from .presheaf import AmalgamationIso, Heap, Presheaf, amalgamation_operator
+from .presheaf import AmalgamationIso, Presheaf, require_sheaf
 from .site import Site
 
 
@@ -368,7 +372,6 @@ class ResourceModel:
     stage: object
     name: str = "memory-model"
     formulas: dict = field(default_factory=dict)
-    _pipeline: AmalgamationIso | None = None
 
     def check_formula(self, phi):
         for atom in formula_atoms(phi):
@@ -511,18 +514,11 @@ def _star_bits(model, p, q, v):
     return out
 
 
-def _pipeline_iso(model) -> AmalgamationIso:
-    if model._pipeline is None:
-        model._pipeline = amalgamation_operator(model.sheaf, model.site.cov)
-    return model._pipeline
-
-
-def _pipeline_pieces(model):
+def _pipeline_pieces(model, iso: AmalgamationIso):
     """The pipeline's maps for the law checks, on ids: the decomposition
     presheaf, the multiplication into Match(F) (the product tables, then
-    the iso's inverse) and the amalgamation."""
+    the inverse of the amalgamation iso) and the amalgamation."""
     site, mp, monoid = model.site, model.sheaf, model.monoid
-    iso = _pipeline_iso(model)
     decomp = day_decomp(mp, mp, site.monoidal)
     mult = {}
     for a in site.cat.objects:
@@ -546,8 +542,9 @@ def sep_conj(model: ResourceModel, p: KripkePredicate, q: KripkePredicate,
     """The unfolded star is `_star_bits` at each slice stage.  The
     pipeline's composite, closed in Match(F) and carried back along the
     amalgamation iso, is the closure in F of the same bits (the README's
-    transport lemma); the iso is still built first, so a carrier that
-    is not a sheaf raises `NotASheafError`.
+    transport lemma), so it builds neither: it needs only the verdict
+    that the carrier is a sheaf (`require_sheaf`), and a carrier that is
+    not one raises `NotASheafError`.
 
     The two modes coincide on subsheaf predicates (the law suites
     check hundreds of sampled pairs per variant).  On the allocated
@@ -557,7 +554,7 @@ def sep_conj(model: ResourceModel, p: KripkePredicate, q: KripkePredicate,
     unaffected."""
     _check_conjuncts(model, p, q)
     if mode == "pipeline":
-        _pipeline_iso(model)
+        require_sheaf(model.sheaf, model.site.cov)
     elif mode != "unfolded":
         raise ValueError(f"unknown mode {mode!r}")
     src = model.site.cat.src
@@ -609,16 +606,6 @@ class SatResult:
     stage: object
     element: object
     witness: dict | None = None
-
-    def as_dict(self):
-        out = {
-            "result": self.result,
-            "stage": list(self.stage),
-            "element": self.element.as_dict() if isinstance(self.element, Heap) else self.element,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
 
 
 def _star_witness(model, p, q, element):

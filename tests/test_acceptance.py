@@ -209,7 +209,8 @@ def test_criterion_06_adjunction():
         from sheafsep.seplogic import _pipeline_pieces
 
         model = make_memory_model({"x", "y"}, (0, 1), monoid_variant="total")
-        decomp, mult_mor, amalg_mor = _pipeline_pieces(model)
+        iso = amalgamation_operator(model.sheaf, model.site.cov)
+        decomp, mult_mor, amalg_mor = _pipeline_pieces(model, iso)
         match = mult_mor.target
         rng = random.Random(606)
         stage = model.stage

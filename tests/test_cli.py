@@ -356,10 +356,12 @@ def test_laws_at_three_locations_builds_no_decomposition_elements(tmp_path, caps
     assert built["Decomp"] == built["CoendClass"] == built["MatchClass"] == 0
 
 
-def test_pipeline_sat_certifies_the_iso_on_least_covers(tmp_path, capsys, monkeypatch, built):
-    """Deterministic work gate: at 3 locations the pipeline iso encodes
-    one cover per object, its least cover, and runs no all-cover sheaf
-    check."""
+def test_pipeline_sat_certifies_its_carrier_on_least_covers(tmp_path, capsys, monkeypatch, built):
+    """Deterministic work gate: at 3 locations the pipeline star needs
+    only the verdict that its carrier is a sheaf, so it builds no
+    amalgamation iso, encodes one cover per object of more than one
+    location, its least cover (a maximal sieve is counted in closed
+    form), and runs no all-cover sheaf check."""
     calls = []
     original = presheaf.check_sheaf
     monkeypatch.setattr(presheaf, "check_sheaf",
@@ -368,8 +370,8 @@ def test_pipeline_sat_certifies_the_iso_on_least_covers(tmp_path, capsys, monkey
     argv = ["sat", "--model", model_path, "--formula=x |-> 0 * y |-> 1", "--mode", "pipeline",
             "--heap", "{x:0, y:1, z:null}", "--json"]
     assert main(argv) == 0
-    assert built["AmalgamationIso"] == 1
-    assert built["_EncodedCover"] == 8
+    assert built["AmalgamationIso"] == 0
+    assert built["_EncodedCover"] == 4
     assert calls == []
 
 

@@ -166,10 +166,10 @@ def test_validate_monoidal_flags_a_corrupted_tensor_entry():
 
 
 def _outcome(check, cat, mon):
-    """A report as a dict, or the text of the lookup error the check
-    raised on a table entry keyed by a non-morphism."""
+    """The check's report, or the text of the lookup error it raised on
+    a table entry keyed by a non-morphism."""
     try:
-        return check(cat, mon).as_dict()
+        return check(cat, mon)
     except KeyError as exc:
         return "KeyError", str(exc)
 
@@ -228,18 +228,18 @@ def test_validate_monoidal_agrees_with_the_quadruple_replay(name):
     entry is flagged, as typing where it is mistyped and as definedness
     otherwise."""
     cat, mon = MONOIDAL_CASES[name]()
-    ours = validate_monoidal(cat, mon).as_dict()
-    entries = [v for v in ours["violations"] if v["kind"] in ("definedness", "typing")]
-    rest = [v for v in ours["violations"] if v not in entries]
+    ours = validate_monoidal(cat, mon)
+    entries = [v for v in ours.violations if v.kind in ("definedness", "typing")]
+    rest = [v for v in ours.violations if v not in entries]
     replayed = _outcome(ref.validate_monoidal, cat, mon)
     if name == "junk-key":
         assert replayed[0] == "KeyError" and not rest
     else:
-        assert rest == replayed["violations"] and ours["notes"] == replayed["notes"]
+        assert rest == replayed.violations and ours.notes == replayed.notes
     if name in _corrupted_tensors():
-        assert {v["kind"] for v in entries} == {"typing" if name == "mistyped" else "definedness"}
+        assert {v.kind for v in entries} == {"typing" if name == "mistyped" else "definedness"}
     else:
-        assert ours["ok"]
+        assert ours.ok
 
 
 @pytest.mark.parametrize("n_locs", [3, 4])

@@ -36,14 +36,20 @@ from sheafsep.pred import (
     reindex_preimage,
 )
 from sheafsep.errors import NotASheafError, StageMismatchError
-from sheafsep.presheaf import Heap, build_resource_sheaf, matching_presheaf
+from sheafsep.presheaf import (
+    Heap,
+    amalgamation_operator,
+    build_resource_sheaf,
+    check_sheaf,
+    matching_presheaf,
+)
 from sheafsep.seplogic import (
     PointsToAlloc,
     PointsToNonStrict,
     PointsToStrict,
     ResourceModel,
     Top,
-    _pipeline_iso,
+    _pipeline_pieces,
     _star_bits,
     _star_witness,
     atom_predicate,
@@ -188,13 +194,11 @@ def test_images_along_the_pipeline_maps_match_reference(n, variant, coverage):
     """Preimage and existential image along the amalgamation iso, both
     ways, and along the multiplication into Match(F) at two locations."""
     m = model(n, variant, coverage)
-    iso = _pipeline_iso(m)
+    iso = amalgamation_operator(m.sheaf, m.site.cov)
     rng = random.Random(n)
     maps = [iso.forward, iso.inverse]
     if n == 2:
-        from sheafsep.seplogic import _pipeline_pieces
-
-        maps.append(_pipeline_pieces(m)[1])
+        maps.append(_pipeline_pieces(m, iso)[1])
     for alpha in maps:
         for _ in range(3):
             p = random_closed_predicate(rng, alpha.source, m.site, m.stage)
@@ -316,8 +320,9 @@ def test_stars_on_support_bounded_carriers_match_reference(n, bound, n_values, v
     at every bound, against the element-level references, which multiply
     heaps; a product outside the carrier is no resource.  Below the
     location count (bound 0 aside) the carrier is not a sheaf, so the
-    pipeline, which needs the amalgamation iso, raises; a heap with more
-    cells allocated than the bound is outside the carrier at any mode."""
+    pipeline, which needs a sheaf, raises the amalgamation iso's
+    `NotASheafError`, with its message and report; a heap with more cells allocated than the bound
+    is outside the carrier at any mode."""
     values = (0, 1, 2)[:n_values]
     base = make_memory_model(("x", "y", "z")[:n], values, monoid_variant=variant)
     mp = build_resource_sheaf(base.site.cat, "support-bounded", values=values, bound=bound)
@@ -348,8 +353,12 @@ def test_stars_on_support_bounded_carriers_match_reference(n, bound, n_values, v
                 assert res.result == (h in star.family[ident])
                 assert res.witness == (witnesses[h] if res.result else None), (text, mode, h)
         if not sheaf:
-            with pytest.raises(NotASheafError):
+            with pytest.raises(NotASheafError) as star:
                 sat(m, phi, stage, mp.element(stage, 0), "pipeline")
+            with pytest.raises(NotASheafError) as iso:
+                amalgamation_operator(mp, m.site.cov)
+            assert str(star.value) == str(iso.value)
+            assert star.value.report == iso.value.report == check_sheaf(mp, m.site.cov)
     if bound < n:
         crowded = Heap(stage, (values[0],) * (bound + 1) + (None,) * (n - bound - 1))
         for mode in ("unfolded", "pipeline"):

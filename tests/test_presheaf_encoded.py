@@ -47,7 +47,7 @@ def assert_agrees(ps, cov):
     """Equal reports, and on every cover the encoded families and each
     one's hits in the signature index, decoded, are the reference's
     family list and amalgamation candidates."""
-    assert check_sheaf(ps, cov).as_dict() == ref.check_sheaf(ps, cov).as_dict()
+    assert check_sheaf(ps, cov) == ref.check_sheaf(ps, cov)
     src = ps.base.src
     for a in ps.base.objects:
         for cover in cov.covers(a):
@@ -194,7 +194,7 @@ def test_four_locations_agree_with_reference():
     cov = build_coverage(cat, "downward-closed")
     sb = build_resource_sheaf(cat, "support-bounded", values=(0, 1), bound=1)
     rep = check_sheaf(sb, cov)
-    assert rep.as_dict() == ref.check_sheaf(sb, cov).as_dict()
+    assert rep == ref.check_sheaf(sb, cov)
     assert "existence" in [v.kind for v in rep.violations]
 
 
@@ -352,8 +352,8 @@ def _reference_reports(name):
     family looked up by its generators' factorisations)."""
     _, cat, mon, cov = LEAST_COVER_SITES[name]
     cases, decomps = _least_cover_cases(cat, mon)
-    return ([(ps, ref.check_sheaf(ps, cov).as_dict()) for ps in cases]
-            + [(ps, ref.replay_report(ps, cov).as_dict()) for ps in decomps])
+    return ([(ps, ref.check_sheaf(ps, cov)) for ps in cases]
+            + [(ps, ref.replay_report(ps, cov)) for ps in decomps])
 
 
 @pytest.mark.parametrize("name", sorted(LEAST_COVER_SITES))
@@ -364,8 +364,8 @@ def test_least_cover_verdict_is_the_all_cover_verdict(name):
     cov = LEAST_COVER_SITES[name][3]
     verdicts = []
     for ps, want in _reference_reports(name):
-        assert is_sheaf(ps, cov) == want["ok"], ps.name
-        verdicts.append(want["ok"])
+        assert is_sheaf(ps, cov) == want.ok, ps.name
+        verdicts.append(want.ok)
     if any(len(cov.covers(a)) > 1 for a in cov.cat.objects):
         assert True in verdicts and False in verdicts
 
@@ -376,7 +376,7 @@ def test_check_sheaf_agrees_with_the_all_cover_reference(name):
     the all-cover check's report, note included."""
     cov = LEAST_COVER_SITES[name][3]
     for ps, want in _reference_reports(name):
-        assert check_sheaf(ps, cov).as_dict() == want, ps.name
+        assert check_sheaf(ps, cov) == want, ps.name
 
 
 def _smallest_budget(run):
@@ -411,7 +411,7 @@ def test_sheaf_budget_is_the_all_cover_budget(name):
     stage's least cover reaches as well."""
     cov = LEAST_COVER_SITES[name][3]
     for ps, want in _reference_reports(name):
-        if want["ok"]:
+        if want.ok:
             least = _smallest_budget(lambda b: check_sheaf(ps, cov, budget=b))
             replay = _smallest_budget(lambda b: ref.replay_sheaf(Report(""), ps, cov, b))
             assert least == replay, ps.name
@@ -455,7 +455,7 @@ def test_check_sheaf_of_a_non_sheaf_enumerates_each_cover_once(monkeypatch):
     assert sum(len(cov.covers(a)) for a in cat.objects) == 19
     assert len(calls) == len(set(calls)) == 19 - len(cat.objects) == 11
     assert all(len(s.members) < len(cat.mors_into(s.target)) for s in calls)
-    assert rep.as_dict() == ref.replay_report(ps, cov).as_dict()
+    assert rep == ref.replay_report(ps, cov)
 
 
 CATEGORIES = {
@@ -489,5 +489,5 @@ def test_amalgamation_operator_on_a_non_sheaf_reports_check_sheafs(n_locs):
                _doubled(mp, top)):
         with pytest.raises(NotASheafError) as exc:
             amalgamation_operator(ps, cov)
-        assert exc.value.report.as_dict() == check_sheaf(ps, cov).as_dict()
+        assert exc.value.report == check_sheaf(ps, cov)
         assert not exc.value.report.ok

@@ -204,7 +204,7 @@ def test_verdicts_and_witnesses_match_the_reference():
             else:  # a top-level star, so that witnesses are compared too
                 phi = Star(_random_formula(rng, atoms, 2), _random_formula(rng, atoms, 2))
             got = psl_sat(sp, phi, variables)
-            assert got.as_dict() == ref.psl_sat(sp, phi, variables).as_dict(), (sp, phi)
+            assert got == ref.psl_sat(sp, phi, variables), (sp, phi)
             checked += 1
     assert checked == 8 * len(spaces)
 
@@ -219,7 +219,7 @@ def test_six_point_stars_match_the_reference(name):
     lx, ly = (tuple(sorted(law_of(v, sp).items())) for v in variables.values())
     star = Star(DistAtom("X", lx), DistAtom("Y", ly))
     for phi in (star, Star(DistAtom("Y", ly), DistAtom("X", lx)), And(star, DistAtom("X", lx))):
-        assert psl_sat(sp, phi, variables).as_dict() == ref.psl_sat(sp, phi, variables).as_dict()
+        assert psl_sat(sp, phi, variables) == ref.psl_sat(sp, phi, variables)
 
 
 def test_atoms_need_measurable_variables():
@@ -326,8 +326,8 @@ def test_star_shapes_match_the_reference(name, memoised_reference):
     sp = SPACES[name]
     variables, a, b = grid_variables(sp)
     for phi in star_shapes(a, b):
-        got = psl_sat(sp, phi, variables).as_dict()
-        assert got == ref.psl_sat(sp, phi, variables).as_dict(), (name, phi)
+        got = psl_sat(sp, phi, variables)
+        assert got == ref.psl_sat(sp, phi, variables), (name, phi)
 
 
 def search(sp, phi, variables):
@@ -433,7 +433,7 @@ def test_an_implication_is_not_persistent():
     variables = {"X": RandomVariable((0, 0, 1, 1))}
     got = psl_sat(ref.uniform(4), phi, variables)
     assert got.result and got.witness["blocks1"] == [[1], [2, 3], [4]]
-    assert got.as_dict() == ref.psl_sat(ref.uniform(4), phi, variables).as_dict()
+    assert got == ref.psl_sat(ref.uniform(4), phi, variables)
 
 
 @pytest.mark.parametrize("sp, variables, text, blocks", [
@@ -450,7 +450,7 @@ def test_a_ruled_out_partition_holds_only_a_failing_operand(sp, variables, text,
     phi = parse_formula(text)
     got = psl_sat(sp, phi, variables)
     assert (got.witness["blocks1"], got.witness["blocks2"]) == blocks
-    assert got.as_dict() == ref.psl_sat(sp, phi, variables).as_dict()
+    assert got == ref.psl_sat(sp, phi, variables)
 
 
 def test_a_persistent_operand_is_read_on_the_finest_partition_first():
@@ -627,7 +627,7 @@ def psl_cases(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_random_stars_match_the_reference(case):
     sp, variables, phi = case
-    assert psl_sat(sp, phi, variables).as_dict() == ref.psl_sat(sp, phi, variables).as_dict()
+    assert psl_sat(sp, phi, variables) == ref.psl_sat(sp, phi, variables)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -441,6 +442,33 @@ def test_sat_builds_only_the_witness_heaps(mode, built):
     res = sat(model, phi, model.stage, heap, mode)
     assert res.result and res.witness is not None
     assert built["Heap"] <= 2
+
+
+@pytest.mark.parametrize("query", ["eval", "sat"])
+def test_pipeline_certifies_its_carrier_once(query, built, monkeypatch):
+    """Deterministic work gate: the pipeline star is the closure of the
+    unfolded bits on a sheaf (the README's transport lemma), so at four
+    locations a pipeline eval or sat of a nested star builds neither
+    Match(F) nor the amalgamation iso, and it certifies the carrier a
+    sheaf once, not once per star."""
+    import sheafsep.presheaf as presheaf
+
+    model = make_memory_model(("a", "b", "c", "d"), (0, 1), monoid_variant="weak-partial")
+    calls = Counter()
+    for name in ("is_sheaf", "matching_presheaf", "amalgamation_operator"):
+        def counted(*args, _name=name, _fn=getattr(presheaf, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(presheaf, name, counted)
+    phi = parse_formula("(a ~> 0 * b |-> 1) * (c ~> 1 \\/ d |-> 0)")
+    if query == "eval":
+        eval_formula(model, phi, mode="pipeline")
+    else:
+        heap = Heap.of(model.stage, {"a": 0, "b": 1, "c": 1})
+        assert sat(model, phi, model.stage, heap, "pipeline").result
+    assert calls == {"is_sheaf": 1}
+    assert built["AmalgamationIso"] == built["MatchClass"] == 0
 
 
 @pytest.mark.parametrize("mode", ["unfolded", "pipeline"])
