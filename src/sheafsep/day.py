@@ -329,17 +329,21 @@ class ResourceMonoid:
     E_b(i) is i's digits at b only, at their weights in v; z_i is the
     code of i's restriction to o; M_o combines two codes at o digit by
     digit through `_digits`, the cell rule on one digit, and places the
-    result at v's weights, or is -1 when a digit is UNDEFINED.  The three
-    terms hold disjoint digits, so the sum carries nothing.
+    result at v's weights, or is undefined when a digit is.  The three
+    terms hold disjoint digits, so the sum carries nothing.  M_o is read
+    off `overlap`, tables of o's two halves of at most two locations
+    each, so that no table has more than r^4 entries; `products` and the
+    star both read them.
 
     A rule is agreement-only (`agreement`) when two different digits
     never combine and a digit d with itself gives d or nothing.  Such a
     rule needs none of this arithmetic: a product is the heap h at b u c
     with h|b and h|c the halves, defined iff h's cells at the overlap
     lie in D = {d : d.d = d} (`agreeing`).  The star reads such a monoid
-    through restriction tables alone, and reads `split` only under the
+    through restriction tables alone, and reads `overlap` only under the
     other rules (the total one); `products` reads it under every rule.
-    Every table is built on first use and kept on the monoid.
+    Every table is built on first use and kept on the monoid, but for
+    the halves' tables, which are kept for the process (`_half`).
     """
 
     carrier: Presheaf
@@ -365,12 +369,12 @@ class ResourceMonoid:
     def _digits(self):
         """(r, rule): the number of the carrier's cells, and rule[d][e] the
         digit of the product of the cells with digits d and e, or -1 where
-        `apply` leaves the carrier."""
+        `apply` leaves the carrier, as a tuple of rows."""
         def build():
             cells = self.carrier.cells
             digit = {(x,): d for d, x in enumerate(cells)}
-            return len(cells), [[digit.get(self.apply((x,), (y,)), -1) for y in cells]
-                                for x in cells]
+            return len(cells), tuple(tuple(digit.get(self.apply((x,), (y,)), -1) for y in cells)
+                                     for x in cells)
         return self._memo("digits", build)
 
     def agreement(self):
@@ -400,38 +404,15 @@ class ResourceMonoid:
             return _preimage(self.carrier.table(self.carrier.base.hom(o, v)[0]), _bitset(ok))
         return self._memo(("agreeing", o, v), build)
 
-    def _meet(self, o, v):
-        """M_o at v: the function of two codes z and t at o that applies
-        the cell rule digit by digit and places the result at v, or
-        gives -1 when a digit is UNDEFINED."""
-        r, rule = self._digits()
-        # o's weights in v, its last (least significant) location first
-        weights = [r ** (len(v) - 1 - v.index(x)) for x in reversed(o)]
-
-        def meet(z, t):
-            m = 0
-            for w in weights:
-                d = rule[z % r][t % r]
-                if d < 0:
-                    return -1
-                m += d * w
-                z //= r
-                t //= r
-            return m
-        return meet
-
-    def split(self, b, c):
-        """For the splitting (b, c) of v: (v, E_b, z, E_c, t, M_o), with o
-        the overlap and, per id at b, E_b and z its code at o; per id at
-        c, E_c and t likewise."""
+    def overlap(self, o, v):
+        """M_o at v for an overlap o, a sub-stage of v, as a pair of
+        tables, one per half of o: its first two locations (the most
+        significant digits of a code at o) and the rest.  See `_half`."""
         def build():
-            v = tuple(sorted(set(b) | set(c)))
-            o = tuple(x for x in b if x in c)
-            only_b, only_c = tuple(x for x in b if x not in c), tuple(x for x in c if x not in b)
-            part = self.carrier.part
-            return (v, part(b, only_b, v), part(b, o, o), part(c, only_c, v), part(c, o, o),
-                    self._meet(o, v))
-        return self._memo(("split", b, c), build)
+            rule, n = self._digits()[1], len(v)
+            return tuple(_half(rule, n, tuple(n - 1 - v.index(x) for x in h))
+                         for h in (o[:2], o[2:]))
+        return self._memo(("overlap", o, v), build)
 
     def products(self, b, c):
         """The product table of the splitting (b, c), built on first use:
@@ -439,13 +420,50 @@ class ResourceMonoid:
         with ids i at b and j at c, or -1 when it is undefined or leaves
         the carrier."""
         def build():
-            v, eb, zb, ec, tc, meet = self.split(b, c)
-            ids, rows = self.carrier.ids(v), []
-            for e, z in zip(eb, zb):
-                row = [m if m < 0 else e + f + m for f, m in zip(ec, (meet(z, t) for t in tc))]
+            v = tuple(sorted(set(b) | set(c)))
+            o = tuple(x for x in b if x in c)
+            (_, _, meet1), (_, _, meet2) = self.overlap(o, v)
+            part, ids = self.carrier.part, self.carrier.ids(v)
+
+            def digits(a):
+                """Per id at a: E_a, and its codes at o's two halves."""
+                return zip(part(a, tuple(x for x in a if x not in o), v),
+                           part(a, o[:2], o[:2]), part(a, o[2:], o[2:]))
+
+            right, rows = list(digits(c)), []
+            for e, z1, z2 in digits(b):
+                row1, row2 = meet1[z1], meet2[z2]
+                row = [e + f + m if (m := row1[t1] + row2[t2]) >= 0 else -1
+                       for f, t1, t2 in right]
                 rows.append(row if ids is None else [k if k < 0 else ids[k] for k in row])
             return rows
         return self._memo(("products", b, c), build)
+
+
+@cache
+def _half(rule, n, exponents):
+    """(place, zero, meet) for the sub-stage h of a stage v of n
+    locations, h's locations being the digits of weight r^e of a code at
+    v, e in exponents, under the digit rule (`ResourceMonoid._digits`):
+    place[z] is the code z at h placed at v's weights; zero is the bitset
+    of the codes at v whose digits at h are all 0; meet[z][t] is place of
+    the cellwise product of the codes z and t at h, or a number below
+    -r^n when a digit is undefined, so that the sum of the two halves'
+    meets is negative iff the product is.  The empty h has place [0],
+    zero -1 (every code) and meet [[0]].  The tables depend on the rule
+    and the digits' places alone, so they are kept for the process: at
+    most 25 per rule up to 4 locations, of at most r^4 entries each."""
+    r = len(rule)
+    size = r ** n
+    place, zero, meet = [0], -1, [[0]]
+    for e in exponents:
+        w = r ** e
+        at_e = [[-size if d < 0 else d * w for d in row] for row in rule]
+        place = [p + d * w for p in place for d in range(r)]
+        # the codes whose digit of weight w is 0: w of every r * w
+        zero &= ((1 << w) - 1) * (((1 << size) - 1) // ((1 << r * w) - 1))
+        meet = [[m + x for m in row for x in digit] for row in meet for digit in at_e]
+    return place, zero, meet
 
 
 def build_memory_monoid(mp: Presheaf, variant: str) -> ResourceMonoid:

@@ -107,7 +107,17 @@ def _bitset(flags):
 def _preimage(table, bits, undefined=False):
     """The positions whose image under a restriction table, or a
     component on ids, is in `bits`; a position the component leaves
-    undefined (-1) is in when `undefined` is true."""
+    undefined (-1) is in when `undefined` is true.  Into a stage of at
+    most 256 ids the table is read as bytes, each translated to the
+    binary digit of its id in `bits`."""
+    if not undefined:
+        try:
+            row = bytes(reversed(table))  # digit i is position len(table) - 1 - i
+        except ValueError:  # an id past 255, or -1
+            pass
+        else:
+            digits = bin(bits)[:1:-1][:256].ljust(256, "0").encode()  # digit y is bit y
+            return int(row.translate(digits) or b"0", 2)
     if len(table) <= _SCAN_BITS:
         if undefined:
             return sum(1 << x for x, y in enumerate(table) if y < 0 or bits >> y & 1)
@@ -131,11 +141,21 @@ def _image(ids, bits):
 def _local(resource, site, bits, p):
     """The elements at slice object p whose restrictions along every
     member of the least cover of src(p) lie in `bits`: the slice covers
-    of p are the base covers of src(p), and each contains that one."""
+    of p are the base covers of src(p), and each contains that one.  A
+    preimage from a stage of at most `_SCAN_BITS` ids (on the lub
+    coverages every member's source has at most one location) is the OR
+    of the fibres over its bits."""
     cat = site.cat
     out = _all(resource, cat.src(p))
     for k in site.cov.min_cover(cat.src(p)).members:
-        out &= _preimage(resource.table(k), bits[cat.compose(p, k)])
+        want = bits[cat.compose(p, k)]
+        if resource.size(cat.src(k)) <= _SCAN_BITS:
+            fibres, below = resource.fibres(k), 0
+            for j in _members(want):
+                below |= fibres[j]
+            out &= below
+        else:
+            out &= _preimage(resource.table(k), want)
     return out
 
 
@@ -143,7 +163,8 @@ def _close(resource, site, bits):
     """Least restriction-closed, locally-closed family containing `bits`,
     by the module docstring's down and up passes.  The up pass reads the
     down pass only at p.k for k in the least cover of src(p), so the
-    down pass writes nowhere else."""
+    down pass writes nowhere else.  Its image into a stage of at most
+    `_SCAN_BITS` ids is one AND per id there, with that id's fibre."""
     cat, cov = site.cat, site.cov
     down = {cat.compose(p, k): 0 for p in bits for k in cov.min_cover(cat.src(p)).members}
     for p, b in bits.items():
@@ -151,7 +172,10 @@ def _close(resource, site, bits):
             for g in cat.mors_into(cat.src(p)):
                 q = cat.compose(p, g)
                 if q in down:
-                    down[q] |= _image(resource.table(g), b)
+                    if resource.size(cat.src(g)) <= _SCAN_BITS:
+                        down[q] |= _bitset([f & b for f in resource.fibres(g)])
+                    else:
+                        down[q] |= _image(resource.table(g), b)
     return {p: _local(resource, site, down, p) for p in bits}
 
 

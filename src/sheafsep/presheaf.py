@@ -99,6 +99,7 @@ class Presheaf:
         self._cache = {}  # stage -> at()
         self._index = {}  # stage -> {element: id}
         self._tables = {}  # morphism -> restriction table
+        self._fibres = {}  # morphism -> its table's fibres
         self._covers = {}  # sieve -> _EncodedCover
         self._sheaf_for = set()  # (coverage, budget) pairs `require_sheaf` certified
 
@@ -135,6 +136,24 @@ class Presheaf:
         if t is None:
             t = self._tables[f] = self._table_fn(f)
         return t
+
+    def fibres(self, f):
+        """Per id at src f, the bitset of the ids at dst f that `table(f)`
+        sends to it, built on first use and kept beside the table."""
+        fib = self._fibres.get(f)
+        if fib is None:
+            table, n = self.table(f), self.size(self.base.src(f))
+            if len(table) <= 64:  # small ints: bit by bit
+                fib = [0] * n
+                for i, j in enumerate(table):
+                    fib[j] |= 1 << i
+            else:  # a string of binary digits per id
+                rows = [bytearray(b"0" * len(table)) for _ in range(n)]
+                for i, j in enumerate(reversed(table)):  # digit i is bit len(table) - 1 - i
+                    rows[j][i] = ord("1")
+                fib = [int(row, 2) for row in rows]
+            self._fibres[f] = fib
+        return fib
 
     def __repr__(self):
         return f"Presheaf({self.name!r} on {self.base.kind!r})"
@@ -192,15 +211,31 @@ def build_resource_sheaf(cat: FinCat, kind: str, *, values=None, bound=None):
         rank = {c: i for i, c in enumerate(codes(a))}
         return [rank.get(c, -1) for c in range(r ** len(a))]
 
-    @cache
-    def part(a, s, v):
-        """Per id at a, the code at v of its digits on s, a sub-stage of
-        a and of v; the digits of a outside s are dropped."""
+    def placed(a, s, v):
+        """Per code at a, on the carrier or off it, the code at v of its
+        digits on s, a sub-stage of a and of v; the digits of a outside s
+        are dropped."""
         out = [0]
         for x in a:
             w = r ** (len(v) - 1 - v.index(x)) if x in s else 0
             out = [c + d * w for c in out for d in range(r)]
+        return out
+
+    @cache
+    def part(a, s, v):
+        """`placed` per id at a."""
+        out = placed(a, s, v)
         return out if codes(a) is None else [out[c] for c in codes(a)]
+
+    def code_table(b, v):
+        """Per code at v, on the carrier or off it, the id at b of its
+        digits on b, or size(b) where those leave the carrier: the
+        restriction along b <= v on the code space of v, its `table`
+        when v is a full stage."""
+        if codes(v) is None:
+            return ps.table(cat.hom(b, v)[0])
+        down, below = placed(v, b, b), ids(b)
+        return down if below is None else [size(b) if below[c] < 0 else below[c] for c in down]
 
     def code(values):
         """The code of a heap's cells, or None when one is not a cell."""
@@ -225,6 +260,7 @@ def build_resource_sheaf(cat: FinCat, kind: str, *, values=None, bound=None):
 
     ps = Presheaf(cat, size, table, decode, name=name)
     ps.cells, ps.codes, ps.ids, ps.part, ps.code = cells, codes, ids, part, code
+    ps.code_table = code_table
     return ps
 
 
@@ -264,6 +300,7 @@ class _EncodedCover:
             j = next(j for j, r in enumerate(reach) if r & bit[f])
             self.factors.append((j, sm.factor(gens[j], f)))
         self._by_signature = None
+        self._partials = {}  # budget -> families(budget)
 
     @cached_property
     def _leg_tables(self):
@@ -302,6 +339,15 @@ class _EncodedCover:
             if len(partials) > budget:
                 raise _budget_error(self.cover, len(partials), budget)
         return partials
+
+    def partials(self, budget):
+        """`families(budget)`, enumerated on the first call per budget and
+        kept: the least covers are read by the sheaf verdict, by the
+        replay of one that fails, and by the matching presheaf."""
+        out = self._partials.get(budget)
+        if out is None:
+            out = self._partials[budget] = self.families(budget)
+        return out
 
     def legs(self, partial):
         """Ids of the family's values, parallel to the sorted members."""
@@ -356,17 +402,18 @@ def _identity_families(ps: Presheaf, cover: Sieve, budget):
     return n
 
 
-def _replay_sheaf(rep, ps: Presheaf, cov: Coverage, budget, known=None) -> int:
+def _replay_sheaf(rep, ps: Presheaf, cov: Coverage, budget) -> int:
     """Every family on every cover that the maximal-sieve lemma does not
     decide, looked up in its cover's signature index by its own ids;
     flags each family without exactly one amalgamation and returns the
     number of families, those counted in closed form included.
     Enumerated families are compatible by construction (pairwise squares
-    on generators plus the extension lemma).  `known` maps a cover to
-    its partial families where they are enumerated already, and those
-    are read instead.  Each element a note prints is decoded and printed
-    once, and each distinct existence note, which reads only the cover
-    and the family's first three legs, is formatted once."""
+    on generators plus the extension lemma).  A least cover's families
+    are read through `partials`, so those the verdict enumerated are not
+    enumerated again; the other covers' are enumerated and dropped.  Each
+    element a note prints is decoded and printed once, and each distinct
+    existence note, which reads only the cover and the family's first
+    three legs, is formatted once."""
     printed = {}
 
     def show(b, i, conv):
@@ -375,8 +422,9 @@ def _replay_sheaf(rep, ps: Presheaf, cov: Coverage, budget, known=None) -> int:
             printed[key] = conv(ps.element(b, i))
         return printed[key]
 
-    src, n_checked, known = ps.base.src, 0, known or {}
+    src, n_checked = ps.base.src, 0
     for a in ps.base.objects:
+        least = cov.min_cover(a)
         for s in cov.covers(a):
             n = _identity_families(ps, s, budget)
             if n is not None:
@@ -384,9 +432,7 @@ def _replay_sheaf(rep, ps: Presheaf, cov: Coverage, budget, known=None) -> int:
                 continue
             code = _encoded_cover(ps, s)
             index = code.signature_index()
-            partials = known.get(s)
-            if partials is None:
-                partials = code.families(budget)
+            partials = code.partials(budget) if s == least else code.families(budget)
             n_checked += len(partials)
             first_three, notes = code._leg_tables[:3], {}
             for partial in partials:
@@ -412,11 +458,14 @@ def check_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> Re
 
     The verdict is read off least covers (`is_sheaf`).  On a sheaf
     every cover S of A has exactly |F(A)| compatible families: each has
-    one amalgamation, and each element restricts to its own family.  So the note counts Σ_A |covers(A)|·|F(A)| families, and no
-    other cover is enumerated.  Otherwise every family on every cover is
-    replayed on ids for the violations (`_replay_sheaf`), reading the
-    least covers' families already enumerated; so is a budget blown on a
-    least cover, which the replay raises again.  Neither pass enumerates
+    one amalgamation, and each element restricts to its own family.  So
+    the note counts Σ_A |covers(A)|·|F(A)| families, with the covers
+    counted by `Coverage.count` (in closed form on the lub coverages),
+    and no other cover is enumerated or built.  Otherwise every family
+    on every cover is replayed on ids for the violations
+    (`_replay_sheaf`), reading the least covers' families already
+    enumerated; so is a budget blown on a least cover, which the replay
+    raises again.  Neither pass enumerates
     a maximal sieve generated by the identity: its families are the
     restrictions of F(A)'s elements, each its own one amalgamation, so
     it adds |F(A)| to the count and no violation.  The budget
@@ -427,35 +476,16 @@ def check_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> Re
     least ones.
     """
     rep = Report(f"sheaf condition ({ps.name})")
-    known, sheaf = {}, False
     try:
-        for cover, partials, ok in _least_cover_verdicts(ps, cov, budget):
-            known[cover] = partials
-            if not ok:
-                break
-        else:
-            sheaf = True
+        sheaf = is_sheaf(ps, cov, budget)
     except BudgetExceededError:
-        pass  # the replay raises at this cover or an earlier one
+        sheaf = False  # the replay raises at this cover or an earlier one
     if sheaf:
-        n_checked = sum(len(cov.covers(a)) * ps.size(a) for a in ps.base.objects)
+        n_checked = sum(cov.count(a) * ps.size(a) for a in ps.base.objects)
     else:
-        n_checked = _replay_sheaf(rep, ps, cov, budget, known)
+        n_checked = _replay_sheaf(rep, ps, cov, budget)
     rep.note(f"checked {n_checked} families")
     return rep
-
-
-def _least_cover_verdicts(ps: Presheaf, cov: Coverage, budget):
-    """Per stage in order: its least cover, that cover's partial families
-    and whether each has exactly one amalgamation."""
-    for a in ps.base.objects:
-        cover = cov.min_cover(a)
-        if _identity_families(ps, cover, budget) is not None:
-            yield cover, None, True
-            continue
-        code = _encoded_cover(ps, cover)
-        index, partials = code.signature_index(), code.families(budget)
-        yield cover, partials, all(len(index.get(p, ())) == 1 for p in partials)
 
 
 def is_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> bool:
@@ -466,8 +496,16 @@ def is_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> bool:
     every least cover is a sheaf for every cover (the least-cover lemma,
     stated with its proof in the README).  A False verdict is
     `check_sheaf`'s too, and `check_sheaf` replays every cover for its
-    violations."""
-    return all(ok for _, _, ok in _least_cover_verdicts(ps, cov, budget))
+    violations.  The stages are read in order, and the first least cover
+    with a family that has no amalgamation or two decides."""
+    for a in ps.base.objects:
+        cover = cov.min_cover(a)
+        if _identity_families(ps, cover, budget) is None:
+            code = _encoded_cover(ps, cover)
+            index = code.signature_index()
+            if any(len(index.get(p, ())) != 1 for p in code.partials(budget)):
+                return False
+    return True
 
 
 def require_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> None:
@@ -524,7 +562,7 @@ def matching_presheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET)
     @cache
     def families(a):
         code = _encoded_cover(ps, cov.min_cover(a))
-        return tuple(sorted({code.legs(partial) for partial in code.families(budget)}))
+        return tuple(sorted({code.legs(partial) for partial in code.partials(budget)}))
 
     @cache
     def ids(a):

@@ -44,7 +44,6 @@ from .pred import (
     _all,
     _close,
     _image,
-    _members,
     _preimage,
     bottom_predicate,
     implication,
@@ -436,15 +435,14 @@ def atom_predicate(model: ResourceModel, atom, stage=None) -> KripkePredicate:
     cat, mp = model.site.cat, model.sheaf
     model.check_formula(atom)
     # in view, every form holds of the heaps storing the value at the
-    # location: the preimage of that heap's id at the singleton stage
+    # location: the fibre over that heap's id at the singleton stage
     one = (atom.loc,)
     i = heap_id(mp, one, (atom.val,))  # -1 under support bound 0
-    stores = 0 if i < 0 else 1 << i
     bits = {}
     for p in cat.mors_into(stage):
         v = cat.src(p)
         if atom.loc in v:
-            bits[p] = _preimage(mp.table(cat.hom(one, v)[0]), stores)
+            bits[p] = 0 if i < 0 else mp.fibres(cat.hom(one, v)[0])[i]
         else:
             bits[p] = 0 if isinstance(atom, PointsToAlloc) else _all(mp, v)
     return KripkePredicate(mp, model.site, stage, bits)
@@ -463,45 +461,69 @@ def _star_terms(model, p, q, v):
     product of m1 and m2 is the heap h at v with h|b = m1 and h|c = m2,
     defined iff h's cells at the overlap lie in D: two restriction
     preimages (each taken once per half-stage) and a mask.  Any other
-    rule multiplies codes (see `ResourceMonoid`): the members of p at b
-    are grouped by their code z at the overlap o into L_z, the bitset of
-    their E_b values, q at c likewise into R_t, and each pair of groups
-    whose overlaps meet contributes (L_z * R_t) << M_o(z, t).  The
-    product carries nothing: distinct members of one group differ in a
-    digit at b only, and E_b and E_c hold disjoint digits, each below
-    the radix, so distinct pairs (i, j) give distinct sums."""
+    rule multiplies codes (see `ResourceMonoid`).  p at b is lifted to
+    the codes at v (`code_table`, once per half-stage) and cut by its
+    codes z at the overlap o into pieces A_z, shifted to o-digits 0
+    (`_pieces`); q at c likewise into B_t.  A_z leaves the digits at
+    c \\ o free and B_t those at b \\ o, so A_z & B_t is the set of sums
+    E_b(i) + E_c(j) over the members i with code z at o and j with code
+    t (the README's shift lemma), and each pair whose overlap product is
+    defined contributes (A_z & B_t) << M_o(z, t).  The codes are mapped
+    to ids at v once, at the end."""
     cat, mp, stage, monoid = model.site.cat, model.sheaf, p.stage, model.monoid
     agreement, ids = monoid.agreement() is not None, mp.ids(v)
     lefts, rights = {}, {}
 
     def lift(memo, b, bits):
         if b not in memo:
-            memo[b] = _preimage(mp.table(cat.hom(b, v)[0]), bits)
+            if b == v and (agreement or ids is None):  # along the identity
+                memo[b] = bits
+            else:
+                table = mp.table(cat.hom(b, v)[0]) if agreement else mp.code_table(b, v)
+                memo[b] = _preimage(table, bits)
         return memo[b]
 
     for b, c in splittings(cat, model.site.monoidal, v):
         left, right = p.bits[cat.hom(b, stage)[0]], q.bits[cat.hom(c, stage)[0]]
         if not (left and right):
             continue
+        o = tuple(x for x in b if x in c)
         if agreement:
-            agree = monoid.agreeing(tuple(x for x in b if x in c), v)
+            agree = monoid.agreeing(o, v)
             yield b, c, agree and lift(lefts, b, left) & lift(rights, c, right) & agree
             continue
-        _, eb, zb, ec, tc, meet = monoid.split(b, c)
-        out, groups = 0, _groups(right, ec, tc).items()
-        for z, lz in _groups(left, eb, zb).items():
-            for t, rt in groups:
-                m = meet(z, t)
-                if m >= 0:
-                    out |= (lz * rt) << m
+        halves = monoid.overlap(o, v)
+        (_, _, meet1), (_, _, meet2) = halves
+        out, pieces = 0, _pieces(lift(rights, c, right), halves)
+        for z1, z2, a in _pieces(lift(lefts, b, left), halves):
+            row1, row2 = meet1[z1], meet2[z2]
+            for t1, t2, x in pieces:
+                x &= a
+                if x:
+                    m = row1[t1] + row2[t2]
+                    if m >= 0:
+                        out |= x << m
         yield b, c, out if ids is None else _image(ids, out)
 
 
-def _groups(bits, e, z):
-    """{z[i]: the bitset of e[i]} over the members i of bits."""
-    out = {}
-    for i in _members(bits):
-        out[z[i]] = out.get(z[i], 0) | 1 << e[i]
+def _pieces(bits, halves):
+    """[(z1, z2, A_z)], z ascending, over the codes z = (z1, z2) at the
+    halves of an overlap (`ResourceMonoid.overlap`) whose piece is
+    nonempty: A_z is the codes at v in bits whose digits at the overlap
+    are z, less z's placement, so that those digits read 0.  A right
+    shift by the placement and a mask of the codes with 0 there give it,
+    one half at a time; an empty overlap leaves bits whole."""
+    (place1, zero1, _), (place2, zero2, _) = halves
+    if len(place1) == 1:
+        return [(0, 0, bits)]
+    out = []
+    for z1, shift1 in enumerate(place1):
+        a = bits >> shift1 & zero1
+        if a:
+            for z2, shift2 in enumerate(place2):
+                x = a >> shift2 & zero2
+                if x:
+                    out.append((z1, z2, x))
     return out
 
 
@@ -620,7 +642,7 @@ def _star_witness(model, p, q, element):
     for b, c, bits in _star_terms(model, p, q, stage):
         if bits >> k & 1:
             if model.monoid.agreement() is None:
-                i, j = _product_halves(model, b, c, p.bits[cat.hom(b, stage)[0]],
+                i, j = _product_halves(model, b, c, stage, p.bits[cat.hom(b, stage)[0]],
                                        q.bits[cat.hom(c, stage)[0]], mp.code(element.values))
             else:
                 i, j = mp.table(cat.hom(b, stage)[0])[k], mp.table(cat.hom(c, stage)[0])[k]
@@ -633,16 +655,22 @@ def _star_witness(model, p, q, element):
     return None
 
 
-def _product_halves(model, b, c, left, right, target):
+def _product_halves(model, b, c, v, left, right, target):
     """The least pair of ids (i, j), i in left at b and j in right at c,
-    whose product has the target code."""
-    _, eb, zb, ec, tc, meet = model.monoid.split(b, c)
-    right = list(_members(right))
-    for i in _members(left):
-        for j in right:
-            m = meet(zb[i], tc[j])
-            if m >= 0 and eb[i] + ec[j] + m == target:
-                return i, j
+    whose product has the target code at v, read off the pieces of
+    `_star_terms`.  Every such i holds the target's digits at b \\ o, so
+    the candidates' ids run in the order of their codes z at o, and with
+    i fixed the js run in the order of t: the first pair of pieces, z
+    then t, whose product holds the target gives the pair."""
+    mp, halves = model.sheaf, model.monoid.overlap(tuple(x for x in b if x in c), v)
+    (place1, _, meet1), (place2, _, meet2) = halves
+    down_b, down_c = mp.code_table(b, v), mp.code_table(c, v)
+    pieces = _pieces(_preimage(down_c, right), halves)
+    for z1, z2, a in _pieces(_preimage(down_b, left), halves):
+        for t1, t2, x in pieces:
+            s = target - meet1[z1][t1] - meet2[z2][t2]
+            if 0 <= s <= target and (a & x) >> s & 1:
+                return down_b[s + place1[z1] + place2[z2]], down_c[s + place1[t1] + place2[t2]]
 
 
 def _stage_bits(model, phi, stage, mode):

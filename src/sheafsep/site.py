@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import comb
 from operator import or_
 
 from .errors import BudgetExceededError, CoverageKindError
@@ -25,6 +26,9 @@ from .fincat import FinCat, MonoidalStructure
 from .report import Report
 
 SIEVE_ENUM_LIMIT = 20  # max morphisms into an object for SieveMasks.all
+# the Dedekind numbers M(0..4): the down-sets of the subsets of an n-set,
+# up to the powerset size bound
+_DEDEKIND = (2, 3, 6, 20, 168)
 
 
 @dataclass(frozen=True)
@@ -165,13 +169,14 @@ class Coverage:
     in that order.  Either is read for an object the first time its
     covers are, and `by_object` when it is read.  `least(a)`, when given,
     is the least cover in closed form; otherwise `min_cover` intersects
-    the covers."""
+    the covers.  `count(a)`, when given, is the number of covers in
+    closed form; otherwise `count` builds them."""
 
-    def __init__(self, cat: FinCat, covers, notes=(), least=None):
+    def __init__(self, cat: FinCat, covers, notes=(), least=None, count=None):
         self.cat = cat
         self.notes = tuple(notes)
         self._covers_of = covers if callable(covers) else _listed(covers)
-        self._least_of = least
+        self._least_of, self._count_of = least, count
         self._covers, self._least, self._by_object = {}, {}, None
 
     @property
@@ -186,6 +191,13 @@ class Coverage:
             self.cat.require_object(a)
             covers = self._covers[a] = tuple(self._covers_of(a))
         return covers
+
+    def count(self, a) -> int:
+        """The number of covering sieves of `a`."""
+        if self._count_of is None:
+            return len(self.covers(a))
+        self.cat.require_object(a)
+        return self._count_of(a)
 
     def min_cover(self, a) -> Sieve:
         """The least covering sieve (covers are closed under intersection),
@@ -247,7 +259,12 @@ def build_coverage(cat: FinCat, kind: str) -> Coverage:
     singleton inclusions generate, and the maximal sieve at ().  It
     covers, and every cover contains it, since a cover of a nonempty a
     has, for each x in a, a member whose source holds x, through which
-    {x} -> a factors.  "Every nonempty sieve" is stable exactly
+    {x} -> a factors.  Its covers of a stage of n locations number
+    sum_k (-1)^k C(n, k) M(n - k), less 1 at n = 0, M the Dedekind
+    numbers: a sieve on a is a down-set of a's subsets, those whose union
+    misses k given locations are the down-sets of the subsets of the
+    other n - k, and the empty down-set covers only the empty stage
+    (`_lub_cover_count`).  "Every nonempty sieve" is stable exactly
     when cospans complete (h*(S) is nonempty iff h and some member of S
     have a commuting span), and it is always maximal and transitive;
     its least cover is the intersection of its covers.
@@ -273,7 +290,7 @@ def build_coverage(cat: FinCat, kind: str) -> Coverage:
                 "on a finite base every covering sieve is the downward closure of a "
                 "finite pre-cover, so finite-covers coincides with downward-closed"
             )
-        return Coverage(cat, covers, notes, least)
+        return Coverage(cat, covers, notes, least, lambda a: _lub_cover_count(len(a)))
     if kind == "atomic":
         for f in cat.all_morphisms():  # every cospan must have a commuting span
             for h in cat.mors_into(cat.dst(f)):
@@ -286,6 +303,13 @@ def build_coverage(cat: FinCat, kind: str) -> Coverage:
         return Coverage(cat, lambda a: [sm.sieve(a, m) for m in sm.all(a)[1:]],
                         ("covering = nonempty sieve (atomic)",))
     raise CoverageKindError(f"unknown coverage kind {kind!r}")
+
+
+def _lub_cover_count(n):
+    """The number of lub covers of a stage of n <= 4 locations, by
+    inclusion-exclusion over the locations their sources' union misses
+    (see `build_coverage`)."""
+    return sum((-1) ** k * comb(n, k) * _DEDEKIND[n - k] for k in range(n + 1)) - (n == 0)
 
 
 def validate_coverage(cat: FinCat, cov: Coverage) -> Report:

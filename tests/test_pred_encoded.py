@@ -51,6 +51,7 @@ from sheafsep.seplogic import (
     Top,
     _pipeline_pieces,
     _star_bits,
+    _star_terms,
     _star_witness,
     atom_predicate,
     eval_formula,
@@ -418,33 +419,53 @@ def rule_monoid(mp, rule):
 def rule_model(n, bound, rule):
     """Two values at n locations under the rule, on partial memory (bound
     None) or the support-bounded carrier, with the reference pipeline's
-    maps where the carrier is a sheaf (None elsewhere)."""
-    base = make_memory_model(("x", "y", "z")[:n], (0, 1), monoid_variant=None)
+    maps where the carrier is a sheaf at 1-3 locations (None elsewhere)."""
+    base = make_memory_model(("x", "y", "z", "w")[:n], (0, 1), monoid_variant=None)
     mp = base.sheaf if bound is None else build_resource_sheaf(
         base.site.cat, "support-bounded", values=base.values, bound=bound)
     m = ResourceModel(base.site, mp, rule_monoid(mp, rule), base.locations, base.values,
                       base.stage)
-    return m, ref.pipeline_maps(m) if bound in (None, 0) or bound >= n else None
+    sheaf = n < 4 and (bound in (None, 0) or bound >= n)
+    return m, ref.pipeline_maps(m) if sheaf else None
 
 
 CARRIERS = [(n, bound) for n in (1, 2, 3) for bound in (None, *range(n + 1))]
+# 4-location stages, sampled under the rules that multiply codes, at the
+# stage alone: partial memory and the support-bounded carrier, whose
+# products may leave it
+STAGE_SAMPLES = [((4, bound), rule) for bound in (None, 1, 2)
+                 for rule in ("total", "total-named-weak")]
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(carrier=st.sampled_from(CARRIERS), rule=st.sampled_from(RULES), data=st.data())
-def test_star_under_every_cell_rule_matches_the_reference(carrier, rule, data):
+@given(case=st.sampled_from([(carrier, rule) for carrier in CARRIERS for rule in RULES]
+                            + STAGE_SAMPLES), data=st.data())
+def test_star_under_every_cell_rule_matches_the_reference(case, data):
     """Both star modes, the stage-only star and the witness of every heap
     at the stage, against `pred_reference`, on random families that are
     not restriction-closed (as the allocated atoms are not): 1 to 3
     locations, partial memory and the support-bounded carrier at every
     bound, the three variants and two other cell rules.  A product that
     leaves the carrier is no resource; the pipeline runs where the
-    carrier is a sheaf."""
+    carrier is a sheaf.  At 4-location stages under the code-multiplying
+    rules the star at the stage and every heap's least pair are checked
+    (the splitting b = c = v, whose overlap has 4 locations, always
+    holds a product there)."""
+    carrier, rule = case
     m, maps = rule_model(*carrier, rule)
     cat, mp, stage = m.site.cat, m.sheaf, m.stage
+    four = len(stage) == 4
 
     def predicate():
         bits = {}
+        if four:  # each heap in with probability 2^-k, and one heap at the stage
+            rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+            k = data.draw(st.integers(1, 3), label="sparsity")
+            for sl in cat.mors_into(stage):
+                bits[sl] = functools.reduce(
+                    int.__and__, (rng.getrandbits(mp.size(cat.src(sl))) for _ in range(k)))
+            bits[cat.id(stage)] |= 1 << rng.randrange(mp.size(stage))
+            return KripkePredicate(mp, m.site, stage, bits)
         for sl in cat.mors_into(stage):
             full = (1 << mp.size(cat.src(sl))) - 1
             bits[sl] = data.draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)),
@@ -452,11 +473,23 @@ def test_star_under_every_cell_rule_matches_the_reference(carrier, rule, data):
         return KripkePredicate(mp, m.site, stage, bits)
 
     p, q = predicate(), predicate()
+    witnesses = ref.star_witnesses(m, p, q)
+    if four:
+        want = {}
+        for b, c, _, _, prod in ref.star_products(m, p, q, stage):
+            k = mp.index(stage).get(prod)
+            if k is not None:
+                want[b, c] = want.get((b, c), 0) | 1 << k
+        terms = {(b, c): bits for b, c, bits in _star_terms(m, p, q, stage) if bits}
+        assert terms == want
+        assert want[stage, stage]  # the total rule keeps the carrier's bound
+        for h in mp.at(stage):
+            assert _star_witness(m, p, q, h) == witnesses.get(h), h
+        return
     star = sep_conj(m, p, q, "unfolded")
     assert star.family == {sl: frozenset(h for h in fam if h in mp.index(cat.src(sl)))
                            for sl, fam in ref.unfolded_star(m, p, q).items()}
     assert _star_bits(m, p, q, stage) == star.bits[cat.id(stage)]
-    witnesses = ref.star_witnesses(m, p, q)
     for h in mp.at(stage):
         assert _star_witness(m, p, q, h) == witnesses.get(h), h
     if maps is not None:
@@ -466,20 +499,21 @@ def test_star_under_every_cell_rule_matches_the_reference(carrier, rule, data):
 @pytest.mark.parametrize("rule", RULES)
 def test_the_star_path_follows_the_digit_rule(rule, monkeypatch):
     """The agreement-only rules (weak- and strong-partial, null-only)
-    read no code-product table; the others (total, and the total rule
-    under the weak-partial name) do, and all agree with the reference."""
+    read no overlap table of the cell rule; the others (total, and the
+    total rule under the weak-partial name) do, and all agree with the
+    reference."""
     m, _ = rule_model(3, None, rule)
     cells = m.sheaf.cells
     want = {"weak-partial": frozenset(range(len(cells))), "strong-partial": frozenset(),
             "null-only": frozenset({cells.index(None)})}.get(rule)
     assert m.monoid.agreement() == want
-    split, calls = ResourceMonoid.split, []
+    overlap, calls = ResourceMonoid.overlap, []
 
-    def counted(self, b, c):
-        calls.append((b, c))
-        return split(self, b, c)
+    def counted(self, o, v):
+        calls.append((o, v))
+        return overlap(self, o, v)
 
-    monkeypatch.setattr(ResourceMonoid, "split", counted)
+    monkeypatch.setattr(ResourceMonoid, "overlap", counted)
     rng = random.Random(3)
     p, q = (random_closed_predicate(rng, m.sheaf, m.site, m.stage) for _ in range(2))
     assert sep_conj(m, p, q, "unfolded").family == ref.unfolded_star(m, p, q)

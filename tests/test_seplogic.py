@@ -477,7 +477,7 @@ def test_eval_and_sat_build_no_product_table(variant, mode, monkeypatch):
     """The star multiplies codes, so at four locations neither eval nor
     sat (with its witness) fills a product table; under the agreement-only
     rules (weak- and strong-partial) it reads restriction tables alone, so
-    it builds no code-product `split` either."""
+    it builds no `overlap` table of the cell rule either."""
     model = make_memory_model(("a", "b", "c", "d"), (0, 1), monoid_variant=variant)
 
     def refused(self, b, c):
@@ -485,7 +485,7 @@ def test_eval_and_sat_build_no_product_table(variant, mode, monkeypatch):
 
     monkeypatch.setattr(ResourceMonoid, "products", refused)
     if variant != "total":
-        monkeypatch.setattr(ResourceMonoid, "split", refused)
+        monkeypatch.setattr(ResourceMonoid, "overlap", refused)
     phi = parse_formula("(a ~> 0 * b ~> 1) * (c ~> 1 \\/ T)")
     eval_formula(model, phi, mode=mode)
     heap = Heap.of(model.stage, {"a": 0, "b": 1, "c": 1})

@@ -48,6 +48,25 @@ def test_powerset_coverage_agrees(n, kind):
             assert _sieves(cat, a) == ref.all_sieves(cat, a)
 
 
+@pytest.mark.parametrize("kind", KINDS + ("atomic",))
+def test_cover_counts_are_the_enumerated_counts(kind):
+    """`Coverage.count` of the lub coverages is the closed form
+    sum_k (-1)^k C(n, k) M(n - k), less 1 at n = 0 (M the Dedekind
+    numbers), which is 1, 1, 2, 9 and 114 at 0-4 locations; it equals the
+    number of covers enumerated at every stage of 0-4 locations, and on
+    the atomic coverage it counts the covers it builds.  Counting builds
+    no cover on the lub kinds."""
+    for n in range(5):
+        cat, _ = build_powerset_category(LOCATIONS[:n])
+        cov = build_coverage(cat, kind)
+        counts = [cov.count(a) for a in cat.objects]
+        if kind != "atomic":
+            assert cov._covers == {}
+            assert counts[-1] == (1, 1, 2, 9, 114)[n]
+            assert sum(counts) == (1, 2, 5, 19, 167)[n]
+        assert counts == [len(cov.covers(a)) for a in cat.objects]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_finsurj_coverages_agree(n):
     cat, _ = build_finsurj_category(n)
