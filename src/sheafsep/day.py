@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .errors import BudgetExceededError, MonoidalStructureError
-from .fincat import FinCat, MonoidalStructure, element_key, validate_monoidal
+from .fincat import FinCat, MonoidalStructure, validate_monoidal
 from .pred import _bitset, _preimage
 from .presheaf import (
     DEFAULT_FAMILY_BUDGET,
@@ -28,6 +28,10 @@ from .presheaf import (
     Presheaf,
     SheafMorphism,
     _budget_error,
+    _exponents,
+    _part,
+    _size,
+    _table,
     check_sheaf,
     is_sheaf,
 )
@@ -53,16 +57,6 @@ class Decomp:
     right: object
     witness: object = None
 
-    def sort_key(self):
-        return (
-            self.stage,
-            self.left_stage,
-            self.right_stage,
-            element_key(self.left),
-            element_key(self.right),
-            repr(self.witness),
-        )
-
     def __str__(self):
         halves = f"{self.left}*{self.right}"
         return halves if self.witness is None else f"{halves} via {self.witness!r}"
@@ -75,9 +69,6 @@ class CoendClass:
 
     rep: Decomp
 
-    def sort_key(self):
-        return self.rep.sort_key()
-
     def __str__(self):
         return f"[{self.rep}]"
 
@@ -88,10 +79,10 @@ class _Triples:
 
     A block per pair (b, c), in sorted order, holds |F(b)| * |G(c)| * n
     ids, n the number of witnesses, sorted by repr.  Within a block the
-    triples run in `Decomp.sort_key` order: by s, then t, then w.  The
-    node of a triple, its id, is offset + (s * |G(c)| + t) * n + the
-    witness's position.  The base picks the form.  On the powerset the
-    form is exact, the decompositions: a block per exact splitting with
+    triples run in the order of their decompositions: by s, then t,
+    then w.  The node of a triple, its id, is offset + (s * |G(c)| + t)
+    * n + the witness's position.  The base picks the form.  On the
+    powerset the form is exact, the decompositions: a block per exact splitting with
     the one witness None.  Otherwise it is witnessed: a block per pair
     whose tensor a maps to.
     """
@@ -187,17 +178,39 @@ def day_decomp(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure) -> 
 
 def splittings(cat: FinCat, mon: MonoidalStructure, v):
     """The exact splittings of v: pairs (b, c) with b tensor c = v, in
-    sorted order.  They are tabulated for every v on first use and kept
-    on the monoidal structure."""
+    sorted order, kept per v on the monoidal structure.  On the union
+    tensor of a powerset they are read off the table of its number of
+    locations (`_mask_splittings`) through its masks; on any other
+    tensor they are tabulated for every v in one pass over it."""
     by_v = mon.memo.get("splittings")
     if by_v is None:
-        by_v = {}
-        for b in cat.objects:
-            for c in cat.objects:
-                if mon.tensor_defined(b, c):
-                    by_v.setdefault(mon.tensor(b, c), []).append((b, c))
-        by_v = mon.memo["splittings"] = {a: tuple(sorted(pairs)) for a, pairs in by_v.items()}
-    return by_v.get(v, ())
+        by_v = mon.memo["splittings"] = {}
+        if mon.masks is None:
+            for bc, a in mon.tensor_obj.items():
+                by_v.setdefault(a, []).append(bc)
+            for a, pairs in by_v.items():
+                by_v[a] = tuple(sorted(pairs))
+    pairs = by_v.get(v)
+    if pairs is None and mon.masks is not None and v in mon.masks[1]:
+        n, mask, of_mask = mon.masks
+        pairs = by_v[v] = tuple((of_mask[b], of_mask[c]) for b, c in _mask_splittings(n)[mask[v]])
+    return pairs or ()
+
+
+@cache
+def _mask_splittings(n):
+    """Per location mask v of n locations, the pairs (b, c) of masks with
+    b | c = v, in one pass over the pairs, each v's in the sorted order
+    of their objects: a sorted tuple of locations orders as the tuple of
+    its locations' bits, lowest first.  Kept for the process: 4^n pairs,
+    256 at four locations."""
+    bits = [tuple(i for i in range(n) if m >> i & 1) for m in range(1 << n)]
+    by_v = [[] for _ in range(1 << n)]
+    for b in range(1 << n):
+        for c in range(1 << n):
+            by_v[b | c].append((b, c))
+    return tuple(tuple(sorted(pairs, key=lambda bc: (bits[bc[0]], bits[bc[1]])))
+                 for pairs in by_v)
 
 
 def dinaturality_generators(cat: FinCat, mon: MonoidalStructure):
@@ -343,7 +356,10 @@ class ResourceMonoid:
     through restriction tables alone, and reads `overlap` only under the
     other rules (the total one); `products` reads it under every rule.
     Every table is built on first use and kept on the monoid, but for
-    the halves' tables, which are kept for the process (`_half`).
+    those that depend on shapes alone, which are kept for the process:
+    the halves' tables (`_half`), `agreeing` (`_agreeing`, per carrier
+    shape) and, on a monoid that `build_memory_monoid` stamped with its
+    `shape`, the digit rule (`_memory_digits`).
     """
 
     carrier: Presheaf
@@ -351,6 +367,9 @@ class ResourceMonoid:
     cell: object  # callable (value, value) -> value | UNDEFINED
     unit_stage: object
     unit: object
+    # (variant, the carrier's cells with each value replaced by its
+    # position) on a built-in monoid, whose cell rule compares cells only
+    shape: tuple | None = field(default=None, compare=False)
     _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def apply(self, xs, ys):
@@ -370,12 +389,9 @@ class ResourceMonoid:
         """(r, rule): the number of the carrier's cells, and rule[d][e] the
         digit of the product of the cells with digits d and e, or -1 where
         `apply` leaves the carrier, as a tuple of rows."""
-        def build():
-            cells = self.carrier.cells
-            digit = {(x,): d for d, x in enumerate(cells)}
-            return len(cells), tuple(tuple(digit.get(self.apply((x,), (y,)), -1) for y in cells)
-                                     for x in cells)
-        return self._memo("digits", build)
+        if self.shape is not None:
+            return _memory_digits(*self.shape)
+        return self._memo("digits", lambda: _digit_rule(self.cell, self.carrier.cells))
 
     def agreement(self):
         """D, the digits d with rule[d][d] = d, when the cell rule is
@@ -393,16 +409,8 @@ class ResourceMonoid:
         """Under an agreement-only rule, the ids at v whose cells at the
         sub-stage o all lie in D, as a bitset: the heaps at v that are
         the product of their restrictions to two halves overlapping at o."""
-        def build():
-            r, keep = self._digits()[0], self.agreement()
-            if not o or len(keep) == r:
-                return (1 << self.carrier.size(v)) - 1
-            if not keep:
-                return 0
-            ok = [all(z // r ** k % r in keep for k in range(len(o)))
-                  for z in self.carrier.part(o, o, o)]
-            return _preimage(self.carrier.table(self.carrier.base.hom(o, v)[0]), _bitset(ok))
-        return self._memo(("agreeing", o, v), build)
+        return self._memo(("agreeing", o, v), lambda: _agreeing(
+            self.agreement(), self.carrier.shape, _exponents(v, o, o)))
 
     def overlap(self, o, v):
         """M_o at v for an overlap o, a sub-stage of v, as a pair of
@@ -440,6 +448,37 @@ class ResourceMonoid:
         return self._memo(("products", b, c), build)
 
 
+def _digit_rule(cell, cells):
+    """(r, rule) of `ResourceMonoid._digits` for a cell rule on these cells."""
+    digit = {x: d for d, x in enumerate(cells)}
+    return len(cells), tuple(tuple(digit.get(cell(x, y), -1) for y in cells) for x in cells)
+
+
+@cache
+def _memory_digits(variant, cells):
+    """The digit rule of a built-in variant on a carrier's cells with each
+    value replaced by its position: the built-in rules compare cells
+    only, so it is the rule on the cells themselves."""
+    return _digit_rule(_CELL_RULES[variant], cells)
+
+
+@cache
+def _agreeing(keep, shape, exponents):
+    """`ResourceMonoid.agreeing` for the digits D = keep on a memory
+    carrier of this shape, at o <= v given by `_exponents(v, o, o)`: the
+    preimage along the restriction to o of the ids there whose digits
+    all lie in D.  Kept for the process, per digit set and shapes."""
+    r, n = shape[1], len(exponents)
+    m = n - exponents.count(None)
+    if not m or len(keep) == r:
+        return (1 << _size(shape, n)) - 1
+    if not keep:
+        return 0
+    ok = [all(z // r ** k % r in keep for k in range(m))
+          for z in _part(shape, tuple(range(m - 1, -1, -1)))]
+    return _preimage(_table(shape, exponents), _bitset(ok))
+
+
 @cache
 def _half(rule, n, exponents):
     """(place, zero, meet) for the sub-stage h of a stage v of n
@@ -449,8 +488,8 @@ def _half(rule, n, exponents):
     of the codes at v whose digits at h are all 0; meet[z][t] is place of
     the cellwise product of the codes z and t at h, or a number below
     -r^n when a digit is undefined, so that the sum of the two halves'
-    meets is negative iff the product is.  The empty h has place [0],
-    zero -1 (every code) and meet [[0]].  The tables depend on the rule
+    meets is negative iff the product is.  The empty h has place (0,),
+    zero -1 (every code) and meet ((0,),).  The tables depend on the rule
     and the digits' places alone, so they are kept for the process: at
     most 25 per rule up to 4 locations, of at most r^4 entries each."""
     r = len(rule)
@@ -463,7 +502,15 @@ def _half(rule, n, exponents):
         # the codes whose digit of weight w is 0: w of every r * w
         zero &= ((1 << w) - 1) * (((1 << size) - 1) // ((1 << r * w) - 1))
         meet = [[m + x for m in row for x in digit] for row in meet for digit in at_e]
-    return place, zero, meet
+    return tuple(place), zero, tuple(map(tuple, meet))
+
+
+# the cell rules of `build_memory_monoid`'s variants
+_CELL_RULES = {
+    "total": lambda x, y: x if x == y else None,
+    "weak-partial": lambda x, y: x if x == y else UNDEFINED,
+    "strong-partial": lambda x, y: UNDEFINED,
+}
 
 
 def build_memory_monoid(mp: Presheaf, variant: str) -> ResourceMonoid:
@@ -476,14 +523,10 @@ def build_memory_monoid(mp: Presheaf, variant: str) -> ResourceMonoid:
     """
     if not hasattr(mp, "cells"):
         raise MonoidalStructureError(f"memory monoids need a memory sheaf, got {mp.name}")
-    cells = {
-        "total": lambda x, y: x if x == y else None,
-        "weak-partial": lambda x, y: x if x == y else UNDEFINED,
-        "strong-partial": lambda x, y: UNDEFINED,
-    }
-    if variant not in cells:
+    if variant not in _CELL_RULES:
         raise MonoidalStructureError(f"unknown monoid variant {variant!r}")
-    return ResourceMonoid(mp, variant, cells[variant], (), Heap((), ()))
+    shape = (variant, tuple(None if x is None else d for d, x in enumerate(mp.cells)))
+    return ResourceMonoid(mp, variant, _CELL_RULES[variant], (), Heap((), ()), shape)
 
 
 def check_monoid_laws(monoid: ResourceMonoid, mon: MonoidalStructure) -> Report:

@@ -29,14 +29,6 @@ POWERSET_SIZE_BOUND = 4
 FINSURJ_SIZE_BOUND = 4
 
 
-def element_key(x):
-    """Total deterministic ordering key for heterogeneous hashable values."""
-    sk = getattr(x, "sort_key", None)
-    if callable(sk):
-        return (type(x).__name__, sk())
-    return (type(x).__name__, repr(x))
-
-
 class FinCat:
     """A finite category given by explicit data.
 
@@ -44,6 +36,11 @@ class FinCat:
     full table of defined composites keyed by (g, f) with dst(f) = src(g).
     Immutable after construction.
     """
+
+    # ("powerset", n) on the powerset of n locations that
+    # `build_powerset_category` builds: it is that category up to the
+    # renaming of locations in sorted order
+    shape = None
 
     def __init__(self, kind, objects, homs, compose, identities):
         self.kind = kind
@@ -148,6 +145,9 @@ class MonoidalStructure:
     The tensor on morphisms is given as a dict, or as a function of no
     arguments that builds it; `tensor_mor` then builds it on first read.
     `memo` holds tables derived from the tensor, such as the splittings.
+    `masks`, on the union tensor of a powerset of n locations, is (n,
+    object -> location mask, mask -> object), bit i of a mask being the
+    i-th location in sorted order.
     """
 
     tensor_obj: dict = field(hash=False)
@@ -155,6 +155,7 @@ class MonoidalStructure:
     unit: object = None
     symmetric: bool = False
     memo: dict = field(default_factory=dict, hash=False, compare=False, repr=False)
+    masks: tuple | None = field(default=None, hash=False, compare=False, repr=False)
 
     @cached_property
     def tensor_mor(self) -> dict:
@@ -208,6 +209,7 @@ def build_powerset_category(locations):
                for a in objects for b in above[a] for c in above[b]}
     identities = {a: homs[a, a][0] for a in objects}
     cat = FinCat("powerset", objects, homs, compose, identities)
+    cat.shape = ("powerset", len(locations))
     tensor_obj = {(a, b): of_mask[mask[a] | mask[b]] for a in objects for b in objects}
     mors = [(f, mask[a], mask[b]) for (a, b), (f,) in homs.items()]
     of_masks = {(ma, mb): f for f, ma, mb in mors}
@@ -216,7 +218,8 @@ def build_powerset_category(locations):
         # (3^n)^2 pairs, read only by the law checks and the coend
         return {(f, g): of_masks[ma | mc, mb | md] for f, ma, mb in mors for g, mc, md in mors}
 
-    mon = MonoidalStructure(tensor_obj, tensor_mor, unit=(), symmetric=True)
+    mon = MonoidalStructure(tensor_obj, tensor_mor, unit=(), symmetric=True,
+                            masks=(len(locations), mask, of_mask))
     return cat, mon
 
 

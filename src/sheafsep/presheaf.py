@@ -2,9 +2,10 @@
 amalgamation.
 
 A presheaf is held on integer ids: stage A has `size(A)` elements,
-numbered in `at(A)` order (the order of `element_key`), and `table(f)`
-is the restriction F(f) as a tuple from ids in F(dst f) to ids in
-F(src f).  Every checker reads the tables; elements are decoded one id
+numbered in `at(A)` order (each builder's canonical order of its
+elements, which `element_key` in the tests' fincat reference replays),
+and `table(f)` is the restriction F(f) as a tuple from ids in F(dst f)
+to ids in F(src f).  Every checker reads the tables; elements are decoded one id
 at a time (`element`) for reports, witnesses and `--json`.  Every
 presheaf lists its stages, so the sheaf condition is checked
 exhaustively, on ids (`check_sheaf`).
@@ -29,7 +30,7 @@ from .errors import (
     ResourceKindError,
     StageMismatchError,
 )
-from .fincat import FinCat, element_key
+from .fincat import FinCat
 from .report import Report
 from .site import Coverage, Sieve, sieve_masks
 
@@ -44,7 +45,9 @@ class Heap:
     """A (partial) assignment of values to the locations of its stage.
 
     `values[i]` is the value stored at `locations[i]`; None marks an
-    unallocated location.  Total heaps have no None entries.
+    unallocated location.  Total heaps have no None entries.  Heaps are
+    ordered by their locations, then by their values read left to
+    right, each value ascending with None after every value.
     """
 
     locations: tuple
@@ -67,12 +70,6 @@ class Heap:
     def as_dict(self):
         return dict(zip(self.locations, self.values))
 
-    def sort_key(self):
-        return (
-            self.locations,
-            tuple((v is None, 0 if v is None else v) for v in self.values),
-        )
-
     def __str__(self):
         cells = ", ".join(
             f"{x}:{'_' if v is None else v}" for x, v in zip(self.locations, self.values)
@@ -89,13 +86,19 @@ class Presheaf:
     `size_fn(A)` counts the elements at A, `table_fn(f)` maps ids in
     F(dst f) to ids in F(src f), and `decode(A, i)` is the element with
     id i; decoding ids 0, 1, ... must list the stage's distinct elements
-    in `element_key` order.  A stage is a set, so an id is an element:
+    in their canonical order.  A stage is a set, so an id is an element:
     `index(A)` maps each element to its position in `at(A)`.
     """
 
-    def __init__(self, base: FinCat, size_fn, table_fn, decode, *, name="presheaf"):
+    # the shape a builder stamps on a presheaf whose tables depend on it
+    # alone; `require_sheaf` keeps its verdict on such a presheaf per shape
+    shape = None
+
+    def __init__(self, base: FinCat, size_fn, table_fn, decode, *, name="presheaf",
+                 fibres_fn=None):
         self.base, self.name = base, name
         self._size_fn, self._table_fn, self._decode = size_fn, table_fn, decode
+        self._fibres_fn = fibres_fn
         self._cache = {}  # stage -> at()
         self._index = {}  # stage -> {element: id}
         self._tables = {}  # morphism -> restriction table
@@ -139,24 +142,30 @@ class Presheaf:
 
     def fibres(self, f):
         """Per id at src f, the bitset of the ids at dst f that `table(f)`
-        sends to it, built on first use and kept beside the table."""
+        sends to it, as a tuple: `fibres_fn(f)` when the builder gives
+        one, else built from the table; kept beside the table."""
         fib = self._fibres.get(f)
         if fib is None:
-            table, n = self.table(f), self.size(self.base.src(f))
-            if len(table) <= 64:  # small ints: bit by bit
-                fib = [0] * n
-                for i, j in enumerate(table):
-                    fib[j] |= 1 << i
-            else:  # a string of binary digits per id
-                rows = [bytearray(b"0" * len(table)) for _ in range(n)]
-                for i, j in enumerate(reversed(table)):  # digit i is bit len(table) - 1 - i
-                    rows[j][i] = ord("1")
-                fib = [int(row, 2) for row in rows]
-            self._fibres[f] = fib
+            fib = self._fibres[f] = (_fibres(self.table(f), self.size(self.base.src(f)))
+                                     if self._fibres_fn is None else self._fibres_fn(f))
         return fib
 
     def __repr__(self):
         return f"Presheaf({self.name!r} on {self.base.kind!r})"
+
+
+def _fibres(table, n):
+    """Per id below (n of them), the bitset of the ids above that `table`
+    sends to it."""
+    if len(table) <= 64:  # small ints: bit by bit
+        fib = [0] * n
+        for i, j in enumerate(table):
+            fib[j] |= 1 << i
+        return tuple(fib)
+    rows = [bytearray(b"0" * len(table)) for _ in range(n)]  # a string of binary digits per id
+    for i, j in enumerate(reversed(table)):  # digit i is bit len(table) - 1 - i
+        rows[j][i] = ord("1")
+    return tuple(int(row, 2) for row in rows)
 
 
 # -- resource sheaf builders ----------------------------------------------
@@ -168,6 +177,13 @@ def build_resource_sheaf(cat: FinCat, kind: str, *, values=None, bound=None):
     kinds: strict-memory | partial-memory | support-bounded.  Each needs a
     value set; support-bounded additionally takes the bound (a
     deliberately non-sheaf example).
+
+    Its numbering depends on its shape alone, (kind, r, k) for r cells
+    and the support bound k (None when unbounded), so the codes, ids,
+    sizes and restriction tables are read from the process's shape
+    tables (`_codes` and the rest below) and shared by every carrier of
+    that shape; this one maps its stages and morphisms to their keys and
+    decodes ids into heaps of its own locations and values.
     """
     if kind not in ("strict-memory", "partial-memory", "support-bounded"):
         raise ResourceKindError(f"unknown resource kind {kind!r}")
@@ -186,70 +202,42 @@ def build_resource_sheaf(cat: FinCat, kind: str, *, values=None, bound=None):
     else:
         k = int(bound)
         cells, name = vals + (None,), f"Mp|supp<={k}"
+    shape, r, digit = (kind, len(cells), k), len(cells), {x: d for d, x in enumerate(cells)}
 
-    # A heap's code is the mixed-radix number of its cells' positions
-    # in `cells`, the first location most significant, so codes follow
-    # Heap.sort_key.  Its id is its code on a full stage (all r^|a|
-    # heaps) and its code's rank among the stage's codes otherwise.
-    r, digit = len(cells), {x: d for d, x in enumerate(cells)}
-
-    @cache
     def codes(a):
         """Per id at a, its code; None on a full stage."""
-        if k is None or k >= len(a):
-            return None
-        out = [(0, 0)]  # (code, allocated cells); None is the last cell
-        for _ in a:
-            out = [(c * r + d, n + (d < r - 1)) for c, n in out for d in range(r)]
-        return [c for c, n in out if n <= k]
+        return _codes(shape, len(a)) or None
 
-    @cache
     def ids(a):
         """Per code at a, its id or -1 off the carrier; None on a full stage."""
-        if codes(a) is None:
-            return None
-        rank = {c: i for i, c in enumerate(codes(a))}
-        return [rank.get(c, -1) for c in range(r ** len(a))]
+        return _ids(shape, len(a)) or None
 
-    def placed(a, s, v):
-        """Per code at a, on the carrier or off it, the code at v of its
-        digits on s, a sub-stage of a and of v; the digits of a outside s
-        are dropped."""
-        out = [0]
-        for x in a:
-            w = r ** (len(v) - 1 - v.index(x)) if x in s else 0
-            out = [c + d * w for c in out for d in range(r)]
-        return out
+    def size(a):
+        return _size(shape, len(a))
 
-    @cache
     def part(a, s, v):
-        """`placed` per id at a."""
-        out = placed(a, s, v)
-        return out if codes(a) is None else [out[c] for c in codes(a)]
+        return _part(shape, _exponents(a, s, v))
+
+    def table(f):
+        s = cat.src(f)
+        return _table(shape, _exponents(cat.dst(f), s, s))
+
+    def fibres(f):
+        s = cat.src(f)
+        return _shape_fibres(shape, _exponents(cat.dst(f), s, s))
 
     def code_table(b, v):
         """Per code at v, on the carrier or off it, the id at b of its
         digits on b, or size(b) where those leave the carrier: the
         restriction along b <= v on the code space of v, its `table`
         when v is a full stage."""
-        if codes(v) is None:
-            return ps.table(cat.hom(b, v)[0])
-        down, below = placed(v, b, b), ids(b)
-        return down if below is None else [size(b) if below[c] < 0 else below[c] for c in down]
+        return _code_table(shape, _exponents(v, b, b))
 
     def code(values):
         """The code of a heap's cells, or None when one is not a cell."""
         if all(x in digit for x in values):
             return reduce(lambda c, x: c * r + digit[x], values, 0)
         return None
-
-    @cache
-    def size(a):
-        return r ** len(a) if codes(a) is None else len(codes(a))
-
-    def table(f):
-        down, below = part(cat.dst(f), cat.src(f), cat.src(f)), ids(cat.src(f))
-        return tuple(down if below is None else (below[c] for c in down))
 
     def decode(a, i):
         c, out = i if codes(a) is None else codes(a)[i], []
@@ -258,10 +246,107 @@ def build_resource_sheaf(cat: FinCat, kind: str, *, values=None, bound=None):
             out.append(cells[d])
         return Heap(a, tuple(reversed(out)))
 
-    ps = Presheaf(cat, size, table, decode, name=name)
+    ps = Presheaf(cat, size, table, decode, name=name, fibres_fn=fibres)
     ps.cells, ps.codes, ps.ids, ps.part, ps.code = cells, codes, ids, part, code
-    ps.code_table = code_table
+    ps.code_table, ps.shape = code_table, shape
     return ps
+
+
+# -- shape tables ----------------------------------------------------------
+#
+# A memory sheaf's tables, keyed by its shape (kind, r, k) and the shape of
+# what they number: a stage by its number of locations n, a map between
+# stages by its exponents (`_exponents`).  A heap's code is the
+# mixed-radix number of its cells' positions in the sheaf's cells, the
+# first location most significant, so codes follow Heap order.  Its id
+# is its code on a full stage (all r^n heaps) and its code's rank among
+# the stage's codes otherwise.  Renaming locations and values in sorted
+# order keeps every code, so same-shape sheaves share these tuples, each
+# built once per process.
+
+
+def _exponents(a, s, v):
+    """Per location of a, the exponent of its digit's weight r^e in a code
+    at v when it lies in s, else None (the digit is dropped); s is a
+    sub-stage of a and of v."""
+    top = len(v) - 1
+    return tuple([top - v.index(x) if x in s else None for x in a])
+
+
+@cache
+def _codes(shape, n):
+    """Per id at a stage of n locations, its code; () on a full stage,
+    whose ids are its codes (a bounded stage holds the empty heap)."""
+    _, r, k = shape
+    if k is None or k >= n:
+        return ()
+    out = [(0, 0)]  # (code, allocated cells); None is the last cell
+    for _ in range(n):
+        out = [(c * r + d, m + (d < r - 1)) for c, m in out for d in range(r)]
+    return tuple(c for c, m in out if m <= k)
+
+
+@cache
+def _ids(shape, n):
+    """Per code at a stage of n locations, its id or -1 off the carrier;
+    () on a full stage."""
+    codes = _codes(shape, n)
+    if not codes:
+        return ()
+    rank = {c: i for i, c in enumerate(codes)}
+    return tuple(rank.get(c, -1) for c in range(shape[1] ** n))
+
+
+@cache
+def _size(shape, n):
+    codes = _codes(shape, n)
+    return len(codes) or shape[1] ** n
+
+
+def _placed(r, exponents):
+    """Per code at a, on the carrier or off it, the code at v of its
+    digits that `exponents` (`_exponents(a, s, v)`) keeps."""
+    out = [0]
+    for e in exponents:
+        w = 0 if e is None else r ** e
+        out = [c + d * w for c in out for d in range(r)]
+    return out
+
+
+@cache
+def _part(shape, exponents):
+    """`_placed` per id at a."""
+    out, codes = _placed(shape[1], exponents), _codes(shape, len(exponents))
+    return tuple(out[c] for c in codes) if codes else tuple(out)
+
+
+def _below(exponents):
+    """The number of locations of s in `_exponents(a, s, v)`."""
+    return len(exponents) - exponents.count(None)
+
+
+@cache
+def _table(shape, exponents):
+    """The restriction along s <= a, for `_exponents(a, s, s)`."""
+    down, below = _part(shape, exponents), _ids(shape, _below(exponents))
+    return tuple(below[c] for c in down) if below else down
+
+
+@cache
+def _shape_fibres(shape, exponents):
+    """The fibres of `_table(shape, exponents)`."""
+    return _fibres(_table(shape, exponents), _size(shape, _below(exponents)))
+
+
+@cache
+def _code_table(shape, exponents):
+    """The restriction along b <= v on the code space of v, for
+    `_exponents(v, b, b)` (see `code_table` in `build_resource_sheaf`)."""
+    if not _codes(shape, len(exponents)):
+        return _table(shape, exponents)
+    n = _below(exponents)
+    down, below, size = _placed(shape[1], exponents), _ids(shape, n), _size(shape, n)
+    return tuple(size if below[c] < 0 else below[c] for c in down) if below else tuple(down)
 
 
 # -- the sheaf condition -----------------------------------------------------
@@ -508,17 +593,33 @@ def is_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> bool:
     return True
 
 
+# the (carrier shape, coverage shape, budget) triples `require_sheaf`
+# certified, kept for the process; a negative verdict is never kept
+_CERTIFIED = set()
+
+
 def require_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> None:
     """Certify that ps is a sheaf for the coverage by `is_sheaf`'s
     least-cover verdict, once per coverage and budget; on a presheaf
     that is not one, raise `NotASheafError` with `check_sheaf`'s
-    report, which replays every cover for the violations."""
-    if (cov, budget) in ps._sheaf_for:
+    report, which replays every cover for the violations.
+
+    A carrier and a coverage on its base that their builders stamped
+    with shapes (`build_resource_sheaf`, `build_coverage`) are certified
+    once per process for the two shapes and the budget: a renaming of
+    locations and values in sorted order is an isomorphism of carriers
+    and of coverages, and `is_sheaf` reads only sizes, tables and least
+    covers, so every pair of those shapes gets the same verdict."""
+    if ps.shape is not None and cov.shape is not None and ps.base is cov.cat:
+        key, certified = (ps.shape, cov.shape, budget), _CERTIFIED
+    else:
+        key, certified = (cov, budget), ps._sheaf_for
+    if key in certified:
         return
     if not is_sheaf(ps, cov, budget):
         raise NotASheafError(f"{ps.name} is not a sheaf for the coverage",
                              report=check_sheaf(ps, cov, budget=budget))
-    ps._sheaf_for.add((cov, budget))
+    certified.add(key)
 
 
 # -- the matching presheaf ----------------------------------------------------
@@ -542,9 +643,6 @@ class MatchClass:
     def family(self):
         return dict(zip(self.cover_members, self.items))
 
-    def sort_key(self):
-        return (self.stage, self.cover_members, tuple(element_key(x) for x in self.items))
-
 
 def matching_presheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> Presheaf:
     """Refinement-equivalence classes of pairwise-compatible families.
@@ -552,7 +650,8 @@ def matching_presheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET)
     Each class is read off the least cover (see `MatchClass`) and held as
     that family's ids, one per member of `cov.min_cover(A)` in sorted
     order.  The stage at A lists the distinct id tuples ascending, which
-    is `MatchClass.sort_key` order; `families(A)` returns them.
+    orders the classes by their families' elements; `families(A)`
+    returns them.
     Restriction pulls the least cover back and reads the family's ids
     off it.  Only least covers are enumerated, so `budget` bounds their
     families alone.

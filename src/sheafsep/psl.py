@@ -99,9 +99,6 @@ class ProbSpace:
         )
         return ProbSpace(size, tuple(b for b, _ in pairs), tuple(m for _, m in pairs))
 
-    def sort_key(self):
-        return (self.size, self.blocks, tuple((m.numerator, m.denominator) for m in self.measure))
-
 
 @dataclass(frozen=True)
 class RandomVariable:

@@ -41,9 +41,6 @@ class Sieve:
     def sorted_members(self):
         return tuple(sorted(self.members))
 
-    def sort_key(self):
-        return (self.target, self.sorted_members())
-
 
 def _bits(m):
     """Positions of the set bits of m, low to high."""
@@ -172,6 +169,10 @@ class Coverage:
     the covers.  `count(a)`, when given, is the number of covers in
     closed form; otherwise `count` builds them."""
 
+    # (kind, base shape) on a built-in coverage of a base whose builder
+    # stamped its shape (`build_coverage`)
+    shape = None
+
     def __init__(self, cat: FinCat, covers, notes=(), least=None, count=None):
         self.cat = cat
         self.notes = tuple(notes)
@@ -251,8 +252,11 @@ def build_coverage(cat: FinCat, kind: str) -> Coverage:
                      to be completable (checked, witness reported).
 
     Both are coverages, so the axioms are not replayed here (check-site
-    replays them).  On the powerset the lub criterion is one: the maximal sieve covers; it is
-    stable along b -> a, as b = b & (union of S) = union of (b & s) over
+    replays them).  On a base stamped with its shape (`FinCat.shape`) the
+    coverage is stamped (kind, that shape): its covers depend on nothing
+    else, up to the renaming of the base's objects.  On the powerset the
+    lub criterion is one: the maximal sieve covers; it is stable along
+    b -> a, as b = b & (union of S) = union of (b & s) over
     s in S; and a sieve that pulls back to a cover of every s in a cover
     S has sources with union a.  Its least cover at a is the sieve of
     the morphisms from stages of at most one location: the one the
@@ -290,8 +294,8 @@ def build_coverage(cat: FinCat, kind: str) -> Coverage:
                 "on a finite base every covering sieve is the downward closure of a "
                 "finite pre-cover, so finite-covers coincides with downward-closed"
             )
-        return Coverage(cat, covers, notes, least, lambda a: _lub_cover_count(len(a)))
-    if kind == "atomic":
+        cov = Coverage(cat, covers, notes, least, lambda a: _lub_cover_count(len(a)))
+    elif kind == "atomic":
         for f in cat.all_morphisms():  # every cospan must have a commuting span
             for h in cat.mors_into(cat.dst(f)):
                 if not cat.squares(h, f):
@@ -300,9 +304,13 @@ def build_coverage(cat: FinCat, kind: str) -> Coverage:
                         "completion inside the size bound"
                     )
         # the empty sieve sorts first
-        return Coverage(cat, lambda a: [sm.sieve(a, m) for m in sm.all(a)[1:]],
-                        ("covering = nonempty sieve (atomic)",))
-    raise CoverageKindError(f"unknown coverage kind {kind!r}")
+        cov = Coverage(cat, lambda a: [sm.sieve(a, m) for m in sm.all(a)[1:]],
+                       ("covering = nonempty sieve (atomic)",))
+    else:
+        raise CoverageKindError(f"unknown coverage kind {kind!r}")
+    if cat.shape is not None:
+        cov.shape = (kind, cat.shape)
+    return cov
 
 
 def _lub_cover_count(n):

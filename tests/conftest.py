@@ -4,8 +4,18 @@ from collections import Counter
 
 import pytest
 
+from presheaf_reference import clear_shape_caches
 from sheafsep.day import CoendClass, Decomp
 from sheafsep.presheaf import AmalgamationIso, Heap, MatchClass, _EncodedCover
+
+
+@pytest.fixture(autouse=True)
+def cold_shape_caches():
+    """Every test starts with empty shape tables and sheaf certificates,
+    so that the work a test counts (table entries, `is_sheaf` calls,
+    least-cover enumerations) does not depend on the tests run before
+    it in the same process."""
+    clear_shape_caches()
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ exact member of a class) and tables through the class bijection.
 import functools
 from dataclasses import replace
 
-from fincat_reference import slice_category
+from fincat_reference import element_key, slice_category
 from presheaf_reference import UnionFind, listed, sorted_elements
 from sheafsep.day import (
     DEFAULT_COEND_BUDGET,
@@ -30,7 +30,6 @@ from sheafsep.day import (
     splittings,
 )
 from sheafsep.errors import BudgetExceededError, MonoidalStructureError
-from sheafsep.fincat import element_key
 from sheafsep.presheaf import Heap
 from sheafsep.report import Report
 

@@ -8,6 +8,11 @@ and (f2.f) (x) (g2.g) is compared with (f2 (x) g2).(f (x) g).  The
 differential tests compare reports on well-typed, corrupted and
 non-thin tensors.
 
+`element_key` is the canonical order of the elements the package's
+presheaves number, as a total key on heterogeneous values: the package
+numbers each stage in that order without comparing elements, and the
+references sort by it.
+
 `slice_category` builds cat/a with its domain functor, whose morphism
 ids are ("tri", g, q, p) for a base morphism g with p.g = q, and
 `validate_functor` checks a `FunctorData`'s typing, identities and
@@ -17,8 +22,43 @@ slices through them.
 
 from dataclasses import dataclass, field
 
+from sheafsep.day import CoendClass, Decomp
 from sheafsep.fincat import FinCat
+from sheafsep.presheaf import Heap, MatchClass
+from sheafsep.psl import ProbSpace
 from sheafsep.report import Report
+from sheafsep.site import Sieve
+
+
+def element_key(x):
+    """Total deterministic ordering key for heterogeneous hashable values:
+    the type's name, then `sort_key(x)`, or repr(x) where it has none."""
+    key = sort_key(x)
+    return (type(x).__name__, repr(x) if key is None else key)
+
+
+def sort_key(x):
+    """The order of x among the values of its type: heaps by locations,
+    then values with None last; decompositions by stages, then halves
+    and witness; a coend class by its named decomposition; a matching
+    class by stage, cover and items; a space by size, blocks and
+    measure; a sieve by target and sorted members.  A value of another
+    type with a `sort_key` method reads it; None for the rest."""
+    if isinstance(x, Heap):
+        return x.locations, tuple((v is None, 0 if v is None else v) for v in x.values)
+    if isinstance(x, Decomp):
+        return (x.stage, x.left_stage, x.right_stage, element_key(x.left),
+                element_key(x.right), repr(x.witness))
+    if isinstance(x, CoendClass):
+        return sort_key(x.rep)
+    if isinstance(x, MatchClass):
+        return x.stage, x.cover_members, tuple(element_key(y) for y in x.items)
+    if isinstance(x, ProbSpace):
+        return x.size, x.blocks, tuple((m.numerator, m.denominator) for m in x.measure)
+    if isinstance(x, Sieve):
+        return x.target, x.sorted_members()
+    own = getattr(x, "sort_key", None)
+    return own() if callable(own) else None
 
 
 def validate_monoidal(cat, mon):

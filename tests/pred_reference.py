@@ -18,11 +18,10 @@ a morphism and glue a compatible family of them over a cover.
 """
 
 from day_reference import apply
-from fincat_reference import slice_category
+from fincat_reference import element_key, slice_category
 from presheaf_reference import IncompatibleFamilyError, components, morphism
 from sheafsep.day import Decomp, splittings
 from sheafsep.errors import StageMismatchError
-from sheafsep.fincat import element_key
 from sheafsep.pred import KripkePredicate, _all, _local, _members, _preimage
 from sheafsep.report import Report
 from site_reference import pullback_sieve, slice_coverage

@@ -19,6 +19,10 @@ factorisations give, where the core reads neither.
 a presheaf to a slice, and `matching_object` pairs the sections that
 agree on a pullback: constructions that only tests make.
 
+`SHAPE_CACHES` names the tables the package keeps per shape for the
+process, and `clear_shape_caches` empties them with the sheaf
+certificates.
+
 `listed` builds a presheaf from its elements, filling each table entry
 by restricting one; it serves the presheaves whose elements are their
 data: the element-level builders here and in the other references, and
@@ -30,9 +34,9 @@ one.
 from dataclasses import dataclass
 from itertools import product
 
-from fincat_reference import slice_category
+from fincat_reference import element_key, slice_category
+from sheafsep import day, presheaf
 from sheafsep.errors import BudgetExceededError, SheafSepError, StageMismatchError
-from sheafsep.fincat import element_key
 from sheafsep.presheaf import (
     DEFAULT_FAMILY_BUDGET,
     Heap,
@@ -43,6 +47,19 @@ from sheafsep.presheaf import (
 )
 from sheafsep.report import Report
 from sheafsep.site import Sieve
+
+# the functools caches keyed by shapes alone: the memory sheaves' tables,
+# the powerset splittings and the monoids' digit rules and tables
+SHAPE_CACHES = (presheaf._codes, presheaf._ids, presheaf._size, presheaf._part,
+                presheaf._table, presheaf._shape_fibres, presheaf._code_table,
+                day._mask_splittings, day._memory_digits, day._agreeing, day._half)
+
+
+def clear_shape_caches():
+    """Empty every shape cache and the process's sheaf certificates."""
+    for table in SHAPE_CACHES:
+        table.cache_clear()
+    presheaf._CERTIFIED.clear()
 
 
 class IncompatibleFamilyError(SheafSepError):

@@ -4,6 +4,7 @@ import day_reference as ref
 from presheaf_reference import constant, morphism, terminal, validate_presheaf, yoneda
 from sheafsep.day import (
     Decomp,
+    _mask_splittings,
     build_memory_monoid,
     check_day_stability,
     check_monoid_laws,
@@ -393,16 +394,21 @@ def test_gamma_holds_at_the_size_bounds(build):
                                    lambda: build_finsurj_category(4)],
                          ids=["powerset3", "finsurj4"])
 def test_splittings_are_tabulated_once_in_sorted_order(build, monkeypatch):
-    """`splittings` scans the object pairs once per monoidal structure and
-    returns, for every v, the pairs (b, c) with b (x) c = v in sorted
-    order."""
-    cat, mon = build()
+    """`splittings` returns, for every v, the pairs (b, c) with b (x) c = v
+    in sorted order, and asks the tensor about no pair: on a powerset's
+    union tensor they are read off the mask table of its number of
+    locations, built in one pass over the pairs of masks once per
+    process and shared by a second category of that size; on another
+    tensor they are tabulated in one pass over it."""
     scans = []
     defined = MonoidalStructure.tensor_defined
     monkeypatch.setattr(MonoidalStructure, "tensor_defined",
                         lambda self, a, b: scans.append((a, b)) or defined(self, a, b))
-    for v in cat.objects:
-        assert list(splittings(cat, mon, v)) == sorted(
-            (b, c) for b in cat.objects for c in cat.objects
-            if (b, c) in mon.tensor_obj and mon.tensor_obj[b, c] == v)
-    assert len(scans) == len(cat.objects) ** 2
+    for _ in range(2):
+        cat, mon = build()
+        for v in cat.objects:
+            assert list(splittings(cat, mon, v)) == sorted(
+                (b, c) for b in cat.objects for c in cat.objects
+                if (b, c) in mon.tensor_obj and mon.tensor_obj[b, c] == v)
+    assert scans == []
+    assert _mask_splittings.cache_info().misses == (mon.masks is not None)

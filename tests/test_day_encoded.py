@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 import day_reference as ref
+from fincat_reference import element_key
 import presheaf_reference
 from presheaf_reference import constant, terminal, yoneda
 from sheafsep import day
@@ -22,7 +23,7 @@ from sheafsep.day import (
     dinaturality_generators,
 )
 from sheafsep.errors import BudgetExceededError, MonoidalStructureError
-from sheafsep.fincat import build_finsurj_category, build_powerset_category, element_key
+from sheafsep.fincat import build_finsurj_category, build_powerset_category
 from sheafsep.presheaf import Heap, build_resource_sheaf, check_sheaf
 from sheafsep.site import Site, build_coverage
 

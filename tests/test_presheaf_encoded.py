@@ -494,8 +494,8 @@ def test_fibres_and_code_tables_agree_with_the_tables(n_locs, kind):
         for f in cat.all_morphisms():
             b, v = cat.src(f), cat.dst(f)
             table = ps.table(f)
-            assert ps.fibres(f) == [sum(1 << i for i, y in enumerate(table) if y == j)
-                                    for j in range(ps.size(b))]
+            assert ps.fibres(f) == tuple(sum(1 << i for i, y in enumerate(table) if y == j)
+                                         for j in range(ps.size(b)))
             down = ps.code_table(b, v)
             assert len(down) == r ** len(v)
             for code in range(r ** len(v)):

@@ -76,30 +76,76 @@ def attribute_reads(node):
     return out
 
 
-def package_and_benchmark_reads(read=read_names):
+def package_and_benchmark():
     """Each top-level node of the package but `__init__` (its re-exports
-    are no callers) with the names `read` finds in it, and the names it
-    finds in the benchmark: in `perfbench/spans.py`, whose tracer wraps
-    and counts by name, and in `perfbench/verdicts.py`, which imports
-    from the package."""
+    are no callers), and the benchmark modules that name package code:
+    `perfbench/spans.py`, whose tracer wraps and counts by name, and
+    `perfbench/verdicts.py`, which imports from the package."""
     tops = [top for path in PACKAGE.glob("*.py") if path.name != "__init__.py"
             for top in ast.parse(path.read_text()).body]
     perfbench = PACKAGE.parent.parent / "perfbench"
-    traced = {name for path in ("spans.py", "verdicts.py")
-              for name in read(ast.parse((perfbench / path).read_text()))}
-    return [(top, read(top)) for top in tops], traced
+    return tops, [ast.parse((perfbench / path).read_text()) for path in ("spans.py", "verdicts.py")]
+
+
+def entered(tops, benchmark):
+    """The top-level definitions and methods of the package, as (name,
+    line) with a method named `Class.method`, that running it can enter:
+    those that a statement run at import (imports aside, which call
+    nothing) or the benchmark reads, then those that an entered node
+    reads, a definition by name and a method as an attribute or a
+    string.  An entered class runs its body outside its methods and
+    enters its dunder methods, which Python calls.  A node read only
+    from inside a cycle that nothing else reaches is never entered."""
+    defs, methods, named = {}, {}, {}
+    for top in tops:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            defs.setdefault(top.name, []).append(top)
+            named[id(top)] = (top.name, top.lineno)
+        if isinstance(top, ast.ClassDef):
+            for method in top.body:
+                if isinstance(method, ast.FunctionDef):
+                    methods.setdefault(method.name, []).append(method)
+                    named[id(method)] = (f"{top.name}.{method.name}", method.lineno)
+
+    def targets(nodes):
+        """The definitions and methods that these nodes read."""
+        names, attrs = set(), set()
+        for node in nodes:
+            names |= read_names(node)
+            attrs |= attribute_reads(node)
+        return ([d for name in names for d in defs.get(name, ())]
+                + [m for name in attrs for m in methods.get(name, ())])
+
+    run = [top for top in tops
+           if not isinstance(top, (ast.FunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom))]
+    todo, seen = targets(run + benchmark), set()
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, ast.ClassDef):
+            body = [n for n in node.body if not isinstance(n, ast.FunctionDef)]
+            todo += targets(body + node.decorator_list + node.bases)
+            todo += [m for m in node.body
+                     if isinstance(m, ast.FunctionDef) and m.name.startswith("__")]
+        else:
+            todo += targets([node])
+    return {named[i] for i in seen}
 
 
 def test_every_public_name_has_a_caller():
-    """Each public top-level `def` and `class` is read by code in the
-    package outside its own definition or by the benchmark; the rest
-    are `UNCALLED`, and an entry that gained a caller leaves it."""
-    reads, traced = package_and_benchmark_reads()
+    """Each public top-level `def` and `class` is entered when the package
+    runs (`entered`): read by package code that a command or the
+    benchmark reaches, outside its own definition, so a cycle of names
+    that read only each other counts as uncalled.  The rest are
+    `UNCALLED`, and an entry that gained a caller leaves it."""
+    tops, benchmark = package_and_benchmark()
+    reached = entered(tops, benchmark)
     uncalled = {
-        top.name for top, _ in reads
+        top.name for top in tops
         if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_")
-        and top.name not in traced
-        and not any(top.name in names for other, names in reads if other is not top)
+        and (top.name, top.lineno) not in reached
     }
     allowed = {name for name in UNCALLED if "." not in name}
     assert not uncalled - allowed, f"public names nothing calls: {uncalled - allowed}"
@@ -108,21 +154,18 @@ def test_every_public_name_has_a_caller():
 
 def test_every_public_method_has_a_caller():
     """Each public method of a class in the package (properties and
-    static methods included) is read as an attribute or a string by
-    package code outside the method itself or by the benchmark; the
+    static methods included) is entered when the package runs
+    (`entered`): read as an attribute or a string by package code that a
+    command or the benchmark reaches, outside the method itself.  The
     rest are `UNCALLED` as `Class.method`."""
-    reads, traced = package_and_benchmark_reads(attribute_reads)
-    uncalled = set()
-    for cls, _ in reads:
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        for method in cls.body:
-            if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
-                continue
-            outside = [names for other, names in reads if other is not cls]
-            outside += [attribute_reads(node) for node in cls.body if node is not method]
-            if method.name not in traced and not any(method.name in names for names in outside):
-                uncalled.add(f"{cls.name}.{method.name}")
+    tops, benchmark = package_and_benchmark()
+    reached = entered(tops, benchmark)
+    uncalled = {
+        f"{cls.name}.{method.name}" for cls in tops if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+        and (f"{cls.name}.{method.name}", method.lineno) not in reached
+    }
     allowed = {name for name in UNCALLED if "." in name}
     assert not uncalled - allowed, f"public methods nothing calls: {uncalled - allowed}"
     assert not allowed - uncalled, f"allowed but called: {allowed - uncalled}"
