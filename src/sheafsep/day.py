@@ -30,6 +30,7 @@ from .presheaf import (
     _budget_error,
     _exponents,
     _part,
+    _per_shape,
     _size,
     _table,
     check_sheaf,
@@ -82,9 +83,9 @@ class _Triples:
     triples run in the order of their decompositions: by s, then t,
     then w.  The node of a triple, its id, is offset + (s * |G(c)| + t)
     * n + the witness's position.  The base picks the form.  On the
-    powerset the form is exact, the decompositions: a block per exact splitting with
-    the one witness None.  Otherwise it is witnessed: a block per pair
-    whose tensor a maps to.
+    powerset the form is exact, the decompositions: a block per exact
+    splitting with the one witness None.  Otherwise it is witnessed: a
+    block per pair whose tensor a maps to.
     """
 
     def __init__(self, f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure):
@@ -178,39 +179,15 @@ def day_decomp(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure) -> 
 
 def splittings(cat: FinCat, mon: MonoidalStructure, v):
     """The exact splittings of v: pairs (b, c) with b tensor c = v, in
-    sorted order, kept per v on the monoidal structure.  On the union
-    tensor of a powerset they are read off the table of its number of
-    locations (`_mask_splittings`) through its masks; on any other
-    tensor they are tabulated for every v in one pass over it."""
+    sorted order.  They are tabulated for every v in one pass over the
+    tensor on first use and kept on the monoidal structure."""
     by_v = mon.memo.get("splittings")
     if by_v is None:
-        by_v = mon.memo["splittings"] = {}
-        if mon.masks is None:
-            for bc, a in mon.tensor_obj.items():
-                by_v.setdefault(a, []).append(bc)
-            for a, pairs in by_v.items():
-                by_v[a] = tuple(sorted(pairs))
-    pairs = by_v.get(v)
-    if pairs is None and mon.masks is not None and v in mon.masks[1]:
-        n, mask, of_mask = mon.masks
-        pairs = by_v[v] = tuple((of_mask[b], of_mask[c]) for b, c in _mask_splittings(n)[mask[v]])
-    return pairs or ()
-
-
-@cache
-def _mask_splittings(n):
-    """Per location mask v of n locations, the pairs (b, c) of masks with
-    b | c = v, in one pass over the pairs, each v's in the sorted order
-    of their objects: a sorted tuple of locations orders as the tuple of
-    its locations' bits, lowest first.  Kept for the process: 4^n pairs,
-    256 at four locations."""
-    bits = [tuple(i for i in range(n) if m >> i & 1) for m in range(1 << n)]
-    by_v = [[] for _ in range(1 << n)]
-    for b in range(1 << n):
-        for c in range(1 << n):
-            by_v[b | c].append((b, c))
-    return tuple(tuple(sorted(pairs, key=lambda bc: (bits[bc[0]], bits[bc[1]])))
-                 for pairs in by_v)
+        by_v = {}
+        for bc, a in mon.tensor_obj.items():
+            by_v.setdefault(a, []).append(bc)
+        by_v = mon.memo["splittings"] = {a: tuple(sorted(pairs)) for a, pairs in by_v.items()}
+    return by_v.get(v, ())
 
 
 def dinaturality_generators(cat: FinCat, mon: MonoidalStructure):
@@ -356,10 +333,9 @@ class ResourceMonoid:
     through restriction tables alone, and reads `overlap` only under the
     other rules (the total one); `products` reads it under every rule.
     Every table is built on first use and kept on the monoid, but for
-    those that depend on shapes alone, which are kept for the process:
-    the halves' tables (`_half`), `agreeing` (`_agreeing`, per carrier
-    shape) and, on a monoid that `build_memory_monoid` stamped with its
-    `shape`, the digit rule (`_memory_digits`).
+    those that depend on shapes alone: the halves' tables, kept for the
+    process (`_half`), and `agreeing`, kept with the carrier's shape
+    (`_agreeing`).
     """
 
     carrier: Presheaf
@@ -367,9 +343,6 @@ class ResourceMonoid:
     cell: object  # callable (value, value) -> value | UNDEFINED
     unit_stage: object
     unit: object
-    # (variant, the carrier's cells with each value replaced by its
-    # position) on a built-in monoid, whose cell rule compares cells only
-    shape: tuple | None = field(default=None, compare=False)
     _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def apply(self, xs, ys):
@@ -389,9 +362,12 @@ class ResourceMonoid:
         """(r, rule): the number of the carrier's cells, and rule[d][e] the
         digit of the product of the cells with digits d and e, or -1 where
         `apply` leaves the carrier, as a tuple of rows."""
-        if self.shape is not None:
-            return _memory_digits(*self.shape)
-        return self._memo("digits", lambda: _digit_rule(self.cell, self.carrier.cells))
+        def build():
+            cells = self.carrier.cells
+            digit = {(x,): d for d, x in enumerate(cells)}
+            return len(cells), tuple(tuple(digit.get(self.apply((x,), (y,)), -1) for y in cells)
+                                     for x in cells)
+        return self._memo("digits", build)
 
     def agreement(self):
         """D, the digits d with rule[d][d] = d, when the cell rule is
@@ -410,7 +386,7 @@ class ResourceMonoid:
         sub-stage o all lie in D, as a bitset: the heaps at v that are
         the product of their restrictions to two halves overlapping at o."""
         return self._memo(("agreeing", o, v), lambda: _agreeing(
-            self.agreement(), self.carrier.shape, _exponents(v, o, o)))
+            self.carrier.shape, self.agreement(), _exponents(v, o, o)))
 
     def overlap(self, o, v):
         """M_o at v for an overlap o, a sub-stage of v, as a pair of
@@ -448,26 +424,12 @@ class ResourceMonoid:
         return self._memo(("products", b, c), build)
 
 
-def _digit_rule(cell, cells):
-    """(r, rule) of `ResourceMonoid._digits` for a cell rule on these cells."""
-    digit = {x: d for d, x in enumerate(cells)}
-    return len(cells), tuple(tuple(digit.get(cell(x, y), -1) for y in cells) for x in cells)
-
-
-@cache
-def _memory_digits(variant, cells):
-    """The digit rule of a built-in variant on a carrier's cells with each
-    value replaced by its position: the built-in rules compare cells
-    only, so it is the rule on the cells themselves."""
-    return _digit_rule(_CELL_RULES[variant], cells)
-
-
-@cache
-def _agreeing(keep, shape, exponents):
+@_per_shape
+def _agreeing(shape, keep, exponents):
     """`ResourceMonoid.agreeing` for the digits D = keep on a memory
     carrier of this shape, at o <= v given by `_exponents(v, o, o)`: the
     preimage along the restriction to o of the ids there whose digits
-    all lie in D.  Kept for the process, per digit set and shapes."""
+    all lie in D.  Kept with the carrier's shape, per digit set."""
     r, n = shape[1], len(exponents)
     m = n - exponents.count(None)
     if not m or len(keep) == r:
@@ -505,14 +467,6 @@ def _half(rule, n, exponents):
     return tuple(place), zero, tuple(map(tuple, meet))
 
 
-# the cell rules of `build_memory_monoid`'s variants
-_CELL_RULES = {
-    "total": lambda x, y: x if x == y else None,
-    "weak-partial": lambda x, y: x if x == y else UNDEFINED,
-    "strong-partial": lambda x, y: UNDEFINED,
-}
-
-
 def build_memory_monoid(mp: Presheaf, variant: str) -> ResourceMonoid:
     """The partial-memory monoid in its three flavours, by their cell rule.
 
@@ -523,10 +477,14 @@ def build_memory_monoid(mp: Presheaf, variant: str) -> ResourceMonoid:
     """
     if not hasattr(mp, "cells"):
         raise MonoidalStructureError(f"memory monoids need a memory sheaf, got {mp.name}")
-    if variant not in _CELL_RULES:
+    cells = {
+        "total": lambda x, y: x if x == y else None,
+        "weak-partial": lambda x, y: x if x == y else UNDEFINED,
+        "strong-partial": lambda x, y: UNDEFINED,
+    }
+    if variant not in cells:
         raise MonoidalStructureError(f"unknown monoid variant {variant!r}")
-    shape = (variant, tuple(None if x is None else d for d, x in enumerate(mp.cells)))
-    return ResourceMonoid(mp, variant, _CELL_RULES[variant], (), Heap((), ()), shape)
+    return ResourceMonoid(mp, variant, cells[variant], (), Heap((), ()))
 
 
 def check_monoid_laws(monoid: ResourceMonoid, mon: MonoidalStructure) -> Report:

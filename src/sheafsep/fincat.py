@@ -145,9 +145,6 @@ class MonoidalStructure:
     The tensor on morphisms is given as a dict, or as a function of no
     arguments that builds it; `tensor_mor` then builds it on first read.
     `memo` holds tables derived from the tensor, such as the splittings.
-    `masks`, on the union tensor of a powerset of n locations, is (n,
-    object -> location mask, mask -> object), bit i of a mask being the
-    i-th location in sorted order.
     """
 
     tensor_obj: dict = field(hash=False)
@@ -155,7 +152,6 @@ class MonoidalStructure:
     unit: object = None
     symmetric: bool = False
     memo: dict = field(default_factory=dict, hash=False, compare=False, repr=False)
-    masks: tuple | None = field(default=None, hash=False, compare=False, repr=False)
 
     @cached_property
     def tensor_mor(self) -> dict:
@@ -218,8 +214,7 @@ def build_powerset_category(locations):
         # (3^n)^2 pairs, read only by the law checks and the coend
         return {(f, g): of_masks[ma | mc, mb | md] for f, ma, mb in mors for g, mc, md in mors}
 
-    mon = MonoidalStructure(tensor_obj, tensor_mor, unit=(), symmetric=True,
-                            masks=(len(locations), mask, of_mask))
+    mon = MonoidalStructure(tensor_obj, tensor_mor, unit=(), symmetric=True)
     return cat, mon
 
 

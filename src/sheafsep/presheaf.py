@@ -22,7 +22,7 @@ already is the finitary one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, lru_cache, reduce, wraps
 
 from .errors import (
     BudgetExceededError,
@@ -143,7 +143,8 @@ class Presheaf:
     def fibres(self, f):
         """Per id at src f, the bitset of the ids at dst f that `table(f)`
         sends to it, as a tuple: `fibres_fn(f)` when the builder gives
-        one, else built from the table; kept beside the table."""
+        one (the memory builder reads them from its shape's tables), else
+        built from the table; kept beside the table."""
         fib = self._fibres.get(f)
         if fib is None:
             fib = self._fibres[f] = (_fibres(self.table(f), self.size(self.base.src(f)))
@@ -180,10 +181,11 @@ def build_resource_sheaf(cat: FinCat, kind: str, *, values=None, bound=None):
 
     Its numbering depends on its shape alone, (kind, r, k) for r cells
     and the support bound k (None when unbounded), so the codes, ids,
-    sizes and restriction tables are read from the process's shape
-    tables (`_codes` and the rest below) and shared by every carrier of
-    that shape; this one maps its stages and morphisms to their keys and
-    decodes ids into heaps of its own locations and values.
+    sizes and restriction tables are read from the tables the process
+    keeps with the shape (`_kept`, `_codes` and the rest below) and
+    shared by every carrier of that shape; this one maps its stages and
+    morphisms to their keys, keeps what it read, and decodes ids into
+    heaps of its own locations and values.
     """
     if kind not in ("strict-memory", "partial-memory", "support-bounded"):
         raise ResourceKindError(f"unknown resource kind {kind!r}")
@@ -200,21 +202,29 @@ def build_resource_sheaf(cat: FinCat, kind: str, *, values=None, bound=None):
     elif kind == "partial-memory":
         cells, k, name = vals + (None,), None, f"Mp[{listed}]"
     else:
-        k = int(bound)
-        cells, name = vals + (None,), f"Mp|supp<={k}"
+        bound = int(bound)
+        cells, name = vals + (None,), f"Mp|supp<={bound}"
+        # every bound of at least the number of locations admits every
+        # heap, and every bound below 0 none, so the shape holds k
+        # between -1 and that number: finitely many shapes per r
+        k = max(-1, min(bound, max(map(len, cat.objects))))
     shape, r, digit = (kind, len(cells), k), len(cells), {x: d for d, x in enumerate(cells)}
 
+    @cache
     def codes(a):
         """Per id at a, its code; None on a full stage."""
-        return _codes(shape, len(a)) or None
+        return None if _full(shape, len(a)) else _codes(shape, len(a))
 
+    @cache
     def ids(a):
         """Per code at a, its id or -1 off the carrier; None on a full stage."""
-        return _ids(shape, len(a)) or None
+        return None if _full(shape, len(a)) else _ids(shape, len(a))
 
+    @cache
     def size(a):
         return _size(shape, len(a))
 
+    @cache
     def part(a, s, v):
         return _part(shape, _exponents(a, s, v))
 
@@ -226,6 +236,7 @@ def build_resource_sheaf(cat: FinCat, kind: str, *, values=None, bound=None):
         s = cat.src(f)
         return _shape_fibres(shape, _exponents(cat.dst(f), s, s))
 
+    @cache
     def code_table(b, v):
         """Per code at v, on the carrier or off it, the id at b of its
         digits on b, or size(b) where those leave the carrier: the
@@ -262,7 +273,41 @@ def build_resource_sheaf(cat: FinCat, kind: str, *, values=None, bound=None):
 # is its code on a full stage (all r^n heaps) and its code's rank among
 # the stage's codes otherwise.  Renaming locations and values in sorted
 # order keeps every code, so same-shape sheaves share these tuples, each
-# built once per process.
+# built once while the process keeps its shape: the SHAPES_KEPT shapes
+# read most recently, and those of the carriers still alive.
+
+SHAPES_KEPT = 16
+
+
+class _Shape:
+    """What the process keeps for one shape: its tables, by (builder,
+    key), and `certified`, the (coverage shape, budget) pairs for which
+    `require_sheaf` certified its carriers."""
+
+    __slots__ = ("tables", "certified")
+
+    def __init__(self):
+        self.tables, self.certified = {}, set()
+
+
+@lru_cache(maxsize=SHAPES_KEPT)
+def _kept(shape):
+    """The `_Shape` of a shape; a new, empty one when it is not among the
+    SHAPES_KEPT shapes read most recently."""
+    return _Shape()
+
+
+def _per_shape(build):
+    """`build(shape, *key)`, built once per shape while it is kept."""
+    @wraps(build)
+    def read(shape, *key):
+        tables = _kept(shape).tables
+        try:
+            return tables[build, key]
+        except KeyError:
+            out = tables[build, key] = build(shape, *key)
+            return out
+    return read
 
 
 def _exponents(a, s, v):
@@ -273,34 +318,35 @@ def _exponents(a, s, v):
     return tuple([top - v.index(x) if x in s else None for x in a])
 
 
-@cache
+def _full(shape, n):
+    """Whether a stage of n locations holds all r^n heaps, so that its ids
+    are its codes: unless a support bound k is below n."""
+    k = shape[2]
+    return k is None or k >= n
+
+
+@_per_shape
 def _codes(shape, n):
-    """Per id at a stage of n locations, its code; () on a full stage,
-    whose ids are its codes (a bounded stage holds the empty heap)."""
+    """Per id at a stage of n locations that is not full, its code: the
+    codes of the heaps of at most k allocated cells, none when k < 0."""
     _, r, k = shape
-    if k is None or k >= n:
-        return ()
     out = [(0, 0)]  # (code, allocated cells); None is the last cell
     for _ in range(n):
         out = [(c * r + d, m + (d < r - 1)) for c, m in out for d in range(r)]
     return tuple(c for c, m in out if m <= k)
 
 
-@cache
+@_per_shape
 def _ids(shape, n):
-    """Per code at a stage of n locations, its id or -1 off the carrier;
-    () on a full stage."""
-    codes = _codes(shape, n)
-    if not codes:
-        return ()
-    rank = {c: i for i, c in enumerate(codes)}
+    """Per code at a stage of n locations that is not full, its id or -1
+    off the carrier."""
+    rank = {c: i for i, c in enumerate(_codes(shape, n))}
     return tuple(rank.get(c, -1) for c in range(shape[1] ** n))
 
 
-@cache
+@_per_shape
 def _size(shape, n):
-    codes = _codes(shape, n)
-    return len(codes) or shape[1] ** n
+    return shape[1] ** n if _full(shape, n) else len(_codes(shape, n))
 
 
 def _placed(r, exponents):
@@ -313,11 +359,11 @@ def _placed(r, exponents):
     return out
 
 
-@cache
+@_per_shape
 def _part(shape, exponents):
     """`_placed` per id at a."""
-    out, codes = _placed(shape[1], exponents), _codes(shape, len(exponents))
-    return tuple(out[c] for c in codes) if codes else tuple(out)
+    out, n = _placed(shape[1], exponents), len(exponents)
+    return tuple(out) if _full(shape, n) else tuple(out[c] for c in _codes(shape, n))
 
 
 def _below(exponents):
@@ -325,28 +371,33 @@ def _below(exponents):
     return len(exponents) - exponents.count(None)
 
 
-@cache
+@_per_shape
 def _table(shape, exponents):
     """The restriction along s <= a, for `_exponents(a, s, s)`."""
-    down, below = _part(shape, exponents), _ids(shape, _below(exponents))
-    return tuple(below[c] for c in down) if below else down
+    down, n = _part(shape, exponents), _below(exponents)
+    if _full(shape, n):
+        return down
+    below = _ids(shape, n)
+    return tuple(below[c] for c in down)
 
 
-@cache
+@_per_shape
 def _shape_fibres(shape, exponents):
     """The fibres of `_table(shape, exponents)`."""
     return _fibres(_table(shape, exponents), _size(shape, _below(exponents)))
 
 
-@cache
+@_per_shape
 def _code_table(shape, exponents):
     """The restriction along b <= v on the code space of v, for
     `_exponents(v, b, b)` (see `code_table` in `build_resource_sheaf`)."""
-    if not _codes(shape, len(exponents)):
+    if _full(shape, len(exponents)):
         return _table(shape, exponents)
-    n = _below(exponents)
-    down, below, size = _placed(shape[1], exponents), _ids(shape, n), _size(shape, n)
-    return tuple(size if below[c] < 0 else below[c] for c in down) if below else tuple(down)
+    n, down = _below(exponents), _placed(shape[1], exponents)
+    if _full(shape, n):
+        return tuple(down)
+    below, size = _ids(shape, n), _size(shape, n)
+    return tuple(size if below[c] < 0 else below[c] for c in down)
 
 
 # -- the sheaf condition -----------------------------------------------------
@@ -593,11 +644,6 @@ def is_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> bool:
     return True
 
 
-# the (carrier shape, coverage shape, budget) triples `require_sheaf`
-# certified, kept for the process; a negative verdict is never kept
-_CERTIFIED = set()
-
-
 def require_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> None:
     """Certify that ps is a sheaf for the coverage by `is_sheaf`'s
     least-cover verdict, once per coverage and budget; on a presheaf
@@ -611,7 +657,7 @@ def require_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> 
     and of coverages, and `is_sheaf` reads only sizes, tables and least
     covers, so every pair of those shapes gets the same verdict."""
     if ps.shape is not None and cov.shape is not None and ps.base is cov.cat:
-        key, certified = (ps.shape, cov.shape, budget), _CERTIFIED
+        key, certified = (cov.shape, budget), _kept(ps.shape).certified
     else:
         key, certified = (cov, budget), ps._sheaf_for
     if key in certified:

@@ -19,9 +19,8 @@ factorisations give, where the core reads neither.
 a presheaf to a slice, and `matching_object` pairs the sections that
 agree on a pullback: constructions that only tests make.
 
-`SHAPE_CACHES` names the tables the package keeps per shape for the
-process, and `clear_shape_caches` empties them with the sheaf
-certificates.
+`SHAPE_CACHES` names the caches the package keeps per shape, and
+`clear_shape_caches` empties them, the sheaf certificates with them.
 
 `listed` builds a presheaf from its elements, filling each table entry
 by restricting one; it serves the presheaves whose elements are their
@@ -48,18 +47,15 @@ from sheafsep.presheaf import (
 from sheafsep.report import Report
 from sheafsep.site import Sieve
 
-# the functools caches keyed by shapes alone: the memory sheaves' tables,
-# the powerset splittings and the monoids' digit rules and tables
-SHAPE_CACHES = (presheaf._codes, presheaf._ids, presheaf._size, presheaf._part,
-                presheaf._table, presheaf._shape_fibres, presheaf._code_table,
-                day._mask_splittings, day._memory_digits, day._agreeing, day._half)
+# the functools caches keyed by shapes alone: the memory sheaves' kept
+# shapes (their tables and sheaf certificates) and the halves' tables
+SHAPE_CACHES = (presheaf._kept, day._half)
 
 
 def clear_shape_caches():
-    """Empty every shape cache and the process's sheaf certificates."""
+    """Empty every shape cache, the sheaf certificates with them."""
     for table in SHAPE_CACHES:
         table.cache_clear()
-    presheaf._CERTIFIED.clear()
 
 
 class IncompatibleFamilyError(SheafSepError):

@@ -4,7 +4,6 @@ import day_reference as ref
 from presheaf_reference import constant, morphism, terminal, validate_presheaf, yoneda
 from sheafsep.day import (
     Decomp,
-    _mask_splittings,
     build_memory_monoid,
     check_day_stability,
     check_monoid_laws,
@@ -395,20 +394,19 @@ def test_gamma_holds_at_the_size_bounds(build):
                          ids=["powerset3", "finsurj4"])
 def test_splittings_are_tabulated_once_in_sorted_order(build, monkeypatch):
     """`splittings` returns, for every v, the pairs (b, c) with b (x) c = v
-    in sorted order, and asks the tensor about no pair: on a powerset's
-    union tensor they are read off the mask table of its number of
-    locations, built in one pass over the pairs of masks once per
-    process and shared by a second category of that size; on another
-    tensor they are tabulated in one pass over it."""
+    in sorted order.  They are tabulated for every v in one pass over
+    the tensor on the first call and kept on the monoidal structure, so
+    the tensor is asked about no pair."""
+    cat, mon = build()
     scans = []
     defined = MonoidalStructure.tensor_defined
     monkeypatch.setattr(MonoidalStructure, "tensor_defined",
                         lambda self, a, b: scans.append((a, b)) or defined(self, a, b))
-    for _ in range(2):
-        cat, mon = build()
-        for v in cat.objects:
-            assert list(splittings(cat, mon, v)) == sorted(
-                (b, c) for b in cat.objects for c in cat.objects
-                if (b, c) in mon.tensor_obj and mon.tensor_obj[b, c] == v)
+    splittings(cat, mon, cat.objects[0])
+    table = mon.memo["splittings"]
+    for v in cat.objects:
+        assert list(splittings(cat, mon, v)) == sorted(
+            (b, c) for b in cat.objects for c in cat.objects
+            if (b, c) in mon.tensor_obj and mon.tensor_obj[b, c] == v)
+    assert mon.memo["splittings"] is table
     assert scans == []
-    assert _mask_splittings.cache_info().misses == (mon.masks is not None)

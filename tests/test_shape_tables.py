@@ -1,12 +1,13 @@
 """The tables a memory model shares with every model of its shape.
 
-A memory carrier's codes, ids, sizes, restriction tables, fibres and
-code tables, the powerset splittings, the built-in monoids' digit rules
-and `agreeing` tables, and the positive sheaf certificates are kept per
-shape for the process (`presheaf_reference.SHAPE_CACHES`).  These tests
-check that the sharing changes no output, whatever was served before,
-and that it does the work it promises: a second model of a shape builds
-no table and certifies nothing, while another shape certifies once.
+A memory carrier's codes, ids, sizes, restriction tables and code
+tables, the monoids' `agreeing` tables, and the positive sheaf
+certificates are kept with its shape (`presheaf._kept`, for a bounded
+number of shapes), and the halves' tables per rule (`day._half`).
+These tests check that the sharing changes no output, whatever was
+served before, and that it does the work it promises: a second model of
+a shape builds no table and certifies nothing, while another shape
+certifies once.
 The benchmark's own generator supplies the requests; the test only
 reads `perfbench/`."""
 
@@ -150,8 +151,11 @@ def test_a_support_bounded_carrier_is_not_certified_by_a_partial_memory_one():
     assert exc.value.report == check_sheaf(bounded.sheaf, bounded.site.cov)
 
 
-def _misses():
-    return [table.cache_info().misses for table in ref.SHAPE_CACHES]
+def _entries(shape):
+    """The number of tables kept for a shape, and the misses of each
+    shape cache."""
+    return (len(presheaf._kept(shape).tables),
+            [table.cache_info().misses for table in ref.SHAPE_CACHES])
 
 
 @pytest.fixture
@@ -171,18 +175,19 @@ def certified(monkeypatch):
 def test_a_second_model_of_a_shape_builds_no_table_and_certifies_nothing(certified):
     """Deterministic work gate: after a pipeline eval on one 4-location
     model, the same eval on a model of its shape under other location
-    names and values builds no table (no shape cache misses), calls
+    names and values builds no table (no new table kept, no shape
+    cache misses), calls
     `is_sheaf` 0 times, reads the first model's restriction tables
     themselves, and gives the same bits."""
     phi = "(a ~> 0 * b |-> 1) * (c ~> 1 \\/ d |-> 0)"
     first = make_memory_model(("a", "b", "c", "d"), (0, 1), monoid_variant="weak-partial")
     want = eval_formula(first, parse_formula(phi), mode="pipeline")
     assert certified["is_sheaf"] == 1
-    built = _misses()
+    built = _entries(first.sheaf.shape)
     second = make_memory_model(("p", "q", "r", "s"), (7, 9), monoid_variant="weak-partial")
     renamed = phi.translate(str.maketrans("abcd01", "pqrs79"))
     got = eval_formula(second, parse_formula(renamed), mode="pipeline")
-    assert _misses() == built
+    assert _entries(second.sheaf.shape) == built
     assert certified["is_sheaf"] == 1
     assert list(got.bits.values()) == list(want.bits.values())
     for f, g in zip(first.site.cat.all_morphisms(), second.site.cat.all_morphisms()):
@@ -198,25 +203,73 @@ def _carrier(locations, values=(0, 1), kind="partial-memory", bound=None,
 
 @pytest.mark.parametrize("other", [
     {"coverage": "finite-covers"},
-    {"kind": "support-bounded", "bound": 4},
+    {"kind": "support-bounded", "bound": 3},
     {"kind": "strict-memory", "values": (0, 1, 2)},
     {"budget": 10 ** 5},
 ])
 def test_another_shape_certifies_again_once(other, certified):
     """Deterministic work gate: a positive verdict is kept per carrier
     shape, coverage shape and budget.  A carrier that differs from a
-    certified one in the coverage kind, the support bound, the sheaf
-    kind (with as many cells) or the budget is certified again, once,
-    and then not for a renaming of it."""
+    certified partial-memory one in the coverage kind, the sheaf kind
+    (with as many cells, or the same tables) or the budget is certified
+    again, once, and then not for a renaming of it."""
     other = dict(other)
     budget = other.pop("budget", presheaf.DEFAULT_FAMILY_BUDGET)
-    first = {"kind": "support-bounded", "bound": 3} if "bound" in other else {}
     for names in (("a", "b", "c"), ("x", "y", "z")):
-        require_sheaf(*_carrier(names, **first))
+        require_sheaf(*_carrier(names))
     assert certified["is_sheaf"] == 1
     for names in (("a", "b", "c"), ("u", "v", "w")):
         require_sheaf(*_carrier(names, **other), budget=budget)
     assert certified["is_sheaf"] == 2
+
+
+def test_another_support_bound_certifies_again(certified):
+    """Deterministic work gate: after a support-bounded carrier of bound 3
+    on three locations is certified, one of bound 2 calls `is_sheaf`
+    again and raises `NotASheafError`, each time, as a negative verdict
+    is never kept; bounds 5 and 100 number the same heaps as 3, so they
+    share its shape and certify nothing."""
+    require_sheaf(*_carrier(("a", "b", "c"), kind="support-bounded", bound=3))
+    assert certified["is_sheaf"] == 1
+    for names in (("a", "b", "c"), ("u", "v", "w")):
+        before = certified["is_sheaf"]
+        with pytest.raises(NotASheafError):
+            require_sheaf(*_carrier(names, kind="support-bounded", bound=2))
+        assert certified["is_sheaf"] > before
+    before = certified["is_sheaf"]
+    for bound in (5, 100):
+        require_sheaf(*_carrier(("x", "y", "z"), kind="support-bounded", bound=bound))
+    assert certified["is_sheaf"] == before
+
+
+def test_a_bound_below_zero_admits_no_heap():
+    """A support-bounded carrier whose bound is below 0 holds no heap at
+    any stage, as every heap allocates at least 0 cells, and its tables
+    are empty; any negative bound gives the same shape."""
+    for bound in (-1, -3):
+        carrier, _ = _carrier(("a", "b", "c"), kind="support-bounded", bound=bound)
+        assert carrier.shape == ("support-bounded", 3, -1)
+        cat = carrier.base
+        assert [carrier.size(a) for a in cat.objects] == [0] * len(cat.objects)
+        assert all(carrier.table(f) == () for f in cat.all_morphisms())
+        assert all(carrier.codes(a) == () for a in cat.objects)
+
+
+def test_a_bound_past_the_locations_shares_the_tables_of_that_bound():
+    """A support bound of at least the number of locations admits every
+    heap, so it is kept in the shape as that number: bounds 4 and 100 on
+    four locations give one shape and the same table tuples, and the
+    carrier is the partial-memory one, under its own name."""
+    names = ("a", "b", "c", "d")
+    at4, _ = _carrier(names, kind="support-bounded", bound=4)
+    at100, _ = _carrier(names, kind="support-bounded", bound=100)
+    partial, _ = _carrier(names)
+    assert at4.shape == at100.shape == ("support-bounded", 3, 4)
+    assert at100.name == "Mp|supp<=100"
+    for f in at4.base.all_morphisms():
+        assert at100.table(f) is at4.table(f)
+        assert at4.table(f) == partial.table(f)
+    assert [at100.size(a) for a in at4.base.objects] == [partial.size(a) for a in at4.base.objects]
 
 
 def _flat(x):
@@ -228,14 +281,21 @@ def _flat(x):
         yield x
 
 
+def _kept_tables(shapes):
+    """Every kept (shape, builder, key) and its table, for these shapes."""
+    return {(shape, build.__name__, key): table for shape in shapes
+            for (build, key), table in presheaf._kept(shape).tables.items()}
+
+
 def test_shape_caches_hold_one_immutable_entry_per_shape_key(tmp_path, monkeypatch):
     """Deterministic work gate: `SHAPE_CACHES` names every cache of
     `presheaf` and `day`.  After every verify and query request of
     one seed, each shape cache holds one entry per distinct key it was
-    asked for, no key holds a location name, and every value is an int
-    or a tuple of ints and tuples.  Serving the same requests again on
-    renamed models (other locations and values in the same order) adds
-    no entry: the keys are shapes, not models."""
+    asked for, no key (nor a kept table's key, nor a certificate) holds
+    a location name, and every kept table is an int or a tuple of ints
+    and tuples.  Serving the same requests again on renamed models
+    (other locations and values in the same order) adds no entry and
+    no table: the keys are shapes, not models."""
     kept = {getattr(module, name) for module in (presheaf, day) for name in dir(module)
             if hasattr(getattr(module, name), "cache_clear")}
     assert kept == set(ref.SHAPE_CACHES)
@@ -254,12 +314,17 @@ def test_shape_caches_hold_one_immutable_entry_per_shape_key(tmp_path, monkeypat
         _run(argv)
     sizes = [table.cache_info().currsize for table in ref.SHAPE_CACHES]
     assert sizes == [len(asked[table]) for table in ref.SHAPE_CACHES]
+    kept_shapes, halves = ref.SHAPE_CACHES
+    shapes = [shape for shape, in asked[kept_shapes]]
+    tables = _kept_tables(shapes)
+    certificates = [c for shape in shapes for c in presheaf._kept(shape).certified]
     names = {x for doc in models.values() for x in doc["locations"]}
     for table in ref.SHAPE_CACHES:
         assert not names & set(_flat(tuple(asked[table]))), table.__name__
-        for value in asked[table].values():
-            assert all(type(x) is int for x in _flat(value)), table.__name__
-            assert isinstance(value, (int, tuple)), table.__name__
+    assert not names & (set(_flat(tuple(tables))) | set(_flat(tuple(certificates))))
+    for value in [*tables.values(), *asked[halves].values()]:
+        assert all(type(x) is int for x in _flat(value))
+        assert isinstance(value, (int, tuple))
 
     for path, doc in models.items():
         other, text = _renamed(doc, "r")
@@ -271,3 +336,31 @@ def test_shape_caches_hold_one_immutable_entry_per_shape_key(tmp_path, monkeypat
         _run([path + ".renamed" if a == path else text(a) if a.startswith(("{", "(")) or " " in a
               else a for a in argv])
     assert [table.cache_info().currsize for table in ref.SHAPE_CACHES] == sizes
+    assert _kept_tables(shapes).keys() == tables.keys()
+
+
+def test_the_process_keeps_a_bounded_number_of_shapes(certified):
+    """`presheaf._kept` holds the tables and certificates of the
+    SHAPES_KEPT shapes read most recently.  Serving more shapes than that
+    drops the oldest: a carrier of it, built before, still reads equal
+    code tables, a new carrier of it equal restriction tables, and its
+    certificate is built again, once."""
+    first, cov = _carrier(("a", "b"))
+    require_sheaf(first, cov)
+    cat = first.base
+    pairs = [(cat.src(f), cat.dst(f)) for f in cat.all_morphisms()]
+    tables = [first.table(f) for f in cat.all_morphisms()]
+    codes = [first.code_table(b, v) for b, v in pairs]
+    for values in range(1, presheaf.SHAPES_KEPT + 1):
+        require_sheaf(*_carrier(("a", "b"), values=tuple(range(100, 100 + values)),
+                                kind="strict-memory"))
+    assert presheaf._kept.cache_info().currsize == presheaf.SHAPES_KEPT
+    assert len(presheaf._kept(first.shape).tables) == 0
+    assert [first.code_table(b, v) for b, v in pairs] == codes
+    again, _ = _carrier(("x", "y"))
+    assert [again.table(f) for f in again.base.all_morphisms()] == tables
+    assert certified["is_sheaf"] == presheaf.SHAPES_KEPT + 1
+    for carrier in (first, again):
+        require_sheaf(carrier, cov if carrier is first else build_coverage(again.base,
+                                                                           "downward-closed"))
+    assert certified["is_sheaf"] == presheaf.SHAPES_KEPT + 2
