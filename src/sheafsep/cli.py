@@ -240,6 +240,7 @@ def load_model(path):
 
 
 def parse_stage(text, model: ResourceModel):
+    """A stage literal as the mask of its locations (`model.locations`' bits)."""
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise ModelSchemaError("--stage", f"expected a brace literal, got {text!r}")
@@ -251,7 +252,7 @@ def parse_stage(text, model: ResourceModel):
     for x in locs:
         if x not in model.locations:
             raise ModelSchemaError("--stage", f"unknown location {x!r}")
-    return locs
+    return sum(1 << model.locations.index(x) for x in locs)
 
 
 def _excerpt(text, limit=40):
@@ -345,7 +346,7 @@ def _family_table(pred):
     for p in cat.mors_into(pred.stage):
         rows.append(
             {
-                "at": list(cat.src(p)),
+                "at": list(pred.resource.named(cat.src(p))),
                 "members": [s.as_dict() for s in sorted(pred.family[p], key=str)],
             }
         )
@@ -407,7 +408,8 @@ def _cmd_laws(model, args, report):
     else:
         report.status["monoid-laws"] = "skipped (no monoid)"
 
-    m_strict = build_resource_sheaf(site.cat, "strict-memory", values=model.values)
+    m_strict = build_resource_sheaf(site.cat, "strict-memory", model.locations,
+                                    values=model.values)
     # partial where the model's sheaf holds fewer heaps (support-bounded)
     inclusion = SheafMorphism(m_strict, mp, {
         a: [heap_id(mp, a, h.values) for h in m_strict.at(a)] for a in site.cat.objects}, "M>->Mp")
@@ -470,7 +472,7 @@ def _cmd_eval(model, args, report):
     stage = model.stage if args.stage is None else parse_stage(args.stage, model)
     pred = eval_formula(model, phi, stage, mode=args.mode)
     report.status["formula"] = args.name if args.formula is None else args.formula
-    report.status["stage"] = "{" + ",".join(stage) + "}"
+    report.status["stage"] = "{" + ",".join(model.sheaf.named(stage)) + "}"
     report.status["family"] = _family_table(pred)
     report.exit_code = 0
 
@@ -480,10 +482,10 @@ def _cmd_sat(model, args, report):
     stage = model.stage if args.stage is None else parse_stage(args.stage, model)
     if args.heap is None:
         raise ModelSchemaError("--heap", "a heap literal is required")
-    heap = parse_heap(args.heap, stage)
+    heap = parse_heap(args.heap, model.sheaf.named(stage))
     res = sat(model, phi, stage, heap, mode=args.mode)
     report.status["result"] = res.result
-    report.status["stage"] = "{" + ",".join(stage) + "}"
+    report.status["stage"] = "{" + ",".join(heap.locations) + "}"
     report.status["element"] = heap.as_dict()
     if res.witness is not None:
         report.witnesses.append(res.witness)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .errors import BudgetExceededError, MonoidalStructureError
-from .fincat import FinCat, MonoidalStructure, validate_monoidal
+from .fincat import FinCat, MonoidalStructure, bits, validate_monoidal
 from .pred import _bitset, _preimage
 from .presheaf import (
     DEFAULT_FAMILY_BUDGET,
@@ -150,9 +150,7 @@ def day_decomp(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure) -> 
         and the tables of F and G that restrict the sections."""
         if not exact:
             return b, c, f_sheaf.table(cat.id(b)), g_sheaf.table(cat.id(c))
-        # objects are sorted location tuples, so B & V keeps B's order
-        v = cat.src(h)
-        b2, c2 = tuple(x for x in b if x in v), tuple(x for x in c if x in v)
+        b2, c2 = b & cat.src(h), c & cat.src(h)
         return b2, c2, f_sheaf.table(cat.hom(b2, b)[0]), g_sheaf.table(cat.hom(c2, c)[0])
 
     def table(h):
@@ -172,21 +170,24 @@ def day_decomp(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure) -> 
 
     kind = "(*)" if exact else "(*)w"
     ps = Presheaf(cat, triples.size, table, triples.decode,
-                  name=f"({f_sheaf.name} {kind} {g_sheaf.name})")
+                  name=f"({f_sheaf.name} {kind} {g_sheaf.name})", locations=f_sheaf.locations)
     ps.blocks = lambda a: list(triples.blocks(a)[0])
     return ps
 
 
 def splittings(cat: FinCat, mon: MonoidalStructure, v):
     """The exact splittings of v: pairs (b, c) with b tensor c = v, in
-    sorted order.  They are tabulated for every v in one pass over the
-    tensor on first use and kept on the monoidal structure."""
+    sorted order, on the powerset as the pairs of sorted location tuples
+    that the masks stand for (by their bit lists).  They are tabulated
+    for every v in one pass over the tensor on first use and kept on the
+    monoidal structure."""
     by_v = mon.memo.get("splittings")
     if by_v is None:
         by_v = {}
         for bc, a in mon.tensor_obj.items():
             by_v.setdefault(a, []).append(bc)
-        by_v = mon.memo["splittings"] = {a: tuple(sorted(pairs)) for a, pairs in by_v.items()}
+        key = (lambda bc: (bits(bc[0]), bits(bc[1]))) if cat.kind == "powerset" else None
+        by_v = mon.memo["splittings"] = {a: tuple(sorted(p, key=key)) for a, p in by_v.items()}
     return by_v.get(v, ())
 
 
@@ -198,7 +199,7 @@ def dinaturality_generators(cat: FinCat, mon: MonoidalStructure):
     inclusions (one added location), of which every inclusion is a
     composite."""
     steps = [m for m in cat.all_morphisms() if not cat.is_identity(m)
-             and (cat.kind != "powerset" or len(cat.dst(m)) == len(cat.src(m)) + 1)]
+             and (cat.kind != "powerset" or m[1].bit_count() == m[0].bit_count() + 1)]
     pairs = [(u, cat.id(c)) for u in steps for c in cat.objects]
     pairs += [(cat.id(b), v) for v in steps for b in cat.objects]
     return [(u, v) for u, v in pairs if mon.tensor_defined(cat.src(u), cat.src(v))
@@ -232,8 +233,8 @@ def day_coend(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure,
         """The number of decompositions at a; BudgetExceededError above the budget."""
         n = triples.size(a)
         if n > budget:
-            raise BudgetExceededError(f"{n} coend decompositions at {a!r} exceed budget {budget}",
-                                      size=n)
+            raise BudgetExceededError(f"{n} coend decompositions at {f_sheaf.named(a)!r} "
+                                      f"exceed budget {budget}", size=n)
         return n
 
     @cache
@@ -290,7 +291,8 @@ def day_coend(f_sheaf: Presheaf, g_sheaf: Presheaf, mon: MonoidalStructure,
         return ps.element(a, classes_at(a)[0][decomp.table(w)[i]])
 
     name = f"({f_sheaf.name} (x) {g_sheaf.name})"
-    ps = Presheaf(cat, lambda a: len(classes_at(a)[1]), table, decode, name=name)
+    ps = Presheaf(cat, lambda a: len(classes_at(a)[1]), table, decode, name=name,
+                  locations=f_sheaf.locations)
     ps.class_of, ps.decomp, ps.decompositions = class_of, decomp, decompositions
     return ps
 
@@ -333,9 +335,8 @@ class ResourceMonoid:
     through restriction tables alone, and reads `overlap` only under the
     other rules (the total one); `products` reads it under every rule.
     Every table is built on first use and kept on the monoid, but for
-    those that depend on shapes alone: the halves' tables, kept for the
-    process (`_half`), and `agreeing`, kept with the carrier's shape
-    (`_agreeing`).
+    those that depend on shapes alone, which are kept with the carrier's
+    shape: the halves' tables (`_half`) and `agreeing` (`_agreeing`).
     """
 
     carrier: Presheaf
@@ -393,9 +394,9 @@ class ResourceMonoid:
         tables, one per half of o: its first two locations (the most
         significant digits of a code at o) and the rest.  See `_half`."""
         def build():
-            rule, n = self._digits()[1], len(v)
-            return tuple(_half(rule, n, tuple(n - 1 - v.index(x) for x in h))
-                         for h in (o[:2], o[2:]))
+            rule, at_o = self._digits()[1], _exponents(o, o, v)
+            return tuple(_half(self.carrier.shape, rule, v.bit_count(), h)
+                         for h in (at_o[:2], at_o[2:]))
         return self._memo(("overlap", o, v), build)
 
     def products(self, b, c):
@@ -404,15 +405,14 @@ class ResourceMonoid:
         with ids i at b and j at c, or -1 when it is undefined or leaves
         the carrier."""
         def build():
-            v = tuple(sorted(set(b) | set(c)))
-            o = tuple(x for x in b if x in c)
+            v, o = b | c, b & c
+            o1 = sum(1 << i for i in bits(o)[:2])  # o's first two locations, then the rest
             (_, _, meet1), (_, _, meet2) = self.overlap(o, v)
             part, ids = self.carrier.part, self.carrier.ids(v)
 
             def digits(a):
                 """Per id at a: E_a, and its codes at o's two halves."""
-                return zip(part(a, tuple(x for x in a if x not in o), v),
-                           part(a, o[:2], o[:2]), part(a, o[2:], o[2:]))
+                return zip(part(a, a & ~o, v), part(a, o1, o1), part(a, o ^ o1, o ^ o1))
 
             right, rows = list(digits(c)), []
             for e, z1, z2 in digits(b):
@@ -441,8 +441,8 @@ def _agreeing(shape, keep, exponents):
     return _preimage(_table(shape, exponents), _bitset(ok))
 
 
-@cache
-def _half(rule, n, exponents):
+@_per_shape
+def _half(shape, rule, n, exponents):
     """(place, zero, meet) for the sub-stage h of a stage v of n
     locations, h's locations being the digits of weight r^e of a code at
     v, e in exponents, under the digit rule (`ResourceMonoid._digits`):
@@ -451,8 +451,8 @@ def _half(rule, n, exponents):
     the cellwise product of the codes z and t at h, or a number below
     -r^n when a digit is undefined, so that the sum of the two halves'
     meets is negative iff the product is.  The empty h has place (0,),
-    zero -1 (every code) and meet ((0,),).  The tables depend on the rule
-    and the digits' places alone, so they are kept for the process: at
+    zero -1 (every code) and meet ((0,),).  They depend on the rule and the
+    digits' places alone, so they are kept with the carrier's shape: at
     most 25 per rule up to 4 locations, of at most r^4 entries each."""
     r = len(rule)
     size = r ** n
@@ -484,7 +484,7 @@ def build_memory_monoid(mp: Presheaf, variant: str) -> ResourceMonoid:
     }
     if variant not in cells:
         raise MonoidalStructureError(f"unknown monoid variant {variant!r}")
-    return ResourceMonoid(mp, variant, cells[variant], (), Heap((), ()))
+    return ResourceMonoid(mp, variant, cells[variant], 0, Heap((), ()))
 
 
 def check_monoid_laws(monoid: ResourceMonoid, mon: MonoidalStructure) -> Report:
@@ -508,7 +508,8 @@ def check_monoid_laws(monoid: ResourceMonoid, mon: MonoidalStructure) -> Report:
             v = mon.tensor(b, c)
             index = {h.values: i for h, i in mp.index(v).items()}
             # where each location of v is read: from b, from c, or both
-            where = [(b.index(x) if x in b else None, c.index(x) if x in c else None) for x in v]
+            at_b, at_c = ({i: k for k, i in enumerate(bits(a))} for a in (b, c))
+            where = [(at_b.get(i), at_c.get(i)) for i in bits(v)]
             for s, row in zip(mp.at(b), monoid.products(b, c)):
                 for t, got in zip(mp.at(c), row):
                     cells = [t.values[j] if i is None else s.values[i] if j is None
@@ -573,13 +574,9 @@ def _lub_least_covers(site: Site) -> bool:
     is the sieve of the inclusions of {} and of a's singletons, as on the
     lub coverages (downward-closed, finite-covers)."""
     cat, cov = site.cat, site.cov
-    if cat.kind != "powerset":
-        return False
-    for a in cat.objects:
-        members = cov.min_cover(a).members
-        if len(members) != len(a) + 1 or any(len(cat.src(f)) > 1 for f in members):
-            return False
-    return True
+    return cat.kind == "powerset" and all(
+        {cat.src(f) for f in cov.min_cover(a).members} == {0, *(1 << i for i in bits(a))}
+        for a in cat.objects)
 
 
 def _is_sheaf(ps: Presheaf, cov) -> bool:
@@ -596,7 +593,7 @@ def _flabby_point(ps: Presheaf) -> bool:
     restriction table is onto (F is flabby), read in one pass over the
     tables."""
     cat = ps.base
-    return cat.kind == "powerset" and ps.size(()) == 1 and all(
+    return cat.kind == "powerset" and ps.size(0) == 1 and all(
         set(range(ps.size(cat.src(f)))) <= set(ps.table(f)) for f in cat.all_morphisms())
 
 
@@ -673,12 +670,13 @@ def check_day_stability(site: Site, samples, inclusions=(), budget=DEFAULT_COEND
     for alpha in inclusions:
         for a in cat.objects:
             if not injective(alpha.ids(a)):
-                rep.flag("mono", f"{alpha.name}: supplied components not injective at {a!r}")
+                rep.flag("mono", f"{alpha.name}: supplied components not injective at "
+                                 f"{alpha.source.named(a)!r}")
         for g_sheaf in samples:
             for a, col in _convolved_mono(mon, alpha, g_sheaf).items():
                 if not injective(col):
-                    rep.flag("mono-preservation",
-                             f"day({alpha.name}, {g_sheaf.name}) not injective at {a!r}")
+                    rep.flag("mono-preservation", f"day({alpha.name}, {g_sheaf.name}) not "
+                                                  f"injective at {alpha.source.named(a)!r}")
     for v in validate_monoidal(cat, mon).violations:
         if v.kind in ("functoriality", "definedness", "typing"):
             rep.flag("gamma", v.detail)

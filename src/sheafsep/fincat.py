@@ -1,11 +1,10 @@
 """Finite categories with explicit hom-sets and composition tables.
 
-Objects and morphisms are interned identifiers (nested tuples of strings
-and ints), so every structure is hashable and iterates in a fixed order.
-Morphism identifiers:
+Objects and morphisms are interned identifiers (ints and tuples), so
+every structure is hashable and iterates in a fixed order:
 
-  powerset base:  ("incl", src_tuple, dst_tuple)
-  finsurj base:   ("surj", n, m, values)        values[i] = f(i+1)
+  powerset base:  location masks, and `Incl` pairs (src_mask, dst_mask)
+  finsurj base:   sizes n, and ("surj", n, m, values), values[i] = f(i+1)
 
 The built-in bases are small enough that every law is checked by
 exhaustive enumeration.
@@ -36,11 +35,6 @@ class FinCat:
     full table of defined composites keyed by (g, f) with dst(f) = src(g).
     Immutable after construction.
     """
-
-    # ("powerset", n) on the powerset of n locations that
-    # `build_powerset_category` builds: it is that category up to the
-    # renaming of locations in sorted order
-    shape = None
 
     def __init__(self, kind, objects, homs, compose, identities):
         self.kind = kind
@@ -177,44 +171,47 @@ class MonoidalStructure:
 # -- builders -----------------------------------------------------------
 
 
-def incl(src, dst):
-    return ("incl", tuple(src), tuple(dst))
+def bits(m):
+    """Positions of the set bits of m, low to high."""
+    return [i for i, c in enumerate(reversed(bin(m))) if c == "1"]
 
 
-def build_powerset_category(locations):
-    """Powerset of a finite location set as a thin monoidal category.
+class Incl(tuple):
+    """The inclusion src <= dst of two location masks, as the pair (src,
+    dst).  It sorts as the location tuples the masks stand for, by their
+    bit lists, source first: () < (x) < (x, y) < (y)."""
 
-    Objects are sorted tuples of locations, a unique inclusion morphism
-    A -> B exists iff A is a subset of B, tensor is union with unit ().
+    __slots__ = ()
+
+    def __lt__(self, other):
+        return (bits(self[0]), bits(self[1])) < (bits(other[0]), bits(other[1]))
+
+
+def build_powerset_category(n):
+    """The powerset of n locations as a thin monoidal category.
+
+    Objects are location masks, bit i the i-th location in sorted order,
+    ordered by size and then bit lists, as the location tuples they stand
+    for.  A unique inclusion a -> b exists iff a | b == b; the tensor is
+    union (OR) with unit 0.
     """
-    locations = tuple(sorted(set(locations)))
-    if len(locations) > POWERSET_SIZE_BOUND:
-        raise SizeBoundError(
-            f"{len(locations)} locations exceed the powerset bound {POWERSET_SIZE_BOUND}"
-        )
-    # bit i of mask[a] is locations[i]: a <= b iff mask[a] | mask[b] == mask[b]
-    of_mask = {
-        m: tuple(x for i, x in enumerate(locations) if m >> i & 1)
-        for m in range(1 << len(locations))
-    }
-    mask = {a: m for m, a in of_mask.items()}
-    objects = sorted(mask, key=lambda a: (len(a), a))
-    above = {a: [b for b in objects if mask[a] | mask[b] == mask[b]] for a in objects}
-    homs = {(a, b): (incl(a, b),) for a in objects for b in above[a]}
+    if n > POWERSET_SIZE_BOUND:
+        raise SizeBoundError(f"{n} locations exceed the powerset bound {POWERSET_SIZE_BOUND}")
+    objects = sorted(range(1 << n), key=lambda m: (m.bit_count(), bits(m)))
+    above = {a: [b for b in objects if a | b == b] for a in objects}
+    homs = {(a, b): (Incl((a, b)),) for a in objects for b in above[a]}
     compose = {(homs[b, c][0], homs[a, b][0]): homs[a, c][0]
                for a in objects for b in above[a] for c in above[b]}
     identities = {a: homs[a, a][0] for a in objects}
     cat = FinCat("powerset", objects, homs, compose, identities)
-    cat.shape = ("powerset", len(locations))
-    tensor_obj = {(a, b): of_mask[mask[a] | mask[b]] for a in objects for b in objects}
-    mors = [(f, mask[a], mask[b]) for (a, b), (f,) in homs.items()]
-    of_masks = {(ma, mb): f for f, ma, mb in mors}
+    tensor_obj = {(a, b): a | b for a in objects for b in objects}
+    mors = [f for (f,) in homs.values()]
 
     def tensor_mor():
         # (3^n)^2 pairs, read only by the law checks and the coend
-        return {(f, g): of_masks[ma | mc, mb | md] for f, ma, mb in mors for g, mc, md in mors}
+        return {(f, g): homs[f[0] | g[0], f[1] | g[1]][0] for f in mors for g in mors}
 
-    mon = MonoidalStructure(tensor_obj, tensor_mor, unit=(), symmetric=True)
+    mon = MonoidalStructure(tensor_obj, tensor_mor, unit=0, symmetric=True)
     return cat, mon
 
 

@@ -30,7 +30,7 @@ from .errors import (
     ResourceKindError,
     StageMismatchError,
 )
-from .fincat import FinCat
+from .fincat import FinCat, bits
 from .report import Report
 from .site import Coverage, Sieve, sieve_masks
 
@@ -87,7 +87,8 @@ class Presheaf:
     F(dst f) to ids in F(src f), and `decode(A, i)` is the element with
     id i; decoding ids 0, 1, ... must list the stage's distinct elements
     in their canonical order.  A stage is a set, so an id is an element:
-    `index(A)` maps each element to its position in `at(A)`.
+    `index(A)` maps each element to its position in `at(A)`.  Reports
+    print a stage by the names of the presheaf's `locations`, if given.
     """
 
     # the shape a builder stamps on a presheaf whose tables depend on it
@@ -95,8 +96,8 @@ class Presheaf:
     shape = None
 
     def __init__(self, base: FinCat, size_fn, table_fn, decode, *, name="presheaf",
-                 fibres_fn=None):
-        self.base, self.name = base, name
+                 fibres_fn=None, locations=None):
+        self.base, self.name, self.locations = base, name, locations
         self._size_fn, self._table_fn, self._decode = size_fn, table_fn, decode
         self._fibres_fn = fibres_fn
         self._cache = {}  # stage -> at()
@@ -132,6 +133,10 @@ class Presheaf:
     def element(self, a, i):
         """The element with id i at stage a."""
         return self._decode(a, i)
+
+    def named(self, a):
+        """Stage a as reports print it: by its locations' names, if given."""
+        return a if self.locations is None else tuple(self.locations[i] for i in bits(a))
 
     def table(self, f):
         """F(f) encoded: id in F(dst f) -> id in F(src f)."""
@@ -172,26 +177,27 @@ def _fibres(table, n):
 # -- resource sheaf builders ----------------------------------------------
 
 
-def build_resource_sheaf(cat: FinCat, kind: str, *, values=None, bound=None):
-    """The named memory sheaf over the powerset base.
+def build_resource_sheaf(cat: FinCat, kind: str, locations, *, values=None, bound=None):
+    """The named memory sheaf over the powerset base of its locations.
 
     kinds: strict-memory | partial-memory | support-bounded.  Each needs a
     value set; support-bounded additionally takes the bound (a
-    deliberately non-sheaf example).
+    deliberately non-sheaf example).  Bit i of a stage is the i-th of the
+    locations in sorted order.
 
     Its numbering depends on its shape alone, (kind, r, k) for r cells
     and the support bound k (None when unbounded), so the codes, ids,
     sizes and restriction tables are read from the tables the process
     keeps with the shape (`_kept`, `_codes` and the rest below) and
-    shared by every carrier of that shape; this one maps its stages and
-    morphisms to their keys, keeps what it read, and decodes ids into
-    heaps of its own locations and values.
+    shared by every carrier of that shape; this one keys its stages and
+    morphisms by their exponents, keeps what it read, and decodes ids
+    into heaps of its own locations and values.
     """
     if kind not in ("strict-memory", "partial-memory", "support-bounded"):
         raise ResourceKindError(f"unknown resource kind {kind!r}")
     if cat.kind != "powerset":
         raise ResourceKindError(f"{kind} requires a powerset base, got {cat.kind!r}")
-    vals = tuple(sorted(set(values)))
+    vals, locations = tuple(sorted(set(values))), tuple(sorted(set(locations)))
     if not vals:
         raise ResourceKindError(f"{kind} needs a nonempty value set")
     # the memory kinds differ only in their cells (None marks an
@@ -207,22 +213,22 @@ def build_resource_sheaf(cat: FinCat, kind: str, *, values=None, bound=None):
         # every bound of at least the number of locations admits every
         # heap, and every bound below 0 none, so the shape holds k
         # between -1 and that number: finitely many shapes per r
-        k = max(-1, min(bound, max(map(len, cat.objects))))
+        k = max(-1, min(bound, len(locations)))
     shape, r, digit = (kind, len(cells), k), len(cells), {x: d for d, x in enumerate(cells)}
 
     @cache
     def codes(a):
         """Per id at a, its code; None on a full stage."""
-        return None if _full(shape, len(a)) else _codes(shape, len(a))
+        return None if _full(shape, a.bit_count()) else _codes(shape, a.bit_count())
 
     @cache
     def ids(a):
         """Per code at a, its id or -1 off the carrier; None on a full stage."""
-        return None if _full(shape, len(a)) else _ids(shape, len(a))
+        return None if _full(shape, a.bit_count()) else _ids(shape, a.bit_count())
 
     @cache
     def size(a):
-        return _size(shape, len(a))
+        return _size(shape, a.bit_count())
 
     @cache
     def part(a, s, v):
@@ -252,12 +258,13 @@ def build_resource_sheaf(cat: FinCat, kind: str, *, values=None, bound=None):
 
     def decode(a, i):
         c, out = i if codes(a) is None else codes(a)[i], []
-        for _ in a:
+        for _ in names[a]:
             c, d = divmod(c, r)
             out.append(cells[d])
-        return Heap(a, tuple(reversed(out)))
+        return Heap(names[a], tuple(reversed(out)))
 
-    ps = Presheaf(cat, size, table, decode, name=name, fibres_fn=fibres)
+    ps = Presheaf(cat, size, table, decode, name=name, fibres_fn=fibres, locations=locations)
+    names = {a: ps.named(a) for a in cat.objects}  # what decode names its heaps' stages
     ps.cells, ps.codes, ps.ids, ps.part, ps.code = cells, codes, ids, part, code
     ps.code_table, ps.shape = code_table, shape
     return ps
@@ -281,7 +288,7 @@ SHAPES_KEPT = 16
 
 class _Shape:
     """What the process keeps for one shape: its tables, by (builder,
-    key), and `certified`, the (coverage shape, budget) pairs for which
+    key), and `certified`, the (coverage, budget) pairs for which
     `require_sheaf` certified its carriers."""
 
     __slots__ = ("tables", "certified")
@@ -310,12 +317,12 @@ def _per_shape(build):
     return read
 
 
+@cache
 def _exponents(a, s, v):
     """Per location of a, the exponent of its digit's weight r^e in a code
-    at v when it lies in s, else None (the digit is dropped); s is a
-    sub-stage of a and of v."""
-    top = len(v) - 1
-    return tuple([top - v.index(x) if x in s else None for x in a])
+    at v (the number of v's locations above it) when it lies in s, else
+    None; s <= a, v.  Masks have at most POWERSET_SIZE_BOUND bits."""
+    return tuple([(v >> i + 1).bit_count() if s >> i & 1 else None for i in bits(a)])
 
 
 def _full(shape, n):
@@ -560,7 +567,7 @@ def _replay_sheaf(rep, ps: Presheaf, cov: Coverage, budget) -> int:
 
     src, n_checked = ps.base.src, 0
     for a in ps.base.objects:
-        least = cov.min_cover(a)
+        least, at = cov.min_cover(a), ps.named(a)
         for s in cov.covers(a):
             n = _identity_families(ps, s, budget)
             if n is not None:
@@ -575,14 +582,14 @@ def _replay_sheaf(rep, ps: Presheaf, cov: Coverage, budget) -> int:
                 hits = index.get(partial, ())
                 if len(hits) > 1:
                     x, y = (show(a, p, repr) for p in hits[:2])
-                    rep.flag("uniqueness", f"{len(hits)} amalgamations at {a!r}: {x}, {y}")
+                    rep.flag("uniqueness", f"{len(hits)} amalgamations at {at!r}: {x}, {y}")
                 elif not hits:
                     start = tuple(t[partial[j]] for j, t in first_three)
                     note = notes.get(start)
                     if note is None:
                         sample = tuple(show(src(f), i, str) for f, i in zip(code.members, start))
                         note = notes[start] = (
-                            f"no amalgamation at {a!r} over cover of size {len(s.members)}; "
+                            f"no amalgamation at {at!r} over cover of size {len(s.members)}; "
                             f"family starts {sample!r}")
                     rep.flag("existence", note)
     return n_checked
@@ -650,16 +657,13 @@ def require_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> 
     that is not one, raise `NotASheafError` with `check_sheaf`'s
     report, which replays every cover for the violations.
 
-    A carrier and a coverage on its base that their builders stamped
-    with shapes (`build_resource_sheaf`, `build_coverage`) are certified
-    once per process for the two shapes and the budget: a renaming of
-    locations and values in sorted order is an isomorphism of carriers
-    and of coverages, and `is_sheaf` reads only sizes, tables and least
-    covers, so every pair of those shapes gets the same verdict."""
-    if ps.shape is not None and cov.shape is not None and ps.base is cov.cat:
-        key, certified = (cov.shape, budget), _kept(ps.shape).certified
-    else:
-        key, certified = (cov, budget), ps._sheaf_for
+    A carrier stamped with a shape (`build_resource_sheaf`) is certified
+    once per coverage and budget for every carrier of its shape while
+    the shape is kept: a renaming of locations and values in sorted
+    order is an isomorphism of carriers, and `is_sheaf` reads only
+    sizes, tables and least covers, so all get the same verdict."""
+    key = (cov, budget)
+    certified = ps._sheaf_for if ps.shape is None else _kept(ps.shape).certified
     if key in certified:
         return
     if not is_sheaf(ps, cov, budget):
@@ -727,7 +731,8 @@ def matching_presheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET)
         return MatchClass(a, members, tuple(
             ps.element(cat.src(f), x) for f, x in zip(members, families(a)[i])))
 
-    match = Presheaf(cat, lambda a: len(families(a)), table, decode, name=f"Match({ps.name})")
+    match = Presheaf(cat, lambda a: len(families(a)), table, decode, name=f"Match({ps.name})",
+                     locations=ps.locations)
     match.families = families
     return match
 
@@ -801,13 +806,13 @@ def amalgamation_operator(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUD
     rep = Report(f"amalgamation operator ({ps.name})")
     to_sheaf, from_sheaf = {}, {}
     for a in ps.base.objects:
-        code = _encoded_cover(ps, cov.min_cover(a))
+        code, at = _encoded_cover(ps, cov.min_cover(a)), ps.named(a)
         index, at_gens = code.signature_index(), [code.members.index(g) for g in code.gens]
         fwd = [index[tuple(legs[j] for j in at_gens)][0] for legs in match.families(a)]
         if len(set(fwd)) != len(fwd):
-            rep.flag("bijectivity", f"amalgamation not injective at {a!r}")
+            rep.flag("bijectivity", f"amalgamation not injective at {at!r}")
         if set(fwd) != set(range(ps.size(a))):
-            rep.flag("bijectivity", f"amalgamation not surjective at {a!r}")
+            rep.flag("bijectivity", f"amalgamation not surjective at {at!r}")
         inverse = [-1] * ps.size(a)
         for k, i in enumerate(fwd):
             inverse[i] = k

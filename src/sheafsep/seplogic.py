@@ -29,15 +29,18 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
-from .day import ResourceMonoid, day_decomp, splittings
+from .day import ResourceMonoid, build_memory_monoid, day_decomp, splittings
 from .errors import (
     AtomTypeError,
+    CoverageKindError,
     FormulaSyntaxError,
     StageMismatchError,
     UnknownIdentifierError,
 )
+from .fincat import build_powerset_category
 from .pred import (
     KripkePredicate,
     SheafMorphism,
@@ -51,8 +54,8 @@ from .pred import (
     meet,
     top_predicate,
 )
-from .presheaf import AmalgamationIso, Presheaf, require_sheaf
-from .site import Site
+from .presheaf import AmalgamationIso, Presheaf, build_resource_sheaf, require_sheaf
+from .site import Site, build_coverage
 
 
 # -- abstract syntax ---------------------------------------------------------
@@ -359,9 +362,9 @@ def formula_atoms(phi):
 
 @dataclass
 class ResourceModel:
-    """A memory model: site, resource sheaf, monoid, declared atoms, the
-    default stage of interest (the full location set) and the model's
-    named formulas."""
+    """A memory model: site, resource sheaf, monoid, its locations and
+    values in sorted order, the default stage of interest (the mask of
+    every location) and the model's named formulas."""
 
     site: Site
     sheaf: Presheaf
@@ -382,37 +385,41 @@ class ResourceModel:
                 raise UnknownIdentifierError(f"unknown value {atom.val!r}")
 
 
+@cache
+def powerset_site(n) -> Site:
+    """The powerset of n locations with the lub coverage, shared by every
+    memory model of n locations whatever their names (bit i of a stage is
+    the i-th in sorted order) and by both lub kinds, which have the same
+    covers; built once per n <= POWERSET_SIZE_BOUND with its tables."""
+    cat, mon = build_powerset_category(n)
+    return Site(cat, build_coverage(cat, "downward-closed"), mon)
+
+
 def make_memory_model(locations, values, sheaf_kind="partial-memory",
                       monoid_variant="weak-partial", coverage_kind="downward-closed",
                       support_bound=None, name="memory-model") -> ResourceModel:
-    """Assemble a memory resource model over the powerset site.
+    """Assemble a memory resource model over the powerset site of its
+    locations (`powerset_site`).
 
     Every monoid variant lives on partial memory (a total multiplication
     needs the unallocated value to absorb conflicts), so requesting one
     with another sheaf kind is rejected.
     """
-    from .fincat import build_powerset_category
-    from .presheaf import build_resource_sheaf
-    from .site import build_coverage
-
-    cat, mon = build_powerset_category(locations)
-    cov = build_coverage(cat, coverage_kind)
-    site = Site(cat, cov, mon)
-    kwargs = {"values": tuple(values)}
-    if sheaf_kind == "support-bounded":
-        kwargs["bound"] = support_bound
-    sheaf = build_resource_sheaf(cat, sheaf_kind, **kwargs)
+    if coverage_kind not in ("downward-closed", "finite-covers"):
+        raise CoverageKindError(f"memory models need a lub coverage, got {coverage_kind!r}")
+    locations = tuple(sorted(set(locations)))
+    site = powerset_site(len(locations))
+    sheaf = build_resource_sheaf(site.cat, sheaf_kind, locations, values=values,
+                                 bound=support_bound)
     monoid = None
     if monoid_variant is not None:
         if sheaf_kind != "partial-memory":
             raise AtomTypeError(
                 f"monoid {monoid_variant!r} requires the partial-memory sheaf"
             )
-        from .day import build_memory_monoid
-
         monoid = build_memory_monoid(sheaf, monoid_variant)
-    stage = tuple(sorted(locations))
-    return ResourceModel(site, sheaf, monoid, stage, tuple(sorted(values)), stage, name)
+    stage = (1 << len(locations)) - 1
+    return ResourceModel(site, sheaf, monoid, locations, tuple(sorted(values)), stage, name)
 
 
 def heap_id(mp: Presheaf, a, cells) -> int:
@@ -436,12 +443,12 @@ def atom_predicate(model: ResourceModel, atom, stage=None) -> KripkePredicate:
     model.check_formula(atom)
     # in view, every form holds of the heaps storing the value at the
     # location: the fibre over that heap's id at the singleton stage
-    one = (atom.loc,)
+    one = 1 << model.locations.index(atom.loc)
     i = heap_id(mp, one, (atom.val,))  # -1 under support bound 0
     bits = {}
     for p in cat.mors_into(stage):
         v = cat.src(p)
-        if atom.loc in v:
+        if v & one:
             bits[p] = 0 if i < 0 else mp.fibres(cat.hom(one, v)[0])[i]
         else:
             bits[p] = 0 if isinstance(atom, PointsToAlloc) else _all(mp, v)
@@ -487,7 +494,7 @@ def _star_terms(model, p, q, v):
         left, right = p.bits[cat.hom(b, stage)[0]], q.bits[cat.hom(c, stage)[0]]
         if not (left and right):
             continue
-        o = tuple(x for x in b if x in c)
+        o = b & c
         if agreement:
             agree = monoid.agreeing(o, v)
             yield b, c, agree and lift(lefts, b, left) & lift(rights, c, right) & agree
@@ -647,8 +654,8 @@ def _star_witness(model, p, q, element):
             else:
                 i, j = mp.table(cat.hom(b, stage)[0])[k], mp.table(cat.hom(c, stage)[0])[k]
             return {
-                "left_stage": list(b),
-                "right_stage": list(c),
+                "left_stage": list(mp.named(b)),
+                "right_stage": list(mp.named(c)),
                 "left": mp.element(b, i).as_dict(),
                 "right": mp.element(c, j).as_dict(),
             }
@@ -662,7 +669,7 @@ def _product_halves(model, b, c, v, left, right, target):
     the candidates' ids run in the order of their codes z at o, and with
     i fixed the js run in the order of t: the first pair of pieces, z
     then t, whose product holds the target gives the pair."""
-    mp, halves = model.sheaf, model.monoid.overlap(tuple(x for x in b if x in c), v)
+    mp, halves = model.sheaf, model.monoid.overlap(b & c, v)
     (place1, _, meet1), (place2, _, meet2) = halves
     down_b, down_c = mp.code_table(b, v), mp.code_table(c, v)
     pieces = _pieces(_preimage(down_c, right), halves)
@@ -695,9 +702,10 @@ def sat(model: ResourceModel, phi, stage, element, mode="unfolded") -> SatResult
     decomposition for a top-level star.  An unfolded top-level star is
     decided by its witness search, which stops at the first hit."""
     model.site.cat.require_object(stage)
-    i = heap_id(model.sheaf, stage, element.values) if element.locations == stage else -1
+    mp = model.sheaf
+    i = heap_id(mp, stage, element.values) if element.locations == mp.named(stage) else -1
     if i < 0:
-        raise StageMismatchError(f"{element!r} is not a resource at stage {stage!r}")
+        raise StageMismatchError(f"{element!r} is not a resource at stage {mp.named(stage)!r}")
     if not isinstance(phi, Star):
         return SatResult(bool(_stage_bits(model, phi, stage, mode) >> i & 1), stage, element)
     # evaluate the operands once: the witness search reuses them

@@ -22,7 +22,7 @@ from math import comb
 from operator import or_
 
 from .errors import BudgetExceededError, CoverageKindError
-from .fincat import FinCat, MonoidalStructure
+from .fincat import FinCat, MonoidalStructure, bits
 from .report import Report
 
 SIEVE_ENUM_LIMIT = 20  # max morphisms into an object for SieveMasks.all
@@ -40,11 +40,6 @@ class Sieve:
 
     def sorted_members(self):
         return tuple(sorted(self.members))
-
-
-def _bits(m):
-    """Positions of the set bits of m, low to high."""
-    return [i for i, c in enumerate(reversed(bin(m))) if c == "1"]
 
 
 def _pull(table, m):
@@ -145,7 +140,7 @@ class SieveMasks:
                     if m | c not in found:
                         found.add(m | c)
                         frontier.append(m | c)
-            self._all[a] = sorted(found, key=lambda m: (m.bit_count(), _bits(m)))
+            self._all[a] = sorted(found, key=lambda m: (m.bit_count(), bits(m)))
         return self._all[a]
 
 
@@ -168,10 +163,6 @@ class Coverage:
     is the least cover in closed form; otherwise `min_cover` intersects
     the covers.  `count(a)`, when given, is the number of covers in
     closed form; otherwise `count` builds them."""
-
-    # (kind, base shape) on a built-in coverage of a base whose builder
-    # stamped its shape (`build_coverage`)
-    shape = None
 
     def __init__(self, cat: FinCat, covers, notes=(), least=None, count=None):
         self.cat = cat
@@ -252,13 +243,11 @@ def build_coverage(cat: FinCat, kind: str) -> Coverage:
                      to be completable (checked, witness reported).
 
     Both are coverages, so the axioms are not replayed here (check-site
-    replays them).  On a base stamped with its shape (`FinCat.shape`) the
-    coverage is stamped (kind, that shape): its covers depend on nothing
-    else, up to the renaming of the base's objects.  On the powerset the
-    lub criterion is one: the maximal sieve covers; it is stable along
-    b -> a, as b = b & (union of S) = union of (b & s) over
-    s in S; and a sieve that pulls back to a cover of every s in a cover
-    S has sources with union a.  Its least cover at a is the sieve of
+    replays them).  On the powerset the lub criterion is one: the
+    maximal sieve covers; it is stable along b -> a, as b = b & (union of
+    S) = union of (b & s) over s in S; and a sieve that pulls back to a
+    cover of every s in a cover S has sources with union a.  Its least
+    cover at a is the sieve of
     the morphisms from stages of at most one location: the one the
     singleton inclusions generate, and the maximal sieve at ().  It
     covers, and every cover contains it, since a cover of a nonempty a
@@ -279,14 +268,12 @@ def build_coverage(cat: FinCat, kind: str) -> Coverage:
             raise CoverageKindError(f"{kind} coverage requires a powerset base, got {cat.kind!r}")
 
         def covers(a):
-            on_a = {x: 1 << i for i, x in enumerate(a)}
-            src_locs = [sum(on_a[x] for x in cat.src(f)) for f in sm.bit(a)]
-            whole = (1 << len(a)) - 1
+            sources = [f[0] for f in sm.bit(a)]
             return [sm.sieve(a, m) for m in sm.all(a)
-                    if m and reduce(or_, (src_locs[i] for i in _bits(m))) == whole]
+                    if m and reduce(or_, (sources[i] for i in bits(m))) == a]
 
         def least(a):
-            return sm.sieve(a, sum(on_a for f, on_a in sm.bit(a).items() if len(cat.src(f)) <= 1))
+            return sm.sieve(a, sum(on_a for f, on_a in sm.bit(a).items() if f[0].bit_count() <= 1))
 
         notes = [f"covering = nonempty sieve whose sources have lub equal to the stage ({kind})"]
         if kind == "finite-covers":
@@ -294,8 +281,8 @@ def build_coverage(cat: FinCat, kind: str) -> Coverage:
                 "on a finite base every covering sieve is the downward closure of a "
                 "finite pre-cover, so finite-covers coincides with downward-closed"
             )
-        cov = Coverage(cat, covers, notes, least, lambda a: _lub_cover_count(len(a)))
-    elif kind == "atomic":
+        return Coverage(cat, covers, notes, least, lambda a: _lub_cover_count(a.bit_count()))
+    if kind == "atomic":
         for f in cat.all_morphisms():  # every cospan must have a commuting span
             for h in cat.mors_into(cat.dst(f)):
                 if not cat.squares(h, f):
@@ -304,13 +291,9 @@ def build_coverage(cat: FinCat, kind: str) -> Coverage:
                         "completion inside the size bound"
                     )
         # the empty sieve sorts first
-        cov = Coverage(cat, lambda a: [sm.sieve(a, m) for m in sm.all(a)[1:]],
-                       ("covering = nonempty sieve (atomic)",))
-    else:
-        raise CoverageKindError(f"unknown coverage kind {kind!r}")
-    if cat.shape is not None:
-        cov.shape = (kind, cat.shape)
-    return cov
+        return Coverage(cat, lambda a: [sm.sieve(a, m) for m in sm.all(a)[1:]],
+                        ("covering = nonempty sieve (atomic)",))
+    raise CoverageKindError(f"unknown coverage kind {kind!r}")
 
 
 def _lub_cover_count(n):

@@ -69,14 +69,14 @@ def day_decomp(f_sheaf, g_sheaf, mon):
 
         def restr(h, d):
             v = cat.src(h)
-            b2 = tuple(x for x in d.left_stage if x in v)
-            c2 = tuple(x for x in d.right_stage if x in v)
+            b2, c2 = d.left_stage & v, d.right_stage & v
             fb = cat.hom(b2, d.left_stage)[0]
             gc = cat.hom(c2, d.right_stage)[0]
             return Decomp(v, b2, c2, f_sheaf.restrict(fb, d.left),
                           g_sheaf.restrict(gc, d.right))
 
-        return listed(cat, stages, restr, name=f"({f_sheaf.name} (*) {g_sheaf.name})")
+        return listed(cat, stages, restr, name=f"({f_sheaf.name} (*) {g_sheaf.name})",
+                      locations=f_sheaf.locations)
 
     def stages(a):
         return coend_triples(cat, mon, f_sheaf, g_sheaf, a)
@@ -84,7 +84,8 @@ def day_decomp(f_sheaf, g_sheaf, mon):
     def restr(h, d):
         return precompose(cat, d, h)
 
-    return listed(cat, stages, restr, name=f"({f_sheaf.name} (*)w {g_sheaf.name})")
+    return listed(cat, stages, restr, name=f"({f_sheaf.name} (*)w {g_sheaf.name})",
+                  locations=f_sheaf.locations)
 
 
 def apply(monoid, d):
@@ -152,7 +153,8 @@ def day_coend(f_sheaf, g_sheaf, mon, budget=DEFAULT_COEND_BUDGET):
         witnessed = d if d.witness is not None else poset_witnessed(cat, mon, d)
         return classes_at(witnessed.stage)[witnessed]
 
-    ps = listed(cat, stages, restr, name=f"({f_sheaf.name} (x) {g_sheaf.name})")
+    ps = listed(cat, stages, restr, name=f"({f_sheaf.name} (x) {g_sheaf.name})",
+                locations=f_sheaf.locations)
     ps.class_of = class_of
     ps.classes_at = classes_at
     return ps

@@ -13,6 +13,11 @@ presheaves number, as a total key on heterogeneous values: the package
 numbers each stage in that order without comparing elements, and the
 references sort by it.
 
+`build_name_powerset` is the powerset builder that the location masks
+replaced: stages are sorted name tuples and inclusions are ("incl",
+src, dst).  The order tests render the mask site back to names and
+compare its orders with this one's.
+
 `slice_category` builds cat/a with its domain functor, whose morphism
 ids are ("tri", g, q, p) for a base morphism g with p.g = q, and
 `validate_functor` checks a `FunctorData`'s typing, identities and
@@ -23,7 +28,7 @@ slices through them.
 from dataclasses import dataclass, field
 
 from sheafsep.day import CoendClass, Decomp
-from sheafsep.fincat import FinCat
+from sheafsep.fincat import FinCat, Incl, MonoidalStructure, bits
 from sheafsep.presheaf import Heap, MatchClass
 from sheafsep.psl import ProbSpace
 from sheafsep.report import Report
@@ -40,15 +45,19 @@ def element_key(x):
 def sort_key(x):
     """The order of x among the values of its type: heaps by locations,
     then values with None last; decompositions by stages, then halves
-    and witness; a coend class by its named decomposition; a matching
-    class by stage, cover and items; a space by size, blocks and
-    measure; a sieve by target and sorted members.  A value of another
-    type with a `sort_key` method reads it; None for the rest."""
+    and witness, a powerset's stages (the witness is None or an
+    inclusion) as the location tuples their masks stand for; a coend
+    class by its named decomposition; a matching class by stage, cover
+    and items; a space by size, blocks and measure; a sieve by target
+    and sorted members.  A value of another type with a `sort_key`
+    method reads it; None for the rest."""
     if isinstance(x, Heap):
         return x.locations, tuple((v is None, 0 if v is None else v) for v in x.values)
     if isinstance(x, Decomp):
-        return (x.stage, x.left_stage, x.right_stage, element_key(x.left),
-                element_key(x.right), repr(x.witness))
+        stages = (x.stage, x.left_stage, x.right_stage)
+        if x.witness is None or isinstance(x.witness, Incl):
+            stages = tuple(map(bits, stages))
+        return (*stages, element_key(x.left), element_key(x.right), repr(x.witness))
     if isinstance(x, CoendClass):
         return sort_key(x.rep)
     if isinstance(x, MatchClass):
@@ -59,6 +68,26 @@ def sort_key(x):
         return x.target, x.sorted_members()
     own = getattr(x, "sort_key", None)
     return own() if callable(own) else None
+
+
+def incl(src, dst):
+    return ("incl", tuple(src), tuple(dst))
+
+
+def build_name_powerset(locations):
+    """The powerset of the locations on name tuples: objects by (size,
+    tuple), a unique ("incl", a, b) for a a subset of b, the tensor union
+    with unit (); the tensor on morphisms is left out."""
+    subsets = [()]
+    for x in sorted(set(locations)):
+        subsets += [s + (x,) for s in subsets]
+    objects = sorted(subsets, key=lambda a: (len(a), a))
+    homs = {(a, b): (incl(a, b),) for a in objects for b in objects if set(a) <= set(b)}
+    compose = {(homs[b, c][0], homs[a, b][0]): homs[a, c][0]
+               for (a, b) in homs for (b2, c) in homs if b2 == b}
+    cat = FinCat("powerset", objects, homs, compose, {a: homs[a, a][0] for a in objects})
+    tensor = {(a, b): tuple(sorted(set(a) | set(b))) for a in objects for b in objects}
+    return cat, MonoidalStructure(tensor, {}, unit=(), symmetric=True)
 
 
 def validate_monoidal(cat, mon):

@@ -22,6 +22,7 @@ from fincat_reference import element_key, slice_category
 from presheaf_reference import IncompatibleFamilyError, components, morphism
 from sheafsep.day import Decomp, splittings
 from sheafsep.errors import StageMismatchError
+from sheafsep.fincat import bits
 from sheafsep.pred import KripkePredicate, _all, _local, _members, _preimage
 from sheafsep.report import Report
 from site_reference import pullback_sieve, slice_coverage
@@ -207,11 +208,11 @@ def star_witnesses(model, p, q):
     order)."""
     least = {}
     for b, c, m1, m2, prod in star_products(model, p, q, p.stage):
-        key = (b, c, element_key(m1), element_key(m2))
+        key = (bits(b), bits(c), element_key(m1), element_key(m2))
         if prod not in least or key < least[prod][0]:
             least[prod] = key, {
-                "left_stage": list(b),
-                "right_stage": list(c),
+                "left_stage": list(model.sheaf.named(b)),
+                "right_stage": list(model.sheaf.named(c)),
                 "left": m1.as_dict(),
                 "right": m2.as_dict(),
             }

@@ -19,8 +19,9 @@ factorisations give, where the core reads neither.
 a presheaf to a slice, and `matching_object` pairs the sections that
 agree on a pullback: constructions that only tests make.
 
-`SHAPE_CACHES` names the caches the package keeps per shape, and
-`clear_shape_caches` empties them, the sheaf certificates with them.
+`SHAPE_CACHES` names the caches the package keeps per shape and per
+location count, and `clear_shape_caches` empties them, the sheaf
+certificates and the shared sites with them.
 
 `listed` builds a presheaf from its elements, filling each table entry
 by restricting one; it serves the presheaves whose elements are their
@@ -34,8 +35,9 @@ from dataclasses import dataclass
 from itertools import product
 
 from fincat_reference import element_key, slice_category
-from sheafsep import day, presheaf
+from sheafsep import presheaf, seplogic
 from sheafsep.errors import BudgetExceededError, SheafSepError, StageMismatchError
+from sheafsep.fincat import bits
 from sheafsep.presheaf import (
     DEFAULT_FAMILY_BUDGET,
     Heap,
@@ -48,8 +50,10 @@ from sheafsep.report import Report
 from sheafsep.site import Sieve
 
 # the functools caches keyed by shapes alone: the memory sheaves' kept
-# shapes (their tables and sheaf certificates) and the halves' tables
-SHAPE_CACHES = (presheaf._kept, day._half)
+# shapes (their tables, the halves' tables and the sheaf certificates),
+# the exponents of the maps between stages, and the powerset sites, one
+# per location count
+SHAPE_CACHES = (presheaf._kept, presheaf._exponents, seplogic.powerset_site)
 
 
 def clear_shape_caches():
@@ -107,11 +111,12 @@ def sorted_elements(xs):
     return tuple(sorted(xs, key=element_key))
 
 
-def listed(base, stage_fn, restrict_fn, *, name="presheaf"):
+def listed(base, stage_fn, restrict_fn, *, name="presheaf", locations=None):
     """A presheaf from its elements: stage_fn(A) yields the elements at A,
     collected into a set and sorted, and restrict_fn(f, x) applies F(f)
     to one element, once per table entry.  An image that leaves its
-    stage gets a fresh id past the stage's end."""
+    stage gets a fresh id past the stage's end.  `locations` names the
+    bits of a powerset base's stages, as `Presheaf` takes them."""
     stages = {}  # stage -> (elements by id, fresh ones last; their ids; stage size)
 
     def stage(a):
@@ -132,7 +137,8 @@ def listed(base, stage_fn, restrict_fn, *, name="presheaf"):
             out.append(ids[y])
         return tuple(out)
 
-    return Presheaf(base, lambda a: stage(a)[2], table, lambda a, i: stage(a)[0][i], name=name)
+    return Presheaf(base, lambda a: stage(a)[2], table, lambda a, i: stage(a)[0][i], name=name,
+                    locations=locations)
 
 
 def constant(cat, elements):
@@ -179,33 +185,43 @@ def components(alpha, a):
             for i, j in enumerate(alpha.ids(a)) if j >= 0}
 
 
+def names(cat, pool="xyzw"):
+    """Sorted location names for a powerset base of n locations: the first
+    n of the pool."""
+    return tuple(sorted(pool[:len(cat.objects).bit_length() - 1]))
+
+
 def restrict_heap(heap, locs):
     """The heap's cells at the locations locs."""
     locs = tuple(sorted(locs))
     return Heap(locs, tuple(heap.get(x) for x in locs))
 
 
-def memory_sheaf(cat, kind, values, bound=None):
+def memory_sheaf(cat, kind, locations, values, bound=None):
     """strict-memory, partial-memory or support-bounded memory on the
-    powerset base: every heap at a stage, restricted cell by cell."""
-    vals = tuple(sorted(set(values)))
+    powerset base of the locations: every heap at a stage, restricted
+    cell by cell."""
+    locations, vals = tuple(sorted(set(locations))), tuple(sorted(set(values)))
     cells = vals if kind == "strict-memory" else vals + (None,)
     k = None if kind != "support-bounded" else int(bound)
     shown = ",".join(map(str, vals))
     name = {"strict-memory": f"M[{shown}]", "partial-memory": f"Mp[{shown}]"}.get(
         kind, f"Mp|supp<={k}")
 
+    def named(a):
+        return tuple(locations[i] for i in bits(a))
+
     def stages(a):
         return [
-            Heap(a, combo)
-            for combo in product(cells, repeat=len(a))
+            Heap(named(a), combo)
+            for combo in product(cells, repeat=a.bit_count())
             if k is None or sum(v is not None for v in combo) <= k
         ]
 
     def restr(f, heap):
-        return restrict_heap(heap, cat.src(f))
+        return restrict_heap(heap, named(cat.src(f)))
 
-    return listed(cat, stages, restr, name=name)
+    return listed(cat, stages, restr, name=name, locations=locations)
 
 
 class UnionFind:
@@ -377,13 +393,14 @@ def check_sheaf(ps, cov, budget=DEFAULT_FAMILY_BUDGET):
             sample = tuple(f"{x}" for _, x in fam.items()[:3])
             rep.flag(
                 "existence",
-                f"no amalgamation at {a!r} over cover of size {len(s.members)}; "
+                f"no amalgamation at {ps.named(a)!r} over cover of size {len(s.members)}; "
                 f"family starts {sample!r}",
             )
         elif len(matches) > 1:
             rep.flag(
                 "uniqueness",
-                f"{len(matches)} amalgamations at {a!r}: {matches[0]!r}, {matches[1]!r}",
+                f"{len(matches)} amalgamations at {ps.named(a)!r}: {matches[0]!r}, "
+                f"{matches[1]!r}",
             )
     rep.note(f"checked {len(todo)} families")
     return rep
@@ -424,12 +441,13 @@ def replay_sheaf(rep, ps, cov, budget=DEFAULT_FAMILY_BUDGET):
                                    for f, i in zip(code.members[:3], code.legs(partial)))
                     rep.flag(
                         "existence",
-                        f"no amalgamation at {a!r} over cover of size {len(s.members)}; "
-                        f"family starts {sample!r}",
+                        f"no amalgamation at {ps.named(a)!r} over cover of size "
+                        f"{len(s.members)}; family starts {sample!r}",
                     )
                 elif len(hits) > 1:
                     x, y = (show(a, p, repr) for p in hits[:2])
-                    rep.flag("uniqueness", f"{len(hits)} amalgamations at {a!r}: {x}, {y}")
+                    rep.flag("uniqueness",
+                             f"{len(hits)} amalgamations at {ps.named(a)!r}: {x}, {y}")
     return n_checked
 
 
@@ -478,7 +496,7 @@ def matching_presheaf(ps, cov, budget=DEFAULT_FAMILY_BUDGET):
         return MatchClass(cat.src(h), members, tuple(fam[cat.compose(h, g)] for g in members))
 
     return listed(cat, lambda a: matching_stage(ps, cov, a, budget), restr,
-                  name=f"Match({ps.name})")
+                  name=f"Match({ps.name})", locations=ps.locations)
 
 
 def assert_same_presheaf(new, old):

@@ -20,7 +20,7 @@ from pred_reference import (
 from presheaf_reference import components, matching_object, yoneda
 from psl_reference import discrete, fibre_partition, uniform
 from sheafsep.day import Decomp, build_memory_monoid, day_coend
-from sheafsep.fincat import build_finsurj_category, build_powerset_category, incl
+from sheafsep.fincat import build_finsurj_category, build_powerset_category
 from sheafsep.pred import (
     direct_image,
     implication,
@@ -80,23 +80,23 @@ class budget:
 
 def test_criterion_01_matching_object_worked_example():
     with budget(1, "matching-object worked example", 1.0):
-        cat, _ = build_powerset_category({"x1", "x2", "x3"})
-        m = build_resource_sheaf(cat, "strict-memory", values=(-1, 3, 7, 9))
-        u = ("x1", "x2", "x3")
-        u1, u2 = ("x1", "x2"), ("x2", "x3")
-        pullback = (("x2",), incl(("x2",), u1), incl(("x2",), u2))
-        pairs = matching_object(m, u, incl(u1, u), incl(u2, u), pullback)
-        s1 = Heap.of(u1, {"x1": 7, "x2": 3})
-        s2 = Heap.of(u2, {"x2": 3, "x3": 9})
-        s2_bad = Heap.of(u2, {"x2": -1, "x3": 9})
+        cat, _ = build_powerset_category(3)
+        m = build_resource_sheaf(cat, "strict-memory", ("x1", "x2", "x3"), values=(-1, 3, 7, 9))
+        u, x2 = 0b111, 0b010  # x1, x2, x3 are bits 0-2
+        u1, u2 = 0b011, 0b110
+        pullback = (x2, (x2, u1), (x2, u2))
+        pairs = matching_object(m, u, (u1, u), (u2, u), pullback)
+        s1 = Heap.of(("x1", "x2"), {"x1": 7, "x2": 3})
+        s2 = Heap.of(("x2", "x3"), {"x2": 3, "x3": 9})
+        s2_bad = Heap.of(("x2", "x3"), {"x2": -1, "x3": 9})
         assert (s1, s2) in pairs
         assert (s1, s2_bad) not in pairs
 
 
 def test_criterion_02_amalgamation_isomorphism():
     with budget(2, "amalgamation isomorphism Match(Mp) ~ Mp", 30.0):
-        cat, _ = build_powerset_category({"x", "y", "z"})
-        mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
+        cat, _ = build_powerset_category(3)
+        mp = build_resource_sheaf(cat, "partial-memory", "xyz", values=(0, 1))
         cov = build_coverage(cat, "downward-closed")
         iso = amalgamation_operator(mp, cov)
         assert iso.report.ok, iso.report.violations
@@ -117,19 +117,19 @@ def _displayed_star_oracle(model, phi_l, phi_r, stage, disjoint):
     for m in model.sheaf.at(stage):
         for u1 in cat.objects:
             for u2 in cat.objects:
-                if set(u1) | set(u2) != set(stage):
+                if u1 | u2 != stage:
                     continue
-                if disjoint and set(u1) & set(u2):
+                if disjoint and u1 & u2:
                     continue
                 for m1 in p.family[cat.hom(u1, stage)[0]]:
                     for m2 in q.family[cat.hom(u2, stage)[0]]:
                         if not disjoint and any(
-                            m1.get(z) != m2.get(z) for z in set(u1) & set(u2)
+                            m1.get(z) != m2.get(z) for z in model.sheaf.named(u1 & u2)
                         ):
                             continue
                         cells = dict(m1.as_dict())
                         cells.update(m2.as_dict())
-                        if Heap.of(stage, cells) == m:
+                        if Heap.of(m.locations, cells) == m:
                             members.add(m)
     return members
 
@@ -140,11 +140,11 @@ def test_criterion_03_weak_strong_divergence():
         h = Heap.of(("x",), {"x": 0})
         weak = make_memory_model({"x", "y"}, (0, 1), monoid_variant="weak-partial")
         strong = make_memory_model({"x", "y"}, (0, 1), monoid_variant="strong-partial")
-        assert sat(weak, phi, ("x",), h).result is True
-        assert sat(strong, phi, ("x",), h).result is False
+        assert sat(weak, phi, 0b01, h).result is True
+        assert sat(strong, phi, 0b01, h).result is False
         # the unfolded mode must equal the displayed comprehensions verbatim
         for model, disjoint in ((weak, False), (strong, True)):
-            for stage in (("x",), ("x", "y")):
+            for stage in (0b01, 0b11):
                 denot = eval_formula(model, phi, stage)
                 displayed = _displayed_star_oracle(
                     model, phi.left, phi.right, stage, disjoint
@@ -190,7 +190,7 @@ def _all_predicates(site, mp, stage):
 def test_criterion_05_heyting_residuation():
     with budget(5, "Heyting residuation exhaustive + 500 samples", 60.0):
         model1 = make_memory_model({"x"}, (0, 1))
-        preds = _all_predicates(model1.site, model1.sheaf, ("x",))
+        preds = _all_predicates(model1.site, model1.sheaf, 0b01)
         for p in preds:
             for q in preds:
                 for r in preds:
@@ -225,8 +225,8 @@ def test_criterion_06_adjunction():
 
 def test_criterion_07_monoid_laws():
     with budget(7, "memory monoid laws, exhaustive / Kleene", 30.0):
-        cat, mon = build_powerset_category({"x", "y"})
-        mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
+        cat, mon = build_powerset_category(2)
+        mp = build_resource_sheaf(cat, "partial-memory", "xy", values=(0, 1))
         from sheafsep.day import check_monoid_laws
 
         for variant in ("total", "weak-partial", "strong-partial"):
@@ -236,7 +236,7 @@ def test_criterion_07_monoid_laws():
 
 def test_criterion_08_yoneda_strong_monoidality_and_non_dinaturality():
     with budget(8, "Yo(A) (x) Yo(B) ~ Yo(A u B); total mult not dinatural", 10.0):
-        cat, mon = build_powerset_category({"x", "y", "z"})
+        cat, mon = build_powerset_category(3)
         yo = {a: yoneda(cat, a) for a in cat.objects}
         for a in cat.objects:
             for b in cat.objects:
@@ -246,40 +246,40 @@ def test_criterion_08_yoneda_strong_monoidality_and_non_dinaturality():
                     assert len(coend.at(v)) == len(target.at(v))
         # documented witness: the conflicting pair is coend-equal to a
         # singleton pair, but the total multiplication separates them
-        cat1, mon1 = build_powerset_category({"x"})
-        mp1 = build_resource_sheaf(cat1, "partial-memory", values=(0, 1))
+        cat1, mon1 = build_powerset_category(1)
+        mp1 = build_resource_sheaf(cat1, "partial-memory", "x", values=(0, 1))
         coend = day_coend(mp1, mp1, mon1)
         monoid = build_memory_monoid(mp1, "total")
         s0 = Heap.of(("x",), {"x": 0})
         s1 = Heap.of(("x",), {"x": 1})
-        d_conflict = Decomp(("x",), ("x",), ("x",), s0, s1)
-        d_single = Decomp(("x",), ("x",), (), s0, Heap((), ()))
+        d_conflict = Decomp(0b01, 0b01, 0b01, s0, s1)
+        d_single = Decomp(0b01, 0b01, 0, s0, Heap((), ()))
         assert coend.class_of(d_conflict) == coend.class_of(d_single)
         assert day_reference.apply(monoid, d_conflict) != day_reference.apply(monoid, d_single)
 
 
 def test_criterion_09_sheaf_checks():
     with budget(9, "sheaf checks for M, Mp, support-bounded; coverages", 30.0):
-        cat, _ = build_powerset_category({"x", "y"})
+        cat, _ = build_powerset_category(2)
         cov = build_coverage(cat, "downward-closed")
-        m = build_resource_sheaf(cat, "strict-memory", values=(0, 1))
-        mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
+        m = build_resource_sheaf(cat, "strict-memory", "xy", values=(0, 1))
+        mp = build_resource_sheaf(cat, "partial-memory", "xy", values=(0, 1))
         assert check_sheaf(m, cov).ok
         assert check_sheaf(mp, cov).ok
-        sb = build_resource_sheaf(cat, "support-bounded", values=(0, 1), bound=1)
+        sb = build_resource_sheaf(cat, "support-bounded", "xy", values=(0, 1), bound=1)
         rep = check_sheaf(sb, cov)
         assert "existence" in [v.kind for v in rep.violations]
         # the witness family is the sigma_x / sigma_y pair over {{x},{y}}
-        top = ("x", "y")
-        cover = generate_sieve(cat, top, [incl(("x",), top), incl(("y",), top)])
+        top = 0b11
+        cover = generate_sieve(cat, top, [(0b01, top), (0b10, top)])
         from presheaf_reference import CompatibleFamily, NoAmalgamationError, amalgamate
 
         fam = CompatibleFamily.of(
             cover,
             {
-                incl(("x",), top): Heap.of(("x",), {"x": 0}),
-                incl(("y",), top): Heap.of(("y",), {"y": 0}),
-                incl((), top): Heap((), ()),
+                (0b01, top): Heap.of(("x",), {"x": 0}),
+                (0b10, top): Heap.of(("y",), {"y": 0}),
+                (0, top): Heap((), ()),
             },
         )
         with pytest.raises(NoAmalgamationError):
@@ -314,19 +314,19 @@ def test_criterion_10_kripke_implication():
     with budget(10, "Kripke implication vs naive evaluator", 1.0):
         model = make_memory_model({"x"}, (0, 1))
         phi = parse_formula("x ~> 0 -> F")
-        denot = eval_formula(model, phi, ("x",))
-        assert at_subset(denot, ("x",)) == frozenset()
+        denot = eval_formula(model, phi, 0b01)
+        assert at_subset(denot, 0b01) == frozenset()
         cat, mp = model.site.cat, model.sheaf
 
         def antecedent_at(v):
             return {
-                s for s in mp.at(v) if "x" not in v or s.get("x") == 0
+                s for s in mp.at(v) if "x" not in mp.named(v) or s.get("x") == 0
             }
 
         def consequent_at(v):
             return set()
 
-        naive = _naive_kripke_implication(cat, mp, ("x",), antecedent_at, consequent_at)
+        naive = _naive_kripke_implication(cat, mp, 0b01, antecedent_at, consequent_at)
         for v, members in naive.items():
             assert at_subset(denot, v) == frozenset(members)
 
@@ -390,35 +390,35 @@ def test_criterion_12_predicate_gluing():
         model = make_memory_model({"x", "y"}, (0, 1))
         site, mp = model.site, model.sheaf
         cat = site.cat
-        top = ("x", "y")
-        cover = generate_sieve(cat, top, [incl(("x",), top), incl(("y",), top)])
+        top = 0b11
+        cover = generate_sieve(cat, top, [(0b01, top), (0b10, top)])
 
         def nonstrict(stage, loc, val):
             fam = {}
             for p in cat.mors_into(stage):
                 v = cat.src(p)
                 fam[p] = frozenset(
-                    s for s in mp.at(v) if loc not in v or s.get(loc) == val
+                    s for s in mp.at(v) if loc not in mp.named(v) or s.get(loc) == val
                 )
             return predicate(mp, site, stage, fam)
 
-        px = nonstrict(("x",), "x", 0)
-        py = nonstrict(("y",), "y", 1)
+        px = nonstrict(0b01, "x", 0)
+        py = nonstrict(0b10, "y", 1)
         glued = glue_predicates(
-            site, mp, cover, {incl(("x",), top): px, incl(("y",), top): py}
+            site, mp, cover, {(0b01, top): px, (0b10, top): py}
         )
 
-        assert restrict_predicate(glued, incl(("x",), top)) == px
-        assert restrict_predicate(glued, incl(("y",), top)) == py
+        assert restrict_predicate(glued, (0b01, top)) == px
+        assert restrict_predicate(glued, (0b10, top)) == py
         assert validate_predicate_bits(glued).ok
 
         # exhaustive uniqueness: the lower slice families are forced by
         # the parts, so scan every top-stage family and keep the valid
         # predicates restricting to them
         fixed = {
-            incl(("x",), top): px.family[cat.id(("x",))],
-            incl(("y",), top): py.family[cat.id(("y",))],
-            incl((), top): px.family[incl((), ("x",))],
+            (0b01, top): px.family[cat.id(0b01)],
+            (0b10, top): py.family[cat.id(0b10)],
+            (0, top): px.family[(0, 0b01)],
         }
         pool = [()]
         for s in mp.at(top):
@@ -431,8 +431,8 @@ def test_criterion_12_predicate_gluing():
             if not validate_predicate_bits(cand).ok:
                 continue
             if (
-                restrict_predicate(cand, incl(("x",), top)) == px
-                and restrict_predicate(cand, incl(("y",), top)) == py
+                restrict_predicate(cand, (0b01, top)) == px
+                and restrict_predicate(cand, (0b10, top)) == py
             ):
                 matches.append(cand)
         assert len(matches) == 1

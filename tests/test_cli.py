@@ -123,8 +123,9 @@ def test_load_psl_model(tmp_path):
 
 def test_parse_stage_and_heap(tmp_path):
     model = load_model(write_model(tmp_path, MEMORY_DOC))
-    assert parse_stage("{x,y}", model) == ("x", "y")
-    assert parse_stage("{}", model) == ()
+    assert parse_stage("{x,y}", model) == 0b11
+    assert parse_stage("{y}", model) == 0b10
+    assert parse_stage("{}", model) == 0
     heap = parse_heap("{x:0, y:null}", ("x", "y"))
     assert heap == Heap.of(("x", "y"), {"x": 0, "y": None})
     assert parse_heap('{"x": 1}', ("x",)) == Heap.of(("x",), {"x": 1})

@@ -11,7 +11,7 @@ import pytest
 import day_reference as ref
 from fincat_reference import element_key
 import presheaf_reference
-from presheaf_reference import constant, terminal, yoneda
+from presheaf_reference import constant, names, terminal, yoneda
 from sheafsep import day
 from sheafsep.day import (
     UNDEFINED,
@@ -38,20 +38,23 @@ COVERAGES = ("downward-closed", "finite-covers")
 
 @functools.cache
 def _powerset(n_locs):
-    return build_powerset_category(["x", "y", "z"][:n_locs])
+    return build_powerset_category(n_locs)
 
 
 @functools.cache
 def _sheaf(kind, n_locs, n_values):
     name, kwargs = KINDS[kind]
-    return build_resource_sheaf(_powerset(n_locs)[0], name, values=(0, 1)[:n_values], **kwargs)
+    cat = _powerset(n_locs)[0]
+    return build_resource_sheaf(cat, name, names(cat), values=(0, 1)[:n_values],
+                                **kwargs)
 
 
 @functools.cache
 def _ref_sheaf(kind, n_locs, n_values):
     name, kwargs = KINDS[kind]
-    return presheaf_reference.memory_sheaf(_powerset(n_locs)[0], name, (0, 1)[:n_values],
-                                           **kwargs)
+    cat = _powerset(n_locs)[0]
+    return presheaf_reference.memory_sheaf(cat, name, names(cat),
+                                           (0, 1)[:n_values], **kwargs)
 
 
 def _as_decomposition(cat, mon, t):
@@ -171,7 +174,7 @@ def test_yoneda_coends_agree_with_reference_on_surjections():
 def test_coend_of_a_stage_with_a_repeated_element_agrees_with_reference():
     cat, mon = _powerset(2)
     twice = constant(cat, (1, 0, 1))
-    assert twice.at(("x",)) == (0, 1)
+    assert twice.at(0b01) == (0, 1)
     assert_same_coend(twice, twice, mon)
     mp, ref_mp = _sheaf("Mp", 2, 1), _ref_sheaf("Mp", 2, 1)
     assert_same_coend(twice, mp, mon, twice, ref_mp)
@@ -180,7 +183,7 @@ def test_coend_of_a_stage_with_a_repeated_element_agrees_with_reference():
 
 def test_budget_counts_decompositions_and_comes_before_any_decomp(monkeypatch):
     mp, ref_mp = _sheaf("Mp", 2, 2), _ref_sheaf("Mp", 2, 2)
-    mon, top = _powerset(2)[1], ("x", "y")
+    mon, top = _powerset(2)[1], 0b11
     n = len(ref.day_decomp(ref_mp, ref_mp, mon).at(top))
 
     def no_decomp(*args, **kwargs):
@@ -190,7 +193,7 @@ def test_budget_counts_decompositions_and_comes_before_any_decomp(monkeypatch):
         m.setattr(day, "Decomp", no_decomp)
         with pytest.raises(BudgetExceededError) as got:
             day_coend(mp, mp, mon, budget=3).at(top)
-    assert str(got.value) == f"{n} coend decompositions at {top!r} exceed budget 3"
+    assert str(got.value) == f"{n} coend decompositions at ('x', 'y') exceed budget 3"
     assert got.value.size == n
     # the budget is inclusive
     assert day_coend(mp, mp, mon, budget=n).at(top)
@@ -201,12 +204,12 @@ def test_four_location_coend_stays_within_a_decomposition_budget():
     the top of the 4-location powerset and fewer below it, so a budget of
     8^4 evaluates all 16 stages.  Numbering every witnessed pair would
     put 3^8 = 6561 triples at the empty stage."""
-    cat, mon = build_powerset_category(["w", "x", "y", "z"])
-    mp = build_resource_sheaf(cat, "partial-memory", values=(0,))
+    cat, mon = build_powerset_category(4)
+    mp = build_resource_sheaf(cat, "partial-memory", names(cat), values=(0,))
     coend = day_coend(mp, mp, mon, budget=8 ** 4)
     assert [len(coend.at(a)) for a in cat.objects] == [1] * 16
     with pytest.raises(BudgetExceededError):
-        day_coend(mp, mp, mon, budget=8 ** 4 - 1).at(("w", "x", "y", "z"))
+        day_coend(mp, mp, mon, budget=8 ** 4 - 1).at(0b1111)
 
 
 @pytest.mark.parametrize("n_values", [1, 2])
@@ -224,9 +227,10 @@ def test_memory_coends_have_one_class_per_stage(left, right, n_locs, n_values):
 
 @pytest.mark.parametrize("left", ["M", "Mp"])
 def test_memory_coends_have_one_class_per_stage_at_four_locations(left):
-    cat, mon = build_powerset_category(["w", "x", "y", "z"])
-    mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
-    f_sheaf = mp if left == "Mp" else build_resource_sheaf(cat, "strict-memory", values=(0, 1))
+    cat, mon = build_powerset_category(4)
+    mp = build_resource_sheaf(cat, "partial-memory", names(cat), values=(0, 1))
+    f_sheaf = mp if left == "Mp" else build_resource_sheaf(cat, "strict-memory", names(cat),
+                                                            values=(0, 1))
     coend = day_coend(f_sheaf, mp, mon)
     assert [len(coend.at(a)) for a in cat.objects] == [1] * 16
 
@@ -239,11 +243,11 @@ def _stability_samples(cat):
     at {}, at a singleton and at the top, a two-point constant and the
     terminal presheaf, on the powerset at `cat`."""
     top = cat.objects[-1]
-    samples = [build_resource_sheaf(cat, kind, values=(0, 1))
+    samples = [build_resource_sheaf(cat, kind, names(cat), values=(0, 1))
                for kind in ("strict-memory", "partial-memory")]
-    samples += [build_resource_sheaf(cat, "support-bounded", values=(0, 1), bound=k)
-                for k in range(len(top) + 1)]
-    samples += [yoneda(cat, a) for a in dict.fromkeys([(), cat.objects[1], top])]
+    samples += [build_resource_sheaf(cat, "support-bounded", names(cat), values=(0, 1), bound=k)
+                for k in range(top.bit_count() + 1)]
+    samples += [yoneda(cat, a) for a in dict.fromkeys([0, cat.objects[1], top])]
     return samples + [constant(cat, (0, 1)), terminal(cat)]
 
 
@@ -251,7 +255,7 @@ def _one_point_onto(ps):
     """Lemma C's premise, read off the elements: one element at {} and
     every restriction onto."""
     cat = ps.base
-    return len(ps.at(())) == 1 and all(
+    return len(ps.at(0)) == 1 and all(
         {ps.restrict(f, x) for x in ps.at(cat.dst(f))} == set(ps.at(cat.src(f)))
         for f in cat.all_morphisms())
 
@@ -308,12 +312,12 @@ def test_day_stability_of_the_memory_sheaves_encodes_no_convolution_cover(n_locs
     covers, read by `is_sheaf` for lemma B's premise."""
     cat, mon = _powerset(n_locs)
     site = Site(cat, build_coverage(cat, "downward-closed"), mon)
-    m, mp = (build_resource_sheaf(cat, kind, values=(0, 1))
+    m, mp = (build_resource_sheaf(cat, kind, names(cat), values=(0, 1))
              for kind in ("strict-memory", "partial-memory"))
     built.clear()
     assert day.check_day_stability(site, [m, mp]).ok
     assert built["_EncodedCover"] == len(m._covers) + len(mp._covers)
-    assert built["_EncodedCover"] == 2 * sum(len(a) >= 2 for a in cat.objects)
+    assert built["_EncodedCover"] == 2 * sum(a.bit_count() >= 2 for a in cat.objects)
 
 
 def _raised(run):
@@ -333,14 +337,14 @@ def test_certified_convolutions_raise_the_budget_errors_of_the_replay():
     decomposition form's, at the same cover with the same count."""
     cat, mon = _powerset(2)
     site = Site(cat, build_coverage(cat, "downward-closed"), mon)
-    mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
+    mp = build_resource_sheaf(cat, "partial-memory", names(cat), values=(0, 1))
     certified = _raised(lambda: day.check_day_stability(site, [mp], budget=20))
     assert certified is not None
     assert certified == _raised(lambda: check_sheaf(day_coend(mp, mp, mon, budget=20), site.cov))
     for n_locs in (2, 3):
         cat, mon = _powerset(n_locs)
         cov = build_coverage(cat, "downward-closed")
-        m, mp = (build_resource_sheaf(cat, kind, values=(0, 1))
+        m, mp = (build_resource_sheaf(cat, kind, names(cat), values=(0, 1))
                  for kind in ("strict-memory", "partial-memory"))
         for decomp in (day_decomp(m, mp, mon), day_decomp(mp, mp, mon)):
             sizes = sorted({decomp.size(a) for a in cat.objects})
@@ -355,7 +359,7 @@ def test_dinaturality_generator_count(base, pairs, monkeypatch):
     729 pairs of morphisms; 28 on the size-3 surjection base, against 33."""
     if base == "powerset":
         cat, mon = _powerset(3)
-        sheaf = yoneda(cat, ("x",))
+        sheaf = yoneda(cat, 0b01)
     else:
         cat, mon = build_finsurj_category(3)
         sheaf = yoneda(cat, 1)
@@ -398,7 +402,7 @@ def test_both_flag_a_broken_cell_rule(law):
     mp, mon = _sheaf("Mp", 2, 2), _powerset(2)[1]
 
     def broken():
-        return ResourceMonoid(mp, "broken", BROKEN_CELLS[law], (), Heap((), ()))
+        return ResourceMonoid(mp, "broken", BROKEN_CELLS[law], 0, Heap((), ()))
 
     assert {v.kind for v in check_monoid_laws(broken(), mon).violations} == {law}
     assert {v.kind for v in ref.check_monoid_laws(broken(), mon).violations} == {law}
@@ -409,13 +413,13 @@ def test_certificate_flags_a_tampered_product_entry(defined):
     mp, mon = _sheaf("Mp", 2, 2), _powerset(2)[1]
     monoid = build_memory_monoid(mp, "weak-partial")
     assert check_monoid_laws(monoid, mon).ok
-    rows = monoid.products(("x",), ("x", "y"))
+    rows = monoid.products(0b01, 0b11)
     i, j = next((i, j) for i, row in enumerate(rows) for j, k in enumerate(row)
                 if (k != -1) == defined)
     rows[i][j] = -1 if defined else 0
     rep = check_monoid_laws(monoid, mon)
     assert [v.kind for v in rep.violations] == ["pointwise"]
-    s, t = mp.at(("x",))[i], mp.at(("x", "y"))[j]
+    s, t = mp.at(0b01)[i], mp.at(0b11)[j]
     assert rep.violations[0].detail.startswith(f"{s}.{t} is ")
 
 
@@ -445,7 +449,8 @@ def test_products_on_support_bounded_carriers_match_apply(n_locs, bound, n_value
     when it is undefined or leaves the carrier.  At bound 0 every stage
     holds only the empty heap, yet the radix is the full cell count."""
     cat, _ = _powerset(n_locs)
-    mp = build_resource_sheaf(cat, "support-bounded", values=(0, 1, 2)[:n_values], bound=bound)
+    mp = build_resource_sheaf(cat, "support-bounded", names(cat), values=(0, 1, 2)[:n_values],
+                              bound=bound)
     monoid = build_memory_monoid(mp, variant)
     assert monoid._digits()[0] == n_values + 1
     for v in cat.objects:
@@ -462,8 +467,8 @@ def test_products_on_support_bounded_carriers_match_apply(n_locs, bound, n_value
 def test_memory_monoid_needs_a_memory_sheaf(carrier):
     """A carrier without the memory numbering is refused when the monoid
     is built, not at its first product."""
-    cat, _ = build_powerset_category(["x", "y"])
-    mp = {"yoneda": yoneda(cat, ("x",)), "constant": constant(cat, (0, 1)),
+    cat, _ = build_powerset_category(2)
+    mp = {"yoneda": yoneda(cat, 0b01), "constant": constant(cat, (0, 1)),
           "terminal": terminal(cat)}[carrier]
     with pytest.raises(MonoidalStructureError, match="need a memory sheaf"):
         build_memory_monoid(mp, "weak-partial")

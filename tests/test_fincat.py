@@ -9,7 +9,6 @@ from sheafsep.fincat import (
     MonoidalStructure,
     build_finsurj_category,
     build_powerset_category,
-    incl,
     surj,
     validate_category,
     validate_monoidal,
@@ -39,27 +38,27 @@ def brute_force_surjections(n, m):
 
 
 def test_powerset_object_and_morphism_counts():
-    cat, _ = build_powerset_category({"x", "y"})
+    cat, _ = build_powerset_category(2)
     assert len(cat.objects) == 4
     assert sum(len(ms) for ms in cat.homs.values()) == count_inclusion_pairs(("x", "y"))
     assert sum(len(ms) for ms in cat.homs.values()) == 9
 
 
 def test_powerset_hom_empty_when_not_subset():
-    cat, _ = build_powerset_category({"x", "y"})
-    assert cat.hom(("x",), ()) == ()
-    assert len(cat.hom((), ("x",))) == 1
+    cat, _ = build_powerset_category(2)
+    assert cat.hom(1, 0) == ()
+    assert len(cat.hom(0, 1)) == 1
 
 
 def test_powerset_tensor_union_and_unit():
-    _, mon = build_powerset_category({"x", "y"})
-    assert mon.tensor(("x",), ("y",)) == ("x", "y")
-    assert mon.unit == ()
+    _, mon = build_powerset_category(2)
+    assert mon.tensor(1, 2) == 3
+    assert mon.unit == 0
     assert mon.symmetric
 
 
 def test_powerset_tensor_commutative_idempotent():
-    cat, mon = build_powerset_category({"x", "y", "z"})
+    cat, mon = build_powerset_category(3)
     for a in cat.objects:
         for b in cat.objects:
             assert mon.tensor(a, b) == mon.tensor(b, a)
@@ -68,13 +67,13 @@ def test_powerset_tensor_commutative_idempotent():
 
 def test_powerset_size_bound():
     with pytest.raises(SizeBoundError):
-        build_powerset_category({"a", "b", "c", "d", "e"})
+        build_powerset_category(5)
 
 
 def test_powerset_empty_location_set():
-    cat, mon = build_powerset_category(())
-    assert cat.objects == ((),)
-    assert mon.tensor((), ()) == ()
+    cat, mon = build_powerset_category(0)
+    assert cat.objects == (0,)
+    assert mon.tensor(0, 0) == 0
     assert validate_category(cat).ok
 
 
@@ -103,26 +102,26 @@ def test_finsurj_tensor_on_morphisms():
 
 
 def test_slice_over_top_is_downset():
-    cat, _ = build_powerset_category({"x", "y"})
-    sl, dom = ref.slice_category(cat, ("x", "y"))
+    cat, _ = build_powerset_category(2)
+    sl, dom = ref.slice_category(cat, 3)
     assert len(sl.objects) == 4
     assert all(len(ms) <= 1 for ms in sl.homs.values())
     assert ref.validate_functor(dom).ok
     # order isomorphism with the downset of {x,y}
-    downset = {a for a in cat.objects if set(a) <= {"x", "y"}}
+    downset = {a for a in cat.objects if a | 3 == 3}
     assert {dom.on_obj(p) for p in sl.objects} == downset
 
 
 def test_slice_over_empty():
-    cat, _ = build_powerset_category({"x", "y"})
-    sl, dom = ref.slice_category(cat, ())
+    cat, _ = build_powerset_category(2)
+    sl, dom = ref.slice_category(cat, 0)
     assert len(sl.objects) == 1
-    assert dom.on_obj(sl.objects[0]) == ()
+    assert dom.on_obj(sl.objects[0]) == 0
 
 
 def test_validate_builtin_categories():
     for cat, mon in (
-        build_powerset_category({"x", "y"}),
+        build_powerset_category(2),
         build_finsurj_category(3),
     ):
         assert validate_category(cat).ok
@@ -130,10 +129,10 @@ def test_validate_builtin_categories():
 
 
 def test_validate_detects_mistyped_composition():
-    cat, _ = build_powerset_category({"x"})
-    f = incl((), ("x",))
+    cat, _ = build_powerset_category(1)
+    f = (0, 1)
     bad = dict(cat.compose_table)
-    bad[(f, incl((), ()))] = incl(("x",), ("x",))  # wrong source
+    bad[(f, (0, 0))] = (1, 1)  # wrong source
     from sheafsep.fincat import FinCat
 
     broken = FinCat(cat.kind, cat.objects, cat.homs, bad, cat.identities)
@@ -148,18 +147,18 @@ def test_validate_finsurj_exhaustive_associativity():
 
 
 def test_slice_of_poset_hom_cardinality():
-    cat, _ = build_powerset_category({"x", "y", "z"})
+    cat, _ = build_powerset_category(3)
     for a in cat.objects:
         sl, _ = ref.slice_category(cat, a)
         assert all(len(ms) <= 1 for ms in sl.homs.values())
-        assert len(sl.objects) == 2 ** len(a)
+        assert len(sl.objects) == 2 ** a.bit_count()
 
 
 def test_validate_monoidal_flags_a_corrupted_tensor_entry():
-    cat, mon = build_powerset_category({"x", "y"})
-    f, g = incl((), ("x",)), incl(("y",), ("y",))
+    cat, mon = build_powerset_category(2)
+    f, g = (0, 1), (2, 2)
     bad = dict(mon.tensor_mor)
-    bad[(f, g)] = incl(("y",), ("y",))
+    bad[(f, g)] = (2, 2)
     broken = MonoidalStructure(mon.tensor_obj, bad, unit=mon.unit, symmetric=mon.symmetric)
     rep = validate_monoidal(cat, broken)
     assert "functoriality" in [v.kind for v in rep.violations]
@@ -180,38 +179,38 @@ def _corrupted_tensors():
     ends have no tensor, and an entry keyed by a non-morphism; finsurj(3)
     tensors with one missing entry and one over a pair whose ends have
     no tensor."""
-    cat, mon = build_powerset_category({"x", "y"})
-    f, g = incl((), ("x",)), incl(("y",), ("y",))
+    cat, mon = build_powerset_category(2)
+    f, g = (0, 1), (2, 2)
     mistyped = dict(mon.tensor_mor)
-    mistyped[(f, g)] = incl(("y",), ("y",))
+    mistyped[(f, g)] = (2, 2)
     missing = dict(mon.tensor_mor)
     del missing[(f, g)]
     missing_id = dict(mon.tensor_mor)
-    del missing_id[(incl(("x",), ("x",)), g)]
+    del missing_id[((1, 1), g)]
     cat3, mon3 = build_finsurj_category(3)
     missing3 = dict(mon3.tensor_mor)
     del missing3[next(iter(missing3))]
     extra3 = dict(mon3.tensor_mor)
     extra3[cat3.id(2), cat3.id(2)] = cat3.id(3)  # 2 x 2 exceeds the bound 3
     partial_obj = {k: v for k, v in mon.tensor_obj.items()
-                   if k not in ((("x",), ("y",)), (("y",), ("x",)))}
+                   if k not in ((1, 2), (2, 1))}
     junk = dict(mon.tensor_mor)
     junk[(f, "junk")] = f
     return {
-        "mistyped": (cat, MonoidalStructure(mon.tensor_obj, mistyped, unit=(), symmetric=True)),
-        "missing": (cat, MonoidalStructure(mon.tensor_obj, missing, unit=(), symmetric=True)),
-        "missing-identity": (cat, MonoidalStructure(mon.tensor_obj, missing_id, unit=(),
+        "mistyped": (cat, MonoidalStructure(mon.tensor_obj, mistyped, unit=0, symmetric=True)),
+        "missing": (cat, MonoidalStructure(mon.tensor_obj, missing, unit=0, symmetric=True)),
+        "missing-identity": (cat, MonoidalStructure(mon.tensor_obj, missing_id, unit=0,
                                                     symmetric=True)),
         "finsurj3-missing": (cat3, MonoidalStructure(mon3.tensor_obj, missing3, unit=1)),
         "finsurj3-extra": (cat3, MonoidalStructure(mon3.tensor_obj, extra3, unit=1)),
-        "extra": (cat, MonoidalStructure(partial_obj, dict(mon.tensor_mor), unit=(),
+        "extra": (cat, MonoidalStructure(partial_obj, dict(mon.tensor_mor), unit=0,
                                          symmetric=True)),
-        "junk-key": (cat, MonoidalStructure(mon.tensor_obj, junk, unit=(), symmetric=True)),
+        "junk-key": (cat, MonoidalStructure(mon.tensor_obj, junk, unit=0, symmetric=True)),
     }
 
 
 MONOIDAL_CASES = {
-    **{f"powerset{n}": lambda n=n: build_powerset_category(["x", "y", "z"][:n])
+    **{f"powerset{n}": lambda n=n: build_powerset_category(n)
        for n in (1, 2, 3)},
     **{name: lambda name=name: _corrupted_tensors()[name] for name in _corrupted_tensors()},
     **{f"finsurj{n}": lambda n=n: build_finsurj_category(n) for n in (2, 3)},
@@ -246,7 +245,7 @@ def test_validate_monoidal_agrees_with_the_quadruple_replay(name):
 def test_validate_monoidal_on_a_thin_base_composes_nothing(n_locs, monkeypatch):
     """Deterministic work gate: a well-typed tensor on the powerset base is
     certified by its typing alone."""
-    cat, mon = build_powerset_category(["w", "x", "y", "z"][:n_locs])
+    cat, mon = build_powerset_category(n_locs)
     calls = []
     compose = FinCat.compose
     monkeypatch.setattr(FinCat, "compose",
@@ -256,13 +255,13 @@ def test_validate_monoidal_on_a_thin_base_composes_nothing(n_locs, monkeypatch):
 
 
 def test_thin_composition_needs_composites_with_the_right_ends():
-    cat, _ = build_powerset_category({"x"})
+    cat, _ = build_powerset_category(1)
     assert cat.thin_composition
-    f = incl((), ("x",))
+    f = (0, 1)
     bad = dict(cat.compose_table)
-    bad[(f, incl((), ()))] = incl(("x",), ("x",))
+    bad[(f, (0, 0))] = (1, 1)
     assert not FinCat(cat.kind, cat.objects, cat.homs, bad, cat.identities).thin_composition
-    del bad[(f, incl((), ()))]
+    del bad[(f, (0, 0))]
     assert not FinCat(cat.kind, cat.objects, cat.homs, bad, cat.identities).thin_composition
     assert not build_finsurj_category(2)[0].thin_composition
 
@@ -278,7 +277,41 @@ def test_powerset_tensor_on_morphisms_is_built_on_first_read():
     assert "tensor_mor" not in vars(mon)
     assert validate_monoidal(model.site.cat, mon).ok
     assert len(mon.tensor_mor) == 81 ** 2
-    assert mon.tensor_m(incl((), ("x",)), incl(("y",), ("y",))) == incl(("y",), ("x", "y"))
+    # w, x, y, z are bits 0-3: {x} is 2, {y} 4 and {x, y} 6
+    assert mon.tensor_m((0, 2), (4, 4)) == (4, 6)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_mask_site_orders_as_the_name_tuple_reference(n):
+    """A memory model's site on location masks, rendered back to names,
+    lists what the name-tuple powerset lists, in its order: the objects,
+    the morphisms into each stage in sorted order (the `SieveMasks`
+    bits), each stage's splittings, its least cover in sorted order and
+    its number of covers.  The names are given out of sorted order."""
+    from site_reference import build_coverage as reference_coverage
+    from sheafsep.day import splittings
+    from sheafsep.seplogic import make_memory_model
+    from sheafsep.site import sieve_masks
+
+    names = ("y", "w", "z", "x")[:n]
+    model = make_memory_model(names, (0, 1))
+    cat, mon, cov, named = model.site.cat, model.site.monoidal, model.site.cov, model.sheaf.named
+    ref_cat, ref_mon = ref.build_name_powerset(names)
+    ref_cov = reference_coverage(ref_cat, "downward-closed")
+
+    def named_mor(f):
+        return "incl", named(f[0]), named(f[1])
+
+    assert [named(a) for a in cat.objects] == list(ref_cat.objects)
+    for a in cat.objects:
+        stage = named(a)
+        assert list(map(named_mor, sieve_masks(cat).bit(a))) == sorted(ref_cat.mors_into(stage))
+        assert [(named(b), named(c)) for b, c in splittings(cat, mon, a)] == sorted(
+            bc for bc, v in ref_mon.tensor_obj.items() if v == stage)
+        covers = ref_cov.covers(stage)
+        least = frozenset(ref_cat.mors_into(stage)).intersection(*(s.members for s in covers))
+        assert list(map(named_mor, cov.min_cover(a).sorted_members())) == sorted(least)
+        assert cov.count(a) == len(covers)
 
 
 # -- the FinCat helpers against brute-force filters over all_morphisms() --
@@ -286,7 +319,7 @@ def test_powerset_tensor_on_morphisms_is_built_on_first_read():
 
 @pytest.fixture(
     scope="module",
-    params=[lambda: build_powerset_category({"x", "y", "z"}), lambda: build_finsurj_category(3)],
+    params=[lambda: build_powerset_category(3), lambda: build_finsurj_category(3)],
     ids=["powerset3", "finsurj3"],
 )
 def small_cat(request):

@@ -6,7 +6,7 @@ import pred_reference as ref
 from day_reference import apply
 from presheaf_reference import IncompatibleFamilyError, constant, morphism, restrict_heap
 from sheafsep.day import Decomp, build_memory_monoid, day_decomp
-from sheafsep.fincat import build_powerset_category, incl
+from sheafsep.fincat import build_powerset_category
 from sheafsep.pred import (
     bottom_predicate,
     combine_alpha,
@@ -25,10 +25,10 @@ from site_reference import generate_sieve, maximal_sieve
 
 
 def make_site(locs, vals=(0, 1)):
-    cat, mon = build_powerset_category(locs)
+    cat, mon = build_powerset_category(len(locs))
     cov = build_coverage(cat, "downward-closed")
     site = Site(cat, cov, mon)
-    mp = build_resource_sheaf(cat, "partial-memory", values=vals)
+    mp = build_resource_sheaf(cat, "partial-memory", locs, values=vals)
     return site, mp
 
 
@@ -52,35 +52,35 @@ def singleton_pred(site, mp, stage, v, heap):
 
 def test_meet_with_top_is_identity(site1):
     site, mp = site1
-    stage = ("x",)
-    p = singleton_pred(site, mp, stage, ("x",), Heap.of(("x",), {"x": 0}))
+    stage = 0b01
+    p = singleton_pred(site, mp, stage, 0b01, Heap.of(("x",), {"x": 0}))
     assert meet(p, top_predicate(mp, site, stage)) == p
 
 
 def test_join_with_bottom_is_identity(site1):
     site, mp = site1
-    stage = ("x",)
-    p = singleton_pred(site, mp, stage, ("x",), Heap.of(("x",), {"x": 0}))
+    stage = 0b01
+    p = singleton_pred(site, mp, stage, 0b01, Heap.of(("x",), {"x": 0}))
     assert join(bottom_predicate(mp, site, stage), p) == p
 
 
 def test_join_of_two_singletons(site1):
     site, mp = site1
-    stage = ("x",)
-    p0 = singleton_pred(site, mp, stage, ("x",), Heap.of(("x",), {"x": 0}))
-    p1 = singleton_pred(site, mp, stage, ("x",), Heap.of(("x",), {"x": 1}))
+    stage = 0b01
+    p0 = singleton_pred(site, mp, stage, 0b01, Heap.of(("x",), {"x": 0}))
+    p1 = singleton_pred(site, mp, stage, 0b01, Heap.of(("x",), {"x": 1}))
     j = join(p0, p1)
-    assert ref.at_subset(j, ("x",)) == frozenset(
+    assert ref.at_subset(j, 0b01) == frozenset(
         {Heap.of(("x",), {"x": 0}), Heap.of(("x",), {"x": 1})}
     )
-    assert ref.at_subset(j, ()) == frozenset({Heap((), ())})
+    assert ref.at_subset(j, 0) == frozenset({Heap((), ())})
 
 
 def test_lattice_op_dispatch(site1):
     """On memory and on a constant presheaf given an element twice, top
     holds every element and is the unit of meet against bottom."""
     site, mp = site1
-    stage = ("x",)
+    stage = 0b01
     twice = constant(site.cat, (1, 0, 1))
     for ps in (mp, twice):
         t = top_predicate(ps, site, stage)
@@ -93,8 +93,8 @@ def test_lattice_op_dispatch(site1):
 
 def test_implication_vacuous_and_reflexive(site1):
     site, mp = site1
-    stage = ("x",)
-    p = singleton_pred(site, mp, stage, ("x",), Heap.of(("x",), {"x": 0}))
+    stage = 0b01
+    p = singleton_pred(site, mp, stage, 0b01, Heap.of(("x",), {"x": 0}))
     bot = bottom_predicate(mp, site, stage)
     assert implication(bot, p) == top_predicate(mp, site, stage)
     assert implication(p, p) == top_predicate(mp, site, stage)
@@ -106,7 +106,7 @@ def nonstrict_pointsto(site, mp, stage, loc, val):
     for p in cat.mors_into(stage):
         v = cat.src(p)
         fam[p] = frozenset(
-            s for s in mp.at(v) if loc not in v or s.get(loc) == val
+            s for s in mp.at(v) if loc not in mp.named(v) or s.get(loc) == val
         )
     return ref.predicate(mp, site, stage, fam)
 
@@ -115,17 +115,17 @@ def test_implication_to_bottom_is_kripke_negation(site1):
     """not (x ~> 0) is empty at {x}: every heap restricts to the empty
     heap, which satisfies the antecedent at the empty stage."""
     site, mp = site1
-    stage = ("x",)
+    stage = 0b01
     atom = nonstrict_pointsto(site, mp, stage, "x", 0)
     neg = implication(atom, bottom_predicate(mp, site, stage))
-    assert ref.at_subset(neg, ("x",)) == frozenset()
-    assert ref.at_subset(neg, ()) == frozenset()
+    assert ref.at_subset(neg, 0b01) == frozenset()
+    assert ref.at_subset(neg, 0) == frozenset()
 
 
 def test_residuation_exhaustive_single_location(site1):
     """meet(P,Q) <= R iff P <= (Q -> R), over every predicate triple."""
     site, mp = site1
-    stage = ("x",)
+    stage = 0b01
     cat = site.cat
     preds = all_predicates(site, mp, stage)
     assert len(preds) == 9
@@ -164,7 +164,7 @@ def _subsets_of(xs):
 
 def test_residuation_sampled_two_locations(site2):
     site, mp = site2
-    stage = ("x", "y")
+    stage = 0b11
     rng = random.Random(420)
     for _ in range(120):
         p = random_closed_predicate(rng, mp, site, stage)
@@ -175,7 +175,7 @@ def test_residuation_sampled_two_locations(site2):
 
 def test_distributivity_sampled(site2):
     site, mp = site2
-    stage = ("x", "y")
+    stage = 0b11
     rng = random.Random(7)
     for _ in range(60):
         p = random_closed_predicate(rng, mp, site, stage)
@@ -208,7 +208,7 @@ def test_preimage_rejects_non_natural_map(site2):
     """Naturality is `validate_sheaf_morphism`'s to check: `reindex_preimage`
     assumes it."""
     site, mp = site2
-    stage = ("x", "y")
+    stage = 0b11
     swap01 = {0: 1, 1: 0, None: None}
     components = {
         a: {
@@ -227,11 +227,11 @@ def test_preimage_rejects_non_natural_map(site2):
 
 def test_preimage_identity_and_top(site1):
     site, mp = site1
-    stage = ("x",)
+    stage = 0b01
     ident = morphism(
         mp, mp, {a: {x: x for x in mp.at(a)} for a in site.cat.objects}, name="id"
     )
-    q = singleton_pred(site, mp, stage, ("x",), Heap.of(("x",), {"x": 0}))
+    q = singleton_pred(site, mp, stage, 0b01, Heap.of(("x",), {"x": 0}))
     assert reindex_preimage(ident, q) == q
     assert reindex_preimage(ident, top_predicate(mp, site, stage)) == top_predicate(
         mp, site, stage
@@ -240,20 +240,20 @@ def test_preimage_identity_and_top(site1):
 
 def test_preimage_of_conflict_heap_under_total_mult(site1):
     site, mp = site1
-    stage = ("x",)
+    stage = 0b01
     decomp, alpha = total_mult_morphism(site, mp)
-    q = singleton_pred(site, mp, stage, ("x",), Heap.of(("x",), {"x": None}))
+    q = singleton_pred(site, mp, stage, 0b01, Heap.of(("x",), {"x": None}))
     pre = reindex_preimage(alpha, q)
     conflict = Decomp(
-        ("x",), ("x",), ("x",),
+        0b01, 0b01, 0b01,
         Heap.of(("x",), {"x": 0}), Heap.of(("x",), {"x": 1}),
     )
-    assert conflict in ref.at_subset(pre, ("x",))
+    assert conflict in ref.at_subset(pre, 0b01)
 
 
 def test_direct_image_closes_raw_image(site2):
     site, mp = site2
-    stage = ("x", "y")
+    stage = 0b11
     decomp, alpha = total_mult_morphism(site, mp)
     rng = random.Random(31)
     for _ in range(20):
@@ -265,11 +265,11 @@ def test_direct_image_closes_raw_image(site2):
 
 def test_image_identity_and_bottom(site1):
     site, mp = site1
-    stage = ("x",)
+    stage = 0b01
     ident = morphism(
         mp, mp, {a: {x: x for x in mp.at(a)} for a in site.cat.objects}, name="id"
     )
-    p = singleton_pred(site, mp, stage, ("x",), Heap.of(("x",), {"x": 1}))
+    p = singleton_pred(site, mp, stage, 0b01, Heap.of(("x",), {"x": 1}))
     assert direct_image(ident, p) == p
     assert direct_image(ident, bottom_predicate(mp, site, stage)) == bottom_predicate(
         mp, site, stage
@@ -278,19 +278,19 @@ def test_image_identity_and_bottom(site1):
 
 def test_existential_image_of_decomposition_predicate(site1):
     site, mp = site1
-    stage = ("x",)
+    stage = 0b01
     decomp, alpha = total_mult_morphism(site, mp)
-    d = Decomp(("x",), ("x",), (), Heap.of(("x",), {"x": 0}), Heap((), ()))
+    d = Decomp(0b01, 0b01, 0, Heap.of(("x",), {"x": 0}), Heap((), ()))
     fam = {p: set() for p in site.cat.mors_into(stage)}
     fam[site.cat.id(stage)].add(d)
     p = ref.predicate(decomp, site, stage, ref.close(decomp, site, stage, fam))
     img = direct_image(alpha, p)
-    assert Heap.of(("x",), {"x": 0}) in ref.at_subset(img, ("x",))
+    assert Heap.of(("x",), {"x": 0}) in ref.at_subset(img, 0b01)
 
 
 def test_galois_connection_sampled(site2):
     site, mp = site2
-    stage = ("x", "y")
+    stage = 0b11
     decomp, alpha = total_mult_morphism(site, mp)
     rng = random.Random(99)
     for _ in range(60):
@@ -303,7 +303,7 @@ def test_galois_connection_sampled(site2):
 
 def test_preimage_preserves_meets_and_top(site2):
     site, mp = site2
-    stage = ("x", "y")
+    stage = 0b11
     decomp, alpha = total_mult_morphism(site, mp)
     rng = random.Random(5)
     for _ in range(30):
@@ -319,7 +319,7 @@ def test_preimage_preserves_meets_and_top(site2):
 
 def test_image_preserves_joins_and_bottom(site2):
     site, mp = site2
-    stage = ("x", "y")
+    stage = 0b11
     decomp, alpha = total_mult_morphism(site, mp)
     rng = random.Random(6)
     for _ in range(30):
@@ -335,16 +335,16 @@ def test_image_preserves_joins_and_bottom(site2):
 
 def test_glue_two_compatible_parts(site2):
     site, mp = site2
-    top = ("x", "y")
+    top = 0b11
     cat = site.cat
-    cover = generate_sieve(cat, top, [incl(("x",), top), incl(("y",), top)])
-    px = nonstrict_pointsto(site, mp, ("x",), "x", 0)
-    py = nonstrict_pointsto(site, mp, ("y",), "y", 1)
+    cover = generate_sieve(cat, top, [(0b01, top), (0b10, top)])
+    px = nonstrict_pointsto(site, mp, 0b01, "x", 0)
+    py = nonstrict_pointsto(site, mp, 0b10, "y", 1)
     glued = ref.glue_predicates(
-        site, mp, cover, {incl(("x",), top): px, incl(("y",), top): py}
+        site, mp, cover, {(0b01, top): px, (0b10, top): py}
     )
-    assert ref.restrict_predicate(glued, incl(("x",), top)) == px
-    assert ref.restrict_predicate(glued, incl(("y",), top)) == py
+    assert ref.restrict_predicate(glued, (0b01, top)) == px
+    assert ref.restrict_predicate(glued, (0b10, top)) == py
     # the glued predicate at the top stage is forced by the cover
     want = frozenset(
         s for s in mp.at(top) if s.get("x") == 0 and s.get("y") == 1
@@ -354,7 +354,7 @@ def test_glue_two_compatible_parts(site2):
 
 def test_glue_over_maximal_sieve_returns_part(site1):
     site, mp = site1
-    stage = ("x",)
+    stage = 0b01
     p = nonstrict_pointsto(site, mp, stage, "x", 0)
     cover = maximal_sieve(site.cat, stage)
     glued = ref.glue_predicates(site, mp, cover, {site.cat.id(stage): p})
@@ -363,25 +363,25 @@ def test_glue_over_maximal_sieve_returns_part(site1):
 
 def test_glue_rejects_incompatible_parts(site2):
     site, mp = site2
-    top = ("x", "y")
+    top = 0b11
     cat = site.cat
-    cover = generate_sieve(cat, top, [incl(("x",), top), incl(("y",), top)])
-    px = nonstrict_pointsto(site, mp, ("x",), "x", 0)
-    py = nonstrict_pointsto(site, mp, ("y",), "y", 1)
+    cover = generate_sieve(cat, top, [(0b01, top), (0b10, top)])
+    px = nonstrict_pointsto(site, mp, 0b01, "x", 0)
+    py = nonstrict_pointsto(site, mp, 0b10, "y", 1)
     # tamper the empty-stage family of one part to clash at the overlap
     bad_fam = dict(py.family)
-    bad_fam[incl((), ("y",))] = frozenset()
-    py_bad = ref.predicate(mp, site, ("y",), bad_fam)
+    bad_fam[(0, 0b10)] = frozenset()
+    py_bad = ref.predicate(mp, site, 0b10, bad_fam)
     with pytest.raises(IncompatibleFamilyError):
         ref.glue_predicates(
-            site, mp, cover, {incl(("x",), top): px, incl(("y",), top): py_bad}
+            site, mp, cover, {(0b01, top): px, (0b10, top): py_bad}
         )
 
 
 def test_glued_predicate_is_unique_by_exhaustion(site1):
     """Among all subsheaf predicates, exactly one restricts to the parts."""
     site, mp = site1
-    stage = ("x",)
+    stage = 0b01
     part = nonstrict_pointsto(site, mp, stage, "x", 0)
     cover = maximal_sieve(site.cat, stage)
     glued = ref.glue_predicates(site, mp, cover, {site.cat.id(stage): part})
@@ -398,7 +398,7 @@ def test_glued_predicate_is_unique_by_exhaustion(site1):
 
 def test_combine_alpha_top_and_bottom(site2):
     site, mp = site2
-    stage = ("x", "y")
+    stage = 0b11
     decomp = day_decomp(mp, mp, site.monoidal)
     t = top_predicate(mp, site, stage)
     b = bottom_predicate(mp, site, stage)
@@ -408,7 +408,7 @@ def test_combine_alpha_top_and_bottom(site2):
 
 def test_combine_alpha_pointsto_pair(site2):
     site, mp = site2
-    stage = ("x", "y")
+    stage = 0b11
     decomp = day_decomp(mp, mp, site.monoidal)
     # allocated atoms: empty below their location
     def alloc(loc, val):
@@ -417,13 +417,13 @@ def test_combine_alpha_pointsto_pair(site2):
         for p in cat.mors_into(stage):
             v = cat.src(p)
             fam[p] = frozenset(
-                s for s in mp.at(v) if loc in v and s.get(loc) == val
+                s for s in mp.at(v) if loc in mp.named(v) and s.get(loc) == val
             )
         return ref.predicate(mp, site, stage, fam)
 
     combined = combine_alpha(alloc("x", 0), alloc("y", 1), decomp)
     d = Decomp(
-        stage, ("x",), ("y",),
+        stage, 0b01, 0b10,
         Heap.of(("x",), {"x": 0}), Heap.of(("y",), {"y": 1}),
     )
     assert d in ref.at_subset(combined, stage)
@@ -431,11 +431,11 @@ def test_combine_alpha_pointsto_pair(site2):
 
 def test_allocated_atom_breaks_restriction_closure_as_documented(site1):
     site, mp = site1
-    stage = ("x",)
+    stage = 0b01
     cat = site.cat
     fam = {
         p: frozenset(
-            s for s in mp.at(cat.src(p)) if "x" in cat.src(p) and s.get("x") == 0
+            s for s in mp.at(cat.src(p)) if "x" in mp.named(cat.src(p)) and s.get("x") == 0
         )
         for p in cat.mors_into(stage)
     }
@@ -452,10 +452,11 @@ def test_local_character_witness_reported_once(cells):
     locations, several at three), and no restriction witness."""
     site, mp = make_site(set(cells))
     cat = site.cat
-    top = tuple(sorted(cells))
-    glued = Heap.of(top, cells)
+    top = cat.objects[-1]
+    glued = Heap.of(cells, cells)
     fam = {
-        p: frozenset() if cat.src(p) == top else frozenset({restrict_heap(glued, cat.src(p))})
+        p: frozenset() if cat.src(p) == top
+        else frozenset({restrict_heap(glued, mp.named(cat.src(p)))})
         for p in cat.mors_into(top)
     }
     rep = ref.validate_predicate_bits(ref.predicate(mp, site, top, fam))

@@ -20,7 +20,7 @@ from sheafsep.day import (
     day_decomp,
     splittings,
 )
-from sheafsep.fincat import build_finsurj_category, build_powerset_category
+from sheafsep.fincat import bits, build_finsurj_category, build_powerset_category
 import sheafsep.pred as pred
 from sheafsep.pred import (
     KripkePredicate,
@@ -152,13 +152,15 @@ def closure_site(base, size, coverage):
     whose top stage would hold 50,625 pairs with two); on finite
     surjections the probability presheaf and every representable."""
     if base == "powerset":
-        cat, mon = build_powerset_category(("x", "y", "z", "w")[:size])
+        cat, mon = build_powerset_category(size)
         cov = build_coverage(cat, coverage)
-        mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
-        mp0 = build_resource_sheaf(cat, "partial-memory", values=(0, 1) if size < 4 else (0,))
+        locs = ("x", "y", "z", "w")[:size]
+        mp = build_resource_sheaf(cat, "partial-memory", locs, values=(0, 1))
+        mp0 = build_resource_sheaf(cat, "partial-memory", locs,
+                                   values=(0, 1) if size < 4 else (0,))
         return Site(cat, cov, mon), (
-            build_resource_sheaf(cat, "strict-memory", values=(0, 1)), mp,
-            build_resource_sheaf(cat, "support-bounded", values=(0, 1), bound=1),
+            build_resource_sheaf(cat, "strict-memory", locs, values=(0, 1)), mp,
+            build_resource_sheaf(cat, "support-bounded", locs, values=(0, 1), bound=1),
             day_decomp(mp0, mp0, mon), matching_presheaf(mp, cov))
     cat, _ = build_finsurj_category(size)
     cov = trivial_coverage(cat) if coverage == "trivial" else build_coverage(cat, coverage)
@@ -260,7 +262,8 @@ def bounded_model(n, variant):
     """A model on the support-bounded carrier (at most one allocated
     cell), whose ids are not codes: products leaving it are dropped."""
     m = model(n, variant)
-    mp = build_resource_sheaf(m.site.cat, "support-bounded", values=m.values, bound=1)
+    mp = build_resource_sheaf(m.site.cat, "support-bounded", m.locations, values=m.values,
+                              bound=1)
     return ResourceModel(m.site, mp, build_memory_monoid(mp, variant), m.locations, m.values,
                          m.stage)
 
@@ -291,7 +294,8 @@ def test_arithmetic_star_matches_the_pair_loop(n, variant, carrier, data):
     for sl in cat.mors_into(stage):
         v, want = cat.src(sl), 0
         first = firsts[v] = {}  # product id -> its least (b, c, i, j)
-        for b, c in sorted(splittings(cat, m.site.monoidal, v)):
+        for b, c in sorted(splittings(cat, m.site.monoidal, v),
+                           key=lambda bc: (bits(bc[0]), bits(bc[1]))):
             left, right = p.bits[cat.hom(b, stage)[0]], q.bits[cat.hom(c, stage)[0]]
             for i in (i for i in range(mp.size(b)) if left >> i & 1):
                 for j in (j for j in range(mp.size(c)) if right >> j & 1):
@@ -309,7 +313,7 @@ def test_arithmetic_star_matches_the_pair_loop(n, variant, carrier, data):
             assert got is None
             continue
         b, c, i, j = first[k]
-        assert got == {"left_stage": list(b), "right_stage": list(c),
+        assert got == {"left_stage": list(mp.named(b)), "right_stage": list(mp.named(c)),
                        "left": mp.element(b, i).as_dict(), "right": mp.element(c, j).as_dict()}
 
 
@@ -326,10 +330,11 @@ def test_stars_on_support_bounded_carriers_match_reference(n, bound, n_values, v
     is outside the carrier at any mode."""
     values = (0, 1, 2)[:n_values]
     base = make_memory_model(("x", "y", "z")[:n], values, monoid_variant=variant)
-    mp = build_resource_sheaf(base.site.cat, "support-bounded", values=values, bound=bound)
+    mp = build_resource_sheaf(base.site.cat, "support-bounded", base.locations, values=values,
+                              bound=bound)
     m = ResourceModel(base.site, mp, build_memory_monoid(mp, variant), base.locations, values,
                       base.stage)
-    cat, stage, x, y, v = m.site.cat, m.stage, m.stage[0], m.stage[-1], values[-1]
+    cat, stage, x, y, v = m.site.cat, m.stage, m.locations[0], m.locations[-1], values[-1]
     sheaf = bound == 0 or bound >= n
     maps = ref.pipeline_maps(m) if sheaf else None
     ident = cat.id(stage)
@@ -361,7 +366,7 @@ def test_stars_on_support_bounded_carriers_match_reference(n, bound, n_values, v
             assert str(star.value) == str(iso.value)
             assert star.value.report == iso.value.report == check_sheaf(mp, m.site.cov)
     if bound < n:
-        crowded = Heap(stage, (values[0],) * (bound + 1) + (None,) * (n - bound - 1))
+        crowded = Heap(m.locations, (values[0],) * (bound + 1) + (None,) * (n - bound - 1))
         for mode in ("unfolded", "pipeline"):
             with pytest.raises(StageMismatchError):
                 sat(m, Top(), stage, crowded, mode)
@@ -377,11 +382,12 @@ def test_stage_only_sat_matches_the_full_star(n, variant):
     with the allocated atoms, which are not subsheaves, among the
     operands.  The pipeline runs where the carrier is a sheaf."""
     base = model(n, variant)
-    cat, stage, x, y = base.site.cat, base.stage, base.stage[0], base.stage[-1]
+    cat, stage, x, y = base.site.cat, base.stage, base.locations[0], base.locations[-1]
     ident = cat.id(stage)
     carriers = [(base, True)]
     for bound in range(n + 1):
-        mp = build_resource_sheaf(cat, "support-bounded", values=base.values, bound=bound)
+        mp = build_resource_sheaf(cat, "support-bounded", base.locations, values=base.values,
+                                  bound=bound)
         carriers.append((ResourceModel(base.site, mp, build_memory_monoid(mp, variant),
                                        base.locations, base.values, stage),
                          bound == 0 or bound >= n))
@@ -422,7 +428,7 @@ def rule_model(n, bound, rule):
     maps where the carrier is a sheaf at 1-3 locations (None elsewhere)."""
     base = make_memory_model(("x", "y", "z", "w")[:n], (0, 1), monoid_variant=None)
     mp = base.sheaf if bound is None else build_resource_sheaf(
-        base.site.cat, "support-bounded", values=base.values, bound=bound)
+        base.site.cat, "support-bounded", base.locations, values=base.values, bound=bound)
     m = ResourceModel(base.site, mp, rule_monoid(mp, rule), base.locations, base.values,
                       base.stage)
     sheaf = n < 4 and (bound in (None, 0) or bound >= n)
@@ -454,7 +460,7 @@ def test_star_under_every_cell_rule_matches_the_reference(case, data):
     carrier, rule = case
     m, maps = rule_model(*carrier, rule)
     cat, mp, stage = m.site.cat, m.sheaf, m.stage
-    four = len(stage) == 4
+    four = stage.bit_count() == 4
 
     def predicate():
         bits = {}

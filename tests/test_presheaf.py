@@ -16,7 +16,7 @@ from presheaf_reference import (
     yoneda,
 )
 from sheafsep.errors import ResourceKindError, StageMismatchError
-from sheafsep.fincat import build_powerset_category, incl
+from sheafsep.fincat import build_powerset_category
 from sheafsep.presheaf import Heap, build_resource_sheaf, check_sheaf
 from sheafsep.site import build_coverage
 from site_reference import generate_sieve, maximal_sieve, slice_coverage
@@ -24,13 +24,13 @@ from site_reference import generate_sieve, maximal_sieve, slice_coverage
 
 @pytest.fixture(scope="module")
 def pset2():
-    return build_powerset_category({"x", "y"})
+    return build_powerset_category(2)
 
 
 @pytest.fixture(scope="module")
 def mp2(pset2):
     cat, _ = pset2
-    return build_resource_sheaf(cat, "partial-memory", values=(0, 1))
+    return build_resource_sheaf(cat, "partial-memory", "xy", values=(0, 1))
 
 
 @pytest.fixture(scope="module")
@@ -46,18 +46,18 @@ def count_maps(n_locs, n_vals):
 
 def test_strict_memory_counts(pset2):
     cat, _ = pset2
-    m = build_resource_sheaf(cat, "strict-memory", values=(0, 1))
-    assert len(m.at(("x", "y"))) == count_maps(2, 2) == 4
-    assert len(m.at(("x",))) == count_maps(1, 2) == 2
+    m = build_resource_sheaf(cat, "strict-memory", "xy", values=(0, 1))
+    assert len(m.at(0b11)) == count_maps(2, 2) == 4
+    assert len(m.at(0b01)) == count_maps(1, 2) == 2
 
 
 def test_partial_memory_counts(mp2):
-    assert len(mp2.at(("x", "y"))) == count_maps(2, 3) == 9
+    assert len(mp2.at(0b11)) == count_maps(2, 3) == 9
 
 
 def test_restriction_is_domain_restriction(mp2):
     h = Heap.of(("x", "y"), {"x": 0, "y": 1})
-    restricted = mp2.restrict(incl(("x",), ("x", "y")), h)
+    restricted = mp2.restrict((0b01, 0b11), h)
     assert restricted == Heap.of(("x",), {"x": 0})
 
 
@@ -66,24 +66,24 @@ def test_memory_kind_requires_powerset():
 
     fcat, _ = build_finsurj_category(2)
     with pytest.raises(ResourceKindError):
-        build_resource_sheaf(fcat, "partial-memory", values=(0, 1))
+        build_resource_sheaf(fcat, "partial-memory", "xy", values=(0, 1))
 
 
 def test_memory_kinds_need_a_value(pset2):
     cat, _ = pset2
     for kind in ("strict-memory", "partial-memory", "support-bounded"):
         with pytest.raises(ResourceKindError):
-            build_resource_sheaf(cat, kind, values=(), bound=1)
+            build_resource_sheaf(cat, kind, "xy", values=(), bound=1)
 
 
 def test_validate_builders(pset2, mp2):
     cat, _ = pset2
     for ps in (
         mp2,
-        build_resource_sheaf(cat, "strict-memory", values=(0, 1)),
-        build_resource_sheaf(cat, "support-bounded", values=(0, 1), bound=1),
+        build_resource_sheaf(cat, "strict-memory", "xy", values=(0, 1)),
+        build_resource_sheaf(cat, "support-bounded", "xy", values=(0, 1), bound=1),
         constant(cat, (0, 1, 2)),
-        yoneda(cat, ("x",)),
+        yoneda(cat, 0b01),
         terminal(cat),
     ):
         assert validate_presheaf(ps).ok, ps.name
@@ -93,7 +93,7 @@ def test_validate_flags_tampered_identity(pset2, mp2):
     cat, _ = pset2
 
     def bad_restrict(f, heap):
-        if f == cat.id(("x",)):
+        if f == cat.id(0b01):
             vals = {0: 1, 1: 0, None: None}
             return Heap(heap.locations, tuple(vals[v] for v in heap.values))
         return mp2.restrict(f, heap)
@@ -104,14 +104,14 @@ def test_validate_flags_tampered_identity(pset2, mp2):
 
 
 def test_validate_flags_composition_mismatch():
-    cat, _ = build_powerset_category({"x", "y", "z"})
-    mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
-    top = ("x", "y", "z")
+    cat, _ = build_powerset_category(3)
+    mp = build_resource_sheaf(cat, "partial-memory", "xyz", values=(0, 1))
+    top = 0b111
     flip = {0: 1, 1: 0, None: None}
 
     def bad_restrict(f, heap):
         # tamper the middle step of the chain (x) <= (x,y) <= (x,y,z)
-        if f == incl(("x", "y"), top):
+        if f == (0b11, top):
             restricted = mp.restrict(f, heap)
             return Heap(restricted.locations, tuple(flip[v] for v in restricted.values))
         return mp.restrict(f, heap)
@@ -127,28 +127,28 @@ def test_mp_is_sheaf(mp2, cov2):
 
 def test_strict_memory_is_sheaf(pset2, cov2):
     cat, _ = pset2
-    m = build_resource_sheaf(cat, "strict-memory", values=(0, 1))
+    m = build_resource_sheaf(cat, "strict-memory", "xy", values=(0, 1))
     assert check_sheaf(m, cov2).ok
 
 
 def test_support_bounded_fails_sheaf_condition(pset2, cov2):
     cat, _ = pset2
-    sb = build_resource_sheaf(cat, "support-bounded", values=(0, 1), bound=1)
+    sb = build_resource_sheaf(cat, "support-bounded", "xy", values=(0, 1), bound=1)
     rep = check_sheaf(sb, cov2)
     assert "existence" in [v.kind for v in rep.violations]
 
 
 def test_support_bounded_witness_is_two_singletons(pset2, cov2):
     cat, _ = pset2
-    sb = build_resource_sheaf(cat, "support-bounded", values=(0,), bound=1)
-    top = ("x", "y")
-    cover = generate_sieve(cat, top, [incl(("x",), top), incl(("y",), top)])
+    sb = build_resource_sheaf(cat, "support-bounded", "xy", values=(0,), bound=1)
+    top = 0b11
+    cover = generate_sieve(cat, top, [(0b01, top), (0b10, top)])
     fam = CompatibleFamily.of(
         cover,
         {
-            incl(("x",), top): Heap.of(("x",), {"x": 0}),
-            incl(("y",), top): Heap.of(("y",), {"y": 0}),
-            incl((), top): Heap((), ()),
+            (0b01, top): Heap.of(("x",), {"x": 0}),
+            (0b10, top): Heap.of(("y",), {"y": 0}),
+            (0, top): Heap((), ()),
         },
     )
     with pytest.raises(NoAmalgamationError):
@@ -160,8 +160,8 @@ def test_constant_presheaf_sheaf_behaviour(pset2, cov2):
     k = constant(cat, (0, 1))
     # with the empty sieve excluded from the coverage, constants are sheaves
     assert check_sheaf(k, cov2).ok
-    top = ("x", "y")
-    cover = generate_sieve(cat, top, [incl(("x",), top), incl(("y",), top)])
+    top = 0b11
+    cover = generate_sieve(cat, top, [(0b01, top), (0b10, top)])
     fams = enumerate_compatible_families(k, cover)
     # compatible families must agree everywhere (restrictions are identities)
     assert len(fams) == 2
@@ -172,23 +172,23 @@ def test_constant_presheaf_sheaf_behaviour(pset2, cov2):
 
 def test_amalgamate_heap_union(mp2, pset2):
     cat, _ = pset2
-    top = ("x", "y")
-    cover = generate_sieve(cat, top, [incl(("x",), top), incl(("y",), top)])
+    top = 0b11
+    cover = generate_sieve(cat, top, [(0b01, top), (0b10, top)])
     fam = CompatibleFamily.of(
         cover,
         {
-            incl(("x",), top): Heap.of(("x",), {"x": 0}),
-            incl(("y",), top): Heap.of(("y",), {"y": 1}),
-            incl((), top): Heap((), ()),
+            (0b01, top): Heap.of(("x",), {"x": 0}),
+            (0b10, top): Heap.of(("y",), {"y": 1}),
+            (0, top): Heap((), ()),
         },
     )
-    assert amalgamate(mp2, fam) == Heap.of(top, {"x": 0, "y": 1})
+    assert amalgamate(mp2, fam) == Heap.of("xy", {"x": 0, "y": 1})
 
 
 def test_amalgamate_maximal_sieve_identity_forces(mp2, pset2):
     cat, _ = pset2
-    top = ("x", "y")
-    a = Heap.of(top, {"x": 1, "y": None})
+    top = 0b11
+    a = Heap.of("xy", {"x": 1, "y": None})
     cover = maximal_sieve(cat, top)
     fam = CompatibleFamily.of(
         cover, {f: mp2.restrict(f, a) for f in cover.members}
@@ -198,20 +198,20 @@ def test_amalgamate_maximal_sieve_identity_forces(mp2, pset2):
 
 def test_amalgamate_incompatible_clash(mp2, pset2):
     cat, _ = pset2
-    top = ("x", "y")
+    top = 0b11
     cover = generate_sieve(
-        cat, top, [incl(("x",), top), incl(("y",), top), incl(("x",), top)]
+        cat, top, [(0b01, top), (0b10, top), (0b01, top)]
     )
     mapping = {
-        incl(("x",), top): Heap.of(("x",), {"x": 0}),
-        incl(("y",), top): Heap.of(("y",), {"y": 1}),
-        incl((), top): Heap.of((), {}),
+        (0b01, top): Heap.of(("x",), {"x": 0}),
+        (0b10, top): Heap.of(("y",), {"y": 1}),
+        (0, top): Heap.of((), {}),
     }
     # clash: make the empty restriction inconsistent instead; simplest real
     # clash needs two legs with the same source, which a sieve cannot have,
     # so disagree via the square x <- () -> x against a tampered () value.
     bad = dict(mapping)
-    bad[incl((), top)] = Heap.of((), {})
+    bad[(0, top)] = Heap.of((), {})
     fam = CompatibleFamily.of(cover, bad)
     assert amalgamate(mp2, fam)  # this family is fine
 
@@ -220,9 +220,9 @@ def test_amalgamate_incompatible_clash(mp2, pset2):
     fam_bad = CompatibleFamily.of(
         cover,
         {
-            incl(("x",), top): 0,
-            incl(("y",), top): 1,
-            incl((), top): 0,
+            (0b01, top): 0,
+            (0b10, top): 1,
+            (0, top): 0,
         },
     )
     with pytest.raises(IncompatibleFamilyError):
@@ -231,11 +231,11 @@ def test_amalgamate_incompatible_clash(mp2, pset2):
 
 def test_amalgamate_non_unique_on_non_covering_family(mp2, pset2):
     cat, _ = pset2
-    top = ("x", "y")
-    cover = generate_sieve(cat, top, [incl(("x",), top)])
+    top = 0b11
+    cover = generate_sieve(cat, top, [(0b01, top)])
     fam = CompatibleFamily.of(
         cover,
-        {incl(("x",), top): Heap.of(("x",), {"x": 0}), incl((), top): Heap((), ())},
+        {(0b01, top): Heap.of(("x",), {"x": 0}), (0, top): Heap((), ())},
     )
     with pytest.raises(NonUniqueAmalgamationError):
         amalgamate(mp2, fam)
@@ -245,7 +245,7 @@ def test_generator_extension_lemma(mp2, pset2, cov2):
     """Families over the full sieve are determined by the generators,
     independently of the chosen factorisation."""
     cat, _ = pset2
-    top = ("x", "y")
+    top = 0b11
     for cover in cov2.covers(top):
         for fam in enumerate_compatible_families(mp2, cover):
             for f, x in fam.items():
@@ -257,9 +257,9 @@ def test_generator_extension_lemma(mp2, pset2, cov2):
 
 def test_slice_restrict_at_identity(mp2, pset2):
     cat, _ = pset2
-    sl = slice_restrict(mp2, ("x",))
-    p = cat.id(("x",))
-    assert sl.at(p) == mp2.at(("x",))
+    sl = slice_restrict(mp2, 0b01)
+    p = cat.id(0b01)
+    assert sl.at(p) == mp2.at(0b01)
 
 
 def test_slice_restrict_is_sheaf_for_slice_coverage(mp2, pset2, cov2):
@@ -285,15 +285,15 @@ def _dom_functor(slice_cat, base):
 
 def test_slice_restrict_over_empty(mp2, pset2):
     cat, _ = pset2
-    sl = slice_restrict(mp2, ())
+    sl = slice_restrict(mp2, 0)
     (p,) = sl.base.objects
-    assert sl.at(p) == mp2.at(())
+    assert sl.at(p) == mp2.at(0)
 
 
 def test_terminal_and_star(pset2, cov2):
     cat, _ = pset2
     t = terminal(cat)
-    assert t.at(("x",)) == (STAR,)
+    assert t.at(0b01) == (STAR,)
     assert check_sheaf(t, cov2).ok
 
 
@@ -315,8 +315,8 @@ def test_check_sheaf_at_the_size_bound():
     of walking the full product."""
     import time
 
-    cat, _ = build_powerset_category({"a", "b", "c", "d"})
-    mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
+    cat, _ = build_powerset_category(4)
+    mp = build_resource_sheaf(cat, "partial-memory", "abcd", values=(0, 1))
     cov = build_coverage(cat, "downward-closed")
     started = time.perf_counter()
     rep = check_sheaf(mp, cov)
@@ -328,8 +328,8 @@ def test_check_sheaf_restrictions_at_the_size_bound():
     """Deterministic work gate: each restriction-table entry is computed
     at most once, so the four-location check applies restrict_fn at most
     sum over B of 6^|B| = 7^4 times."""
-    cat, _ = build_powerset_category({"a", "b", "c", "d"})
-    mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
+    cat, _ = build_powerset_category(4)
+    mp = build_resource_sheaf(cat, "partial-memory", "abcd", values=(0, 1))
     cov = build_coverage(cat, "downward-closed")
     calls = 0
 
@@ -361,4 +361,4 @@ def test_check_sheaf_budget_exceeded(mp2, cov2):
 def test_restricting_an_element_outside_its_stage_is_a_stage_mismatch(mp2):
     for stray in (Heap(("x",), (7,)), Heap(("y",), (0,)), "junk"):
         with pytest.raises(StageMismatchError):
-            mp2.restrict(incl((), ("x",)), stray)
+            mp2.restrict((0, 0b01), stray)

@@ -9,7 +9,7 @@ import pytest
 import presheaf_reference as ref
 from sheafsep.day import day_coend, day_decomp
 from sheafsep.errors import BudgetExceededError, NotASheafError
-from sheafsep.fincat import build_finsurj_category, build_powerset_category, incl
+from sheafsep.fincat import build_finsurj_category, build_powerset_category
 from sheafsep.presheaf import (
     DEFAULT_FAMILY_BUDGET,
     Heap,
@@ -28,18 +28,18 @@ from site_reference import slice_coverage, trivial_coverage
 MEMORY_KINDS = ("strict-memory", "partial-memory", "support-bounded")
 
 BUILDERS = {
-    "strict-memory": lambda cat: build_resource_sheaf(cat, "strict-memory", values=(0, 1)),
-    "partial-memory": lambda cat: build_resource_sheaf(cat, "partial-memory", values=(0, 1)),
-    "support-bounded": lambda cat: build_resource_sheaf(cat, "support-bounded", values=(0, 1),
-                                                        bound=1),
+    **{kind: lambda cat, kind=kind: build_resource_sheaf(cat, kind, ref.names(cat), values=(0, 1))
+       for kind in ("strict-memory", "partial-memory")},
+    "support-bounded": lambda cat: build_resource_sheaf(cat, "support-bounded", ref.names(cat),
+                                                        values=(0, 1), bound=1),
     "constant": lambda cat: ref.constant(cat, (0, 1, 2)),
-    "yoneda": lambda cat: ref.yoneda(cat, ("x",)),
+    "yoneda": lambda cat: ref.yoneda(cat, 0b01),
     "terminal": ref.terminal,
 }
 
 
 def _site(n_locs):
-    cat, mon = build_powerset_category(["x", "y", "z"][:n_locs])
+    cat, mon = build_powerset_category(n_locs)
     return cat, mon, build_coverage(cat, "downward-closed")
 
 
@@ -71,8 +71,8 @@ def test_builders_agree_with_reference(kind, n_locs):
 
 def test_trivial_coverage_and_finsurj_yoneda_agree():
     cat, _, _ = _site(2)
-    assert_agrees(build_resource_sheaf(cat, "support-bounded", values=(0,), bound=1),
-                  trivial_coverage(cat))
+    sb = build_resource_sheaf(cat, "support-bounded", ref.names(cat), values=(0,), bound=1)
+    assert_agrees(sb, trivial_coverage(cat))
     fcat, _ = build_finsurj_category(2)
     fcov = build_coverage(fcat, "atomic")
     for obj in fcat.objects:
@@ -81,7 +81,7 @@ def test_trivial_coverage_and_finsurj_yoneda_agree():
 
 def test_slice_presheaf_agrees():
     cat, _, cov = _site(2)
-    mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
+    mp = build_resource_sheaf(cat, "partial-memory", ref.names(cat), values=(0, 1))
     for a in cat.objects:
         scov = slice_coverage(cov, a)
         sl = ref.slice_restrict(mp, a, prebuilt=(scov.cat, _dom_functor(scov.cat, cat)))
@@ -101,8 +101,8 @@ def _dom_functor(slice_cat, base):
 
 def test_day_convolutions_agree():
     cat, mon, cov = _site(2)
-    mp = build_resource_sheaf(cat, "partial-memory", values=(0,))
-    sb = build_resource_sheaf(cat, "support-bounded", values=(0,), bound=1)
+    mp = build_resource_sheaf(cat, "partial-memory", ref.names(cat), values=(0,))
+    sb = build_resource_sheaf(cat, "support-bounded", ref.names(cat), values=(0,), bound=1)
     assert_agrees(day_decomp(mp, mp, mon), cov)
     assert_agrees(day_decomp(sb, mp, mon), cov)
     assert_agrees(day_coend(mp, mp, mon), cov)
@@ -112,19 +112,19 @@ def test_restriction_leaving_the_stage_agrees():
     """Images outside the stage get fresh ids; equal images share one,
     distinct ones never collide with stage elements."""
     cat, _, cov = _site(2)
-    mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
+    mp = build_resource_sheaf(cat, "partial-memory", ref.names(cat), values=(0, 1))
     stray = Heap(("x",), (7,))
 
     def restr(f, heap):
         # along x <= {x,y}, heaps holding 1 at y leave the stage
-        if f == incl(("x",), ("x", "y")) and heap.get("y") == 1:
+        if f == (0b01, 0b11) and heap.get("y") == 1:
             return stray
         return mp.restrict(f, heap)
 
     leaky = ref.listed(cat, mp.at, restr, name="leaky")
-    n = leaky.size(("x",))
-    fresh = {i for i in leaky.table(incl(("x",), ("x", "y"))) if i >= n}
-    assert len(fresh) == 1 and leaky.element(("x",), fresh.pop()) == stray
+    n = leaky.size(0b01)
+    fresh = {i for i in leaky.table((0b01, 0b11)) if i >= n}
+    assert len(fresh) == 1 and leaky.element(0b01, fresh.pop()) == stray
     assert_agrees(leaky, cov)
     assert not check_sheaf(leaky, cov).ok
 
@@ -134,7 +134,7 @@ def test_duplicate_stage_elements_agree():
     constant presheaf on {0, 1} is a sheaf."""
     cat, _, cov = _site(2)
     dup = ref.listed(cat, lambda a: [0, 1, 0], lambda f, x: x, name="dup")
-    assert dup.at(("x",)) == (0, 1)
+    assert dup.at(0b01) == (0, 1)
     assert_agrees(dup, cov)
     assert check_sheaf(dup, cov).ok
 
@@ -146,8 +146,8 @@ def test_matching_classes_agree(n_locs):
     coverage and on the non-thin finsurj base."""
     cat, _, cov = _site(n_locs)
     memory = [
-        build_resource_sheaf(cat, "partial-memory", values=(0, 1)),
-        build_resource_sheaf(cat, "support-bounded", values=(0, 1), bound=1),
+        build_resource_sheaf(cat, "partial-memory", ref.names(cat), values=(0, 1)),
+        build_resource_sheaf(cat, "support-bounded", ref.names(cat), values=(0, 1), bound=1),
     ]
     cases = [(ps, cov) for ps in memory]
     if n_locs == 2:
@@ -164,7 +164,7 @@ def test_matching_classes_agree(n_locs):
 
 def test_budget_error_agrees():
     cat, _, cov = _site(2)
-    mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
+    mp = build_resource_sheaf(cat, "partial-memory", ref.names(cat), values=(0, 1))
     with pytest.raises(BudgetExceededError) as ours:
         check_sheaf(mp, cov, budget=2)
     with pytest.raises(BudgetExceededError) as theirs:
@@ -179,7 +179,7 @@ def test_amalgamation_operator_budget_error_is_check_sheafs():
     cover that is also the sheaf check's first blown cover raises the
     same error."""
     cat, _, cov = _site(2)
-    mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
+    mp = build_resource_sheaf(cat, "partial-memory", ref.names(cat), values=(0, 1))
     with pytest.raises(BudgetExceededError) as iso:
         amalgamation_operator(mp, cov, budget=2)
     with pytest.raises(BudgetExceededError) as sheaf:
@@ -190,9 +190,9 @@ def test_amalgamation_operator_budget_error_is_check_sheafs():
 
 
 def test_four_locations_agree_with_reference():
-    cat, _ = build_powerset_category({"a", "b", "c", "d"})
+    cat, _ = build_powerset_category(4)
     cov = build_coverage(cat, "downward-closed")
-    sb = build_resource_sheaf(cat, "support-bounded", values=(0, 1), bound=1)
+    sb = build_resource_sheaf(cat, "support-bounded", ref.names(cat), values=(0, 1), bound=1)
     rep = check_sheaf(sb, cov)
     assert rep == ref.check_sheaf(sb, cov)
     assert "existence" in [v.kind for v in rep.violations]
@@ -202,31 +202,34 @@ def test_four_locations_agree_with_reference():
 def test_memory_sheaves_agree_with_the_element_level_builder(n_locs):
     """Digit projection against restricting heaps cell by cell, for every
     kind and every support bound 0..n."""
-    cat, _ = build_powerset_category(["w", "x", "y", "z"][:n_locs])
+    cat, _ = build_powerset_category(n_locs)
     cases = [("strict-memory", None), ("partial-memory", None)]
     cases += [("support-bounded", k) for k in range(n_locs + 1)]
     for kind, bound in cases:
         kwargs = {} if bound is None else {"bound": bound}
-        new = build_resource_sheaf(cat, kind, values=(0, 1), **kwargs)
-        ref.assert_same_presheaf(new, ref.memory_sheaf(cat, kind, (0, 1), bound))
-        assert new.name == ref.memory_sheaf(cat, kind, (0, 1), bound).name
+        new = build_resource_sheaf(cat, kind, ref.names(cat), values=(0, 1), **kwargs)
+        ref.assert_same_presheaf(new, ref.memory_sheaf(cat, kind, ref.names(cat), (0, 1), bound))
+        assert new.name == ref.memory_sheaf(cat, kind, ref.names(cat), (0, 1), bound).name
 
 
 @pytest.mark.parametrize("coverage", ["downward-closed", "finite-covers"])
 @pytest.mark.parametrize("n_locs", [2, 3])
 def test_matching_presheaf_agrees_with_the_element_level_reference(n_locs, coverage):
-    cat, _ = build_powerset_category(["x", "y", "z"][:n_locs])
+    cat, _ = build_powerset_category(n_locs)
     cov = build_coverage(cat, coverage)
     for kind, kwargs in (("partial-memory", {}), ("support-bounded", {"bound": 1})):
-        new = matching_presheaf(build_resource_sheaf(cat, kind, values=(0, 1), **kwargs), cov)
-        old = ref.matching_presheaf(ref.memory_sheaf(cat, kind, (0, 1), kwargs.get("bound")), cov)
+        names = ref.names(cat)
+        mp = build_resource_sheaf(cat, kind, names, values=(0, 1), **kwargs)
+        new = matching_presheaf(mp, cov)
+        old = ref.matching_presheaf(ref.memory_sheaf(cat, kind, names, (0, 1), kwargs.get("bound")),
+                                    cov)
         ref.assert_same_presheaf(new, old)
 
 
 def test_matching_presheaf_of_a_stage_with_a_repeated_element_agrees():
     cat, _, cov = _site(2)
     dup = ref.listed(cat, lambda a: [0, 1, 0], lambda f, x: x, name="dup")
-    assert dup.at(("x",)) == (0, 1)
+    assert dup.at(0b01) == (0, 1)
     ref.assert_same_presheaf(matching_presheaf(dup, cov), ref.matching_presheaf(dup, cov))
 
 
@@ -234,11 +237,11 @@ def test_table_fills_and_sheaf_checks_construct_no_elements(built):
     """Deterministic work gate: every restriction table of 4-location
     Mp[0,1], of Mp (*) Mp and of M (x) Mp at 3 locations, and the sheaf
     checks of all three, are computed on ids alone."""
-    big, _ = build_powerset_category(["w", "x", "y", "z"])
-    cat, mon = build_powerset_category(["x", "y", "z"])
-    mp, m = (build_resource_sheaf(cat, kind, values=(0, 1))
+    big, _ = build_powerset_category(4)
+    cat, mon = build_powerset_category(3)
+    mp, m = (build_resource_sheaf(cat, kind, ref.names(cat), values=(0, 1))
              for kind in ("partial-memory", "strict-memory"))
-    cases = [(build_resource_sheaf(big, "partial-memory", values=(0, 1)),
+    cases = [(build_resource_sheaf(big, "partial-memory", ref.names(big), values=(0, 1)),
               build_coverage(big, "downward-closed")),
              (day_decomp(mp, mp, mon), build_coverage(cat, "downward-closed")),
              (day_coend(m, mp, mon), build_coverage(cat, "downward-closed"))]
@@ -259,7 +262,7 @@ def _least_cover_sites():
     2), finsurj(2) atomic, finsurj(3) trivial."""
     sites = []
     for n_locs in (1, 2, 3, 4):
-        cat, mon = build_powerset_category(["w", "x", "y", "z"][:n_locs])
+        cat, mon = build_powerset_category(n_locs)
         kinds = ("downward-closed", "finite-covers") if n_locs in (2, 3) else ("downward-closed",)
         covs = {kind: build_coverage(cat, kind) for kind in kinds}
         if n_locs == 2:
@@ -321,14 +324,15 @@ def _least_cover_cases(cat, mon):
     cases += [ref.yoneda(cat, a) for a in at]
     if cat.kind == "powerset":
         values = (0,) if large else (0, 1)
-        base = build_resource_sheaf(cat, "partial-memory", values=values)
-        cases += [base, build_resource_sheaf(cat, "strict-memory", values=values)]
-        cases += [build_resource_sheaf(cat, "support-bounded", values=values, bound=k)
-                  for k in range(3)]
-        values = (0, 1) if len(top) == 2 else (0,)
-        small = [build_resource_sheaf(cat, kind, values=values)
+        base = build_resource_sheaf(cat, "partial-memory", ref.names(cat), values=values)
+        cases += [base, build_resource_sheaf(cat, "strict-memory", ref.names(cat), values=values)]
+        cases += [build_resource_sheaf(cat, "support-bounded", ref.names(cat), values=values,
+                                       bound=k) for k in range(3)]
+        values = (0, 1) if top.bit_count() == 2 else (0,)
+        small = [build_resource_sheaf(cat, kind, ref.names(cat), values=values)
                  for kind in ("strict-memory", "partial-memory")]
-        small.append(build_resource_sheaf(cat, "support-bounded", values=values, bound=1))
+        small.append(build_resource_sheaf(cat, "support-bounded", ref.names(cat), values=values,
+                                          bound=1))
     else:
         base = ref.yoneda(cat, top)
         small = [ref.yoneda(cat, a) for a in cat.objects[:2]]
@@ -422,13 +426,13 @@ def test_check_sheaf_of_a_four_location_sheaf_encodes_least_covers_only(built):
     cover of each object whose least cover is not its maximal sieve (the
     11 stages of two or more locations; 16 when maximal sieves were
     encoded too), and counts the other covers' families in closed form."""
-    cat, _ = build_powerset_category(["w", "x", "y", "z"])
+    cat, _ = build_powerset_category(4)
     cov = build_coverage(cat, "downward-closed")
-    mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
+    mp = build_resource_sheaf(cat, "partial-memory", ref.names(cat), values=(0, 1))
     built.clear()
     rep = check_sheaf(mp, cov)
     assert rep.ok
-    assert built["_EncodedCover"] == sum(len(a) >= 2 for a in cat.objects) == 11
+    assert built["_EncodedCover"] == sum(a.bit_count() >= 2 for a in cat.objects) == 11
     n_families = sum(len(cov.covers(a)) * mp.size(a) for a in cat.objects)
     assert rep.notes == [f"checked {n_families} families"]
 
@@ -445,7 +449,7 @@ def test_check_sheaf_of_a_non_sheaf_enumerates_each_cover_once(monkeypatch):
     form), with the report of the reference replay that enumerates every
     cover."""
     cat, _, cov = _site(3)
-    ps = build_resource_sheaf(cat, "support-bounded", values=(0, 1, 2, 3), bound=2)
+    ps = build_resource_sheaf(cat, "support-bounded", ref.names(cat), values=(0, 1, 2, 3), bound=2)
     calls = []
     families = _EncodedCover.families
     monkeypatch.setattr(_EncodedCover, "families",
@@ -486,10 +490,10 @@ def test_fibres_and_code_tables_agree_with_the_tables(n_locs, kind):
     `code_table(b, v)` restricts every code at v to an id at b, or to
     size(b) where the restriction leaves the carrier, and is `table` on
     the carrier's own codes."""
-    cat, _ = build_powerset_category(["w", "x", "y"][:n_locs])
+    cat, _ = build_powerset_category(n_locs)
     values = (0, 1, 2)
     for bound in (1, n_locs) if kind == "support-bounded" else (None,):
-        ps = build_resource_sheaf(cat, kind, values=values, bound=bound)
+        ps = build_resource_sheaf(cat, kind, ref.names(cat), values=values, bound=bound)
         r = len(ps.cells)
         for f in cat.all_morphisms():
             b, v = cat.src(f), cat.dst(f)
@@ -497,17 +501,19 @@ def test_fibres_and_code_tables_agree_with_the_tables(n_locs, kind):
             assert ps.fibres(f) == tuple(sum(1 << i for i, y in enumerate(table) if y == j)
                                          for j in range(ps.size(b)))
             down = ps.code_table(b, v)
-            assert len(down) == r ** len(v)
-            for code in range(r ** len(v)):
-                cells = [ps.cells[code // r ** (len(v) - 1 - k) % r] for k in range(len(v))]
-                heap = Heap(b, tuple(x for x, loc in zip(cells, v) if loc in b))
+            n = v.bit_count()
+            assert len(down) == r ** n
+            for code in range(r ** n):
+                cells = [ps.cells[code // r ** (n - 1 - k) % r] for k in range(n)]
+                heap = Heap(ps.named(b), tuple(x for x, loc in zip(cells, ps.named(v))
+                                               if loc in ps.named(b)))
                 assert down[code] == ps.index(b).get(heap, ps.size(b))
             codes = ps.codes(v) or range(ps.size(v))
             assert [down[c] for c in codes] == list(table)
 
 
 CATEGORIES = {
-    **{f"powerset{n}": lambda n=n: build_powerset_category(["w", "x", "y", "z"][:n])[0]
+    **{f"powerset{n}": lambda n=n: build_powerset_category(n)[0]
        for n in (2, 3, 4)},
     **{f"finsurj{n}": lambda n=n: build_finsurj_category(n)[0] for n in (2, 3)},
 }
@@ -531,9 +537,10 @@ def test_cover_generators_from_masks_agree_with_factorisations(name):
 @pytest.mark.parametrize("n_locs", [2, 3])
 def test_amalgamation_operator_on_a_non_sheaf_reports_check_sheafs(n_locs):
     cat, _, cov = _site(n_locs)
-    top = max(cat.objects, key=len)
-    mp = build_resource_sheaf(cat, "partial-memory", values=(0, 1))
-    for ps in (build_resource_sheaf(cat, "support-bounded", values=(0, 1), bound=1),
+    top = cat.objects[-1]
+    names = ref.names(cat)
+    mp = build_resource_sheaf(cat, "partial-memory", names, values=(0, 1))
+    for ps in (build_resource_sheaf(cat, "support-bounded", names, values=(0, 1), bound=1),
                _doubled(mp, top)):
         with pytest.raises(NotASheafError) as exc:
             amalgamation_operator(ps, cov)

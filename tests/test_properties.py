@@ -15,9 +15,10 @@ from sheafsep.site import _pull, build_coverage, sieve_masks
 from site_reference import is_cover
 
 LOCS = ("x", "y")
-CAT, MON = build_powerset_category(LOCS)
-MP = build_resource_sheaf(CAT, "partial-memory", values=(0, 1))
+CAT, MON = build_powerset_category(len(LOCS))
+MP = build_resource_sheaf(CAT, "partial-memory", LOCS, values=(0, 1))
 COV = build_coverage(CAT, "downward-closed")
+MASK = {MP.named(a): a for a in CAT.objects}  # a heap's locations -> its stage
 
 stages = st.sampled_from(CAT.objects)
 
@@ -25,8 +26,8 @@ stages = st.sampled_from(CAT.objects)
 @st.composite
 def heaps(draw, stage=None):
     s = draw(stages) if stage is None else stage
-    vals = draw(st.tuples(*[st.sampled_from([0, 1, None]) for _ in s]))
-    return Heap(s, vals)
+    vals = draw(st.tuples(*[st.sampled_from([0, 1, None]) for _ in range(s.bit_count())]))
+    return Heap(MP.named(s), vals)
 
 
 @st.composite
@@ -35,8 +36,8 @@ def heap_triples(draw):
 
 
 def mult(monoid, s, t):
-    a = MON.tensor(s.locations, t.locations)
-    return apply(monoid, Decomp(a, s.locations, t.locations, s, t))
+    b, c = MASK[s.locations], MASK[t.locations]
+    return apply(monoid, Decomp(MON.tensor(b, c), b, c, s, t))
 
 
 @given(heap_triples(), st.sampled_from(["total", "weak-partial", "strong-partial"]))
@@ -70,11 +71,9 @@ def test_monoid_commutative_kleene(s, t, variant):
 @given(heaps(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_restriction_composes(heap, data):
-    v = data.draw(
-        st.sampled_from([a for a in CAT.objects if set(a) <= set(heap.locations)])
-    )
-    w = data.draw(st.sampled_from([a for a in CAT.objects if set(a) <= set(v)]))
-    a = heap.locations
+    a = MASK[heap.locations]
+    v = data.draw(st.sampled_from([b for b in CAT.objects if b | a == a]))
+    w = data.draw(st.sampled_from([b for b in CAT.objects if b | v == v]))
     down = MP.restrict(CAT.hom(w, v)[0], MP.restrict(CAT.hom(v, a)[0], heap))
     assert down == MP.restrict(CAT.hom(w, a)[0], heap)
 

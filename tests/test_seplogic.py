@@ -139,20 +139,20 @@ def test_parse_depth_bound():
 
 
 def test_strict_atom_at_location_stage(weak2):
-    pred = atom_predicate(weak2, PointsToStrict("x", 0), stage=("x",))
-    assert at_subset(pred, ("x",)) == frozenset(
-        s for s in weak2.sheaf.at(("x",)) if s.get("x") == 0
+    pred = atom_predicate(weak2, PointsToStrict("x", 0), stage=0b01)
+    assert at_subset(pred, 0b01) == frozenset(
+        s for s in weak2.sheaf.at(0b01) if s.get("x") == 0
     )
 
 
 def test_nonstrict_atom_vacuous_at_empty_stage(weak2):
-    pred = atom_predicate(weak2, PointsToNonStrict("x", 0), stage=("x", "y"))
-    assert at_subset(pred, ()) == frozenset(weak2.sheaf.at(()))
+    pred = atom_predicate(weak2, PointsToNonStrict("x", 0), stage=0b11)
+    assert at_subset(pred, 0) == frozenset(weak2.sheaf.at(0))
 
 
 def test_alloc_atom_empty_when_location_out_of_view(weak2):
-    pred = atom_predicate(weak2, PointsToAlloc("x", 0), stage=("y",))
-    assert at_subset(pred, ("y",)) == frozenset()
+    pred = atom_predicate(weak2, PointsToAlloc("x", 0), stage=0b10)
+    assert at_subset(pred, 0b10) == frozenset()
 
 
 def test_atom_unknown_identifier(weak2):
@@ -176,7 +176,7 @@ def heap(stage, cells):
 
 def test_weak_star_shares_location(weak2):
     phi = parse_formula("x |->! 0 * x |->! 0")
-    res = sat(weak2, phi, ("x",), heap(("x",), {"x": 0}))
+    res = sat(weak2, phi, 0b01, heap(("x",), {"x": 0}))
     assert res.result
     assert res.witness == {
         "left_stage": ["x"],
@@ -188,7 +188,7 @@ def test_weak_star_shares_location(weak2):
 
 def test_strong_star_rejects_shared_location(strong2):
     phi = parse_formula("x |->! 0 * x |->! 0")
-    res = sat(strong2, phi, ("x",), heap(("x",), {"x": 0}))
+    res = sat(strong2, phi, 0b01, heap(("x",), {"x": 0}))
     assert not res.result and res.witness is None
 
 
@@ -196,36 +196,36 @@ def test_star_disjoint_locations_any_variant(weak2, strong2, total2):
     phi = parse_formula("x |->! 0 * y |->! 1")
     h = heap(("x", "y"), {"x": 0, "y": 1})
     for model in (weak2, strong2, total2):
-        assert sat(model, phi, ("x", "y"), h).result
+        assert sat(model, phi, 0b11, h).result
 
 
 def test_unfolded_matches_displayed_comprehension(weak2, strong2):
     """Independent oracle: the two displayed set comprehensions for the
     weak and strong readings, written out directly over subsets."""
-    locs = ("x", "y")
+    locs = 0b11  # {x, y}
     phi = parse_formula("x |->! 0 * y |->! 1")
     for model, disjoint in ((weak2, False), (strong2, True)):
         px = eval_formula(model, phi.left, locs)
         py = eval_formula(model, phi.right, locs)
         star = sep_conj(model, px, py, mode="unfolded")
-        cat = model.site.cat
+        cat, named = model.site.cat, model.sheaf.named
         for m in model.sheaf.at(locs):
             expected = False
             for u1 in cat.objects:
                 for u2 in cat.objects:
-                    if set(u1) | set(u2) != set(locs):
+                    if u1 | u2 != locs:
                         continue
-                    if disjoint and set(u1) & set(u2):
+                    if disjoint and u1 & u2:
                         continue
                     for m1 in px.family[cat.hom(u1, locs)[0]]:
                         for m2 in py.family[cat.hom(u2, locs)[0]]:
                             if not disjoint and any(
-                                m1.get(z) != m2.get(z) for z in set(u1) & set(u2)
+                                m1.get(z) != m2.get(z) for z in named(u1 & u2)
                             ):
                                 continue
                             merged = dict(m1.as_dict())
                             merged.update(m2.as_dict())
-                            if Heap.of(tuple(sorted(set(u1) | set(u2))), merged) == m:
+                            if Heap.of(named(u1 | u2), merged) == m:
                                 expected = True
             got = m in star.family[cat.id(locs)]
             assert got == expected, (model.name, m)
@@ -235,7 +235,7 @@ def test_unfolded_matches_displayed_comprehension(weak2, strong2):
 def test_pipeline_equals_unfolded_sampled(variant):
     model = make_memory_model({"x", "y"}, (0, 1), monoid_variant=variant)
     rng = random.Random(2024)
-    stage = ("x", "y")
+    stage = 0b11
     for _ in range(25):
         p = random_closed_predicate(rng, model.sheaf, model.site, stage)
         q = random_closed_predicate(rng, model.sheaf, model.site, stage)
@@ -247,7 +247,7 @@ def test_pipeline_closes_allocated_atoms_below_stage(weak2):
     result under restriction below the stage, while the unfolded
     comprehension stays raw; at the stage itself both agree."""
     phi = parse_formula("x |->! 0 * y |->! 1")
-    top = ("x", "y")
+    top = 0b11
     p = eval_formula(weak2, phi.left, top)
     q = eval_formula(weak2, phi.right, top)
     unfolded = sep_conj(weak2, p, q, "unfolded")
@@ -255,8 +255,8 @@ def test_pipeline_closes_allocated_atoms_below_stage(weak2):
     ident = weak2.site.cat.id(top)
     assert unfolded.family[ident] == pipeline.family[ident]
     assert unfolded.issubset(pipeline)
-    assert at_subset(unfolded, ("x",)) == frozenset()
-    assert at_subset(pipeline, ("x",)) == frozenset({heap(("x",), {"x": 0})})
+    assert at_subset(unfolded, 0b01) == frozenset()
+    assert at_subset(pipeline, 0b01) == frozenset({heap(("x",), {"x": 0})})
 
 
 def test_star_commutative(weak2, strong2, total2):
@@ -309,7 +309,7 @@ def test_star_unit_contains_conjunct(weak2, strong2, total2):
         stage = model.stage
         cat = model.site.cat
         fam = {
-            p: frozenset([Heap.of(cat.src(p), {z: None for z in cat.src(p)})])
+            p: frozenset([Heap.of(model.sheaf.named(cat.src(p)), {})])
             for p in cat.mors_into(stage)
         }
         emp_top = predicate(model.sheaf, model.site, stage, fam)
@@ -333,32 +333,32 @@ def test_eval_top_and_identity(weak2):
 
 def test_eval_kripke_negation_empty(weak2):
     phi = parse_formula("x ~> 0 -> F")
-    denot = eval_formula(weak2, phi, ("x",))
-    assert at_subset(denot, ("x",)) == frozenset()
+    denot = eval_formula(weak2, phi, 0b01)
+    assert at_subset(denot, 0b01) == frozenset()
 
 
 def test_eval_disjunction_of_alloc_atoms(weak2):
     phi = parse_formula("x |->! 0 \\/ x |->! 1")
-    denot = eval_formula(weak2, phi, ("x",))
-    assert at_subset(denot, ("x",)) == frozenset(
+    denot = eval_formula(weak2, phi, 0b01)
+    assert at_subset(denot, 0b01) == frozenset(
         {heap(("x",), {"x": 0}), heap(("x",), {"x": 1})}
     )
 
 
 def test_sat_top_every_heap(weak2):
-    for h in weak2.sheaf.at(("x", "y")):
-        assert sat(weak2, Top(), ("x", "y"), h).result
+    for h in weak2.sheaf.at(0b11):
+        assert sat(weak2, Top(), 0b11, h).result
 
 
 def test_sat_atom_mismatch(weak2):
-    assert not sat(weak2, parse_formula("x ~> 1"), ("x",), heap(("x",), {"x": 0})).result
+    assert not sat(weak2, parse_formula("x ~> 1"), 0b01, heap(("x",), {"x": 0})).result
 
 
 def test_sat_rejects_foreign_element(weak2):
     from sheafsep.errors import StageMismatchError
 
     with pytest.raises(StageMismatchError):
-        sat(weak2, Top(), ("x",), heap(("y",), {"y": 0}))
+        sat(weak2, Top(), 0b01, heap(("y",), {"y": 0}))
 
 
 def test_check_formula_flags_unknowns(weak2):
@@ -436,7 +436,7 @@ def test_sat_builds_only_the_witness_heaps(mode, built):
     of a nested star encodes the given heap's cells to find its id, so
     the only heaps it builds are the two halves of its witness."""
     model = make_memory_model(("a", "b", "c", "d"), (0, 1, 2), monoid_variant="weak-partial")
-    heap = Heap.of(model.stage, {"a": 0, "b": 1, "c": 2})
+    heap = Heap.of(model.locations, {"a": 0, "b": 1, "c": 2})
     phi = parse_formula("(a ~> 0 * b |-> 1) * (c ~> 2 \\/ d |-> 0)")
     built.clear()
     res = sat(model, phi, model.stage, heap, mode)
@@ -465,7 +465,7 @@ def test_pipeline_certifies_its_carrier_once(query, built, monkeypatch):
     if query == "eval":
         eval_formula(model, phi, mode="pipeline")
     else:
-        heap = Heap.of(model.stage, {"a": 0, "b": 1, "c": 1})
+        heap = Heap.of(model.locations, {"a": 0, "b": 1, "c": 1})
         assert sat(model, phi, model.stage, heap, "pipeline").result
     assert calls == {"is_sheaf": 1}
     assert built["AmalgamationIso"] == built["MatchClass"] == 0
@@ -488,7 +488,7 @@ def test_eval_and_sat_build_no_product_table(variant, mode, monkeypatch):
         monkeypatch.setattr(ResourceMonoid, "overlap", refused)
     phi = parse_formula("(a ~> 0 * b ~> 1) * (c ~> 1 \\/ T)")
     eval_formula(model, phi, mode=mode)
-    heap = Heap.of(model.stage, {"a": 0, "b": 1, "c": 1})
+    heap = Heap.of(model.locations, {"a": 0, "b": 1, "c": 1})
     res = sat(model, phi, model.stage, heap, mode)
     assert res.result and res.witness is not None
 
@@ -504,7 +504,7 @@ def test_unfolded_sat_multiplies_at_the_stage_alone(monkeypatch):
     import sheafsep.seplogic as seplogic
 
     model = make_memory_model(("a", "b", "c", "d"), (0, 1), monoid_variant="weak-partial")
-    heap = Heap.of(model.stage, {"a": 0, "b": 1, "c": 1})
+    heap = Heap.of(model.locations, {"a": 0, "b": 1, "c": 1})
     calls = 0
     star_terms = seplogic._star_terms
 

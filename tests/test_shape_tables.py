@@ -1,13 +1,13 @@
 """The tables a memory model shares with every model of its shape.
 
 A memory carrier's codes, ids, sizes, restriction tables and code
-tables, the monoids' `agreeing` tables, and the positive sheaf
-certificates are kept with its shape (`presheaf._kept`, for a bounded
-number of shapes), and the halves' tables per rule (`day._half`).
-These tests check that the sharing changes no output, whatever was
-served before, and that it does the work it promises: a second model of
-a shape builds no table and certifies nothing, while another shape
-certifies once.
+tables, the monoids' `agreeing` and halves' tables, and the positive
+sheaf certificates are kept with its shape (`presheaf._kept`, for a
+bounded number of shapes), and its site with its location count
+(`seplogic.powerset_site`).  These tests check that the sharing changes
+no output, whatever was served before, and that it does the work it
+promises: a second model of a shape builds no site and no table and
+certifies nothing, while another shape certifies once.
 The benchmark's own generator supplies the requests; the test only
 reads `perfbench/`."""
 
@@ -22,12 +22,11 @@ from pathlib import Path
 import pytest
 
 import presheaf_reference as ref
-from sheafsep import cli, day, presheaf
-from sheafsep.day import build_memory_monoid
+from sheafsep import cli, day, fincat, presheaf, seplogic, site
+from sheafsep.day import ResourceMonoid, build_memory_monoid
 from sheafsep.errors import NotASheafError
-from sheafsep.fincat import build_powerset_category
 from sheafsep.presheaf import build_resource_sheaf, check_sheaf, require_sheaf
-from sheafsep.seplogic import eval_formula, make_memory_model, parse_formula
+from sheafsep.seplogic import eval_formula, make_memory_model, parse_formula, powerset_site
 from sheafsep.site import build_coverage
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -194,33 +193,64 @@ def test_a_second_model_of_a_shape_builds_no_table_and_certifies_nothing(certifi
         assert second.sheaf.table(g) is first.sheaf.table(f)
 
 
-def _carrier(locations, values=(0, 1), kind="partial-memory", bound=None,
-             coverage="downward-closed"):
-    cat, _ = build_powerset_category(locations)
-    carrier = build_resource_sheaf(cat, kind, values=values, bound=bound)
-    return carrier, build_coverage(cat, coverage)
+def _carrier(locations, values=(0, 1), kind="partial-memory", bound=None, coverage=None):
+    """A carrier on the shared site of its location count, and that
+    site's coverage, or a coverage of the kind built apart."""
+    shared = powerset_site(len(locations))
+    carrier = build_resource_sheaf(shared.cat, kind, locations, values=values, bound=bound)
+    return carrier, shared.cov if coverage is None else build_coverage(shared.cat, coverage)
 
 
 @pytest.mark.parametrize("other", [
-    {"coverage": "finite-covers"},
+    {"coverage": "downward-closed"},
     {"kind": "support-bounded", "bound": 3},
     {"kind": "strict-memory", "values": (0, 1, 2)},
     {"budget": 10 ** 5},
 ])
 def test_another_shape_certifies_again_once(other, certified):
     """Deterministic work gate: a positive verdict is kept per carrier
-    shape, coverage shape and budget.  A carrier that differs from a
-    certified partial-memory one in the coverage kind, the sheaf kind
-    (with as many cells, or the same tables) or the budget is certified
-    again, once, and then not for a renaming of it."""
+    shape, coverage and budget.  A carrier that differs from a certified
+    partial-memory one in the coverage (one built apart from the shared
+    site), the sheaf kind (with as many cells, or the same tables) or
+    the budget is certified again, once, and then not for a renaming of
+    it.  (Both lub coverage kinds read the shared site, see
+    `test_a_model_of_a_known_location_count_builds_no_site`.)"""
     other = dict(other)
     budget = other.pop("budget", presheaf.DEFAULT_FAMILY_BUDGET)
     for names in (("a", "b", "c"), ("x", "y", "z")):
         require_sheaf(*_carrier(names))
     assert certified["is_sheaf"] == 1
+    cov = _carrier(("a", "b", "c"), **other)[1]
     for names in (("a", "b", "c"), ("u", "v", "w")):
-        require_sheaf(*_carrier(names, **other), budget=budget)
+        require_sheaf(_carrier(names, **other)[0], cov, budget=budget)
     assert certified["is_sheaf"] == 2
+
+
+def test_a_model_of_a_known_location_count_builds_no_site(tmp_path, monkeypatch):
+    """Deterministic work gate: a memory model's category, monoidal
+    structure, sieve masks and coverage depend on its number of
+    locations alone, so after a model of three locations has been
+    served, a model of three other locations and other values, under
+    either lub coverage kind, constructs none of them and reads the
+    first model's site."""
+    built = Counter()
+    for owner, name in ((fincat.FinCat, "__init__"), (site.SieveMasks, "__init__"),
+                        (site.Coverage, "__init__"),
+                        (fincat.MonoidalStructure, "__init__")):
+        def counted(self, *args, _init=getattr(owner, name), _name=owner.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    first = make_memory_model(("a", "b", "c"), (0, 1))
+    eval_formula(first, parse_formula("a ~> 0 * b |-> 1"), mode="pipeline")
+    assert built == {"FinCat": 1, "MonoidalStructure": 1, "SieveMasks": 1, "Coverage": 1}
+    built.clear()
+    for coverage in ("downward-closed", "finite-covers"):
+        second = make_memory_model(("u", "v", "w"), (5, 6, 7), coverage_kind=coverage)
+        eval_formula(second, parse_formula("w ~> 7 * u |-> 5"), mode="pipeline")
+        assert second.site is first.site
+    assert not built
 
 
 def test_another_support_bound_certifies_again(certified):
@@ -289,14 +319,16 @@ def _kept_tables(shapes):
 
 def test_shape_caches_hold_one_immutable_entry_per_shape_key(tmp_path, monkeypatch):
     """Deterministic work gate: `SHAPE_CACHES` names every cache of
-    `presheaf` and `day`.  After every verify and query request of
-    one seed, each shape cache holds one entry per distinct key it was
-    asked for, no key (nor a kept table's key, nor a certificate) holds
-    a location name, and every kept table is an int or a tuple of ints
-    and tuples.  Serving the same requests again on renamed models
-    (other locations and values in the same order) adds no entry and
-    no table: the keys are shapes, not models."""
-    kept = {getattr(module, name) for module in (presheaf, day) for name in dir(module)
+    `presheaf`, `day` and `seplogic`.  After every verify and query
+    request of one seed, each shape cache holds one entry per distinct
+    key it was asked for, no key (nor a kept table's key, nor a
+    certificate) holds a location name, and every kept table is an int
+    or a tuple of ints and tuples.  Serving the same requests again on
+    renamed models (other locations and values in the same order) adds
+    no entry and no table: the keys are shapes and location counts, not
+    models."""
+    modules = (presheaf, day, seplogic)
+    kept = {getattr(module, name) for module in modules for name in dir(module)
             if hasattr(getattr(module, name), "cache_clear")}
     assert kept == set(ref.SHAPE_CACHES)
     monkeypatch.chdir(tmp_path)
@@ -307,14 +339,14 @@ def test_shape_caches_hold_one_immutable_entry_per_shape_key(tmp_path, monkeypat
             out = asked[_table][key] = _table(*key)
             return out
 
-        for module in (presheaf, day):
+        for module in modules:
             if getattr(module, table.__name__, None) is table:
                 monkeypatch.setattr(module, table.__name__, recorded)
     for argv in requests:
         _run(argv)
     sizes = [table.cache_info().currsize for table in ref.SHAPE_CACHES]
     assert sizes == [len(asked[table]) for table in ref.SHAPE_CACHES]
-    kept_shapes, halves = ref.SHAPE_CACHES
+    kept_shapes = ref.SHAPE_CACHES[0]  # presheaf._kept, patched above
     shapes = [shape for shape, in asked[kept_shapes]]
     tables = _kept_tables(shapes)
     certificates = [c for shape in shapes for c in presheaf._kept(shape).certified]
@@ -322,7 +354,7 @@ def test_shape_caches_hold_one_immutable_entry_per_shape_key(tmp_path, monkeypat
     for table in ref.SHAPE_CACHES:
         assert not names & set(_flat(tuple(asked[table]))), table.__name__
     assert not names & (set(_flat(tuple(tables))) | set(_flat(tuple(certificates))))
-    for value in [*tables.values(), *asked[halves].values()]:
+    for value in tables.values():
         assert all(type(x) is int for x in _flat(value))
         assert isinstance(value, (int, tuple))
 
@@ -337,6 +369,27 @@ def test_shape_caches_hold_one_immutable_entry_per_shape_key(tmp_path, monkeypat
               else a for a in argv])
     assert [table.cache_info().currsize for table in ref.SHAPE_CACHES] == sizes
     assert _kept_tables(shapes).keys() == tables.keys()
+
+
+def test_overlap_tables_live_and_die_with_their_shape():
+    """The halves' tables of a monoid's overlaps (`day._half`) are kept in
+    its carrier shape's entry of `presheaf._kept` and in no cache of
+    their own: after SHAPES_KEPT + 1 total-monoid models of as many cell
+    counts have each read an overlap, the SHAPES_KEPT latest shapes hold
+    their two tables each and the first shape's entry is gone with
+    its tables."""
+    half = day._half.__wrapped__
+    assert not hasattr(day._half, "cache_clear")
+    shapes = []
+    for r in range(1, presheaf.SHAPES_KEPT + 2):
+        model = make_memory_model(("a", "b"), tuple(range(r)), monoid_variant="total")
+        model.monoid.overlap(0b11, 0b11)  # the halves {a, b} and {}
+        shapes.append(model.sheaf.shape)
+    assert len(set(shapes)) == presheaf.SHAPES_KEPT + 1
+    assert presheaf._kept.cache_info().currsize == presheaf.SHAPES_KEPT
+    for shape in shapes[1:]:
+        assert [build for build, _ in presheaf._kept(shape).tables].count(half) == 2
+    assert presheaf._kept(shapes[0]).tables == {}
 
 
 def test_the_process_keeps_a_bounded_number_of_shapes(certified):
@@ -361,6 +414,5 @@ def test_the_process_keeps_a_bounded_number_of_shapes(certified):
     assert [again.table(f) for f in again.base.all_morphisms()] == tables
     assert certified["is_sheaf"] == presheaf.SHAPES_KEPT + 1
     for carrier in (first, again):
-        require_sheaf(carrier, cov if carrier is first else build_coverage(again.base,
-                                                                           "downward-closed"))
+        require_sheaf(carrier, cov)
     assert certified["is_sheaf"] == presheaf.SHAPES_KEPT + 2

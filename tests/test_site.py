@@ -2,7 +2,7 @@ import pytest
 
 from fincat_reference import slice_category
 from sheafsep.errors import CoverageKindError
-from sheafsep.fincat import build_finsurj_category, build_powerset_category, incl
+from sheafsep.fincat import build_finsurj_category, build_powerset_category
 from sheafsep.site import (
     Coverage,
     Sieve,
@@ -35,7 +35,7 @@ def _pullback(cat, s, h):
 
 @pytest.fixture(scope="module")
 def pset2():
-    return build_powerset_category({"x", "y"})
+    return build_powerset_category(2)
 
 
 @pytest.fixture(scope="module")
@@ -46,11 +46,11 @@ def dc2(pset2):
 
 def test_downward_closed_contains_singleton_cover(dc2):
     cat, cov = dc2
-    top = ("x", "y")
-    gen = generate_sieve(cat, top, [incl(("x",), top), incl(("y",), top)])
+    top = 0b11  # {x, y}
+    gen = generate_sieve(cat, top, [(0b01, top), (0b10, top)])
     assert is_cover(cov, gen)
     # the generated sieve is the downward closure: sources are all subsets
-    assert {cat.src(f) for f in gen.members} == {(), ("x",), ("y",)}
+    assert {cat.src(f) for f in gen.members} == {0, 0b01, 0b10}
 
 
 def test_maximal_sieve_always_covers(dc2):
@@ -77,15 +77,15 @@ def _subset_sieves(cat, a):
 
 
 def test_all_sieves_matches_subset_filter():
-    pcat, _ = build_powerset_category({"x", "y", "z"})
+    pcat, _ = build_powerset_category(3)
     fcat, _ = build_finsurj_category(3)
-    scat, _ = slice_category(pcat, ("x", "y", "z"))
+    scat, _ = slice_category(pcat, 0b111)
     for cat in (pcat, fcat, scat):
         for a in cat.objects:
             assert _sieves(cat, a) == _subset_sieves(cat, a)
     # the Dedekind number M(4) - 168 down-sets of the subsets of 4 points
-    qcat, _ = build_powerset_category({"a", "b", "c", "d"})
-    assert len(_sieves(qcat, ("a", "b", "c", "d"))) == 168
+    qcat, _ = build_powerset_category(4)
+    assert len(_sieves(qcat, 0b1111)) == 168
 
 
 def test_atomic_on_finsurj2():
@@ -115,15 +115,15 @@ def test_finite_covers_coincide_with_downward_closed(pset2):
 
 def test_pullback_of_generated_sieve(dc2):
     cat, _ = dc2
-    top = ("x", "y")
-    s = generate_sieve(cat, top, [incl(("x",), top), incl(("y",), top)])
-    pb = _pullback(cat, s, incl(("x",), top))
-    assert pb == maximal_sieve(cat, ("x",))
+    top = 0b11
+    s = generate_sieve(cat, top, [(0b01, top), (0b10, top)])
+    pb = _pullback(cat, s, (0b01, top))
+    assert pb == maximal_sieve(cat, 0b01)
 
 
 def test_pullback_identity_and_maximal(dc2):
     cat, cov = dc2
-    top = ("x", "y")
+    top = 0b11
     for s in cov.covers(top):
         assert _pullback(cat, s, cat.id(top)) == s
     for h in cat.all_morphisms():
@@ -160,11 +160,11 @@ def test_validate_flags_missing_maximal(dc2):
 
 def test_validate_flags_missing_pullback(dc2):
     cat, cov = dc2
-    top = ("x", "y")
-    gen = generate_sieve(cat, top, [incl(("x",), top), incl(("y",), top)])
-    pb = _pullback(cat, gen, incl(("x",), top))
+    top = 0b11
+    gen = generate_sieve(cat, top, [(0b01, top), (0b10, top)])
+    pb = _pullback(cat, gen, (0b01, top))
     broken = {a: set(cov.by_object[a]) for a in cat.objects}
-    broken[("x",)].discard(pb)
+    broken[0b01].discard(pb)
     rep = validate_coverage(cat, Coverage(cat, broken))
     assert "stability" in [v.kind for v in rep.violations]
 
@@ -175,10 +175,10 @@ def test_validate_flags_misfiled_sieve_without_raising(dc2):
     morphisms into {x}."""
     cat, cov = dc2
     broken = {a: set(cov.by_object[a]) for a in cat.objects}
-    broken[("x",)].add(maximal_sieve(cat, ("y",)))
+    broken[0b01].add(maximal_sieve(cat, 0b10))
     rep = validate_coverage(cat, Coverage(cat, broken))
     assert [v.kind for v in rep.violations] == ["typing"]
-    assert rep.violations[0].detail == "sieve on ('y',) filed under ('x',)"
+    assert rep.violations[0].detail == "sieve on 2 filed under 1"
 
 
 def test_saturate_precover_of_two_singletons(pset2):
@@ -186,8 +186,8 @@ def test_saturate_precover_of_two_singletons(pset2):
     object gains exactly the downward closure of {{x},{y}}; every other
     object keeps only its maximal sieve."""
     cat, _ = pset2
-    top = ("x", "y")
-    gen = generate_sieve(cat, top, [incl(("x",), top), incl(("y",), top)])
+    top = 0b11
+    gen = generate_sieve(cat, top, [(0b01, top), (0b10, top)])
     cov = saturate(cat, {top: [gen]})
     assert is_cover(cov, gen)
     assert set(cov.covers(top)) == {gen, maximal_sieve(cat, top)}
@@ -207,7 +207,7 @@ def test_saturate_empty_assignment_gives_trivial(pset2):
 def test_slice_coverage_over_top(pset2):
     cat, _ = pset2
     cov = build_coverage(cat, "downward-closed")
-    top = ("x", "y")
+    top = 0b11
     scov = slice_coverage(cov, top)
     assert validate_coverage(scov.cat, scov).ok
     # order isomorphism with the base coverage on the downset: counts match
@@ -227,7 +227,7 @@ def test_slice_coverage_valid_at_every_object(pset2):
 def test_slice_coverage_over_empty(pset2):
     cat, _ = pset2
     cov = build_coverage(cat, "downward-closed")
-    scov = slice_coverage(cov, ())
+    scov = slice_coverage(cov, 0)
     (p,) = scov.cat.objects
     covers = scov.covers(p)
     assert len(covers) == 1
@@ -249,7 +249,7 @@ def test_slice_coverage_atomic_finsurj(dc2):
 def _builtin_coverages():
     coverages = []
     for n in range(5):
-        cat, _ = build_powerset_category(("w", "x", "y", "z")[:n])
+        cat, _ = build_powerset_category(n)
         coverages += [build_coverage(cat, "downward-closed"), build_coverage(cat, "finite-covers")]
     for n in range(1, 5):
         cat, _ = build_finsurj_category(n)
@@ -281,7 +281,7 @@ def test_min_cover_intersects_the_covers_once_per_object(monkeypatch):
     reads = []
     covers = Coverage.covers
     monkeypatch.setattr(Coverage, "covers", lambda self, a: reads.append(a) or covers(self, a))
-    pcat, _ = build_powerset_category(("x", "y", "z"))
+    pcat, _ = build_powerset_category(3)
     fcat, _ = build_finsurj_category(2)
     for cat, kind, read in ((pcat, "downward-closed", []), (pcat, "finite-covers", []),
                             (fcat, "atomic", sorted(fcat.objects))):
@@ -298,11 +298,11 @@ def test_validate_flags_transitivity_without_stability():
     covers breaks transitivity only: it is still locally covering, and no
     other cover pulls back to it.  The witness names the first cover in
     `Coverage.covers` order that it is locally covering via."""
-    cat, _ = build_powerset_category({"x", "y", "z"})
+    cat, _ = build_powerset_category(3)
     cov = build_coverage(cat, "downward-closed")
-    top = ("x", "y", "z")
-    points = generate_sieve(cat, top, [incl((v,), top) for v in top])
-    via = generate_sieve(cat, top, [incl(("x", "y"), top), incl(("z",), top)])
+    top = 0b111
+    points = generate_sieve(cat, top, [(1 << i, top) for i in range(3)])
+    via = generate_sieve(cat, top, [(0b011, top), (0b100, top)])
     broken = {a: set(cov.by_object[a]) for a in cat.objects}
     broken[top].discard(points)
     rep = validate_coverage(cat, Coverage(cat, broken))
@@ -320,7 +320,7 @@ def test_coverage_replay_pullbacks_at_the_size_bound(monkeypatch):
     encoded pullbacks does not depend on the hash seed."""
     import sheafsep.site as site
 
-    cat, _ = build_powerset_category({"a", "b", "c", "d"})
+    cat, _ = build_powerset_category(4)
     cov = build_coverage(cat, "downward-closed")
     calls = 0
     pull = site._pull

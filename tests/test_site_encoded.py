@@ -5,7 +5,7 @@ import pytest
 
 import site_reference as ref
 from sheafsep.errors import BudgetExceededError, CoverageKindError
-from sheafsep.fincat import build_finsurj_category, build_powerset_category, incl
+from sheafsep.fincat import bits, build_finsurj_category, build_powerset_category
 from sheafsep.site import (
     Coverage,
     Sieve,
@@ -15,7 +15,6 @@ from sheafsep.site import (
     validate_coverage,
 )
 
-LOCATIONS = ("a", "b", "c", "d")
 KINDS = ("downward-closed", "finite-covers")
 
 
@@ -38,7 +37,7 @@ def assert_same_covers(cov, expected):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_powerset_coverage_agrees(n, kind):
-    cat, _ = build_powerset_category(LOCATIONS[:n])
+    cat, _ = build_powerset_category(n)
     cov = build_coverage(cat, kind)
     assert_same_covers(cov, ref.build_coverage(cat, kind))
     assert _violations(validate_coverage(cat, cov)) == []
@@ -57,7 +56,7 @@ def test_cover_counts_are_the_enumerated_counts(kind):
     the atomic coverage it counts the covers it builds.  Counting builds
     no cover on the lub kinds."""
     for n in range(5):
-        cat, _ = build_powerset_category(LOCATIONS[:n])
+        cat, _ = build_powerset_category(n)
         cov = build_coverage(cat, kind)
         counts = [cov.count(a) for a in cat.objects]
         if kind != "atomic":
@@ -106,7 +105,7 @@ def assert_same_reports(cat, cov):
 def test_slice_coverages_agree_at_every_stage(kind):
     """On slice sites, whose objects are morphisms, the replay finds what
     its reference finds: nothing."""
-    cat, _ = build_powerset_category(LOCATIONS[:3])
+    cat, _ = build_powerset_category(3)
     cov = build_coverage(cat, kind)
     for a in cat.objects:
         scov = ref.slice_coverage(cov, a)
@@ -123,7 +122,7 @@ def test_atomic_slice_coverages_agree():
 
 
 def test_pullbacks_agree():
-    cat, _ = build_powerset_category(LOCATIONS[:3])
+    cat, _ = build_powerset_category(3)
     fcat, _ = build_finsurj_category(3)
     for c in (cat, fcat):
         sm = sieve_masks(c)
@@ -136,19 +135,19 @@ def test_pullbacks_agree():
 
 def _points(cat, a):
     """The sieve on a stage that its one-location substages generate."""
-    return ref.generate_sieve(cat, a, [incl((x,), a) for x in a])
+    return ref.generate_sieve(cat, a, [(1 << i, a) for i in bits(a)])
 
 
 def _precover_fixtures():
     """The generated covers of tests/test_site.py, and the points of every
     stage of at least two locations at three locations."""
-    cat2, _ = build_powerset_category(("x", "y"))
-    cat3, _ = build_powerset_category(("x", "y", "z"))
+    cat2, _ = build_powerset_category(2)
+    cat3, _ = build_powerset_category(3)
     return [
         (cat2, {}),
-        (cat2, {("x", "y"): [_points(cat2, ("x", "y"))]}),
+        (cat2, {0b11: [_points(cat2, 0b11)]}),
         (cat3, {}),
-        (cat3, {a: [_points(cat3, a)] for a in cat3.objects if len(a) >= 2}),
+        (cat3, {a: [_points(cat3, a)] for a in cat3.objects if a.bit_count() >= 2}),
     ]
 
 
@@ -164,32 +163,32 @@ def test_saturation_agrees(case):
 
 def _tampered():
     """The broken coverages of tests/test_site.py and a few more, by name."""
-    cat2, _ = build_powerset_category(("x", "y"))
+    cat2, _ = build_powerset_category(2)
     dc2 = build_coverage(cat2, "downward-closed")
-    top = ("x", "y")
-    gen = ref.generate_sieve(cat2, top, [incl(("x",), top), incl(("y",), top)])
+    top = 0b11  # {x, y}
+    gen = ref.generate_sieve(cat2, top, [(0b01, top), (0b10, top)])
     cases = {}
     broken = {a: {s for s in dc2.by_object[a] if s != ref.maximal_sieve(cat2, a)}
               for a in cat2.objects}
     cases["missing-maximal"] = (cat2, Coverage(cat2, broken))
     broken = {a: set(dc2.by_object[a]) for a in cat2.objects}
-    broken[("x",)].discard(ref.pullback_sieve(cat2, gen, incl(("x",), top)))
+    broken[0b01].discard(ref.pullback_sieve(cat2, gen, (0b01, top)))
     cases["missing-pullback"] = (cat2, Coverage(cat2, broken))
     broken = {a: set(dc2.by_object[a]) for a in cat2.objects}
-    broken[("x",)].add(ref.maximal_sieve(cat2, ("y",)))
+    broken[0b01].add(ref.maximal_sieve(cat2, 0b10))
     cases["misfiled"] = (cat2, Coverage(cat2, broken))
     broken = {a: set(dc2.by_object[a]) for a in cat2.objects}
-    broken[top].add(Sieve(top, frozenset({incl(("x",), top)})))
+    broken[top].add(Sieve(top, frozenset(cat2.hom(0b01, top))))
     cases["not-a-sieve"] = (cat2, Coverage(cat2, broken))
     broken = {a: set(dc2.by_object[a]) for a in cat2.objects}
     broken[top].discard(ref.maximal_sieve(cat2, top))
-    foreign = ref.maximal_sieve(cat2, top).members | {incl((), ("x",))}
+    foreign = ref.maximal_sieve(cat2, top).members | set(cat2.hom(0, 0b01))
     broken[top].add(Sieve(top, foreign))
     cases["foreign-member"] = (cat2, Coverage(cat2, broken))
-    cat3, _ = build_powerset_category(("x", "y", "z"))
+    cat3, _ = build_powerset_category(3)
     dc3 = build_coverage(cat3, "downward-closed")
-    top3 = ("x", "y", "z")
-    points = ref.generate_sieve(cat3, top3, [incl((v,), top3) for v in top3])
+    top3 = 0b111
+    points = _points(cat3, top3)
     broken = {a: set(dc3.by_object[a]) for a in cat3.objects}
     broken[top3].discard(points)
     cases["transitivity-only"] = (cat3, Coverage(cat3, broken))
