@@ -60,6 +60,7 @@ SCHEMA_VERSION = 1
 TOP_STAGE_HEAP_BOUND = 11**4  # (|values| + 1) ** |locations| partial heaps
 LAWS_WITNESSES_PER_LAW = 32  # then one witness counting the rest
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ended
+MODELS_KEPT = 8  # loaded models kept by (path, text), the most recently loaded
 
 
 # -- model loading -------------------------------------------------------------
@@ -216,13 +217,30 @@ def _load_formulas(doc, checker):
 
 
 def load_model(path):
-    """Parse and validate a model file into a ResourceModel or PslModel."""
+    """Read a model file and return its ResourceModel or PslModel: the one
+    built for the same path and text if it is kept (`_model`), else a
+    new one.  The file is read on every call, so an edited file loads
+    again whatever its mtime and size."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise ModelSchemaError("<file>", str(exc)) from exc
-    except ValueError as exc:  # bad syntax or encoding, or an integer past the digit limit
+    except ValueError as exc:  # not in the locale's encoding
+        raise ModelSchemaError("<file>", f"invalid JSON: {exc}") from exc
+    return _model(str(path), text)
+
+
+@functools.lru_cache(maxsize=MODELS_KEPT)
+def _model(name, text):
+    """Parse and validate a model file's text into a model named by the
+    file's path, built once while (path, text) is among the MODELS_KEPT
+    loaded most recently; a load that raises keeps nothing.  A kept
+    model keeps what its commands memoise on it (see the README's
+    "Kept models"), each memo assigned only once it is built."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # bad syntax, or an integer past the digit limit
         raise ModelSchemaError("<file>", f"invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "<root>", "object required")
     version = doc.get("schema_version")
@@ -230,9 +248,9 @@ def load_model(path):
              f"expected {SCHEMA_VERSION}")
     kind = doc.get("kind")
     if kind == "memory":
-        return _load_memory_model(doc, name=str(path))
+        return _load_memory_model(doc, name)
     if kind == "psl":
-        return _load_psl_model(doc, name=str(path))
+        return _load_psl_model(doc, name)
     raise ModelSchemaError("kind", f"expected 'memory' or 'psl', got {kind!r}")
 
 

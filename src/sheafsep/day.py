@@ -40,6 +40,10 @@ from .report import Report
 from .site import Site
 
 DEFAULT_COEND_BUDGET = 100_000
+# entries in one table of the cell rule: the digit rule (r^2) or a meet of
+# an overlap's half of h locations (r^(2h)); every model that loads at 3
+# or 4 locations fits, as it has at most 24 cells and 24^4 = 331,776
+CELL_TABLE_BOUND = 2**19
 
 
 @dataclass(frozen=True)
@@ -325,7 +329,9 @@ class ResourceMonoid:
     terms hold disjoint digits, so the sum carries nothing.  M_o is read
     off `overlap`, tables of o's two halves of at most two locations
     each, so that no table has more than r^4 entries; `products` and the
-    star both read them.
+    star both read them.  A table of the cell rule (the digit rule, a
+    half's meet) past CELL_TABLE_BOUND entries is refused before it is
+    built.
 
     A rule is agreement-only (`agreement`) when two different digits
     never combine and a digit d with itself gives d or nothing.  Such a
@@ -365,6 +371,7 @@ class ResourceMonoid:
         `apply` leaves the carrier, as a tuple of rows."""
         def build():
             cells = self.carrier.cells
+            _bound_cell_table("the digit rule", len(cells), 1)
             digit = {(x,): d for d, x in enumerate(cells)}
             return len(cells), tuple(tuple(digit.get(self.apply((x,), (y,)), -1) for y in cells)
                                      for x in cells)
@@ -455,6 +462,8 @@ def _half(shape, rule, n, exponents):
     digits' places alone, so they are kept with the carrier's shape: at
     most 25 per rule up to 4 locations, of at most r^4 entries each."""
     r = len(rule)
+    _bound_cell_table(f"the meet of an overlap's half of {len(exponents)} locations", r,
+                      len(exponents))
     size = r ** n
     place, zero, meet = [0], -1, [[0]]
     for e in exponents:
@@ -465,6 +474,15 @@ def _half(shape, rule, n, exponents):
         zero &= ((1 << w) - 1) * (((1 << size) - 1) // ((1 << r * w) - 1))
         meet = [[m + x for m in row for x in digit] for row in meet for digit in at_e]
     return tuple(place), zero, tuple(map(tuple, meet))
+
+
+def _bound_cell_table(table, r, h):
+    """Refuse a table of r^(2h) entries, one per pair of codes of h digits
+    among r cells, past CELL_TABLE_BOUND, before it is built."""
+    n = r ** (2 * h)
+    if n > CELL_TABLE_BOUND:
+        raise BudgetExceededError(f"{table} on {r} cells has {n} entries, past the bound "
+                                  f"{CELL_TABLE_BOUND}", size=n)
 
 
 def build_memory_monoid(mp: Presheaf, variant: str) -> ResourceMonoid:

@@ -101,9 +101,10 @@ class SieveMasks:
         """The first k in sorted order with g.k = f; f must factor through g."""
         through = self._through.get(g)
         if through is None:
-            through = self._through[g] = {}
+            through = {}
             for k, (on_dst, _) in zip(self.bit(self.cat.src(g)), self.pull(g)):
                 through.setdefault(on_dst, k)
+            self._through[g] = through  # once whole: a request cut short keeps no part
         return through[self.bit(self.cat.dst(g))[f]]
 
     def mask(self, a, members):

@@ -21,7 +21,8 @@ agree on a pullback: constructions that only tests make.
 
 `SHAPE_CACHES` names the caches the package keeps per shape and per
 location count, and `clear_shape_caches` empties them, the sheaf
-certificates and the shared sites with them.
+certificates and the shared sites with them, and the kept models
+(`cli._model`), so that a request served after it is served cold.
 
 `listed` builds a presheaf from its elements, filling each table entry
 by restricting one; it serves the presheaves whose elements are their
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from fincat_reference import element_key, slice_category
-from sheafsep import presheaf, seplogic
+from sheafsep import cli, presheaf, seplogic
 from sheafsep.errors import BudgetExceededError, SheafSepError, StageMismatchError
 from sheafsep.fincat import bits
 from sheafsep.presheaf import (
@@ -57,8 +58,9 @@ SHAPE_CACHES = (presheaf._kept, presheaf._exponents, seplogic.powerset_site)
 
 
 def clear_shape_caches():
-    """Empty every shape cache, the sheaf certificates with them."""
-    for table in SHAPE_CACHES:
+    """Empty every shape cache, the sheaf certificates with them, and the
+    kept models, which hold their carriers' and monoids' memos."""
+    for table in SHAPE_CACHES + (cli._model,):
         table.cache_clear()
 
 

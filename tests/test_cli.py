@@ -94,6 +94,30 @@ def test_ten_values_at_four_locations_still_load(tmp_path):
     assert model.values == tuple(range(10))
 
 
+@pytest.mark.parametrize("locations, values, monoid, table", [
+    (["x"], 14640, "weak-partial", "the digit rule on 14641 cells"),
+    (["x", "y"], 120, "total", "the meet of an overlap's half of 2 locations on 121 cells"),
+])
+def test_oversized_cell_rule_table_refused_up_front(locations, values, monoid, table, tmp_path,
+                                                    capsys):
+    """Models inside the load bound whose cell-rule tables would hold
+    121^4 = 14641^2 entries (the digit rule at one location, the meet of
+    an overlap's two-location half under the total rule at two) exit 2
+    on a star, naming the table and the count, before the table is
+    built, with nothing on stderr."""
+    doc = dict(MEMORY_DOC, locations=locations, values=list(range(values)), monoid=monoid,
+               formulas={})
+    path = write_model(tmp_path, doc)
+    start = time.perf_counter()
+    assert main(["eval", "--model", path, "--formula", "x |-> 0 * T", "--json"]) == 2
+    assert time.perf_counter() - start < 2
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {
+        "error": "BudgetExceededError",
+        "detail": f"{table} has 214358881 entries, past the bound {day.CELL_TABLE_BOUND}"}
+    assert err == ""
+
+
 def test_load_model_monoid_needs_partial_memory(tmp_path):
     doc = dict(MEMORY_DOC, sheaf="strict-memory")
     with pytest.raises(ModelSchemaError) as exc:

@@ -4,8 +4,9 @@ A memory carrier's codes, ids, sizes, restriction tables and code
 tables, the monoids' `agreeing` and halves' tables, and the positive
 sheaf certificates are kept with its shape (`presheaf._kept`, for a
 bounded number of shapes), and its site with its location count
-(`seplogic.powerset_site`).  These tests check that the sharing changes
-no output, whatever was served before, and that it does the work it
+(`seplogic.powerset_site`), and a loaded model is kept with its memos
+(`cli._model`).  These tests check that the sharing changes no output,
+whatever was served before, and that it does the work it
 promises: a second model of a shape builds no site and no table and
 certifies nothing, while another shape certifies once.
 The benchmark's own generator supplies the requests; the test only
@@ -50,12 +51,12 @@ def _run(argv):
     return code, out.getvalue()
 
 
-def _plans(root):
-    """Every request of the verify and query plans of SEED, with their
+def _plans(root, seed=SEED, kinds=("verify", "query")):
+    """Every request of the plans of these workloads and seed, with their
     model files written under root, and the models by path."""
     requests, models = [], {}
-    for workload in ("verify", "query"):
-        plan = workloads.generate(workload, SEED)
+    for workload in kinds:
+        plan = workloads.generate(workload, seed)
         plan.write(root)
         requests += [req["argv"] for req in plan.requests]
         models.update(plan.models)
@@ -88,6 +89,8 @@ def _decoys(models, root):
     sample of laws, whose amalgamation iso reads the certificate."""
     requests = []
     for i, doc in enumerate(models.values()):
+        if doc["kind"] != "memory":
+            continue
         other, _ = _renamed(doc, "d")
         cover = "finite-covers" if doc["coverage"] == "downward-closed" else "downward-closed"
         kinds = [dict(other), dict(other, coverage=cover)]
@@ -114,23 +117,29 @@ def _decoys(models, root):
 
 
 def test_outputs_do_not_depend_on_the_models_served_before(tmp_path, monkeypatch):
-    """Every verify and query request of one seed prints the same `--json`
-    bytes and exits with the same code whether the shape caches are
-    cleared before it or the process has already served models of the
-    same shapes under other names and models of other coverage and
-    sheaf kinds (a support-bounded carrier's laws among them, after
-    partial-memory ones of the same locations and cells have been
-    certified)."""
-    monkeypatch.chdir(tmp_path)
-    requests, models = _plans(tmp_path)
-    cold = []
-    for argv in requests:
+    """Every verify, query and psl request of seeds 0-3 prints the same
+    `--json` bytes and exits with the same code whether the shape caches
+    and the kept models are cleared before it, or it is served a second
+    time at once, on its kept model, or the process has already served
+    the plan and models of the same shapes under other names and models
+    of other coverage and sheaf kinds (a support-bounded carrier's laws
+    among them, after partial-memory ones of the same locations and
+    cells have been certified) and kept the models it read last."""
+    for seed in range(4):
+        root = tmp_path / f"seed{seed}"
+        root.mkdir()
+        monkeypatch.chdir(root)
+        requests, models = _plans(root, seed, workloads.WORKLOADS)
+        cold = []
+        for argv in requests:
+            ref.clear_shape_caches()
+            cold.append(_run(argv))
+            assert _run(argv) == cold[-1], argv
+            assert cli._model.cache_info().hits == 1
         ref.clear_shape_caches()
-        cold.append(_run(argv))
-    ref.clear_shape_caches()
-    served = [_run(argv) for argv in _decoys(models, tmp_path)]
-    assert {code for code, _ in served} <= {0, 1}
-    assert [_run(argv) for argv in requests] == cold
+        served = [_run(argv) for argv in _decoys(models, root)]
+        assert {code for code, _ in served} <= {0, 1}
+        assert [_run(argv) for argv in requests] == cold
 
 
 def test_a_support_bounded_carrier_is_not_certified_by_a_partial_memory_one():
