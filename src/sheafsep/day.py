@@ -340,9 +340,9 @@ class ResourceMonoid:
     lie in D = {d : d.d = d} (`agreeing`).  The star reads such a monoid
     through restriction tables alone, and reads `overlap` only under the
     other rules (the total one); `products` reads it under every rule.
-    Every table is built on first use and kept on the monoid, but for
-    those that depend on shapes alone, which are kept with the carrier's
-    shape: the halves' tables (`_half`) and `agreeing` (`_agreeing`).
+    Every table is built on first use and kept on the monoid; those that
+    depend on shapes alone, the halves' tables (`_half`) and `agreeing`
+    (`_agreeing`), are built in the carrier's shape entry and shared.
     """
 
     carrier: Presheaf
@@ -436,8 +436,8 @@ def _agreeing(shape, keep, exponents):
     """`ResourceMonoid.agreeing` for the digits D = keep on a memory
     carrier of this shape, at o <= v given by `_exponents(v, o, o)`: the
     preimage along the restriction to o of the ids there whose digits
-    all lie in D.  Kept with the carrier's shape, per digit set."""
-    r, n = shape[1], len(exponents)
+    all lie in D.  Built in the carrier's shape entry, per digit set."""
+    r, n = shape.r, len(exponents)
     m = n - exponents.count(None)
     if not m or len(keep) == r:
         return (1 << _size(shape, n)) - 1
@@ -459,8 +459,8 @@ def _half(shape, rule, n, exponents):
     -r^n when a digit is undefined, so that the sum of the two halves'
     meets is negative iff the product is.  The empty h has place (0,),
     zero -1 (every code) and meet ((0,),).  They depend on the rule and the
-    digits' places alone, so they are kept with the carrier's shape: at
-    most 25 per rule up to 4 locations, of at most r^4 entries each."""
+    digits' places alone, so they are built in the carrier's shape entry:
+    at most 25 per rule up to 4 locations, of at most r^4 entries each."""
     r = len(rule)
     _bound_cell_table(f"the meet of an overlap's half of {len(exponents)} locations", r,
                       len(exponents))
@@ -627,7 +627,8 @@ def _certified_sheaf(conv: Presheaf, cov, budget=DEFAULT_FAMILY_BUDGET):
             raise _budget_error(cov.min_cover(a), n, budget)
 
 
-def check_day_stability(site: Site, samples, inclusions=(), budget=DEFAULT_COEND_BUDGET) -> Report:
+def check_day_stability(site: Site, samples, inclusions=(), budget=DEFAULT_COEND_BUDGET,
+                        keep=None) -> Report:
     """Runtime checks for the three Day-stability conditions.
 
     (1) decomposition and coend convolutions of the samples satisfy the
@@ -655,15 +656,19 @@ def check_day_stability(site: Site, samples, inclusions=(), budget=DEFAULT_COEND
         definedness and typing violations are flagged as `gamma`.
 
     `inclusions` holds sheaf morphisms F' >-> F, named by their `name`.
+    The report lists the first `keep` violations (all when None), and
+    counts the rest, the sheaf replays' included.
     """
-    rep = Report("Day stability")
+    rep = Report("Day stability", keep=keep)
     cat, mon = site.cat, site.monoidal
     if mon is None:
         raise MonoidalStructureError("site has no monoidal structure")
 
     def sheaf_condition(kind, conv):
-        for v in check_sheaf(conv, site.cov).violations:
+        inner = check_sheaf(conv, site.cov, keep=keep)
+        for v in inner.violations:
             rep.flag(kind, f"{conv.name}: {v.detail}")
+        rep.unlisted += inner.unlisted
 
     lub = _lub_least_covers(site)
     sheaf = cache(lambda i: lub and _is_sheaf(samples[i], site.cov))

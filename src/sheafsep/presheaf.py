@@ -22,7 +22,8 @@ already is the finitary one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache, reduce, wraps
+import weakref
+from functools import cache, cached_property, reduce, wraps
 
 from .errors import (
     BudgetExceededError,
@@ -90,10 +91,6 @@ class Presheaf:
     `index(A)` maps each element to its position in `at(A)`.  Reports
     print a stage by the names of the presheaf's `locations`, if given.
     """
-
-    # the shape a builder stamps on a presheaf whose tables depend on it
-    # alone; `require_sheaf` keeps its verdict on such a presheaf per shape
-    shape = None
 
     def __init__(self, base: FinCat, size_fn, table_fn, decode, *, name="presheaf",
                  fibres_fn=None, locations=None):
@@ -186,11 +183,10 @@ def build_resource_sheaf(cat: FinCat, kind: str, locations, *, values=None, boun
     locations in sorted order.
 
     Its numbering depends on its shape alone, (kind, r, k) for r cells
-    and the support bound k (None when unbounded), so the codes, ids,
-    sizes and restriction tables are read from the tables the process
-    keeps with the shape (`_kept`, `_codes` and the rest below) and
-    shared by every carrier of that shape; this one keys its stages and
-    morphisms by their exponents, keeps what it read, and decodes ids
+    and the support bound k (None when unbounded), so it holds its
+    shape's entry (`_Shape`, shared by every live carrier of the shape)
+    and reads its codes, ids, sizes, tables and certificates there; it
+    keys its stages and morphisms by their exponents and decodes ids
     into heaps of its own locations and values.
     """
     if kind not in ("strict-memory", "partial-memory", "support-bounded"):
@@ -214,14 +210,13 @@ def build_resource_sheaf(cat: FinCat, kind: str, locations, *, values=None, boun
         # heap, and every bound below 0 none, so the shape holds k
         # between -1 and that number: finitely many shapes per r
         k = max(-1, min(bound, len(locations)))
-    shape, r, digit = (kind, len(cells), k), len(cells), {x: d for d, x in enumerate(cells)}
+    key, r, digit = (kind, len(cells), k), len(cells), {x: d for d, x in enumerate(cells)}
+    shape = _shapes.setdefault(key, _Shape(key))
 
-    @cache
     def codes(a):
         """Per id at a, its code; None on a full stage."""
         return None if _full(shape, a.bit_count()) else _codes(shape, a.bit_count())
 
-    @cache
     def ids(a):
         """Per code at a, its id or -1 off the carrier; None on a full stage."""
         return None if _full(shape, a.bit_count()) else _ids(shape, a.bit_count())
@@ -230,7 +225,6 @@ def build_resource_sheaf(cat: FinCat, kind: str, locations, *, values=None, boun
     def size(a):
         return _size(shape, a.bit_count())
 
-    @cache
     def part(a, s, v):
         return _part(shape, _exponents(a, s, v))
 
@@ -242,7 +236,6 @@ def build_resource_sheaf(cat: FinCat, kind: str, locations, *, values=None, boun
         s = cat.src(f)
         return _shape_fibres(shape, _exponents(cat.dst(f), s, s))
 
-    @cache
     def code_table(b, v):
         """Per code at v, on the carrier or off it, the id at b of its
         digits on b, or size(b) where those leave the carrier: the
@@ -266,49 +259,44 @@ def build_resource_sheaf(cat: FinCat, kind: str, locations, *, values=None, boun
     ps = Presheaf(cat, size, table, decode, name=name, fibres_fn=fibres, locations=locations)
     names = {a: ps.named(a) for a in cat.objects}  # what decode names its heaps' stages
     ps.cells, ps.codes, ps.ids, ps.part, ps.code = cells, codes, ids, part, code
-    ps.code_table, ps.shape = code_table, shape
+    ps.code_table, ps.shape, ps._sheaf_for = code_table, shape, shape.certified
     return ps
 
 
 # -- shape tables ----------------------------------------------------------
 #
-# A memory sheaf's tables, keyed by its shape (kind, r, k) and the shape of
+# A memory sheaf's tables, kept in its shape's entry under the shape of
 # what they number: a stage by its number of locations n, a map between
 # stages by its exponents (`_exponents`).  A heap's code is the
 # mixed-radix number of its cells' positions in the sheaf's cells, the
 # first location most significant, so codes follow Heap order.  Its id
 # is its code on a full stage (all r^n heaps) and its code's rank among
 # the stage's codes otherwise.  Renaming locations and values in sorted
-# order keeps every code, so same-shape sheaves share these tuples, each
-# built once while the process keeps its shape: the SHAPES_KEPT shapes
-# read most recently, and those of the carriers still alive.
-
-SHAPES_KEPT = 16
+# order keeps every code, so same-shape sheaves share these tuples: each
+# carrier holds its shape's entry, and an entry lives, with every table
+# built in it, as long as some carrier of its shape.
 
 
 class _Shape:
-    """What the process keeps for one shape: its tables, by (builder,
-    key), and `certified`, the (coverage, budget) pairs for which
-    `require_sheaf` certified its carriers."""
+    """What a shape (kind, r, k) keeps while a carrier of it lives: its
+    tables, by (builder, key), and `certified`, the (coverage, budget)
+    pairs for which `require_sheaf` certified its carriers."""
 
-    __slots__ = ("tables", "certified")
+    __slots__ = ("key", "r", "k", "tables", "certified", "__weakref__")
 
-    def __init__(self):
+    def __init__(self, key):
+        self.key, (_, self.r, self.k) = key, key
         self.tables, self.certified = {}, set()
 
 
-@lru_cache(maxsize=SHAPES_KEPT)
-def _kept(shape):
-    """The `_Shape` of a shape; a new, empty one when it is not among the
-    SHAPES_KEPT shapes read most recently."""
-    return _Shape()
+_shapes = weakref.WeakValueDictionary()  # shape -> the entry its live carriers hold
 
 
 def _per_shape(build):
-    """`build(shape, *key)`, built once per shape while it is kept."""
+    """`build(shape, *key)`, built once per key in the shape's entry."""
     @wraps(build)
     def read(shape, *key):
-        tables = _kept(shape).tables
+        tables = shape.tables
         try:
             return tables[build, key]
         except KeyError:
@@ -328,15 +316,14 @@ def _exponents(a, s, v):
 def _full(shape, n):
     """Whether a stage of n locations holds all r^n heaps, so that its ids
     are its codes: unless a support bound k is below n."""
-    k = shape[2]
-    return k is None or k >= n
+    return shape.k is None or shape.k >= n
 
 
 @_per_shape
 def _codes(shape, n):
     """Per id at a stage of n locations that is not full, its code: the
     codes of the heaps of at most k allocated cells, none when k < 0."""
-    _, r, k = shape
+    r, k = shape.r, shape.k
     out = [(0, 0)]  # (code, allocated cells); None is the last cell
     for _ in range(n):
         out = [(c * r + d, m + (d < r - 1)) for c, m in out for d in range(r)]
@@ -348,12 +335,12 @@ def _ids(shape, n):
     """Per code at a stage of n locations that is not full, its id or -1
     off the carrier."""
     rank = {c: i for i, c in enumerate(_codes(shape, n))}
-    return tuple(rank.get(c, -1) for c in range(shape[1] ** n))
+    return tuple(rank.get(c, -1) for c in range(shape.r ** n))
 
 
 @_per_shape
 def _size(shape, n):
-    return shape[1] ** n if _full(shape, n) else len(_codes(shape, n))
+    return shape.r ** n if _full(shape, n) else len(_codes(shape, n))
 
 
 def _placed(r, exponents):
@@ -369,7 +356,7 @@ def _placed(r, exponents):
 @_per_shape
 def _part(shape, exponents):
     """`_placed` per id at a."""
-    out, n = _placed(shape[1], exponents), len(exponents)
+    out, n = _placed(shape.r, exponents), len(exponents)
     return tuple(out) if _full(shape, n) else tuple(out[c] for c in _codes(shape, n))
 
 
@@ -400,7 +387,7 @@ def _code_table(shape, exponents):
     `_exponents(v, b, b)` (see `code_table` in `build_resource_sheaf`)."""
     if _full(shape, len(exponents)):
         return _table(shape, exponents)
-    n, down = _below(exponents), _placed(shape[1], exponents)
+    n, down = _below(exponents), _placed(shape.r, exponents)
     if _full(shape, n):
         return tuple(down)
     below, size = _ids(shape, n), _size(shape, n)
@@ -440,7 +427,7 @@ class _EncodedCover:
         bit, reach = sm.bit(a), [sm.closure(a)[g] for g in gens]
         self.factors = []  # per member: (generator position, k) with g.k = member
         for f in self.members:
-            j = next(j for j, r in enumerate(reach) if r & bit[f])
+            j = [r & bit[f] != 0 for r in reach].index(True)  # no generator to finalise
             self.factors.append((j, sm.factor(gens[j], f)))
         self._by_signature = None
         self._partials = {}  # budget -> families(budget)
@@ -551,9 +538,9 @@ def _replay_sheaf(rep, ps: Presheaf, cov: Coverage, budget) -> int:
     flags each family without exactly one amalgamation and returns the
     number of families, those counted in closed form included.
     Enumerated families are compatible by construction (pairwise squares
-    on generators plus the extension lemma).  A least cover's families
-    are read through `partials`, so those the verdict enumerated are not
-    enumerated again; the other covers' are enumerated and dropped.  Each
+    on generators plus the extension lemma).  Only least covers are kept
+    (`_encoded_cover`, `partials`), so what the verdict enumerated is not
+    enumerated again; every other cover is built, replayed and dropped.  Each
     element a note prints is decoded and printed once, and each distinct
     existence note, which reads only the cover and the family's first
     three legs, is formatted once."""
@@ -573,7 +560,7 @@ def _replay_sheaf(rep, ps: Presheaf, cov: Coverage, budget) -> int:
             if n is not None:
                 n_checked += n
                 continue
-            code = _encoded_cover(ps, s)
+            code = _encoded_cover(ps, s) if s == least else _EncodedCover(ps, s)
             index = code.signature_index()
             partials = code.partials(budget) if s == least else code.families(budget)
             n_checked += len(partials)
@@ -595,9 +582,10 @@ def _replay_sheaf(rep, ps: Presheaf, cov: Coverage, budget) -> int:
     return n_checked
 
 
-def check_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> Report:
+def check_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET, keep=None) -> Report:
     """Existence and uniqueness of amalgamations, per cover and family,
-    checked exhaustively on ids.
+    checked exhaustively on ids; the report lists the first `keep`
+    violations (all when None) and counts the rest.
 
     The verdict is read off least covers (`is_sheaf`).  On a sheaf
     every cover S of A has exactly |F(A)| compatible families: each has
@@ -618,7 +606,7 @@ def check_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> Re
     enumerates too, so a sheaf fits the budget on every cover iff on the
     least ones.
     """
-    rep = Report(f"sheaf condition ({ps.name})")
+    rep = Report(f"sheaf condition ({ps.name})", keep=keep)
     try:
         sheaf = is_sheaf(ps, cov, budget)
     except BudgetExceededError:
@@ -657,19 +645,17 @@ def require_sheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET) -> 
     that is not one, raise `NotASheafError` with `check_sheaf`'s
     report, which replays every cover for the violations.
 
-    A carrier stamped with a shape (`build_resource_sheaf`) is certified
-    once per coverage and budget for every carrier of its shape while
-    the shape is kept: a renaming of locations and values in sorted
-    order is an isomorphism of carriers, and `is_sheaf` reads only
-    sizes, tables and least covers, so all get the same verdict."""
+    A memory carrier's certificates are its shape's, so they hold for
+    every live carrier of the shape: a renaming of locations and values
+    in sorted order is an isomorphism of carriers, and `is_sheaf` reads
+    only sizes, tables and least covers, so all get the same verdict."""
     key = (cov, budget)
-    certified = ps._sheaf_for if ps.shape is None else _kept(ps.shape).certified
-    if key in certified:
+    if key in ps._sheaf_for:
         return
     if not is_sheaf(ps, cov, budget):
         raise NotASheafError(f"{ps.name} is not a sheaf for the coverage",
                              report=check_sheaf(ps, cov, budget=budget))
-    certified.add(key)
+    ps._sheaf_for.add(key)
 
 
 # -- the matching presheaf ----------------------------------------------------

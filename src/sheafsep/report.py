@@ -20,13 +20,18 @@ class Report:
     title: str
     violations: list[Violation] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    keep: int | None = None  # violations listed, all when None; the rest are counted
+    unlisted: int = 0
 
     def flag(self, kind: str, detail: str) -> None:
-        self.violations.append(Violation(kind, detail))
+        if self.keep is None or len(self.violations) < self.keep:
+            self.violations.append(Violation(kind, detail))
+        else:
+            self.unlisted += 1
 
     def note(self, text: str) -> None:
         self.notes.append(text)
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violations and not self.unlisted

@@ -19,10 +19,12 @@ factorisations give, where the core reads neither.
 a presheaf to a slice, and `matching_object` pairs the sections that
 agree on a pullback: constructions that only tests make.
 
-`SHAPE_CACHES` names the caches the package keeps per shape and per
-location count, and `clear_shape_caches` empties them, the sheaf
-certificates and the shared sites with them, and the kept models
-(`cli._model`), so that a request served after it is served cold.
+`SHAPE_CACHES` names the caches the package keeps per map between
+stages and per location count, and `clear_shape_caches` empties them,
+the registry of shape entries (`presheaf._shapes`) and the tables and
+sheaf certificates of every entry a live carrier still holds, and the
+kept models (`cli._model`), so that a request served after it is
+served cold.
 
 `listed` builds a presheaf from its elements, filling each table entry
 by restricting one; it serves the presheaves whose elements are their
@@ -50,16 +52,20 @@ from sheafsep.presheaf import (
 from sheafsep.report import Report
 from sheafsep.site import Sieve
 
-# the functools caches keyed by shapes alone: the memory sheaves' kept
-# shapes (their tables, the halves' tables and the sheaf certificates),
-# the exponents of the maps between stages, and the powerset sites, one
-# per location count
-SHAPE_CACHES = (presheaf._kept, presheaf._exponents, seplogic.powerset_site)
+# the functools caches the package keeps for the process, keyed by masks
+# and location counts alone: the exponents of the maps between stages,
+# and the powerset sites, one per location count
+SHAPE_CACHES = (presheaf._exponents, seplogic.powerset_site)
 
 
 def clear_shape_caches():
-    """Empty every shape cache, the sheaf certificates with them, and the
-    kept models, which hold their carriers' and monoids' memos."""
+    """Empty every shape cache, every shape entry (its tables and sheaf
+    certificates, also when a live carrier holds it) and the registry,
+    and the kept models, which hold their carriers' and monoids' memos."""
+    for entry in list(presheaf._shapes.values()):
+        entry.tables.clear()
+        entry.certified.clear()
+    presheaf._shapes.clear()
     for table in SHAPE_CACHES + (cli._model,):
         table.cache_clear()
 

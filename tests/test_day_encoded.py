@@ -284,8 +284,8 @@ def test_day_stability_by_lemma_is_the_replay(n_locs, coverage, monkeypatch):
         assert any(sheaf) and not all(sheaf)
     assert any(point) and not all(point)
     replayed = []
-    monkeypatch.setattr(day, "check_sheaf",
-                        lambda conv, c: replayed.append(conv.name) or check_sheaf(conv, c))
+    monkeypatch.setattr(day, "check_sheaf", lambda conv, c, **kw: replayed.append(conv.name)
+                        or check_sheaf(conv, c, **kw))
     got = day.check_day_stability(site, samples)
     monkeypatch.undo()
     want, premise_fails = [], []
@@ -472,3 +472,29 @@ def test_memory_monoid_needs_a_memory_sheaf(carrier):
           "terminal": terminal(cat)}[carrier]
     with pytest.raises(MonoidalStructureError, match="need a memory sheaf"):
         build_memory_monoid(mp, "weak-partial")
+
+
+def test_a_capped_report_lists_the_first_violations_and_counts_the_rest():
+    """Day stability with `keep` lists the first `keep` violations of the
+    report without it, in order, and counts the others in `unlisted`,
+    those of the sheaf replays it runs included; so does `check_sheaf`.
+    A capped report with violations is not ok.  The model is the
+    3-location, two-value, bound-1 support-bounded one, whose
+    convolutions fail on 12,600 families."""
+    cat, mon = _powerset(3)
+    site = Site(cat, build_coverage(cat, "downward-closed"), mon)
+    xyz = ("x", "y", "z")
+    bounded = build_resource_sheaf(cat, "support-bounded", xyz, values=(0, 1), bound=1)
+    samples = [build_resource_sheaf(cat, "strict-memory", xyz, values=(0, 1)), bounded]
+    full, sheaf = day.check_day_stability(site, samples), check_sheaf(bounded, site.cov)
+    assert len(full.violations) == 12_600 and full.unlisted == 0
+    assert len(sheaf.violations) == 68
+    for keep in (1, 32, 12_599, 12_600):
+        capped = day.check_day_stability(site, samples, keep=keep)
+        assert capped.violations == full.violations[:keep]
+        assert capped.unlisted == 12_600 - keep and not capped.ok
+    for keep in (1, 32, 68):
+        alone = check_sheaf(bounded, site.cov, keep=keep)
+        assert alone.violations == sheaf.violations[:keep]
+        assert alone.unlisted == 68 - keep and not alone.ok
+        assert alone.notes == sheaf.notes

@@ -2,17 +2,20 @@
 
 A memory carrier's codes, ids, sizes, restriction tables and code
 tables, the monoids' `agreeing` and halves' tables, and the positive
-sheaf certificates are kept with its shape (`presheaf._kept`, for a
-bounded number of shapes), and its site with its location count
+sheaf certificates are kept in its shape's entry (`presheaf._Shape`),
+which every live carrier of the shape holds and the registry
+`presheaf._shapes` holds weakly, and its site with its location count
 (`seplogic.powerset_site`), and a loaded model is kept with its memos
 (`cli._model`).  These tests check that the sharing changes no output,
-whatever was served before, and that it does the work it
-promises: a second model of a shape builds no site and no table and
-certifies nothing, while another shape certifies once.
+whatever was served before, that it does the work it promises (a
+second model of a shape builds no site and no table and certifies
+nothing, while another shape certifies once), and that an entry lives
+exactly as long as some carrier of its shape.
 The benchmark's own generator supplies the requests; the test only
 reads `perfbench/`."""
 
 import contextlib
+import gc
 import importlib.util
 import io
 import json
@@ -159,11 +162,10 @@ def test_a_support_bounded_carrier_is_not_certified_by_a_partial_memory_one():
     assert exc.value.report == check_sheaf(bounded.sheaf, bounded.site.cov)
 
 
-def _entries(shape):
-    """The number of tables kept for a shape, and the misses of each
-    shape cache."""
-    return (len(presheaf._kept(shape).tables),
-            [table.cache_info().misses for table in ref.SHAPE_CACHES])
+def _entries(entry):
+    """The number of tables kept in a shape's entry, and the misses of
+    each shape cache."""
+    return (len(entry.tables), [table.cache_info().misses for table in ref.SHAPE_CACHES])
 
 
 @pytest.fixture
@@ -183,10 +185,10 @@ def certified(monkeypatch):
 def test_a_second_model_of_a_shape_builds_no_table_and_certifies_nothing(certified):
     """Deterministic work gate: after a pipeline eval on one 4-location
     model, the same eval on a model of its shape under other location
-    names and values builds no table (no new table kept, no shape
-    cache misses), calls
-    `is_sheaf` 0 times, reads the first model's restriction tables
-    themselves, and gives the same bits."""
+    names and values holds the first model's shape entry, builds no
+    table (no new table kept, no shape cache misses), calls `is_sheaf`
+    0 times, reads the first model's restriction tables themselves,
+    and gives the same bits."""
     phi = "(a ~> 0 * b |-> 1) * (c ~> 1 \\/ d |-> 0)"
     first = make_memory_model(("a", "b", "c", "d"), (0, 1), monoid_variant="weak-partial")
     want = eval_formula(first, parse_formula(phi), mode="pipeline")
@@ -195,6 +197,7 @@ def test_a_second_model_of_a_shape_builds_no_table_and_certifies_nothing(certifi
     second = make_memory_model(("p", "q", "r", "s"), (7, 9), monoid_variant="weak-partial")
     renamed = phi.translate(str.maketrans("abcd01", "pqrs79"))
     got = eval_formula(second, parse_formula(renamed), mode="pipeline")
+    assert second.sheaf.shape is first.sheaf.shape
     assert _entries(second.sheaf.shape) == built
     assert certified["is_sheaf"] == 1
     assert list(got.bits.values()) == list(want.bits.values())
@@ -222,16 +225,20 @@ def test_another_shape_certifies_again_once(other, certified):
     partial-memory one in the coverage (one built apart from the shared
     site), the sheaf kind (with as many cells, or the same tables) or
     the budget is certified again, once, and then not for a renaming of
-    it.  (Both lub coverage kinds read the shared site, see
+    it.  The carriers of a shape are built together, as a certificate
+    lives only as long as some carrier of its shape.  (Both lub coverage
+    kinds read the shared site, see
     `test_a_model_of_a_known_location_count_builds_no_site`.)"""
     other = dict(other)
     budget = other.pop("budget", presheaf.DEFAULT_FAMILY_BUDGET)
-    for names in (("a", "b", "c"), ("x", "y", "z")):
-        require_sheaf(*_carrier(names))
+    partial = [_carrier(names) for names in (("a", "b", "c"), ("x", "y", "z"))]
+    for carrier, cov in partial:
+        require_sheaf(carrier, cov)
     assert certified["is_sheaf"] == 1
     cov = _carrier(("a", "b", "c"), **other)[1]
-    for names in (("a", "b", "c"), ("u", "v", "w")):
-        require_sheaf(_carrier(names, **other)[0], cov, budget=budget)
+    others = [_carrier(names, **other)[0] for names in (("a", "b", "c"), ("u", "v", "w"))]
+    for carrier in others:
+        require_sheaf(carrier, cov, budget=budget)
     assert certified["is_sheaf"] == 2
 
 
@@ -266,9 +273,10 @@ def test_another_support_bound_certifies_again(certified):
     """Deterministic work gate: after a support-bounded carrier of bound 3
     on three locations is certified, one of bound 2 calls `is_sheaf`
     again and raises `NotASheafError`, each time, as a negative verdict
-    is never kept; bounds 5 and 100 number the same heaps as 3, so they
-    share its shape and certify nothing."""
-    require_sheaf(*_carrier(("a", "b", "c"), kind="support-bounded", bound=3))
+    is never kept; bounds 5 and 100 number the same heaps as 3, so while
+    that carrier lives they share its shape entry and certify nothing."""
+    first = _carrier(("a", "b", "c"), kind="support-bounded", bound=3)
+    require_sheaf(*first)
     assert certified["is_sheaf"] == 1
     for names in (("a", "b", "c"), ("u", "v", "w")):
         before = certified["is_sheaf"]
@@ -287,7 +295,7 @@ def test_a_bound_below_zero_admits_no_heap():
     are empty; any negative bound gives the same shape."""
     for bound in (-1, -3):
         carrier, _ = _carrier(("a", "b", "c"), kind="support-bounded", bound=bound)
-        assert carrier.shape == ("support-bounded", 3, -1)
+        assert carrier.shape.key == ("support-bounded", 3, -1)
         cat = carrier.base
         assert [carrier.size(a) for a in cat.objects] == [0] * len(cat.objects)
         assert all(carrier.table(f) == () for f in cat.all_morphisms())
@@ -303,7 +311,8 @@ def test_a_bound_past_the_locations_shares_the_tables_of_that_bound():
     at4, _ = _carrier(names, kind="support-bounded", bound=4)
     at100, _ = _carrier(names, kind="support-bounded", bound=100)
     partial, _ = _carrier(names)
-    assert at4.shape == at100.shape == ("support-bounded", 3, 4)
+    assert at4.shape is at100.shape
+    assert at4.shape.key == ("support-bounded", 3, 4)
     assert at100.name == "Mp|supp<=100"
     for f in at4.base.all_morphisms():
         assert at100.table(f) is at4.table(f)
@@ -320,22 +329,23 @@ def _flat(x):
         yield x
 
 
-def _kept_tables(shapes):
-    """Every kept (shape, builder, key) and its table, for these shapes."""
-    return {(shape, build.__name__, key): table for shape in shapes
-            for (build, key), table in presheaf._kept(shape).tables.items()}
+def _kept_tables(entries):
+    """Every kept (shape, builder, key) and its table, in these entries."""
+    return {(entry.key, build.__name__, key): table for entry in entries
+            for (build, key), table in entry.tables.items()}
 
 
 def test_shape_caches_hold_one_immutable_entry_per_shape_key(tmp_path, monkeypatch):
     """Deterministic work gate: `SHAPE_CACHES` names every cache of
     `presheaf`, `day` and `seplogic`.  After every verify and query
     request of one seed, each shape cache holds one entry per distinct
-    key it was asked for, no key (nor a kept table's key, nor a
-    certificate) holds a location name, and every kept table is an int
-    or a tuple of ints and tuples.  Serving the same requests again on
-    renamed models (other locations and values in the same order) adds
-    no entry and no table: the keys are shapes and location counts, not
-    models."""
+    key it was asked for, no key (nor a shape, nor a kept table's key,
+    nor a certificate) holds a location name, and every kept table is an
+    int or a tuple of ints and tuples.  With the registry a plain dict
+    for the test, so that no entry dies, serving the same requests again
+    on renamed models (other locations and values in the same order)
+    adds no cache entry, no shape entry and no table: the keys are
+    shapes and location counts, not models."""
     modules = (presheaf, day, seplogic)
     kept = {getattr(module, name) for module in modules for name in dir(module)
             if hasattr(getattr(module, name), "cache_clear")}
@@ -351,18 +361,20 @@ def test_shape_caches_hold_one_immutable_entry_per_shape_key(tmp_path, monkeypat
         for module in modules:
             if getattr(module, table.__name__, None) is table:
                 monkeypatch.setattr(module, table.__name__, recorded)
+    held = {}  # the registry, holding its entries so that none dies during the test
+    monkeypatch.setattr(presheaf, "_shapes", held)
     for argv in requests:
         _run(argv)
     sizes = [table.cache_info().currsize for table in ref.SHAPE_CACHES]
     assert sizes == [len(asked[table]) for table in ref.SHAPE_CACHES]
-    kept_shapes = ref.SHAPE_CACHES[0]  # presheaf._kept, patched above
-    shapes = [shape for shape, in asked[kept_shapes]]
-    tables = _kept_tables(shapes)
-    certificates = [c for shape in shapes for c in presheaf._kept(shape).certified]
+    entries = list(held.values())
+    tables = _kept_tables(entries)
+    certificates = [c for entry in entries for c in entry.certified]
     names = {x for doc in models.values() for x in doc["locations"]}
     for table in ref.SHAPE_CACHES:
         assert not names & set(_flat(tuple(asked[table]))), table.__name__
-    assert not names & (set(_flat(tuple(tables))) | set(_flat(tuple(certificates))))
+    assert not names & (set(_flat(tuple(held))) | set(_flat(tuple(tables)))
+                        | set(_flat(tuple(certificates))))
     for value in tables.values():
         assert all(type(x) is int for x in _flat(value))
         assert isinstance(value, (int, tuple))
@@ -377,51 +389,103 @@ def test_shape_caches_hold_one_immutable_entry_per_shape_key(tmp_path, monkeypat
         _run([path + ".renamed" if a == path else text(a) if a.startswith(("{", "(")) or " " in a
               else a for a in argv])
     assert [table.cache_info().currsize for table in ref.SHAPE_CACHES] == sizes
-    assert _kept_tables(shapes).keys() == tables.keys()
+    assert list(held.values()) == entries
+    assert _kept_tables(entries).keys() == tables.keys()
 
 
-def test_overlap_tables_live_and_die_with_their_shape():
+def _total_model(tmp_path, r):
+    """The path of a 2-location total-monoid model file of r values."""
+    doc = {"schema_version": cli.SCHEMA_VERSION, "kind": "memory", "locations": ["a", "b"],
+           "values": list(range(r)), "sheaf": "partial-memory", "monoid": "total",
+           "coverage": "downward-closed"}
+    path = tmp_path / f"total{r}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_overlap_tables_live_and_die_with_their_shape(tmp_path):
     """The halves' tables of a monoid's overlaps (`day._half`) are kept in
-    its carrier shape's entry of `presheaf._kept` and in no cache of
-    their own: after SHAPES_KEPT + 1 total-monoid models of as many cell
-    counts have each read an overlap, the SHAPES_KEPT latest shapes hold
-    their two tables each and the first shape's entry is gone with
-    its tables."""
+    its carrier's shape entry and in no cache of their own, and a shape's
+    entry lives only while a carrier of it does, so the kept models
+    bound what a process keeps: after MODELS_KEPT + 3 total-monoid
+    models of as many cell counts have each been loaded and read an
+    overlap, and `gc.collect()` has run, the registry holds the entries
+    of the MODELS_KEPT models loaded last, each with its two tables, and
+    none of the first three shapes."""
     half = day._half.__wrapped__
     assert not hasattr(day._half, "cache_clear")
     shapes = []
-    for r in range(1, presheaf.SHAPES_KEPT + 2):
-        model = make_memory_model(("a", "b"), tuple(range(r)), monoid_variant="total")
+    for r in range(1, cli.MODELS_KEPT + 4):
+        model = cli.load_model(_total_model(tmp_path, r))
         model.monoid.overlap(0b11, 0b11)  # the halves {a, b} and {}
-        shapes.append(model.sheaf.shape)
-    assert len(set(shapes)) == presheaf.SHAPES_KEPT + 1
-    assert presheaf._kept.cache_info().currsize == presheaf.SHAPES_KEPT
-    for shape in shapes[1:]:
-        assert [build for build, _ in presheaf._kept(shape).tables].count(half) == 2
-    assert presheaf._kept(shapes[0]).tables == {}
+        shapes.append(model.sheaf.shape.key)
+    del model
+    gc.collect()
+    assert len(set(shapes)) == cli.MODELS_KEPT + 3
+    assert sorted(presheaf._shapes) == sorted(shapes[3:])
+    for shape in shapes[3:]:
+        assert [build for build, _ in presheaf._shapes[shape].tables].count(half) == 2
 
 
-def test_the_process_keeps_a_bounded_number_of_shapes(certified):
-    """`presheaf._kept` holds the tables and certificates of the
-    SHAPES_KEPT shapes read most recently.  Serving more shapes than that
-    drops the oldest: a carrier of it, built before, still reads equal
-    code tables, a new carrier of it equal restriction tables, and its
-    certificate is built again, once."""
+def test_a_shape_entry_lives_as_long_as_a_carrier_of_its_shape(certified):
+    """The registry holds a shape's entry, its tables and its
+    certificates while some carrier of the shape lives, and no longer.
+    While the first carrier lives, certifying MODELS_KEPT carriers of
+    other shapes, dropped at once, leaves its entry whole, and a second
+    carrier of its shape reads its very tables and its certificate.
+    Once both are dropped and `gc.collect()` has run, no entry of any
+    of these shapes is left; a new carrier of the first shape reads
+    equal restriction and code tables, built again, and is certified
+    again, once, for it and a further carrier of its shape."""
     first, cov = _carrier(("a", "b"))
     require_sheaf(first, cov)
     cat = first.base
     pairs = [(cat.src(f), cat.dst(f)) for f in cat.all_morphisms()]
     tables = [first.table(f) for f in cat.all_morphisms()]
     codes = [first.code_table(b, v) for b, v in pairs]
-    for values in range(1, presheaf.SHAPES_KEPT + 1):
+    shape, built = first.shape.key, len(first.shape.tables)
+    for values in range(1, cli.MODELS_KEPT + 1):
         require_sheaf(*_carrier(("a", "b"), values=tuple(range(100, 100 + values)),
                                 kind="strict-memory"))
-    assert presheaf._kept.cache_info().currsize == presheaf.SHAPES_KEPT
-    assert len(presheaf._kept(first.shape).tables) == 0
-    assert [first.code_table(b, v) for b, v in pairs] == codes
+    gc.collect()
+    assert list(presheaf._shapes) == [shape]
+    assert len(first.shape.tables) == built
+    assert certified["is_sheaf"] == cli.MODELS_KEPT + 1
+    second, _ = _carrier(("x", "y"))
+    require_sheaf(second, cov)
+    assert certified["is_sheaf"] == cli.MODELS_KEPT + 1
+    assert second.shape is first.shape
+    assert all(second.table(f) is t for f, t in zip(cat.all_morphisms(), tables))
+    del first, second
+    gc.collect()
+    assert not presheaf._shapes
     again, _ = _carrier(("x", "y"))
     assert [again.table(f) for f in again.base.all_morphisms()] == tables
-    assert certified["is_sheaf"] == presheaf.SHAPES_KEPT + 1
-    for carrier in (first, again):
+    assert [again.code_table(b, v) for b, v in pairs] == codes
+    for carrier in (again, _carrier(("p", "q"))[0]):
         require_sheaf(carrier, cov)
-    assert certified["is_sheaf"] == presheaf.SHAPES_KEPT + 2
+    assert certified["is_sheaf"] == cli.MODELS_KEPT + 2
+
+
+def test_a_failing_replay_keeps_least_covers_only(tmp_path, built):
+    """Deterministic work gate: a failing `check-sheaf` on a kept model
+    builds every cover it replays, but the carrier keeps the encoded
+    covers of its least covers only, which `is_sheaf`, the replay and
+    the matching presheaf read; a second request on the kept model
+    prints the same bytes and builds every cover again but those."""
+    doc = {"schema_version": cli.SCHEMA_VERSION, "kind": "memory",
+           "locations": ["x", "y", "z"], "values": [0, 1], "sheaf": "support-bounded",
+           "support_bound": 1, "monoid": None, "coverage": "downward-closed"}
+    path = tmp_path / "bounded.json"
+    path.write_text(json.dumps(doc))
+    argv = ["check-sheaf", "--model", str(path), "--json"]
+    first = _run(argv)
+    assert first[0] == 1
+    model = cli.load_model(str(path))
+    cov, kept = model.site.cov, model.sheaf._covers
+    assert kept and all(s == cov.min_cover(s.target) for s in kept)
+    replayed = built["_EncodedCover"]
+    assert len(kept) < replayed
+    built.clear()
+    assert _run(argv) == first
+    assert built["_EncodedCover"] == replayed - len(kept)
