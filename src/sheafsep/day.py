@@ -24,7 +24,6 @@ from .fincat import FinCat, MonoidalStructure, bits, validate_monoidal
 from .pred import _bitset, _preimage
 from .presheaf import (
     DEFAULT_FAMILY_BUDGET,
-    Heap,
     Presheaf,
     SheafMorphism,
     _budget_error,
@@ -310,16 +309,18 @@ UNDEFINED = object()
 
 @dataclass(frozen=True)
 class ResourceMonoid:
-    """A partial multiplication on a memory sheaf, defined cell by cell.
+    """A partial multiplication on a partial-memory sheaf, defined cell
+    by cell (a separation algebra on one carrier: Calcagno, O'Hearn and
+    Yang, LICS 2007); `build_memory_monoid` refuses any other carrier.
 
     `cell(x, y)` combines the values two halves store at a location they
     share, or is UNDEFINED; a location in one half only keeps its value.
     The product is defined iff every shared cell combines.  `apply` is
     that rule on two heaps over the same locations.  The unit is the
-    designated point of F at the unit object.
+    empty heap, id 0 at the empty stage 0.
 
-    Products are digit arithmetic on the carrier's numbering of heaps
-    (mixed-radix codes over its `cells`, see `build_resource_sheaf`).
+    A heap's id is its mixed-radix code over the carrier's `cells` (see
+    `build_resource_sheaf`), so products are digit arithmetic on ids.
     For a splitting (b, c) of v with overlap o, the product of the ids i
     at b and j at c has the code E_b(i) + E_c(j) + M_o(z_i, t_j) at v.
     E_b(i) is i's digits at b only, at their weights in v; z_i is the
@@ -348,8 +349,6 @@ class ResourceMonoid:
     carrier: Presheaf
     variant: str
     cell: object  # callable (value, value) -> value | UNDEFINED
-    unit_stage: object
-    unit: object
     _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def apply(self, xs, ys):
@@ -415,7 +414,7 @@ class ResourceMonoid:
             v, o = b | c, b & c
             o1 = sum(1 << i for i in bits(o)[:2])  # o's first two locations, then the rest
             (_, _, meet1), (_, _, meet2) = self.overlap(o, v)
-            part, ids = self.carrier.part, self.carrier.ids(v)
+            part = self.carrier.part
 
             def digits(a):
                 """Per id at a: E_a, and its codes at o's two halves."""
@@ -424,9 +423,8 @@ class ResourceMonoid:
             right, rows = list(digits(c)), []
             for e, z1, z2 in digits(b):
                 row1, row2 = meet1[z1], meet2[z2]
-                row = [e + f + m if (m := row1[t1] + row2[t2]) >= 0 else -1
-                       for f, t1, t2 in right]
-                rows.append(row if ids is None else [k if k < 0 else ids[k] for k in row])
+                rows.append([e + f + m if (m := row1[t1] + row2[t2]) >= 0 else -1
+                             for f, t1, t2 in right])
             return rows
         return self._memo(("products", b, c), build)
 
@@ -493,8 +491,8 @@ def build_memory_monoid(mp: Presheaf, variant: str) -> ResourceMonoid:
     strong-partial defined iff the halves touch disjoint regions
     The unit is the empty heap at the empty region in all variants.
     """
-    if not hasattr(mp, "cells"):
-        raise MonoidalStructureError(f"memory monoids need a memory sheaf, got {mp.name}")
+    if getattr(mp, "shape", None) is None or mp.shape.key[0] != "partial-memory":
+        raise MonoidalStructureError(f"memory monoids need a partial-memory sheaf, got {mp.name}")
     cells = {
         "total": lambda x, y: x if x == y else None,
         "weak-partial": lambda x, y: x if x == y else UNDEFINED,
@@ -502,7 +500,7 @@ def build_memory_monoid(mp: Presheaf, variant: str) -> ResourceMonoid:
     }
     if variant not in cells:
         raise MonoidalStructureError(f"unknown monoid variant {variant!r}")
-    return ResourceMonoid(mp, variant, cells[variant], 0, Heap((), ()))
+    return ResourceMonoid(mp, variant, cells[variant])
 
 
 def check_monoid_laws(monoid: ResourceMonoid, mon: MonoidalStructure) -> Report:
@@ -513,9 +511,10 @@ def check_monoid_laws(monoid: ResourceMonoid, mon: MonoidalStructure) -> Report:
     entry is the cellwise product of its pair, -1 exactly when a shared
     cell is UNDEFINED ("pointwise"); and the cell rule is commutative and
     associative on the carrier's values and None, UNDEFINED absorbing.
-    The unit law is read off the tables' unit rows and columns."""
+    The unit law is read off the tables' rows and columns of the unit,
+    id 0 at the empty stage 0."""
     rep = Report(f"monoid laws ({monoid.variant})")
-    mp, cell, e = monoid.carrier, monoid.cell, monoid.unit_stage
+    mp, cell = monoid.carrier, monoid.cell
     cat = mp.base
 
     def product(b, c, k):
@@ -524,7 +523,6 @@ def check_monoid_laws(monoid: ResourceMonoid, mon: MonoidalStructure) -> Report:
     for b in cat.objects:
         for c in cat.objects:
             v = mon.tensor(b, c)
-            index = {h.values: i for h, i in mp.index(v).items()}
             # where each location of v is read: from b, from c, or both
             at_b, at_c = ({i: k for k, i in enumerate(bits(a))} for a in (b, c))
             where = [(at_b.get(i), at_c.get(i)) for i in bits(v)]
@@ -532,18 +530,17 @@ def check_monoid_laws(monoid: ResourceMonoid, mon: MonoidalStructure) -> Report:
                 for t, got in zip(mp.at(c), row):
                     cells = [t.values[j] if i is None else s.values[i] if j is None
                              else cell(s.values[i], t.values[j]) for i, j in where]
-                    want = -1 if UNDEFINED in cells else index.get(tuple(cells))
+                    want = -1 if UNDEFINED in cells else mp.code(cells)
                     if got != want:
                         cellwise = ("outside the carrier" if want is None
                                     else f"{product(b, c, want)} cellwise")
                         rep.flag("pointwise", f"{s}.{t} is {product(b, c, got)} in the "
                                               f"product table, but {cellwise}")
-    unit = mp.index(e)[monoid.unit]
     n_unit = 0
     for a in cat.objects:
-        lefts, rights = monoid.products(e, a)[unit], monoid.products(a, e)
+        lefts, rights = monoid.products(0, a)[0], monoid.products(a, 0)
         for s, k, row in zip(mp.at(a), lefts, rights):
-            left, right = product(e, a, k), product(a, e, row[unit])
+            left, right = product(0, a, k), product(a, 0, row[0])
             n_unit += 1
             if left != s:
                 rep.flag("unit", f"unit . {s} = {left} != {s}")

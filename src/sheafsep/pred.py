@@ -281,8 +281,13 @@ def combine_alpha(p: KripkePredicate, q: KripkePredicate, decomp: Presheaf) -> K
 
 
 def random_closed_predicate(rng, resource, site, stage) -> KripkePredicate:
-    """Closure of a uniformly sampled family: a valid subsheaf predicate."""
-    src = site.cat.src
-    bits = {p: _bitset([rng.random() < 0.5 for _ in range(resource.size(src(p)))])
-            for p in site.cat.mors_into(stage)}
+    """Closure of a sparse sampled family: a valid subsheaf predicate.
+    Each of the n ids over the slices joins the family with probability
+    2/n, one `rng.random()` per id in slice order, so the family holds
+    two ids in expectation; a denser one closes to the top predicate on
+    most draws at 3 and 4 locations."""
+    src, slices = site.cat.src, site.cat.mors_into(stage)
+    density = 2 / sum(resource.size(src(p)) for p in slices)
+    bits = {p: _bitset([rng.random() < density for _ in range(resource.size(src(p)))])
+            for p in slices}
     return KripkePredicate(resource, site, stage, _close(resource, site, bits))

@@ -236,13 +236,6 @@ def build_resource_sheaf(cat: FinCat, kind: str, locations, *, values=None, boun
         s = cat.src(f)
         return _shape_fibres(shape, _exponents(cat.dst(f), s, s))
 
-    def code_table(b, v):
-        """Per code at v, on the carrier or off it, the id at b of its
-        digits on b, or size(b) where those leave the carrier: the
-        restriction along b <= v on the code space of v, its `table`
-        when v is a full stage."""
-        return _code_table(shape, _exponents(v, b, b))
-
     def code(values):
         """The code of a heap's cells, or None when one is not a cell."""
         if all(x in digit for x in values):
@@ -259,7 +252,7 @@ def build_resource_sheaf(cat: FinCat, kind: str, locations, *, values=None, boun
     ps = Presheaf(cat, size, table, decode, name=name, fibres_fn=fibres, locations=locations)
     names = {a: ps.named(a) for a in cat.objects}  # what decode names its heaps' stages
     ps.cells, ps.codes, ps.ids, ps.part, ps.code = cells, codes, ids, part, code
-    ps.code_table, ps.shape, ps._sheaf_for = code_table, shape, shape.certified
+    ps.shape, ps._sheaf_for = shape, shape.certified
     return ps
 
 
@@ -343,20 +336,14 @@ def _size(shape, n):
     return shape.r ** n if _full(shape, n) else len(_codes(shape, n))
 
 
-def _placed(r, exponents):
-    """Per code at a, on the carrier or off it, the code at v of its
-    digits that `exponents` (`_exponents(a, s, v)`) keeps."""
-    out = [0]
-    for e in exponents:
-        w = 0 if e is None else r ** e
-        out = [c + d * w for c in out for d in range(r)]
-    return out
-
-
 @_per_shape
 def _part(shape, exponents):
-    """`_placed` per id at a."""
-    out, n = _placed(shape.r, exponents), len(exponents)
+    """Per id at a, the code at v of its digits that `exponents`
+    (`_exponents(a, s, v)`) keeps."""
+    out, n = [0], len(exponents)
+    for e in exponents:
+        w = 0 if e is None else shape.r ** e
+        out = [c + d * w for c in out for d in range(shape.r)]
     return tuple(out) if _full(shape, n) else tuple(out[c] for c in _codes(shape, n))
 
 
@@ -379,19 +366,6 @@ def _table(shape, exponents):
 def _shape_fibres(shape, exponents):
     """The fibres of `_table(shape, exponents)`."""
     return _fibres(_table(shape, exponents), _size(shape, _below(exponents)))
-
-
-@_per_shape
-def _code_table(shape, exponents):
-    """The restriction along b <= v on the code space of v, for
-    `_exponents(v, b, b)` (see `code_table` in `build_resource_sheaf`)."""
-    if _full(shape, len(exponents)):
-        return _table(shape, exponents)
-    n, down = _below(exponents), _placed(shape.r, exponents)
-    if _full(shape, n):
-        return tuple(down)
-    below, size = _ids(shape, n), _size(shape, n)
-    return tuple(size if below[c] < 0 else below[c] for c in down)
 
 
 # -- the sheaf condition -----------------------------------------------------

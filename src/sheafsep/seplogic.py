@@ -46,7 +46,6 @@ from .pred import (
     SheafMorphism,
     _all,
     _close,
-    _image,
     _preimage,
     bottom_predicate,
     implication,
@@ -464,30 +463,26 @@ def _star_terms(model, p, q, v):
     sorted order, whose halves are both nonempty: the one walk that
     every reading of the star takes.
 
-    Under an agreement-only cell rule (`ResourceMonoid.agreement`) the
-    product of m1 and m2 is the heap h at v with h|b = m1 and h|c = m2,
-    defined iff h's cells at the overlap lie in D: two restriction
-    preimages (each taken once per half-stage) and a mask.  Any other
-    rule multiplies codes (see `ResourceMonoid`).  p at b is lifted to
-    the codes at v (`code_table`, once per half-stage) and cut by its
-    codes z at the overlap o into pieces A_z, shifted to o-digits 0
-    (`_pieces`); q at c likewise into B_t.  A_z leaves the digits at
-    c \\ o free and B_t those at b \\ o, so A_z & B_t is the set of sums
-    E_b(i) + E_c(j) over the members i with code z at o and j with code
-    t (the README's shift lemma), and each pair whose overlap product is
-    defined contributes (A_z & B_t) << M_o(z, t).  The codes are mapped
-    to ids at v once, at the end."""
+    Each half is lifted to v once per half-stage: p at b to its
+    preimage along the restriction b <= v, q at c likewise.  Under an
+    agreement-only cell rule (`ResourceMonoid.agreement`) the product of
+    m1 and m2 is the heap h at v with h|b = m1 and h|c = m2, defined iff
+    h's cells at the overlap lie in D: the two lifts and a mask.  Any
+    other rule multiplies codes, which are the ids of partial memory
+    (see `ResourceMonoid`): the lift of p is cut by its codes z at the
+    overlap o into pieces A_z, shifted to o-digits 0 (`_pieces`), and
+    q's likewise into B_t.  A_z leaves the digits at c \\ o free and B_t
+    those at b \\ o, so A_z & B_t is the set of sums E_b(i) + E_c(j)
+    over the members i with code z at o and j with code t (the README's
+    shift lemma), and each pair whose overlap product is defined
+    contributes (A_z & B_t) << M_o(z, t)."""
     cat, mp, stage, monoid = model.site.cat, model.sheaf, p.stage, model.monoid
-    agreement, ids = monoid.agreement() is not None, mp.ids(v)
+    agreement = monoid.agreement() is not None
     lefts, rights = {}, {}
 
     def lift(memo, b, bits):
         if b not in memo:
-            if b == v and (agreement or ids is None):  # along the identity
-                memo[b] = bits
-            else:
-                table = mp.table(cat.hom(b, v)[0]) if agreement else mp.code_table(b, v)
-                memo[b] = _preimage(table, bits)
+            memo[b] = bits if b == v else _preimage(mp.table(cat.hom(b, v)[0]), bits)
         return memo[b]
 
     for b, c in splittings(cat, model.site.monoidal, v):
@@ -510,7 +505,7 @@ def _star_terms(model, p, q, v):
                     m = row1[t1] + row2[t2]
                     if m >= 0:
                         out |= x << m
-        yield b, c, out if ids is None else _image(ids, out)
+        yield b, c, out
 
 
 def _pieces(bits, halves):
@@ -645,12 +640,12 @@ def _star_witness(model, p, q, element):
     that term's halves are the element's restrictions; otherwise
     `_product_halves` searches its splitting."""
     cat, mp, stage = model.site.cat, model.sheaf, p.stage
-    k = heap_id(mp, stage, element.values)
+    k = mp.code(element.values)
     for b, c, bits in _star_terms(model, p, q, stage):
         if bits >> k & 1:
             if model.monoid.agreement() is None:
                 i, j = _product_halves(model, b, c, stage, p.bits[cat.hom(b, stage)[0]],
-                                       q.bits[cat.hom(c, stage)[0]], mp.code(element.values))
+                                       q.bits[cat.hom(c, stage)[0]], k)
             else:
                 i, j = mp.table(cat.hom(b, stage)[0])[k], mp.table(cat.hom(c, stage)[0])[k]
             return {
@@ -664,14 +659,14 @@ def _star_witness(model, p, q, element):
 
 def _product_halves(model, b, c, v, left, right, target):
     """The least pair of ids (i, j), i in left at b and j in right at c,
-    whose product has the target code at v, read off the pieces of
+    whose product has the target id at v, read off the pieces of
     `_star_terms`.  Every such i holds the target's digits at b \\ o, so
     the candidates' ids run in the order of their codes z at o, and with
     i fixed the js run in the order of t: the first pair of pieces, z
     then t, whose product holds the target gives the pair."""
     mp, halves = model.sheaf, model.monoid.overlap(b & c, v)
     (place1, _, meet1), (place2, _, meet2) = halves
-    down_b, down_c = mp.code_table(b, v), mp.code_table(c, v)
+    down_b, down_c = (mp.table(model.site.cat.hom(a, v)[0]) for a in (b, c))
     pieces = _pieces(_preimage(down_c, right), halves)
     for z1, z2, a in _pieces(_preimage(down_b, left), halves):
         for t1, t2, x in pieces:
@@ -705,7 +700,11 @@ def sat(model: ResourceModel, phi, stage, element, mode="unfolded") -> SatResult
     mp = model.sheaf
     i = heap_id(mp, stage, element.values) if element.locations == mp.named(stage) else -1
     if i < 0:
-        raise StageMismatchError(f"{element!r} is not a resource at stage {mp.named(stage)!r}")
+        # in the --heap and --stage literal syntax
+        cells = ", ".join(f"{x}:{'null' if y is None else y}"
+                          for x, y in element.as_dict().items())
+        raise StageMismatchError(
+            f"{{{cells}}} is not a resource at stage {{{','.join(mp.named(stage))}}}")
     if not isinstance(phi, Star):
         return SatResult(bool(_stage_bits(model, phi, stage, mode) >> i & 1), stage, element)
     # evaluate the operands once: the witness search reuses them

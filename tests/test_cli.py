@@ -188,6 +188,19 @@ def test_repeated_heap_location_is_a_schema_error(tmp_path, capsys, heap):
         "error": "ModelSchemaError", "detail": "--heap: location 'x' listed twice"}
 
 
+def test_a_heap_outside_the_carrier_is_named_in_literal_syntax(tmp_path, capsys):
+    """`sat` on a heap outside the model's carrier (support bound -1
+    admits none) names the heap and the stage in the `--heap` and
+    `--stage` literal syntax, not as Python reprs."""
+    doc = dict(MEMORY_DOC, sheaf="support-bounded", support_bound=-1, monoid=None, formulas={})
+    argv = ["sat", "--model", write_model(tmp_path, doc), "--formula", "T",
+            "--heap", "{y:0, x:null}"]
+    assert main(argv + ["--json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "StageMismatchError",
+        "detail": "{x:null, y:0} is not a resource at stage {x,y}"}
+
+
 def _malformed_psl_blocks(blocks, size=4):
     """PSL_DOC with unif4's blocks replaced, one measure per block."""
     unif4 = dict(size=size, blocks=blocks, measure=[f"1/{len(blocks)}"] * len(blocks))

@@ -104,15 +104,15 @@ def _model(n, values):
 
 class _Sparse:
     """The rng `random_closed_predicate` reads, putting each id in the
-    family it closes with probability `density`.  Its own draw of one
-    half per id closes to the top predicate at three and four
-    locations, where every pair would pass."""
+    family it closes with probability `density` in place of the
+    sampler's own 2/n for n ids: a draw of 0.0 is below that threshold,
+    and one of 1.0 is not."""
 
     def __init__(self, seed, density):
         self._rng, self._density = random.Random(seed), density
 
     def random(self):
-        return 0.0 if self._rng.random() < self._density else 0.5
+        return 0.0 if self._rng.random() < self._density else 1.0
 
 
 def _sampled(model, seed, ids):

@@ -4,6 +4,7 @@ references in `day_reference`, which are fed the element-level memory
 sheaves of `presheaf_reference`."""
 
 import functools
+import re
 from dataclasses import replace
 
 import pytest
@@ -24,7 +25,7 @@ from sheafsep.day import (
 )
 from sheafsep.errors import BudgetExceededError, MonoidalStructureError
 from sheafsep.fincat import build_finsurj_category, build_powerset_category
-from sheafsep.presheaf import Heap, build_resource_sheaf, check_sheaf
+from sheafsep.presheaf import build_resource_sheaf, check_sheaf
 from sheafsep.site import Site, build_coverage
 
 KINDS = {
@@ -402,7 +403,7 @@ def test_both_flag_a_broken_cell_rule(law):
     mp, mon = _sheaf("Mp", 2, 2), _powerset(2)[1]
 
     def broken():
-        return ResourceMonoid(mp, "broken", BROKEN_CELLS[law], 0, Heap((), ()))
+        return ResourceMonoid(mp, "broken", BROKEN_CELLS[law])
 
     assert {v.kind for v in check_monoid_laws(broken(), mon).violations} == {law}
     assert {v.kind for v in ref.check_monoid_laws(broken(), mon).violations} == {law}
@@ -424,17 +425,19 @@ def test_certificate_flags_a_tampered_product_entry(defined):
 
 
 def test_certificate_flags_products_that_leave_the_carrier():
-    """On a support-bounded carrier two disjoint singletons multiply to a
-    heap outside it.  The product table holds -1 there though no cell is
-    UNDEFINED, so the certificate flags it; the triple walk multiplies
-    heaps outside the carrier and does not notice."""
-    bounded, mon = _sheaf("bounded", 2, 1), _powerset(2)[1]
-    monoid = build_memory_monoid(bounded, "strong-partial")
-    rep = check_monoid_laws(monoid, mon)
+    """Under a cell rule on partial memory whose product of two cells is
+    no cell (7, which is not a value of the carrier) a heap with a shared
+    location multiplies to a heap outside the carrier.  The product
+    table holds -1 there though no cell is UNDEFINED, so the certificate
+    flags it; the triple walk multiplies heaps outside the carrier and
+    does not notice."""
+    mp, mon = _sheaf("Mp", 2, 1), _powerset(2)[1]
+    leaky = ResourceMonoid(mp, "leaky", lambda x, y: 7)
+    rep = check_monoid_laws(leaky, mon)
     assert {v.kind for v in rep.violations} == {"pointwise"}
-    assert "<x:0>.<y:0> is None in the product table, but outside the carrier" in {
+    assert "<x:0>.<x:0> is None in the product table, but outside the carrier" in {
         v.detail for v in rep.violations}
-    assert ref.check_monoid_laws(build_memory_monoid(bounded, "strong-partial"), mon).ok
+    assert ref.check_monoid_laws(leaky, mon).ok
 
 
 BOUNDED = [(n, k) for n in (1, 2, 3) for k in range(n + 1)]
@@ -444,33 +447,44 @@ BOUNDED = [(n, k) for n in (1, 2, 3) for k in range(n + 1)]
 @pytest.mark.parametrize("n_values", [1, 2, 3])
 @pytest.mark.parametrize("n_locs,bound", BOUNDED)
 def test_products_on_support_bounded_carriers_match_apply(n_locs, bound, n_values, variant):
-    """The product tables read the carrier's numbering: every entry is
-    the id of the cellwise product in the stage's element listing, or -1
-    when it is undefined or leaves the carrier.  At bound 0 every stage
-    holds only the empty heap, yet the radix is the full cell count."""
-    cat, _ = _powerset(n_locs)
-    mp = build_resource_sheaf(cat, "support-bounded", names(cat), values=(0, 1, 2)[:n_values],
-                              bound=bound)
+    """A support-bounded carrier takes no monoid, at any bound: its ids
+    are not codes, and `build_memory_monoid` refuses it.  Its heaps
+    multiply in partial memory: for every pair of them at a splitting,
+    the partial-memory product table holds the id of `apply`'s product
+    (-1 when undefined), which is a heap of the bounded carrier iff it
+    allocates at most `bound` cells."""
+    cat, mon = _powerset(n_locs)
+    values = (0, 1, 2)[:n_values]
+    bounded = build_resource_sheaf(cat, "support-bounded", names(cat), values=values, bound=bound)
+    with pytest.raises(MonoidalStructureError, match="need a partial-memory sheaf"):
+        build_memory_monoid(bounded, variant)
+    mp = build_resource_sheaf(cat, "partial-memory", names(cat), values=values)
     monoid = build_memory_monoid(mp, variant)
-    assert monoid._digits()[0] == n_values + 1
     for v in cat.objects:
-        index = mp.index(v)
-        for b, c in day.splittings(cat, _powerset(n_locs)[1], v):
+        for b, c in day.splittings(cat, mon, v):
             rows = monoid.products(b, c)
-            for i, s in enumerate(mp.at(b)):
-                for j, t in enumerate(mp.at(c)):
+            for s in bounded.at(b):
+                for t in bounded.at(c):
                     prod = ref.apply(monoid, day.Decomp(v, b, c, s, t))
-                    assert rows[i][j] == index.get(prod, -1), (b, c, s, t)
+                    assert rows[mp.index(b)[s]][mp.index(c)[t]] == mp.index(v).get(prod, -1)
+                    if prod is not None:
+                        allocated = sum(x is not None for x in prod.values)
+                        assert (prod in bounded.index(v)) == (allocated <= bound), (s, t)
 
 
-@pytest.mark.parametrize("carrier", ["yoneda", "constant", "terminal"])
+@pytest.mark.parametrize("carrier", ["yoneda", "constant", "terminal", "strict", "bounded"])
 def test_memory_monoid_needs_a_memory_sheaf(carrier):
-    """A carrier without the memory numbering is refused when the monoid
-    is built, not at its first product."""
+    """A carrier other than partial memory is refused when the monoid is
+    built, not at its first product: one without the memory numbering,
+    strict memory, and support-bounded memory, whose bound admits every
+    heap at 2 locations."""
     cat, _ = build_powerset_category(2)
-    mp = {"yoneda": yoneda(cat, 0b01), "constant": constant(cat, (0, 1)),
-          "terminal": terminal(cat)}[carrier]
-    with pytest.raises(MonoidalStructureError, match="need a memory sheaf"):
+    mp = {"yoneda": lambda: yoneda(cat, 0b01), "constant": lambda: constant(cat, (0, 1)),
+          "terminal": lambda: terminal(cat), "strict": lambda: _sheaf("M", 2, 2),
+          "bounded": lambda: build_resource_sheaf(cat, "support-bounded", names(cat),
+                                                  values=(0, 1), bound=2)}[carrier]()
+    want = f"memory monoids need a partial-memory sheaf, got {re.escape(mp.name)}$"
+    with pytest.raises(MonoidalStructureError, match=want):
         build_memory_monoid(mp, "weak-partial")
 
 

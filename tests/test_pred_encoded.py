@@ -35,12 +35,15 @@ from sheafsep.pred import (
     random_closed_predicate,
     reindex_preimage,
 )
-from sheafsep.errors import NotASheafError, StageMismatchError
+from sheafsep.errors import (
+    AtomTypeError,
+    MonoidalStructureError,
+    StageMismatchError,
+)
 from sheafsep.presheaf import (
     Heap,
     amalgamation_operator,
     build_resource_sheaf,
-    check_sheaf,
     matching_presheaf,
 )
 from sheafsep.seplogic import (
@@ -258,35 +261,39 @@ def test_nested_star_at_four_locations_matches_reference(variant):
 
 
 @functools.cache
-def bounded_model(n, variant):
-    """A model on the support-bounded carrier (at most one allocated
-    cell), whose ids are not codes: products leaving it are dropped."""
-    m = model(n, variant)
-    mp = build_resource_sheaf(m.site.cat, "support-bounded", m.locations, values=m.values,
-                              bound=1)
-    return ResourceModel(m.site, mp, build_memory_monoid(mp, variant), m.locations, m.values,
-                         m.stage)
+def within(n, bound):
+    """Per stage of the n-location model, the bitset of its heaps with at
+    most `bound` cells allocated (all of them when bound is None): the
+    heaps of the support-bounded carrier, read in partial memory."""
+    mp = model(n, "total").sheaf
+    return {a: sum(1 << i for i, h in enumerate(mp.at(a))
+                   if bound is None or len(h.values) - h.values.count(None) <= bound)
+            for a in mp.base.objects}
 
 
-@pytest.mark.parametrize("carrier", [model, bounded_model], ids=["Mp", "bounded"])
+@pytest.mark.parametrize("bound", [None, 1], ids=["Mp", "bounded"])
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("n", [2, 3])
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(data=st.data())
-def test_arithmetic_star_matches_the_pair_loop(n, variant, carrier, data):
+def test_arithmetic_star_matches_the_pair_loop(n, variant, bound, data):
     """The bitset star at every slice stage and the witness search at the
     stage, on random bit predicates at 2-3 locations, against a pair loop
     over `day_reference.apply`.  Every exact splitting is visited, so
-    b = c = v, an empty half and the empty stage are among them."""
-    m = carrier(n, variant)
-    cat, mp, stage = m.site.cat, m.sheaf, m.stage
+    b = c = v, an empty half and the empty stage are among them.  Under
+    "bounded" the predicates hold only heaps of at most one allocated
+    cell, those of the support-bounded carrier of bound 1, whose
+    products in partial memory may allocate more."""
+    m = model(n, variant)
+    cat, mp, stage, heaps = m.site.cat, m.sheaf, m.stage, within(n, bound)
 
     def predicate():
         bits = {}
         for sl in cat.mors_into(stage):
             full = (1 << mp.size(cat.src(sl))) - 1
-            bits[sl] = data.draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)),
-                                 label=repr(cat.src(sl)))
+            bits[sl] = heaps[cat.src(sl)] & data.draw(
+                st.one_of(st.just(0), st.just(full), st.integers(0, full)),
+                label=repr(cat.src(sl)))
         return KripkePredicate(mp, m.site, stage, bits)
 
     p, q = predicate(), predicate()
@@ -321,55 +328,43 @@ def test_arithmetic_star_matches_the_pair_loop(n, variant, carrier, data):
 @pytest.mark.parametrize("n_values", [1, 2, 3])
 @pytest.mark.parametrize("n,bound", [(n, k) for n in (1, 2, 3) for k in range(n + 1)])
 def test_stars_on_support_bounded_carriers_match_reference(n, bound, n_values, variant):
-    """Both star modes, sat and its witness on the support-bounded carrier
-    at every bound, against the element-level references, which multiply
-    heaps; a product outside the carrier is no resource.  Below the
-    location count (bound 0 aside) the carrier is not a sheaf, so the
-    pipeline, which needs a sheaf, raises the amalgamation iso's
-    `NotASheafError`, with its message and report; a heap with more cells allocated than the bound
-    is outside the carrier at any mode."""
-    values = (0, 1, 2)[:n_values]
-    base = make_memory_model(("x", "y", "z")[:n], values, monoid_variant=variant)
-    mp = build_resource_sheaf(base.site.cat, "support-bounded", base.locations, values=values,
-                              bound=bound)
-    m = ResourceModel(base.site, mp, build_memory_monoid(mp, variant), base.locations, values,
-                      base.stage)
-    cat, stage, x, y, v = m.site.cat, m.stage, m.locations[0], m.locations[-1], values[-1]
-    sheaf = bound == 0 or bound >= n
-    maps = ref.pipeline_maps(m) if sheaf else None
-    ident = cat.id(stage)
+    """A support-bounded model has no star: no monoid lives on its
+    carrier (`make_memory_model` refuses the variant and
+    `build_memory_monoid` the carrier, at every bound), so a star is
+    refused at either mode while its operands still evaluate, and `sat`
+    of a formula without a star reads its denotation on every heap of
+    the carrier.  A heap with more cells allocated than the bound is
+    outside the carrier at either mode, and `sat` names it and the
+    stage in the `--heap` and `--stage` literal syntax."""
+    values, locations = (0, 1, 2)[:n_values], ("x", "y", "z")[:n]
+    with pytest.raises(AtomTypeError, match="requires the partial-memory sheaf"):
+        make_memory_model(locations, values, "support-bounded", variant, support_bound=bound)
+    m = make_memory_model(locations, values, "support-bounded", None, support_bound=bound)
+    mp, cat, stage = m.sheaf, m.site.cat, m.stage
+    with pytest.raises(MonoidalStructureError, match="need a partial-memory sheaf"):
+        build_memory_monoid(mp, variant)
+    x, y, v, ident = locations[0], locations[-1], values[-1], cat.id(stage)
     for text in (f"{x} ~> {v} * T", f"{x} |->! 0 * {y} |-> {v}",
                  f"T * ({y} ~> 0 \\/ {x} |->! {v})"):
         phi = parse_formula(text)
-        for mode in ("unfolded", "pipeline") if sheaf else ("unfolded",):
-            p = eval_formula(m, phi.left, mode=mode)
-            q = eval_formula(m, phi.right, mode=mode)
-            star = sep_conj(m, p, q, mode)
-            if mode == "unfolded":
-                assert star.family == {
-                    sl: frozenset(h for h in fam if h in mp.index(cat.src(sl)))
-                    for sl, fam in ref.unfolded_star(m, p, q).items()}
-            else:
-                assert star.family == ref.pipeline_star(m, p, q, maps)
-            witnesses = ref.star_witnesses(m, p, q)
-            for h in mp.at(stage):
-                assert _star_witness(m, p, q, h) == witnesses.get(h), (text, mode, h)
-            for h in mp.at(stage)[::n]:
-                res = sat(m, phi, stage, h, mode)
-                assert res.result == (h in star.family[ident])
-                assert res.witness == (witnesses[h] if res.result else None), (text, mode, h)
-        if not sheaf:
-            with pytest.raises(NotASheafError) as star:
-                sat(m, phi, stage, mp.element(stage, 0), "pipeline")
-            with pytest.raises(NotASheafError) as iso:
-                amalgamation_operator(mp, m.site.cov)
-            assert str(star.value) == str(iso.value)
-            assert star.value.report == iso.value.report == check_sheaf(mp, m.site.cov)
-    if bound < n:
-        crowded = Heap(m.locations, (values[0],) * (bound + 1) + (None,) * (n - bound - 1))
         for mode in ("unfolded", "pipeline"):
-            with pytest.raises(StageMismatchError):
+            for half in (phi.left, phi.right):
+                want = eval_formula(m, half, mode=mode).bits[ident]
+                for k, h in enumerate(mp.at(stage)):
+                    assert sat(m, half, stage, h, mode).result == bool(want >> k & 1)
+            with pytest.raises(AtomTypeError, match="no resource monoid"):
+                eval_formula(m, phi, mode=mode)
+            with pytest.raises(AtomTypeError, match="no resource monoid"):
+                sat(m, phi, stage, mp.element(stage, 0), mode)
+    if bound < n:
+        crowded = Heap(locations, (values[0],) * (bound + 1) + (None,) * (n - bound - 1))
+        shown = ", ".join(f"{loc}:{'null' if c is None else c}"
+                          for loc, c in zip(locations, crowded.values))
+        for mode in ("unfolded", "pipeline"):
+            with pytest.raises(StageMismatchError) as exc:
                 sat(m, Top(), stage, crowded, mode)
+            stage_literal = "{" + ",".join(locations) + "}"
+            assert str(exc.value) == f"{{{shown}}} is not a resource at stage {stage_literal}"
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -377,30 +372,21 @@ def test_stars_on_support_bounded_carriers_match_reference(n, bound, n_values, v
 def test_stage_only_sat_matches_the_full_star(n, variant):
     """`sat` reads a top-level star, or one under /\\, at the identity
     slice alone: its verdict is the bit of the denotation evaluated at
-    every slice, `sep_conj(...).bits[id(stage)]`, on every heap, on
-    partial memory and on the support-bounded carrier at every bound,
-    with the allocated atoms, which are not subsheaves, among the
-    operands.  The pipeline runs where the carrier is a sheaf."""
-    base = model(n, variant)
-    cat, stage, x, y = base.site.cat, base.stage, base.locations[0], base.locations[-1]
+    every slice, `sep_conj(...).bits[id(stage)]`, on every heap, in both
+    modes, with the allocated atoms, which are not subsheaves, among the
+    operands."""
+    m = model(n, variant)
+    cat, stage, x, y = m.site.cat, m.stage, m.locations[0], m.locations[-1]
     ident = cat.id(stage)
-    carriers = [(base, True)]
-    for bound in range(n + 1):
-        mp = build_resource_sheaf(cat, "support-bounded", base.locations, values=base.values,
-                                  bound=bound)
-        carriers.append((ResourceModel(base.site, mp, build_memory_monoid(mp, variant),
-                                       base.locations, base.values, stage),
-                         bound == 0 or bound >= n))
     texts = (f"{x} ~> 0 * {y} |-> 1", f"{x} |->! 1 * T", f"T * ({y} ~> 0 \\/ {x} |->! 1)",
              f"({x} |->! 0 * T) /\\ (T * {y} |->! 1)", f"{y} ~> 1 /\\ ({x} |-> 0 * T)",
              f"({x} ~> 0 * {y} ~> 1) * T")
-    for m, sheaf in carriers:
-        for text in texts:
-            phi = parse_formula(text)
-            for mode in ("unfolded", "pipeline") if sheaf else ("unfolded",):
-                want = eval_formula(m, phi, mode=mode).bits[ident]  # every slice, by sep_conj
-                for k, h in enumerate(m.sheaf.at(stage)):
-                    assert sat(m, phi, stage, h, mode).result == bool(want >> k & 1), (text, mode, h)
+    for text in texts:
+        phi = parse_formula(text)
+        for mode in ("unfolded", "pipeline"):
+            want = eval_formula(m, phi, mode=mode).bits[ident]  # every slice, by sep_conj
+            for k, h in enumerate(m.sheaf.at(stage)):
+                assert sat(m, phi, stage, h, mode).result == bool(want >> k & 1), (text, mode, h)
 
 
 # Cell rules: the three variants and two outside them.  "null-only"
@@ -416,49 +402,38 @@ def rule_monoid(mp, rule):
         return build_memory_monoid(mp, rule)
     if rule == "null-only":
         return ResourceMonoid(mp, rule, lambda x, y: None if x is None and y is None
-                              else UNDEFINED, (), Heap((), ()))
-    return ResourceMonoid(mp, "weak-partial", build_memory_monoid(mp, "total").cell, (),
-                          Heap((), ()))
+                              else UNDEFINED)
+    return ResourceMonoid(mp, "weak-partial", build_memory_monoid(mp, "total").cell)
 
 
 @functools.cache
-def rule_model(n, bound, rule):
-    """Two values at n locations under the rule, on partial memory (bound
-    None) or the support-bounded carrier, with the reference pipeline's
-    maps where the carrier is a sheaf at 1-3 locations (None elsewhere)."""
+def rule_model(n, rule):
+    """Two values at n locations of partial memory under the rule, with
+    the reference pipeline's maps at 1-3 locations (None at 4)."""
     base = make_memory_model(("x", "y", "z", "w")[:n], (0, 1), monoid_variant=None)
-    mp = base.sheaf if bound is None else build_resource_sheaf(
-        base.site.cat, "support-bounded", base.locations, values=base.values, bound=bound)
-    m = ResourceModel(base.site, mp, rule_monoid(mp, rule), base.locations, base.values,
-                      base.stage)
-    sheaf = n < 4 and (bound in (None, 0) or bound >= n)
-    return m, ref.pipeline_maps(m) if sheaf else None
+    m = ResourceModel(base.site, base.sheaf, rule_monoid(base.sheaf, rule), base.locations,
+                      base.values, base.stage)
+    return m, ref.pipeline_maps(m) if n < 4 else None
 
 
-CARRIERS = [(n, bound) for n in (1, 2, 3) for bound in (None, *range(n + 1))]
 # 4-location stages, sampled under the rules that multiply codes, at the
-# stage alone: partial memory and the support-bounded carrier, whose
-# products may leave it
-STAGE_SAMPLES = [((4, bound), rule) for bound in (None, 1, 2)
-                 for rule in ("total", "total-named-weak")]
+# stage alone
+STAGE_SAMPLES = [(4, rule) for rule in ("total", "total-named-weak")]
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(case=st.sampled_from([(carrier, rule) for carrier in CARRIERS for rule in RULES]
+@given(case=st.sampled_from([(n, rule) for n in (1, 2, 3) for rule in RULES]
                             + STAGE_SAMPLES), data=st.data())
 def test_star_under_every_cell_rule_matches_the_reference(case, data):
     """Both star modes, the stage-only star and the witness of every heap
     at the stage, against `pred_reference`, on random families that are
     not restriction-closed (as the allocated atoms are not): 1 to 3
-    locations, partial memory and the support-bounded carrier at every
-    bound, the three variants and two other cell rules.  A product that
-    leaves the carrier is no resource; the pipeline runs where the
-    carrier is a sheaf.  At 4-location stages under the code-multiplying
-    rules the star at the stage and every heap's least pair are checked
-    (the splitting b = c = v, whose overlap has 4 locations, always
-    holds a product there)."""
-    carrier, rule = case
-    m, maps = rule_model(*carrier, rule)
+    locations, the three variants and two other cell rules.  At
+    4-location stages under the code-multiplying rules the star at the
+    stage and every heap's least pair are checked (the splitting
+    b = c = v, whose overlap has 4 locations, always holds a product
+    there)."""
+    m, maps = rule_model(*case)
     cat, mp, stage = m.site.cat, m.sheaf, m.stage
     four = stage.bit_count() == 4
 
@@ -483,23 +458,19 @@ def test_star_under_every_cell_rule_matches_the_reference(case, data):
     if four:
         want = {}
         for b, c, _, _, prod in ref.star_products(m, p, q, stage):
-            k = mp.index(stage).get(prod)
-            if k is not None:
-                want[b, c] = want.get((b, c), 0) | 1 << k
+            want[b, c] = want.get((b, c), 0) | 1 << mp.index(stage)[prod]
         terms = {(b, c): bits for b, c, bits in _star_terms(m, p, q, stage) if bits}
         assert terms == want
-        assert want[stage, stage]  # the total rule keeps the carrier's bound
+        assert want[stage, stage]
         for h in mp.at(stage):
             assert _star_witness(m, p, q, h) == witnesses.get(h), h
         return
     star = sep_conj(m, p, q, "unfolded")
-    assert star.family == {sl: frozenset(h for h in fam if h in mp.index(cat.src(sl)))
-                           for sl, fam in ref.unfolded_star(m, p, q).items()}
+    assert star.family == ref.unfolded_star(m, p, q)
     assert _star_bits(m, p, q, stage) == star.bits[cat.id(stage)]
     for h in mp.at(stage):
         assert _star_witness(m, p, q, h) == witnesses.get(h), h
-    if maps is not None:
-        assert sep_conj(m, p, q, "pipeline").family == ref.pipeline_star(m, p, q, maps)
+    assert sep_conj(m, p, q, "pipeline").family == ref.pipeline_star(m, p, q, maps)
 
 
 @pytest.mark.parametrize("rule", RULES)
@@ -508,7 +479,7 @@ def test_the_star_path_follows_the_digit_rule(rule, monkeypatch):
     read no overlap table of the cell rule; the others (total, and the
     total rule under the weak-partial name) do, and all agree with the
     reference."""
-    m, _ = rule_model(3, None, rule)
+    m, _ = rule_model(3, rule)
     cells = m.sheaf.cells
     want = {"weak-partial": frozenset(range(len(cells))), "strong-partial": frozenset(),
             "null-only": frozenset({cells.index(None)})}.get(rule)
@@ -531,19 +502,48 @@ def test_the_star_path_follows_the_digit_rule(rule, monkeypatch):
 
 
 def test_random_closed_predicate_keeps_its_draws():
-    """`random_closed_predicate` builds its bits with `_bitset` from the
-    same `rng.random()` draws, in the same order, as the sum it
-    replaced, at 2 and 4 locations (stages on either side of
+    """`random_closed_predicate` builds its bits with `_bitset` from one
+    `rng.random()` draw per id, in slice order, each id in when its draw
+    is below 2/n for the n ids over all slices, as a sum over the ids
+    gives them, at 2 and 4 locations (stages on either side of
     `_SCAN_BITS`)."""
     for n in (2, 4):
         m = model(n, "weak-partial")
         cat, mp = m.site.cat, m.sheaf
         new, old = random.Random(n), random.Random(n)
         got = random_closed_predicate(new, mp, m.site, m.stage)
-        bits = {sl: sum(1 << i for i in range(mp.size(cat.src(sl))) if old.random() < 0.5)
+        density = 2 / sum(mp.size(cat.src(sl)) for sl in cat.mors_into(m.stage))
+        bits = {sl: sum(1 << i for i in range(mp.size(cat.src(sl))) if old.random() < density)
                 for sl in cat.mors_into(m.stage)}
         assert got.bits == _close(mp, m.site, bits)
         assert new.random() == old.random()
+
+
+def test_sampled_predicates_are_seldom_top():
+    """Deterministic: of 20 draws at the top stage (seed 7, two values)
+    on the carrier, on its Day decompositions and on Match(F), few close
+    to the top predicate, and few to one without a heap at the stage,
+    so `laws`' residuation and adjunction samples do not compare top
+    with top.  Each id had probability one half before, and 20 of 20
+    draws on the carrier were top at 3 and at 4 locations."""
+    counts = {}
+    for n in (2, 3, 4):
+        m = make_memory_model(("w", "x", "y", "z")[:n], (0, 1))
+        cat, site, stage = m.site.cat, m.site, m.stage
+        carriers = {"F": m.sheaf, "decomp": day_decomp(m.sheaf, m.sheaf, site.monoidal)}
+        if n < 4:
+            carriers["Match"] = matching_presheaf(m.sheaf, site.cov)
+        for name, resource in carriers.items():
+            rng, top = random.Random(7), (1 << resource.size(stage)) - 1
+            tops = empties = 0
+            for _ in range(20):
+                at_stage = random_closed_predicate(rng, resource, site, stage).bits[cat.id(stage)]
+                tops, empties = tops + (at_stage == top), empties + (at_stage == 0)
+            counts[n, name] = tops, empties
+    assert counts == {
+        (2, "F"): (1, 5), (2, "decomp"): (0, 1), (2, "Match"): (1, 5),
+        (3, "F"): (0, 2), (3, "decomp"): (0, 3), (3, "Match"): (0, 2),
+        (4, "F"): (0, 5), (4, "decomp"): (0, 6)}
 
 
 SIZES = (st.sampled_from([0, 1, 2, 27, 63, 64, 65, 81, 256, 1296])

@@ -1,16 +1,19 @@
 """The README names code that exists and states its constants as they are.
 
-Three checks on the README's backticked spans:
+Four checks on the README's backticked spans:
 - every `module.attr` (a `sheafsep` module and a dotted path in it, a
   call's arguments aside) resolves;
+- every bare private name (`_name`) is an attribute of a `sheafsep`
+  module or a member of one of its classes;
 - every ALL-CAPS constant it names, bare or as `module.NAME`, is
   defined in some `sheafsep` module;
 - every `` `NAME` = value `` it states (an integer, with thousands
   separators, or a power `a^b`) is the constant's value in the code.
-So a README that still names a removed cache or constant, or a bound at
-its old value, fails here."""
+So a README that still names a removed cache, helper or constant, or a
+bound at its old value, fails here."""
 
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -52,6 +55,27 @@ def test_every_named_module_attribute_resolves():
     named = {m[1] for span in SPANS if (m := pattern.match(span))}
     assert len(named) >= 20
     assert _missing(named) == []
+
+
+def _member(name):
+    """Whether some `sheafsep` module has this attribute, or some class
+    defined in one has it as a class attribute or dataclass field, or
+    as an attribute its methods set on `self`."""
+    for module in (importlib.import_module(f"sheafsep.{m}") for m in MODULES):
+        if hasattr(module, name):
+            return True
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__ and (
+                    hasattr(cls, name) or name in getattr(cls, "__dataclass_fields__", ())
+                    or re.search(rf"\bself\.{name}\b", inspect.getsource(cls))):
+                return True
+    return False
+
+
+def test_every_named_private_name_resolves():
+    named = {span for span in SPANS if re.fullmatch(r"_\w+", span)}
+    assert {"_close", "_star_bits", "_tables"} <= named
+    assert [name for name in sorted(named) if not _member(name)] == []
 
 
 def test_every_named_constant_exists():

@@ -1,7 +1,7 @@
 """The tables a memory model shares with every model of its shape.
 
-A memory carrier's codes, ids, sizes, restriction tables and code
-tables, the monoids' `agreeing` and halves' tables, and the positive
+A memory carrier's codes, ids, sizes, restriction tables and their
+fibres, the monoids' `agreeing` and halves' tables, and the positive
 sheaf certificates are kept in its shape's entry (`presheaf._Shape`),
 which every live carrier of the shape holds and the registry
 `presheaf._shapes` holds weakly, and its site with its location count
@@ -27,7 +27,6 @@ import pytest
 
 import presheaf_reference as ref
 from sheafsep import cli, day, fincat, presheaf, seplogic, site
-from sheafsep.day import ResourceMonoid, build_memory_monoid
 from sheafsep.errors import NotASheafError
 from sheafsep.presheaf import build_resource_sheaf, check_sheaf, require_sheaf
 from sheafsep.seplogic import eval_formula, make_memory_model, parse_formula, powerset_site
@@ -146,20 +145,18 @@ def test_outputs_do_not_depend_on_the_models_served_before(tmp_path, monkeypatch
 
 
 def test_a_support_bounded_carrier_is_not_certified_by_a_partial_memory_one():
-    """A pipeline star on a support-bounded carrier, after one on a
+    """`require_sheaf` on a support-bounded carrier, after a
     partial-memory carrier of the same locations and cells was
     certified, still raises `NotASheafError` with `check_sheaf`'s
     report: the certificate's key holds the sheaf kind and the bound."""
-    partial = make_memory_model(("a", "b", "c"), (0, 1), monoid_variant="weak-partial")
-    eval_formula(partial, parse_formula("a ~> 0 * T"), mode="pipeline")
-    bounded = make_memory_model(("x", "y", "z"), (5, 6), sheaf_kind="support-bounded",
-                                monoid_variant=None, support_bound=1)
-    assert len(bounded.sheaf.cells) == len(partial.sheaf.cells)
-    bounded.monoid = build_memory_monoid(bounded.sheaf, "weak-partial")
+    partial, cov = _carrier(("a", "b", "c"))
+    require_sheaf(partial, cov)
+    bounded, _ = _carrier(("x", "y", "z"), values=(5, 6), kind="support-bounded", bound=1)
+    assert len(bounded.cells) == len(partial.cells)
     with pytest.raises(NotASheafError) as exc:
-        eval_formula(bounded, parse_formula("x ~> 5 * T"), mode="pipeline")
+        require_sheaf(bounded, cov)
     assert not exc.value.report.ok
-    assert exc.value.report == check_sheaf(bounded.sheaf, bounded.site.cov)
+    assert exc.value.report == check_sheaf(bounded, cov)
 
 
 def _entries(entry):
@@ -435,14 +432,12 @@ def test_a_shape_entry_lives_as_long_as_a_carrier_of_its_shape(certified):
     carrier of its shape reads its very tables and its certificate.
     Once both are dropped and `gc.collect()` has run, no entry of any
     of these shapes is left; a new carrier of the first shape reads
-    equal restriction and code tables, built again, and is certified
-    again, once, for it and a further carrier of its shape."""
+    equal restriction tables, built again, and is certified again,
+    once, for it and a further carrier of its shape."""
     first, cov = _carrier(("a", "b"))
     require_sheaf(first, cov)
     cat = first.base
-    pairs = [(cat.src(f), cat.dst(f)) for f in cat.all_morphisms()]
     tables = [first.table(f) for f in cat.all_morphisms()]
-    codes = [first.code_table(b, v) for b, v in pairs]
     shape, built = first.shape.key, len(first.shape.tables)
     for values in range(1, cli.MODELS_KEPT + 1):
         require_sheaf(*_carrier(("a", "b"), values=tuple(range(100, 100 + values)),
@@ -461,7 +456,6 @@ def test_a_shape_entry_lives_as_long_as_a_carrier_of_its_shape(certified):
     assert not presheaf._shapes
     again, _ = _carrier(("x", "y"))
     assert [again.table(f) for f in again.base.all_morphisms()] == tables
-    assert [again.code_table(b, v) for b, v in pairs] == codes
     for carrier in (again, _carrier(("p", "q"))[0]):
         require_sheaf(carrier, cov)
     assert certified["is_sheaf"] == cli.MODELS_KEPT + 2
