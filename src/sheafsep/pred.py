@@ -284,10 +284,11 @@ def random_closed_predicate(rng, resource, site, stage) -> KripkePredicate:
     """Closure of a sparse sampled family: a valid subsheaf predicate.
     Each of the n ids over the slices joins the family with probability
     2/n, one `rng.random()` per id in slice order, so the family holds
-    two ids in expectation; a denser one closes to the top predicate on
-    most draws at 3 and 4 locations."""
+    two ids in expectation (none when the slices hold no id); a denser
+    one closes to the top predicate on most draws at 3 and 4 locations."""
     src, slices = site.cat.src, site.cat.mors_into(stage)
-    density = 2 / sum(resource.size(src(p)) for p in slices)
+    n = sum(resource.size(src(p)) for p in slices)
+    density = 2 / n if n else 0
     bits = {p: _bitset([rng.random() < density for _ in range(resource.size(src(p)))])
             for p in slices}
     return KripkePredicate(resource, site, stage, _close(resource, site, bits))

@@ -401,8 +401,8 @@ def make_memory_model(locations, values, sheaf_kind="partial-memory",
     locations (`powerset_site`).
 
     Every monoid variant lives on partial memory (a total multiplication
-    needs the unallocated value to absorb conflicts), so requesting one
-    with another sheaf kind is rejected.
+    needs the unallocated value to absorb conflicts): `build_memory_monoid`
+    refuses one on another sheaf kind.
     """
     if coverage_kind not in ("downward-closed", "finite-covers"):
         raise CoverageKindError(f"memory models need a lub coverage, got {coverage_kind!r}")
@@ -412,10 +412,6 @@ def make_memory_model(locations, values, sheaf_kind="partial-memory",
                                  bound=support_bound)
     monoid = None
     if monoid_variant is not None:
-        if sheaf_kind != "partial-memory":
-            raise AtomTypeError(
-                f"monoid {monoid_variant!r} requires the partial-memory sheaf"
-            )
         monoid = build_memory_monoid(sheaf, monoid_variant)
     stage = (1 << len(locations)) - 1
     return ResourceModel(site, sheaf, monoid, locations, tuple(sorted(values)), stage, name)

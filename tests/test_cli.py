@@ -201,6 +201,20 @@ def test_a_heap_outside_the_carrier_is_named_in_literal_syntax(tmp_path, capsys)
         "detail": "{x:null, y:0} is not a resource at stage {x,y}"}
 
 
+def test_laws_on_a_carrier_without_heaps(tmp_path, capsys):
+    """`laws` samples predicates on a carrier with no heap at any stage
+    (support bound -1): an empty family, so every law holds and nothing
+    reaches stderr."""
+    doc = dict(MEMORY_DOC, sheaf="support-bounded", support_bound=-1, monoid=None, formulas={})
+    argv = ["laws", "--model", write_model(tmp_path, doc), "--samples", "1", "--json"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["status"] == {
+        "residuation": "ok (1 samples)", "monoid-laws": "skipped (no monoid)",
+        "day-stability": "ok", "adjunction": "skipped (no monoid)", "amalgamation-iso": "ok"}
+    assert err == ""
+
+
 def _malformed_psl_blocks(blocks, size=4):
     """PSL_DOC with unif4's blocks replaced, one measure per block."""
     unif4 = dict(size=size, blocks=blocks, measure=[f"1/{len(blocks)}"] * len(blocks))

@@ -13,6 +13,7 @@ from sheafsep.day import ResourceMonoid
 from sheafsep.errors import (
     AtomTypeError,
     FormulaSyntaxError,
+    MonoidalStructureError,
     UnknownIdentifierError,
 )
 from sheafsep.pred import random_closed_predicate
@@ -369,7 +370,7 @@ def test_check_formula_flags_unknowns(weak2):
 
 
 def test_monoid_requires_partial_memory():
-    with pytest.raises(AtomTypeError):
+    with pytest.raises(MonoidalStructureError, match="need a partial-memory sheaf"):
         make_memory_model({"x"}, (0, 1), sheaf_kind="strict-memory",
                           monoid_variant="weak-partial")
 
