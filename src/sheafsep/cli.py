@@ -60,6 +60,7 @@ from .site import validate_coverage
 SCHEMA_VERSION = 1
 TOP_STAGE_HEAP_BOUND = 11**4  # (|values| + 1) ** |locations| partial heaps
 LAWS_WITNESSES_PER_LAW = 32  # then one witness counting the rest
+LAWS_SAMPLES_BOUND = 1000  # the most --samples a laws request draws
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ended
 MODELS_KEPT = 8  # loaded models kept by (path, text), the most recently loaded
 
@@ -401,6 +402,8 @@ def _cmd_check_sheaf(model, args, report):
 def _cmd_laws(model, args, report):
     if args.samples < 1:
         raise ModelSchemaError("--samples", f"at least 1 sample required, got {args.samples}")
+    _require(args.samples <= LAWS_SAMPLES_BOUND, "--samples",  # before any sampling
+             f"bound exceeded: {args.samples} > {LAWS_SAMPLES_BOUND}")
     rng = random.Random(args.seed)
     site, mp = model.site, model.sheaf
     stage = model.stage
@@ -546,12 +549,12 @@ def _formula_from_args(model, args):
 
 
 _COMMANDS = {
-    "check-site": (_cmd_check_site, ResourceModel),
-    "check-sheaf": (_cmd_check_sheaf, ResourceModel),
-    "laws": (_cmd_laws, ResourceModel),
-    "eval": (_cmd_eval, ResourceModel),
-    "sat": (_cmd_sat, ResourceModel),
-    "psl": (_cmd_psl, PslModel),
+    "check-site": (_cmd_check_site, "memory"),
+    "check-sheaf": (_cmd_check_sheaf, "memory"),
+    "laws": (_cmd_laws, "memory"),
+    "eval": (_cmd_eval, "memory"),
+    "sat": (_cmd_sat, "memory"),
+    "psl": (_cmd_psl, "psl"),
 }
 
 
@@ -560,11 +563,9 @@ def run_command(command, args) -> CommandReport:
     check failures (encoded in the exit code), only for usage errors."""
     report = CommandReport(command=command, model=args.model)
     model = load_model(args.model)
-    handler, model_type = _COMMANDS[command]
-    if not isinstance(model, model_type):
-        raise ModelSchemaError(
-            "kind", f"command {command!r} needs a {model_type.__name__} model"
-        )
+    handler, kind = _COMMANDS[command]
+    got = "psl" if isinstance(model, PslModel) else "memory"
+    _require(got == kind, "kind", f"command {command!r} needs a {kind} model, got a {got} model")
     started = time.perf_counter()
     handler(model, args, report)
     report.seconds = time.perf_counter() - started

@@ -372,14 +372,14 @@ def _shape_fibres(shape, exponents):
 
 
 class _EncodedCover:
-    """A cover of a presheaf in index form.
+    """A cover of a presheaf in index form: its carrier half, over the
+    site half that the site keeps for every carrier (`SieveMasks.skeleton`).
 
     A family over the full sieve is determined by its values on any
     generating subfamily (precomposition closure); this implementation
     lemma has a dedicated test.  A family is therefore held as a tuple of
     ids in the generators' stages, one per generator; each member reads
-    its value off the first generator it factors through.  Generators and
-    factorisations are read from the category's `SieveMasks`.  The index
+    its value off the first generator it factors through.  The index
     of F(target) by restriction signature on the generators is built on
     first use.
 
@@ -394,44 +394,34 @@ class _EncodedCover:
 
     def __init__(self, ps: Presheaf, cover: Sieve):
         sm, a = sieve_masks(ps.base), cover.target
-        self.ps = ps
-        self.cover = cover
-        self.gens = gens = sm.generators(a, sm.mask(a, cover.members))
-        self.members = cover.sorted_members()
-        bit, reach = sm.bit(a), [sm.closure(a)[g] for g in gens]
-        self.factors = []  # per member: (generator position, k) with g.k = member
-        for f in self.members:
-            j = [r & bit[f] != 0 for r in reach].index(True)  # no generator to finalise
-            self.factors.append((j, sm.factor(gens[j], f)))
+        self.ps, self.cover = ps, cover
+        self.skeleton = sm.skeleton(a, sm.mask(a, cover.members))
+        self.gens, self.members = self.skeleton.gens, self.skeleton.members
         self._by_signature = None
         self._partials = {}  # budget -> families(budget)
 
     @cached_property
     def _leg_tables(self):
         """(generator position, F(k)) per member, F(k) read once per cover."""
-        return [(j, self.ps.table(k)) for j, k in self.factors]
+        return [(j, self.ps.table(k)) for j, k in self.skeleton.factors]
 
     def families(self, budget):
         """Every compatible family, as position tuples in enumeration order.
 
-        Partials grow one generator at a time.  Squares of a generator
-        with itself filter its options once; squares against earlier
-        generators are a hash join, with options grouped by their
-        restriction signature and each partial looking up its own key.
-        `budget` bounds the surviving partials.
+        Partials grow one generator at a time, over the skeleton's
+        squares.  Squares of a generator with itself filter its options
+        once; squares against earlier generators are a hash join, with
+        options grouped by their restriction signature and each partial
+        looking up its own key.  `budget` bounds the surviving partials.
         """
-        ps, cat, gens = self.ps, self.ps.base, self.gens
+        ps, sk, src = self.ps, self.skeleton, self.ps.base.src
         partials = [()]
-        for i, g in enumerate(gens):
-            options = range(ps.size(cat.src(g)))
-            for k, h in cat.squares(g, g):
+        for g, selves, joins in zip(sk.gens, sk.selves, sk.joins):
+            options = range(ps.size(src(g)))
+            for k, h in selves:
                 tk, th = ps.table(k), ps.table(h)
                 options = [x for x in options if tk[x] == th[x]]
-            joins = [
-                (j, ps.table(k), ps.table(h))
-                for j in range(i)
-                for k, h in cat.squares(g, gens[j])
-            ]
+            joins = [(j, ps.table(k), ps.table(h)) for j, k, h in joins]
             buckets = {}
             for x in options:
                 buckets.setdefault(tuple(tk[x] for _, tk, _ in joins), []).append(x)
@@ -668,6 +658,9 @@ def matching_presheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET)
     """
     cat = ps.base
 
+    def members(a):  # in sorted order, off the least cover's skeleton
+        return _encoded_cover(ps, cov.min_cover(a)).members
+
     @cache
     def families(a):
         code = _encoded_cover(ps, cov.min_cover(a))
@@ -680,16 +673,14 @@ def matching_presheaf(ps: Presheaf, cov: Coverage, budget=DEFAULT_FAMILY_BUDGET)
     def table(h):
         # min_cover(src h) sits inside the pullback of min_cover(dst h)
         # by stability, so h.g always hits the stored family.
-        above = cov.min_cover(cat.dst(h)).sorted_members()
-        picks = [above.index(cat.compose(h, g))
-                 for g in cov.min_cover(cat.src(h)).sorted_members()]
+        above = members(cat.dst(h))
+        picks = [above.index(cat.compose(h, g)) for g in members(cat.src(h))]
         below = ids(cat.src(h))
         return tuple(below[tuple(legs[j] for j in picks)] for legs in families(cat.dst(h)))
 
     def decode(a, i):
-        members = cov.min_cover(a).sorted_members()
-        return MatchClass(a, members, tuple(
-            ps.element(cat.src(f), x) for f, x in zip(members, families(a)[i])))
+        return MatchClass(a, members(a), tuple(
+            ps.element(cat.src(f), x) for f, x in zip(members(a), families(a)[i])))
 
     match = Presheaf(cat, lambda a: len(families(a)), table, decode, name=f"Match({ps.name})",
                      locations=ps.locations)

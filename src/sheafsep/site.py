@@ -52,6 +52,20 @@ def _pull(table, m):
     return out
 
 
+@dataclass(frozen=True)
+class CoverSkeleton:
+    """The site half of a cover, the same for every carrier: per member
+    (j, k) with gens[j].k = member for the first such generator, and per
+    generator its squares (k, h) with itself and (j, k, h) per square
+    against each earlier generator gens[j]."""
+
+    gens: tuple
+    members: tuple  # in sorted order
+    factors: tuple  # per member
+    selves: tuple  # per generator
+    joins: tuple  # per generator
+
+
 class SieveMasks:
     """The sieves of `cat` as ints.  Bit i of a mask on `a` is the i-th
     morphism into `a` in sorted order, so the set bits read low to high
@@ -61,6 +75,7 @@ class SieveMasks:
     def __init__(self, cat: FinCat):
         self.cat = cat
         self._bit, self._pull, self._closure, self._all, self._through = {}, {}, {}, {}, {}
+        self._skeleton = {}  # (a, mask) -> CoverSkeleton
 
     def bit(self, a):
         """Morphism into `a` -> its bit, in sorted order; empty for a non-object."""
@@ -106,6 +121,24 @@ class SieveMasks:
                 through.setdefault(on_dst, k)
             self._through[g] = through  # once whole: a request cut short keeps no part
         return through[self.bit(self.cat.dst(g))[f]]
+
+    def skeleton(self, a, m) -> CoverSkeleton:
+        """The site half of the cover m on `a`, built on first use: at
+        most one per cover of the site, whatever the carriers read it."""
+        sk = self._skeleton.get((a, m))
+        if sk is None:
+            cat, bit, closure = self.cat, self.bit(a), self.closure(a)
+            gens, members = self.generators(a, m), self.sorted_members(a, m)
+            reach, factors = [closure[g] for g in gens], []
+            for f in members:
+                j = [r & bit[f] != 0 for r in reach].index(True)  # no generator to finalise
+                factors.append((j, self.factor(gens[j], f)))
+            selves = tuple(tuple(cat.squares(g, g)) for g in gens)
+            joins = tuple(tuple((j, k, h) for j in range(i) for k, h in cat.squares(g, gens[j]))
+                          for i, g in enumerate(gens))
+            sk = CoverSkeleton(gens, members, tuple(factors), selves, joins)
+            self._skeleton[(a, m)] = sk  # once whole: a request cut short keeps no part
+        return sk
 
     def mask(self, a, members):
         """The bits of the members that target `a`; the others are dropped,

@@ -7,6 +7,7 @@ import pytest
 from presheaf_reference import clear_shape_caches
 from sheafsep.day import CoendClass, Decomp
 from sheafsep.presheaf import AmalgamationIso, Heap, MatchClass, _EncodedCover
+from sheafsep.site import CoverSkeleton
 
 
 @pytest.fixture(autouse=True)
@@ -21,10 +22,11 @@ def cold_shape_caches():
 @pytest.fixture
 def built(monkeypatch):
     """Counts, by class name, of the Heap, Decomp, CoendClass, MatchClass,
-    AmalgamationIso and _EncodedCover objects constructed while the test
-    runs."""
+    AmalgamationIso, _EncodedCover and CoverSkeleton objects constructed
+    while the test runs."""
     counts = Counter()
-    for cls in (Heap, Decomp, CoendClass, MatchClass, AmalgamationIso, _EncodedCover):
+    for cls in (Heap, Decomp, CoendClass, MatchClass, AmalgamationIso, _EncodedCover,
+                CoverSkeleton):
         def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             counts[_name] += 1
             _init(self, *args, **kwargs)

@@ -24,7 +24,9 @@ stages and per location count, and `clear_shape_caches` empties them,
 the registry of shape entries (`presheaf._shapes`) and the tables and
 sheaf certificates of every entry a live carrier still holds, and the
 kept models (`cli._model`), so that a request served after it is
-served cold.
+served cold: it builds its shared site anew, with no cover skeleton.
+`cover_skeleton` builds a cover's site half per cover, as the core did
+before the site kept it, for the skeleton oracle.
 
 `listed` builds a presheaf from its elements, filling each table entry
 by restricting one; it serves the presheaves whose elements are their
@@ -50,7 +52,7 @@ from sheafsep.presheaf import (
     _encoded_cover,
 )
 from sheafsep.report import Report
-from sheafsep.site import Sieve
+from sheafsep.site import CoverSkeleton, Sieve, sieve_masks
 
 # the functools caches the package keeps for the process, keyed by masks
 # and location counts alone: the exponents of the maps between stages,
@@ -61,7 +63,9 @@ SHAPE_CACHES = (presheaf._exponents, seplogic.powerset_site)
 def clear_shape_caches():
     """Empty every shape cache, every shape entry (its tables and sheaf
     certificates, also when a live carrier holds it) and the registry,
-    and the kept models, which hold their carriers' and monoids' memos."""
+    and the kept models, which hold their carriers' and monoids' memos.
+    The shared sites go with their cache, and with them every cover
+    skeleton (`SieveMasks.skeleton`) they kept."""
     for entry in list(presheaf._shapes.values()):
         entry.tables.clear()
         entry.certified.clear()
@@ -297,6 +301,28 @@ def factors(cat, cover, gens):
     return out
 
 
+def cover_skeleton(cat, cover):
+    """The site half of a cover built as `_EncodedCover` built it for
+    every cover and carrier before the site kept it
+    (`SieveMasks.skeleton`): the members sorted by their own order, each
+    member's first generator found by its reach, and each generator's
+    squares read from `FinCat.squares` as its family enumeration read
+    them."""
+    sm, a = sieve_masks(cat), cover.target
+    gens = sm.generators(a, sm.mask(a, cover.members))
+    members = cover.sorted_members()
+    bit, reach = sm.bit(a), [sm.closure(a)[g] for g in gens]
+    factors = []
+    for f in members:
+        j = [r & bit[f] != 0 for r in reach].index(True)
+        factors.append((j, sm.factor(gens[j], f)))
+    selves, joins = [], []
+    for i, g in enumerate(gens):
+        selves.append(tuple(cat.squares(g, g)))
+        joins.append(tuple((j, k, h) for j in range(i) for k, h in cat.squares(g, gens[j])))
+    return CoverSkeleton(gens, members, tuple(factors), tuple(selves), tuple(joins))
+
+
 def square_maps(cat, f, g):
     """All (k, h) with f.k = g.h, scanning every morphism of the base."""
     out = []
@@ -419,7 +445,7 @@ def family_key(code, partial):
     generator's value read off its factorisation through the first
     generator that reaches it."""
     position = {f: n for n, f in enumerate(code.members)}
-    through = [code.factors[position[g]] for g in code.gens]
+    through = [code.skeleton.factors[position[g]] for g in code.gens]
     return tuple(code.ps.table(k)[partial[j]] for j, k in through)
 
 

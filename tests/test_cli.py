@@ -448,6 +448,39 @@ def test_laws_rejects_an_empty_sample_count(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["error"] == "ModelSchemaError"
 
 
+def test_laws_refuses_a_sample_count_past_its_bound(tmp_path, capsys, monkeypatch):
+    """A `--samples` count above `cli.LAWS_SAMPLES_BOUND` is refused before
+    any sampling, with exit 2, the JSON error and nothing on stderr."""
+    drawn = []
+    monkeypatch.setattr(cli, "random_closed_predicate", lambda *args: drawn.append(args))
+    model_path = write_model(tmp_path, dict(MEMORY_DOC, formulas={}))
+    for samples in (cli.LAWS_SAMPLES_BOUND + 1, 100_000_000):
+        argv = ["laws", "--model", model_path, "--samples", str(samples), "--json"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {
+            "error": "ModelSchemaError",
+            "detail": f"--samples: bound exceeded: {samples} > {cli.LAWS_SAMPLES_BOUND}"}
+        assert err == ""
+    assert drawn == []
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["eval", "--formula", "x |-> 0"], "command 'eval' needs a memory model, got a psl model"),
+    (["psl", "--name", "indep", "--space", "unif4"],
+     "command 'psl' needs a psl model, got a memory model"),
+])
+def test_a_command_on_the_wrong_model_kind_names_both_kinds(argv, detail, tmp_path, capsys):
+    """A command on a model file of the other kind is refused naming the
+    model file kinds (`kind` in the file), not the library's classes."""
+    doc = PSL_DOC if argv[0] == "eval" else MEMORY_DOC
+    argv = argv[:1] + ["--model", write_model(tmp_path, doc)] + argv[1:]
+    assert main(argv + ["--json"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"error": "ModelSchemaError", "detail": f"kind: {detail}"}
+    assert err == ""
+
+
 def test_check_site_at_four_locations(tmp_path):
     doc = dict(MEMORY_DOC, locations=["w", "x", "y", "z"], formulas={})
     assert run_cli(["check-site", "--model", write_model(tmp_path, doc)]).exit_code == 0

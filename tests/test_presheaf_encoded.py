@@ -508,14 +508,32 @@ def test_cover_generators_from_masks_agree_with_factorisations(name):
     """Generators and factor positions read from `SieveMasks` against the
     `factorisations`-based reference, on every nonempty sieve."""
     cat = CATEGORIES[name]()
-    point = ref.terminal(cat)
     sm = sieve_masks(cat)
     for a in cat.objects:
         for m in sm.all(a)[1:]:  # the empty sieve sorts first
-            sieve = sm.sieve(a, m)
-            code = _EncodedCover(point, sieve)
-            assert code.gens == ref.generators(cat, sieve)
-            assert code.factors == ref.factors(cat, sieve, code.gens)
+            sieve, skeleton = sm.sieve(a, m), sm.skeleton(a, m)
+            assert skeleton.gens == ref.generators(cat, sieve)
+            assert list(skeleton.factors) == ref.factors(cat, sieve, skeleton.gens)
+
+
+@pytest.mark.parametrize("base, kind, n", [("powerset", "downward-closed", n) for n in range(5)]
+                         + [("finsurj", "atomic", n) for n in (1, 2)])
+def test_cover_skeletons_agree_with_the_per_cover_construction(base, kind, n):
+    """Oracle: on every cover of the lub coverage at 0-4 locations and of
+    the atomic coverage on finite surjections, the site half the site
+    keeps (`SieveMasks.skeleton`) is the one each carrier's cover built
+    for itself, members sorted per cover and squares read from
+    `FinCat.squares` (`presheaf_reference.cover_skeleton`); it is built
+    once and read again."""
+    cat, _ = (build_powerset_category if base == "powerset" else build_finsurj_category)(n)
+    cov, sm, point = build_coverage(cat, kind), sieve_masks(cat), ref.terminal(cat)
+    for a in cat.objects:
+        for cover in cov.covers(a):
+            m = sm.mask(a, cover.members)
+            skeleton = sm.skeleton(a, m)
+            assert skeleton == ref.cover_skeleton(cat, cover)
+            assert sm.skeleton(a, m) is skeleton
+            assert _EncodedCover(point, cover).skeleton is skeleton
 
 
 @pytest.mark.parametrize("n_locs", [2, 3])

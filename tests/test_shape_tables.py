@@ -483,3 +483,39 @@ def test_a_failing_replay_keeps_least_covers_only(tmp_path, built):
     built.clear()
     assert _run(argv) == first
     assert built["_EncodedCover"] == replayed - len(kept)
+
+
+def test_a_second_failing_replay_on_the_site_builds_no_skeleton(tmp_path, monkeypatch, built):
+    """Deterministic work gate: a cover's site half (`SieveMasks.skeleton`)
+    is kept with the shared site.  A failing `check-sheaf` on the
+    3-location, 4-value, bound-2 support-bounded model builds one
+    skeleton for each of the 11 covers it reads that are not maximal
+    sieves; a failing one on a 3-location model with other names, values
+    and bound then calls `FinCat.squares` 0 times and builds no
+    skeleton.  Each report is the reference replay's."""
+    squares = fincat.FinCat.squares
+    calls = []
+    monkeypatch.setattr(fincat.FinCat, "squares",
+                        lambda self, f, g: calls.append((f, g)) or squares(self, f, g))
+    kept = site.sieve_masks(powerset_site(3).cat)._skeleton
+    assert not kept  # the shared site starts cold
+    doc = {"schema_version": cli.SCHEMA_VERSION, "kind": "memory",
+           "locations": ["x", "y", "z"], "values": [0, 1, 2, 3], "sheaf": "support-bounded",
+           "support_bound": 2, "monoid": None, "coverage": "downward-closed"}
+    other = dict(doc, locations=["p", "q", "r"], values=[5, 7], support_bound=1)
+    outs = {}
+    for name, doc, skeletons in (("first", doc, 11), ("second", other, 0)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        built.clear()
+        calls.clear()
+        code, outs[str(path)] = _run(["check-sheaf", "--model", str(path), "--json"])
+        assert code == 1
+        assert built["CoverSkeleton"] == skeletons
+        assert bool(calls) == bool(skeletons)
+    assert len(kept) == 11
+    for path, out in outs.items():
+        model = cli.load_model(path)
+        want = ref.replay_report(model.sheaf, model.site.cov)
+        assert json.loads(out)["witnesses"] == [
+            {"kind": v.kind, "detail": v.detail} for v in want.violations]
